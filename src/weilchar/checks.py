@@ -10,7 +10,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -584,7 +584,7 @@ def check_gerardin_semisimple(ps=(3, 5, 7), include_sp4=True) -> list[Row]:
             wd = sym.weights(torus)
             worst = 0.0
             for t in torus.elements():
-                worst = max(worst, abs(ger_char(t, wd) - model.trace_omega(t.elem)))
+                worst = max(worst, abs(gerardin.char_semisimple(t, wd) - model.trace_omega(t.elem)))
             name = torus.desc.factors[0].__class__.__name__
             rows.append(Row.compare("gerardin", "semisimple Sp_2(F_%d) %s" % (p, name), worst, 0, 1e-8))
     if include_sp4:
@@ -593,7 +593,7 @@ def check_gerardin_semisimple(ps=(3, 5, 7), include_sp4=True) -> list[Row]:
                 torus = sym.build_torus(sym.TorusDesc(3, (f1, f2)))
                 model = weil.WeilModel(torus.space)
                 wd = sym.weights(torus)
-                worst = max(abs(ger_char(t, wd) - model.trace_omega(t.elem)) for t in torus.elements())
+                worst = max(abs(gerardin.char_semisimple(t, wd) - model.trace_omega(t.elem)) for t in torus.elements())
                 label = "semisimple Sp_4(F_3) %s+%s" % (f1.__class__.__name__[:5], f2.__class__.__name__[:5])
                 rows.append(Row.compare("gerardin", label, worst, 0, 1e-8))
         # beyond the required block tori: the irreducible degree-2 factors
@@ -601,13 +601,9 @@ def check_gerardin_semisimple(ps=(3, 5, 7), include_sp4=True) -> list[Row]:
             torus = sym.build_torus(sym.TorusDesc(3, (factory,)))
             model = weil.WeilModel(torus.space)
             wd = sym.weights(torus)
-            worst = max(abs(ger_char(t, wd) - model.trace_omega(t.elem)) for t in torus.elements())
+            worst = max(abs(gerardin.char_semisimple(t, wd) - model.trace_omega(t.elem)) for t in torus.elements())
             rows.append(Row.compare("gerardin", "semisimple Sp_4(F_3) %s deg 2" % factory.__class__.__name__[:5], worst, 0, 1e-8))
     return rows
-
-
-def ger_char(t, wd):
-    return gerardin.char_semisimple(t, wd)
 
 
 def check_polarized_formula(ps=(3, 5, 7)) -> list[Row]:
@@ -823,7 +819,7 @@ def sign_branch_scenarios(p: int, max_degree: int = 2, eta_cap: int = 80, c_vari
     # asym/sym-ur, f = 2 (k_alpha of degree 4)
     if max_degree >= 4:
         k4 = ffield.field(p, 4)
-        act = _asym_symur_f2_action()
+        act = _neg_frob_action(4)
         vexp = (-act.sigma_exponent(0)) % 4
         for c in c_pool(k4):
             for eta in _eta_pool(list(k4.units()), cap=eta_cap):
@@ -854,7 +850,7 @@ def sign_branch_scenarios(p: int, max_degree: int = 2, eta_cap: int = 80, c_vari
     # asym/sym-ram, f = 3 (theta of order 6, so p must not divide 6)
     if max_degree >= 3 and p % 3 != 0:
         k3 = ffield.field(p, 3)
-        act = _asym_ram_f3_action()
+        act = _neg_frob_action(3)
         vexp = (-act.sigma_exponent(0)) % 3
         for c in c_pool(k3):
             for eta in _eta_pool(list(k3.units()), cap=eta_cap):
@@ -909,45 +905,46 @@ def _sym_ram_action(d: int) -> signcalc.OrbitAction:
     return signcalc.OrbitAction(d, base.frobenius, base.neg, base.neg)
 
 
-def _asym_symur_f2_action() -> signcalc.OrbitAction:
-    """Gamma = Z/4 free, theta(alpha) = -gamma(alpha): asymmetric alpha with
-    symmetric unramified restricted root and f = 2 (k_alpha of degree 4)."""
-    d = 4
-    n = 2 * d
-    frob = tuple(list(range(1, d)) + [0] + list(range(d + 1, 2 * d)) + [d])
-    neg = tuple(list(range(d, 2 * d)) + list(range(d)))
-    theta = tuple(_perm_mul(neg, frob))
-    return signcalc.OrbitAction(n, frob, neg, theta)
+def _neg_frob_action(d: int) -> signcalc.OrbitAction:
+    """Gamma = Z/d free, theta(alpha) = -gamma(alpha): asymmetric alpha with a
+    symmetric restricted root, unramified with f = 2 for d = 4 and ramified
+    with f = 3 for d = 3 (theta of order 6 there, so p != 3)."""
+    base = _free_asym_action(d)
+    return signcalc.OrbitAction(2 * d, base.frobenius, base.neg, _perm_mul(base.neg, base.frobenius))
 
 
-def _asym_ram_f3_action() -> signcalc.OrbitAction:
-    """Gamma = Z/3 free, theta(alpha) = -gamma(alpha): asymmetric alpha with
-    ramified restricted root and f = 3 (theta of order 6, so p != 3)."""
-    d = 3
-    n = 2 * d
-    frob = tuple(list(range(1, d)) + [0] + list(range(d + 1, 2 * d)) + [d])
-    neg = tuple(list(range(d, 2 * d)) + list(range(d)))
-    theta = tuple(_perm_mul(neg, frob))
-    return signcalc.OrbitAction(n, frob, neg, theta)
+@dataclass
+class FamilyStats:
+    """One sign-sweep family: blocks seen, worst |formula - oracle|, signs."""
+
+    count: int = 0
+    worst: float = 0.0
+    signs: set[int] = dc_field(default_factory=set)
+
+
+def sign_sweep(ps, max_degree: int = 2, eta_cap: int = 80, c_variants: int = 1) -> dict[str, FamilyStats]:
+    """Closed-form block value against the brute-force Weil trace of the same
+    built block, for every scenario of sign_branch_scenarios over ps."""
+    stats: dict[str, FamilyStats] = {}
+    for p in ps:
+        for label, sc in sign_branch_scenarios(p, max_degree, eta_cap, c_variants):
+            bv = signcalc.block_sign_formula(sc)
+            oracle = weil.WeilModel(bv.block.space).trace_omega(bv.block.op)
+            st = stats.setdefault(label, FamilyStats())
+            st.count += 1
+            st.worst = max(st.worst, abs(bv.value - oracle))
+            st.signs.add(bv.sign)
+    return stats
 
 
 def check_sign_formula_vs_oracle(ps=(3,), max_degree: int = 2) -> list[Row]:
     """The central sign-formula test: closed form times fixed factor equals
     the brute-force Weil trace of the built block."""
-    rows = []
-    worst: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for p in ps:
-        for label, sc in sign_branch_scenarios(p, max_degree):
-            bb = signcalc.build_block(sc)
-            bv = signcalc.block_sign_formula(sc)
-            oracle = weil.WeilModel(bb.space).trace_omega(bb.op)
-            err = abs(bv.value - oracle)
-            worst[label] = max(worst.get(label, 0.0), err)
-            counts[label] = counts.get(label, 0) + 1
-    for label in sorted(worst):
-        rows.append(Row.compare("signcalc", "%s (%d etas)" % (label, counts[label]), worst[label], 0, 1e-8))
-    return rows
+    stats = sign_sweep(ps, max_degree)
+    return [
+        Row.compare("signcalc", "%s (%d etas)" % (label, st.count), st.worst, 0, 1e-8)
+        for label, st in sorted(stats.items())
+    ]
 
 
 def check_ram_empty() -> list[Row]:
@@ -1172,8 +1169,8 @@ def run_checks(filter_substr: str = "", fault: str = "") -> tuple[list[Row], flo
     if fault == "sgn":
         patched = ffield.sgn_mult
 
-        def broken(x):
-            return -patched(x)
+        def broken(*args, **kwargs):
+            return -patched(*args, **kwargs)
 
         ffield.sgn_mult = broken
     try:

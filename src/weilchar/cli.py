@@ -156,9 +156,8 @@ def run_sign_block(sid: str, payload, tol: float, seed: int) -> list[Row]:
     rows = []
     for i, obj in enumerate(payload["orbits"]):
         sc = _parse_orbit(action, obj)
-        bb = signcalc.build_block(sc)
         bv = signcalc.block_sign_formula(sc)
-        oracle = weil.WeilModel(bb.space).trace_omega(bb.op)
+        oracle = weil.WeilModel(bv.block.space).trace_omega(bv.block.op)
         rows.append(Row.compare(sid, "block %d (%s)" % (i, sc.classification), bv.value, oracle, tol, seed))
         if "expect_value" in obj:
             rows.append(Row.compare(sid, "block %d pinned value" % i, bv.value, float(obj["expect_value"]), tol, seed))

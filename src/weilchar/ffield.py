@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import modp
+
 FIELD_CAP = 6561  # largest allowed p^k; above this we refuse, never degrade
 
 
@@ -62,22 +64,13 @@ def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
     return num[:dn]
 
 
-def _poly_mul_mod(a: list[int], b: list[int], den: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_mod(out, den, p)
-
-
 def _poly_powmod(a: list[int], e: int, den: list[int], p: int) -> list[int]:
     result = [1]
     base = _poly_mod(a, den, p)
     while e:
         if e & 1:
-            result = _poly_mul_mod(result, base, den, p)
-        base = _poly_mul_mod(base, base, den, p)
+            result = _poly_mod(modp.poly_mul(result, base, p), den, p)
+        base = _poly_mod(modp.poly_mul(base, base, p), den, p)
         e >>= 1
     return result
 
@@ -228,13 +221,18 @@ class FieldElem:
         if isinstance(other, int):
             other = self.parent.from_int(other)
         self._check(other)
-        f = list(self.parent.modulus)
-        out = _poly_mul_mod(list(self.coeffs), list(other.coeffs), f, self.parent.p)
+        p = self.parent.p
+        out = _poly_mod(modp.poly_mul(self.coeffs, other.coeffs, p), self.parent.modulus, p)
         out += [0] * (self.parent.degree - len(out))
         return FieldElem(self.parent, tuple(out))
 
     __rmul__ = __mul__
     __radd__ = __add__
+
+    def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        return self.parent.from_int(other) - self
 
     def inverse(self) -> "FieldElem":
         if self.is_zero():
@@ -245,6 +243,11 @@ class FieldElem:
         if isinstance(other, int):
             other = self.parent.from_int(other)
         return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        return self.parent.from_int(other) / self
 
     def __pow__(self, e: int):
         if e < 0:
@@ -371,20 +374,11 @@ def _embedding_matrix(sub: FieldDesc, big: FieldDesc) -> tuple[tuple[int, ...], 
 
 def _project(x: FieldElem, sub: FieldDesc) -> FieldElem:
     """Inverse of embed on its image (raises if x is not in the image)."""
-    from . import modp
-
     mat = _embedding_matrix(sub, x.parent)
     sol = modp.solve(mat, x.coeffs, sub.p)
     if sol is None:
         raise FieldError("element not in the subfield image")
     return sub.element(tuple(int(c) for c in sol))
-
-
-def in_subfield(x: FieldElem, sub: FieldDesc) -> bool:
-    """Whether x lies in the canonical image of sub (Frobenius fixed check)."""
-    if not is_subfield(sub, x.parent):
-        return False
-    return x.frobenius(sub.degree) == x
 
 
 def trace_to(x: FieldElem, sub: FieldDesc) -> FieldElem:
@@ -413,31 +407,38 @@ def norm_to(x: FieldElem, sub: FieldDesc) -> FieldElem:
     return _project(acc, sub)
 
 
-def sgn_mult(x: FieldElem) -> int:
-    """The unique nontrivial quadratic character of k^x, as +-1."""
+def _sign(v: FieldElem) -> int:
+    if v == 1:
+        return 1
+    if v == -1:
+        return -1
+    raise FieldError("quadratic character did not land in +-1 (unreachable)")
+
+
+def sgn_mult(x: FieldElem, k: FieldDesc | None = None) -> int:
+    """The unique nontrivial quadratic character of k^x, as +-1, for x in the
+    subfield k of x.parent (default: x.parent); evaluated in x.parent."""
+    if k is not None and k != x.parent:
+        if not is_subfield(k, x.parent):
+            raise NotASubfield("%r is not a subfield of %r" % (k, x.parent))
+        if x.frobenius(k.degree) != x:
+            raise NotASubfield("%r does not lie in %r" % (x, k))
     if x.is_zero():
         raise ZeroElement("sgn of zero")
-    v = x ** ((x.parent.order - 1) // 2)
-    if v == 1:
-        return 1
-    if v == -1:
-        return -1
-    raise FieldError("sgn did not land in +-1 (unreachable)")
+    return _sign(x ** (((k or x.parent).order - 1) // 2))
 
 
-def sgn_norm_one(x: FieldElem, sub: FieldDesc) -> int:
+def sgn_norm_one(x: FieldElem, sub: FieldDesc, k: FieldDesc | None = None) -> int:
     """The unique nontrivial quadratic character of the norm-one group k^1
-    of a quadratic extension k/sub, as +-1."""
-    if not is_subfield(sub, x.parent) or x.parent.degree != 2 * sub.degree:
-        raise WrongIndex("[%r : %r] != 2" % (x.parent, sub))
-    if x.is_zero() or norm_to(x, sub) != 1:
-        raise NotNormOne("%r has norm != 1 over %r" % (x, sub))
-    v = x ** ((sub.order + 1) // 2)
-    if v == 1:
-        return 1
-    if v == -1:
-        return -1
-    raise FieldError("sgn_norm_one did not land in +-1 (unreachable)")
+    of a quadratic extension k/sub, as +-1, for x in the subfield k of
+    x.parent (default: x.parent); evaluated in x.parent."""
+    k = k or x.parent
+    if not is_subfield(sub, k) or not is_subfield(k, x.parent) or k.degree != 2 * sub.degree:
+        raise WrongIndex("[%r : %r] != 2 inside %r" % (k, sub, x.parent))
+    # x^(q+1) = 1 says both that x lies in k and that its norm to sub is 1
+    if x ** (sub.order + 1) != 1:
+        raise NotNormOne("%r is not norm-one in %r over %r" % (x, k, sub))
+    return _sign(x ** ((sub.order + 1) // 2))
 
 
 def norm_one_group(big: FieldDesc, sub: FieldDesc) -> list[FieldElem]:
@@ -466,11 +467,6 @@ def nth_roots(x: FieldElem, n: int) -> list[FieldElem]:
     if n % x.parent.p == 0:
         raise NotCoprimeToP("n = %d is divisible by p = %d" % (n, x.parent.p))
     return list(_power_map(x.parent, n).get(x, []))
-
-
-def sqrt_in(x: FieldElem) -> FieldElem | None:
-    roots = nth_roots(x, 2)
-    return roots[0] if roots else None
 
 
 def serialize(x: FieldElem) -> str:

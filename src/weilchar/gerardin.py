@@ -136,13 +136,6 @@ def complement_in(big_basis, small_basis, p: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _sgn_p(x: int, p: int) -> int:
-    x %= p
-    if x == 0:
-        raise GerardinError("sgn of zero")
-    return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
-
-
 # ---------------------------------------------------------------------------
 # Fixed-point-free formula
 
@@ -172,18 +165,11 @@ def char_no_fixed_point(g: SpElem, vprime) -> int:
     if len(v0):
         cp = modp.charpoly(g_v0, p)
         for lam in range(p):
-            if _poly_eval(cp, lam, p) == 0:
+            if modp.poly_eval(cp, lam, p) == 0:
                 raise NotIsotropic("V' is not maximal (V0 has an eigenline)")
     det_v0_shift = modp.det((g_v0 - np.eye(len(v0), dtype=np.int64)) % p, p) if len(v0) else 1
     sign_arg = pow(p - 1, (len(v0) // 2) % 2, p) * det_vp * det_v0_shift % p
-    return _sgn_p(sign_arg, p)
-
-
-def _poly_eval(coeffs, x, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
+    return modp.legendre(sign_arg, p)
 
 
 # ---------------------------------------------------------------------------
@@ -306,38 +292,17 @@ def _project_to_eigenspace(g: SpElem, v: np.ndarray, lam: int) -> np.ndarray:
     n = g.space.dim
     cp = modp.charpoly(g.mat_np, p)
     # q(X) = charpoly / (X - lam)^mult; the eigenprojection is q(g) scaled
-    mult = 0
     cur = cp
-    while len(cur) > 1 and _poly_eval(cur, lam, p) == 0:
-        cur = _deflate(cur, lam, p)
-        mult += 1
-    qg = _poly_apply(cur, g.mat_np, p)
+    while len(cur) > 1 and modp.poly_eval(cur, lam, p) == 0:
+        cur = modp.poly_deflate(cur, lam, p)
+    qg = modp.poly_eval_mat(cur, g.mat_np, p)
     out = qg @ (v % p) % p
     # normalize: on ker(g - lam), q(g) acts by q(lam) != 0
-    scale = pow(_poly_eval(cur, lam, p), p - 2, p)
+    scale = pow(modp.poly_eval(cur, lam, p), p - 2, p)
     out = out * scale % p
     if not out.any() or ((g.mat_np @ out - lam * out) % p).any():
         raise GerardinError("eigenprojection failed (element not semisimple?)")
     return out
-
-
-def _deflate(coeffs, lam, p):
-    n = len(coeffs) - 1
-    out = [0] * n
-    carry = coeffs[n]
-    for i in range(n - 1, -1, -1):
-        out[i] = carry
-        carry = (coeffs[i] + carry * lam) % p
-    assert carry % p == 0
-    return out
-
-
-def _poly_apply(coeffs, m, p):
-    n = m.shape[0]
-    acc = np.zeros((n, n), dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = (acc @ m + c * np.eye(n, dtype=np.int64)) % p
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +332,7 @@ def char_polarized(g: SpElem, polarization) -> complex:
         raise NotInvariantPolarization(str(exc)) from exc
     fixed = g.fixed_space_dim()
     assert fixed % 2 == 0
-    return _sgn_p(modp.det(gp, p), p) * float(p) ** (fixed // 2)
+    return modp.legendre(modp.det(gp, p), p) * float(p) ** (fixed // 2)
 
 
 def invariant_polarizations(g: SpElem):

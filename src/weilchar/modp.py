@@ -10,8 +10,51 @@ def as_mat(m, p: int) -> np.ndarray:
     return a
 
 
-def mat_mul(a, b, p: int) -> np.ndarray:
-    return (as_mat(a, p) @ as_mat(b, p)) % p
+def legendre(a: int, p: int) -> int:
+    """The Legendre symbol (a/p) as +-1 (Euler's criterion); a must be a unit."""
+    a %= p
+    if a == 0:
+        raise ValueError("Legendre symbol of 0 mod %d" % p)
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+# Polynomials over F_p are coefficient lists, low degree first.
+
+
+def poly_mul(a, b, p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def poly_eval(coeffs: list[int], x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def poly_deflate(coeffs: list[int], lam: int, p: int) -> list[int]:
+    """coeffs / (X - lam); the division must be exact."""
+    n = len(coeffs) - 1
+    out = [0] * n
+    carry = coeffs[n]
+    for i in range(n - 1, -1, -1):
+        out[i] = carry
+        carry = (coeffs[i] + carry * lam) % p
+    assert carry % p == 0
+    return out
+
+
+def poly_eval_mat(coeffs: list[int], m: np.ndarray, p: int) -> np.ndarray:
+    n = m.shape[0]
+    acc = np.zeros((n, n), dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = (acc @ m + c * np.eye(n, dtype=np.int64)) % p
+    return acc
 
 
 def mat_pow(a, k: int, p: int) -> np.ndarray:

@@ -400,11 +400,6 @@ def validate_scenario(sc: OrbitScenario) -> None:
         raise SignCalcError("C must be a unit of k_alpha")
 
 
-def classify_restricted(sc: OrbitScenario) -> str:
-    """Ramification of alpha_res per the residue-degree lemma."""
-    return sc.classification.split("/")[1]
-
-
 # ---------------------------------------------------------------------------
 # Block construction
 
@@ -458,17 +453,16 @@ def build_block(sc: OrbitScenario) -> BlockBuild:
     return BlockBuild(space, sym.sp_elem(space, mat), sc)
 
 
-def s_action_matrix(sc: OrbitScenario, value: FieldElem) -> sym.SpElem:
-    """The toral element [s] on the block: multiplication by bar-alpha(s) on
-    the plus line (inverse on the minus line for asymmetric blocks)."""
-    bb = build_block(sc)
-    k = sc.k_alpha
-    p = sc.p
+def s_action_matrix(bb: BlockBuild, value: FieldElem) -> sym.SpElem:
+    """The toral element [s] on the built block: multiplication by
+    bar-alpha(s) on the plus line (inverse on the minus line for asymmetric
+    blocks)."""
+    sc = bb.scenario
     if sc.sym_alpha:
         if value * sc.tau(value) != 1:
             raise SignCalcError("symmetric s-value must be norm-one")
         return sym.sp_elem(bb.space, sym.mult_matrix(value))
-    d = k.degree
+    d = sc.k_alpha.degree
     zero = np.zeros((d, d), dtype=np.int64)
     mat = np.block([[sym.mult_matrix(value), zero], [zero, sym.mult_matrix(value.inverse())]])
     return sym.sp_elem(bb.space, mat)
@@ -583,39 +577,15 @@ class BlockValue:
     branch: str
     pieces: TorusPieces | None
     oracle_computed: bool
+    block: BlockBuild  # the block the value was computed on
 
 
 _RAMIFIED_CACHE: dict[tuple, int] = {}
 
 
-def _sgn_in_ambient(x: FieldElem, abs_degree: int) -> int:
-    """sgn_{k_i^x}(x) for x in the degree-abs_degree subfield, computed in the
-    ambient field."""
-    p = x.parent.p
-    q = p**abs_degree
-    if x.frobenius(abs_degree % x.parent.degree) != x:
-        raise SignCalcError("element does not lie in the declared subfield")
-    v = x ** ((q - 1) // 2)
-    if v == 1:
-        return 1
-    if v == -1:
-        return -1
-    raise SignCalcError("sgn did not land in +-1")
-
-
-def _sgn_norm_one_in_ambient(x: FieldElem, abs_degree: int) -> int:
-    p = x.parent.p
-    if abs_degree % 2:
-        raise SignCalcError("norm-one character needs an even-degree field")
-    qo = p ** (abs_degree // 2)
-    if x ** (qo + 1) != 1:
-        raise SignCalcError("element is not norm-one in its subfield")
-    v = x ** ((qo + 1) // 2)
-    if v == 1:
-        return 1
-    if v == -1:
-        return -1
-    raise SignCalcError("sgn_norm_one did not land in +-1")
+def _asym_asym_sign(sc: OrbitScenario) -> int:
+    """sgn(-1)^{g(f-1)} sgn(eta_alpha): the sign of an asym/asym block."""
+    return modp.legendre(-1, sc.p) ** (sc.g * (sc.f - 1)) * ffield.sgn_mult(sc.eta_alpha)
 
 
 def block_sign_formula(sc: OrbitScenario) -> BlockValue:
@@ -634,16 +604,14 @@ def block_sign_formula(sc: OrbitScenario) -> BlockValue:
     branch = sc.classification
 
     if branch == "asym/asym":
-        exp = sc.g * (sc.f - 1)
-        sgn_m1 = 1 if pow(p - 1, (p - 1) // 2, p) == 1 else -1
-        sign = (sgn_m1**exp) * ffield.sgn_mult(sc.eta_alpha)
-        return BlockValue(sign * fixed_factor, sign, fixed_factor, n_alpha, branch, None, False)
+        sign = _asym_asym_sign(sc)
+        return BlockValue(sign * fixed_factor, sign, fixed_factor, n_alpha, branch, None, False, bb)
 
     if branch.endswith("sym-ram"):
         sign = _ramified_constant(sc, bb)
         if fixed_dim:
             raise SignCalcError("ramified branch must have a trivial fixed space")
-        return BlockValue(float(sign), sign, 1.0, 0, branch, None, True)
+        return BlockValue(float(sign), sign, 1.0, 0, branch, None, True, bb)
 
     # unramified restricted branches: torus algorithm + Gerardin bookkeeping
     if branch == "asym/sym-ur":
@@ -661,14 +629,15 @@ def block_sign_formula(sc: OrbitScenario) -> BlockValue:
     chi = 1
     ones = 0
     for piece in pieces.pieces:
+        k_i = ffield.field(p, piece.degree)
         if piece.symmetric:
-            chi *= _sgn_norm_one_in_ambient(piece.x, piece.degree)
+            chi *= ffield.sgn_norm_one(piece.x, ffield.field(p, piece.degree // 2), k_i)
             if piece.x == 1:
                 ones += piece.degree
             else:
                 l_count += 1
         else:
-            chi *= _sgn_in_ambient(piece.x, piece.degree)
+            chi *= ffield.sgn_mult(piece.x, k_i)
             if piece.x == 1:
                 ones += 2 * piece.degree
             else:
@@ -676,7 +645,7 @@ def block_sign_formula(sc: OrbitScenario) -> BlockValue:
     if ones != fixed_dim:
         raise SignCalcError("weight multiplicities disagree with the block fixed space")
     sign = (-1) ** l_count * chi
-    return BlockValue(sign * fixed_factor, sign, fixed_factor, n_alpha, branch, pieces, False)
+    return BlockValue(sign * fixed_factor, sign, fixed_factor, n_alpha, branch, pieces, False, bb)
 
 
 def _ramified_constant(sc: OrbitScenario, bb: BlockBuild) -> int:
@@ -710,9 +679,7 @@ def f1_constant(sc: OrbitScenario) -> int:
     """The eta-underline constant of the f = 1 regime (one per Theta-orbit)."""
     branch = sc.classification
     if branch == "asym/asym":
-        p = sc.p
-        sgn_m1 = 1 if pow(p - 1, (p - 1) // 2, p) == 1 else -1
-        return (sgn_m1 ** (sc.g * (sc.f - 1))) * ffield.sgn_mult(sc.eta_alpha)
+        return _asym_asym_sign(sc)
     if branch == "asym/sym-ur":
         return ffield.sgn_mult(sc.eta_minus_alpha * sc.C)
     if branch == "sym-ur/sym-ur":
@@ -790,7 +757,7 @@ def twisted_scenario(sc: OrbitScenario, s_values: dict[int, FieldElem]) -> Orbit
     m = sc.m
     bb = build_block(sc)
     d = bb.space.dim
-    smats = [s_action_matrix(sc, _value_at_root(act, s_values, act.theta_pow(a, j))).mat_np for j in range(m)]
+    smats = [s_action_matrix(bb, _value_at_root(act, s_values, act.theta_pow(a, j))).mat_np for j in range(m)]
     total = m * d
     iota = np.zeros((total, total), dtype=np.int64)
     smat = np.zeros((total, total), dtype=np.int64)
@@ -909,7 +876,7 @@ def full_space_oracle(action: OrbitAction, scenarios: dict[int, OrbitScenario], 
         for j in range(m):
             spaces.append(bb.space)
             val = _value_at_root(action, s_values, action.theta_pow(rep, j))
-            s_blocks.append(s_action_matrix(sc, val).mat_np)
+            s_blocks.append(s_action_matrix(bb, val).mat_np)
         iota_blocks.append((m, bb.op.mat_np))
     total = sym.direct_sum(spaces)
     p = total.p

@@ -550,17 +550,9 @@ def weight_charpoly_check(t: TorusElement) -> bool:
         # mult-by-val on its field has char poly prod_{j < deg} (X - val^{p^j}),
         # exactly this orbit's weight values with multiplicity
         block = modp.charpoly(mult_matrix(val), p)
-        acc = _poly_mul(acc, block, p)
+        acc = modp.poly_mul(acc, block, p)
     target = modp.charpoly(t.elem.mat_np, p)
     return acc == target
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return out
 
 
 # ---------------------------------------------------------------------------

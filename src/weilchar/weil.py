@@ -146,14 +146,11 @@ class WeilModel:
         out[rows, cols] = np.exp(2j * np.pi * phases / p)
         return out
 
-    def rho_v(self, v, z: int = 0) -> np.ndarray:
-        return self.rho(HeisElem(self.space, tuple(v), z))
-
     # -- Weil operators: generator word model -------------------------------
 
     def _op_m(self, a: np.ndarray) -> np.ndarray:
         p = self.p
-        sgn = 1 if pow(int(modp.det(a, p)), (p - 1) // 2, p) == 1 else -1
+        sgn = modp.legendre(modp.det(a, p), p)
         pts = self._all_points()
         rows = self._enc(pts @ a.T % p)  # row A s, column s
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -174,8 +171,7 @@ class WeilModel:
         p = self.p
         pts = self._all_points()
         phases = pts @ pts.T % p
-        sgn_m2 = 1 if pow(p - 2, (p - 1) // 2, p) == 1 else -1
-        return np.exp(2j * np.pi * phases / p) * (sgn_m2 / gauss_sum(p)) ** self.n
+        return np.exp(2j * np.pi * phases / p) * (modp.legendre(-2, p) / gauss_sum(p)) ** self.n
 
     def _op_n(self, b: np.ndarray) -> np.ndarray:
         w = self._op_w()
@@ -299,14 +295,6 @@ class WeilModel:
 
     def trace_omega(self, g: SpElem) -> complex:
         return complex(np.trace(self.omega(g)))
-
-
-def schrodinger_model(space: SympSpace, polarization=None) -> WeilModel:
-    return WeilModel(space, polarization)
-
-
-def weil_operator(model: WeilModel, g: SpElem) -> np.ndarray:
-    return model.omega(g)
 
 
 def _unitary_normalize(m: np.ndarray) -> np.ndarray:

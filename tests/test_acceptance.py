@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from weilchar import checks, cli, ffield, gerardin, lattice, modp, signcalc, symplectic as sym, weil
+from weilchar import checks, cli, ffield, gerardin, lattice, modp, symplectic as sym
 
 
 def report(num, label, ok, detail=""):
@@ -53,29 +53,21 @@ def test_criterion_04_twisted_decomposition():
 
 
 def test_criterion_05_sign_formulas():
-    worst = collections.defaultdict(float)
-    counts = collections.Counter()
-    ram_values = collections.defaultdict(set)
+    # cap 80 enumerates every multiplicative / norm-one group fully at
+    # p = 3 (and p = 5 up to degree 2); p = 5 degrees 3-4 use the fixed
+    # deterministic subsample (ledgered); two structure constants C per family
+    stats = {}
     for p, cap in ((3, 80), (5, 16)):
-        # cap 80 enumerates every multiplicative / norm-one group fully at
-        # p = 3 (and p = 5 up to degree 2); p = 5 degrees 3-4 use the fixed
-        # deterministic subsample (ledgered); two structure constants C per family
-        for label, sc in checks.sign_branch_scenarios(p, max_degree=4, eta_cap=cap, c_variants=2):
-            bb = signcalc.build_block(sc)
-            bv = signcalc.block_sign_formula(sc)
-            oracle = weil.WeilModel(bb.space).trace_omega(bb.op)
-            worst[label] = max(worst[label], abs(bv.value - oracle))
-            counts[label] += 1
-            if "sym-ram" in sc.classification:
-                ram_values[label].add(bv.sign)
-    branches = {l.split(" ")[0] for l in counts}
+        stats.update(checks.sign_sweep((p,), max_degree=4, eta_cap=cap, c_variants=2))
+    branches = {l.split(" ")[0] for l in stats}
+    worst = max(st.worst for st in stats.values())
     ok = (
         branches == {"asym/asym", "asym/sym-ur", "asym/sym-ram", "sym-ur/sym-ur", "sym-ur/sym-ram"}
-        and all(v <= 1e-8 for v in worst.values())
-        and all(len(v) == 1 for v in ram_values.values())
+        and worst <= 1e-8
+        and all(len(st.signs) == 1 for label, st in stats.items() if "sym-ram" in label)
     )
     report(5, "sign formulas = oracle on every branch; ramified eta-independence exact", ok,
-           "%d scenarios over %d families, worst %.1e" % (sum(counts.values()), len(counts), max(worst.values())))
+           "%d scenarios over %d families, worst %.1e" % (sum(st.count for st in stats.values()), len(stats), worst))
 
 
 def test_criterion_06_intertwiner_normalization():

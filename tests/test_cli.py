@@ -3,7 +3,7 @@ import pathlib
 import subprocess
 import sys
 
-from weilchar import cli
+from weilchar import checks, cli, ffield
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCN = ROOT / "scenarios"
@@ -86,6 +86,24 @@ def test_selfcheck_filter_and_fault(capsys):
     assert run_cli(["selfcheck", "--filter", "ffield.sgn-mult"]) == 0
     capsys.readouterr()
     assert run_cli(["selfcheck", "--filter", "ffield.sgn-mult", "--fault", "sgn"]) == 1
+
+
+def test_sgn_fault_reaches_only_formula_checks():
+    # the oracle never calls an ffield sign function, so exactly the checks
+    # that compare a quadratic-character formula go red; only the assemble
+    # check's internal dual-path assertion turns the fault into an exception
+    sgn = ffield.sgn_mult
+    rows, _ = checks.run_checks(fault="sgn")
+    assert ffield.sgn_mult is sgn
+    assert {r.scenario_id for r in rows if not r.passed} == {
+        "ffield.sgn-mult",
+        "gerardin.semisimple",
+        "gerardin.polarized-agrees",
+        "signcalc.oracle",
+        "signcalc.assemble",
+        "signcalc.f1-forms",
+    }
+    assert [r.scenario_id for r in rows if r.quantity == "exception"] == ["signcalc.assemble"]
 
 
 def test_root_datum_command(capsys):

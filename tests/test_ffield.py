@@ -66,6 +66,47 @@ def test_sgn_norm_one_examples():
         ff.sgn_norm_one(F9.gen() + 1, F3)
 
 
+def _brute_squares(k):
+    return {x * x for x in k.units()}
+
+
+@pytest.mark.parametrize("p,j,d", [(3, 2, 4), (3, 3, 6), (3, 1, 4), (5, 1, 2)])
+def test_sgn_mult_in_proper_subfield(p, j, d):
+    sub, big = ff.field(p, j), ff.field(p, d)
+    squares = _brute_squares(sub)
+    for x in sub.units():
+        want = 1 if x in squares else -1
+        assert ff.sgn_mult(x) == want
+        assert ff.sgn_mult(ff.embed(x, big), sub) == want
+    outside = next(y for y in big.units() if y.frobenius(j) != y)
+    with pytest.raises(ff.NotASubfield):
+        ff.sgn_mult(outside, sub)
+    with pytest.raises(ff.ZeroElement):
+        ff.sgn_mult(big.zero(), sub)
+
+
+@pytest.mark.parametrize("p,j,d", [(3, 2, 4), (3, 2, 6), (5, 2, 4), (3, 1, 6)])
+def test_sgn_norm_one_in_proper_subfield(p, j, d):
+    # x in k = GF(p^j) of norm one over k^o = GF(p^(j/2)), seen inside GF(p^d)
+    k, big = ff.field(p, j), ff.field(p, d)
+    if j % 2:
+        with pytest.raises(ff.WrongIndex):
+            ff.sgn_norm_one(big.one(), ff.field(p, 1), k)
+        return
+    sub = ff.field(p, j // 2)
+    group = ff.norm_one_group(k, sub)
+    squares = {x * x for x in group}
+    for x in group:
+        want = 1 if x in squares else -1
+        assert ff.sgn_norm_one(x, sub) == want
+        assert ff.sgn_norm_one(ff.embed(x, big), sub, k) == want
+    not_norm_one = next(y for y in k.units() if ff.norm_to(y, sub) != 1)
+    with pytest.raises(ff.NotNormOne):
+        ff.sgn_norm_one(ff.embed(not_norm_one, big), sub, k)
+    with pytest.raises(ff.NotNormOne):
+        ff.sgn_norm_one(big.gen(), sub, k)  # not in k at all
+
+
 def test_nth_roots_examples():
     f5 = ff.field(5, 1)
     assert sorted(r.index() for r in ff.nth_roots(f5.one(), 2)) == [1, 4]
@@ -103,6 +144,16 @@ def test_field_axioms_sampled(i, j, k):
     assert a * (b * c) == (a * b) * c
     if not a.is_zero():
         assert a * a.inverse() == 1
+    # int operands on either side act as their residues in the prime field
+    n = F81.from_int(k)
+    assert k + a == a + k == n + a
+    assert k - a == n - a and a - k == a - n
+    assert k * a == a * k == n * a
+    assert (k - a) + (a - k) == 0
+    if k % 3:
+        assert a / k == a / n
+    if not a.is_zero():
+        assert k / a == n / a and (k / a) * a == k
 
 
 @given(st.integers(1, 24), st.integers(1, 24))

@@ -1,0 +1,53 @@
+"""Smoke tests: the bundled scripts run end to end and print their tables."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from weilchar import signcalc
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, cwd=ROOT, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_sign_survey_script():
+    lines = run_script("sign_survey.py", "2", "4")
+    assert lines[0].split() == ["family", "n", "worst", "err", "signs", "seen"]
+    families = lines[1:-1]
+    assert len(families) == 16
+    assert {line.split()[0] for line in families} == set(signcalc.BRANCHES)
+    total = 0
+    for line in families:
+        n, worst, signs = line[30:].split(None, 2)
+        total += int(n)
+        assert float(worst) <= 1e-8
+        assert signs in ("[-1]", "[1]", "[-1, 1]")
+    assert lines[-1].startswith("%d scenarios in " % total)
+
+
+def test_character_table_script():
+    lines = run_script("character_table.py", "3")
+    assert lines[0].startswith("Sp_2(F_3): ")
+    classes = int(lines[0].split()[1])
+    assert len(lines) == 2 + classes
+
+
+def test_ci_workflow_parses():
+    yaml = pytest.importorskip("yaml")
+    doc = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    steps = [step.get("run", "") for job in doc["jobs"].values() for step in job["steps"]]
+    assert any("python -m pytest -q --continue-on-collection-errors" in s for s in steps)
+    assert any("python -m pytest perfbench/tests -q" in s for s in steps)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from weilchar import checks, ffield as ff, signcalc as sc, symplectic as sym, weil
@@ -34,21 +36,24 @@ def test_classify_orbits_examples():
 
 
 def test_classify_restricted_per_degree_lemma():
+    # the constructor accepts exactly the restricted-root class the
+    # residue-degree lemma gives, and rejects the other one
     # sym alpha, f odd -> unramified restricted root
-    s = sc.OrbitScenario(checks.make_sym_ur_action(), 0, F9, F3, F9, F3, C9,
-                         ff.norm_one_group(F9, F3)[2], None, "sym-ur/sym-ur")
-    assert sc.classify_restricted(s) == "sym-ur"
+    no = ff.norm_one_group(F9, F3)[2]
+    s = sc.OrbitScenario(checks.make_sym_ur_action(), 0, F9, F3, F9, F3, C9, no, None, "sym-ur/sym-ur")
     assert s.f == 1 and s.g == 1
+    with pytest.raises(sc.SignCalcError):
+        sc.OrbitScenario(checks.make_sym_ur_action(), 0, F9, F3, F9, F3, C9, no, None, "sym-ur/sym-ram")
     # asym with [k_alpha : k_pm_res] even -> unramified
     act = checks.make_asym_symur_action()
     c = F9.one()
     eta = F9.gen()
-    s2 = sc.OrbitScenario(act, 0, F9, F9, F9, F3, c, eta, -(c.frobenius(1) / c) / eta, "asym/sym-ur")
-    assert sc.classify_restricted(s2) == "sym-ur"
+    sc.OrbitScenario(act, 0, F9, F9, F9, F3, c, eta, -(c.frobenius(1) / c) / eta, "asym/sym-ur")
+    with pytest.raises(sc.SignCalcError):
+        sc.OrbitScenario(act, 0, F9, F9, F9, F3, c, eta, -(c.frobenius(1) / c) / eta, "asym/sym-ram")
     # asym with odd [k_alpha : k_pm_res] -> ramified
-    s3 = sc.OrbitScenario(checks.make_asym_symram_action(), 0, F3, F3, F3, F3,
-                          F3.one(), F3.one(), -F3.one(), "asym/sym-ram")
-    assert sc.classify_restricted(s3) == "sym-ram"
+    sc.OrbitScenario(checks.make_asym_symram_action(), 0, F3, F3, F3, F3,
+                     F3.one(), F3.one(), -F3.one(), "asym/sym-ram")
     # declaring the wrong classification is rejected
     with pytest.raises(sc.SignCalcError):
         sc.OrbitScenario(checks.make_asym_symram_action(), 0, F3, F3, F3, F3,
@@ -108,6 +113,26 @@ def test_block_sign_formula_branch_matrix():
     equals the brute-force Weil trace (the module's central property)."""
     rows = checks.check_sign_formula_vs_oracle(ps=(3,), max_degree=2)
     assert all(r.passed for r in rows), [r.quantity for r in rows if not r.passed]
+
+
+def test_sign_sweep_goes_red_on_corrupted_formula():
+    clean = checks.sign_sweep((3,), max_degree=1, eta_cap=4)
+    assert clean and all(st.worst <= 1e-8 and st.count for st in clean.values())
+    real = sc.block_sign_formula
+
+    def corrupted(s):
+        bv = real(s)
+        return dataclasses.replace(bv, value=-bv.value)
+
+    sc.block_sign_formula = corrupted
+    try:
+        bad = checks.sign_sweep((3,), max_degree=1, eta_cap=4)
+        rows = checks.check_sign_formula_vs_oracle(ps=(3,), max_degree=1)
+    finally:
+        sc.block_sign_formula = real
+    assert bad.keys() == clean.keys()
+    assert all(st.worst > 1e-8 for st in bad.values())
+    assert rows and not any(r.passed for r in rows)
 
 
 def test_sym_f1_example_vs_oracle():
