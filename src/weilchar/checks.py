@@ -414,8 +414,11 @@ def check_omega_multiplicative(ps=(3, 5, 7)) -> list[Row]:
             rhs = ops[prod_idx[i]]
             worst = max(worst, float(np.abs(lhs - rhs).max()))
         rows.append(Row.compare("weil", "omega multiplicative p=%d (all pairs)" % p, worst, 0, 1e-8))
-        word_worst = max(float(np.abs(model.omega_word(g) - ops[i]).max()) for i, g in enumerate(els))
+        words = [model.omega_word(g) for g in els]
+        word_worst = max(float(np.abs(words[i] - ops[i]).max()) for i in range(len(els)))
         rows.append(Row.compare("weil", "word model = group model p=%d" % p, word_worst, 0, 1e-8))
+        trace_worst = max(abs(model.trace_word(g) - np.trace(words[i])) for i, g in enumerate(els))
+        rows.append(Row.compare("weil", "word trace = trace of word model p=%d" % p, trace_worst, 0, 1e-10))
     return rows
 
 

@@ -10,8 +10,11 @@ independent constructions:
   are scalar-free, so on the perfect groups the walk is forced); SL_2(F_3) is
   seeded with the classical unipotent operator;
 * a generator word model (lower unipotents, Levi, Weyl/Fourier with inverse
-  Gauss-sum scalar) factoring arbitrary elements through the Siegel big cell,
-  usable at any size the matrices allow.
+  Gauss-sum scalar) factoring arbitrary elements through the Siegel big cell
+  into one normal form (W^H)^e W D1 M W D2 W^H D3 with W the unitary Fourier
+  operator, D diagonal and M monomial; omega_word multiplies it out and
+  trace_word takes its trace by the cyclic-trace identity, in O(p^n) work on
+  the big cell and O(p^2n) at most, without forming a p^n x p^n product.
 
 The central character is pinned to theta(z) = exp(2*pi*i*z/p).
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 import cmath
 import itertools
 from dataclasses import dataclass, field as dc_field
+from operator import attrgetter
 
 import numpy as np
 
@@ -73,6 +77,28 @@ def gauss_sum(p: int) -> complex:
     return sum(theta_char(p, t * t) for t in range(p))
 
 
+def _fourier_scalar(p: int, n: int) -> complex:
+    # sgn(-2)^n / g1^n is forced by n(1) nbar(-1) n(1) = w once the
+    # lower-unipotent operators carry scalar 1 (the -2 comes from the 1/2 in
+    # the rho phase convention); |g1|^2 = p makes W unitary
+    return (modp.legendre(-2, p) / gauss_sum(p)) ** n
+
+
+@dataclass(frozen=True, eq=False)
+class WordFactors:
+    """Factors of omega(g) = (W^H)^fallback W D1 M W D2 W^H D3 in standard
+    coordinates: W the unitary Fourier operator, D1, D2, D3 the diagonals of
+    lower unipotents (d3 None for D3 = I), and M f(a0 s) = sgn f(s), given by
+    the images a0 s of the points s (one row each) and sgn = (det a0 / p)."""
+
+    fallback: bool
+    d1: np.ndarray
+    images: np.ndarray
+    sgn: int
+    d2: np.ndarray
+    d3: np.ndarray | None
+
+
 class WeilModel:
     """Schrodinger model of the Heisenberg-Weil representation of
     Sp(V) x H(V) with the fixed central character, dimension p^n.
@@ -81,6 +107,8 @@ class WeilModel:
     symplectic basis change; rho acts on functions on the X-coordinates."""
 
     def __init__(self, space: SympSpace, polarization=None):
+        if space.p % 2 == 0:
+            raise WeilError("the Schrodinger model needs an odd prime, got p = %d" % space.p)
         self.space = space
         self.p = space.p
         self.n = space.dim // 2
@@ -99,7 +127,10 @@ class WeilModel:
             self.to_std = sym.transport_to_standard(space)
         self.from_std = modp.mat_inv(self.to_std, self.p)
         self._group_table: dict | None = None
+        self._w: np.ndarray | None = None  # the Fourier operator, built on first use
         self._powers = self.p ** np.arange(self.n, dtype=np.int64)
+        # all of F_p^n, shape (p^n, n), row index = encoding (little-endian digits)
+        self._pts = np.indices((self.p,) * self.n).reshape(self.n, -1)[::-1].T.copy()
 
     def _check_polarization(self, xs, ys):
         n = self.n
@@ -123,11 +154,6 @@ class WeilModel:
     def _enc(self, t: np.ndarray) -> np.ndarray:
         return (t % self.p) @ self._powers
 
-    def _all_points(self) -> np.ndarray:
-        """All of F_p^n as an array of shape (p^n, n), row index = encoding."""
-        pts = np.array(list(itertools.product(range(self.p), repeat=self.n)), dtype=np.int64)
-        return pts[:, ::-1]  # little-endian digit order matches _enc
-
     # -- Heisenberg action --------------------------------------------------
 
     def rho(self, h: HeisElem) -> np.ndarray:
@@ -138,7 +164,7 @@ class WeilModel:
         vstd = self.to_std @ np.asarray(h.v, dtype=np.int64) % p
         a, b = vstd[: self.n], vstd[self.n :]
         half = pow(2, p - 2, p)
-        pts = self._all_points()
+        pts = self._pts
         phases = (int(h.z) + pts @ b + half * int(a @ b)) % p
         rows = self._enc(pts)
         cols = self._enc(pts + a)
@@ -148,67 +174,116 @@ class WeilModel:
 
     # -- Weil operators: generator word model -------------------------------
 
-    def _op_m(self, a: np.ndarray) -> np.ndarray:
-        p = self.p
-        sgn = modp.legendre(modp.det(a, p), p)
-        pts = self._all_points()
-        rows = self._enc(pts @ a.T % p)  # row A s, column s
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        out[rows, self._enc(pts)] = sgn
-        return out
+    def _fourier(self) -> np.ndarray:
+        """The unitary Fourier operator W, built once per model."""
+        if self._w is None:
+            self._w = self._fourier_entries(self._pts @ self._pts.T)
+        return self._w
 
-    def _op_nbar(self, b: np.ndarray) -> np.ndarray:
+    def _fourier_entries(self, phases: np.ndarray) -> np.ndarray:
+        """Entries c theta(s.t) of W from their integer phases s.t."""
+        roots = _fourier_scalar(self.p, self.n) * np.exp(2j * np.pi * np.arange(self.p) / self.p)
+        return np.take(roots, phases, mode="wrap")  # wrap: index s.t mod p
+
+    def _nbar_diag(self, b: np.ndarray) -> np.ndarray:
+        """Diagonal of the lower-unipotent operator nbar(b): theta(-t.b.t / 2)."""
         p = self.p
         half = pow(2, p - 2, p)
-        pts = self._all_points()
-        phases = (-half * np.einsum("ti,ij,tj->t", pts, b, pts)) % p
-        return np.diag(np.exp(2j * np.pi * phases / p))
+        phases = (-half * np.einsum("ti,ij,tj->t", self._pts, b, self._pts)) % p
+        return np.exp(2j * np.pi * phases / p)
 
-    def _op_w(self) -> np.ndarray:
-        # scalar sgn(-2)^n / g1^n is forced by n(1) nbar(-1) n(1) = w once the
-        # lower-unipotent operators carry scalar 1 (the -2 comes from the 1/2
-        # in the rho phase convention)
-        p = self.p
-        pts = self._all_points()
-        phases = pts @ pts.T % p
-        return np.exp(2j * np.pi * phases / p) * (modp.legendre(-2, p) / gauss_sum(p)) ** self.n
+    def _kernel(self, d: np.ndarray) -> np.ndarray:
+        """Kernel k of the convolution W diag(d) W^H: k(x) = p^-n sum_t d(t) theta(t.x)."""
+        return np.fft.ifftn(d.reshape((self.p,) * self.n)).ravel()
 
-    def _op_n(self, b: np.ndarray) -> np.ndarray:
-        w = self._op_w()
-        return w @ self._op_nbar((-b) % self.p) @ np.linalg.inv(w)
+    def _diff_index(self) -> np.ndarray:
+        """(N, N) encodings of s - t, the index of a convolution kernel."""
+        p, n = self.p, self.n
+        step = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
+        # as a (p,)*2n array the axes are the digits of s, then of t, each
+        # most significant first
+        out = np.zeros((p,) * (2 * n), dtype=np.int64)
+        for i in range(n):
+            shape = [1] * (2 * n)
+            shape[n - 1 - i] = shape[2 * n - 1 - i] = p
+            out += (step * self._powers[i]).reshape(shape)
+        return out.reshape(self.dim, self.dim)
 
-    def omega_word(self, g: SpElem) -> np.ndarray:
-        """Weil operator by factoring g through the Siegel big cell."""
+    def word_factors(self, g: SpElem) -> WordFactors:
+        """Normal form omega(g) = (W^H)^fallback W D1 M(a0) W D2 W^H D3.
+
+        On the Siegel big cell (C invertible) g = n(A C^-1) w m(-C) n(C^-1 D),
+        and n(b) = W nbar(-b) W^H; otherwise g nbar(b0) is moved into the big
+        cell (D3 = nbar(-b0)), and if no b0 is found, w g is factored instead."""
         if g.space != self.space:
             raise sym.SpaceMismatch("element from another space")
-        gstd = self.to_std @ g.mat_np @ self.from_std % self.p
-        return self._omega_word_std(gstd, allow_w=True)
-
-    def _omega_word_std(self, gstd: np.ndarray, allow_w: bool) -> np.ndarray:
         p, n = self.p, self.n
-        a = gstd[:n, :n]
-        b = gstd[:n, n:]
-        c = gstd[n:, :n]
-        d = gstd[n:, n:]
-        if modp.det(c, p) != 0:
-            cinv = modp.mat_inv(c, p)
-            b1 = a @ cinv % p
-            b2 = cinv @ d % p
-            a0 = (-c) % p
-            return self._op_n(b1) @ self._op_w() @ self._op_m(a0) @ self._op_n(b2)
-        b0 = self._find_perturbation(c, d)
-        if b0 is not None:
-            nbar = np.block([[np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)], [b0, np.eye(n, dtype=np.int64)]])
-            shifted = gstd @ nbar % p
-            return self._omega_word_std(shifted, allow_w) @ self._op_nbar((-b0) % p)
-        if not allow_w:
-            raise LinearizationFailed("no big-cell factorization found")
-        # last resort: pre-multiply by w and retry once
+        gstd = self.to_std @ g.mat_np @ self.from_std % p
         ident = np.eye(n, dtype=np.int64)
         zero = np.zeros((n, n), dtype=np.int64)
-        wmat = np.block([[zero, ident], [(-ident) % p, zero]])
-        rest = self._omega_word_std(wmat @ gstd % p, allow_w=False)
-        return np.linalg.inv(self._op_w()) @ rest
+        for fallback in (False, True):
+            if fallback:
+                gstd = np.block([[zero, ident], [(-ident) % p, zero]]) @ gstd % p
+            c, d = gstd[n:, :n], gstd[n:, n:]
+            if modp.det(c, p) != 0:
+                b0 = None
+                break
+            b0 = self._find_perturbation(c, d)
+            if b0 is not None:
+                break
+        else:
+            raise LinearizationFailed("no big-cell factorization found")
+        d3 = None
+        if b0 is not None:
+            gstd = gstd @ np.block([[ident, zero], [b0, ident]]) % p
+            d3 = self._nbar_diag((-b0) % p)
+        a, c, d = gstd[:n, :n], gstd[n:, :n], gstd[n:, n:]
+        cinv = modp.mat_inv(c, p)
+        a0 = (-c) % p
+        return WordFactors(
+            fallback=fallback,
+            d1=self._nbar_diag((-(a @ cinv)) % p),
+            images=self._pts @ a0.T % p,
+            sgn=modp.legendre(modp.det(a0, p), p),
+            d2=self._nbar_diag((-(cinv @ d)) % p),
+            d3=d3,
+        )
+
+    def omega_word(self, g: SpElem) -> np.ndarray:
+        """Weil operator: the dense product of the word-model normal form."""
+        f = self.word_factors(g)
+        w = self._fourier()
+        wh = w.conj().T
+        out = ((w * f.d1)[:, self._enc(f.images)] * f.sgn) @ w
+        out = (out * f.d2) @ wh
+        if f.d3 is not None:
+            out *= f.d3
+        if f.fallback:
+            out = wh @ out
+        return out
+
+    def trace_word(self, g: SpElem) -> complex:
+        """tr omega_word(g) from the normal form without forming the operator.
+
+        With K2 = W D2 W^H (a convolution with kernel k2) and M[a0 s, s] = sgn,
+        the cyclic trace gives, summed over s:
+          fallback: sgn d1(a0 s) k2(s - a0 s) d3(a0 s);
+          otherwise sgn d1(a0 s) (K2 D3 W)[s, a0 s], which is
+          d2(a0 s) W[s, a0 s] when D3 = I (K2 W = W D2)."""
+        f = self.word_factors(g)
+        pts, perm = self._pts, self._enc(f.images)
+        if f.fallback:
+            terms = self._kernel(f.d2)[self._enc(pts - f.images)]
+            if f.d3 is not None:
+                terms = terms * f.d3[perm]
+        elif f.d3 is None:
+            terms = f.d2[perm] * self._fourier_entries(np.einsum("ti,ti->t", pts, f.images))
+        else:
+            inner = self._kernel(f.d2)[self._diff_index()]  # K2[s, t]
+            inner *= f.d3
+            inner *= self._fourier_entries(f.images @ pts.T)  # W[t, a0 s], W symmetric
+            terms = inner.sum(axis=1)
+        return complex(f.sgn * np.dot(f.d1[perm], terms))
 
     def _find_perturbation(self, c: np.ndarray, d: np.ndarray) -> np.ndarray | None:
         """Symmetric B0 with C + D B0 invertible."""
@@ -243,15 +318,7 @@ class WeilModel:
             return
         elements = sym.sp_elements(self.space)  # raises above the cap
         gens = sym.sp_generators(self.space)
-        ball = {sym.sp_identity(self.space)}
-        for g in gens:
-            ball.add(g)
-            ball.add(g.inverse())
-        for g, h in itertools.product(list(ball), repeat=2):
-            if len(ball) > 40:
-                break
-            ball.add(g * h)
-        ball = list(ball)
+        ball = _schur_ball([sym.sp_identity(self.space)] + gens + [g.inverse() for g in gens])
         ms = {b.mat: _unitary_normalize(schur_intertwiner(self, self, b, check=False)) for b in ball}
         pool: dict = {}
         for x, y in itertools.product(ball, repeat=2):
@@ -264,7 +331,7 @@ class WeilModel:
             # classical unipotent operator (generator-model convention)
             u0_std = np.array([[1, 0], [1, 1]], dtype=np.int64)
             u0 = sym.sp_elem(self.space, self.from_std @ u0_std @ self.to_std % 3)
-            pool[u0.mat] = (u0, self._op_nbar(np.array([[1]], dtype=np.int64)))
+            pool[u0.mat] = (u0, np.diag(self._nbar_diag(np.array([[1]], dtype=np.int64))))
         table = {sym.sp_identity(self.space).mat: np.eye(self.dim, dtype=complex)}
         frontier = [sym.sp_identity(self.space)]
         while frontier:
@@ -294,7 +361,22 @@ class WeilModel:
         return self.omega_word(g)
 
     def trace_omega(self, g: SpElem) -> complex:
-        return complex(np.trace(self.omega(g)))
+        """Trace of omega(g): from the group model when built, else trace_word."""
+        if self._group_table is not None and g.mat in self._group_table:
+            return complex(np.trace(self.omega(g)))
+        return self.trace_word(g)
+
+
+def _schur_ball(seeds) -> list[SpElem]:
+    """The seeds and their pairwise products, stopping once more than 40
+    elements are collected; products are taken in matrix order so that the
+    ball depends on the set of seeds only, not on their order or hashes."""
+    ball = set(seeds)
+    for g, h in itertools.product(sorted(ball, key=attrgetter("mat")), repeat=2):
+        if len(ball) > 40:
+            break
+        ball.add(g * h)
+    return sorted(ball, key=attrgetter("mat"))
 
 
 def _unitary_normalize(m: np.ndarray) -> np.ndarray:

@@ -49,5 +49,7 @@ def test_ci_workflow_parses():
     yaml = pytest.importorskip("yaml")
     doc = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
     steps = [step.get("run", "") for job in doc["jobs"].values() for step in job["steps"]]
+    # pyproject.toml is the one dependency list
+    assert 'python -m pip install -e ".[test]"' in steps
     assert any("python -m pytest -q --continue-on-collection-errors" in s for s in steps)
     assert any("python -m pytest perfbench/tests -q" in s for s in steps)

@@ -1,9 +1,16 @@
 import cmath
+import os
+import pathlib
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from weilchar import symplectic as sym, weil
+from weilchar import checks, modp, signcalc, symplectic as sym, weil
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +203,149 @@ def test_sl2_f3_convention_real_on_order_4_torus():
         assert abs(tr.imag) < 1e-9
     for g in sym.sp_elements(torus.space):
         assert np.abs(model.omega_group(g) - model.omega_word(g)).max() < 1e-8
+
+
+def test_even_characteristic_rejected():
+    # 2 has no inverse mod 2, so the rho phase theta(<x,y>/2) is undefined
+    with pytest.raises(weil.WeilError):
+        weil.WeilModel(sym.standard_space(2, 1))
+
+
+def test_schur_ball_ignores_seed_order():
+    # Sp_2(F_5): all pairwise products fit under the cap; Sp_4(F_3): the cap
+    # stops the products early, so the order they are taken in matters
+    for p, n in ((5, 1), (3, 2)):
+        space = sym.standard_polarized_space(p, n)
+        gens = sym.sp_generators(space)
+        seeds = [sym.sp_identity(space)] + gens + [g.inverse() for g in gens]
+        want = [g.mat for g in weil._schur_ball(seeds)]
+        products = {(g * h).mat for g in seeds for h in seeds}
+        if n == 1:
+            assert set(want) == products | {g.mat for g in seeds}
+        else:
+            assert len(want) == 41 and len(products) > 41
+        rng = random.Random(0)
+        for _ in range(5):
+            rng.shuffle(seeds)
+            assert [g.mat for g in weil._schur_ball(seeds)] == want
+
+
+_TABLE_DIGEST = """
+import hashlib
+from weilchar import symplectic as sym, weil
+h = hashlib.sha256()
+for p in (3, 5):
+    space = sym.standard_polarized_space(p, 1)
+    m = weil.WeilModel(space)
+    for g in sym.sp_elements(space):
+        h.update(m.omega_group(g).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_group_model_identical_across_processes():
+    # hash(None) inside SympSpace's hash changes from process to process;
+    # the group model must not depend on it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    digests = {
+        subprocess.run([sys.executable, "-c", _TABLE_DIGEST], capture_output=True, text=True,
+                       env=env, timeout=300, check=True).stdout
+        for _ in range(3)
+    }
+    assert len(digests) == 1
+
+
+# -- word model: the three factorization paths -----------------------------
+
+
+def _path(model, g):
+    f = model.word_factors(g)
+    return "w-fallback" if f.fallback else ("perturbation" if f.d3 is not None else "big cell")
+
+
+def _with_fallback(fn, g):
+    """fn(g) while the first perturbation search fails, so that w g is factored."""
+    orig = weil.WeilModel._find_perturbation
+    calls = []
+
+    def first_fails(self, c, d):
+        calls.append(c)
+        return None if len(calls) == 1 else orig(self, c, d)
+
+    weil.WeilModel._find_perturbation = first_fails
+    try:
+        return fn(g)
+    finally:
+        weil.WeilModel._find_perturbation = orig
+
+
+def _path_elements(p, n):
+    """Standard-coordinate elements for the big cell, the perturbation with D
+    invertible and (n > 1) the perturbation found by search (C, D singular)."""
+    i, z = np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
+    a = i + np.triu(np.ones((n, n), dtype=np.int64), 1)
+    a[0, 0] = 2
+    levi = np.block([[a, z], [z, modp.mat_inv(a, p).T]])
+    s = (np.add.outer(np.arange(n), np.arange(n)) + 1) % p
+    w = np.block([[z, i], [-i, z]])
+    nbar = np.block([[i, z], [s, i]])
+    up = np.block([[i, s], [z, i]])
+    out = [("big cell", levi @ w @ nbar @ up), ("perturbation", levi @ up)]
+    if n > 1:
+        w0 = np.eye(2 * n, dtype=np.int64)  # w on the first coordinate pair only
+        w0[0, 0] = w0[n, n] = 0
+        w0[0, n], w0[n, 0] = 1, -1
+        out.append(("perturbation", levi @ w0))
+    return [(path, m % p) for path, m in out]
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (3, 4), (5, 3), (5, 4)])
+def test_word_model_paths(p, n):
+    # model dimensions 3, 5, 9, 25, 27, 81, 125, 625
+    space = sym.standard_polarized_space(p, n)
+    m = weil.WeilModel(space)
+    ident = np.eye(m.dim)
+    ops = []
+    for path, mat in _path_elements(p, n):
+        g = sym.sp_elem(space, mat)
+        assert _path(m, g) == path
+        dense = m.omega_word(g)
+        ops.append((g, dense))
+        assert np.abs(dense @ dense.conj().T - ident).max() < 1e-9
+        assert abs(m.trace_word(g) - np.trace(dense)) < 1e-10
+        if path == "perturbation":
+            # w-fallback: another factorization of the same operator
+            assert _with_fallback(lambda h: _path(m, h), g) == "w-fallback"
+            assert np.abs(_with_fallback(m.omega_word, g) - dense).max() < 1e-10
+            assert abs(_with_fallback(m.trace_word, g) - np.trace(dense)) < 1e-10
+    (g1, o1), (g2, o2) = ops[:2]
+    assert np.abs(o1 @ o2 - m.omega_word(g1 * g2)).max() < 1e-9
+
+
+def test_trace_word_on_large_sign_blocks():
+    # the six seeded blocks of model dimension 625 (one eta per family and C)
+    blocks = [sc for _, sc in checks.sign_branch_scenarios(5, 4, 1, 2)
+              if sc.p ** (sc.k_alpha.degree // 2 if sc.sym_alpha else sc.k_alpha.degree) == 625]
+    assert len(blocks) == 6
+    for sc in blocks:
+        bv = signcalc.block_sign_formula(sc)
+        m = weil.WeilModel(bv.block.space)
+        tr = m.trace_word(bv.block.op)
+        assert abs(tr - np.trace(m.omega_word(bv.block.op))) < 1e-10
+        assert abs(bv.value - tr) < 1e-8
+
+
+def test_fourier_scalar_fault_is_caught():
+    # seeded fault: sgn(-2) -> sgn(2) in the Fourier scalar; it changes the
+    # word model where n is odd and (-1/p) = -1, and the trace evaluator with it
+    orig = weil._fourier_scalar
+    weil._fourier_scalar = lambda p, n: (modp.legendre(2, p) / weil.gauss_sum(p)) ** n
+    try:
+        rows = checks.check_omega_multiplicative()
+        stats = checks.sign_sweep((3,), 1, 4)
+    finally:
+        weil._fourier_scalar = orig
+    failed = {r.quantity for r in rows if not r.passed}
+    assert failed == {"word model = group model p=3", "word model = group model p=7"}
+    assert max(st.worst for st in stats.values()) > 1e-8
