@@ -28,7 +28,6 @@ class Row:
     oracle: complex | float | int | str
     abs_error: float
     passed: bool
-    timing: float = 0.0
     seed: int = 0
 
     @staticmethod
@@ -1180,14 +1179,11 @@ def run_checks(filter_substr: str = "", fault: str = "") -> tuple[list[Row], flo
         for name, fn in CHECKS:
             if filter_substr and filter_substr not in name:
                 continue
-            t0 = time.time()
             try:
                 out = fn()
             except Exception as exc:  # a crash is a failure, not a silent skip
                 out = [Row(name, "exception", repr(exc), "no exception", float("inf"), False)]
-            dt = time.time() - t0
             for r in out:
-                r.timing = round(dt / max(len(out), 1), 4)
                 r.scenario_id = name
             rows.extend(out)
     finally:

@@ -273,7 +273,7 @@ def render_report(rows: list[Row], fmt: str) -> str:
     return buf.getvalue()
 
 
-def _emit(rows: list[Row], args) -> int:
+def _emit(rows: list[Row], args, elapsed: float) -> int:
     text = render_report(rows, args.format)
     if args.report:
         with open(args.report, "w") as fh:
@@ -283,8 +283,7 @@ def _emit(rows: list[Row], args) -> int:
     bad = [r for r in rows if not r.passed]
     for r in bad:
         print("FAIL %s / %s: formula=%r oracle=%r err=%r" % (r.scenario_id, r.quantity, r.formula, r.oracle, r.abs_error), file=sys.stderr)
-    total_time = sum(r.timing for r in rows)
-    print("%d rows, %d failures, %.2fs" % (len(rows), len(bad), total_time), file=sys.stderr)
+    print("%d rows, %d failures, %.2fs" % (len(rows), len(bad), elapsed), file=sys.stderr)
     return EXIT_FAIL if bad else EXIT_OK
 
 
@@ -317,33 +316,24 @@ def cmd_run(args) -> int:
         print("validation error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
 
-    rows: list[Row] = []
-
     def exec_one(job):
         sid, kind, payload, tol = job
-        t0 = time.time()
         try:
-            out = RUNNERS[kind](sid, payload, tol, args.seed)
+            return RUNNERS[kind](sid, payload, tol, args.seed)
         except (signcalc.SignCalcError, gerardin.GerardinError, sym.SymplecticError, weil.WeilError,
                 ffield.FieldError, lattice.LatticeError, ScenarioValidationError, KeyError, ValueError) as exc:
             raise ScenarioValidationError("%s: %s" % (sid, exc)) from exc
-        dt = time.time() - t0
-        for r in out:
-            r.timing = round(dt / max(len(out), 1), 4)
-        return out
 
+    rows: list[Row] = []
+    t0 = time.time()
     try:
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                for out in pool.map(exec_one, jobs):
-                    rows.extend(out)
-        else:
-            for job in jobs:
-                rows.extend(exec_one(job))
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            for out in pool.map(exec_one, jobs):
+                rows.extend(out)
     except ScenarioValidationError as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
-    return _emit(rows, args)
+    return _emit(rows, args, time.time() - t0)
 
 
 def cmd_selfcheck(args) -> int:
@@ -360,20 +350,27 @@ def cmd_selfcheck(args) -> int:
     return EXIT_FAIL if bad else EXIT_OK
 
 
+def _oracle_sign(sc: signcalc.OrbitScenario) -> int:
+    """The Weil trace of a ramified block (trivial fixed space), snapped to +-1."""
+    bb = signcalc.build_block(sc)
+    val = weil.WeilModel(bb.space).trace_omega(bb.op)
+    snapped = round(val.real)
+    if abs(val - snapped) > 1e-6 or snapped not in (1, -1):
+        raise signcalc.SignCalcError("ramified trace did not snap to a sign: %r" % (val,))
+    return snapped
+
+
 def cmd_tabulate_ramified(args) -> int:
     rows = []
-    f3 = None
-    for p in (3, 5):
+    for p in (3, 5, 7, 11, 13):
         f1 = ffield.field(p, 1)
         k2 = ffield.field(p, 2)
-        c_anti = sym.anti_invariant_unit(k2, 1)
         # asym/sym-ram: all four residue fields F_p, every C in F_p^x
         act = checks.make_asym_symram_action()
         for c in f1.units():
             # eta constraint here: eta_+ eta_- = -varsigma(C)/C = -1
             sc = signcalc.OrbitScenario(act, 0, f1, f1, f1, f1, c, f1.one(), -f1.one(), "asym/sym-ram")
-            val = signcalc.block_sign_formula(sc)
-            rows.append(("asym/sym-ram", p, 1, ffield.serialize(c), val.sign))
+            rows.append(("asym/sym-ram", p, 1, ffield.serialize(c), _oracle_sign(sc)))
         # sym-ur/sym-ram: k_alpha quadratic, tau-antiinvariant C
         act2 = checks.make_symram_action()
         for c in k2.units():
@@ -381,8 +378,7 @@ def cmd_tabulate_ramified(args) -> int:
                 continue
             eta = next(e for e in k2.units() if e * e.frobenius(1) == c.frobenius(1) / c)
             sc = signcalc.OrbitScenario(act2, 0, k2, f1, f1, f1, c, eta, None, "sym-ur/sym-ram")
-            val = signcalc.block_sign_formula(sc)
-            rows.append(("sym-ur/sym-ram", p, 2, ffield.serialize(c), val.sign))
+            rows.append(("sym-ur/sym-ram", p, 2, ffield.serialize(c), _oracle_sign(sc)))
     print("branch,p,k_alpha_degree,C,constant,provenance")
     for branch, p, deg, c, sign in rows:
         print("%s,%d,%d,%s,%+d,oracle-computed" % (branch, p, deg, c, sign))
@@ -412,10 +408,17 @@ def cmd_root_datum(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--jobs", type=_positive_int, default=1, help="threads for `run`; they share the GIL, so no speedup is claimed")
     common.add_argument("--tolerance", type=float, default=1e-8)
     common.add_argument("--report", type=str, default=None)
     common.add_argument("--format", choices=("json", "csv"), default="json")
@@ -430,7 +433,7 @@ def main(argv=None) -> int:
     p_self.add_argument("--filter", type=str, default="")
     p_self.add_argument("--fault", type=str, default="", choices=("", "sgn"))
 
-    p_tab = sub.add_parser("tabulate-ramified", parents=[common], help="oracle-computed ramified constants")
+    p_tab = sub.add_parser("tabulate-ramified", parents=[common], help="oracle-computed ramified signs, p <= 13 (tests hold sgn_{k_res}(-2) to them)")
     p_tab.add_argument("--out-of-cap", type=str, default=None, help="demonstrate the refusal row")
 
     p_rd = sub.add_parser("root-datum", parents=[common], help="restricted-root report")

@@ -193,6 +193,9 @@ class FieldElem:
         return self.parent == other.parent and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant hashes as its residue in [0, p), like the ints it equals
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.parent.p, self.parent.degree, self.coeffs))
 
     def _check(self, other: "FieldElem"):

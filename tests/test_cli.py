@@ -2,8 +2,11 @@ import json
 import pathlib
 import subprocess
 import sys
+import types
 
-from weilchar import checks, cli, ffield
+import pytest
+
+from weilchar import checks, cli, ffield, modp
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCN = ROOT / "scenarios"
@@ -60,6 +63,23 @@ def test_parse_and_validation_exit_codes(tmp_path):
         {"id": "x", "kind": "root-datum", "payload": {"name": "A2"}},
     ]}))
     assert run_cli(["run", dup]) == 3
+
+
+def test_jobs_below_one_rejected_at_parse_time(capsys):
+    for jobs in (0, -2):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", SCN / "sign_f3.scn", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+def test_run_summary_reports_measured_wall_time(tmp_path, monkeypatch, capsys):
+    # cmd_run reads the clock once before and once after the pool
+    clock = iter([10.0, 12.5])
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(time=lambda: next(clock)))
+    assert run_cli(["run", SCN / "sign_f3.scn", "--report", tmp_path / "r.json", "--jobs", 2]) == 0
+    rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+    assert capsys.readouterr().err.splitlines()[-1] == "%d rows, 0 failures, 2.50s" % len(rows)
 
 
 def test_reports_deterministic(tmp_path):
@@ -121,6 +141,21 @@ def test_tabulate_ramified_deterministic(capsys):
     assert "oracle-computed" in first
     assert run_cli(["tabulate-ramified", "--out-of-cap", "3^9"]) == 0
     assert "refused" in capsys.readouterr().out
+
+
+def test_tabulate_ramified_rows_equal_closed_form(capsys):
+    # both tabulated families have k_res = F_p, so the closed form
+    # sgn_{k_res}(-2) of the sign formula is the Legendre symbol (-2/p)
+    assert run_cli(["tabulate-ramified"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "branch,p,k_alpha_degree,C,constant,provenance"
+    primes = set()
+    for line in lines:
+        fields = line.split(",")
+        p, constant = int(fields[1]), int(fields[-2])
+        primes.add(p)
+        assert constant == modp.legendre(-2, p), line
+    assert primes == {3, 5, 7, 11, 13}
 
 
 def test_console_entry_point():

@@ -136,6 +136,16 @@ def test_serialization_round_trip():
     assert ff.deserialize(ff.serialize(x)) == x
 
 
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (5, 3), (7, 2)])
+def test_hash_agrees_with_int_equality(p, k):
+    field = ff.field(p, k)
+    for n in range(p):
+        x = field.from_int(n)
+        assert x == n and hash(x) == hash(n)
+        assert n in {x} and x in {n}
+    assert field.gen() + 1 in {field.gen() + 1}
+
+
 @given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 80))
 @settings(max_examples=60, deadline=None)
 def test_field_axioms_sampled(i, j, k):

@@ -1,8 +1,9 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from weilchar import checks, ffield as ff, signcalc as sc, symplectic as sym, weil
+from weilchar import checks, ffield as ff, gerardin, modp, signcalc as sc, symplectic as sym, weil
 
 
 F3 = ff.field(3, 1)
@@ -146,15 +147,58 @@ def test_sym_f1_example_vs_oracle():
     assert bv.value == (-1) ** (1 - bv.n_alpha) * ff.sgn_norm_one(eta, F3) * bv.fixed_factor
 
 
-def test_ramified_constant_cached_and_eta_independent():
-    sc._RAMIFIED_CACHE.clear()
-    vals = set()
-    for eta in F3.units():
-        s = sc.OrbitScenario(checks.make_asym_symram_action(), 0, F3, F3, F3, F3,
-                             F3.one(), eta, -eta.inverse(), "asym/sym-ram")
-        vals.add(sc.block_sign_formula(s).sign)
-    assert len(vals) == 1
-    assert len(sc.ramified_cache_snapshot()) == 1  # one key, write-once
+def _ramified_scenarios(p, max_degree, eta_cap=80):
+    for label, s in checks.sign_branch_scenarios(p, max_degree, eta_cap):
+        if label.split(" ")[0].endswith("sym-ram"):
+            yield label, s
+
+
+def test_ramified_constant_eta_independent():
+    # every eta of the ramified families at p = 3 up to degree 2, and of the
+    # f = 3 family at p = 7 (342 etas): formula = oracle, one sign per family
+    signs = {}
+    scenarios = list(_ramified_scenarios(3, 2)) + [
+        (label, s) for label, s in _ramified_scenarios(7, 3, eta_cap=400) if label.endswith("f=3")
+    ]
+    for label, s in scenarios:
+        bv = sc.block_sign_formula(s)
+        oracle = weil.WeilModel(bv.block.space).trace_omega(bv.block.op)
+        assert abs(bv.value - oracle) < 1e-8, label
+        signs.setdefault(label, set()).add(bv.sign)
+    assert sorted(signs) == ["asym/sym-ram p=3 d=1 f=1", "asym/sym-ram p=3 d=2 f=1", "asym/sym-ram p=7 f=3", "sym-ur/sym-ram p=3 g=1"]
+    assert all(len(v) == 1 for v in signs.values())
+
+
+def test_ramified_sign_calls_no_oracle():
+    class Raising:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("the sign formula built a WeilModel")
+
+    real = weil.WeilModel
+    weil.WeilModel = Raising
+    try:
+        seen = 0
+        for p in (3, 5):
+            for label, s in _ramified_scenarios(p, 2):
+                want = modp.legendre(-2, p) ** s.k_res.degree
+                assert sc.block_sign_formula(s).value == want, label
+                assert sc.f1_constant(s) == want, label
+                seen += 1
+    finally:
+        weil.WeilModel = real
+    assert seen > 0
+
+
+def test_ramified_sign_equals_gerardin_fixed_point_free_formula():
+    # formula against formula: Gerardin's fixed-point-free character
+    # evaluation gives sgn_{k_res}(-2) on every ramified block, including
+    # the f = 3 family where the twist does not square to -1
+    for p, max_degree in ((3, 4), (5, 4), (7, 3)):
+        for label, s in _ramified_scenarios(p, max_degree, eta_cap=6):
+            bb = sc.build_block(s)
+            squares_to_minus_one = not ((bb.op.mat_np @ bb.op.mat_np + np.eye(bb.space.dim, dtype=np.int64)) % p).any()
+            assert squares_to_minus_one == (s.f != 3), label
+            assert gerardin.weil_char(bb.op) == sc.block_sign_formula(s).value, label
 
 
 def test_assemble_and_theta_rho():
@@ -267,8 +311,8 @@ def test_torus_algorithm_counts_random(seed):
 
 def test_assemble_with_ramified_orbit():
     # asym/asym cluster (roots 0,1) + asym/sym-ram cluster (roots 2,3 with
-    # theta = negation there): the factored path must fold in the cached
-    # oracle constant for the ramified block
+    # theta = negation there): the factored path must fold in the closed-form
+    # ramified constant sgn_{k_res}(-2)
     act = sc.OrbitAction(4, (0, 1, 2, 3), (1, 0, 3, 2), (0, 1, 3, 2))
     scen = {
         0: sc.OrbitScenario(act, 0, F3, F3, F3, F3, F3.one(), F3.from_int(2), F3.from_int(2), "asym/asym"),

@@ -349,3 +349,6 @@ def test_fourier_scalar_fault_is_caught():
     failed = {r.quantity for r in rows if not r.passed}
     assert failed == {"word model = group model p=3", "word model = group model p=7"}
     assert max(st.worst for st in stats.values()) > 1e-8
+    # the ramified signs are closed-form, so the sweep sees the fault there too
+    for label in ("asym/sym-ram p=3 d=1 f=1", "sym-ur/sym-ram p=3 g=1"):
+        assert stats[label].worst > 1e-8, label
