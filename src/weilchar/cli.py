@@ -1,8 +1,10 @@
 """Scenario runner and verification harness.
 
 Subcommands:
-  weilchar run <file>           execute a scenario file, emit a report
-  weilchar selfcheck            run the built-in invariant suite
+  weilchar run <file> [--seed N] [--jobs N] [--tolerance X] [--report PATH] [--format json|csv]
+                                execute a scenario file, emit a report
+  weilchar selfcheck [--filter S] [--fault sgn] [--report PATH] [--format json|csv]
+                                run the built-in invariant suite
   weilchar tabulate-ramified    print the oracle-computed ramified constants
   weilchar root-datum <file>    restricted-root report for a datum
 
@@ -382,8 +384,6 @@ def cmd_tabulate_ramified(args) -> int:
     print("branch,p,k_alpha_degree,C,constant,provenance")
     for branch, p, deg, c, sign in rows:
         print("%s,%d,%d,%s,%+d,oracle-computed" % (branch, p, deg, c, sign))
-    if args.out_of_cap:
-        print("refused: p^k = %s exceeds the size cap %d" % (args.out_of_cap, ffield.FIELD_CAP))
     return EXIT_OK
 
 
@@ -416,27 +416,26 @@ def _positive_int(text: str) -> int:
 
 
 def main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=_positive_int, default=1, help="threads for `run`; they share the GIL, so no speedup is claimed")
-    common.add_argument("--tolerance", type=float, default=1e-8)
-    common.add_argument("--report", type=str, default=None)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report", type=str, default=None)
+    report.add_argument("--format", choices=("json", "csv"), default="json")
 
     parser = argparse.ArgumentParser(prog="weilchar", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", parents=[common], help="execute a scenario file")
+    p_run = sub.add_parser("run", parents=[report], help="execute a scenario file")
     p_run.add_argument("file")
+    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--jobs", type=_positive_int, default=1, help="threads; they share the GIL, so no speedup is claimed")
+    p_run.add_argument("--tolerance", type=float, default=1e-8)
 
-    p_self = sub.add_parser("selfcheck", parents=[common], help="run the built-in invariant suite")
+    p_self = sub.add_parser("selfcheck", parents=[report], help="run the built-in invariant suite")
     p_self.add_argument("--filter", type=str, default="")
     p_self.add_argument("--fault", type=str, default="", choices=("", "sgn"))
 
-    p_tab = sub.add_parser("tabulate-ramified", parents=[common], help="oracle-computed ramified signs, p <= 13 (tests hold sgn_{k_res}(-2) to them)")
-    p_tab.add_argument("--out-of-cap", type=str, default=None, help="demonstrate the refusal row")
+    sub.add_parser("tabulate-ramified", help="oracle-computed ramified signs, p <= 13 (tests hold sgn_{k_res}(-2) to them)")
 
-    p_rd = sub.add_parser("root-datum", parents=[common], help="restricted-root report")
+    p_rd = sub.add_parser("root-datum", help="restricted-root report")
     p_rd.add_argument("file", help="catalogue name or JSON file")
 
     args = parser.parse_args(argv)

@@ -5,10 +5,18 @@ modulus (the smallest monic irreducible in the integer encoding
 sum(c_i p^i) + p^k), so encodings are reproducible across runs.  Subfield
 embeddings map the subfield generator to the smallest root of its modulus in
 the big field.
+
+Multiplication, powers, inverses, Frobenius, multiplicative orders and n-th
+roots are lookups in one discrete-log table per field (`_tables`): exp[i] is
+the coefficient vector of g^i, for g the first element of full multiplicative
+order in the canonical order, and log[x.index()] = i.  A field builds its
+table by polynomial multiplication the first time it is used; FIELD_CAP
+bounds it at 6561 entries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -155,12 +163,10 @@ class FieldDesc:
 
     def units(self):
         for n in range(1, self.order):
-            x = self.from_index(n)
-            if not x.is_zero():
-                yield x
+            yield self.from_index(n)
 
     def multiplicative_generator(self) -> "FieldElem":
-        return _mult_generator(self)
+        return FieldElem(self, _tables(self)[0][1])
 
 
 class FieldElem:
@@ -180,9 +186,10 @@ class FieldElem:
 
     def index(self) -> int:
         """Position in the canonical element order."""
+        p = self.parent.p
         n = 0
         for c in reversed(self.coeffs):
-            n = n * self.parent.p + c
+            n = n * p + c
         return n
 
     def __eq__(self, other):
@@ -224,10 +231,11 @@ class FieldElem:
         if isinstance(other, int):
             other = self.parent.from_int(other)
         self._check(other)
-        p = self.parent.p
-        out = _poly_mod(modp.poly_mul(self.coeffs, other.coeffs, p), self.parent.modulus, p)
-        out += [0] * (self.parent.degree - len(out))
-        return FieldElem(self.parent, tuple(out))
+        exp, log = _tables(self.parent)
+        a, b = log[self.index()], log[other.index()]
+        if a < 0 or b < 0:
+            return self.parent.zero()
+        return FieldElem(self.parent, exp[(a + b) % len(exp)])
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -238,9 +246,7 @@ class FieldElem:
         return self.parent.from_int(other) - self
 
     def inverse(self) -> "FieldElem":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return self ** (self.parent.order - 2)
+        return self ** -1
 
     def __truediv__(self, other):
         if isinstance(other, int):
@@ -253,12 +259,13 @@ class FieldElem:
         return self.parent.from_int(other) / self
 
     def __pow__(self, e: int):
+        exp, log = _tables(self.parent)
+        a = log[self.index()]
+        if a >= 0:
+            return FieldElem(self.parent, exp[a * e % len(exp)])
         if e < 0:
-            return self.inverse() ** (-e)
-        f = list(self.parent.modulus)
-        out = _poly_powmod(list(self.coeffs), e, f, self.parent.p)
-        out += [0] * (self.parent.degree - len(out))
-        return FieldElem(self.parent, tuple(out))
+            raise ZeroDivisionError("inverse of zero")
+        return self.parent.one() if e == 0 else self
 
     def frobenius(self, j: int = 1) -> "FieldElem":
         """x^(p^j), the j-th power of the arithmetic Frobenius."""
@@ -266,29 +273,11 @@ class FieldElem:
         return self ** (self.parent.p**j)
 
     def mult_order(self) -> int:
-        if self.is_zero():
+        a = _tables(self.parent)[1][self.index()]
+        if a < 0:
             raise ZeroElement("order of zero")
         n = self.parent.order - 1
-        order = n
-        for q in _prime_factors(n):
-            while order % q == 0 and self ** (order // q) == 1:
-                order //= q
-        return order
-
-
-@lru_cache(maxsize=None)
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+        return n // math.gcd(n, a)
 
 
 @lru_cache(maxsize=None)
@@ -316,12 +305,27 @@ def field(p: int, k: int) -> FieldDesc:
 
 
 @lru_cache(maxsize=None)
-def _mult_generator(desc: FieldDesc) -> FieldElem:
-    n = desc.order - 1
-    for x in desc.units():
-        if x.mult_order() == n:
-            return x
-    raise FieldError("no multiplicative generator (unreachable)")
+def _tables(desc: FieldDesc) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(exp, log) of desc: exp[i] is the coefficient vector of g^i for
+    0 <= i < q - 1, with g the first unit in canonical order whose powers
+    reach every unit, and log[x.index()] = i for x = g^i (log[0] = -1)."""
+    p, mod = desc.p, list(desc.modulus)
+    one = desc.one().coeffs
+    for start in range(1, desc.order):
+        g = desc.from_index(start).coeffs
+        exp = [one]
+        x = g
+        while x != one:
+            exp.append(x)
+            x = tuple(_poly_mod(modp.poly_mul(x, g, p), mod, p))
+        if len(exp) == desc.order - 1:
+            break
+    else:
+        raise FieldError("no multiplicative generator (unreachable)")
+    log = [-1] * desc.order
+    for i, c in enumerate(exp):
+        log[FieldElem(desc, c).index()] = i
+    return tuple(exp), tuple(log)
 
 
 def is_subfield(sub: FieldDesc, big: FieldDesc) -> bool:
@@ -401,13 +405,7 @@ def norm_to(x: FieldElem, sub: FieldDesc) -> FieldElem:
     """Relative norm: product of Galois conjugates of x over sub."""
     if not is_subfield(sub, x.parent):
         raise NotASubfield("%r is not a subfield of %r" % (sub, x.parent))
-    d = x.parent.degree // sub.degree
-    acc = x.parent.one()
-    conj = x
-    for _ in range(d):
-        acc = acc * conj
-        conj = conj.frobenius(sub.degree)
-    return _project(acc, sub)
+    return _project(x ** ((x.parent.order - 1) // (sub.order - 1)), sub)
 
 
 def _sign(v: FieldElem) -> int:
@@ -454,22 +452,23 @@ def norm_one_group(big: FieldDesc, sub: FieldDesc) -> list[FieldElem]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _power_map(desc: FieldDesc, n: int) -> dict:
-    """One exhaustive pass building the multimap y^n -> [y] over the field."""
-    table: dict[FieldElem, list[FieldElem]] = {}
-    for y in desc.elements():
-        table.setdefault(y**n, []).append(y)
-    return table
-
-
 def nth_roots(x: FieldElem, n: int) -> list[FieldElem]:
-    """All roots of X^n - x in x.parent (exhaustive search), canonical order."""
+    """All roots of X^n - x in x.parent, canonical order: the g^e with
+    n e = log x (mod q - 1)."""
     if n < 1:
         raise FieldError("n must be positive")
     if n % x.parent.p == 0:
         raise NotCoprimeToP("n = %d is divisible by p = %d" % (n, x.parent.p))
-    return list(_power_map(x.parent, n).get(x, []))
+    exp, log = _tables(x.parent)
+    a = log[x.index()]
+    if a < 0:
+        return [x]
+    d = math.gcd(n, len(exp))
+    if a % d:
+        return []
+    step = len(exp) // d
+    e0 = (a // d) * pow(n // d, -1, step) % step
+    return sorted((FieldElem(x.parent, exp[e0 + i * step]) for i in range(d)), key=FieldElem.index)
 
 
 def serialize(x: FieldElem) -> str:

@@ -109,18 +109,16 @@ class OrbitAction:
                 raise SignCalcError("theta does not preserve the symmetry partition")
 
     @property
-    def gamma_order(self) -> int:
-        return _perm_order(self.frobenius)
-
-    @property
     def theta_order(self) -> int:
         return _perm_order(self.theta)
 
     def frob_pow(self, a: int, j: int) -> int:
-        return _perm_pow(self.frobenius, j)[a]
+        orb = self.gamma_orbit(a)
+        return orb[j % len(orb)]
 
     def theta_pow(self, a: int, j: int) -> int:
-        return _perm_pow(self.theta, j)[a]
+        orb = self.theta_orbit(a)
+        return orb[j % len(orb)]
 
     def gamma_orbit(self, a: int) -> list[int]:
         out = [a]
@@ -175,24 +173,16 @@ class OrbitAction:
             goal = target
         else:
             goal = target if self.branch_sign(a) == 1 else self.neg[target]
-        cur = a
-        for j in range(self.gamma_order):
-            if cur == goal:
-                return j
-            cur = self.frobenius[cur]
-        raise SignCalcError("sigma_alpha does not exist (inconsistent action)")
+        orb = self.gamma_orbit(a)
+        if goal not in orb:
+            raise SignCalcError("sigma_alpha does not exist (inconsistent action)")
+        return orb.index(goal)
 
     def tau_exponent(self, a: int) -> int:
         """Smallest j with frobenius^j(a) = -a (symmetric a only)."""
         if not self.is_symmetric(a):
             raise SignCalcError("tau_alpha only exists for symmetric roots")
-        goal = self.neg[a]
-        cur = a
-        for j in range(self.gamma_order):
-            if cur == goal:
-                return j
-            cur = self.frobenius[cur]
-        raise SignCalcError("unreachable")
+        return self.gamma_orbit(a).index(self.neg[a])
 
     # F-level degrees from stabilizer indices
     def deg_alpha(self, a: int) -> int:
@@ -203,22 +193,19 @@ class OrbitAction:
         return len(sets)
 
     def deg_res(self, a: int) -> int:
-        orb = frozenset(self.theta_orbit(a))
-        translates = set()
-        cur = orb
-        for _ in range(self.gamma_order):
-            translates.add(cur)
-            cur = frozenset(self.frobenius[x] for x in cur)
-        return len(translates)
+        return self._translates(frozenset(self.theta_orbit(a)))
 
     def deg_pm_res(self, a: int) -> int:
-        orb = frozenset(self.theta_orbit(a)) | frozenset(self.neg[x] for x in self.theta_orbit(a))
-        translates = set()
-        cur = orb
-        for _ in range(self.gamma_order):
-            translates.add(cur)
-            cur = frozenset(self.frobenius[x] for x in cur)
-        return len(translates)
+        orb = self.theta_orbit(a)
+        return self._translates(frozenset(orb) | frozenset(self.neg[x] for x in orb))
+
+    def _translates(self, roots: frozenset) -> int:
+        """How many distinct sets frobenius^j(roots) there are."""
+        seen = set()
+        while roots not in seen:
+            seen.add(roots)
+            roots = frozenset(self.frobenius[x] for x in roots)
+        return len(seen)
 
 
 @dataclass(frozen=True)
@@ -411,19 +398,6 @@ class BlockBuild:
     scenario: OrbitScenario
 
 
-def _trace_form_gram(k: FieldDesc, c: FieldElem, tau_exp: int | None) -> np.ndarray:
-    """Gram of (x, y) -> Tr(C x tau(y)) on k as an F_p-space (tau optional)."""
-    p = k.p
-    f1 = ffield.field(p, 1)
-    basis = [k.gen() ** i for i in range(k.degree)]
-    g = np.zeros((k.degree, k.degree), dtype=np.int64)
-    for i in range(k.degree):
-        for j in range(k.degree):
-            y = basis[j] if tau_exp is None else basis[j].frobenius(tau_exp)
-            g[i, j] = ffield.trace_to(c * basis[i] * y, f1).coeffs[0]
-    return g
-
-
 def build_block(sc: OrbitScenario) -> BlockBuild:
     """The symplectic block V_{Sigma alpha} with the displayed form and the
     matrix of the twist automorphism."""
@@ -431,14 +405,14 @@ def build_block(sc: OrbitScenario) -> BlockBuild:
     k = sc.k_alpha
     d = k.degree
     if sc.sym_alpha:
-        gram = _trace_form_gram(k, sc.C, sc.tau_exp)
+        gram = sym.trace_form_gram(k, sc.C, sc.tau_exp)
         if modp.det(gram, p) == 0:
             raise FormDegenerate("symmetric block form is degenerate")
         space = sym.SympSpace(p, tuple(tuple(int(x) for x in row) for row in gram))
         mat = sym.mult_matrix(sc.eta_alpha) @ sym.frobenius_matrix(k, sc.varsigma_exp) % p
         return BlockBuild(space, sym.sp_elem(space, mat), sc)
     # asymmetric: k + k with form Tr(C (x+ y- - x- y+))
-    tr = _trace_form_gram(k, sc.C, None)
+    tr = sym.trace_form_gram(k, sc.C)
     zero = np.zeros((d, d), dtype=np.int64)
     gram = np.block([[zero, tr], [(-tr) % p, zero]])
     if modp.det(gram, p) == 0:

@@ -434,6 +434,19 @@ def anti_invariant_unit(big: FieldDesc, subdeg: int) -> FieldElem:
     raise SymplecticError("no anti-invariant unit (unreachable for quadratic)")
 
 
+def trace_form_gram(k: FieldDesc, c: FieldElem, tau_exp: int | None = None) -> np.ndarray:
+    """Gram of (x, y) -> Tr(C x tau(y)) on k as an F_p-space, in the power
+    basis of k.gen(); tau = Frobenius^tau_exp, or the identity if None."""
+    f1 = ffield.field(k.p, 1)
+    basis = [k.gen() ** i for i in range(k.degree)]
+    g = np.zeros((k.degree, k.degree), dtype=np.int64)
+    for i in range(k.degree):
+        for j in range(k.degree):
+            y = basis[j] if tau_exp is None else basis[j].frobenius(tau_exp)
+            g[i, j] = ffield.trace_to(c * basis[i] * y, f1).coeffs[0]
+    return g
+
+
 def build_torus(desc: TorusDesc, space: SympSpace | None = None) -> BuiltTorus:
     """Embed the torus block-diagonally in its natural direct-sum space.
 
@@ -447,29 +460,15 @@ def build_torus(desc: TorusDesc, space: SympSpace | None = None) -> BuiltTorus:
         d = f.subdegree
         if isinstance(f, NormOneFactor):
             big = ffield.field(p, 2 * d)
-            k = big.degree
-            g = np.zeros((k, k), dtype=np.int64)
-            basis = [big.gen() ** i for i in range(k)]
-            f1 = ffield.field(p, 1)
             # form Tr(C x tau(y)) with tau(C) = -C: antisymmetric and
             # nondegenerate, preserved by norm-one multiplication
-            c = anti_invariant_unit(big, d)
-            for i in range(k):
-                for j in range(k):
-                    val = ffield.trace_to(c * basis[i] * basis[j].frobenius(d), f1)
-                    g[i, j] = val.coeffs[0]
-            spaces.append(SympSpace(p, tuple(tuple(int(x) for x in row) for row in g)))
+            g = trace_form_gram(big, anti_invariant_unit(big, d), d)
         else:
             sub = ffield.field(p, d)
-            f3 = ffield.field(p, 1)
-            basis = [sub.gen() ** i for i in range(d)]
-            tr = np.zeros((d, d), dtype=np.int64)
-            for i in range(d):
-                for j in range(d):
-                    tr[i, j] = ffield.trace_to(basis[i] * basis[j], f3).coeffs[0]
+            tr = trace_form_gram(sub, sub.one())
             zero = np.zeros((d, d), dtype=np.int64)
             g = np.block([[zero, tr], [(-tr) % p, zero]])
-            spaces.append(SympSpace(p, tuple(tuple(int(x) for x in row) for row in g)))
+        spaces.append(SympSpace(p, tuple(tuple(int(x) for x in row) for row in g)))
     total_space = direct_sum(spaces)
     n = total_space.dim // 2
     if sum(f.subdegree for f in desc.factors) != n:

@@ -73,6 +73,23 @@ def test_jobs_below_one_rejected_at_parse_time(capsys):
         assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["selfcheck", "--seed", 1],
+    ["selfcheck", "--jobs", 2],
+    ["selfcheck", "--tolerance", 1e-3],
+    ["tabulate-ramified", "--report", "x"],
+    ["tabulate-ramified", "--out-of-cap", "3^9"],
+    ["root-datum", "A2.flip", "--format", "csv"],
+])
+def test_subcommands_refuse_options_they_do_not_read(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_summary_reports_measured_wall_time(tmp_path, monkeypatch, capsys):
     # cmd_run reads the clock once before and once after the pool
     clock = iter([10.0, 12.5])
@@ -139,8 +156,6 @@ def test_tabulate_ramified_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert "oracle-computed" in first
-    assert run_cli(["tabulate-ramified", "--out-of-cap", "3^9"]) == 0
-    assert "refused" in capsys.readouterr().out
 
 
 def test_tabulate_ramified_rows_equal_closed_form(capsys):

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weilchar import ffield as ff
+from weilchar import ffield as ff, modp
 
 
 F3 = ff.field(3, 1)
@@ -179,3 +181,146 @@ def test_frobenius_has_full_order():
     powers = {tuple((t.frobenius(j)).coeffs) for j in range(4)}
     assert len(powers) == 4
     assert t.frobenius(4) == t
+
+
+# (p, k): (modulus, multiplicative generator), recorded from the polynomial
+# implementation before arithmetic became table lookups
+PINNED = {
+    (3, 1): ((0, 1), (2,)),
+    (3, 2): ((1, 0, 1), (1, 1)),
+    (3, 3): ((1, 2, 0, 1), (0, 1, 0)),
+    (3, 4): ((2, 1, 0, 0, 1), (0, 1, 0, 0)),
+    (3, 5): ((1, 2, 0, 0, 0, 1), (0, 1, 0, 0, 0)),
+    (3, 6): ((2, 1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0)),
+    (3, 7): ((2, 0, 1, 0, 0, 0, 0, 1), (2, 1, 0, 0, 0, 0, 0)),
+    (3, 8): ((2, 0, 1, 0, 0, 0, 0, 0, 1), (2, 0, 1, 1, 0, 0, 0, 0)),
+    (5, 1): ((0, 1), (2,)),
+    (5, 2): ((2, 0, 1), (1, 1)),
+    (5, 3): ((1, 1, 0, 1), (4, 1, 0)),
+    (5, 4): ((2, 0, 0, 0, 1), (1, 1, 0, 0)),
+    (5, 5): ((1, 4, 0, 0, 0, 1), (0, 2, 0, 0, 0)),
+    (7, 1): ((0, 1), (3,)),
+    (7, 2): ((1, 0, 1), (2, 1)),
+    (7, 3): ((2, 0, 0, 1), (1, 3, 0)),
+    (7, 4): ((1, 1, 0, 0, 1), (5, 1, 0, 0)),
+    (11, 1): ((0, 1), (2,)),
+    (11, 2): ((1, 0, 1), (4, 1)),
+    (11, 3): ((4, 1, 0, 1), (0, 1, 0)),
+    (13, 1): ((0, 1), (2,)),
+    (13, 2): ((2, 0, 1), (2, 1)),
+    (13, 3): ((2, 0, 0, 1), (2, 1, 0)),
+}
+SMALL = sorted(pk for pk in PINNED if pk[0] ** pk[1] <= 81)
+LARGE = sorted(pk for pk in PINNED if pk[0] ** pk[1] > 81)
+
+
+def test_pins_cover_every_field_under_the_cap():
+    every = {(p, k) for p in (3, 5, 7, 11, 13) for k in range(1, 9) if p**k <= ff.FIELD_CAP}
+    assert set(PINNED) == every
+
+
+@pytest.mark.parametrize("p,k", sorted(PINNED))
+def test_modulus_and_generator_pinned(p, k):
+    desc = ff.field(p, k)
+    modulus, gen = PINNED[(p, k)]
+    assert desc.modulus == modulus
+    g = desc.multiplicative_generator()
+    assert g.coeffs == gen and g.mult_order() == desc.order - 1
+    # the first unit of full order in canonical order
+    assert all(x.mult_order() < desc.order - 1 for x in desc.units() if x.index() < g.index())
+
+
+def _pad(d, coeffs):
+    return d.element((list(coeffs) + [0] * d.degree)[: d.degree])
+
+
+def _ref_mul(a, b):
+    """The polynomial product reduced by the modulus."""
+    d = a.parent
+    return _pad(d, ff._poly_mod(modp.poly_mul(a.coeffs, b.coeffs, d.p), list(d.modulus), d.p))
+
+
+def _ref_pow(a, e):
+    d = a.parent
+    return _pad(d, ff._poly_powmod(list(a.coeffs), e, list(d.modulus), d.p))
+
+
+def _check_against_polynomials(a, b):
+    d = a.parent
+    assert a * b == _ref_mul(a, b)
+    for e in (0, 1, 2, d.p, d.order - 2, d.order - 1, d.order, 3 * d.order + 5):
+        assert a**e == _ref_pow(a, e)
+    for j in range(d.degree + 1):
+        assert a.frobenius(j) == _ref_pow(a, d.p**j)
+    if a.is_zero():
+        return
+    inv = a.inverse()
+    assert _ref_mul(a, inv) == 1
+    for e in (1, 2, d.order + 1):
+        assert a**-e == _ref_pow(inv, e)
+
+
+@pytest.mark.parametrize("p,k", SMALL)
+def test_arithmetic_equals_polynomial_reference_exhaustive(p, k):
+    d = ff.field(p, k)
+    units = list(d.units())
+    for a in d.elements():
+        for b in d.elements():
+            assert a * b == _ref_mul(a, b)
+        _check_against_polynomials(a, units[(a.index() * 7) % len(units)])
+        if not a.is_zero():
+            order = next(n for n in range(1, d.order) if _ref_pow(a, n) == 1)
+            assert a.mult_order() == order
+
+
+@pytest.mark.parametrize("p,k", LARGE)
+def test_arithmetic_equals_polynomial_reference_sampled(p, k):
+    d = ff.field(p, k)
+    rng = random.Random(1000 * p + k)
+    for _ in range(150):
+        a, b = d.from_index(rng.randrange(d.order)), d.from_index(rng.randrange(d.order))
+        _check_against_polynomials(a, b)
+    for sub in (ff.field(p, j) for j in range(1, k + 1) if k % j == 0):
+        for _ in range(10):
+            x = d.from_index(rng.randrange(d.order))
+            conj, prod = x, d.one()
+            for _ in range(k // sub.degree):
+                prod, conj = _ref_mul(prod, conj), _ref_pow(conj, sub.order)
+            assert ff.embed(ff.norm_to(x, sub), d) == prod
+
+
+def test_zero_keeps_its_results_and_exceptions():
+    for d in (F3, F9, ff.field(5, 3)):
+        z, x = d.zero(), d.gen() + 1
+        assert z * x == x * z == z and z * 2 == z
+        assert z**0 == 1 and z**5 == z and z.frobenius(1) == z
+        assert ff.norm_to(z, F3 if d.p == 3 else ff.field(5, 1)) == 0
+        with pytest.raises(ZeroDivisionError):
+            z.inverse()
+        with pytest.raises(ZeroDivisionError):
+            z**-2
+        with pytest.raises(ZeroDivisionError):
+            x / z
+        with pytest.raises(ff.ZeroElement):
+            z.mult_order()
+        assert ff.nth_roots(z, 2) == [z]
+    with pytest.raises(ff.FieldError):
+        F9.gen() * F81.gen()
+
+
+@pytest.mark.parametrize("p,k", SMALL)
+def test_nth_roots_equal_brute_force(p, k):
+    d = ff.field(p, k)
+    elements = list(d.elements())
+    for n in range(1, 2 * d.order + 2):
+        if n % p == 0:
+            with pytest.raises(ff.NotCoprimeToP):
+                ff.nth_roots(d.one(), n)
+            continue
+        powers = {}
+        for y in elements:  # canonical order, so each list is sorted
+            powers.setdefault(_ref_pow(y, n), []).append(y)
+        for x in elements:
+            assert ff.nth_roots(x, n) == powers.get(x, [])
+    with pytest.raises(ff.FieldError):
+        ff.nth_roots(d.one(), 0)

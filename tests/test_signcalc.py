@@ -362,6 +362,41 @@ def test_orbit_action_invariants_random(seed):
         assert act.frob_pow(a, j) == goal
 
 
+def _validated_actions():
+    for d in (1, 2, 3, 4):
+        base = checks._free_asym_action(d)
+        yield base
+        yield sc.OrbitAction(2 * d, base.frobenius, base.neg, base.neg)
+        for shift in range(1, d):
+            yield checks._free_asym_action_twisted(d, shift)
+        yield checks._sym_action(2 * ((d + 1) // 2))
+        yield checks._sym_ram_action(2 * ((d + 1) // 2))
+    yield checks.make_asym_symram_action()
+    yield checks.make_symram_action()
+
+
+def test_orbit_action_lookups_equal_permutation_powers():
+    for act in _validated_actions():
+        gamma_order = sc._perm_order(act.frobenius)
+        frob_pows = [sc._perm_pow(act.frobenius, i) for i in range(gamma_order)]
+        for a in range(act.size):
+            for j in range(-3, 2 * act.size):
+                assert act.theta_pow(a, j) == sc._perm_pow(act.theta, j)[a]
+                assert act.frob_pow(a, j) == sc._perm_pow(act.frobenius, j)[a]
+            target = sc._perm_pow(act.theta, act.m_alpha(a))[a]
+            goal = act.neg[target] if act.branch_sign(a) == -1 else target
+            assert act.sigma_exponent(a) == next(i for i, f in enumerate(frob_pows) if f[a] == goal)
+            if act.is_symmetric(a):
+                assert act.tau_exponent(a) == next(i for i, f in enumerate(frob_pows) if f[a] == act.neg[a])
+            else:
+                with pytest.raises(sc.SignCalcError):
+                    act.tau_exponent(a)
+            orb = set(act.theta_orbit(a))
+            pm = orb | {act.neg[x] for x in orb}
+            assert act.deg_res(a) == len({frozenset(f[x] for x in orb) for f in frob_pows})
+            assert act.deg_pm_res(a) == len({frozenset(f[x] for x in pm) for f in frob_pows})
+
+
 def test_m3_chain_over_f5():
     # three blocks rotated cyclically (theta of order 3, p = 5): the composite
     # of three intertwiners must normalize to the block twist operator
