@@ -396,8 +396,28 @@ def check_rho_homomorphism(seed: int = 0) -> list[Row]:
     return rows
 
 
-def check_omega_multiplicative(ps=(3, 5, 7)) -> list[Row]:
-    """omega(g1) omega(g2) = omega(g1 g2) for all pairs, both constructions."""
+def cell_element(model: weil.WeilModel, r: int, rng: np.random.Generator) -> sym.SpElem:
+    """A random element of the Bruhat cell P w_S P with |S| = r, P the Siegel
+    parabolic of the model's standard coordinates: its C block has rank r."""
+    p, n = model.p, model.n
+    ident, zero = np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
+
+    def parabolic():  # m(a) n(b + b^T)
+        a = rng.integers(0, p, (n, n))
+        while modp.det(a, p) == 0:
+            a = rng.integers(0, p, (n, n))
+        b = rng.integers(0, p, (n, n))
+        return np.block([[a, a @ (b + b.T)], [zero, modp.mat_inv(a, p).T]])
+
+    e = np.diag([1] * r + [0] * (n - r))
+    std = parabolic() @ np.block([[ident - e, e], [-e, ident - e]]) @ parabolic() % p
+    return sym.sp_elem(model.space, model.from_std @ std @ model.to_std % p)
+
+
+def check_omega_multiplicative(ps=(3, 5, 7), cells=((3, 2), (3, 3))) -> list[Row]:
+    """omega(g1) omega(g2) = omega(g1 g2) for all pairs, both constructions;
+    beyond the group model's cap, the word model on one seeded pair per pair
+    of cell ranks (r1, r2)."""
     rows = []
     for p in ps:
         space = sym.standard_polarized_space(p, 1)
@@ -418,6 +438,21 @@ def check_omega_multiplicative(ps=(3, 5, 7)) -> list[Row]:
         rows.append(Row.compare("weil", "word model = group model p=%d" % p, word_worst, 0, 1e-8))
         trace_worst = max(abs(model.trace_word(g) - np.trace(words[i])) for i, g in enumerate(els))
         rows.append(Row.compare("weil", "word trace = trace of word model p=%d" % p, trace_worst, 0, 1e-10))
+    rng = np.random.default_rng(0)
+    for p, n in cells:
+        model = weil.WeilModel(sym.standard_polarized_space(p, n))
+        ranks = range(n + 1)
+        pairs = [(cell_element(model, r1, rng), cell_element(model, r2, rng)) for r1 in ranks for r2 in ranks]
+        mult_worst = trace_worst = 0.0
+        for g1, g2 in pairs:
+            els = (g1, g2, g1 * g2)
+            o1, o2, o12 = ops = [model.omega_word(g) for g in els]
+            mult_worst = max(mult_worst, float(np.abs(o1 @ o2 - o12).max()))
+            trace_worst = max(trace_worst, *(abs(model.trace_word(g) - np.trace(o)) for g, o in zip(els, ops)))
+        group = "Sp_%d(F_%d)" % (2 * n, p)
+        rows.append(Row.compare("weil", "word model multiplicative %s (%d pairs, ranks 0-%d)" % (group, len(pairs), n),
+                                mult_worst, 0, 1e-8))
+        rows.append(Row.compare("weil", "word trace = trace of word model %s" % group, trace_worst, 0, 1e-10))
     return rows
 
 

@@ -379,13 +379,25 @@ def _embedding_matrix(sub: FieldDesc, big: FieldDesc) -> tuple[tuple[int, ...], 
     return tuple(zip(*cols))  # rows
 
 
-def _project(x: FieldElem, sub: FieldDesc) -> FieldElem:
-    """Inverse of embed on its image (raises if x is not in the image)."""
-    mat = _embedding_matrix(sub, x.parent)
-    sol = modp.solve(mat, x.coeffs, sub.p)
-    if sol is None:
-        raise FieldError("element not in the subfield image")
+@lru_cache(maxsize=None)
+def _subfield_generator(sub: FieldDesc, big: FieldDesc) -> FieldElem:
+    """The y in sub that embeds as g^((Q-1)/(q-1)), g big's multiplicative
+    generator; the units of sub embed as the powers of that element."""
+    step = (big.order - 1) // (sub.order - 1)
+    sol = modp.solve(_embedding_matrix(sub, big), _tables(big)[0][step], sub.p)
     return sub.element(tuple(int(c) for c in sol))
+
+
+def _project(x: FieldElem, sub: FieldDesc) -> FieldElem:
+    """Inverse of embed on its image (raises if x is not in the image): the
+    image's units are the g^l with step = (Q-1)/(q-1) dividing l, and g^l is
+    the embedding of _subfield_generator ** (l / step)."""
+    if x.is_zero():
+        return sub.zero()
+    k, rest = divmod(_tables(x.parent)[1][x.index()], (x.parent.order - 1) // (sub.order - 1))
+    if rest:
+        raise FieldError("element not in the subfield image")
+    return _subfield_generator(sub, x.parent) ** k
 
 
 def trace_to(x: FieldElem, sub: FieldDesc) -> FieldElem:

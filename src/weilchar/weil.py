@@ -9,12 +9,12 @@ independent constructions:
   a commutator walk of the Cayley graph (commutators of projective operators
   are scalar-free, so on the perfect groups the walk is forced); SL_2(F_3) is
   seeded with the classical unipotent operator;
-* a generator word model (lower unipotents, Levi, Weyl/Fourier with inverse
-  Gauss-sum scalar) factoring arbitrary elements through the Siegel big cell
-  into one normal form (W^H)^e W D1 M W D2 W^H D3 with W the unitary Fourier
-  operator, D diagonal and M monomial; omega_word multiplies it out and
-  trace_word takes its trace by the cyclic-trace identity, in O(p^n) work on
-  the big cell and O(p^2n) at most, without forming a p^n x p^n product.
+* a generator word model (lower unipotents, Levi, partial Fourier operators
+  with inverse Gauss-sum scalars) putting every element into one Bruhat-cell
+  normal form W D1 M1 F_S M2 D2 W^H, with W the unitary Fourier operator, F_S
+  the Fourier operator on the coordinates of S (|S| = rank C), D diagonal and
+  M monomial; omega_word multiplies it out and trace_word takes its trace in
+  O(p^n) work on every cell, without forming a p^n x p^n product.
 
 The central character is pinned to theta(z) = exp(2*pi*i*z/p).
 """
@@ -77,26 +77,28 @@ def gauss_sum(p: int) -> complex:
     return sum(theta_char(p, t * t) for t in range(p))
 
 
-def _fourier_scalar(p: int, n: int) -> complex:
-    # sgn(-2)^n / g1^n is forced by n(1) nbar(-1) n(1) = w once the
-    # lower-unipotent operators carry scalar 1 (the -2 comes from the 1/2 in
-    # the rho phase convention); |g1|^2 = p makes W unitary
-    return (modp.legendre(-2, p) / gauss_sum(p)) ** n
+def _fourier_scalar(p: int, r: int) -> complex:
+    # sgn(-2)^r / g1^r, the scalar of the Fourier operator in r coordinates,
+    # is forced by n(1) nbar(-1) n(1) = w once the lower-unipotent operators
+    # carry scalar 1 (the -2 comes from the 1/2 in the rho phase convention);
+    # |g1|^2 = p makes it unitary
+    return (modp.legendre(-2, p) / gauss_sum(p)) ** r
 
 
 @dataclass(frozen=True, eq=False)
 class WordFactors:
-    """Factors of omega(g) = (W^H)^fallback W D1 M W D2 W^H D3 in standard
-    coordinates: W the unitary Fourier operator, D1, D2, D3 the diagonals of
-    lower unipotents (d3 None for D3 = I), and M f(a0 s) = sgn f(s), given by
-    the images a0 s of the points s (one row each) and sgn = (det a0 / p)."""
+    """Factors of omega(g) = W D1 M1 F_S M2 D2 W^H (see word_factors): the
+    cell rank r, sgn = (det a1 / p)(det a2 / p), the diagonals d1, d2 of
+    nbar(b1), nbar(b2), and the images left = T s, right = a2 s of the points
+    s (one row each, T = a1^-1), so that omega(h)[s, t] = sgn d1(s) F_S(T s,
+    a2 t) d2(t) with F_S[x, y] = c_r theta(x_S . y_S) delta(x_S^c = y_S^c)."""
 
-    fallback: bool
-    d1: np.ndarray
-    images: np.ndarray
+    rank: int
     sgn: int
+    d1: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     d2: np.ndarray
-    d3: np.ndarray | None
 
 
 class WeilModel:
@@ -177,13 +179,13 @@ class WeilModel:
     def _fourier(self) -> np.ndarray:
         """The unitary Fourier operator W, built once per model."""
         if self._w is None:
-            self._w = self._fourier_entries(self._pts @ self._pts.T)
+            self._w = self._fourier_entries(self._pts @ self._pts.T, self.n)
         return self._w
 
-    def _fourier_entries(self, phases: np.ndarray) -> np.ndarray:
-        """Entries c theta(s.t) of W from their integer phases s.t."""
-        roots = _fourier_scalar(self.p, self.n) * np.exp(2j * np.pi * np.arange(self.p) / self.p)
-        return np.take(roots, phases, mode="wrap")  # wrap: index s.t mod p
+    def _fourier_entries(self, phases: np.ndarray, r: int) -> np.ndarray:
+        """Entries c_r theta(x) of the rank-r Fourier operator from phases x."""
+        roots = _fourier_scalar(self.p, r) * np.exp(2j * np.pi * np.arange(self.p) / self.p)
+        return np.take(roots, phases, mode="wrap")  # wrap: index x mod p
 
     def _nbar_diag(self, b: np.ndarray) -> np.ndarray:
         """Diagonal of the lower-unipotent operator nbar(b): theta(-t.b.t / 2)."""
@@ -192,123 +194,70 @@ class WeilModel:
         phases = (-half * np.einsum("ti,ij,tj->t", self._pts, b, self._pts)) % p
         return np.exp(2j * np.pi * phases / p)
 
-    def _kernel(self, d: np.ndarray) -> np.ndarray:
-        """Kernel k of the convolution W diag(d) W^H: k(x) = p^-n sum_t d(t) theta(t.x)."""
-        return np.fft.ifftn(d.reshape((self.p,) * self.n)).ravel()
-
-    def _diff_index(self) -> np.ndarray:
-        """(N, N) encodings of s - t, the index of a convolution kernel."""
-        p, n = self.p, self.n
-        step = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
-        # as a (p,)*2n array the axes are the digits of s, then of t, each
-        # most significant first
-        out = np.zeros((p,) * (2 * n), dtype=np.int64)
-        for i in range(n):
-            shape = [1] * (2 * n)
-            shape[n - 1 - i] = shape[2 * n - 1 - i] = p
-            out += (step * self._powers[i]).reshape(shape)
-        return out.reshape(self.dim, self.dim)
-
     def word_factors(self, g: SpElem) -> WordFactors:
-        """Normal form omega(g) = (W^H)^fallback W D1 M(a0) W D2 W^H D3.
+        """Bruhat-cell normal form omega(g) = W D1 M1 F_S M2 D2 W^H.
 
-        On the Siegel big cell (C invertible) g = n(A C^-1) w m(-C) n(C^-1 D),
-        and n(b) = W nbar(-b) W^H; otherwise g nbar(b0) is moved into the big
-        cell (D3 = nbar(-b0)), and if no b0 is found, w g is factored instead."""
+        With g = [[A, B], [C, D]] in standard coordinates, h = w^-1 g w =
+        [[D, -C], [-B, A]] factors as nbar(b1) m(a1) w_S m(a2) nbar(b2), w_S
+        the Weyl element on the first r = rank C coordinate pairs.  One row
+        reduction T [-C | I] = [R | T] gives T = a1^-1, r and the pivot
+        columns; the rest is read off h's rows."""
         if g.space != self.space:
             raise sym.SpaceMismatch("element from another space")
         p, n = self.p, self.n
         gstd = self.to_std @ g.mat_np @ self.from_std % p
+        a, b, c, d = gstd[:n, :n], gstd[:n, n:], gstd[n:, :n], gstd[n:, n:]
         ident = np.eye(n, dtype=np.int64)
-        zero = np.zeros((n, n), dtype=np.int64)
-        for fallback in (False, True):
-            if fallback:
-                gstd = np.block([[zero, ident], [(-ident) % p, zero]]) @ gstd % p
-            c, d = gstd[n:, :n], gstd[n:, n:]
-            if modp.det(c, p) != 0:
-                b0 = None
-                break
-            b0 = self._find_perturbation(c, d)
-            if b0 is not None:
-                break
-        else:
-            raise LinearizationFailed("no big-cell factorization found")
-        d3 = None
-        if b0 is not None:
-            gstd = gstd @ np.block([[ident, zero], [b0, ident]]) % p
-            d3 = self._nbar_diag((-b0) % p)
-        a, c, d = gstd[:n, :n], gstd[n:, :n], gstd[n:, n:]
-        cinv = modp.mat_inv(c, p)
-        a0 = (-c) % p
+        red, pivots = modp.rref(np.hstack([-c, ident]), p)
+        t = red[:, n:]
+        pivots = [j for j in pivots if j < n]
+        r = len(pivots)
+        # top row of h: T D = E' a2 + E a2^-T b2 and T (-C) = E a2^-T, E the
+        # projection on the first r coordinates; a2 has rows e_pivot there
+        x = t @ d % p
+        a2 = x.copy()
+        a2[:r] = ident[pivots]
+        a2inv = modp.mat_inv(a2, p)
+        # b2 = a2^T beta a2 with beta symmetric, its first r rows X_S a2^-1
+        beta = np.zeros((n, n), dtype=np.int64)
+        beta[:r] = x[:r] @ a2inv
+        beta[r:, :r] = beta[:r, r:].T
+        b2 = a2.T @ beta @ a2 % p
+        # bottom row of h nbar(-b2) = nbar(b1) m(a1) w_S m(a2), paired with
+        # [a2^-1 E'; a2^T E], gives b1 a1
+        q = (-b - a @ b2) @ a2inv
+        q[:, :r] = (a @ a2.T)[:, :r]
+        b1 = (q % p) @ t % p
         return WordFactors(
-            fallback=fallback,
-            d1=self._nbar_diag((-(a @ cinv)) % p),
-            images=self._pts @ a0.T % p,
-            sgn=modp.legendre(modp.det(a0, p), p),
-            d2=self._nbar_diag((-(cinv @ d)) % p),
-            d3=d3,
+            rank=r,
+            sgn=modp.legendre(modp.det(t @ a2, p), p),
+            d1=self._nbar_diag(b1),
+            left=self._pts @ t.T % p,
+            right=self._pts @ a2.T % p,
+            d2=self._nbar_diag(b2),
         )
 
     def omega_word(self, g: SpElem) -> np.ndarray:
         """Weil operator: the dense product of the word-model normal form."""
         f = self.word_factors(g)
-        w = self._fourier()
-        wh = w.conj().T
-        out = ((w * f.d1)[:, self._enc(f.images)] * f.sgn) @ w
-        out = (out * f.d2) @ wh
-        if f.d3 is not None:
-            out *= f.d3
-        if f.fallback:
-            out = wh @ out
-        return out
+        r, w = f.rank, self._fourier()
+        # omega(h)[s, t] = sgn d1(s) F_S(T s, a2 t) d2(t)
+        rest = self._powers[: self.n - r]
+        same = (f.left[:, r:] @ rest)[:, None] == (f.right[:, r:] @ rest)[None, :]
+        fs = self._fourier_entries(f.left[:, :r] @ f.right[:, :r].T, r) * same
+        return (w * f.d1) @ (f.sgn * fs * f.d2) @ w.conj().T
 
     def trace_word(self, g: SpElem) -> complex:
         """tr omega_word(g) from the normal form without forming the operator.
 
-        With K2 = W D2 W^H (a convolution with kernel k2) and M[a0 s, s] = sgn,
-        the cyclic trace gives, summed over s:
-          fallback: sgn d1(a0 s) k2(s - a0 s) d3(a0 s);
-          otherwise sgn d1(a0 s) (K2 D3 W)[s, a0 s], which is
-          d2(a0 s) W[s, a0 s] when D3 = I (K2 W = W D2)."""
+        tr omega(g) = tr omega(h), and F_S[x, y] vanishes unless x and y agree
+        off S, so the trace is one sum over the points s with (T s)_S^c =
+        (a2 s)_S^c: sgn d1(s) d2(s) c_r theta((T s)_S . (a2 s)_S)."""
         f = self.word_factors(g)
-        pts, perm = self._pts, self._enc(f.images)
-        if f.fallback:
-            terms = self._kernel(f.d2)[self._enc(pts - f.images)]
-            if f.d3 is not None:
-                terms = terms * f.d3[perm]
-        elif f.d3 is None:
-            terms = f.d2[perm] * self._fourier_entries(np.einsum("ti,ti->t", pts, f.images))
-        else:
-            inner = self._kernel(f.d2)[self._diff_index()]  # K2[s, t]
-            inner *= f.d3
-            inner *= self._fourier_entries(f.images @ pts.T)  # W[t, a0 s], W symmetric
-            terms = inner.sum(axis=1)
-        return complex(f.sgn * np.dot(f.d1[perm], terms))
-
-    def _find_perturbation(self, c: np.ndarray, d: np.ndarray) -> np.ndarray | None:
-        """Symmetric B0 with C + D B0 invertible."""
-        p, n = self.p, self.n
-        if modp.det(d, p) != 0:
-            dinv = modp.mat_inv(d, p)
-            return (np.eye(n, dtype=np.int64) - dinv @ c) % p
-        for diag in itertools.product(range(p), repeat=n):
-            b0 = np.diag(np.array(diag, dtype=np.int64))
-            if modp.det((c + d @ b0) % p, p) != 0:
-                return b0
-        count = 0
-        for entries in itertools.product(range(p), repeat=n * (n + 1) // 2):
-            b0 = np.zeros((n, n), dtype=np.int64)
-            k = 0
-            for i in range(n):
-                for j in range(i, n):
-                    b0[i, j] = b0[j, i] = entries[k]
-                    k += 1
-            if modp.det((c + d @ b0) % p, p) != 0:
-                return b0
-            count += 1
-            if count > 20000:
-                break
-        return None
+        r = f.rank
+        on = (f.left[:, r:] == f.right[:, r:]).all(axis=1)
+        phases = np.einsum("ti,ti->t", f.left[on, :r], f.right[on, :r])
+        return complex(f.sgn * np.dot(f.d1[on] * f.d2[on], self._fourier_entries(phases, r)))
 
     # -- Weil operators: whole-group model ----------------------------------
 

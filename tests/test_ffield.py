@@ -289,6 +289,26 @@ def test_arithmetic_equals_polynomial_reference_sampled(p, k):
             assert ff.embed(ff.norm_to(x, sub), d) == prod
 
 
+@pytest.mark.parametrize("p,k", sorted(PINNED))
+def test_project_equals_linear_solve(p, k):
+    # the projection is a log lookup; the reference solves embed(y) = x over
+    # F_p, which has a solution exactly on the image of the subfield
+    big = ff.field(p, k)
+    rng = random.Random(1000 * p + k)
+    pool = list(big.elements()) if big.order <= 81 else [big.from_index(rng.randrange(big.order)) for _ in range(100)]
+    for sub in (ff.field(p, j) for j in range(1, k + 1) if k % j == 0):
+        for y in sub.elements() if sub.order <= 81 else pool:
+            assert ff._project(ff.embed(y, big), sub) == y
+        mat = ff._embedding_matrix(sub, big)
+        for x in pool:
+            sol = modp.solve(mat, x.coeffs, p)
+            if sol is None:
+                with pytest.raises(ff.FieldError):
+                    ff._project(x, sub)
+            else:
+                assert ff._project(x, sub).coeffs == tuple(int(c) for c in sol)
+
+
 def test_zero_keeps_its_results_and_exceptions():
     for d in (F3, F9, ff.field(5, 3)):
         z, x = d.zero(), d.gen() + 1

@@ -256,71 +256,26 @@ def test_group_model_identical_across_processes():
     assert len(digests) == 1
 
 
-# -- word model: the three factorization paths -----------------------------
-
-
-def _path(model, g):
-    f = model.word_factors(g)
-    return "w-fallback" if f.fallback else ("perturbation" if f.d3 is not None else "big cell")
-
-
-def _with_fallback(fn, g):
-    """fn(g) while the first perturbation search fails, so that w g is factored."""
-    orig = weil.WeilModel._find_perturbation
-    calls = []
-
-    def first_fails(self, c, d):
-        calls.append(c)
-        return None if len(calls) == 1 else orig(self, c, d)
-
-    weil.WeilModel._find_perturbation = first_fails
-    try:
-        return fn(g)
-    finally:
-        weil.WeilModel._find_perturbation = orig
-
-
-def _path_elements(p, n):
-    """Standard-coordinate elements for the big cell, the perturbation with D
-    invertible and (n > 1) the perturbation found by search (C, D singular)."""
-    i, z = np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
-    a = i + np.triu(np.ones((n, n), dtype=np.int64), 1)
-    a[0, 0] = 2
-    levi = np.block([[a, z], [z, modp.mat_inv(a, p).T]])
-    s = (np.add.outer(np.arange(n), np.arange(n)) + 1) % p
-    w = np.block([[z, i], [-i, z]])
-    nbar = np.block([[i, z], [s, i]])
-    up = np.block([[i, s], [z, i]])
-    out = [("big cell", levi @ w @ nbar @ up), ("perturbation", levi @ up)]
-    if n > 1:
-        w0 = np.eye(2 * n, dtype=np.int64)  # w on the first coordinate pair only
-        w0[0, 0] = w0[n, n] = 0
-        w0[0, n], w0[n, 0] = 1, -1
-        out.append(("perturbation", levi @ w0))
-    return [(path, m % p) for path, m in out]
+# -- word model: one normal form per Bruhat cell ---------------------------
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (3, 4), (5, 3), (5, 4)])
 def test_word_model_paths(p, n):
-    # model dimensions 3, 5, 9, 25, 27, 81, 125, 625
+    # model dimensions 3, 5, 9, 25, 27, 81, 125, 625; one element per cell
+    # rank r = rank C, each taking the normal form's one path with |S| = r
     space = sym.standard_polarized_space(p, n)
     m = weil.WeilModel(space)
+    rng = np.random.default_rng(p * 10 + n)
+    els = [checks.cell_element(m, r, rng) for r in range(n + 1)]
     ident = np.eye(m.dim)
-    ops = []
-    for path, mat in _path_elements(p, n):
-        g = sym.sp_elem(space, mat)
-        assert _path(m, g) == path
-        dense = m.omega_word(g)
-        ops.append((g, dense))
+    ops = [m.omega_word(g) for g in els]
+    for r, (g, dense) in enumerate(zip(els, ops)):
+        c = (m.to_std @ g.mat_np @ m.from_std % p)[n:, :n]
+        assert m.word_factors(g).rank == modp.rank(c, p) == r
         assert np.abs(dense @ dense.conj().T - ident).max() < 1e-9
         assert abs(m.trace_word(g) - np.trace(dense)) < 1e-10
-        if path == "perturbation":
-            # w-fallback: another factorization of the same operator
-            assert _with_fallback(lambda h: _path(m, h), g) == "w-fallback"
-            assert np.abs(_with_fallback(m.omega_word, g) - dense).max() < 1e-10
-            assert abs(_with_fallback(m.trace_word, g) - np.trace(dense)) < 1e-10
-    (g1, o1), (g2, o2) = ops[:2]
-    assert np.abs(o1 @ o2 - m.omega_word(g1 * g2)).max() < 1e-9
+        nxt = (r + 1) % (n + 1)
+        assert np.abs(dense @ ops[nxt] - m.omega_word(g * els[nxt])).max() < 1e-9
 
 
 def test_trace_word_on_large_sign_blocks():
@@ -336,9 +291,24 @@ def test_trace_word_on_large_sign_blocks():
         assert abs(bv.value - tr) < 1e-8
 
 
+@pytest.mark.parametrize("p,d", [(7, 4), (3, 8)])
+def test_trace_word_on_frontier_blocks(p, d):
+    # model dimensions 2401 and 6561: the trace is taken without the dense
+    # operator, which at N = 6561 alone would take 690 MB
+    blocks = [sc for label, sc in checks.sign_branch_scenarios(p, d, 1, 1)
+              if label.startswith("asym/asym") and sc.k_alpha.degree == d]
+    assert blocks
+    for sc in blocks:
+        bv = signcalc.block_sign_formula(sc)
+        m = weil.WeilModel(bv.block.space)
+        assert m.dim == p**d
+        assert abs(m.trace_word(bv.block.op) - bv.value) < 1e-8
+
+
 def test_fourier_scalar_fault_is_caught():
-    # seeded fault: sgn(-2) -> sgn(2) in the Fourier scalar; it changes the
-    # word model where n is odd and (-1/p) = -1, and the trace evaluator with it
+    # seeded fault: sgn(-2) -> sgn(2) in the Fourier scalar; it flips the
+    # partial Fourier operator of rank r by (-1)^r where (-1/p) = -1, and the
+    # trace evaluator with it
     orig = weil._fourier_scalar
     weil._fourier_scalar = lambda p, n: (modp.legendre(2, p) / weil.gauss_sum(p)) ** n
     try:
@@ -347,7 +317,13 @@ def test_fourier_scalar_fault_is_caught():
     finally:
         weil._fourier_scalar = orig
     failed = {r.quantity for r in rows if not r.passed}
-    assert failed == {"word model = group model p=3", "word model = group model p=7"}
+    # c_r flips by (-1)^r at p = 3, which no character of Sp_4 or Sp_6 absorbs
+    assert failed == {
+        "word model = group model p=3",
+        "word model = group model p=7",
+        "word model multiplicative Sp_4(F_3) (9 pairs, ranks 0-2)",
+        "word model multiplicative Sp_6(F_3) (16 pairs, ranks 0-3)",
+    }
     assert max(st.worst for st in stats.values()) > 1e-8
     # the ramified signs are closed-form, so the sweep sees the fault there too
     for label in ("asym/sym-ram p=3 d=1 f=1", "sym-ur/sym-ram p=3 g=1"):
