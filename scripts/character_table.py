@@ -14,7 +14,6 @@ from weilchar import gerardin, symplectic as sym, weil
 def main(p: int) -> None:
     space = sym.standard_polarized_space(p, 1)
     model = weil.WeilModel(space)
-    model.build_group_model()
     buckets = collections.defaultdict(list)
     for g in sym.sp_elements(space):
         if g.is_semisimple():

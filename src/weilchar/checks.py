@@ -422,7 +422,6 @@ def check_omega_multiplicative(ps=(3, 5, 7), cells=((3, 2), (3, 3))) -> list[Row
     for p in ps:
         space = sym.standard_polarized_space(p, 1)
         model = weil.WeilModel(space)
-        model.build_group_model()
         els = sym.sp_elements(space)
         ops = np.stack([model.omega_group(g) for g in els])
         index = {g.mat: i for i, g in enumerate(els)}
@@ -436,7 +435,7 @@ def check_omega_multiplicative(ps=(3, 5, 7), cells=((3, 2), (3, 3))) -> list[Row
         words = [model.omega_word(g) for g in els]
         word_worst = max(float(np.abs(words[i] - ops[i]).max()) for i in range(len(els)))
         rows.append(Row.compare("weil", "word model = group model p=%d" % p, word_worst, 0, 1e-8))
-        trace_worst = max(abs(model.trace_word(g) - np.trace(words[i])) for i, g in enumerate(els))
+        trace_worst = max(abs(model.trace_omega(g) - np.trace(words[i])) for i, g in enumerate(els))
         rows.append(Row.compare("weil", "word trace = trace of word model p=%d" % p, trace_worst, 0, 1e-10))
     rng = np.random.default_rng(0)
     for p, n in cells:
@@ -448,7 +447,7 @@ def check_omega_multiplicative(ps=(3, 5, 7), cells=((3, 2), (3, 3))) -> list[Row
             els = (g1, g2, g1 * g2)
             o1, o2, o12 = ops = [model.omega_word(g) for g in els]
             mult_worst = max(mult_worst, float(np.abs(o1 @ o2 - o12).max()))
-            trace_worst = max(trace_worst, *(abs(model.trace_word(g) - np.trace(o)) for g, o in zip(els, ops)))
+            trace_worst = max(trace_worst, *(abs(model.trace_omega(g) - np.trace(o)) for g, o in zip(els, ops)))
         group = "Sp_%d(F_%d)" % (2 * n, p)
         rows.append(Row.compare("weil", "word model multiplicative %s (%d pairs, ranks 0-%d)" % (group, len(pairs), n),
                                 mult_worst, 0, 1e-8))
@@ -462,7 +461,6 @@ def check_omega_values_algebraic(ps=(3, 5, 7)) -> list[Row]:
     for p in ps:
         space = sym.standard_polarized_space(p, 1)
         model = weil.WeilModel(space)
-        model.build_group_model()
         root = math.sqrt(p)
         worst = 0.0
         for g in sym.sp_elements(space):
@@ -592,7 +590,6 @@ def check_character_conjugacy_invariance(seed: int = 0) -> list[Row]:
     p = 5
     space = sym.standard_polarized_space(p, 1)
     model = weil.WeilModel(space)
-    model.build_group_model()
     els = [g for g in sym.sp_elements(space) if g.is_semisimple()]
     rng = random.Random(seed)
     worst = 0.0
@@ -649,7 +646,6 @@ def check_polarized_formula(ps=(3, 5, 7)) -> list[Row]:
     for p in ps:
         space = sym.standard_polarized_space(p, 1)
         model = weil.WeilModel(space)
-        model.build_group_model()
         bad = 0
         count = 0
         for g in sym.sp_elements(space):
@@ -668,7 +664,6 @@ def check_polarized_formula(ps=(3, 5, 7)) -> list[Row]:
     v2 = sym.standard_polarized_space(p, 1)
     vsum = sym.direct_sum([v2, v2])
     m2 = weil.WeilModel(v2)
-    m2.build_group_model()
     ss = [g for g in sym.sp_elements(v2) if g.is_semisimple()]
     bad = 0
     count = 0
@@ -717,7 +712,6 @@ def check_no_fixed_point_choice_independence() -> list[Row]:
     p = 5
     space = sym.standard_polarized_space(p, 1)
     model = weil.WeilModel(space)
-    model.build_group_model()
     checked = 0
     bad = 0
     for g in sym.sp_elements(space):
@@ -748,7 +742,6 @@ def check_fixed_line_formula() -> list[Row]:
     for p in (3, 5):
         space = sym.standard_polarized_space(p, 1)
         model = weil.WeilModel(space)
-        model.build_group_model()
         worst = 0.0
         for g in sym.sp_elements(space):
             if g.is_semisimple():
@@ -759,7 +752,6 @@ def check_fixed_line_formula() -> list[Row]:
     v2 = sym.standard_polarized_space(p, 1)
     vsum = sym.direct_sum([v2, v2])
     m2 = weil.WeilModel(v2)
-    m2.build_group_model()
     count = 0
     worst = 0.0
     for g1 in sym.sp_elements(v2):

@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -312,9 +313,9 @@ def cmd_run(args) -> int:
             seen.add(sid)
             if kind not in KINDS:
                 raise ScenarioValidationError("unknown kind %r" % kind)
-            tol = float(scn.get("tolerance", args.tolerance))
+            tol = _tolerance(scn.get("tolerance", args.tolerance))
             jobs.append((sid, kind, scn.get("payload", {}), tol))
-    except (KeyError, TypeError, ScenarioValidationError) as exc:
+    except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError, ScenarioValidationError) as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -415,6 +416,15 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _tolerance(value) -> float:
+    """A comparison bound: a finite float >= 0.  inf or nan would pass every
+    row and a negative bound fail every exact one."""
+    tol = float(value)
+    if isinstance(value, bool) or not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError("tolerance must be a finite number >= 0, got %r" % (value,))
+    return tol
+
+
 def main(argv=None) -> int:
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--report", type=str, default=None)
@@ -427,7 +437,7 @@ def main(argv=None) -> int:
     p_run.add_argument("file")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--jobs", type=_positive_int, default=1, help="threads; they share the GIL, so no speedup is claimed")
-    p_run.add_argument("--tolerance", type=float, default=1e-8)
+    p_run.add_argument("--tolerance", type=_tolerance, default=1e-8)
 
     p_self = sub.add_parser("selfcheck", parents=[report], help="run the built-in invariant suite")
     p_self.add_argument("--filter", type=str, default="")

@@ -243,52 +243,28 @@ def sp_identity(space: SympSpace) -> SpElem:
 # Hyperbolic bases / polarizations
 
 
-def hyperbolic_basis(space: SympSpace) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Deterministic symplectic Gram-Schmidt: bases (e_i), (f_i) with
-    <e_i, f_j> = delta_ij and both spans totally isotropic."""
+def hyperbolic_basis(space: SympSpace) -> np.ndarray:
+    """Deterministic symplectic Gram-Schmidt: the basis matrix B whose columns
+    e_1..e_n, f_1..f_n satisfy <e_i, f_j> = delta_ij with both spans totally
+    isotropic, so B^T G B is the Gram matrix of standard_polarized_space.
+
+    Each row of `rows` is a unit vector projected off the pairs found so far.
+    A pair takes e = the first nonzero row and f = the first row r with
+    <e, r> != 0, scaled by <e, r>^-1; every row v then becomes
+    v - <v, f> e + <v, e> f, which zeroes the rows e and f came from."""
     p = space.p
-    n = space.dim // 2
-    es: list[np.ndarray] = []
-    fs: list[np.ndarray] = []
-
-    def reduce_vec(v):
-        v = v.copy() % p
-        for e, f in zip(es, fs):
-            v = (v - space.form(v, f) * np.asarray(e)) % p
-            v = (v + space.form(v, e) * np.asarray(f)) % p
-        return v % p
-
-    basis_iter = (np.eye(space.dim, dtype=np.int64)[i] for i in range(space.dim))
-    pool = list(basis_iter)
-    while len(es) < n:
-        e = None
-        for cand in pool:
-            r = reduce_vec(cand)
-            if r.any():
-                e = r
-                break
-        assert e is not None
-        partner = None
-        for cand in pool:
-            r = reduce_vec(cand)
-            w = space.form(e, r)
-            if w:
-                partner = (r * pow(w, p - 2, p)) % p
-                break
-        assert partner is not None
-        es.append(tuple(int(x) for x in e))
-        fs.append(tuple(int(x) for x in partner))
-    return es, fs
-
-
-def transport_to_standard(space: SympSpace) -> np.ndarray:
-    """Matrix P with P^T J_std-ish ... maps space coordinates to standard
-    coordinates: columns of P^{-1} are the hyperbolic basis.  For the standard
-    space layout used by the Weil model, coordinate vector order is
-    (e_1..e_n, f_1..f_n) with <e_i, f_j> = delta_ij."""
-    es, fs = hyperbolic_basis(space)
-    basis = np.array(es + fs, dtype=np.int64).T  # columns
-    return modp.mat_inv(basis, space.p)
+    gram = space.gram_mat
+    rows = np.eye(space.dim, dtype=np.int64)
+    es, fs = [], []
+    for _ in range(space.dim // 2):
+        e = rows[np.flatnonzero(rows.any(axis=1))[0]]
+        pair = rows @ (gram.T @ e) % p  # <e, r> for every row r
+        j = np.flatnonzero(pair)[0]
+        f = rows[j] * pow(int(pair[j]), p - 2, p) % p
+        rows = (rows - np.outer(rows @ gram @ f, e) + np.outer(rows @ gram @ e, f)) % p
+        es.append(e)
+        fs.append(f)
+    return np.array(es + fs, dtype=np.int64).T
 
 
 def standard_polarized_space(p: int, n: int) -> SympSpace:
@@ -645,8 +621,8 @@ def sp_generators(space: SympSpace) -> list[SpElem]:
     lower unipotents n_bar(B) for elementary symmetric B, transported back."""
     p = space.p
     n = space.dim // 2
-    pmat = transport_to_standard(space)
-    pinv = modp.mat_inv(pmat, p)
+    basis = hyperbolic_basis(space)
+    to_std = modp.mat_inv(basis, p)
     gens_std = []
     ident = np.eye(n, dtype=np.int64)
     zero = np.zeros((n, n), dtype=np.int64)
@@ -663,7 +639,7 @@ def sp_generators(space: SympSpace) -> list[SpElem]:
     a[0, 0] = _primitive_root(p)
     ainv = modp.mat_inv(a, p)
     gens_std.append(np.block([[a, zero], [zero, ainv.T]]))
-    return [sp_elem(space, pinv @ g @ pmat % p) for g in gens_std]
+    return [sp_elem(space, basis @ g @ to_std % p) for g in gens_std]
 
 
 @lru_cache(maxsize=None)

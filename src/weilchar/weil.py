@@ -4,17 +4,19 @@ oracle layer.
 rho is the Schrodinger model on functions on a Lagrangian; omega comes in two
 independent constructions:
 
-* a whole-group model for |Sp(V)| within the enumeration cap, built from
-  Schur-averaged projective intertwiners whose scalar ambiguity is resolved by
-  a commutator walk of the Cayley graph (commutators of projective operators
-  are scalar-free, so on the perfect groups the walk is forced); SL_2(F_3) is
-  seeded with the classical unipotent operator;
 * a generator word model (lower unipotents, Levi, partial Fourier operators
   with inverse Gauss-sum scalars) putting every element into one Bruhat-cell
   normal form W D1 M1 F_S M2 D2 W^H, with W the unitary Fourier operator, F_S
   the Fourier operator on the coordinates of S (|S| = rank C), D diagonal and
-  M monomial; omega_word multiplies it out and trace_word takes its trace in
-  O(p^n) work on every cell, without forming a p^n x p^n product.
+  M monomial; omega and omega_word multiply it out and trace_omega takes its
+  trace in O(p^n) work on every cell, without forming a p^n x p^n product.
+  It is the only model omega and trace_omega read;
+* a whole-group model (omega_group) for |Sp(V)| within the enumeration cap,
+  built from Schur-averaged projective intertwiners whose scalar ambiguity is
+  resolved by a commutator walk of the Cayley graph (commutators of
+  projective operators are scalar-free, so on the perfect groups the walk is
+  forced); SL_2(F_3) is seeded with the classical unipotent operator.  It is
+  the independent reference the word model is compared against.
 
 The central character is pinned to theta(z) = exp(2*pi*i*z/p).
 """
@@ -116,40 +118,36 @@ class WeilModel:
         self.n = space.dim // 2
         self.dim = self.p**self.n
         if polarization is not None:
-            xs, ys = polarization
-            self._check_polarization(xs, ys)
-            basis = np.array(list(xs) + list(ys), dtype=np.int64).T
+            xs, ys = (np.array(list(v), dtype=np.int64) for v in polarization)
+            gramxy = self._check_polarization(xs, ys)
             # rescale the Y-vectors so <x_i, y_j> = delta_ij
-            gramxy = np.array([[space.form(x, y) for y in ys] for x in xs], dtype=np.int64)
-            fix = modp.mat_inv(gramxy, self.p)
-            ys_fixed = (np.array(ys, dtype=np.int64).T @ fix).T % self.p
-            basis = np.array(list(xs) + [tuple(int(v) for v in row) for row in ys_fixed], dtype=np.int64).T
-            self.to_std = modp.mat_inv(basis, self.p)
+            basis = np.hstack([xs.T, ys.T @ modp.mat_inv(gramxy, self.p)]) % self.p
         else:
-            self.to_std = sym.transport_to_standard(space)
-        self.from_std = modp.mat_inv(self.to_std, self.p)
+            basis = sym.hyperbolic_basis(space)
+        self.from_std = basis
+        self.to_std = modp.mat_inv(basis, self.p)
         self._group_table: dict | None = None
         self._w: np.ndarray | None = None  # the Fourier operator, built on first use
         self._powers = self.p ** np.arange(self.n, dtype=np.int64)
         # all of F_p^n, shape (p^n, n), row index = encoding (little-endian digits)
         self._pts = np.indices((self.p,) * self.n).reshape(self.n, -1)[::-1].T.copy()
 
-    def _check_polarization(self, xs, ys):
-        n = self.n
-        if len(xs) != n or len(ys) != n:
+    def _check_polarization(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Validate the rows of xs and ys as complementary Lagrangians; returns
+        the Gram matrix X G Y^T of their pairings."""
+        p, n, gram = self.p, self.n, self.space.gram_mat
+        if xs.shape != (n, 2 * n) or ys.shape != (n, 2 * n):
             raise NotAPolarization("need n vectors on each side")
-        vecs = np.array(list(xs) + list(ys), dtype=np.int64)
-        if modp.rank(vecs, self.p) != 2 * n:
+        if modp.rank(np.vstack([xs, ys]), p) != 2 * n:
             raise NotAPolarization("polarization vectors do not span")
-        for u, v in itertools.combinations(xs, 2):
-            if self.space.form(u, v):
-                raise NotAPolarization("X side not isotropic")
-        for u, v in itertools.combinations(ys, 2):
-            if self.space.form(u, v):
-                raise NotAPolarization("Y side not isotropic")
-        gramxy = np.array([[self.space.form(x, y) for y in ys] for x in xs], dtype=np.int64)
-        if modp.det(gramxy, self.p) == 0:
+        if (xs @ gram @ xs.T % p).any():
+            raise NotAPolarization("X side not isotropic")
+        if (ys @ gram @ ys.T % p).any():
+            raise NotAPolarization("Y side not isotropic")
+        gramxy = xs @ gram @ ys.T % p
+        if modp.det(gramxy, p) == 0:
             raise NotAPolarization("X and Y are not complementary Lagrangians")
+        return gramxy
 
     # -- index helpers ------------------------------------------------------
 
@@ -247,7 +245,11 @@ class WeilModel:
         fs = self._fourier_entries(f.left[:, :r] @ f.right[:, :r].T, r) * same
         return (w * f.d1) @ (f.sgn * fs * f.d2) @ w.conj().T
 
-    def trace_word(self, g: SpElem) -> complex:
+    def omega(self, g: SpElem) -> np.ndarray:
+        """Weil operator: the word model, omega_word."""
+        return self.omega_word(g)
+
+    def trace_omega(self, g: SpElem) -> complex:
         """tr omega_word(g) from the normal form without forming the operator.
 
         tr omega(g) = tr omega(h), and F_S[x, y] vanishes unless x and y agree
@@ -300,20 +302,9 @@ class WeilModel:
         self._group_table = table
 
     def omega_group(self, g: SpElem) -> np.ndarray:
+        """Weil operator from the whole-group model, built on first use."""
         self.build_group_model()
         return self._group_table[g.mat]
-
-    def omega(self, g: SpElem) -> np.ndarray:
-        """Weil operator: group model when already built, else word model."""
-        if self._group_table is not None and g.mat in self._group_table:
-            return self._group_table[g.mat]
-        return self.omega_word(g)
-
-    def trace_omega(self, g: SpElem) -> complex:
-        """Trace of omega(g): from the group model when built, else trace_word."""
-        if self._group_table is not None and g.mat in self._group_table:
-            return complex(np.trace(self.omega(g)))
-        return self.trace_word(g)
 
 
 def _schur_ball(seeds) -> list[SpElem]:

@@ -73,6 +73,36 @@ def test_jobs_below_one_rejected_at_parse_time(capsys):
         assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["abc", "inf", "-inf", "nan", -1e-9, -1, None, True, [1e-8]])
+def test_bad_scenario_tolerance_is_a_validation_error(tol, tmp_path, capsys):
+    # a tolerance must be a finite float >= 0: inf or nan would pass every
+    # row, a negative one would fail rows whose error is exactly 0
+    doc = json.loads((SCN / "sl2_f5.scn").read_text())
+    scn = dict(doc["scenarios"][0], tolerance=tol)
+    f = tmp_path / "tol.scn"
+    f.write_text(json.dumps({"scenarios": [scn]}))
+    assert run_cli(["run", f, "--report", tmp_path / "r.json"]) == 3
+    assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["abc", "inf", "nan", "-1", "-1e-9"])
+def test_bad_tolerance_option_rejected_at_parse_time(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", SCN / "sl2_f5.scn", "--tolerance=%s" % tol])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
+def test_zero_tolerance_accepted(tmp_path):
+    # the split-torus rows of sl2_f5 agree exactly, so a zero bound passes
+    doc = json.loads((SCN / "sl2_f5.scn").read_text())
+    scn = dict(doc["scenarios"][0], tolerance="0")
+    f = tmp_path / "tol.scn"
+    f.write_text(json.dumps({"scenarios": [scn]}))
+    assert run_cli(["run", f, "--report", tmp_path / "r.json", "--tolerance", 0]) == 0
+
+
 @pytest.mark.parametrize("args", [
     ["selfcheck", "--seed", 1],
     ["selfcheck", "--jobs", 2],

@@ -6,9 +6,7 @@ from weilchar import ffield as ff, gerardin as ger, symplectic as sym, weil
 
 @pytest.fixture(scope="module")
 def oracle5():
-    m = weil.WeilModel(sym.standard_polarized_space(5, 1))
-    m.build_group_model()
-    return m
+    return weil.WeilModel(sym.standard_polarized_space(5, 1))
 
 
 def test_char_semisimple_identity_is_p_to_n():
@@ -84,7 +82,6 @@ def test_fixed_line_examples():
     v0 = [(1, 0, 0, 0), (0, 1, 0, 0)]
     val = ger.char_fixed_line(gbig, line, v0)
     m2 = weil.WeilModel(v2)
-    m2.build_group_model()
     want = m2.trace_omega(g1) * p
     assert abs(val - want) < 1e-8
     with pytest.raises(ger.LineNotFixed):
@@ -109,7 +106,6 @@ def test_polarized_examples(oracle5):
     val = ger.char_polarized(gbig, (vplus, vminus))
     assert val == -1 * 5  # sgn(2) * p
     m2 = weil.WeilModel(v2)
-    m2.build_group_model()
     oracle = np.trace(m2.omega(g)) * np.trace(m2.omega(sym.sp_identity(v2)))
     assert abs(val - oracle) < 1e-8
     with pytest.raises(ger.NotInvariantPolarization):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weilchar import ffield as ff, modp, symplectic as sym
+from weilchar import checks, ffield as ff, modp, signcalc, symplectic as sym
 
 
 V3 = sym.standard_space(3, 1)
@@ -148,15 +148,24 @@ def test_sp_enumeration_cap():
 
 
 def test_hyperbolic_basis_on_funny_forms():
+    # B^T G B is the standard (e, f) Gram matrix on every space: a trace form
+    # over F_9, every sign block up to degree 4 for p = 3, 5, 7, and direct sums
     f9 = ff.field(3, 2)
     c = sym.anti_invariant_unit(f9, 1)
     f1 = ff.field(3, 1)
     basis = [f9.one(), f9.gen()]
     gram = [[ff.trace_to(c * x * y.frobenius(1), f1).coeffs[0] for y in basis] for x in basis]
-    space = sym.SympSpace(3, tuple(tuple(r) for r in gram))
-    es, fs = sym.hyperbolic_basis(space)
-    assert space.form(es[0], fs[0]) == 1
-    assert space.form(es[0], es[0]) == 0
+    spaces = {sym.SympSpace(3, tuple(tuple(r) for r in gram))}
+    for p in (3, 5, 7):
+        spaces |= {signcalc.build_block(sc).space for _, sc in checks.sign_branch_scenarios(p, 4, 2, 2)}
+        spaces.add(sym.direct_sum([sym.standard_space(p, 1), sym.standard_polarized_space(p, 2)]))
+    for space in spaces:
+        b = sym.hyperbolic_basis(space)
+        std = sym.standard_polarized_space(space.p, space.dim // 2)
+        assert not ((b.T @ space.gram_mat @ b - std.gram_mat) % space.p).any()
+    for p, n in ((3, 1), (5, 2), (7, 3)):
+        b = sym.hyperbolic_basis(sym.standard_polarized_space(p, n))
+        assert np.array_equal(b, np.eye(2 * n, dtype=np.int64))
 
 
 def test_space_and_matrix_serialization():

@@ -15,9 +15,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 @pytest.fixture(scope="module")
 def model5():
-    m = weil.WeilModel(sym.standard_polarized_space(5, 1))
-    m.build_group_model()
-    return m
+    return weil.WeilModel(sym.standard_polarized_space(5, 1))
 
 
 def test_dimension_and_central_character():
@@ -49,6 +47,13 @@ def test_polarization_validation():
     space = sym.standard_polarized_space(3, 1)
     with pytest.raises(weil.NotAPolarization):
         weil.WeilModel(space, ([(1, 0)], [(2, 0)]))  # not complementary
+    s4 = sym.standard_polarized_space(3, 2)  # coordinates e1, e2, f1, f2
+    with pytest.raises(weil.NotAPolarization, match="X side"):
+        weil.WeilModel(s4, ([(1, 0, 0, 0), (0, 0, 1, 0)], [(0, 1, 0, 0), (0, 0, 0, 1)]))
+    with pytest.raises(weil.NotAPolarization, match="Y side"):
+        weil.WeilModel(s4, ([(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 0, 1, 0), (1, 0, 0, 1)]))
+    with pytest.raises(weil.NotAPolarization, match="n vectors"):
+        weil.WeilModel(s4, ([(1, 0, 0, 0)], [(0, 0, 1, 0)]))
     m = weil.WeilModel(space, ([(0, 1)], [(1, 0)]))  # swapped Lagrangians: fine
     h = sym.HeisElem(space, (1, 2), 0)
     g = sym.sp_elements(space)[5]
@@ -88,10 +93,9 @@ def test_schur_intertwiner_examples(model5):
     ratio = t2 @ np.linalg.inv(t1)
     assert np.abs(ratio - ratio[0, 0] * np.eye(5)).max() < 1e-9
     # T conjugates the Weil operators with trivial character for p >= 5
-    m2.build_group_model()
     for g in sym.sp_elements(space):
         lhs = t1 @ model5.omega(g) @ np.linalg.inv(t1)
-        assert np.abs(lhs - m2.omega(g)).max() < 1e-8
+        assert np.abs(lhs - m2.omega_group(g)).max() < 1e-8
 
 
 def test_cyclic_tensor_trace_examples():
@@ -124,7 +128,6 @@ def test_twisted_trace_examples():
     vone = sym.direct_sum([v2])
     bt1 = weil.block_twist(vone, [(0,)], sym.sp_identity(vone), seed=0)
     m = weil.WeilModel(v2)
-    m.build_group_model()
     for g in sym.sp_elements(v2)[:8]:
         big = sym.sp_elem(vone, g.mat_np)
         r = weil.twisted_trace(bt1, big)
@@ -197,12 +200,21 @@ def test_sl2_f3_convention_real_on_order_4_torus():
 
     torus = sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(1),)))
     model = weil.WeilModel(torus.space)
-    model.build_group_model()
     for t in torus.elements():
-        tr = model.trace_omega(t.elem)
+        tr = np.trace(model.omega_group(t.elem))
         assert abs(tr.imag) < 1e-9
     for g in sym.sp_elements(torus.space):
         assert np.abs(model.omega_group(g) - model.omega_word(g)).max() < 1e-8
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_trace_omega_ignores_group_model(p):
+    # one oracle path: building the whole-group model changes no trace
+    m = weil.WeilModel(sym.standard_polarized_space(p, 1))
+    els = sym.sp_elements(m.space)
+    before = [m.trace_omega(g) for g in els]
+    m.build_group_model()
+    assert [m.trace_omega(g) for g in els] == before
 
 
 def test_even_characteristic_rejected():
@@ -273,7 +285,7 @@ def test_word_model_paths(p, n):
         c = (m.to_std @ g.mat_np @ m.from_std % p)[n:, :n]
         assert m.word_factors(g).rank == modp.rank(c, p) == r
         assert np.abs(dense @ dense.conj().T - ident).max() < 1e-9
-        assert abs(m.trace_word(g) - np.trace(dense)) < 1e-10
+        assert abs(m.trace_omega(g) - np.trace(dense)) < 1e-10
         nxt = (r + 1) % (n + 1)
         assert np.abs(dense @ ops[nxt] - m.omega_word(g * els[nxt])).max() < 1e-9
 
@@ -286,7 +298,7 @@ def test_trace_word_on_large_sign_blocks():
     for sc in blocks:
         bv = signcalc.block_sign_formula(sc)
         m = weil.WeilModel(bv.block.space)
-        tr = m.trace_word(bv.block.op)
+        tr = m.trace_omega(bv.block.op)
         assert abs(tr - np.trace(m.omega_word(bv.block.op))) < 1e-10
         assert abs(bv.value - tr) < 1e-8
 
@@ -302,7 +314,7 @@ def test_trace_word_on_frontier_blocks(p, d):
         bv = signcalc.block_sign_formula(sc)
         m = weil.WeilModel(bv.block.space)
         assert m.dim == p**d
-        assert abs(m.trace_word(bv.block.op) - bv.value) < 1e-8
+        assert abs(m.trace_omega(bv.block.op) - bv.value) < 1e-8
 
 
 def test_fourier_scalar_fault_is_caught():
