@@ -15,7 +15,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import ffield, gerardin, lattice, modp, signcalc, symplectic as sym, weil
-from .signcalc import _perm_mul, _perm_pow
 
 DEFAULT_TOL = 1e-8
 
@@ -773,24 +772,23 @@ def check_fixed_line_formula() -> list[Row]:
 
 
 def make_asym_asym_action() -> signcalc.OrbitAction:
-    return signcalc.OrbitAction(2, (0, 1), (1, 0), (0, 1))
+    return signcalc.one_orbit_action(1, False)
 
 
 def make_sym_ur_action() -> signcalc.OrbitAction:
-    return signcalc.OrbitAction(2, (1, 0), (1, 0), (0, 1))
+    return signcalc.one_orbit_action(2, True)
 
 
 def make_asym_symur_action() -> signcalc.OrbitAction:
-    # roots 0:a 1:ga 2:-a 3:-ga; frobenius 0<->1 2<->3; theta 0<->3 1<->2
-    return signcalc.OrbitAction(4, (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+    return signcalc.one_orbit_action(2, False, shift=1, neg=True)
 
 
 def make_asym_symram_action() -> signcalc.OrbitAction:
-    return signcalc.OrbitAction(2, (0, 1), (1, 0), (1, 0))
+    return signcalc.one_orbit_action(1, False, neg=True)
 
 
 def make_symram_action() -> signcalc.OrbitAction:
-    return signcalc.OrbitAction(2, (1, 0), (1, 0), (1, 0))
+    return signcalc.one_orbit_action(2, True, neg=True)
 
 
 def _eta_pool(group: list, cap: int = 80, seed: int = 11):
@@ -801,145 +799,61 @@ def _eta_pool(group: list, cap: int = 80, seed: int = 11):
     return [group[i] for i in idx]
 
 
+# (symmetric, d, shift, neg, label suffix): the one-orbit action
+# one_orbit_action(d, symmetric, shift, neg), theta = neg^[neg] gamma^shift
+SIGN_FAMILIES = (
+    (False, 2, 1, False, "d=2 f=2"),  # asym/asym, varsigma a genuine Frobenius power
+    (False, 4, 2, False, "d=4 f=2"),
+    (False, 2, 1, True, "f=1"),  # asym/sym-ur
+    (False, 4, 1, True, "f=2"),
+    (True, 2, 0, False, "g=1"),  # sym-ur/sym-ur
+    (True, 4, 0, False, "g=2"),
+    (False, 1, 0, True, "d=1 f=1"),  # asym/sym-ram
+    (False, 2, 0, True, "d=2 f=1"),
+    (False, 3, 1, True, "f=3"),  # theta of order 6: none at p = 3
+    (True, 2, 0, True, "g=1"),  # sym-ur/sym-ram
+    (True, 4, 0, True, "g=2"),
+)
+
+
 def sign_branch_scenarios(p: int, max_degree: int = 2, eta_cap: int = 80, c_variants: int = 1):
     """Generator of (label, scenario) pairs across all five classification
-    branches, k_alpha degrees up to max_degree, f up to 3 where reachable."""
-    f1 = ffield.field(p, 1)
-    k2 = ffield.field(p, 2)
+    branches, for k_alpha of degree <= max_degree.
 
-    def c_pool(k, anti_exp=None):
-        if anti_exp is None:
-            pool = [k.one(), k.gen()] if k.degree > 1 else [k.one(), k.from_int(2)]
-        else:
-            pool = [x for x in k.units() if x.frobenius(anti_exp) == -x]
-        return pool[: max(1, c_variants)]
-
-    # asym/asym, f = 1, k_alpha degree d
-    for d in range(1, max_degree + 1):
-        k = ffield.field(p, d)
-        act = _free_asym_action(d)
-        for c in c_pool(k):
-            for eta in _eta_pool(list(k.units()), cap=eta_cap):
-                yield "asym/asym p=%d d=%d f=1" % (p, d), signcalc.OrbitScenario(
-                    act, 0, k, k, k, k, c, eta, eta.inverse(), "asym/asym"
-                )
-    # asym/asym, f = 2: varsigma is a genuine Frobenius power, exercising the
-    # sgn(-1)^{g(f-1)} factor
-    for d, shift in [(2, 1)] + ([(4, 2)] if max_degree >= 4 else []):
-        k = ffield.field(p, d)
-        act = _free_asym_action_twisted(d, shift)
-        f = d // math.gcd(shift, d)
-        kres = ffield.field(p, d // f)
+    The families are theta = id on an asymmetric orbit of every degree
+    d <= max_degree (asym/asym, f = 1), then SIGN_FAMILIES.  Each family's
+    fields, branch, C and eta come from its one-orbit action: the field
+    degrees are the action's stabilizer indices; C runs over [1, gen] ([1, 2]
+    in degree 1) for asymmetric alpha and over the tau-antiinvariant units for
+    symmetric alpha, the first c_variants of them; eta runs over the units
+    meeting the form constraint validate_scenario enforces, sampled down to
+    eta_cap.  A family whose twist order or f is divisible by p is skipped."""
+    families = [(False, d, 0, False, "d=%d f=1" % d) for d in range(1, max_degree + 1)] + list(SIGN_FAMILIES)
+    for symmetric, d, shift, neg, suffix in families:
+        if d > max_degree:
+            continue
+        act = signcalc.one_orbit_action(d, symmetric, shift, neg)
+        k, k_pm, k_res, k_pm_res = (ffield.field(p, deg(0)) for deg in (act.deg_alpha, act.deg_pm_alpha, act.deg_res, act.deg_pm_res))
+        if act.theta_order % p == 0 or (d // k_res.degree) % p == 0:
+            continue
+        branch = signcalc.orbit_branch(act, 0, d, k_res.degree, k_pm_res.degree)
+        label = "%s p=%d %s" % (branch, p, suffix)
         vexp = (-act.sigma_exponent(0)) % d
-        for c in c_pool(k):
-            for eta in _eta_pool(list(k.units()), cap=eta_cap):
-                eta_minus = (c.frobenius(vexp) / c) / eta
-                yield "asym/asym p=%d d=%d f=%d" % (p, d, f), signcalc.OrbitScenario(
-                    act, 0, k, k, kres, kres, c, eta, eta_minus, "asym/asym"
-                )
-    # asym/sym-ur, f = 1 (k_alpha quadratic)
-    act = make_asym_symur_action()
-    for c in c_pool(k2):
-        for eta in _eta_pool(list(k2.units()), cap=eta_cap):
-            eta_minus = -(c.frobenius(1) / c) / eta
-            yield "asym/sym-ur p=%d f=1" % p, signcalc.OrbitScenario(
-                act, 0, k2, k2, k2, f1, c, eta, eta_minus, "asym/sym-ur"
-            )
-    # asym/sym-ur, f = 2 (k_alpha of degree 4)
-    if max_degree >= 4:
-        k4 = ffield.field(p, 4)
-        act = _neg_frob_action(4)
-        vexp = (-act.sigma_exponent(0)) % 4
-        for c in c_pool(k4):
-            for eta in _eta_pool(list(k4.units()), cap=eta_cap):
-                eta_minus = -(c.frobenius(vexp) / c) / eta
-                yield "asym/sym-ur p=%d f=2" % p, signcalc.OrbitScenario(
-                    act, 0, k4, k4, k2, f1, c, eta, eta_minus, "asym/sym-ur"
-                )
-    # sym-ur/sym-ur, f = 1, [k_pm_res : F_p] = g
-    for g in (1,) + ((2,) if max_degree >= 4 else ()):
-        k = ffield.field(p, 2 * g)
-        sub = ffield.field(p, g)
-        act = _sym_action(2 * g)
-        for c in c_pool(k, anti_exp=g):
-            for eta in _eta_pool(ffield.norm_one_group(k, sub), cap=eta_cap):
-                yield "sym-ur/sym-ur p=%d g=%d" % (p, g), signcalc.OrbitScenario(
-                    act, 0, k, sub, k, sub, c, eta, None, "sym-ur/sym-ur"
-                )
-    # asym/sym-ram, f = 1, k_alpha degree d
-    for d in (1,) + ((2,) if max_degree >= 2 else ()):
-        k = ffield.field(p, d)
-        base = _free_asym_action(d)
-        act = signcalc.OrbitAction(2 * d, base.frobenius, base.neg, base.neg)
-        for c in c_pool(k):
-            for eta in _eta_pool(list(k.units()), cap=eta_cap):
-                yield "asym/sym-ram p=%d d=%d f=1" % (p, d), signcalc.OrbitScenario(
-                    act, 0, k, k, k, k, c, eta, -eta.inverse(), "asym/sym-ram"
-                )
-    # asym/sym-ram, f = 3 (theta of order 6, so p must not divide 6)
-    if max_degree >= 3 and p % 3 != 0:
-        k3 = ffield.field(p, 3)
-        act = _neg_frob_action(3)
-        vexp = (-act.sigma_exponent(0)) % 3
-        for c in c_pool(k3):
-            for eta in _eta_pool(list(k3.units()), cap=eta_cap):
-                eta_minus = -(c.frobenius(vexp) / c) / eta
-                yield "asym/sym-ram p=%d f=3" % p, signcalc.OrbitScenario(
-                    act, 0, k3, k3, f1, f1, c, eta, eta_minus, "asym/sym-ram"
-                )
-    # sym-ur/sym-ram, f = 2, k_alpha degree 2g
-    for g in (1,) + ((2,) if max_degree >= 4 else ()):
-        k = ffield.field(p, 2 * g)
-        sub = ffield.field(p, g)
-        act = _sym_ram_action(2 * g)
-        admissible = [x for x in k.units() if x * x.frobenius(g) == -k.one()]
-        for c in c_pool(k, anti_exp=g):
-            for eta in _eta_pool(admissible, cap=eta_cap):
-                yield "sym-ur/sym-ram p=%d g=%d" % (p, g), signcalc.OrbitScenario(
-                    act, 0, k, sub, sub, sub, c, eta, None, "sym-ur/sym-ram"
-                )
-
-
-def _free_asym_action(d: int) -> signcalc.OrbitAction:
-    """Gamma = Z/d acting freely on {gamma^i alpha} and its negatives; theta id."""
-    n = 2 * d
-    frob = tuple(list(range(1, d)) + [0] + list(range(d + 1, 2 * d)) + [d])
-    neg = tuple(list(range(d, 2 * d)) + list(range(d)))
-    theta = tuple(range(n))
-    return signcalc.OrbitAction(n, frob, neg, theta)
-
-
-def _free_asym_action_twisted(d: int, shift: int) -> signcalc.OrbitAction:
-    """As above but theta(alpha) = gamma^shift(alpha): asym/asym with
-    f = d / gcd(shift, d) > 1 when shift does not generate the stabilizer."""
-    base = _free_asym_action(d)
-    frob = base.frobenius
-    theta = _perm_pow(frob, shift)
-    return signcalc.OrbitAction(2 * d, frob, base.neg, theta)
-
-
-def _sym_action(d: int) -> signcalc.OrbitAction:
-    """Gamma = Z/d cyclic on one symmetric orbit: gamma^(d/2) = negation."""
-    assert d % 2 == 0
-    frob = tuple((i + 1) % d for i in range(d))
-    neg = tuple((i + d // 2) % d for i in range(d))
-    theta = tuple(range(d))
-    return signcalc.OrbitAction(d, frob, neg, theta)
-
-
-def _sym_ram_action(d: int) -> signcalc.OrbitAction:
-    """Symmetric orbit of size d (gamma^(d/2) = neg) with theta = neg:
-    sym-ur alpha whose restricted root is ramified (f = 2)."""
-    base = _sym_action(d)
-    return signcalc.OrbitAction(d, base.frobenius, base.neg, base.neg)
-
-
-def _neg_frob_action(d: int) -> signcalc.OrbitAction:
-    """Gamma = Z/d free, theta(alpha) = -gamma(alpha): asymmetric alpha with a
-    symmetric restricted root, unramified with f = 2 for d = 4 and ramified
-    with f = 3 for d = 3 (theta of order 6 there, so p != 3)."""
-    base = _free_asym_action(d)
-    return signcalc.OrbitAction(2 * d, base.frobenius, base.neg, _perm_mul(base.neg, base.frobenius))
+        if symmetric:
+            tau = act.tau_exponent(0) % d
+            cs = [x for x in k.units() if x.frobenius(tau) == -x]
+        else:
+            cs = [k.one(), k.gen()] if d > 1 else [k.one(), k.from_int(2)]
+        for c in cs[: max(1, c_variants)]:
+            ratio = c.frobenius(vexp) / c
+            if symmetric:
+                pool = [x for x in k.units() if x * x.frobenius(tau) == ratio]
+                pairs = [(eta, None) for eta in _eta_pool(pool, cap=eta_cap)]
+            else:
+                ratio = ratio if act.branch_sign(0) == 1 else -ratio
+                pairs = [(eta, ratio / eta) for eta in _eta_pool(list(k.units()), cap=eta_cap)]
+            for eta, eta_minus in pairs:
+                yield label, signcalc.OrbitScenario(act, 0, k, k_pm, k_res, k_pm_res, c, eta, eta_minus, branch)
 
 
 @dataclass

@@ -40,21 +40,35 @@ class ScenarioValidationError(Exception):
 # payload parsing
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", int: "an integer"}
+
+
+def _typed(value, kind: type, what: str):
+    """value, refused unless it has JSON type kind (a bool is not an integer)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ScenarioValidationError("%s must be %s, got %r" % (what, _JSON_TYPES[kind], value))
+    return value
+
+
 def _parse_field(s: str) -> ffield.FieldDesc:
     ps, _, ks = s.partition("^")
     return ffield.field(int(ps), int(ks) if ks else 1)
 
 
 def _parse_action(obj) -> signcalc.OrbitAction:
-    size = int(obj["phi"])
-    gens = obj["gamma_gens"]
+    _typed(obj, dict, "action")
+    size = _typed(obj["phi"], int, "phi")
+    gens = _typed(obj["gamma_gens"], list, "gamma_gens")
     if len(gens) != 1:
         raise ScenarioValidationError("gamma_gens must contain exactly one (cyclic) generator")
-    return signcalc.OrbitAction(size, tuple(gens[0]), tuple(obj["neg"]), tuple(obj["theta"]))
+    frob, neg, theta = (
+        tuple(_typed(perm, list, name)) for perm, name in ((gens[0], "gamma_gens[0]"), (obj["neg"], "neg"), (obj["theta"], "theta"))
+    )
+    return signcalc.OrbitAction(size, frob, neg, theta)
 
 
 def _parse_orbit(action: signcalc.OrbitAction, obj) -> signcalc.OrbitScenario:
-    fields = obj["fields"]
+    fields = _typed(_typed(obj, dict, "orbit")["fields"], dict, "fields")
     eta_minus = obj.get("eta_minus_alpha")
     return signcalc.OrbitScenario(
         action,
@@ -70,10 +84,15 @@ def _parse_orbit(action: signcalc.OrbitAction, obj) -> signcalc.OrbitScenario:
     )
 
 
+_TORUS_FACTORS = {"norm-one": sym.NormOneFactor, "split": sym.SplitFactor}
+
+
 def _parse_torus(obj) -> sym.BuiltTorus:
     factories = []
-    for f in obj["factors"]:
-        cls = sym.NormOneFactor if f["type"] == "norm-one" else sym.SplitFactor
+    for f in _typed(obj["factors"], list, "factors"):
+        cls = _TORUS_FACTORS.get(_typed(f, dict, "factor")["type"])
+        if cls is None:
+            raise ScenarioValidationError("unknown torus factor type %r (known: %s)" % (f["type"], ", ".join(_TORUS_FACTORS)))
         factories.append(cls(int(f["subdegree"])))
     return sym.build_torus(sym.TorusDesc(int(obj["p"]), tuple(factories)))
 
@@ -97,6 +116,8 @@ def run_gerardin(sid: str, payload, tol: float, seed: int) -> list[Row]:
 
 def run_weil_verify(sid: str, payload, tol: float, seed: int) -> list[Row]:
     p, n = int(payload["p"]), int(payload.get("n", 1))
+    if n < 1:
+        raise ScenarioValidationError("n must be at least 1, got %d" % n)
     space = sym.standard_polarized_space(p, n)
     model = weil.WeilModel(space)
     rng = np.random.default_rng(seed)
@@ -125,7 +146,9 @@ def run_weil_verify(sid: str, payload, tol: float, seed: int) -> list[Row]:
 
 def run_twisted_trace(sid: str, payload, tol: float, seed: int) -> list[Row]:
     p = int(payload["p"])
-    group_sizes = [int(x) for x in payload["groups"]]
+    group_sizes = [int(x) for x in _typed(payload["groups"], list, "groups")]
+    if not group_sizes or min(group_sizes) < 1:
+        raise ScenarioValidationError("groups must be a nonempty list of sizes >= 1, got %r" % (group_sizes,))
     v2 = sym.standard_polarized_space(p, 1)
     spaces = [v2] * sum(group_sizes)
     total = sym.direct_sum(spaces)
@@ -157,7 +180,7 @@ def run_twisted_trace(sid: str, payload, tol: float, seed: int) -> list[Row]:
 def run_sign_block(sid: str, payload, tol: float, seed: int) -> list[Row]:
     action = _parse_action(payload["action"])
     rows = []
-    for i, obj in enumerate(payload["orbits"]):
+    for i, obj in enumerate(_typed(payload["orbits"], list, "orbits")):
         sc = _parse_orbit(action, obj)
         bv = signcalc.block_sign_formula(sc)
         oracle = weil.WeilModel(bv.block.space).trace_omega(bv.block.op)
@@ -170,10 +193,10 @@ def run_sign_block(sid: str, payload, tol: float, seed: int) -> list[Row]:
 def run_assemble(sid: str, payload, tol: float, seed: int) -> list[Row]:
     action = _parse_action(payload["action"])
     scenarios = {}
-    for obj in payload["orbits"]:
+    for obj in _typed(payload["orbits"], list, "orbits"):
         sc = _parse_orbit(action, obj)
         scenarios[sc.alpha] = sc
-    s_values = {int(k): ffield.deserialize(v) for k, v in payload["s_values"].items()}
+    s_values = {int(k): ffield.deserialize(v) for k, v in _typed(payload["s_values"], dict, "s_values").items()}
     re_im = payload.get("vartheta_s", [1.0, 0.0])
     vartheta = complex(float(re_im[0]), float(re_im[1]))
     asm = signcalc.assemble_product(action, scenarios, s_values)

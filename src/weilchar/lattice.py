@@ -251,9 +251,6 @@ class Restriction:
     restricted: tuple[RestrictedRoot, ...]
     by_root: dict = dc_field(default_factory=dict)  # root -> restricted vector
 
-    def project(self, x) -> tuple[int, ...]:
-        return tuple(sum(r[j] * x[j] for j in range(len(x))) for r in self.proj_rows)
-
 
 def restrict_roots(d: RootDatum) -> Restriction:
     """Restricted roots p*(alpha) in Y*(T) = X*/(X* cap (1-theta)X*_Q), with

@@ -95,7 +95,7 @@ class OrbitAction:
         n = self.size
         for name in ("frobenius", "neg", "theta"):
             perm = getattr(self, name)
-            if sorted(perm) != list(range(n)):
+            if not all(isinstance(x, int) for x in perm) or sorted(perm) != list(range(n)):
                 raise SignCalcError("%s is not a permutation of 0..%d" % (name, n - 1))
         if _perm_mul(self.neg, self.neg) != tuple(range(n)):
             raise SignCalcError("neg is not an involution")
@@ -208,6 +208,40 @@ class OrbitAction:
         return len(seen)
 
 
+def one_orbit_action(d: int, symmetric: bool, shift: int = 0, neg: bool = False) -> OrbitAction:
+    """Gamma = Z/d acting freely on one Sigma-orbit, with twist
+    theta = neg^[neg] gamma^shift.  Asymmetric: 2d roots, gamma^i(alpha) at i
+    and -gamma^i(alpha) at d + i.  Symmetric (d even): d roots gamma^i(alpha)
+    at i, with gamma^(d/2) = neg."""
+    if symmetric:
+        if d % 2:
+            raise SignCalcError("a symmetric orbit needs even d, got %d" % d)
+        n = d
+        frob = tuple((i + 1) % d for i in range(d))
+        negp = tuple((i + d // 2) % d for i in range(d))
+    else:
+        n = 2 * d
+        frob = tuple(d * (i // d) + (i + 1) % d for i in range(n))
+        negp = tuple((i + d) % n for i in range(n))
+    theta = _perm_pow(frob, shift)
+    if neg:
+        theta = _perm_mul(negp, theta)
+    return OrbitAction(n, frob, negp, theta)
+
+
+def orbit_branch(action: OrbitAction, a: int, d_alpha: int, d_res: int, d_pm_res: int) -> str:
+    """The branch of the orbit of a whose fields k_alpha, k_res, k_pm_res have
+    degrees d_alpha, d_res, d_pm_res.  Symmetric a: alpha_res is unramified
+    iff f = [k_alpha : k_res] is odd.  Asymmetric a: alpha_res is asymmetric
+    on the +1 branch; on the -1 branch it is symmetric, unramified iff
+    [k_alpha : k_pm_res] is even."""
+    if action.is_symmetric(a):
+        return "sym-ur/sym-ur" if (d_alpha // d_res) % 2 else "sym-ur/sym-ram"
+    if action.branch_sign(a) == 1:
+        return "asym/asym"
+    return "asym/sym-ur" if (d_alpha // d_pm_res) % 2 == 0 else "asym/sym-ram"
+
+
 @dataclass(frozen=True)
 class ClassifyRow:
     root: int
@@ -302,6 +336,8 @@ class OrbitScenario:
 
 def validate_scenario(sc: OrbitScenario) -> None:
     act, a = sc.action, sc.alpha
+    if not isinstance(a, int) or not 0 <= a < act.size:
+        raise SignCalcError("alpha = %r is not a root index 0..%d" % (a, act.size - 1))
     if sc.classification not in BRANCHES:
         raise SignCalcError("unknown classification %r" % (sc.classification,))
     p = sc.k_alpha.p
@@ -321,7 +357,6 @@ def validate_scenario(sc: OrbitScenario) -> None:
         raise InconsistentDegrees("the twist order must be coprime to p")
 
     sym_a = act.is_symmetric(a)
-    cls_a, cls_res = sc.classification.split("/")
     # the residue image of sigma_alpha must generate the right Galois group:
     # its fixed field inside k_alpha is k_res (sym or asym-res) or k_pm_res
     j_res = act.sigma_exponent(a) % d_a
@@ -331,9 +366,10 @@ def validate_scenario(sc: OrbitScenario) -> None:
         raise InconsistentDegrees(
             "sigma_alpha fixes GF(p^%d) on the residue level, expected GF(p^%d)" % (fixed_deg, want_fixed)
         )
+    branch = orbit_branch(act, a, d_a, d_r, d_pr)
+    if sc.classification != branch:
+        raise SignCalcError("the orbit of alpha is %s; classification says %r" % (branch, sc.classification))
     if sym_a:
-        if cls_a != "sym-ur":
-            raise SignCalcError("alpha is symmetric; classification says %r" % cls_a)
         if d_pm * 2 != d_a:
             # symmetric ramified alpha: k_alpha = k_pm_alpha, excluded
             raise FormDegenerate("symmetric ramified alpha admits no antisymmetric C")
@@ -341,45 +377,24 @@ def validate_scenario(sc: OrbitScenario) -> None:
             raise InconsistentDegrees("tau does not act as the order-2 residue automorphism")
         if sc.tau(sc.C) != -sc.C:
             raise FormDegenerate("C is not tau-antiinvariant")
-        # alpha_res symmetric; unramified iff f odd
-        expected = "sym-ur" if f % 2 == 1 else "sym-ram"
-        if cls_res != expected:
-            raise SignCalcError("alpha_res should be %s (f = %d)" % (expected, f))
-        if d_r != 2 * d_pr and cls_res == "sym-ur":
-            raise InconsistentDegrees("unramified restricted root needs [k_res : k_pm_res] = 2")
-        if cls_res == "sym-ram" and d_r != d_pr:
-            raise InconsistentDegrees("ramified restricted root needs k_res = k_pm_res")
+    elif d_pm != d_a:
+        raise InconsistentDegrees("asymmetric alpha needs k_alpha = k_pm_alpha")
+    # [k_res : k_pm_res] is 2 on an unramified symmetric restricted root, else 1
+    if d_r != (2 * d_pr if branch.endswith("sym-ur") else d_pr):
+        raise InconsistentDegrees("[k_res : k_pm_res] = %d does not fit a %s restricted root" % (d_r // d_pr, branch.split("/")[1]))
+    if sym_a:
         if sc.eta_alpha.parent != sc.k_alpha or sc.eta_alpha.is_zero():
             raise SignCalcError("eta_alpha must be a unit of k_alpha")
         if sc.eta_alpha * sc.tau(sc.eta_alpha) != sc.varsigma(sc.C) / sc.C:
             raise FormDegenerate("eta_alpha tau(eta_alpha) != varsigma(C)/C")
     else:
-        if d_pm != d_a:
-            raise InconsistentDegrees("asymmetric alpha needs k_alpha = k_pm_alpha")
-        if cls_a != "asym":
-            raise SignCalcError("alpha is asymmetric; classification says %r" % cls_a)
-        bs = act.branch_sign(a)
-        if bs == 1:
-            if cls_res != "asym":
-                raise SignCalcError("theta^m(alpha) is Gamma-equivalent to alpha: alpha_res is asymmetric")
-            if d_r != d_pr:
-                raise InconsistentDegrees("asymmetric restricted root needs k_res = k_pm_res")
-        else:
-            # alpha_res symmetric; Lemma: unramified iff [k_alpha : k_pm_res] even
-            expected = "sym-ur" if (d_a // d_pr) % 2 == 0 else "sym-ram"
-            if cls_res != expected:
-                raise SignCalcError("alpha_res should be %s here" % expected)
-            if cls_res == "sym-ur" and d_r != 2 * d_pr:
-                raise InconsistentDegrees("unramified restricted root needs [k_res : k_pm_res] = 2")
-            if cls_res == "sym-ram" and d_r != d_pr:
-                raise InconsistentDegrees("ramified restricted root needs k_res = k_pm_res")
         if sc.eta_minus_alpha is None:
             raise SignCalcError("asymmetric alpha needs eta_minus_alpha")
         for e in (sc.eta_alpha, sc.eta_minus_alpha):
             if e.parent != sc.k_alpha or e.is_zero():
                 raise SignCalcError("eta values must be units of k_alpha")
         want = sc.varsigma(sc.C) / sc.C
-        if bs == -1:
+        if act.branch_sign(a) == -1:
             want = -want
         if sc.eta_alpha * sc.eta_minus_alpha != want:
             raise FormDegenerate("eta_alpha eta_minus_alpha violates form preservation")

@@ -83,35 +83,6 @@ class SympSpace:
         return SympSpace(self.p, tuple(tuple(int(x) for x in row) for row in g))
 
 
-def space_to_json(space: SympSpace) -> dict:
-    return {
-        "p": space.p,
-        "dim": space.dim,
-        "gram": [list(row) for row in space.gram],
-        "blocks": None if space.blocks is None else [list(b) for b in space.blocks],
-    }
-
-
-def space_from_json(obj) -> SympSpace:
-    blocks = obj.get("blocks")
-    return SympSpace(
-        int(obj["p"]),
-        tuple(tuple(int(x) for x in row) for row in obj["gram"]),
-        None if blocks is None else tuple(tuple(int(i) for i in b) for b in blocks),
-    )
-
-
-def mat_to_json(g: SpElem) -> list:
-    """Row-major residue lists."""
-    return [int(x) for row in g.mat for x in row]
-
-
-def mat_from_json(space: SympSpace, flat) -> SpElem:
-    n = space.dim
-    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-    return sp_elem(space, rows)
-
-
 def standard_space(p: int, n: int) -> SympSpace:
     """Standard form: block anti-diagonal with J_n = antidiag(1,..,1)."""
     j = np.fliplr(np.eye(n, dtype=np.int64))

@@ -428,9 +428,6 @@ class BlockTwist:
     models: dict = dc_field(default_factory=dict)  # block index -> WeilModel
     inters: dict = dc_field(default_factory=dict)  # (i, j) -> matrix W_j -> W_{j+1}
 
-    def group_blocks(self, i: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.space.blocks[b] for b in self.groups[i])
-
     def composite(self, i: int) -> np.ndarray:
         blocks = self.groups[i]
         out = self.inters[(i, 0)]

@@ -86,6 +86,38 @@ def test_bad_scenario_tolerance_is_a_validation_error(tol, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def _sign_payload(edit):
+    doc = json.loads((SCN / "sign_f3.scn").read_text())
+    payload = doc["scenarios"][0]["payload"]
+    edit(payload)
+    return {"id": "s", "kind": "sign-block", "payload": payload}
+
+
+BAD_PAYLOADS = {
+    "alpha-negative": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(alpha=-1)),
+    "alpha-past-last-root": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(alpha=9)),
+    "float-permutation": lambda: _sign_payload(lambda pl: pl["action"].update(gamma_gens=[[1.0, 0.0, 3.0, 2.0]])),
+    "orbits-not-a-list": lambda: _sign_payload(lambda pl: pl.update(orbits=5)),
+    "action-null": lambda: _sign_payload(lambda pl: pl.update(action=None)),
+    "phi-a-list": lambda: _sign_payload(lambda pl: pl["action"].update(phi=[4])),
+    "weil-verify-n-0": lambda: {"id": "w", "kind": "weil-verify", "payload": {"p": 3, "n": 0}},
+    "twisted-trace-group-0": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": 3, "groups": [0]}},
+    "gerardin-unknown-factor": lambda: {"id": "g", "kind": "gerardin",
+                                        "payload": {"p": 3, "factors": [{"type": "bogus", "subdegree": 1}]}},
+    "gerardin-factors-null": lambda: {"id": "g", "kind": "gerardin", "payload": {"p": 3, "factors": None}},
+    "twisted-trace-groups-not-a-list": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": 3, "groups": 5}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PAYLOADS))
+def test_malformed_payload_is_a_validation_error(case, tmp_path, capsys):
+    f = tmp_path / "bad.scn"
+    f.write_text(json.dumps({"scenarios": [BAD_PAYLOADS[case]()]}))
+    assert run_cli(["run", f, "--report", tmp_path / "r.json"]) == 3
+    assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("tol", ["abc", "inf", "nan", "-1", "-1e-9"])
 def test_bad_tolerance_option_rejected_at_parse_time(tol, capsys):
     with pytest.raises(SystemExit) as exc:

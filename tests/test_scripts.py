@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -53,3 +54,9 @@ def test_ci_workflow_parses():
     assert 'python -m pip install -e ".[test]"' in steps
     assert any("python -m pytest -q --continue-on-collection-errors" in s for s in steps)
     assert any("python -m pytest perfbench/tests -q" in s for s in steps)
+    # every job runs on the lowest Python that pyproject.toml declares
+    floor = re.search(r'requires-python = ">=(\d+\.\d+)"', (ROOT / "pyproject.toml").read_text()).group(1)
+    for job in doc["jobs"].values():
+        assert floor in job["strategy"]["matrix"]["python-version"]
+        setup = next(step for step in job["steps"] if step.get("uses", "").startswith("actions/setup-python"))
+        assert setup["with"]["python-version"] == "${{ matrix.python-version }}"

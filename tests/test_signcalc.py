@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -117,7 +120,7 @@ def test_block_sign_formula_branch_matrix():
 
 
 def test_sign_sweep_goes_red_on_corrupted_formula():
-    clean = checks.sign_sweep((3,), max_degree=1, eta_cap=4)
+    clean = checks.sign_sweep((3,), max_degree=2, eta_cap=4)
     assert clean and all(st.worst <= 1e-8 and st.count for st in clean.values())
     real = sc.block_sign_formula
 
@@ -127,8 +130,8 @@ def test_sign_sweep_goes_red_on_corrupted_formula():
 
     sc.block_sign_formula = corrupted
     try:
-        bad = checks.sign_sweep((3,), max_degree=1, eta_cap=4)
-        rows = checks.check_sign_formula_vs_oracle(ps=(3,), max_degree=1)
+        bad = checks.sign_sweep((3,), max_degree=2, eta_cap=4)
+        rows = checks.check_sign_formula_vs_oracle(ps=(3,), max_degree=2)
     finally:
         sc.block_sign_formula = real
     assert bad.keys() == clean.keys()
@@ -334,20 +337,10 @@ def test_orbit_action_invariants_random(seed):
     import random
 
     rng = random.Random(seed)
-    # random member of the validated action families
-    family = rng.choice(["free", "twisted", "symur", "symflip", "negtheta"])
-    d = rng.choice([1, 2, 3, 4])
-    if family == "free":
-        act = checks._free_asym_action(d)
-    elif family == "twisted":
-        act = checks._free_asym_action_twisted(d, rng.randrange(d) or 1)
-    elif family == "symur":
-        act = checks._sym_action(2 * ((d + 1) // 2))
-    elif family == "symflip":
-        act = checks._sym_ram_action(2 * ((d + 1) // 2))
-    else:
-        base = checks._free_asym_action(d)
-        act = sc.OrbitAction(2 * d, base.frobenius, base.neg, base.neg)
+    # a random one-orbit action: theta = neg^[neg] gamma^shift
+    symmetric = rng.random() < 0.5
+    d = rng.choice([2, 4] if symmetric else [1, 2, 3, 4])
+    act = sc.one_orbit_action(d, symmetric, rng.randrange(d), rng.random() < 0.5)
     for a in range(act.size):
         m, l = act.m_alpha(a), act.l_alpha(a)
         assert l % m == 0
@@ -364,15 +357,11 @@ def test_orbit_action_invariants_random(seed):
 
 def _validated_actions():
     for d in (1, 2, 3, 4):
-        base = checks._free_asym_action(d)
-        yield base
-        yield sc.OrbitAction(2 * d, base.frobenius, base.neg, base.neg)
-        for shift in range(1, d):
-            yield checks._free_asym_action_twisted(d, shift)
-        yield checks._sym_action(2 * ((d + 1) // 2))
-        yield checks._sym_ram_action(2 * ((d + 1) // 2))
-    yield checks.make_asym_symram_action()
-    yield checks.make_symram_action()
+        for shift in range(d):
+            for neg in (False, True):
+                yield sc.one_orbit_action(d, False, shift, neg)
+                if d % 2 == 0:
+                    yield sc.one_orbit_action(d, True, shift, neg)
 
 
 def test_orbit_action_lookups_equal_permutation_powers():
@@ -439,3 +428,47 @@ def test_mixed_dimension_assembly():
     res = sc.full_space_oracle(act, scen, svals)
     assert abs(asm.value - res.product_value) < 1e-8
     assert abs(res.product_value - res.direct_value) < 1e-8
+
+
+# The ordered scenario list per label of sign_branch_scenarios, pinned as a
+# sha256 digest per label for each parameter set a caller uses (the values
+# the hand-written family loops produced before the one-orbit enumeration).
+PINNED_SCENARIOS = json.loads((pathlib.Path(__file__).parent / "sign_scenarios_digests.json").read_text())
+
+
+def _scenario_key(s):
+    a = s.action
+    fields = [f.degree for f in (s.k_alpha, s.k_pm_alpha, s.k_res, s.k_pm_res)]
+    eta_minus = None if s.eta_minus_alpha is None else list(s.eta_minus_alpha.coeffs)
+    return [[a.size, list(a.frobenius), list(a.neg), list(a.theta)], s.alpha, fields,
+            list(s.C.coeffs), list(s.eta_alpha.coeffs), eta_minus, s.classification]
+
+
+@pytest.mark.parametrize("params", sorted(PINNED_SCENARIOS))
+def test_sign_branch_scenarios_pinned(params):
+    p, max_degree, eta_cap, c_variants = map(int, params.split(","))
+    per_label = {}
+    for label, s in checks.sign_branch_scenarios(p, max_degree, eta_cap, c_variants):
+        per_label.setdefault(label, []).append(_scenario_key(s))
+    got = {label: [len(v), hashlib.sha256(json.dumps(v).encode()).hexdigest()] for label, v in per_label.items()}
+    assert got == PINNED_SCENARIOS[params]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("max_degree", [1, 2, 3])
+def test_sign_branch_scenarios_respect_max_degree(p, max_degree):
+    degrees = {s.k_alpha.degree for _, s in checks.sign_branch_scenarios(p, max_degree, 2)}
+    assert degrees == set(range(1, max_degree + 1))
+
+
+def test_action_fixtures_are_the_literal_actions():
+    assert checks.make_asym_asym_action() == sc.OrbitAction(2, (0, 1), (1, 0), (0, 1))
+    assert checks.make_sym_ur_action() == sc.OrbitAction(2, (1, 0), (1, 0), (0, 1))
+    assert checks.make_asym_symur_action() == sc.OrbitAction(4, (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+    assert checks.make_asym_symram_action() == sc.OrbitAction(2, (0, 1), (1, 0), (1, 0))
+    assert checks.make_symram_action() == sc.OrbitAction(2, (1, 0), (1, 0), (1, 0))
+
+
+def test_one_orbit_action_rejects_odd_symmetric_orbit():
+    with pytest.raises(sc.SignCalcError):
+        sc.one_orbit_action(3, True)

@@ -166,17 +166,3 @@ def test_hyperbolic_basis_on_funny_forms():
     for p, n in ((3, 1), (5, 2), (7, 3)):
         b = sym.hyperbolic_basis(sym.standard_polarized_space(p, n))
         assert np.array_equal(b, np.eye(2 * n, dtype=np.int64))
-
-
-def test_space_and_matrix_serialization():
-    space = sym.standard_space(3, 1)
-    doc = sym.space_to_json(space)
-    assert doc == {"p": 3, "dim": 2, "gram": [[0, 1], [2, 0]], "blocks": None}
-    assert sym.space_from_json(doc) == space
-    g = sym.sp_elem(space, [[2, 0], [0, 2]])
-    flat = sym.mat_to_json(g)
-    assert flat == [2, 0, 0, 2]
-    assert sym.mat_from_json(space, flat).mat == g.mat
-    summed = sym.direct_sum([space, space])
-    doc2 = sym.space_to_json(summed)
-    assert sym.space_from_json(doc2) == summed

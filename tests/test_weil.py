@@ -325,7 +325,7 @@ def test_fourier_scalar_fault_is_caught():
     weil._fourier_scalar = lambda p, n: (modp.legendre(2, p) / weil.gauss_sum(p)) ** n
     try:
         rows = checks.check_omega_multiplicative()
-        stats = checks.sign_sweep((3,), 1, 4)
+        stats = checks.sign_sweep((3,), 2, 4)
     finally:
         weil._fourier_scalar = orig
     failed = {r.quantity for r in rows if not r.passed}
