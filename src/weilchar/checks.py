@@ -324,24 +324,23 @@ def check_torus_maximality() -> list[Row]:
 
 
 def check_eigen_conjugacy(ps=(3, 5, 7)) -> list[Row]:
-    """Equal eigen multisets iff an Sp-conjugacy witness exists (exhaustive)."""
+    """Equal eigen multisets iff conjugate in Sp(V), over every pair of
+    semisimple elements: the class of t is labelled by the least position
+    x t x^-1 reaches in the product table, and the x reaching it is checked
+    by SpElem products."""
     rows = []
     for p in ps:
-        space = sym.standard_polarized_space(p, 1)
-        els = [g for g in sym.sp_elements(space) if g.is_semisimple()]
-        keys = {g.mat: sym.eigen_multiset_key(sym.eigen_multiset(g)) for g in els}
-        bad = 0
-        rng = random.Random(p)
-        sample = els if p == 3 else rng.sample(els, 40)
-        for g in sample:
-            for t in sample:
-                witness = sym.conjugate_in_sp(g, t)
-                same = keys[g.mat] == keys[t.mat]
-                if same != (witness is not None):
-                    bad += 1
-                if witness is not None and (witness * t * witness.inverse()).mat != g.mat:
-                    bad += 1
-        rows.append(Row.compare("symplectic", "eigen<->conjugacy p=%d (%d elements)" % (p, len(sample)), bad, 0, 0))
+        grp = sym.sp_group(sym.standard_polarized_space(p, 1))
+        ss = [i for i, g in enumerate(grp.elems) if g.is_semisimple()]
+        conj = grp.mul[grp.mul[:, ss], grp.inv[:, None]]  # conj[x, k] = x ss[k] x^-1
+        reps, witnesses = conj.min(axis=0), conj.argmin(axis=0)
+        keys = [sym.eigen_multiset_key(sym.eigen_multiset(grp.elems[i])) for i in ss]
+        same_key = np.array([[a == b for b in keys] for a in keys])
+        bad = int(((reps[:, None] == reps) != same_key).sum())
+        for i, r, x in zip(ss, reps, witnesses):
+            w = grp.elems[x]
+            bad += (w * grp.elems[i] * w.inverse()).mat != grp.elems[r].mat
+        rows.append(Row.compare("symplectic", "eigen<->conjugacy p=%d (%d elements)" % (p, len(ss)), bad, 0, 0))
     return rows
 
 
@@ -423,10 +422,9 @@ def check_omega_multiplicative(ps=(3, 5, 7), cells=((3, 2), (3, 3))) -> list[Row
         model = weil.WeilModel(space)
         els = sym.sp_elements(space)
         ops = np.stack([model.omega_group(g) for g in els])
-        index = {g.mat: i for i, g in enumerate(els)}
-        prod_idx = np.array([[index[(g * h).mat] for h in els] for g in els], dtype=np.int32)
+        prod_idx = sym.sp_group(space).mul
         worst = 0.0
-        for i, g in enumerate(els):
+        for i in range(len(els)):
             lhs = ops[i] @ ops  # (N, d, d)
             rhs = ops[prod_idx[i]]
             worst = max(worst, float(np.abs(lhs - rhs).max()))
@@ -496,6 +494,16 @@ def _two_swapped_blocks(p: int):
     return vsum, sym.sp_elem(vsum, swap)
 
 
+def _fixed_and_swapped_pair(p: int):
+    v2 = sym.standard_polarized_space(p, 1)
+    vsum = sym.direct_sum([v2, v2, v2])
+    imat = np.zeros((6, 6), dtype=np.int64)
+    imat[:2, :2] = np.eye(2, dtype=np.int64)
+    imat[2:4, 4:] = np.eye(2, dtype=np.int64)
+    imat[4:, 2:4] = np.eye(2, dtype=np.int64)
+    return vsum, sym.sp_elem(vsum, imat)
+
+
 def check_twisted_trace_decomposition(seed: int = 0) -> list[Row]:
     """Product formula equals the direct tensor trace on the fixtures."""
     rows = []
@@ -506,22 +514,14 @@ def check_twisted_trace_decomposition(seed: int = 0) -> list[Row]:
     worst = 0.0
     for g1 in els:
         for g2 in els:
-            big = np.zeros((4, 4), dtype=np.int64)
-            big[:2, :2] = g1.mat_np
-            big[2:, 2:] = g2.mat_np
-            r = weil.twisted_trace(bt, sym.sp_elem(vsum, big))
+            r = weil.twisted_trace(bt, sym.block_diagonal(vsum, [g1.mat_np, g2.mat_np]))
             worst = max(worst, abs(r.product_value - r.direct_value))
     rows.append(Row.compare("weil", "twisted trace p=3 two swapped blocks (all pairs)", worst, 0, 1e-8, seed=seed))
 
     # p = 5: one fixed plus two swapped blocks; torus elements and a sample
-    v2 = sym.standard_polarized_space(5, 1)
-    vsum3 = sym.direct_sum([v2, v2, v2])
-    imat = np.zeros((6, 6), dtype=np.int64)
-    imat[:2, :2] = np.eye(2, dtype=np.int64)
-    imat[2:4, 4:] = np.eye(2, dtype=np.int64)
-    imat[4:, 2:4] = np.eye(2, dtype=np.int64)
-    iota3 = sym.sp_elem(vsum3, imat)
+    vsum3, iota3 = _fixed_and_swapped_pair(5)
     bt3 = weil.block_twist(vsum3, [(0,), (1, 2)], iota3, seed=seed)
+    v2 = sym.standard_polarized_space(5, 1)
     torus = [sym.sp_elem(v2, [[a, 0], [0, pow(a, 3, 5)]]) for a in (1, 2, 3, 4)]
     rng = random.Random(seed)
     els5 = sym.sp_elements(v2)
@@ -530,11 +530,7 @@ def check_twisted_trace_decomposition(seed: int = 0) -> list[Row]:
     for g0 in pool:
         for g1 in pool[:5]:
             for g2 in pool[:5]:
-                big = np.zeros((6, 6), dtype=np.int64)
-                big[:2, :2] = g0.mat_np
-                big[2:4, 2:4] = g1.mat_np
-                big[4:, 4:] = g2.mat_np
-                r = weil.twisted_trace(bt3, sym.sp_elem(vsum3, big))
+                r = weil.twisted_trace(bt3, sym.block_diagonal(vsum3, [g0.mat_np, g1.mat_np, g2.mat_np]))
                 worst3 = max(worst3, abs(r.product_value - r.direct_value))
     rows.append(Row.compare("weil", "twisted trace p=5 fixed + swapped pair", worst3, 0, 1e-8, seed=seed))
     return rows
@@ -555,17 +551,12 @@ def check_intertwiner_normalization(seed: int = 0) -> list[Row]:
     rows.append(Row.compare("weil", "composite = omega(iota^2|block)", err, 0, 1e-9, seed=seed))
 
     # p = 5 fixture (one fixed block plus a swapped pair): every group
-    v2 = sym.standard_polarized_space(5, 1)
-    vsum3 = sym.direct_sum([v2, v2, v2])
-    imat = np.zeros((6, 6), dtype=np.int64)
-    imat[:2, :2] = np.eye(2, dtype=np.int64)
-    imat[2:4, 4:] = np.eye(2, dtype=np.int64)
-    imat[4:, 2:4] = np.eye(2, dtype=np.int64)
-    bt3 = weil.block_twist(vsum3, [(0,), (1, 2)], sym.sp_elem(vsum3, imat), seed=seed)
+    vsum3, iota3 = _fixed_and_swapped_pair(5)
+    bt3 = weil.block_twist(vsum3, [(0,), (1, 2)], iota3, seed=seed)
     for i, grp in enumerate(bt3.groups):
         b0i = vsum3.blocks[grp[0]]
         mi = bt3.models[grp[0]]
-        ip = modp.mat_pow(imat, len(grp), 5)
+        ip = modp.mat_pow(iota3.mat_np, len(grp), 5)
         loop_i = sym.sp_elem(mi.space, ip[np.ix_(b0i, b0i)] % 5)
         err_i = float(np.abs(bt3.composite(i) - mi.omega(loop_i)).max())
         rows.append(Row.compare("weil", "composite group %d p=5 fixture" % i, err_i, 0, 1e-9, seed=seed))
@@ -674,10 +665,7 @@ def check_polarized_formula(ps=(3, 5, 7)) -> list[Row]:
             pols2 = list(gerardin.invariant_polarizations(g2))
             if not pols2:
                 continue
-            big = np.zeros((4, 4), dtype=np.int64)
-            big[:2, :2] = g1.mat_np
-            big[2:, 2:] = g2.mat_np
-            gbig = sym.sp_elem(vsum, big)
+            gbig = sym.block_diagonal(vsum, [g1.mat_np, g2.mat_np])
             oracle = np.trace(m2.omega(g1)) * np.trace(m2.omega(g2))
             for (vp1, vm1), (vp2, vm2) in itertools.product(pols1[:2], pols2[:2]):
                 vplus = [tuple(v) + (0, 0) for v in vp1] + [(0, 0) + tuple(v) for v in vp2]
@@ -756,10 +744,7 @@ def check_fixed_line_formula() -> list[Row]:
     for g1 in sym.sp_elements(v2):
         if not g1.is_semisimple() or g1.fixed_space_dim():
             continue
-        big = np.zeros((4, 4), dtype=np.int64)
-        big[:2, :2] = g1.mat_np
-        big[2:, 2:] = np.eye(2, dtype=np.int64)
-        gbig = sym.sp_elem(vsum, big)
+        gbig = sym.block_diagonal(vsum, [g1.mat_np, np.eye(2, dtype=np.int64)])
         oracle = np.trace(m2.omega(g1)) * np.trace(m2.omega(sym.sp_identity(v2)))
         worst = max(worst, abs(gerardin.weil_char(gbig) - complex(oracle)))
         count += 1

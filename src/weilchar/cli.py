@@ -72,7 +72,7 @@ def _parse_orbit(action: signcalc.OrbitAction, obj) -> signcalc.OrbitScenario:
     eta_minus = obj.get("eta_minus_alpha")
     return signcalc.OrbitScenario(
         action,
-        int(obj["alpha"]),
+        _typed(obj["alpha"], int, "alpha"),
         _parse_field(fields["k_alpha"]),
         _parse_field(fields["k_pm_alpha"]),
         _parse_field(fields["k_alpha_res"]),
@@ -93,8 +93,8 @@ def _parse_torus(obj) -> sym.BuiltTorus:
         cls = _TORUS_FACTORS.get(_typed(f, dict, "factor")["type"])
         if cls is None:
             raise ScenarioValidationError("unknown torus factor type %r (known: %s)" % (f["type"], ", ".join(_TORUS_FACTORS)))
-        factories.append(cls(int(f["subdegree"])))
-    return sym.build_torus(sym.TorusDesc(int(obj["p"]), tuple(factories)))
+        factories.append(cls(_typed(f["subdegree"], int, "subdegree")))
+    return sym.build_torus(sym.TorusDesc(_typed(obj["p"], int, "p"), tuple(factories)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def run_gerardin(sid: str, payload, tol: float, seed: int) -> list[Row]:
 
 
 def run_weil_verify(sid: str, payload, tol: float, seed: int) -> list[Row]:
-    p, n = int(payload["p"]), int(payload.get("n", 1))
+    p, n = _typed(payload["p"], int, "p"), _typed(payload.get("n", 1), int, "n")
     if n < 1:
         raise ScenarioValidationError("n must be at least 1, got %d" % n)
     space = sym.standard_polarized_space(p, n)
@@ -124,7 +124,7 @@ def run_weil_verify(sid: str, payload, tol: float, seed: int) -> list[Row]:
     rows = []
     hs = list(sym.heis_elements(space))
     worst = 0.0
-    for _ in range(int(payload.get("pairs", 100))):
+    for _ in range(_typed(payload.get("pairs", 100), int, "pairs")):
         a = hs[rng.integers(len(hs))]
         b = hs[rng.integers(len(hs))]
         worst = max(worst, float(np.abs(model.rho(a) @ model.rho(b) - model.rho(sym.heis_mul(a, b))).max()))
@@ -132,7 +132,7 @@ def run_weil_verify(sid: str, payload, tol: float, seed: int) -> list[Row]:
     gens = sym.sp_generators(space)
     g = sym.sp_identity(space)
     worst_m = 0.0
-    for _ in range(int(payload.get("words", 20))):
+    for _ in range(_typed(payload.get("words", 20), int, "words")):
         h = gens[rng.integers(len(gens))]
         worst_m = max(worst_m, float(np.abs(model.omega(g) @ model.omega(h) - model.omega(g * h)).max()))
         g = g * h
@@ -145,8 +145,8 @@ def run_weil_verify(sid: str, payload, tol: float, seed: int) -> list[Row]:
 
 
 def run_twisted_trace(sid: str, payload, tol: float, seed: int) -> list[Row]:
-    p = int(payload["p"])
-    group_sizes = [int(x) for x in _typed(payload["groups"], list, "groups")]
+    p = _typed(payload["p"], int, "p")
+    group_sizes = [_typed(x, int, "groups entry") for x in _typed(payload["groups"], list, "groups")]
     if not group_sizes or min(group_sizes) < 1:
         raise ScenarioValidationError("groups must be a nonempty list of sizes >= 1, got %r" % (group_sizes,))
     v2 = sym.standard_polarized_space(p, 1)
@@ -167,12 +167,9 @@ def run_twisted_trace(sid: str, payload, tol: float, seed: int) -> list[Row]:
     rng = np.random.default_rng(seed)
     els = sym.sp_elements(v2)
     rows = []
-    for trial in range(int(payload.get("trials", 10))):
-        big = np.zeros((dim, dim), dtype=np.int64)
-        for b in range(sum(group_sizes)):
-            gb = els[rng.integers(len(els))]
-            big[np.ix_(total.blocks[b], total.blocks[b])] = gb.mat_np
-        res = weil.twisted_trace(bt, sym.sp_elem(total, big))
+    for trial in range(_typed(payload.get("trials", 10), int, "trials")):
+        parts = [els[rng.integers(len(els))].mat_np for _ in total.blocks]
+        res = weil.twisted_trace(bt, sym.block_diagonal(total, parts))
         rows.append(Row.compare(sid, "product vs direct #%d" % trial, res.product_value, res.direct_value, tol, seed))
     return rows
 
@@ -234,7 +231,7 @@ def run_lattice_check(sid: str, payload, tol: float, seed: int) -> list[Row]:
     for i, obj in enumerate(payload.get("matrices", [])):
         torsion = lattice.pi0_torsion(obj["theta"])
         rows.append(Row.compare(sid, "torsion #%d" % i, str(torsion), str([int(x) for x in obj["expect_torsion"]]), 0, seed))
-    trials = int(payload.get("pi0_trials", 0))
+    trials = _typed(payload.get("pi0_trials", 0), int, "pi0_trials")
     if trials:
         out = checks.check_pi0_property(seed=seed, trials=trials)
         for r in out:

@@ -237,19 +237,10 @@ def invariant_complement_in_perp(g: SpElem, line) -> list[tuple[int, ...]]:
     k = len(lperp)
     ident = np.eye(k, dtype=np.int64)
     img = [(np.array(lperp, dtype=np.int64).T @ col) % p for col in ((glp - ident) % p).T]
-    img_basis = _independent(img, p)
     fixed_cols = modp.kernel_basis((glp - ident) % p, p)
     fixed = [tuple(int(x) for x in (np.array(lperp, dtype=np.int64).T @ c) % p) for c in fixed_cols]
     fixed_rest = complement_in(fixed, [line], p)
-    return [tuple(int(x) for x in v) for v in img_basis] + fixed_rest
-
-
-def _independent(vectors, p: int) -> list[np.ndarray]:
-    out = []
-    for v in vectors:
-        if not in_span(out, v, p):
-            out.append(tuple(int(x) % p for x in v))
-    return out
+    return complement_in(img, [], p) + fixed_rest
 
 
 def maximal_invariant_isotropic(g: SpElem) -> list[tuple[int, ...]]:

@@ -859,7 +859,6 @@ def full_space_oracle(action: OrbitAction, scenarios: dict[int, OrbitScenario], 
     p = total.p
     dim = total.dim
     iota = np.zeros((dim, dim), dtype=np.int64)
-    smat = np.zeros((dim, dim), dtype=np.int64)
     bi = 0
     for m, loop_mat in iota_blocks:
         idxs = [total.blocks[bi + j] for j in range(m)]
@@ -869,7 +868,5 @@ def full_space_oracle(action: OrbitAction, scenarios: dict[int, OrbitScenario], 
             block = loop_mat if j == m - 1 else np.eye(len(src), dtype=np.int64)
             iota[np.ix_(dst, src)] = block
         bi += m
-    for j, idx in enumerate(total.blocks):
-        smat[np.ix_(idx, idx)] = s_blocks[j]
     bt = weil.block_twist(total, groups, sym.sp_elem(total, iota), seed=seed)
-    return weil.twisted_trace(bt, sym.sp_elem(total, smat))
+    return weil.twisted_trace(bt, sym.block_diagonal(total, s_blocks))

@@ -210,6 +210,14 @@ def sp_identity(space: SympSpace) -> SpElem:
     return sp_elem(space, np.eye(space.dim, dtype=np.int64))
 
 
+def block_diagonal(space: SympSpace, parts) -> SpElem:
+    """The element of a direct sum acting by the matrix parts[i] on block i."""
+    mat = np.zeros((space.dim, space.dim), dtype=np.int64)
+    for idx, part in zip(space.blocks, parts):
+        mat[np.ix_(idx, idx)] = part
+    return sp_elem(space, mat)
+
+
 # ---------------------------------------------------------------------------
 # Hyperbolic bases / polarizations
 
@@ -315,7 +323,6 @@ class TorusElement:
 class BuiltTorus:
     desc: TorusDesc
     space: SympSpace
-    offsets: tuple[int, ...]  # coordinate offset of each factor block
 
     @property
     def p(self) -> int:
@@ -348,12 +355,7 @@ class BuiltTorus:
                 minv = mult_matrix(x.inverse())
                 zero = np.zeros_like(m)
                 blocks.append(np.block([[m, zero], [zero, minv]]))
-        total = self.space.dim
-        mat = np.zeros((total, total), dtype=np.int64)
-        for off, b in zip(self.offsets, blocks):
-            d = b.shape[0]
-            mat[off : off + d, off : off + d] = b
-        return TorusElement(self, coords, sp_elem(self.space, mat))
+        return TorusElement(self, coords, block_diagonal(self.space, blocks))
 
     def elements(self):
         pools = []
@@ -422,8 +424,7 @@ def build_torus(desc: TorusDesc, space: SympSpace | None = None) -> BuiltTorus:
         raise DegreeMismatch("factor degrees do not sum to n")
     if space is not None and space != total_space:
         raise DegreeMismatch("supplied space does not match the canonical torus space")
-    offsets = tuple(b[0] for b in total_space.blocks)
-    return BuiltTorus(desc, total_space, offsets)
+    return BuiltTorus(desc, total_space)
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +581,39 @@ def sp_elements(space: SympSpace) -> tuple[SpElem, ...]:
     return tuple(out)
 
 
+@dataclass(frozen=True, eq=False)
+class SpGroup:
+    """Sp(V) as an indexed table: elems[0] is the identity, index maps a
+    matrix to its position, mul[i, j] is the position of elems[i] * elems[j]
+    and inv[i] that of elems[i]^-1."""
+
+    elems: tuple[SpElem, ...]
+    index: dict
+    mul: np.ndarray
+    inv: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def sp_group(space: SympSpace) -> SpGroup:
+    """The product table of sp_elements(space), built one row at a time from
+    integer matrix products and a lookup of their base-p codes; int16 holds
+    every position since SP_ENUM_CAP < 2^15."""
+    elems = sp_elements(space)  # raises above the cap
+    p, size = space.p, len(elems)
+    mats = np.array([g.mat for g in elems], dtype=np.int64)
+    weights = p ** np.arange(space.dim**2, dtype=np.int64)
+    codes = mats.reshape(size, -1) @ weights
+    order = np.argsort(codes)
+    sorted_codes = codes[order]
+    mul = np.empty((size, size), dtype=np.int16)
+    for i in range(size):
+        row = (mats[i] @ mats % p).reshape(size, -1) @ weights
+        mul[i] = order[np.searchsorted(sorted_codes, row)]
+    inv = np.nonzero(mul == 0)[1].astype(np.int16)
+    mul.flags.writeable = inv.flags.writeable = False  # shared through the cache
+    return SpGroup(elems, {g.mat: i for i, g in enumerate(elems)}, mul, inv)
+
+
 def _sp_order(p: int, n: int) -> int:
     out = p ** (n * n)
     for i in range(1, n + 1):
@@ -620,18 +654,12 @@ def _primitive_root(p: int) -> int:
 
 
 def conjugate_in_sp(g: SpElem, t: SpElem) -> SpElem | None:
-    """A witness x with x t x^{-1} = g when the eigenvalue multisets agree,
-    None otherwise; exhaustive within the enumeration cap."""
+    """The first x in sp_elements order with x t x^{-1} = g, None if g and t
+    are not conjugate; exhaustive within the enumeration cap."""
     if g.space != t.space:
         raise SpaceMismatch("elements from different spaces")
     if not g.is_semisimple() or not t.is_semisimple():
         raise NotSemisimple("conjugacy test requires semisimple elements")
-    if eigen_multiset_key(eigen_multiset(g)) != eigen_multiset_key(eigen_multiset(t)):
-        return None
-    tm = t.mat_np
-    gm = g.mat_np
-    p = g.space.p
-    for x in sp_elements(g.space):
-        if not ((x.mat_np @ tm - gm @ x.mat_np) % p).any():
-            return x
-    return None
+    grp = sp_group(g.space)
+    hits = np.flatnonzero(grp.mul[grp.mul[:, grp.index[t.mat]], grp.inv] == grp.index[g.mat])
+    return grp.elems[hits[0]] if len(hits) else None

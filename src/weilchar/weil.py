@@ -126,7 +126,7 @@ class WeilModel:
             basis = sym.hyperbolic_basis(space)
         self.from_std = basis
         self.to_std = modp.mat_inv(basis, self.p)
-        self._group_table: dict | None = None
+        self._group_table: list | None = None
         self._w: np.ndarray | None = None  # the Fourier operator, built on first use
         self._powers = self.p ** np.arange(self.n, dtype=np.int64)
         # all of F_p^n, shape (p^n, n), row index = encoding (little-endian digits)
@@ -267,44 +267,43 @@ class WeilModel:
         """Enumerate Sp(V) and resolve all operators; cap-guarded."""
         if self._group_table is not None:
             return
-        elements = sym.sp_elements(self.space)  # raises above the cap
+        grp = sym.sp_group(self.space)  # raises above the cap
+        mul, inv = grp.mul, grp.inv
         gens = sym.sp_generators(self.space)
         ball = _schur_ball([sym.sp_identity(self.space)] + gens + [g.inverse() for g in gens])
-        ms = {b.mat: _unitary_normalize(schur_intertwiner(self, self, b, check=False)) for b in ball}
+        ms = {grp.index[b.mat]: _unitary_normalize(schur_intertwiner(self, self, b, check=False)) for b in ball}
         pool: dict = {}
-        for x, y in itertools.product(ball, repeat=2):
-            c = x * y * x.inverse() * y.inverse()
-            if c.mat not in pool and c.order() > 1:
-                mx, my = ms[x.mat], ms[y.mat]
-                pool[c.mat] = (c, mx @ my @ np.linalg.inv(mx) @ np.linalg.inv(my))
+        for (x, mx), (y, my) in itertools.product(ms.items(), repeat=2):
+            c = mul[mul[mul[x, y], inv[x]], inv[y]]
+            if c not in pool and c != 0:  # position 0 is the identity
+                pool[c] = mx @ my @ np.linalg.inv(mx) @ np.linalg.inv(my)
         if self.p == 3 and self.n == 1:
             # SL_2(F_3) is not perfect; seed the order-3 cosets with the
             # classical unipotent operator (generator-model convention)
             u0_std = np.array([[1, 0], [1, 1]], dtype=np.int64)
             u0 = sym.sp_elem(self.space, self.from_std @ u0_std @ self.to_std % 3)
-            pool[u0.mat] = (u0, np.diag(self._nbar_diag(np.array([[1]], dtype=np.int64))))
-        table = {sym.sp_identity(self.space).mat: np.eye(self.dim, dtype=complex)}
-        frontier = [sym.sp_identity(self.space)]
+            pool[grp.index[u0.mat]] = np.diag(self._nbar_diag(np.array([[1]], dtype=np.int64)))
+        table: list = [None] * len(grp.elems)
+        table[0] = np.eye(self.dim, dtype=complex)
+        frontier = [0]
         while frontier:
             nxt = []
             for x in frontier:
-                mx = table[x.mat]
-                for c, kc in pool.values():
-                    y = x * c
-                    if y.mat not in table:
-                        table[y.mat] = mx @ kc
+                for c, kc in pool.items():
+                    y = mul[x, c]
+                    if table[y] is None:
+                        table[y] = table[x] @ kc
                         nxt.append(y)
             frontier = nxt
-        if len(table) != len(elements):
-            raise LinearizationFailed(
-                "commutator walk covered %d of %d elements" % (len(table), len(elements))
-            )
+        covered = sum(m is not None for m in table)
+        if covered != len(table):
+            raise LinearizationFailed("commutator walk covered %d of %d elements" % (covered, len(table)))
         self._group_table = table
 
     def omega_group(self, g: SpElem) -> np.ndarray:
         """Weil operator from the whole-group model, built on first use."""
         self.build_group_model()
-        return self._group_table[g.mat]
+        return self._group_table[sym.sp_group(self.space).index[g.mat]]
 
 
 def _schur_ball(seeds) -> list[SpElem]:

@@ -106,6 +106,21 @@ BAD_PAYLOADS = {
                                         "payload": {"p": 3, "factors": [{"type": "bogus", "subdegree": 1}]}},
     "gerardin-factors-null": lambda: {"id": "g", "kind": "gerardin", "payload": {"p": 3, "factors": None}},
     "twisted-trace-groups-not-a-list": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": 3, "groups": 5}},
+    # scalars: each integer field refuses a list, null, string or float
+    "weil-verify-p-a-list": lambda: {"id": "w", "kind": "weil-verify", "payload": {"p": [3]}},
+    "weil-verify-n-null": lambda: {"id": "w", "kind": "weil-verify", "payload": {"p": 3, "n": None}},
+    "weil-verify-pairs-a-string": lambda: {"id": "w", "kind": "weil-verify", "payload": {"p": 3, "pairs": "5"}},
+    "weil-verify-words-a-float": lambda: {"id": "w", "kind": "weil-verify", "payload": {"p": 3, "words": 2.5}},
+    "twisted-trace-p-null": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": None, "groups": [2]}},
+    "twisted-trace-group-a-list": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": 3, "groups": [[2]]}},
+    "twisted-trace-trials-a-list": lambda: {"id": "t", "kind": "twisted-trace",
+                                            "payload": {"p": 3, "groups": [2], "trials": [1]}},
+    "gerardin-p-a-string": lambda: {"id": "g", "kind": "gerardin",
+                                    "payload": {"p": "3", "factors": [{"type": "split", "subdegree": 1}]}},
+    "gerardin-subdegree-null": lambda: {"id": "g", "kind": "gerardin",
+                                        "payload": {"p": 3, "factors": [{"type": "split", "subdegree": None}]}},
+    "alpha-a-list": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(alpha=[0])),
+    "lattice-check-pi0-trials-null": lambda: {"id": "l", "kind": "lattice-check", "payload": {"pi0_trials": None}},
 }
 
 

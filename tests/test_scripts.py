@@ -54,6 +54,8 @@ def test_ci_workflow_parses():
     assert 'python -m pip install -e ".[test]"' in steps
     assert any("python -m pytest -q --continue-on-collection-errors" in s for s in steps)
     assert any("python -m pytest perfbench/tests -q" in s for s in steps)
+    # two selfcheck processes must write the same report bytes
+    assert any(s.count("python -m weilchar.cli selfcheck --report") == 2 and "cmp " in s for s in steps)
     # every job runs on the lowest Python that pyproject.toml declares
     floor = re.search(r'requires-python = ">=(\d+\.\d+)"', (ROOT / "pyproject.toml").read_text()).group(1)
     for job in doc["jobs"].values():

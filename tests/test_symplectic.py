@@ -141,6 +141,48 @@ def test_conjugacy_examples():
         sym.conjugate_in_sp(g, unipotent)
 
 
+def test_conjugacy_reads_no_eigenvalues(monkeypatch):
+    # the oracle side of eigen<->conjugacy: the witness search alone decides
+    def refuse(g):
+        raise AssertionError("conjugate_in_sp read eigenvalues")
+
+    monkeypatch.setattr(sym, "eigen_multiset", refuse)
+    test_conjugacy_examples()
+
+
+def test_conjugacy_refuses_above_the_cap():
+    v = sym.standard_polarized_space(3, 2)  # |Sp_4(F_3)| = 51840
+    g = sym.sp_identity(v)
+    with pytest.raises(sym.SymplecticError):
+        sym.conjugate_in_sp(g, sym.sp_elem(v, (-np.eye(4, dtype=np.int64)) % 3))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_sp_group_table_matches_products(p):
+    grp = sym.sp_group(sym.standard_polarized_space(p, 1))
+    assert grp.elems[0] == sym.sp_identity(grp.elems[0].space)
+    assert grp.mul.dtype == np.int16
+    for i, g in enumerate(grp.elems):
+        assert grp.index[g.mat] == i
+        assert grp.elems[grp.inv[i]] == g.inverse()
+        assert [grp.elems[k] for k in grp.mul[i]] == [g * h for h in grp.elems]
+
+
+def test_split_class_fault_turns_eigen_conjugacy_red(monkeypatch):
+    # seeded fault: a duplicate eigenvalue on every g with g[0][1] = 0 splits
+    # conjugacy classes across two eigenvalue keys
+    orig = sym.eigen_multiset
+
+    def split(g):
+        vals = orig(g)
+        return vals + vals[:1] if g.mat[0][1] == 0 else vals
+
+    monkeypatch.setattr(sym, "eigen_multiset", split)
+    rows = checks.check_eigen_conjugacy()
+    assert [r.formula for r in rows] == [0, 400, 2352]
+    assert [r.passed for r in rows] == [True, False, False]
+
+
 def test_sp_enumeration_cap():
     assert len(sym.sp_elements(sym.standard_polarized_space(3, 1))) == 24
     with pytest.raises(sym.SymplecticError):
