@@ -6,6 +6,7 @@ Each check returns a list of Row records; a check passes when every row does.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -323,6 +324,15 @@ def check_torus_maximality() -> list[Row]:
     return rows
 
 
+def _semisimple_classes(grp: sym.SpGroup) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The positions ss of the semisimple elements; for each, the least
+    position x t x^-1 reaches over the table (the label of t's conjugacy
+    class) and the first x reaching it."""
+    ss = [i for i, g in enumerate(grp.elems) if g.is_semisimple()]
+    conj = grp.mul[grp.mul[:, ss], grp.inv[:, None]]  # conj[x, k] = x ss[k] x^-1
+    return ss, conj.min(axis=0), conj.argmin(axis=0)
+
+
 def check_eigen_conjugacy(ps=(3, 5, 7)) -> list[Row]:
     """Equal eigen multisets iff conjugate in Sp(V), over every pair of
     semisimple elements: the class of t is labelled by the least position
@@ -331,9 +341,7 @@ def check_eigen_conjugacy(ps=(3, 5, 7)) -> list[Row]:
     rows = []
     for p in ps:
         grp = sym.sp_group(sym.standard_polarized_space(p, 1))
-        ss = [i for i, g in enumerate(grp.elems) if g.is_semisimple()]
-        conj = grp.mul[grp.mul[:, ss], grp.inv[:, None]]  # conj[x, k] = x ss[k] x^-1
-        reps, witnesses = conj.min(axis=0), conj.argmin(axis=0)
+        ss, reps, witnesses = _semisimple_classes(grp)
         keys = [sym.eigen_multiset_key(sym.eigen_multiset(grp.elems[i])) for i in ss]
         same_key = np.array([[a == b for b in keys] for a in keys])
         bad = int(((reps[:, None] == reps) != same_key).sum())
@@ -485,42 +493,30 @@ def check_cyclic_tensor_trace(seed: int = 0, trials: int = 500) -> list[Row]:
     return [Row.compare("weil", "cyclic tensor trace (%d chains)" % trials, worst, 0, 1e-9, seed=seed)]
 
 
-def _two_swapped_blocks(p: int):
-    v2 = sym.standard_polarized_space(p, 1)
-    vsum = sym.direct_sum([v2, v2])
-    swap = np.zeros((4, 4), dtype=np.int64)
-    swap[:2, 2:] = np.eye(2, dtype=np.int64)
-    swap[2:, :2] = np.eye(2, dtype=np.int64)
-    return vsum, sym.sp_elem(vsum, swap)
+def _two_swapped_blocks(p: int, seed: int) -> weil.BlockTwist:
+    return weil.block_twist([(sym.sp_identity(sym.standard_polarized_space(p, 1)), 2)], seed=seed)
 
 
-def _fixed_and_swapped_pair(p: int):
-    v2 = sym.standard_polarized_space(p, 1)
-    vsum = sym.direct_sum([v2, v2, v2])
-    imat = np.zeros((6, 6), dtype=np.int64)
-    imat[:2, :2] = np.eye(2, dtype=np.int64)
-    imat[2:4, 4:] = np.eye(2, dtype=np.int64)
-    imat[4:, 2:4] = np.eye(2, dtype=np.int64)
-    return vsum, sym.sp_elem(vsum, imat)
+def _fixed_and_swapped_pair(p: int, seed: int) -> weil.BlockTwist:
+    ident = sym.sp_identity(sym.standard_polarized_space(p, 1))
+    return weil.block_twist([(ident, 1), (ident, 2)], seed=seed)
 
 
 def check_twisted_trace_decomposition(seed: int = 0) -> list[Row]:
     """Product formula equals the direct tensor trace on the fixtures."""
     rows = []
     # p = 3: two swapped blocks, every block-preserving pair
-    vsum, iota = _two_swapped_blocks(3)
-    bt = weil.block_twist(vsum, [(0, 1)], iota, seed=seed)
+    bt = _two_swapped_blocks(3, seed)
     els = sym.sp_elements(sym.standard_polarized_space(3, 1))
     worst = 0.0
     for g1 in els:
         for g2 in els:
-            r = weil.twisted_trace(bt, sym.block_diagonal(vsum, [g1.mat_np, g2.mat_np]))
+            r = weil.twisted_trace(bt, sym.block_diagonal(bt.space, [g1.mat_np, g2.mat_np]))
             worst = max(worst, abs(r.product_value - r.direct_value))
     rows.append(Row.compare("weil", "twisted trace p=3 two swapped blocks (all pairs)", worst, 0, 1e-8, seed=seed))
 
     # p = 5: one fixed plus two swapped blocks; torus elements and a sample
-    vsum3, iota3 = _fixed_and_swapped_pair(5)
-    bt3 = weil.block_twist(vsum3, [(0,), (1, 2)], iota3, seed=seed)
+    bt3 = _fixed_and_swapped_pair(5, seed)
     v2 = sym.standard_polarized_space(5, 1)
     torus = [sym.sp_elem(v2, [[a, 0], [0, pow(a, 3, 5)]]) for a in (1, 2, 3, 4)]
     rng = random.Random(seed)
@@ -530,41 +526,29 @@ def check_twisted_trace_decomposition(seed: int = 0) -> list[Row]:
     for g0 in pool:
         for g1 in pool[:5]:
             for g2 in pool[:5]:
-                r = weil.twisted_trace(bt3, sym.block_diagonal(vsum3, [g0.mat_np, g1.mat_np, g2.mat_np]))
+                r = weil.twisted_trace(bt3, sym.block_diagonal(bt3.space, [g0.mat_np, g1.mat_np, g2.mat_np]))
                 worst3 = max(worst3, abs(r.product_value - r.direct_value))
     rows.append(Row.compare("weil", "twisted trace p=5 fixed + swapped pair", worst3, 0, 1e-8, seed=seed))
     return rows
 
 
 def check_intertwiner_normalization(seed: int = 0) -> list[Row]:
-    """Composite equals the block Weil operator on every fixture; scalar
+    """Composite equals the Weil operator of the loop on every fixture; scalar
     redistribution leaves every reported trace unchanged."""
     rows = []
-    vsum, iota = _two_swapped_blocks(3)
-    bt = weil.block_twist(vsum, [(0, 1)], iota, seed=seed)
-    b0 = vsum.blocks[0]
-    model0 = bt.models[0]
-    ipow = modp.mat_pow(iota.mat_np, 2, 3)
-    loop = sym.sp_elem(model0.space, ipow[np.ix_(b0, b0)] % 3)
-    target = model0.omega(loop)
+    bt = _two_swapped_blocks(3, seed)
+    target = bt.models[0].omega(bt.loops[0])
     err = float(np.abs(bt.composite(0) - target).max())
     rows.append(Row.compare("weil", "composite = omega(iota^2|block)", err, 0, 1e-9, seed=seed))
 
     # p = 5 fixture (one fixed block plus a swapped pair): every group
-    vsum3, iota3 = _fixed_and_swapped_pair(5)
-    bt3 = weil.block_twist(vsum3, [(0,), (1, 2)], iota3, seed=seed)
-    for i, grp in enumerate(bt3.groups):
-        b0i = vsum3.blocks[grp[0]]
-        mi = bt3.models[grp[0]]
-        ip = modp.mat_pow(iota3.mat_np, len(grp), 5)
-        loop_i = sym.sp_elem(mi.space, ip[np.ix_(b0i, b0i)] % 5)
-        err_i = float(np.abs(bt3.composite(i) - mi.omega(loop_i)).max())
+    bt3 = _fixed_and_swapped_pair(5, seed)
+    for i, (model, loop) in enumerate(zip(bt3.models, bt3.loops)):
+        err_i = float(np.abs(bt3.composite(i) - model.omega(loop)).max())
         rows.append(Row.compare("weil", "composite group %d p=5 fixture" % i, err_i, 0, 1e-9, seed=seed))
 
-    g = sym.sp_identity(vsum)
+    g = sym.sp_identity(bt.space)
     before = weil.twisted_trace(bt, g)
-    import cmath
-
     bt.redistribute(0, [cmath.exp(0.4j), cmath.exp(-0.4j)])
     after = weil.twisted_trace(bt, g)
     rows.append(
@@ -575,58 +559,41 @@ def check_intertwiner_normalization(seed: int = 0) -> list[Row]:
     return rows
 
 
-def check_character_conjugacy_invariance(seed: int = 0) -> list[Row]:
-    """Weil character constant on conjugacy classes, via explicit witnesses."""
-    p = 5
-    space = sym.standard_polarized_space(p, 1)
+def check_character_conjugacy_invariance() -> list[Row]:
+    """Weil character constant on conjugacy classes: every semisimple element
+    of Sp_2(F_5) against its class representative in the product table."""
+    space = sym.standard_polarized_space(5, 1)
     model = weil.WeilModel(space)
-    els = [g for g in sym.sp_elements(space) if g.is_semisimple()]
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(40):
-        g, t = rng.choice(els), rng.choice(els)
-        w = sym.conjugate_in_sp(g, t)
-        if w is not None:
-            worst = max(worst, abs(model.trace_omega(g) - model.trace_omega(t)))
-    return [Row.compare("weil", "character conjugacy invariance p=5", worst, 0, 1e-8, seed=seed)]
+    grp = sym.sp_group(space)
+    ss, reps, _ = _semisimple_classes(grp)
+    worst = max(abs(model.trace_omega(grp.elems[i]) - model.trace_omega(grp.elems[r])) for i, r in zip(ss, reps))
+    return [Row.compare("weil", "character conjugacy invariance p=5 (%d elements)" % len(ss), worst, 0, 1e-8)]
 
 
 # ---------------------------------------------------------------------------
 # gerardin
 
 
-def _tori_for(p: int):
-    yield sym.build_torus(sym.TorusDesc(p, (sym.SplitFactor(1),)))
-    yield sym.build_torus(sym.TorusDesc(p, (sym.NormOneFactor(1),)))
-
-
 def check_gerardin_semisimple(ps=(3, 5, 7), include_sp4=True) -> list[Row]:
-    rows = []
+    tori = []
     for p in ps:
-        for torus in _tori_for(p):
-            model = weil.WeilModel(torus.space)
-            wd = sym.weights(torus)
-            worst = 0.0
-            for t in torus.elements():
-                worst = max(worst, abs(gerardin.char_semisimple(t, wd) - model.trace_omega(t.elem)))
-            name = torus.desc.factors[0].__class__.__name__
-            rows.append(Row.compare("gerardin", "semisimple Sp_2(F_%d) %s" % (p, name), worst, 0, 1e-8))
+        for factor in (sym.SplitFactor(1), sym.NormOneFactor(1)):
+            tori.append((sym.TorusDesc(p, (factor,)), "semisimple Sp_2(F_%d) %s" % (p, factor.__class__.__name__)))
     if include_sp4:
         for f1 in (sym.NormOneFactor(1), sym.SplitFactor(1)):
             for f2 in (sym.NormOneFactor(1), sym.SplitFactor(1)):
-                torus = sym.build_torus(sym.TorusDesc(3, (f1, f2)))
-                model = weil.WeilModel(torus.space)
-                wd = sym.weights(torus)
-                worst = max(abs(gerardin.char_semisimple(t, wd) - model.trace_omega(t.elem)) for t in torus.elements())
                 label = "semisimple Sp_4(F_3) %s+%s" % (f1.__class__.__name__[:5], f2.__class__.__name__[:5])
-                rows.append(Row.compare("gerardin", label, worst, 0, 1e-8))
+                tori.append((sym.TorusDesc(3, (f1, f2)), label))
         # beyond the required block tori: the irreducible degree-2 factors
-        for factory in (sym.NormOneFactor(2), sym.SplitFactor(2)):
-            torus = sym.build_torus(sym.TorusDesc(3, (factory,)))
-            model = weil.WeilModel(torus.space)
-            wd = sym.weights(torus)
-            worst = max(abs(gerardin.char_semisimple(t, wd) - model.trace_omega(t.elem)) for t in torus.elements())
-            rows.append(Row.compare("gerardin", "semisimple Sp_4(F_3) %s deg 2" % factory.__class__.__name__[:5], worst, 0, 1e-8))
+        for factor in (sym.NormOneFactor(2), sym.SplitFactor(2)):
+            tori.append((sym.TorusDesc(3, (factor,)), "semisimple Sp_4(F_3) %s deg 2" % factor.__class__.__name__[:5]))
+    rows = []
+    for desc, label in tori:
+        torus = sym.build_torus(desc)
+        model = weil.WeilModel(torus.space)
+        wd = sym.weights(torus)
+        worst = max(abs(gerardin.char_semisimple(t, wd) - model.trace_omega(t.elem)) for t in torus.elements())
+        rows.append(Row.compare("gerardin", label, worst, 0, 1e-8))
     return rows
 
 

@@ -150,26 +150,13 @@ def run_twisted_trace(sid: str, payload, tol: float, seed: int) -> list[Row]:
     if not group_sizes or min(group_sizes) < 1:
         raise ScenarioValidationError("groups must be a nonempty list of sizes >= 1, got %r" % (group_sizes,))
     v2 = sym.standard_polarized_space(p, 1)
-    spaces = [v2] * sum(group_sizes)
-    total = sym.direct_sum(spaces)
-    dim = total.dim
-    imat = np.zeros((dim, dim), dtype=np.int64)
-    groups = []
-    off = 0
-    for size in group_sizes:
-        groups.append(tuple(range(off, off + size)))
-        for j in range(size):
-            src = total.blocks[off + j]
-            dst = total.blocks[off + (j + 1) % size]
-            imat[np.ix_(dst, src)] = np.eye(2, dtype=np.int64)
-        off += size
-    bt = weil.block_twist(total, groups, sym.sp_elem(total, imat), seed=seed)
+    bt = weil.block_twist([(sym.sp_identity(v2), size) for size in group_sizes], seed=seed)
     rng = np.random.default_rng(seed)
     els = sym.sp_elements(v2)
     rows = []
     for trial in range(_typed(payload.get("trials", 10), int, "trials")):
-        parts = [els[rng.integers(len(els))].mat_np for _ in total.blocks]
-        res = weil.twisted_trace(bt, sym.block_diagonal(total, parts))
+        parts = [els[rng.integers(len(els))].mat_np for _ in bt.space.blocks]
+        res = weil.twisted_trace(bt, sym.block_diagonal(bt.space, parts))
         rows.append(Row.compare(sid, "product vs direct #%d" % trial, res.product_value, res.direct_value, tol, seed))
     return rows
 

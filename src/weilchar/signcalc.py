@@ -140,6 +140,10 @@ class OrbitAction:
             cur = self.theta[cur]
         return out
 
+    def theta_cluster(self, a: int) -> set[int]:
+        """The <Sigma, Theta>-orbit of a: the Sigma-orbits along its Theta-orbit."""
+        return set().union(*(self.sigma_orbit(b) for b in self.theta_orbit(a)))
+
     def is_symmetric(self, a: int) -> bool:
         return self.neg[a] in self.gamma_orbit(a)
 
@@ -685,14 +689,9 @@ def theta_orbit_reps(action: OrbitAction) -> list[int]:
     seen: set[int] = set()
     reps = []
     for a in range(action.size):
-        if a in seen:
-            continue
-        cluster: set[int] = set()
-        for j in range(action.l_alpha(a)):
-            cluster |= action.sigma_orbit(action.theta_pow(a, j))
-        if not cluster & seen:
+        if a not in seen:
             reps.append(a)
-        seen |= cluster
+            seen |= action.theta_cluster(a)
     return reps
 
 
@@ -725,27 +724,18 @@ def _value_at_root(action: OrbitAction, s_values: dict[int, FieldElem], root: in
 def twisted_scenario(sc: OrbitScenario, s_values: dict[int, FieldElem]) -> OrbitScenario:
     """Scenario for eta = s . eta_underline.
 
-    Computed honestly at the matrix level: ([s] . iota)^m restricted to the
-    base block, with iota the identity chain closed by the eta-underline block
-    matrix (exactly the full-space oracle's realization), then the eta entries
-    are read off the block columns."""
+    Computed honestly at the matrix level: the base block of ([s] . iota)^m,
+    with iota the chain of identities closed by the eta-underline block
+    matrix (the full-space oracle's twist); walking the chain from the base
+    block gives s_0 . op . s_(m-1) ... s_1.  The eta entries are then read
+    off the block columns."""
     act, a = sc.action, sc.alpha
     p = sc.p
-    m = sc.m
     bb = build_block(sc)
-    d = bb.space.dim
-    smats = [s_action_matrix(bb, _value_at_root(act, s_values, act.theta_pow(a, j))).mat_np for j in range(m)]
-    total = m * d
-    iota = np.zeros((total, total), dtype=np.int64)
-    smat = np.zeros((total, total), dtype=np.int64)
-    for j in range(m):
-        src = slice(j * d, (j + 1) * d)
-        dst_j = (j + 1) % m
-        dst = slice(dst_j * d, (dst_j + 1) * d)
-        iota[dst, src] = bb.op.mat_np if j == m - 1 else np.eye(d, dtype=np.int64)
-        smat[src, src] = smats[j]
-    power = modp.mat_pow(smat @ iota % p, m, p)
-    base = power[:d, :d] % p
+    smats = [s_action_matrix(bb, _value_at_root(act, s_values, act.theta_pow(a, j))).mat_np for j in range(sc.m)]
+    base = smats[0] @ bb.op.mat_np % p
+    for smat in smats[:0:-1]:
+        base = base @ smat % p
     k = sc.k_alpha
     dk = k.degree
     if sc.sym_alpha:
@@ -812,10 +802,7 @@ def assemble_product(action: OrbitAction, scenarios: dict[int, OrbitScenario], s
 
 def _orbit_classification(action: OrbitAction, scenarios: dict[int, OrbitScenario], root: int) -> str:
     for rep, sc in scenarios.items():
-        cluster = set()
-        for j in range(action.l_alpha(rep)):
-            cluster |= action.sigma_orbit(action.theta_pow(rep, j))
-        if root in cluster:
+        if root in action.theta_cluster(rep):
             return sc.classification
     raise IncompleteScenarioCover("root %d not covered" % root)
 
@@ -840,33 +827,14 @@ def full_space_oracle(action: OrbitAction, scenarios: dict[int, OrbitScenario], 
     reps = theta_orbit_reps(action)
     if sorted(scenarios) != sorted(reps):
         raise IncompleteScenarioCover("scenarios must cover the orbit reps")
-    spaces = []
-    groups = []
-    iota_blocks = []
+    chains = []
     s_blocks = []
     for rep in reps:
         sc = scenarios[rep]
         bb = build_block(sc)
-        m = sc.m
-        start = len(spaces)
-        groups.append(tuple(range(start, start + m)))
-        for j in range(m):
-            spaces.append(bb.space)
+        chains.append((bb.op, sc.m))
+        for j in range(sc.m):
             val = _value_at_root(action, s_values, action.theta_pow(rep, j))
             s_blocks.append(s_action_matrix(bb, val).mat_np)
-        iota_blocks.append((m, bb.op.mat_np))
-    total = sym.direct_sum(spaces)
-    p = total.p
-    dim = total.dim
-    iota = np.zeros((dim, dim), dtype=np.int64)
-    bi = 0
-    for m, loop_mat in iota_blocks:
-        idxs = [total.blocks[bi + j] for j in range(m)]
-        for j in range(m):
-            src = idxs[j]
-            dst = idxs[(j + 1) % m]
-            block = loop_mat if j == m - 1 else np.eye(len(src), dtype=np.int64)
-            iota[np.ix_(dst, src)] = block
-        bi += m
-    bt = weil.block_twist(total, groups, sym.sp_elem(total, iota), seed=seed)
-    return weil.twisted_trace(bt, sym.block_diagonal(total, s_blocks))
+    bt = weil.block_twist(chains, seed=seed)
+    return weil.twisted_trace(bt, sym.block_diagonal(bt.space, s_blocks))

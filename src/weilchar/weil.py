@@ -417,14 +417,15 @@ def _rotation_big_op(ms: list[np.ndarray]) -> np.ndarray:
 
 @dataclass
 class BlockTwist:
-    """Orthogonal blocks V^i_j cyclically permuted by a symplectic iota, with
-    per-block models and intertwiners normalized so each group's composite
-    equals the block Weil operator of iota^(l_i+1)."""
+    """Chains of orthogonal blocks V^i_0 -> ... -> V^i_l cyclically permuted
+    by the twist, one chain per group, with one Weil model per group and
+    intertwiners normalized so each group's composite equals the Weil
+    operator of its loop L_i (see block_twist)."""
 
-    space: SympSpace
+    space: SympSpace  # the direct sum of every group's blocks, in group order
     groups: tuple[tuple[int, ...], ...]  # tuples of block indices into space.blocks
-    iota: SpElem
-    models: dict = dc_field(default_factory=dict)  # block index -> WeilModel
+    loops: tuple[SpElem, ...]  # L_i, an element of group i's block space
+    models: tuple[WeilModel, ...]  # group i's model, shared by its blocks
     inters: dict = dc_field(default_factory=dict)  # (i, j) -> matrix W_j -> W_{j+1}
 
     def composite(self, i: int) -> np.ndarray:
@@ -445,52 +446,41 @@ class BlockTwist:
             self.inters[(i, j)] = self.inters[(i, j)] * ph
 
 
-def _restrict(mat: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...], p: int) -> np.ndarray:
-    return mat[np.ix_(rows, cols)] % p
+def block_twist(chains, seed: int = 0) -> BlockTwist:
+    """Build models and normalized intertwiners for a cyclic block twist.
 
-
-def block_twist(space: SympSpace, groups, iota: SpElem, seed: int = 0) -> BlockTwist:
-    """Build models and normalized intertwiners for a cyclic block twist."""
-    if space.blocks is None:
-        raise BlockMismatch("space carries no block structure")
-    groups = tuple(tuple(g) for g in groups)
-    used = sorted(b for g in groups for b in g)
-    if used != list(range(len(space.blocks))):
-        raise BlockMismatch("groups must partition the blocks")
-    p = space.p
-    bt = BlockTwist(space, groups, iota)
-    imat = iota.mat_np
-    for i, grp in enumerate(groups):
-        li = len(grp) - 1
-        for j, b in enumerate(grp):
-            idx = space.blocks[b]
-            nxt = space.blocks[grp[(j + 1) % (li + 1)]]
-            # iota must carry block (i, j) onto block (i, j+1)
-            other = [r for r in range(space.dim) if r not in nxt]
-            if (imat[np.ix_(other, idx)] % p).any():
-                raise BlockMismatch("iota does not map block (%d,%d) into its successor" % (i, j))
-            if b not in bt.models:
-                bt.models[b] = WeilModel(space.sub_block(idx))
-        for j, b in enumerate(grp):
-            idx = space.blocks[b]
-            nxt_b = grp[(j + 1) % (li + 1)]
-            nxt = space.blocks[nxt_b]
-            phi = _restrict(imat, nxt, idx, p)
-            bt.inters[(i, j)] = schur_intertwiner(bt.models[b], bt.models[nxt_b], phi, seed=seed + 37 * (i + 5 * j))
-        # normalize: composite = omega_{block (i,0)}(iota^(l_i+1) restricted)
-        b0 = grp[0]
-        idx0 = space.blocks[b0]
-        ipow = modp.mat_pow(imat, li + 1, p)
-        loop = sym.sp_elem(bt.models[b0].space, _restrict(ipow, idx0, idx0, p))
-        target = bt.models[b0].omega(loop)
+    chains: one (loop, length) pair per group, the loop L an SpElem of the
+    group's block space.  Group i is a chain of `length` copies V_0, ..., V_l
+    of that space, consecutive blocks of the direct sum (bt.space); the twist
+    maps V_j to V_{j+1} by the identity and closes the chain V_l -> V_0 by L.
+    Any iota permuting the blocks of a Theta-orbit cyclically reduces to a
+    chain: conjugating it by the block-diagonal transport t = (iota^j on V_0,
+    onto V_j) makes t^-1 iota t the identity from copy j to copy j+1 and
+    L = iota^(l+1) restricted to V_0 on the closing step."""
+    chains = list(chains)
+    if not chains or min(length for _, length in chains) < 1:
+        raise BlockMismatch("need one or more chains, each of length >= 1")
+    space = sym.direct_sum([loop.space for loop, length in chains for _ in range(length)])
+    starts = list(itertools.accumulate((length for _, length in chains), initial=0))
+    groups = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
+    models = tuple(WeilModel(loop.space) for loop, _ in chains)
+    bt = BlockTwist(space, groups, tuple(loop for loop, _ in chains), models)
+    for i, (loop, length) in enumerate(chains):
+        model = models[i]
+        step = sym.sp_identity(loop.space)
+        for j in range(length):
+            phi = loop if j == length - 1 else step
+            bt.inters[(i, j)] = schur_intertwiner(model, model, phi, seed=seed + 37 * (i + 5 * j))
+        # normalize: composite = omega(L)
+        target = model.omega(loop)
         comp = bt.composite(i)
         ratio = target @ np.linalg.inv(comp)
         off = np.abs(ratio - ratio[0, 0] * np.eye(ratio.shape[0])).max()
         if off > 1e-7:
             raise NotNormalized("composite is not a scalar multiple of the block Weil operator")
         scalar = complex(ratio[0, 0])
-        root = scalar ** (1.0 / (li + 1))
-        for j in range(li + 1):
+        root = scalar ** (1.0 / length)
+        for j in range(length):
             bt.inters[(i, j)] = bt.inters[(i, j)] * root
     return bt
 
@@ -511,37 +501,26 @@ def twisted_trace(bt: BlockTwist, g: SpElem) -> TwistedTraceResult:
         other = [r for r in range(bt.space.dim) if r not in idx]
         if (gmat[np.ix_(other, idx)] % p).any():
             raise BlockMismatch("element does not preserve the blocks")
+    parts = [gmat[np.ix_(idx, idx)] % p for idx in bt.space.blocks]
 
     product_value = 1.0 + 0j
     direct_value = 1.0 + 0j
-    imat = bt.iota.mat_np
     for i, grp in enumerate(bt.groups):
-        li = len(grp) - 1
-        idx0 = bt.space.blocks[grp[0]]
-        # argument g_0 . iota_*(g_l) . iota_*^2(g_{l-1}) ... iota_*^l(g_1) on block 0
-        arg = _restrict(gmat, idx0, idx0, p)
-        for k in range(1, li + 1):
-            jblk = li + 1 - k
-            idxj = bt.space.blocks[grp[jblk]]
-            gj = _restrict(gmat, idxj, idxj, p)
-            ik = modp.mat_pow(imat, k, p)
-            fwd = _restrict(ik, idx0, idxj, p)  # iota^k: block j -> block 0
-            back = modp.mat_inv(fwd, p)
-            arg = arg @ (fwd @ gj @ back % p) % p
-        m0 = bt.models[grp[0]]
-        val = np.trace(m0.omega(sym.sp_elem(m0.space, arg)) @ bt.composite(i))
+        model, loop = bt.models[i], bt.loops[i].mat_np
+        gs = [parts[b] for b in grp]
+        # g_0 . L (g_l ... g_1) L^-1 on block 0: the twist carries block j to
+        # block 0 by L whatever j is
+        arg = gs[0] @ loop % p
+        for gj in gs[:0:-1]:
+            arg = arg @ gj % p
+        arg = arg @ modp.mat_inv(loop, p) % p
+        val = np.trace(model.omega(sym.sp_elem(model.space, arg)) @ bt.composite(i))
         product_value *= complex(val)
 
-        # direct: [tensor of omega_j(g_j)] composed with the rotation big op
-        macs = []
-        for j, b in enumerate(grp):
-            idx = bt.space.blocks[b]
-            gj = _restrict(gmat, idx, idx, p)
-            mj = bt.models[b]
-            macs.append(mj.omega(sym.sp_elem(mj.space, gj)))
-        rot = _rotation_big_op([bt.inters[(i, j)] for j in range(li + 1)])
-        tensor_g = macs[0]
-        for mjop in macs[1:]:
-            tensor_g = np.kron(tensor_g, mjop)
+        # direct: [tensor of omega(g_j)] composed with the rotation big op
+        rot = _rotation_big_op([bt.inters[(i, j)] for j in range(len(grp))])
+        tensor_g = model.omega(sym.sp_elem(model.space, gs[0]))
+        for gj in gs[1:]:
+            tensor_g = np.kron(tensor_g, model.omega(sym.sp_elem(model.space, gj)))
         direct_value *= complex(np.trace(tensor_g @ rot))
     return TwistedTraceResult(product_value, direct_value)

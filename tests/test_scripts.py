@@ -56,6 +56,10 @@ def test_ci_workflow_parses():
     assert any("python -m pytest perfbench/tests -q" in s for s in steps)
     # two selfcheck processes must write the same report bytes
     assert any(s.count("python -m weilchar.cli selfcheck --report") == 2 and "cmp " in s for s in steps)
+    # and so must two runs of every bundled scenario file at a fixed seed
+    [scn_step] = [s for s in steps if 'python -m weilchar.cli run "scenarios/$scn" --seed 7 --report' in s]
+    assert scn_step.count("python -m weilchar.cli run") == 2 and "cmp " in scn_step
+    assert all(f.name in scn_step for f in (ROOT / "scenarios").glob("*.scn"))
     # every job runs on the lowest Python that pyproject.toml declares
     floor = re.search(r'requires-python = ">=(\d+\.\d+)"', (ROOT / "pyproject.toml").read_text()).group(1)
     for job in doc["jobs"].values():

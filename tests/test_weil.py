@@ -115,21 +115,17 @@ def test_cyclic_tensor_trace_examples():
 
 def _swapped_fixture(p, seed=0):
     v2 = sym.standard_polarized_space(p, 1)
-    vsum = sym.direct_sum([v2, v2])
-    swap = np.zeros((4, 4), dtype=np.int64)
-    swap[:2, 2:] = np.eye(2, dtype=np.int64)
-    swap[2:, :2] = np.eye(2, dtype=np.int64)
-    return weil.block_twist(vsum, [(0, 1)], sym.sp_elem(vsum, swap), seed=seed), vsum
+    bt = weil.block_twist([(sym.sp_identity(v2), 2)], seed=seed)
+    return bt, bt.space
 
 
 def test_twisted_trace_examples():
-    # iota = identity on a single block: ordinary omega-character
+    # one block closed by the identity loop: the ordinary omega-character
     v2 = sym.standard_polarized_space(3, 1)
-    vone = sym.direct_sum([v2])
-    bt1 = weil.block_twist(vone, [(0,)], sym.sp_identity(vone), seed=0)
+    bt1 = weil.block_twist([(sym.sp_identity(v2), 1)], seed=0)
     m = weil.WeilModel(v2)
     for g in sym.sp_elements(v2)[:8]:
-        big = sym.sp_elem(vone, g.mat_np)
+        big = sym.sp_elem(bt1.space, g.mat_np)
         r = weil.twisted_trace(bt1, big)
         assert abs(r.product_value - m.trace_omega(g)) < 1e-8
         assert abs(r.direct_value - m.trace_omega(g)) < 1e-8
@@ -137,13 +133,35 @@ def test_twisted_trace_examples():
     # two swapped blocks, g = identity: trace of the composite intertwiner
     bt, vsum = _swapped_fixture(3)
     r = weil.twisted_trace(bt, sym.sp_identity(vsum))
-    b0 = vsum.blocks[0]
-    from weilchar import modp
-
-    loop = sym.sp_elem(bt.models[0].space, modp.mat_pow(bt.iota.mat_np, 2, 3)[np.ix_(b0, b0)])
-    want = np.trace(bt.models[0].omega(loop))
+    want = np.trace(bt.models[0].omega(bt.loops[0]))
     assert abs(r.product_value - want) < 1e-9
     assert abs(r.direct_value - want) < 1e-9
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_twisted_trace_on_chains_with_loop_of_order_3(p):
+    # L^2 = L^-1 is not central, so conjugating g_l ... g_1 by L and by L^-1
+    # in the product path's g_0 L (g_l ... g_1) L^-1 give different traces;
+    # the direct tensor trace decides
+    v2 = sym.standard_polarized_space(p, 1)
+    els = sym.sp_elements(v2)
+    loop = next(g for g in els if g.order() == 3)
+    rng = random.Random(p)
+    for length in (1, 2, 3):
+        bt = weil.block_twist([(loop, length)], seed=1)
+        assert bt.space.blocks == tuple(tuple(range(2 * j, 2 * j + 2)) for j in range(length))
+        assert np.abs(bt.composite(0) - bt.models[0].omega(loop)).max() < 1e-9
+        for _ in range(6):
+            parts = [rng.choice(els).mat_np for _ in range(length)]
+            r = weil.twisted_trace(bt, sym.block_diagonal(bt.space, parts))
+            assert abs(r.product_value - r.direct_value) < 1e-8
+
+
+def test_block_twist_rejects_empty_chains():
+    loop = sym.sp_identity(sym.standard_polarized_space(3, 1))
+    for chains in ([], [(loop, 0)], [(loop, 2), (loop, -1)]):
+        with pytest.raises(weil.BlockMismatch):
+            weil.block_twist(chains)
 
 
 def test_twisted_trace_block_mismatch():
@@ -169,6 +187,21 @@ def test_scalar_distribution_freedom():
     assert abs(before.direct_value - after.direct_value) < 1e-9
     with pytest.raises(weil.NotNormalized):
         bt.redistribute(0, [2.0, 0.5j])
+
+
+def test_off_sample_fault_turns_character_conjugacy_red(monkeypatch):
+    # seeded fault: trace_omega is off by 0.5 on diag(2, 3), a semisimple
+    # element that a 40-pair random sample at seed 0 never draws
+    target = sym.sp_elem(sym.standard_polarized_space(5, 1), [[2, 0], [0, 3]])
+    orig = weil.WeilModel.trace_omega
+
+    def perturbed(self, g):
+        return orig(self, g) + (0.5 if g == target else 0)
+
+    monkeypatch.setattr(weil.WeilModel, "trace_omega", perturbed)
+    [row] = checks.check_character_conjugacy_invariance()
+    assert row.quantity == "character conjugacy invariance p=5 (72 elements)"
+    assert not row.passed and abs(row.abs_error - 0.5) < 1e-9
 
 
 def test_word_model_beyond_group_cap():
