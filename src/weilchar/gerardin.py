@@ -204,7 +204,7 @@ def char_fixed_line(g: SpElem, line, v0_basis) -> complex:
 
     if not v0_basis:
         return total
-    sub = SympSpace(p, tuple(tuple(int(x) for x in row) for row in subspace_gram(space, v0_basis)))
+    sub = sym.symp_space(p, subspace_gram(space, v0_basis))
     return weil_char(sym.sp_elem(sub, g_v0)) * total
 
 

@@ -57,22 +57,6 @@ def poly_eval_mat(coeffs: list[int], m: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-def mat_pow(a, k: int, p: int) -> np.ndarray:
-    a = as_mat(a, p)
-    n = a.shape[0]
-    out = np.eye(n, dtype=np.int64)
-    base = a.copy()
-    if k < 0:
-        base = mat_inv(a, p)
-        k = -k
-    while k:
-        if k & 1:
-            out = (out @ base) % p
-        base = (base @ base) % p
-        k >>= 1
-    return out
-
-
 def rref(m, p: int) -> tuple[np.ndarray, list[int]]:
     """Row-reduced echelon form and pivot columns."""
     a = as_mat(m, p).copy()

@@ -14,8 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import ffield, modp, symplectic as sym, weil
 from .ffield import FieldDesc, FieldElem
 
@@ -111,10 +109,6 @@ class OrbitAction:
     @property
     def theta_order(self) -> int:
         return _perm_order(self.theta)
-
-    def frob_pow(self, a: int, j: int) -> int:
-        orb = self.gamma_orbit(a)
-        return orb[j % len(orb)]
 
     def theta_pow(self, a: int, j: int) -> int:
         orb = self.theta_orbit(a)
@@ -246,26 +240,6 @@ def orbit_branch(action: OrbitAction, a: int, d_alpha: int, d_res: int, d_pm_res
     return "asym/sym-ur" if (d_alpha // d_pm_res) % 2 == 0 else "asym/sym-ram"
 
 
-@dataclass(frozen=True)
-class ClassifyRow:
-    root: int
-    m: int
-    l: int
-    sym_alpha: bool
-    sym_res: bool
-    branch_sign: int | None
-
-
-def classify_orbits(action: OrbitAction) -> dict[int, ClassifyRow]:
-    out = {}
-    for a in range(action.size):
-        syma = action.is_symmetric(a)
-        bs = action.branch_sign(a)
-        sym_res = True if syma else (bs == -1)
-        out[a] = ClassifyRow(a, action.m_alpha(a), action.l_alpha(a), syma, sym_res, bs)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Scenarios
 
@@ -316,6 +290,10 @@ class OrbitScenario:
     @property
     def sym_alpha(self) -> bool:
         return self.action.is_symmetric(self.alpha)
+
+    @property
+    def branch_sign(self) -> int | None:
+        return self.action.branch_sign(self.alpha)
 
     @property
     def varsigma_exp(self) -> int:
@@ -373,6 +351,8 @@ def validate_scenario(sc: OrbitScenario) -> None:
     branch = orbit_branch(act, a, d_a, d_r, d_pr)
     if sc.classification != branch:
         raise SignCalcError("the orbit of alpha is %s; classification says %r" % (branch, sc.classification))
+    if sc.C.parent != sc.k_alpha or sc.C.is_zero():
+        raise SignCalcError("C must be a unit of k_alpha")
     if sym_a:
         if d_pm * 2 != d_a:
             # symmetric ramified alpha: k_alpha = k_pm_alpha, excluded
@@ -402,8 +382,6 @@ def validate_scenario(sc: OrbitScenario) -> None:
             want = -want
         if sc.eta_alpha * sc.eta_minus_alpha != want:
             raise FormDegenerate("eta_alpha eta_minus_alpha violates form preservation")
-    if sc.C.parent != sc.k_alpha or sc.C.is_zero():
-        raise SignCalcError("C must be a unit of k_alpha")
 
 
 # ---------------------------------------------------------------------------
@@ -418,31 +396,15 @@ class BlockBuild:
 
 
 def build_block(sc: OrbitScenario) -> BlockBuild:
-    """The symplectic block V_{Sigma alpha} with the displayed form and the
-    matrix of the twist automorphism."""
-    p = sc.p
+    """The symplectic block V_{Sigma alpha}: the field block of k_alpha with
+    the form Tr(C x tau(y)) (symmetric alpha) or Tr(C (x+ y- - x- y+)), and
+    the twist eta o varsigma on each line in the plus/minus layout of the
+    branch sign."""
     k = sc.k_alpha
-    d = k.degree
-    if sc.sym_alpha:
-        gram = sym.trace_form_gram(k, sc.C, sc.tau_exp)
-        if modp.det(gram, p) == 0:
-            raise FormDegenerate("symmetric block form is degenerate")
-        space = sym.SympSpace(p, tuple(tuple(int(x) for x in row) for row in gram))
-        mat = sym.mult_matrix(sc.eta_alpha) @ sym.frobenius_matrix(k, sc.varsigma_exp) % p
-        return BlockBuild(space, sym.sp_elem(space, mat), sc)
-    # asymmetric: k + k with form Tr(C (x+ y- - x- y+))
-    tr = sym.trace_form_gram(k, sc.C)
-    zero = np.zeros((d, d), dtype=np.int64)
-    gram = np.block([[zero, tr], [(-tr) % p, zero]])
-    if modp.det(gram, p) == 0:
-        raise FormDegenerate("asymmetric block form is degenerate")
-    space = sym.SympSpace(p, tuple(tuple(int(x) for x in row) for row in gram))
-    e_mat = sym.mult_matrix(sc.eta_alpha) @ sym.frobenius_matrix(k, sc.varsigma_exp) % p
-    f_mat = sym.mult_matrix(sc.eta_minus_alpha) @ sym.frobenius_matrix(k, sc.varsigma_exp) % p
-    if sc.action.branch_sign(sc.alpha) == 1:
-        mat = np.block([[e_mat, zero], [zero, f_mat]])
-    else:
-        mat = np.block([[zero, e_mat], [f_mat, zero]])
+    space = sym.field_block(k, sc.C, sc.tau_exp if sc.sym_alpha else None)
+    frob = sym.frobenius_matrix(k, sc.varsigma_exp)
+    etas = (sc.eta_alpha,) if sc.sym_alpha else (sc.eta_alpha, sc.eta_minus_alpha)
+    mat = sym.plus_minus(*(sym.mult_matrix(eta) @ frob for eta in etas), sign=sc.branch_sign)
     return BlockBuild(space, sym.sp_elem(space, mat), sc)
 
 
@@ -451,14 +413,10 @@ def s_action_matrix(bb: BlockBuild, value: FieldElem) -> sym.SpElem:
     bar-alpha(s) on the plus line (inverse on the minus line for asymmetric
     blocks)."""
     sc = bb.scenario
-    if sc.sym_alpha:
-        if value * sc.tau(value) != 1:
-            raise SignCalcError("symmetric s-value must be norm-one")
-        return sym.sp_elem(bb.space, sym.mult_matrix(value))
-    d = sc.k_alpha.degree
-    zero = np.zeros((d, d), dtype=np.int64)
-    mat = np.block([[sym.mult_matrix(value), zero], [zero, sym.mult_matrix(value.inverse())]])
-    return sym.sp_elem(bb.space, mat)
+    if sc.sym_alpha and value * sc.tau(value) != 1:
+        raise SignCalcError("symmetric s-value must be norm-one")
+    minus = None if sc.sym_alpha else sym.mult_matrix(value.inverse())
+    return sym.sp_elem(bb.space, sym.plus_minus(sym.mult_matrix(value), minus))
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +685,9 @@ def twisted_scenario(sc: OrbitScenario, s_values: dict[int, FieldElem]) -> Orbit
     Computed honestly at the matrix level: the base block of ([s] . iota)^m,
     with iota the chain of identities closed by the eta-underline block
     matrix (the full-space oracle's twist); walking the chain from the base
-    block gives s_0 . op . s_(m-1) ... s_1.  The eta entries are then read
-    off the block columns."""
+    block gives s_0 . op . s_(m-1) ... s_1.  That base is again
+    eta' o varsigma on each line, so the eta entries are the images of 1,
+    read off its plus/minus parts."""
     act, a = sc.action, sc.alpha
     p = sc.p
     bb = build_block(sc)
@@ -736,20 +695,9 @@ def twisted_scenario(sc: OrbitScenario, s_values: dict[int, FieldElem]) -> Orbit
     base = smats[0] @ bb.op.mat_np % p
     for smat in smats[:0:-1]:
         base = base @ smat % p
-    k = sc.k_alpha
-    dk = k.degree
-    if sc.sym_alpha:
-        # base = mult(eta') o varsigma; applied to 1 it returns eta'
-        return sc.with_eta(sym.coords_to_elem(k, base[:, 0]), None)
-    # asymmetric: read the images of the plus-1 and minus-1 basis vectors
-    col_plus = base[:, 0]
-    col_minus = base[:, dk]
-    if sc.action.branch_sign(sc.alpha) == 1:
-        eta_plus = sym.coords_to_elem(k, col_plus[:dk])
-        eta_minus = sym.coords_to_elem(k, col_minus[dk:])
-    else:
-        eta_plus = sym.coords_to_elem(k, col_minus[:dk])
-        eta_minus = sym.coords_to_elem(k, col_plus[dk:])
+    plus, minus = sym.plus_minus_parts(base, sc.branch_sign)
+    eta_plus = sym.coords_to_elem(sc.k_alpha, plus[:, 0])
+    eta_minus = None if minus is None else sym.coords_to_elem(sc.k_alpha, minus[:, 0])
     return sc.with_eta(eta_plus, eta_minus)
 
 

@@ -79,15 +79,26 @@ class SympSpace:
             yield vv
 
     def sub_block(self, idx: tuple[int, ...]) -> "SympSpace":
-        g = self.gram_mat[np.ix_(idx, idx)]
-        return SympSpace(self.p, tuple(tuple(int(x) for x in row) for row in g))
+        return symp_space(self.p, self.gram_mat[np.ix_(idx, idx)])
+
+
+def symp_space(p: int, gram, blocks=None) -> SympSpace:
+    """The space with the integer Gram matrix `gram`, reduced mod p."""
+    g = np.asarray(gram, dtype=np.int64) % p
+    return SympSpace(p, tuple(tuple(int(x) for x in row) for row in g), blocks)
+
+
+def split_space(p: int, x) -> SympSpace:
+    """Two copies of F_p^n with Gram [[0, X], [-X^T, 0]]: both copies are
+    Lagrangian, paired by X."""
+    x = np.asarray(x, dtype=np.int64)
+    zero = np.zeros_like(x)
+    return symp_space(p, np.block([[zero, x], [-x.T, zero]]))
 
 
 def standard_space(p: int, n: int) -> SympSpace:
     """Standard form: block anti-diagonal with J_n = antidiag(1,..,1)."""
-    j = np.fliplr(np.eye(n, dtype=np.int64))
-    g = np.block([[np.zeros((n, n), dtype=np.int64), j], [(-j) % p, np.zeros((n, n), dtype=np.int64)]])
-    return SympSpace(p, tuple(tuple(int(x) for x in row) for row in g % p))
+    return split_space(p, np.fliplr(np.eye(n, dtype=np.int64)))
 
 
 def direct_sum(spaces: list[SympSpace]) -> SympSpace:
@@ -103,7 +114,7 @@ def direct_sum(spaces: list[SympSpace]) -> SympSpace:
         g[off : off + s.dim, off : off + s.dim] = s.gram_mat
         blocks.append(tuple(range(off, off + s.dim)))
         off += s.dim
-    return SympSpace(p, tuple(tuple(int(x) for x in row) for row in g), tuple(blocks))
+    return symp_space(p, g, tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -170,9 +181,6 @@ class SpElem:
 
     def inverse(self) -> "SpElem":
         return sp_elem(self.space, modp.mat_inv(self.mat_np, self.space.p))
-
-    def __pow__(self, k: int) -> "SpElem":
-        return sp_elem(self.space, modp.mat_pow(self.mat_np, k, self.space.p))
 
     def apply(self, v) -> tuple[int, ...]:
         out = self.mat_np @ np.asarray(v, dtype=np.int64) % self.space.p
@@ -248,39 +256,28 @@ def hyperbolic_basis(space: SympSpace) -> np.ndarray:
 
 def standard_polarized_space(p: int, n: int) -> SympSpace:
     """The (e, f)-coordinate space with gram [[0, I],[-I, 0]]."""
-    ident = np.eye(n, dtype=np.int64)
-    zero = np.zeros((n, n), dtype=np.int64)
-    g = np.block([[zero, ident], [(-ident) % p, zero]])
-    return SympSpace(p, tuple(tuple(int(x) for x in row) for row in g))
+    return split_space(p, np.eye(n, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
 # Field-element matrices (multiplication and Frobenius as F_p-linear maps)
 
 
+def _power_basis_matrix(desc: FieldDesc, image) -> np.ndarray:
+    """Matrix of an F_p-linear map of desc in the polynomial basis: column i
+    is image(t^i), t = desc.gen()."""
+    t = desc.gen()
+    return np.array([image(t**i).coeffs for i in range(desc.degree)], dtype=np.int64).T
+
+
 def mult_matrix(x: FieldElem) -> np.ndarray:
-    """Matrix of y -> x*y on x.parent in the polynomial basis (columns are
-    images of t^i)."""
-    k = x.parent.degree
-    cols = []
-    basis = x.parent.gen()
-    cur = x.parent.one()
-    for _ in range(k):
-        cols.append((x * cur).coeffs)
-        cur = cur * basis
-    return np.array(cols, dtype=np.int64).T
+    """Matrix of y -> x*y on x.parent in the polynomial basis."""
+    return _power_basis_matrix(x.parent, x.__mul__)
 
 
 def frobenius_matrix(desc: FieldDesc, j: int = 1) -> np.ndarray:
     """Matrix of y -> y^(p^j) on desc in the polynomial basis."""
-    k = desc.degree
-    cols = []
-    basis = desc.gen()
-    cur = desc.one()
-    for _ in range(k):
-        cols.append(cur.frobenius(j).coeffs)
-        cur = cur * basis
-    return np.array(cols, dtype=np.int64).T
+    return _power_basis_matrix(desc, lambda y: y.frobenius(j))
 
 
 def coords_to_elem(desc: FieldDesc, coords) -> FieldElem:
@@ -341,20 +338,16 @@ class BuiltTorus:
         coords = tuple(coords)
         blocks = []
         for i, f in enumerate(self.desc.factors):
-            x = coords[i]
+            x, k = coords[i], self.factor_field(i)
             if isinstance(f, NormOneFactor):
-                big = self.factor_field(i)
-                if x.parent != big or x * x.frobenius(f.subdegree) != 1:
-                    raise SymplecticError("coordinate %d is not norm-one in %r" % (i, big))
-                blocks.append(mult_matrix(x))
+                if x.parent != k or x * x.frobenius(f.subdegree) != 1:
+                    raise SymplecticError("coordinate %d is not norm-one in %r" % (i, k))
+                minus = None
             else:
-                sub = self.factor_field(i)
-                if x.parent != sub or x.is_zero():
-                    raise SymplecticError("coordinate %d is not a unit of %r" % (i, sub))
-                m = mult_matrix(x)
-                minv = mult_matrix(x.inverse())
-                zero = np.zeros_like(m)
-                blocks.append(np.block([[m, zero], [zero, minv]]))
+                if x.parent != k or x.is_zero():
+                    raise SymplecticError("coordinate %d is not a unit of %r" % (i, k))
+                minus = mult_matrix(x.inverse())
+            blocks.append(plus_minus(mult_matrix(x), minus))
         return TorusElement(self, coords, block_diagonal(self.space, blocks))
 
     def elements(self):
@@ -385,39 +378,67 @@ def anti_invariant_unit(big: FieldDesc, subdeg: int) -> FieldElem:
 
 def trace_form_gram(k: FieldDesc, c: FieldElem, tau_exp: int | None = None) -> np.ndarray:
     """Gram of (x, y) -> Tr(C x tau(y)) on k as an F_p-space, in the power
-    basis of k.gen(); tau = Frobenius^tau_exp, or the identity if None."""
-    f1 = ffield.field(k.p, 1)
-    basis = [k.gen() ** i for i in range(k.degree)]
-    g = np.zeros((k.degree, k.degree), dtype=np.int64)
-    for i in range(k.degree):
-        for j in range(k.degree):
-            y = basis[j] if tau_exp is None else basis[j].frobenius(tau_exp)
-            g[i, j] = ffield.trace_to(c * basis[i] * y, f1).coeffs[0]
-    return g
+    basis t^i of k.gen(); tau = Frobenius^tau_exp, or the identity if None.
+
+    Entry (i, j) is Tr(t^i y) for y = C tau(t^j), column j of M_C F_tau; Tr
+    is F_p-linear, so G = H M_C F_tau with H[i, j] = Tr(t^(i+j)), the trace
+    of the matrix of multiplication by t^(i+j)."""
+    d, t = k.degree, k.gen()
+    traces = [int(np.trace(mult_matrix(t**n))) for n in range(2 * d - 1)]
+    hankel = np.array([traces[i : i + d] for i in range(d)], dtype=np.int64)
+    return hankel @ mult_matrix(c) @ frobenius_matrix(k, tau_exp or 0) % k.p
+
+
+def field_block(k: FieldDesc, c: FieldElem, tau_exp: int | None = None) -> SympSpace:
+    """The symplectic space of one field block: k with Gram Tr(C x tau(y))
+    (symmetric, tau = Frobenius^tau_exp with tau(C) = -C), or for tau_exp
+    None k + k with Gram Tr(C (x+ y- - x- y+)) (asymmetric)."""
+    gram = trace_form_gram(k, c, tau_exp)
+    return split_space(k.p, gram) if tau_exp is None else symp_space(k.p, gram)
+
+
+def plus_minus(plus: np.ndarray, minus: np.ndarray | None = None, sign: int | None = 1) -> np.ndarray:
+    """The matrix of a field_block map: `plus` alone on a symmetric block
+    (minus None); on k + k, diag(plus, minus), or [[0, plus], [minus, 0]]
+    when the map swaps the two lines (sign -1)."""
+    if minus is None:
+        return plus
+    zero = np.zeros_like(plus)
+    if sign == 1:
+        return np.block([[plus, zero], [zero, minus]])
+    return np.block([[zero, plus], [minus, zero]])
+
+
+def plus_minus_parts(mat: np.ndarray, sign: int | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """(plus, minus) with plus_minus(plus, minus, sign) = mat; sign None
+    reads a symmetric block, whose minus is None."""
+    if sign is None:
+        return mat, None
+    d = len(mat) // 2
+    if sign == 1:
+        return mat[:d, :d], mat[d:, d:]
+    return mat[:d, d:], mat[d:, :d]
 
 
 def build_torus(desc: TorusDesc, space: SympSpace | None = None) -> BuiltTorus:
-    """Embed the torus block-diagonally in its natural direct-sum space.
+    """Embed the torus block-diagonally in its natural direct-sum space of
+    field blocks.
 
-    Norm-one factor on k_i: gram of Tr(x tau(y) - tau(x) y); split factor on
-    k_i^o + k_i^o: gram of Tr(x1 y2 - y1 x2).  If `space` is given it must
-    equal the constructed direct sum (the embedding is canonical here; use
-    conjugate_in_sp to move elements elsewhere)."""
+    Norm-one factor on k_i: the symmetric block Tr(C x tau(y)) with tau(C) =
+    -C, antisymmetric and preserved by norm-one multiplication; split factor
+    on k_i^o + k_i^o: the asymmetric block Tr(x1 y2 - y1 x2).  If `space` is
+    given it must equal the constructed direct sum (the embedding is
+    canonical here; use conjugate_in_sp to move elements elsewhere)."""
     p = desc.p
     spaces = []
     for f in desc.factors:
         d = f.subdegree
         if isinstance(f, NormOneFactor):
             big = ffield.field(p, 2 * d)
-            # form Tr(C x tau(y)) with tau(C) = -C: antisymmetric and
-            # nondegenerate, preserved by norm-one multiplication
-            g = trace_form_gram(big, anti_invariant_unit(big, d), d)
+            spaces.append(field_block(big, anti_invariant_unit(big, d), d))
         else:
             sub = ffield.field(p, d)
-            tr = trace_form_gram(sub, sub.one())
-            zero = np.zeros((d, d), dtype=np.int64)
-            g = np.block([[zero, tr], [(-tr) % p, zero]])
-        spaces.append(SympSpace(p, tuple(tuple(int(x) for x in row) for row in g)))
+            spaces.append(field_block(sub, sub.one()))
     total_space = direct_sum(spaces)
     n = total_space.dim // 2
     if sum(f.subdegree for f in desc.factors) != n:
@@ -631,8 +652,7 @@ def sp_generators(space: SympSpace) -> list[SpElem]:
     gens_std = []
     ident = np.eye(n, dtype=np.int64)
     zero = np.zeros((n, n), dtype=np.int64)
-    w = np.block([[zero, ident], [(-ident) % p, zero]])
-    gens_std.append(w)
+    gens_std.append(standard_polarized_space(p, n).gram_mat)  # the Weyl rotation
     for i in range(n):
         for j in range(i, n):
             b = np.zeros((n, n), dtype=np.int64)
@@ -642,8 +662,7 @@ def sp_generators(space: SympSpace) -> list[SpElem]:
     # a Levi generator keeps the closure shallow
     a = np.eye(n, dtype=np.int64)
     a[0, 0] = _primitive_root(p)
-    ainv = modp.mat_inv(a, p)
-    gens_std.append(np.block([[a, zero], [zero, ainv.T]]))
+    gens_std.append(plus_minus(a, modp.mat_inv(a, p).T))
     return [sp_elem(space, basis @ g @ to_std % p) for g in gens_std]
 
 

@@ -120,6 +120,8 @@ BAD_PAYLOADS = {
     "gerardin-subdegree-null": lambda: {"id": "g", "kind": "gerardin",
                                         "payload": {"p": 3, "factors": [{"type": "split", "subdegree": None}]}},
     "alpha-a-list": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(alpha=[0])),
+    # C is checked before varsigma(C)/C divides by it
+    "C-zero": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(C="3^2:0,0")),
     "lattice-check-pi0-trials-null": lambda: {"id": "l", "kind": "lattice-check", "payload": {"pi0_trials": None}},
 }
 

@@ -60,6 +60,8 @@ def test_ci_workflow_parses():
     [scn_step] = [s for s in steps if 'python -m weilchar.cli run "scenarios/$scn" --seed 7 --report' in s]
     assert scn_step.count("python -m weilchar.cli run") == 2 and "cmp " in scn_step
     assert all(f.name in scn_step for f in (ROOT / "scenarios").glob("*.scn"))
+    # and two tabulate-ramified processes the same table
+    assert any(s.count("python -m weilchar.cli tabulate-ramified >") == 2 and "cmp " in s for s in steps)
     # every job runs on the lowest Python that pyproject.toml declares
     floor = re.search(r'requires-python = ">=(\d+\.\d+)"', (ROOT / "pyproject.toml").read_text()).group(1)
     for job in doc["jobs"].values():

@@ -26,17 +26,17 @@ def test_action_validation():
 
 def test_classify_orbits_examples():
     # theta identity: m = l = 1, restricted symmetry = root symmetry
-    act = checks.make_asym_asym_action()
-    row = sc.classify_orbits(act)[0]
-    assert (row.m, row.l, row.sym_alpha, row.sym_res, row.branch_sign) == (1, 1, False, False, 1)
+    # (the restricted root is symmetric exactly on the minus branch)
+    def row(act):
+        return act.gamma_orbit(0), act.m_alpha(0), act.l_alpha(0), act.is_symmetric(0), act.branch_sign(0)
+
+    assert row(checks.make_asym_asym_action()) == ([0], 1, 1, False, 1)
     # free theta of order 2: m = 2, theta^2(a) = a, restricted asymmetric
-    act2 = sc.OrbitAction(4, (0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2))
-    row2 = sc.classify_orbits(act2)[0]
-    assert (row2.m, row2.l, row2.branch_sign, row2.sym_res) == (2, 2, 1, False)
+    assert row(sc.OrbitAction(4, (0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2))) == ([0], 2, 2, False, 1)
     # theta = neg: m = 1, minus branch, restricted symmetric
-    act3 = checks.make_asym_symram_action()
-    row3 = sc.classify_orbits(act3)[0]
-    assert (row3.m, row3.l, row3.branch_sign, row3.sym_res) == (1, 2, -1, True)
+    assert row(checks.make_asym_symram_action()) == ([0], 1, 2, False, -1)
+    # symmetric alpha: neg lies in the Gamma-orbit, no branch sign
+    assert row(checks.make_sym_ur_action()) == ([0, 1], 1, 1, True, None)
 
 
 def test_classify_restricted_per_degree_lemma():
@@ -170,6 +170,22 @@ def test_ramified_constant_eta_independent():
         signs.setdefault(label, set()).add(bv.sign)
     assert sorted(signs) == ["asym/sym-ram p=3 d=1 f=1", "asym/sym-ram p=3 d=2 f=1", "asym/sym-ram p=7 f=3", "sym-ur/sym-ram p=3 g=1"]
     assert all(len(v) == 1 for v in signs.values())
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_conjectured_f3_ramified_sign(p):
+    # the one conjectured case of _ramified_sign: asym/sym-ram with f = 3,
+    # where the twist does not square to -1. The oracle gives one sign over
+    # 50 etas, (-2/p)^3, and the formula matches it
+    blocks = [s for label, s in _ramified_scenarios(p, 3, eta_cap=50) if label.endswith("f=3")]
+    assert len(blocks) == 50
+    signs = set()
+    for s in blocks:
+        bv = sc.block_sign_formula(s)
+        oracle = weil.WeilModel(bv.block.space).trace_omega(bv.block.op)
+        assert abs(bv.value - oracle) <= 1e-8
+        signs.add(round(oracle.real))
+    assert signs == {modp.legendre(-2, p) ** 3}
 
 
 def test_ramified_sign_calls_no_oracle():
@@ -352,7 +368,7 @@ def test_orbit_action_invariants_random(seed):
         j = act.sigma_exponent(a)
         target = act.theta_pow(a, m)
         goal = target if (bs is None or bs == 1) else act.neg[target]
-        assert act.frob_pow(a, j) == goal
+        assert act.gamma_orbit(a)[j] == goal
 
 
 def _validated_actions():
@@ -369,9 +385,10 @@ def test_orbit_action_lookups_equal_permutation_powers():
         gamma_order = sc._perm_order(act.frobenius)
         frob_pows = [sc._perm_pow(act.frobenius, i) for i in range(gamma_order)]
         for a in range(act.size):
+            orb = act.gamma_orbit(a)
             for j in range(-3, 2 * act.size):
                 assert act.theta_pow(a, j) == sc._perm_pow(act.theta, j)[a]
-                assert act.frob_pow(a, j) == sc._perm_pow(act.frobenius, j)[a]
+                assert orb[j % len(orb)] == sc._perm_pow(act.frobenius, j)[a]
             target = sc._perm_pow(act.theta, act.m_alpha(a))[a]
             goal = act.neg[target] if act.branch_sign(a) == -1 else target
             assert act.sigma_exponent(a) == next(i for i, f in enumerate(frob_pows) if f[a] == goal)

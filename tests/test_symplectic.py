@@ -1,3 +1,8 @@
+import hashlib
+import json
+import pathlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,6 +194,23 @@ def test_sp_enumeration_cap():
         sym.sp_elements(sym.standard_polarized_space(3, 2))  # |Sp_4(F_3)| = 51840
 
 
+def test_trace_form_gram_is_the_trace_form():
+    # the integer-matrix Gram against its definition Tr(C t^i tau(t^j)),
+    # one trace_to per entry, on every field under the cap
+    rng = random.Random(11)
+    for p in (3, 5, 7, 11, 13):
+        f1 = ff.field(p, 1)
+        d = 1
+        while p**d <= ff.FIELD_CAP:
+            k = ff.field(p, d)
+            basis = [k.gen() ** i for i in range(d)]
+            for c in [k.one()] + [k.from_index(rng.randrange(1, k.order)) for _ in range(2)]:
+                for tau in [None] + list(range(d)):
+                    want = [[ff.trace_to(c * x * (y if tau is None else y.frobenius(tau)), f1).coeffs[0] for y in basis] for x in basis]
+                    assert sym.trace_form_gram(k, c, tau).tolist() == want, (k, c, tau)
+            d += 1
+
+
 def test_hyperbolic_basis_on_funny_forms():
     # B^T G B is the standard (e, f) Gram matrix on every space: a trace form
     # over F_9, every sign block up to degree 4 for p = 3, 5, 7, and direct sums
@@ -208,3 +230,49 @@ def test_hyperbolic_basis_on_funny_forms():
     for p, n in ((3, 1), (5, 2), (7, 3)):
         b = sym.hyperbolic_basis(sym.standard_polarized_space(p, n))
         assert np.array_equal(b, np.eye(2 * n, dtype=np.int64))
+
+
+# Gram and operator matrices of every sign block and torus, pinned as one
+# sha256 digest per label: the field-block layouts must build the same
+# matrices however they are factored.
+PINNED_BLOCKS = json.loads((pathlib.Path(__file__).parent / "field_block_digests.json").read_text())
+PINNED_TORI = [
+    (sym.SplitFactor(1),),
+    (sym.NormOneFactor(1),),
+    (sym.SplitFactor(2),),
+    (sym.NormOneFactor(2),),
+    (sym.SplitFactor(3),),
+    (sym.NormOneFactor(1), sym.SplitFactor(1)),
+    (sym.SplitFactor(1), sym.NormOneFactor(2)),
+]
+
+
+def _digest(rows) -> list:
+    return [len(rows), hashlib.sha256(json.dumps(rows).encode()).hexdigest()]
+
+
+def block_digests(p: int) -> dict:
+    per_label = {}
+    for label, s in checks.sign_branch_scenarios(p, 4, 20, 2):
+        bb = signcalc.build_block(s)
+        per_label.setdefault(label, []).append([bb.space.gram, bb.op.mat])
+    return {label: _digest(rows) for label, rows in per_label.items()}
+
+
+def torus_digests(p: int) -> dict:
+    out = {}
+    for factors in PINNED_TORI:
+        torus = sym.build_torus(sym.TorusDesc(p, factors))
+        label = " ".join("%s%d" % (type(f).__name__[0], f.subdegree) for f in factors)
+        out[label] = _digest([torus.space.gram, torus.space.blocks] + [t.elem.mat for t in torus.elements()])
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sign_blocks_pinned(p):
+    assert block_digests(p) == PINNED_BLOCKS["build_block"][str(p)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_tori_pinned(p):
+    assert torus_digests(p) == PINNED_BLOCKS["build_torus"][str(p)]
