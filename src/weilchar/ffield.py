@@ -10,8 +10,10 @@ Multiplication, powers, inverses, Frobenius, multiplicative orders and n-th
 roots are lookups in one discrete-log table per field (`_tables`): exp[i] is
 the coefficient vector of g^i, for g the first element of full multiplicative
 order in the canonical order, and log[x.index()] = i.  A field builds its
-table by polynomial multiplication the first time it is used; FIELD_CAP
-bounds it at 6561 entries.
+table the first time it is used: g is found by an order test (g^((q-1)/r) != 1
+for every prime r | q - 1, as a power of g's multiplication matrix), and exp
+by log2(q) doublings with that matrix's repeated squares; FIELD_CAP bounds it
+at 6561 entries.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from . import modp
 
@@ -304,28 +308,71 @@ def field(p: int, k: int) -> FieldDesc:
     raise FieldError("no irreducible polynomial found (unreachable)")
 
 
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _mult_matrix(desc: FieldDesc, x: tuple[int, ...]) -> np.ndarray:
+    """The k x k matrix of multiplication by x in the polynomial basis,
+    sum x_i C^i with C the companion matrix of the modulus (multiplication
+    by t); needs no table."""
+    p, k = desc.p, desc.degree
+    comp = np.eye(k, k, -1, dtype=np.int64)
+    comp[:, -1] = [-c % p for c in desc.modulus[:k]]
+    out, power = np.zeros((k, k), dtype=np.int64), np.eye(k, dtype=np.int64)
+    for c in x:
+        out = (out + c * power) % p
+        power = comp @ power % p
+    return out
+
+
+def _is_one_power(m: np.ndarray, e: int, p: int) -> bool:
+    """Whether m^e is the identity, m a multiplication matrix mod p."""
+    acc = np.eye(len(m), dtype=np.int64)
+    while e:
+        if e & 1:
+            acc = acc @ m % p
+        m = m @ m % p
+        e >>= 1
+    return bool((acc == np.eye(len(m), dtype=np.int64)).all())
+
+
 @lru_cache(maxsize=None)
 def _tables(desc: FieldDesc) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """(exp, log) of desc: exp[i] is the coefficient vector of g^i for
     0 <= i < q - 1, with g the first unit in canonical order whose powers
-    reach every unit, and log[x.index()] = i for x = g^i (log[0] = -1)."""
-    p, mod = desc.p, list(desc.modulus)
-    one = desc.one().coeffs
+    reach every unit, and log[x.index()] = i for x = g^i (log[0] = -1).
+
+    g has full order when g^((q-1)/r) != 1 for every prime r | q - 1; exp
+    doubles from [1]: with g^m's multiplication matrix M, the powers
+    g^m .. g^(2m-1) are M times g^0 .. g^(m-1), and M squares to g^2m's."""
+    p, k, n = desc.p, desc.degree, desc.order - 1
+    primes = _prime_factors(n)
     for start in range(1, desc.order):
-        g = desc.from_index(start).coeffs
-        exp = [one]
-        x = g
-        while x != one:
-            exp.append(x)
-            x = tuple(_poly_mod(modp.poly_mul(x, g, p), mod, p))
-        if len(exp) == desc.order - 1:
+        gmat = _mult_matrix(desc, desc.from_index(start).coeffs)
+        if not any(_is_one_power(gmat, n // r, p) for r in primes):
             break
     else:
         raise FieldError("no multiplicative generator (unreachable)")
-    log = [-1] * desc.order
-    for i, c in enumerate(exp):
-        log[FieldElem(desc, c).index()] = i
-    return tuple(exp), tuple(log)
+    exp = np.zeros((n, k), dtype=np.int64)
+    exp[0, 0] = 1
+    m = 1
+    while m < n:
+        exp[m : 2 * m] = exp[: min(m, n - m)] @ gmat.T % p
+        gmat = gmat @ gmat % p
+        m *= 2
+    log = np.full(desc.order, -1, dtype=np.int64)
+    log[exp @ p ** np.arange(k, dtype=np.int64)] = np.arange(n)
+    # zip builds the row tuples from k column lists of small cached ints,
+    # with no list object per row
+    return tuple(zip(*exp.T.tolist())), tuple(log.tolist())
 
 
 def is_subfield(sub: FieldDesc, big: FieldDesc) -> bool:
@@ -335,20 +382,18 @@ def is_subfield(sub: FieldDesc, big: FieldDesc) -> bool:
 @lru_cache(maxsize=None)
 def _embedding_root(sub: FieldDesc, big: FieldDesc) -> FieldElem:
     """Smallest root of sub's modulus inside big: the canonical embedding
-    sends sub.gen() there."""
+    sends sub.gen() there.  Every root lies in the image of sub^x, the
+    y = g^l with step = (Q-1)/(q-1) dividing l; the modulus is evaluated at
+    all of them at once, y^j gathered from the exp table at j l mod (Q - 1)."""
     if sub.degree == 1:
         return big.one()
-    mod = sub.modulus
-    for y in big.elements():
-        acc = big.zero()
-        ypow = big.one()
-        for c in mod:
-            if c:
-                acc = acc + ypow * c
-            ypow = ypow * y
-        if acc.is_zero():
-            return y
-    raise FieldError("no embedding root (unreachable for subfields)")
+    exp = np.array(_tables(big)[0], dtype=np.int64)
+    logs = np.arange(0, len(exp), (big.order - 1) // (sub.order - 1))
+    values = sum(c * exp[j * logs % len(exp)] for j, c in enumerate(sub.modulus) if c) % big.p
+    roots = exp[logs[~values.any(axis=1)]]
+    if not len(roots):
+        raise FieldError("no embedding root (unreachable for subfields)")
+    return FieldElem(big, tuple(roots[np.argmin(roots @ big.p ** np.arange(big.degree))].tolist()))
 
 
 def embed(x: FieldElem, big: FieldDesc) -> FieldElem:

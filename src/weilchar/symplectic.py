@@ -18,6 +18,7 @@ from . import ffield, modp
 from .ffield import FieldDesc, FieldElem
 
 SP_ENUM_CAP = 10_000  # largest |Sp(V)| exhaustive modes will enumerate
+HEIS_ENUM_CAP = 125  # largest |H(V)| heis_group tabulates: n = 1 up to p = 5
 
 
 class SymplecticError(Exception):
@@ -142,19 +143,59 @@ def heis_identity(space: SympSpace) -> HeisElem:
     return HeisElem(space, (0,) * space.dim, 0)
 
 
+def heis_law(space: SympSpace, v1, z1, v2, z2) -> tuple[np.ndarray, np.ndarray]:
+    """(v1+v2, z1+z2+<v1,v2>/2) on broadcastable integer arrays, the vectors
+    along the last axis of v1 and v2: the one copy of the Heisenberg law."""
+    p = space.p
+    v1, v2 = np.asarray(v1, dtype=np.int64), np.asarray(v2, dtype=np.int64)
+    half = pow(2, p - 2, p)  # 1/2 mod p
+    form = (v1 @ space.gram_mat * v2).sum(axis=-1)
+    return (v1 + v2) % p, (np.asarray(z1) + np.asarray(z2) + half * form) % p
+
+
 def heis_mul(a: HeisElem, b: HeisElem) -> HeisElem:
     if a.space != b.space:
         raise SpaceMismatch("Heisenberg elements from different spaces")
-    p = a.space.p
-    half = pow(2, p - 2, p)  # 1/2 mod p
-    z = (a.z + b.z + half * a.space.form(a.v, b.v)) % p
-    return HeisElem(a.space, tuple((x + y) % p for x, y in zip(a.v, b.v)), z)
+    v, z = heis_law(a.space, a.v, a.z, b.v, b.z)
+    return HeisElem(a.space, tuple(v.tolist()), int(z))
 
 
 def heis_elements(space: SympSpace):
     for v in space.vectors():
         for z in range(space.p):
             yield HeisElem(space, v, z)
+
+
+@dataclass(frozen=True, eq=False)
+class HeisGroup:
+    """H(V) as an indexed table: elems in heis_elements order, vs[i] and
+    zs[i] the parts of elems[i], and mul[i, j] the position of
+    elems[i] * elems[j]."""
+
+    elems: tuple[HeisElem, ...]
+    vs: np.ndarray
+    zs: np.ndarray
+    mul: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def heis_group(space: SympSpace) -> HeisGroup:
+    """The product table of H(V), built from heis_law over all pairs at once;
+    refuses above HEIS_ENUM_CAP elements.  Position i is the base-p code of
+    (v, z), most significant digit first, which is heis_elements order."""
+    p, dim = space.p, space.dim
+    size = p ** (dim + 1)
+    if size > HEIS_ENUM_CAP:
+        raise SymplecticError("|H| = %d exceeds the enumeration cap %d" % (size, HEIS_ENUM_CAP))
+    elems = tuple(heis_elements(space))
+    vs = np.array([h.v for h in elems], dtype=np.int64)
+    zs = np.array([h.z for h in elems], dtype=np.int64)
+    v, z = heis_law(space, vs[:, None], zs[:, None], vs[None], zs[None])
+    weights = p ** np.arange(dim, -1, -1, dtype=np.int64)
+    mul = (np.concatenate([v, z[..., None]], axis=-1) @ weights).astype(np.int16)
+    for arr in (vs, zs, mul):
+        arr.flags.writeable = False  # shared through the cache
+    return HeisGroup(elems, vs, zs, mul)
 
 
 @dataclass(frozen=True)

@@ -156,20 +156,26 @@ class WeilModel:
 
     # -- Heisenberg action --------------------------------------------------
 
-    def rho(self, h: HeisElem) -> np.ndarray:
-        """rho(x+y, z) f(t) = theta(z + <t,y> + <x,y>/2) f(t+x)."""
-        if h.space != self.space:
-            raise sym.SpaceMismatch("element from another space")
-        p = self.p
-        vstd = self.to_std @ np.asarray(h.v, dtype=np.int64) % p
-        a, b = vstd[: self.n], vstd[self.n :]
+    def rho_parts(self, vs, zs) -> tuple[np.ndarray, np.ndarray]:
+        """rho(x+y, z) f(t) = theta(z + <t,y> + <x,y>/2) f(t+x) is monomial:
+        row t of rho(v, z) holds the phase at column t + x.  For a batch of
+        elements (vs[..., :] in the model's space, zs[...]) returns the column
+        indices and phases, both of shape zs.shape + (p^n,), rows in order."""
+        p, n = self.p, self.n
+        vstd = np.asarray(vs, dtype=np.int64) @ self.to_std.T % p
+        a, b = vstd[..., None, :n], vstd[..., None, n:]
         half = pow(2, p - 2, p)
         pts = self._pts
-        phases = (int(h.z) + pts @ b + half * int(a @ b)) % p
-        rows = self._enc(pts)
-        cols = self._enc(pts + a)
+        phases = (np.asarray(zs, dtype=np.int64)[..., None] + (pts * b).sum(axis=-1) + half * (a * b).sum(axis=-1)) % p
+        return self._enc(pts + a), np.exp(2j * np.pi * phases / p)
+
+    def rho(self, h: HeisElem) -> np.ndarray:
+        """The dense matrix of rho(h), scattered from rho_parts."""
+        if h.space != self.space:
+            raise sym.SpaceMismatch("element from another space")
+        cols, phases = self.rho_parts(h.v, h.z)
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        out[rows, cols] = np.exp(2j * np.pi * phases / p)
+        out[np.arange(self.dim), cols] = phases
         return out
 
     # -- Weil operators: generator word model -------------------------------

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import pathlib
 import random
 
 import pytest
@@ -228,6 +231,28 @@ def test_modulus_and_generator_pinned(p, k):
     assert g.coeffs == gen and g.mult_order() == desc.order - 1
     # the first unit of full order in canonical order
     assert all(x.mult_order() < desc.order - 1 for x in desc.units() if x.index() < g.index())
+
+
+# sha256 of the (exp, log) tables of every field under the cap and of the
+# embedding root of every proper subfield, recorded from the generator walk
+# and the element-by-element root search before both became array code
+PINNED_TABLES = json.loads((pathlib.Path(__file__).parent / "field_table_digests.json").read_text())
+
+
+def _sha(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def test_field_tables_and_embedding_roots_pinned():
+    tables, roots = {}, {}
+    for p, k in sorted(PINNED):
+        big = ff.field(p, k)
+        tables["%d^%d" % (p, k)] = _sha(ff._tables.__wrapped__(big))  # recomputed, not the cached copy
+        for j in range(1, k):
+            if k % j == 0:
+                roots["%d^%d<%d^%d" % (p, j, p, k)] = _sha(ff._embedding_root.__wrapped__(ff.field(p, j), big).coeffs)
+    assert tables == PINNED_TABLES["_tables"]
+    assert roots == PINNED_TABLES["_embedding_root"]
 
 
 def _pad(d, coeffs):

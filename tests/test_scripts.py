@@ -52,7 +52,8 @@ def test_ci_workflow_parses():
     steps = [step.get("run", "") for job in doc["jobs"].values() for step in job["steps"]]
     # pyproject.toml is the one dependency list
     assert 'python -m pip install -e ".[test]"' in steps
-    assert any("python -m pytest -q --continue-on-collection-errors" in s for s in steps)
+    [tier1] = [s for s in steps if "python -m pytest -q --continue-on-collection-errors" in s]
+    assert "--durations=15" in tier1.split()  # every log names its slowest tests
     assert any("python -m pytest perfbench/tests -q" in s for s in steps)
     # two selfcheck processes must write the same report bytes
     assert any(s.count("python -m weilchar.cli selfcheck --report") == 2 and "cmp " in s for s in steps)

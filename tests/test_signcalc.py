@@ -472,6 +472,17 @@ def test_sign_branch_scenarios_pinned(params):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
+def test_built_blocks_carry_the_scenario_etas(p):
+    # eta is the image of 1 under eta o varsigma on each line: read it back
+    # from the built operator in the plus/minus layout of the branch sign
+    for label, s in checks.sign_branch_scenarios(p, 4, 20, 2):
+        plus, minus = sym.plus_minus_parts(sc.build_block(s).op.mat_np, s.branch_sign)
+        got = (sym.coords_to_elem(s.k_alpha, plus[:, 0]),
+               None if minus is None else sym.coords_to_elem(s.k_alpha, minus[:, 0]))
+        assert got == (s.eta_alpha, None if s.sym_alpha else s.eta_minus_alpha), label
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("max_degree", [1, 2, 3])
 def test_sign_branch_scenarios_respect_max_degree(p, max_degree):
     degrees = {s.k_alpha.degree for _, s in checks.sign_branch_scenarios(p, max_degree, 2)}

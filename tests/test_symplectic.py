@@ -52,6 +52,47 @@ def test_heis_associativity_sampled(i, j, k):
     assert sym.heis_mul(sym.heis_mul(a, b), c) == sym.heis_mul(a, sym.heis_mul(b, c))
 
 
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("make", [sym.standard_space, sym.standard_polarized_space])
+def test_heis_group_table_is_heis_mul(make, p):
+    space = make(p, 1)
+    grp = sym.heis_group(space)
+    els = list(sym.heis_elements(space))
+    assert grp.elems == tuple(els)
+    assert [h.v for h in els] == [tuple(v) for v in grp.vs.tolist()]
+    assert [h.z for h in els] == grp.zs.tolist()
+    for i, a in enumerate(els):
+        for j, b in enumerate(els):
+            assert els[grp.mul[i, j]] == sym.heis_mul(a, b)
+    assert not grp.mul.flags.writeable
+
+
+def test_heis_group_refuses_above_the_cap():
+    for p, n in ((3, 2), (7, 1)):  # |H| = 243, 343
+        with pytest.raises(sym.SymplecticError, match="cap"):
+            sym.heis_group(sym.standard_space(p, n))
+    assert len(sym.heis_group(sym.standard_space(5, 1)).elems) == sym.HEIS_ENUM_CAP
+
+
+def test_abelian_law_fault_turns_heis_center_red():
+    # seeded fault: <v1,v2>/2 dropped from the law, which leaves H(V) abelian
+    # and still associative
+    orig = sym.heis_law
+
+    def abelian(space, v1, z1, v2, z2):
+        v, _ = orig(space, v1, z1, v2, z2)
+        return v, (np.asarray(z1) + np.asarray(z2)) % space.p
+
+    sym.heis_law = abelian
+    sym.heis_group.cache_clear()
+    try:
+        rows = checks.check_heis_associativity()
+    finally:
+        sym.heis_law = orig
+        sym.heis_group.cache_clear()
+    assert {r.quantity: (r.formula, r.oracle) for r in rows if not r.passed} == {"heis center p=3 n=1": (27, 3)}
+
+
 def test_sp_elem_validation():
     with pytest.raises(sym.SymplecticError):
         sym.sp_elem(V3, [[1, 1], [1, 1]])

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import os
 import pathlib
 import random
@@ -41,6 +42,46 @@ def test_rho_irreducible():
     m = weil.WeilModel(sym.standard_polarized_space(3, 1))
     total = sum(abs(np.trace(m.rho(h))) ** 2 for h in sym.heis_elements(m.space))
     assert abs(total - 27) < 1e-9
+
+
+# sha256 of the dense rho(h) of every h in heis_elements order, rounded to
+# 12 decimals, recorded when rho built each matrix from its own phases
+RHO_DIGESTS = {
+    (3, 1): "423553dc8ca71feff767ae1e581d74896dbea246cb69c93a6376f17f510b7290",
+    (5, 1): "bbbe3ccc922a11473e6db69830814fb8418006639338c0f44a83e77444f6d591",
+    (3, 2): "0f3377f58596a42fe25c6672bad59c74fb9a95f585632d0aa99ca8a9b4284b17",
+}
+
+
+@pytest.mark.parametrize("p,n", sorted(RHO_DIGESTS))
+def test_dense_rho_pinned(p, n):
+    m = weil.WeilModel(sym.standard_polarized_space(p, n))
+    digest = hashlib.sha256()
+    for h in sym.heis_elements(m.space):
+        digest.update((np.round(m.rho(h), 12) + 0.0).tobytes())  # + 0.0 folds -0.0 into 0.0
+    assert digest.hexdigest() == RHO_DIGESTS[(p, n)]
+
+
+def test_rho_phase_fault_turns_rho_rows_red():
+    # seeded fault: the <x,y>/2 term dropped from every rho phase; rho(a)
+    # rho(b) then misses theta(<a,b>/2), and the traces (x = 0) do not move
+    orig = weil.WeilModel.rho_parts
+
+    def faulty(self, vs, zs):
+        cols, phases = orig(self, vs, zs)
+        vstd = np.asarray(vs, dtype=np.int64) @ self.to_std.T % self.p
+        xy = (vstd[..., : self.n] * vstd[..., self.n :]).sum(axis=-1) * pow(2, -1, self.p)
+        return cols, phases * np.exp(-2j * np.pi * xy / self.p)[..., None]
+
+    weil.WeilModel.rho_parts = faulty
+    try:
+        rows = checks.check_rho_homomorphism()
+    finally:
+        weil.WeilModel.rho_parts = orig
+    worst = {r.quantity: r.abs_error for r in rows if not r.passed}
+    assert worst.keys() == {"rho homomorphism p=3 exhaustive", "rho homomorphism p=5 exhaustive"}
+    assert worst["rho homomorphism p=3 exhaustive"] == pytest.approx(abs(1 - weil.theta_char(3, 1)))  # 1.73
+    assert worst["rho homomorphism p=5 exhaustive"] == pytest.approx(abs(1 - weil.theta_char(5, 2)))  # 1.90
 
 
 def test_polarization_validation():
