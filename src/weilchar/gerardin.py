@@ -9,6 +9,7 @@ exactly in the field, never numerically.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,7 +108,8 @@ def restrict_map(g: SpElem, basis) -> np.ndarray:
         if sol is None:
             raise GerardinError("subspace is not invariant under the element")
         cols.append(sol)
-    return np.array(cols, dtype=np.int64).T % p
+    k = len(cols)
+    return np.array(cols, dtype=np.int64).reshape(k, k).T % p  # 0 x 0 on the zero space
 
 
 def is_isotropic(space: SympSpace, basis) -> bool:
@@ -345,16 +347,15 @@ def invariant_polarizations(g: SpElem):
             yield vm, vp
 
 
-def _all_subspaces(space: SympSpace, dim: int):
-    """All dim-dimensional subspaces (as canonical RREF bases); small spaces."""
+@lru_cache(maxsize=None)
+def _all_subspaces(space: SympSpace, dim: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All dim-dimensional subspaces as canonical RREF bases, in the order of
+    their first spanning combination of nonzero vectors; small spaces."""
     p = space.p
-    seen = set()
+    bases: dict[tuple, None] = {}  # an insertion-ordered set
     vecs = [v for v in space.vectors() if any(v)]
     for combo in itertools.combinations(vecs, dim):
         m, piv = modp.rref(np.array(combo, dtype=np.int64), p)
-        if len(piv) != dim:
-            continue
-        key = tuple(tuple(int(x) for x in row) for row in m[:dim])
-        if key not in seen:
-            seen.add(key)
-            yield [tuple(int(x) for x in row) for row in m[:dim]]
+        if len(piv) == dim:
+            bases.setdefault(tuple(tuple(row) for row in m.tolist()), None)
+    return tuple(bases)

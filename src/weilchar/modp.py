@@ -1,4 +1,5 @@
-"""Small exact linear algebra over F_p (p odd prime), numpy int arrays throughout."""
+"""Small exact linear algebra over F_p (p odd prime): numpy int arrays in and
+out, row operations on Python-int rows."""
 
 from __future__ import annotations
 
@@ -57,30 +58,44 @@ def poly_eval_mat(coeffs: list[int], m: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
+def _square(m, p: int) -> np.ndarray:
+    a = as_mat(m, p)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("need a square matrix, got shape %s" % (a.shape,))
+    return a
+
+
+def _first_nonzero(rows: list[list[int]], start: int, c: int) -> int | None:
+    for i in range(start, len(rows)):
+        if rows[i][c]:
+            return i
+    return None
+
+
 def rref(m, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row-reduced echelon form and pivot columns."""
-    a = as_mat(m, p).copy()
-    rows, cols = a.shape
+    """Row-reduced echelon form and pivot columns.  The row operations run on
+    Python-int rows (entries stay in 0..p-1); the result is an int64 array."""
+    a = as_mat(m, p)
+    rows = a.tolist()
+    n = len(rows)
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i, c] % p:
-                piv = i
-                break
+    for c in range(a.shape[1]):
+        piv = _first_nonzero(rows, r, c)
         if piv is None:
             continue
-        a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        for i in range(rows):
-            if i != r and a[i, c] % p:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        pr = rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(n):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pr)]
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == n:
             break
-    return a, pivots
+    return np.array(rows, dtype=np.int64).reshape(a.shape), pivots
 
 
 def rank(m, p: int) -> int:
@@ -117,7 +132,7 @@ def solve(m, rhs, p: int) -> np.ndarray | None:
 
 
 def mat_inv(m, p: int) -> np.ndarray:
-    a = as_mat(m, p)
+    a = _square(m, p)
     n = a.shape[0]
     aug, pivots = rref(np.hstack([a, np.eye(n, dtype=np.int64)]), p)
     if pivots != list(range(n)):
@@ -126,25 +141,23 @@ def mat_inv(m, p: int) -> np.ndarray:
 
 
 def det(m, p: int) -> int:
-    a = as_mat(m, p).copy()
-    n = a.shape[0]
+    rows = _square(m, p).tolist()
+    n = len(rows)
     d = 1
     for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if a[i, c] % p:
-                piv = i
-                break
+        piv = _first_nonzero(rows, c, c)
         if piv is None:
             return 0
         if piv != c:
-            a[[c, piv]] = a[[piv, c]]
+            rows[c], rows[piv] = rows[piv], rows[c]
             d = -d
-        d = (d * int(a[c, c])) % p
-        inv = pow(int(a[c, c]), p - 2, p)
+        pc = rows[c]
+        d = d * pc[c] % p
+        inv = pow(pc[c], p - 2, p)
         for i in range(c + 1, n):
-            if a[i, c] % p:
-                a[i] = (a[i] - a[i, c] * inv * a[c]) % p
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pc)]
     return d % p
 
 

@@ -93,7 +93,8 @@ class WordFactors:
     cell rank r, sgn = (det a1 / p)(det a2 / p), the diagonals d1, d2 of
     nbar(b1), nbar(b2), and the images left = T s, right = a2 s of the points
     s (one row each, T = a1^-1), so that omega(h)[s, t] = sgn d1(s) F_S(T s,
-    a2 t) d2(t) with F_S[x, y] = c_r theta(x_S . y_S) delta(x_S^c = y_S^c)."""
+    a2 t) d2(t) with F_S[x, y] = c_r theta(x_S . y_S) delta(x_S^c = y_S^c).
+    The arrays are read-only: a model hands out one instance per element."""
 
     rank: int
     sgn: int
@@ -101,6 +102,10 @@ class WordFactors:
     left: np.ndarray
     right: np.ndarray
     d2: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.d1, self.left, self.right, self.d2):
+            arr.flags.writeable = False  # shared through the model's memo
 
 
 class WeilModel:
@@ -128,6 +133,7 @@ class WeilModel:
         self.to_std = modp.mat_inv(basis, self.p)
         self._group_table: list | None = None
         self._w: np.ndarray | None = None  # the Fourier operator, built on first use
+        self._words: dict[tuple, WordFactors] = {}  # word_factors by g.mat
         self._powers = self.p ** np.arange(self.n, dtype=np.int64)
         # all of F_p^n, shape (p^n, n), row index = encoding (little-endian digits)
         self._pts = np.indices((self.p,) * self.n).reshape(self.n, -1)[::-1].T.copy()
@@ -205,9 +211,15 @@ class WeilModel:
         [[D, -C], [-B, A]] factors as nbar(b1) m(a1) w_S m(a2) nbar(b2), w_S
         the Weyl element on the first r = rank C coordinate pairs.  One row
         reduction T [-C | I] = [R | T] gives T = a1^-1, r and the pivot
-        columns; the rest is read off h's rows."""
+        columns; the rest is read off h's rows.  Built once per element."""
         if g.space != self.space:
             raise sym.SpaceMismatch("element from another space")
+        f = self._words.get(g.mat)
+        if f is None:
+            f = self._words[g.mat] = self._normal_form(g)
+        return f
+
+    def _normal_form(self, g: SpElem) -> WordFactors:
         p, n = self.p, self.n
         gstd = self.to_std @ g.mat_np @ self.from_std % p
         a, b, c, d = gstd[:n, :n], gstd[:n, n:], gstd[n:, :n], gstd[n:, n:]

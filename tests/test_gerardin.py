@@ -1,7 +1,11 @@
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
-from weilchar import ffield as ff, gerardin as ger, symplectic as sym, weil
+from weilchar import ffield as ff, gerardin as ger, modp, symplectic as sym, weil
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +128,22 @@ def test_polarized_agrees_with_semisimple():
             a = ger.char_semisimple(t, wd)
             b = ger.char_polarized(t.elem, pols[0])
             assert abs(a - b) < 1e-9
+
+
+SUBSPACE_DIGESTS = json.loads((pathlib.Path(__file__).parent / "modp_digests.json").read_text())["_all_subspaces"]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_all_subspaces_pinned_in_order(p):
+    space = sym.standard_polarized_space(p, 1)
+    lines = ger._all_subspaces(space, 1)
+    assert lines is ger._all_subspaces(space, 1)  # enumerated once per space
+    assert len(lines) == p + 1 and isinstance(lines, tuple)
+    assert hashlib.sha256(json.dumps(lines).encode()).hexdigest() == SUBSPACE_DIGESTS["p=%d" % p]
+
+
+def test_restrict_map_on_the_zero_space_is_0x0():
+    g = sym.sp_elem(sym.standard_polarized_space(5, 1), [[2, 0], [0, 3]])
+    m = ger.restrict_map(g, [])
+    assert m.shape == (0, 0)
+    assert modp.det(m, 5) == 1

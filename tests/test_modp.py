@@ -1,7 +1,12 @@
+import hashlib
+import itertools
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
-from weilchar import modp
+from weilchar import checks, modp
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -29,3 +34,190 @@ def test_poly_helpers_examples():
     cp = modp.charpoly(m, p)
     assert not modp.poly_eval_mat(cp, m, p).any()  # Cayley-Hamilton
     assert (modp.poly_eval_mat(a, m, p) == (np.eye(2, dtype=np.int64) + 2 * m + 3 * m @ m) % p).all()
+
+
+# -- the exact kernel: pinned digests and brute force ------------------------
+
+PINNED = json.loads((pathlib.Path(__file__).parent / "modp_digests.json").read_text())
+PRIMES = (3, 5, 7, 11, 13)
+SHAPES = ((1, 2), (2, 2), (2, 4), (3, 3), (3, 6), (4, 4), (4, 8), (5, 5), (6, 6), (6, 12), (7, 7), (8, 8), (8, 16))
+
+
+def _sha(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def _arr(a):
+    return [str(a.dtype), list(a.shape), a.tolist()]
+
+
+def kernel_batch(p):
+    """A random, a low-rank and a zero matrix of every shape in SHAPES."""
+    rng = np.random.RandomState(1000 + p)
+    out = []
+    for r, c in SHAPES:
+        out.append(rng.randint(0, p, size=(r, c)))
+        k = max(1, min(r, c) - 1)
+        out.append(rng.randint(0, p, size=(r, k)) @ rng.randint(0, p, size=(k, c)) % p)
+        out.append(np.zeros((r, c), dtype=np.int64))
+    return out
+
+
+def kernel_digests():
+    """sha256 per (function, p) of every kernel result on kernel_batch(p):
+    arrays with dtype and shape, pivots, the exception type of mat_inv, and
+    solve on one consistent and one random right-hand side."""
+    out = {}
+    for p in PRIMES:
+        rng = np.random.RandomState(2000 + p)
+        res = {k: [] for k in ("rref", "rank", "kernel_basis", "solve", "det", "mat_inv")}
+        for m in kernel_batch(p):
+            a, piv = modp.rref(m, p)
+            res["rref"].append([_arr(a), piv])
+            res["rank"].append(modp.rank(m, p))
+            res["kernel_basis"].append([_arr(v) for v in modp.kernel_basis(m, p)])
+            x = rng.randint(0, p, size=m.shape[1])
+            for rhs in (m @ x % p, rng.randint(0, p, size=m.shape[0])):
+                sol = modp.solve(m, rhs, p)
+                res["solve"].append(None if sol is None else _arr(sol))
+            if m.shape[0] == m.shape[1]:
+                d = modp.det(m, p)
+                res["det"].append([type(d).__name__, d])
+                try:
+                    res["mat_inv"].append(_arr(modp.mat_inv(m, p)))
+                except ZeroDivisionError as exc:
+                    res["mat_inv"].append(type(exc).__name__)
+        for k, v in res.items():
+            out["%s p=%d" % (k, p)] = _sha(v)
+    return out
+
+
+def test_kernel_digests_pinned():
+    assert kernel_digests() == PINNED["kernel"]
+
+
+def test_non_square_input_rejected():
+    m = [[1, 2, 3], [0, 1, 4]]
+    with pytest.raises(ValueError):
+        modp.mat_inv(m, 7)
+    with pytest.raises(ValueError):
+        modp.det(m, 7)
+    with pytest.raises(ValueError):
+        modp.det([1, 2, 3], 7)
+
+
+def det_2x2_mismatches(p):
+    """Matrices [[a, b], [c, d]] over F_p whose det is not ad - bc."""
+    return sum(modp.det([[a, b], [c, d]], p) != (a * d - b * c) % p
+               for a, b, c, d in itertools.product(range(p), repeat=4))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_det_is_ad_minus_bc(p):
+    assert det_2x2_mismatches(p) == 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_mat_inv_of_seeded_units(p):
+    # four units of each size 1..6, drawn from a seeded stream; the singular
+    # draws on the way must raise
+    rng = np.random.default_rng(p)
+    for n in range(1, 7):
+        ident = np.eye(n, dtype=np.int64)
+        units = 0
+        while units < 4:
+            m = rng.integers(0, p, size=(n, n))
+            if modp.det(m, p) == 0:
+                with pytest.raises(ZeroDivisionError):
+                    modp.mat_inv(m, p)
+                continue
+            inv = modp.mat_inv(m, p)
+            assert inv.dtype == np.int64 and inv.shape == (n, n)
+            assert (m @ inv % p == ident).all() and (inv @ m % p == ident).all()
+            units += 1
+
+
+def _row_space(m, p):
+    """Every vector of the row space of m, by enumerating coefficients."""
+    m = np.asarray(m, dtype=np.int64).reshape(-1, np.shape(m)[-1])
+    return {tuple(int(x) for x in np.array(c, dtype=np.int64) @ m % p)
+            for c in itertools.product(range(p), repeat=m.shape[0])}
+
+
+def test_rref_idempotent_with_the_same_row_space():
+    p = 3
+    rng = np.random.default_rng(3)
+    for shape in ((1, 3), (2, 2), (2, 4), (3, 3), (3, 5), (4, 4), (4, 6)):
+        for m in (rng.integers(0, p, size=shape), rng.integers(0, p, size=(shape[0], 1)) * rng.integers(0, p, size=shape[1])):
+            a, piv = modp.rref(m, p)
+            assert a.dtype == np.int64 and a.shape == m.shape
+            again, piv2 = modp.rref(a, p)
+            assert (again == a).all() and piv2 == piv
+            assert _row_space(a, p) == _row_space(m, p)
+            assert len(piv) == len(set(piv)) == sum(bool(row.any()) for row in a)
+            for r, c in enumerate(piv):  # reduced echelon: pivot 1, zero column elsewhere
+                assert a[r, c] == 1 and not np.delete(a[:, c], r).any()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_kernel_basis_spans_every_solution(p):
+    rng = np.random.default_rng(p + 20)
+    for shape in ((1, 3), (2, 3), (2, 4), (3, 3), (3, 4)):
+        for m in (rng.integers(0, p, size=shape), np.zeros(shape, dtype=np.int64),
+                  rng.integers(0, p, size=(shape[0], 1)) * rng.integers(0, p, size=shape[1])):
+            sols = {x for x in itertools.product(range(p), repeat=shape[1]) if not (m @ np.array(x) % p).any()}
+            basis = modp.kernel_basis(m, p)
+            assert len(sols) == p ** (shape[1] - modp.rank(m, p)) == p ** len(basis)
+            assert _row_space(np.array(basis, dtype=np.int64).reshape(len(basis), shape[1]), p) == sols
+
+
+def test_solve_consistent_and_inconsistent():
+    p = 5
+    rng = np.random.default_rng(7)
+    for shape in ((2, 3), (3, 3), (3, 2), (4, 6)):
+        m = rng.integers(0, p, size=shape)
+        x = rng.integers(0, p, size=shape[1])
+        sol = modp.solve(m, m @ x % p, p)
+        assert sol is not None and (m @ sol % p == m @ x % p).all()
+    m = np.array([[1, 2, 3], [2, 4, 6]])  # rank 1: the rows are proportional
+    assert modp.solve(m, [1, 2], p) is not None
+    assert modp.solve(m, [1, 0], p) is None
+    assert modp.solve(np.zeros((2, 2), dtype=np.int64), [0, 1], p) is None
+
+
+def _det_without_swap_sign(m, p):
+    """modp.det with the row-swap sign dropped: the seeded kernel fault."""
+    rows = modp._square(m, p).tolist()
+    n = len(rows)
+    d = 1
+    for c in range(n):
+        piv = modp._first_nonzero(rows, c, c)
+        if piv is None:
+            return 0
+        rows[c], rows[piv] = rows[piv], rows[c]
+        pc = rows[c]
+        d = d * pc[c] % p
+        inv = pow(pc[c], p - 2, p)
+        for i in range(c + 1, n):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pc)]
+    return d % p
+
+
+def test_det_swap_sign_fault_turns_rows_red():
+    orig = modp.det
+    modp.det = _det_without_swap_sign
+    try:
+        rows, _ = checks.run_checks("weil.omega-mult")
+        bad_2x2 = det_2x2_mismatches(3)
+    finally:
+        modp.det = orig
+    assert bad_2x2 > 0
+    failed = {r.quantity for r in rows if not r.passed}
+    # a 1x1 det never swaps, so only the Sp_4 and Sp_6 word-model products see it
+    assert failed == {
+        "word model multiplicative Sp_4(F_3) (9 pairs, ranks 0-2)",
+        "word model multiplicative Sp_6(F_3) (16 pairs, ranks 0-3)",
+    }
+    assert modp.det is orig and det_2x2_mismatches(3) == 0

@@ -414,3 +414,24 @@ def test_fourier_scalar_fault_is_caught():
     # the ramified signs are closed-form, so the sweep sees the fault there too
     for label in ("asym/sym-ram p=3 d=1 f=1", "sym-ur/sym-ram p=3 g=1"):
         assert stats[label].worst > 1e-8, label
+
+
+def test_word_factors_built_once_per_element_and_read_only(model5):
+    g = sym.sp_elem(model5.space, [[1, 1], [4, 0]])
+    f = model5.word_factors(g)
+    again = sym.sp_elem(model5.space, [[6, 1], [9, 5]])  # the same matrix mod 5, a new SpElem
+    assert again is not g and model5.word_factors(again) is f
+    for name in ("d1", "left", "right", "d2"):
+        arr = getattr(f, name)
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    # every read of the memo sees the pristine normal form
+    assert abs(model5.trace_omega(g) - np.trace(model5.omega_word(again))) < 1e-10
+    # in Sp_2 every det-1 matrix preserves every form: equal matrix tuples
+    # from another space still raise, memo or not
+    other = sym.symp_space(5, [[0, 2], [3, 0]])
+    g_other = sym.sp_elem(other, g.mat)
+    assert g_other.mat == g.mat and other != model5.space
+    for fn in (model5.word_factors, model5.omega_word, model5.trace_omega):
+        with pytest.raises(sym.SpaceMismatch):
+            fn(g_other)
