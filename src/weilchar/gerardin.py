@@ -82,60 +82,50 @@ def char_semisimple(t: TorusElement, wd: WeightOrbitData) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Subspace helpers (bases are lists of coordinate tuples)
+# Subspace helpers (bases are lists of coordinate tuples); each answers its
+# question with one row reduction
 
 
-def _basis_mat(basis) -> np.ndarray:
-    return np.array(basis, dtype=np.int64)
+def _basis_mat(space: SympSpace, basis) -> np.ndarray:
+    return np.array(basis, dtype=np.int64).reshape(len(basis), space.dim)
 
 
 def perp_basis(space: SympSpace, basis) -> list[tuple[int, ...]]:
     """Basis of {v : <b, v> = 0 for all b in basis}."""
-    if not basis:
-        return [tuple(int(x) for x in row) for row in np.eye(space.dim, dtype=np.int64)]
-    m = _basis_mat(basis) @ space.gram_mat % space.p
+    m = _basis_mat(space, basis) @ space.gram_mat % space.p
     return [tuple(int(x) for x in v) for v in modp.kernel_basis(m, space.p)]
 
 
 def restrict_map(g: SpElem, basis) -> np.ndarray:
-    """Matrix of g on span(basis) in basis coordinates (must be invariant)."""
+    """Matrix of g on span(basis) in basis coordinates, read from the row
+    reduction of [B | gB]; the basis must be independent and its span
+    invariant.  0 x 0 on the zero space."""
     p = g.space.p
-    b = _basis_mat(basis).T  # columns
-    cols = []
-    for v in basis:
-        img = np.array(g.apply(v), dtype=np.int64)
-        sol = modp.solve(b, img, p)
-        if sol is None:
-            raise GerardinError("subspace is not invariant under the element")
-        cols.append(sol)
-    k = len(cols)
-    return np.array(cols, dtype=np.int64).reshape(k, k).T % p  # 0 x 0 on the zero space
+    k = len(basis)
+    b = _basis_mat(g.space, basis).T  # columns
+    red, piv = modp.rref(np.hstack([b, g.mat_np @ b]), p)
+    if piv[:k] != list(range(k)):
+        raise GerardinError("basis vectors are dependent")
+    if len(piv) > k:
+        raise GerardinError("subspace is not invariant under the element")
+    return red[:k, k:]
 
 
 def is_isotropic(space: SympSpace, basis) -> bool:
-    return all(space.form(u, v) == 0 for u, v in itertools.combinations_with_replacement(basis, 2))
+    return not subspace_gram(space, basis).any()
 
 
 def subspace_gram(space: SympSpace, basis) -> np.ndarray:
-    b = _basis_mat(basis)
+    b = _basis_mat(space, basis)
     return b @ space.gram_mat @ b.T % space.p
 
 
-def in_span(basis, v, p: int) -> bool:
-    if not basis:
-        return not any(int(x) % p for x in v)
-    return modp.solve(_basis_mat(basis).T, np.array(v, dtype=np.int64), p) is not None
-
-
 def complement_in(big_basis, small_basis, p: int) -> list[tuple[int, ...]]:
-    """Extend small_basis to big_basis's span; returns the added vectors."""
-    cur = list(small_basis)
-    out = []
-    for v in big_basis:
-        if not in_span(cur, v, p):
-            cur.append(tuple(int(x) for x in v))
-            out.append(tuple(int(x) % p for x in v))
-    return out
+    """The big_basis vectors that extend small_basis to a basis of the sum,
+    picked greedily in order: the pivot columns of [small | big]."""
+    cols = [tuple(int(x) % p for x in v) for v in [*small_basis, *big_basis]]
+    _, piv = modp.rref(np.array(cols, dtype=np.int64).T, p)
+    return [cols[c] for c in piv if c >= len(small_basis)]
 
 
 # ---------------------------------------------------------------------------
@@ -152,24 +142,19 @@ def char_no_fixed_point(g: SpElem, vprime) -> int:
     vprime = [tuple(int(x) % p for x in v) for v in vprime]
     if not is_isotropic(space, vprime):
         raise NotIsotropic("V' is not totally isotropic")
-    det_vp = 1
-    if vprime:
-        det_vp = modp.det(restrict_map(g, vprime), p)  # raises if not invariant
-    # V0 = V'^perp / V': compute a complement basis of V' inside V'^perp
-    perp = perp_basis(space, vprime)
-    v0 = complement_in(perp, vprime, p)
-    # quotient action: reduce images modulo V'
-    full = vprime + v0
-    gq = restrict_map(g, full)  # block upper-triangular w.r.t. (V', V0)
+    # V0 = V'^perp / V', spanned by a complement of V' inside V'^perp; V'^perp
+    # is invariant exactly when V' is, so g on (V', V0) is block upper
+    # triangular with g|V' top left and the quotient action bottom right
+    v0 = complement_in(perp_basis(space, vprime), vprime, p)
     k = len(vprime)
-    g_v0 = gq[k:, k:] % p
+    gq = restrict_map(g, vprime + v0)  # raises if V' is dependent or not invariant
+    det_vp = modp.det(gq[:k, :k], p)
+    g_v0 = gq[k:, k:]
     # maximality: g on V0 must have no eigenvalue in F_p
-    if len(v0):
-        cp = modp.charpoly(g_v0, p)
-        for lam in range(p):
-            if modp.poly_eval(cp, lam, p) == 0:
-                raise NotIsotropic("V' is not maximal (V0 has an eigenline)")
-    det_v0_shift = modp.det((g_v0 - np.eye(len(v0), dtype=np.int64)) % p, p) if len(v0) else 1
+    cp = modp.charpoly(g_v0, p)
+    if any(modp.poly_eval(cp, lam, p) == 0 for lam in range(p)):
+        raise NotIsotropic("V' is not maximal (V0 has an eigenline)")
+    det_v0_shift = modp.det((g_v0 - np.eye(len(v0), dtype=np.int64)) % p, p)
     sign_arg = pow(p - 1, (len(v0) // 2) % 2, p) * det_vp * det_v0_shift % p
     return modp.legendre(sign_arg, p)
 
@@ -188,11 +173,11 @@ def char_fixed_line(g: SpElem, line, v0_basis) -> complex:
         raise LineNotFixed("the line is not fixed pointwise")
     v0_basis = [tuple(int(x) % p for x in v) for v in v0_basis]
     lperp = perp_basis(space, [line])
-    if len(v0_basis) != len(lperp) - 1 or any(not in_span(lperp, v, p) for v in v0_basis):
+    if len(v0_basis) != len(lperp) - 1 or complement_in(v0_basis, lperp, p):
         raise GerardinError("V0 is not a complement of L in L^perp")
-    if in_span(v0_basis, line, p):
+    if not complement_in([line], v0_basis, p):
         raise GerardinError("V0 contains L")
-    g_v0 = restrict_map(g, v0_basis)  # raises if not invariant
+    g_v0 = restrict_map(g, v0_basis)  # raises if dependent or not invariant
 
     # Gauss factor: sum over V0^perp / L
     v0perp = perp_basis(space, v0_basis)
@@ -246,56 +231,25 @@ def invariant_complement_in_perp(g: SpElem, line) -> list[tuple[int, ...]]:
 
 
 def maximal_invariant_isotropic(g: SpElem) -> list[tuple[int, ...]]:
-    """Greedy maximal g-invariant totally isotropic subspace for fixed-point-
-    free semisimple g: lift eigenlines of the successive V0 = V'^perp/V'."""
+    """Greedy maximal g-invariant totally isotropic subspace for semisimple g:
+    while some eigenvalue has an eigenvector in V'^perp outside V' (for
+    semisimple g, an eigenline of V'^perp/V' lifts to one), add the first
+    such vector of the least such eigenvalue."""
     space = g.space
     p = space.p
+    ident = np.eye(space.dim, dtype=np.int64)
     vprime: list[tuple[int, ...]] = []
     while True:
-        perp = perp_basis(space, vprime)
-        v0 = complement_in(perp, vprime, p)
-        if not v0:
-            return vprime
-        full = vprime + v0
-        gq = restrict_map(g, full)
-        k = len(vprime)
-        g_v0 = gq[k:, k:] % p
-        eig = None
+        in_perp = _basis_mat(space, vprime) @ space.gram_mat
         for lam in range(p):
-            m = (g_v0 - lam * np.eye(len(v0), dtype=np.int64)) % p
-            ker = modp.kernel_basis(m, p)
-            if ker:
-                eig = ker[0]
+            # the lam-eigenvectors inside V'^perp
+            eig = modp.kernel_basis(np.vstack([g.mat_np - lam * ident, in_perp]), p)
+            new = complement_in(eig, vprime, p) if eig else []
+            if new:
+                vprime.append(new[0])
                 break
-        if eig is None:
+        else:
             return vprime
-        lift = np.zeros(space.dim, dtype=np.int64)
-        for c, b in zip(eig, v0):
-            lift = (lift + int(c) * np.array(b, dtype=np.int64)) % p
-        # eigenline mod V' need not be an eigenline on the nose; make it one
-        # by projecting to the g-eigenspace (semisimple: eigenspace splitting)
-        lam_val = lam
-        cand = _project_to_eigenspace(g, lift, lam_val)
-        vprime.append(tuple(int(x) for x in cand))
-
-
-def _project_to_eigenspace(g: SpElem, v: np.ndarray, lam: int) -> np.ndarray:
-    """Component of v in ker(g - lam) under the semisimple splitting."""
-    p = g.space.p
-    n = g.space.dim
-    cp = modp.charpoly(g.mat_np, p)
-    # q(X) = charpoly / (X - lam)^mult; the eigenprojection is q(g) scaled
-    cur = cp
-    while len(cur) > 1 and modp.poly_eval(cur, lam, p) == 0:
-        cur = modp.poly_deflate(cur, lam, p)
-    qg = modp.poly_eval_mat(cur, g.mat_np, p)
-    out = qg @ (v % p) % p
-    # normalize: on ker(g - lam), q(g) acts by q(lam) != 0
-    scale = pow(modp.poly_eval(cur, lam, p), p - 2, p)
-    out = out * scale % p
-    if not out.any() or ((g.mat_np @ out - lam * out) % p).any():
-        raise GerardinError("eigenprojection failed (element not semisimple?)")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -176,62 +176,33 @@ class RootDatum:
             if sum(x * y for x, y in zip(a, av)) != 2:
                 raise LatticeError("pairing <a, a^> != 2 for %r" % (a,))
         self.order  # validates finite order
-        perm = {}
-        inv_t = _int_inverse(self.theta)
-        for i, a in enumerate(self.roots):
-            ta = _apply(self.theta, a)
-            if ta not in self.roots:
-                raise LatticeError("theta does not permute the roots")
-            perm[i] = self.roots.index(ta)
-        for i, av in enumerate(self.coroots):
-            # theta acts on cocharacters by the inverse transpose
-            tav = _apply(_transpose(inv_t), av)
-            if tuple(tav) != self.coroots[perm[i]]:
+        images = [_apply(self.theta, a) for a in self.roots]
+        if any(ta not in self.roots for ta in images):
+            raise LatticeError("theta does not permute the roots")
+        theta_t = tuple(zip(*self.theta))
+        for ta, av in zip(images, self.coroots):
+            # theta acts on cocharacters by the inverse transpose, so the
+            # coroot of theta(a) is theta^{-T}(a^): theta^T maps it back to a^
+            if _apply(theta_t, self.coroots[self.roots.index(ta)]) != av:
                 raise LatticeError("theta action on coroots incompatible with roots")
 
     @property
     def order(self) -> int:
         return matrix_order(self.theta)
 
-    def theta_apply(self, alpha, power: int = 1) -> tuple[int, ...]:
-        v = tuple(alpha)
-        m = _int_power(self.theta, power % self.order)
-        return _apply(m, v)
-
     def theta_orbit(self, alpha) -> list[tuple[int, ...]]:
         if tuple(alpha) not in self.roots:
             raise RootNotInDatum("%r not a root" % (alpha,))
         orbit = [tuple(alpha)]
-        cur = self.theta_apply(alpha)
+        cur = _apply(self.theta, alpha)
         while cur != tuple(alpha):
             orbit.append(cur)
-            cur = self.theta_apply(cur)
+            cur = _apply(self.theta, cur)
         return orbit
 
 
 def _apply(m, v) -> tuple[int, ...]:
     return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
-
-
-def _transpose(m):
-    return tuple(tuple(row[i] for row in m) for i in range(len(m[0])))
-
-
-def _int_power(m, k: int):
-    n = len(m)
-    out = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    base = tuple(tuple(row) for row in m)
-    while k:
-        if k & 1:
-            out = tuple(tuple(sum(out[i][r] * base[r][j] for r in range(n)) for j in range(n)) for i in range(n))
-        base = tuple(tuple(sum(base[i][r] * base[r][j] for r in range(n)) for j in range(n)) for i in range(n))
-        k >>= 1
-    return out
-
-
-def _int_inverse(m):
-    order = matrix_order(m)
-    return _int_power(m, order - 1)
 
 
 @dataclass(frozen=True)

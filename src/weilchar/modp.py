@@ -38,26 +38,6 @@ def poly_eval(coeffs: list[int], x: int, p: int) -> int:
     return acc
 
 
-def poly_deflate(coeffs: list[int], lam: int, p: int) -> list[int]:
-    """coeffs / (X - lam); the division must be exact."""
-    n = len(coeffs) - 1
-    out = [0] * n
-    carry = coeffs[n]
-    for i in range(n - 1, -1, -1):
-        out[i] = carry
-        carry = (coeffs[i] + carry * lam) % p
-    assert carry % p == 0
-    return out
-
-
-def poly_eval_mat(coeffs: list[int], m: np.ndarray, p: int) -> np.ndarray:
-    n = m.shape[0]
-    acc = np.zeros((n, n), dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = (acc @ m + c * np.eye(n, dtype=np.int64)) % p
-    return acc
-
-
 def _square(m, p: int) -> np.ndarray:
     a = as_mat(m, p)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -79,9 +79,6 @@ class SympSpace:
         for vv in itertools.product(range(self.p), repeat=self.dim):
             yield vv
 
-    def sub_block(self, idx: tuple[int, ...]) -> "SympSpace":
-        return symp_space(self.p, self.gram_mat[np.ix_(idx, idx)])
-
 
 def symp_space(p: int, gram, blocks=None) -> SympSpace:
     """The space with the integer Gram matrix `gram`, reduced mod p."""

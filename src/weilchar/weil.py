@@ -352,17 +352,13 @@ def _phase_normalize(m: np.ndarray) -> np.ndarray:
     return m * (abs(val) / val)
 
 
-def schur_intertwiner(model_a: WeilModel, model_b: WeilModel, phi, seed: int = 0, check: bool = True) -> np.ndarray:
+def schur_intertwiner(model_a: WeilModel, model_b: WeilModel, phi: SpElem, seed: int = 0,
+                      check: bool = True) -> np.ndarray:
     """Nonzero T with T rho_a(h) = rho_b(phi h) T, by averaging
     rho_b(phi h) A0 rho_a(h)^{-1} over H(V_a)/center; unitary- and
-    phase-normalized, deterministic for a fixed seed.
-
-    phi: an SpElem of the common space, or a raw matrix mapping a-coordinates
-    to b-coordinates preserving the forms."""
-    if isinstance(phi, SpElem):
-        phi_mat = phi.mat_np
-    else:
-        phi_mat = np.asarray(phi, dtype=np.int64)
+    phase-normalized, deterministic for a fixed seed.  phi is an element of
+    the space both models share."""
+    phi_mat = phi.mat_np
     p = model_a.p
     if model_b.p != p:
         raise WeilError("mixed characteristics")

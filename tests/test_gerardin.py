@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from weilchar import ffield as ff, gerardin as ger, modp, symplectic as sym, weil
+from weilchar import checks, ffield as ff, gerardin as ger, modp, symplectic as sym, weil
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +147,129 @@ def test_restrict_map_on_the_zero_space_is_0x0():
     m = ger.restrict_map(g, [])
     assert m.shape == (0, 0)
     assert modp.det(m, 5) == 1
+
+
+# sha256s of the subspace and recursion outputs, generated before the subspace
+# layer was rewritten around one row reduction per question: every semisimple
+# g of Sp_2(F_3/5/7) and the block-diagonal semisimple pairs of Sp_4(F_3).
+GERARDIN_DIGESTS = json.loads((pathlib.Path(__file__).parent / "gerardin_digests.json").read_text())
+
+
+def _or_raised(fn, *args):
+    try:
+        return fn(*args)
+    except ger.GerardinError as exc:
+        return "raises %s" % type(exc).__name__
+
+
+def gerardin_outputs(elements) -> dict[str, str]:
+    outs = {"vprime": [], "complement": [], "polarizations": [], "weil_char": []}
+    for g in elements:
+        outs["vprime"].append(_or_raised(ger.maximal_invariant_isotropic, g))
+        fixed = modp.kernel_basis((g.mat_np - np.eye(g.space.dim, dtype=np.int64)) % g.space.p, g.space.p)
+        if fixed:
+            line = tuple(int(x) for x in fixed[0])
+            outs["complement"].append(_or_raised(ger.invariant_complement_in_perp, g, line))
+        outs["polarizations"].append(list(ger.invariant_polarizations(g)))
+        outs["weil_char"].append(repr(_or_raised(ger.weil_char, g)))
+    return {k: hashlib.sha256(json.dumps(v).encode()).hexdigest() for k, v in outs.items()}
+
+
+def digest_groups():
+    groups = {}
+    for p in (3, 5, 7):
+        space = sym.standard_polarized_space(p, 1)
+        groups["Sp_2(F_%d)" % p] = [g for g in sym.sp_elements(space) if g.is_semisimple()]
+    v2 = sym.standard_polarized_space(3, 1)
+    vsum = sym.direct_sum([v2, v2])
+    ss = groups["Sp_2(F_3)"]
+    groups["Sp_4(F_3) block pairs"] = [sym.block_diagonal(vsum, [g1.mat_np, g2.mat_np]) for g1 in ss for g2 in ss]
+    return groups
+
+
+@pytest.mark.parametrize("label", ["Sp_2(F_3)", "Sp_2(F_5)", "Sp_2(F_7)", "Sp_4(F_3) block pairs"])
+def test_formula_side_pinned(label):
+    elements = digest_groups()[label]
+    assert len(elements) == {"Sp_2(F_3)": 8, "Sp_2(F_5)": 72, "Sp_2(F_7)": 240, "Sp_4(F_3) block pairs": 64}[label]
+    assert gerardin_outputs(elements) == GERARDIN_DIGESTS[label]
+
+
+def test_recursive_char_matches_oracle_on_cell_elements():
+    # 32 seeded semisimple Bruhat-cell elements per group: the recursion peels
+    # fixed lines and, fixed-point free, builds V' greedily, at times in
+    # several steps
+    worst = 0.0
+    several_steps = 0
+    for p, n in [(3, 2), (5, 2), (7, 2), (3, 3), (3, 4)]:
+        model = weil.WeilModel(sym.standard_polarized_space(p, n))
+        rng = np.random.default_rng(p + 10 * n)
+        els = []
+        draws = 0
+        while len(els) < 32:
+            g = checks.cell_element(model, draws % (n + 1), rng)
+            draws += 1
+            if g.is_semisimple():
+                els.append(g)
+        worst = max(worst, *(abs(ger.weil_char(g) - model.trace_omega(g)) for g in els))
+        several_steps += sum(len(ger.maximal_invariant_isotropic(g)) > 1 for g in els if not g.fixed_space_dim())
+    assert worst <= 1e-8
+    assert several_steps >= 3
+
+
+DIAG_2_3 = [[2, 0], [0, 3]]
+
+
+def test_restrict_map_refuses_a_dependent_basis():
+    g = sym.sp_elem(sym.standard_polarized_space(5, 1), DIAG_2_3)
+    with pytest.raises(ger.GerardinError, match="basis vectors are dependent"):
+        ger.restrict_map(g, [(1, 0), (2, 0)])
+
+
+def test_no_fixed_point_refuses_a_dependent_vprime():
+    g = sym.sp_elem(sym.standard_polarized_space(5, 1), DIAG_2_3)
+    with pytest.raises(ger.GerardinError, match="basis vectors are dependent"):
+        ger.char_no_fixed_point(g, [(1, 0), (2, 0)])
+
+
+def test_fixed_line_refuses_a_dependent_v0():
+    v2 = sym.standard_polarized_space(3, 1)
+    # weyl moves (1, 0, 0, 0) off its line, yet the V0 must be refused for
+    # its dependence, not for a span that is not invariant
+    weyl = np.array([[0, 1], [2, 0]])
+    gbig = sym.block_diagonal(sym.direct_sum([v2, v2]), [weyl, np.eye(2, dtype=np.int64)])
+    with pytest.raises(ger.GerardinError, match="basis vectors are dependent"):
+        ger.char_fixed_line(gbig, (0, 0, 1, 0), [(1, 0, 0, 0), (2, 0, 0, 0)])
+
+
+def _red_gerardin_checks(name, faulty):
+    orig = getattr(ger, name)
+    setattr(ger, name, faulty)
+    try:
+        rows, _ = checks.run_checks("gerardin")
+    finally:
+        setattr(ger, name, orig)
+    assert getattr(ger, name) is orig
+    return {r.scenario_id for r in rows if not r.passed}
+
+
+def test_restrict_map_without_invariance_test_turns_checks_red():
+    # seeded fault: [B | gB] read off without asking whether gB stays in span(B)
+    def faulty(g, basis):
+        k = len(basis)
+        b = ger._basis_mat(g.space, basis).T
+        red, piv = modp.rref(np.hstack([b, g.mat_np @ b]), g.space.p)
+        if piv[:k] != list(range(k)):
+            raise ger.GerardinError("basis vectors are dependent")
+        return red[:k, k:]
+
+    red = _red_gerardin_checks("restrict_map", faulty)
+    assert red == {"gerardin.polarized", "gerardin.polarized-agrees", "gerardin.vprime"}
+
+
+def test_complement_keeping_every_vector_turns_checks_red():
+    # seeded fault: no vector of the big basis is recognised as lying in the span
+    def faulty(big_basis, small_basis, p):
+        return [tuple(int(x) % p for x in v) for v in big_basis]
+
+    red = _red_gerardin_checks("complement_in", faulty)
+    assert red == {"gerardin.vprime", "gerardin.fixed-line"}

@@ -145,6 +145,17 @@ def test_datum_validation():
         lat.RootDatum(1, ((1,), (-1,)), ((2,), (-2,)), ((2,),))
 
 
+def test_datum_validation_checks_coroots_against_theta():
+    # A1 x A1 with skewed coroots: the swap permutes the roots, but the
+    # coroot of theta(a) is not theta^{-T}(a^), so only theta = id is a datum
+    roots = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    coroots = ((2, 1), (0, 2), (-2, -1), (0, -2))
+    with pytest.raises(lat.LatticeError, match="coroots"):
+        lat.RootDatum(2, roots, coroots, ((0, 1), (1, 0)))
+    d = lat.RootDatum(2, roots, coroots, ((1, 0), (0, 1)))
+    assert d.theta_orbit((1, 0)) == [(1, 0)]
+
+
 def test_type_2_and_3_pair_up():
     # a type-2 restricted root doubles to a type-3 one and vice versa
     cat = lat.catalogue()
