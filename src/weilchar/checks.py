@@ -721,6 +721,37 @@ def check_fixed_line_formula() -> list[Row]:
     return rows
 
 
+def check_weil_char_fixed_point_free(ps=(3, 5), per_p: int = 8, seed: int = 0) -> list[Row]:
+    """gerardin.weil_char = trace_omega on seeded fixed-point-free semisimple
+    elements of Sp_4(F_p): cell-element conjugates of Levi elements
+    diag(A, A^-T) whose A has no eigenvalue 1.  When A splits over F_p, V'
+    takes more than one greedy step; the row fails if no element needs one."""
+    rng = np.random.default_rng(seed)
+    zero, ident = np.zeros((2, 2), dtype=np.int64), np.eye(2, dtype=np.int64)
+    worst, several = 0.0, 0
+    for p in ps:
+        model = weil.WeilModel(sym.standard_polarized_space(p, 2))
+        found = 0
+        while found < per_p:
+            a = rng.integers(0, p, (2, 2))
+            if modp.det(a, p) == 0 or modp.det((a - ident) % p, p) == 0:
+                continue
+            levi = np.block([[a, zero], [zero, modp.mat_inv(a, p).T]])
+            m = sym.sp_elem(model.space, model.from_std @ levi @ model.to_std % p)
+            if not m.is_semisimple():
+                continue
+            c = cell_element(model, found % 3, rng)
+            g = c * m * c.inverse()
+            found += 1
+            several += len(gerardin.maximal_invariant_isotropic(g)) > 1
+            worst = max(worst, abs(gerardin.weil_char(g) - model.trace_omega(g)))
+    label = "weil_char fixed-point-free Sp_4(F_%s) (%d elements, %d with a multi-line V')" % (
+        "/".join(map(str, ps)), per_p * len(ps), several)
+    row = Row.compare("gerardin", label, worst, 0, 1e-8)
+    row.passed = row.passed and several > 0
+    return [row]
+
+
 # ---------------------------------------------------------------------------
 # signcalc
 
@@ -1047,6 +1078,7 @@ CHECKS = [
     ("gerardin.polarized-agrees", check_polarized_agrees_with_semisimple),
     ("gerardin.vprime", check_no_fixed_point_choice_independence),
     ("gerardin.fixed-line", check_fixed_line_formula),
+    ("gerardin.weil-char", check_weil_char_fixed_point_free),
     ("signcalc.oracle", check_sign_formula_vs_oracle),
     ("signcalc.ram-empty", check_ram_empty),
     ("signcalc.eta-constraint", check_eta_constraint_both_directions),

@@ -322,7 +322,8 @@ def _prime_factors(n: int) -> list[int]:
 def _mult_matrix(desc: FieldDesc, x: tuple[int, ...]) -> np.ndarray:
     """The k x k matrix of multiplication by x in the polynomial basis,
     sum x_i C^i with C the companion matrix of the modulus (multiplication
-    by t); needs no table."""
+    by t); needs no table, so table_arrays can find its generator with it
+    (symplectic.mult_matrix is the gather everyone else uses)."""
     p, k = desc.p, desc.degree
     comp = np.eye(k, k, -1, dtype=np.int64)
     comp[:, -1] = [-c % p for c in desc.modulus[:k]]
@@ -345,10 +346,12 @@ def _is_one_power(m: np.ndarray, e: int, p: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _tables(desc: FieldDesc) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """(exp, log) of desc: exp[i] is the coefficient vector of g^i for
-    0 <= i < q - 1, with g the first unit in canonical order whose powers
-    reach every unit, and log[x.index()] = i for x = g^i (log[0] = -1).
+def table_arrays(desc: FieldDesc) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, log) of desc as read-only int16 arrays, one pair per field:
+    exp[i] (a row of q - 1 rows) is the coefficient vector of g^i, with g
+    the first unit in canonical order whose powers reach every unit, and
+    log[x.index()] = i for x = g^i (log[0] = -1).  Every entry is below
+    FIELD_CAP, so int16 holds it; gathers widen what they take to int64.
 
     g has full order when g^((q-1)/r) != 1 for every prime r | q - 1; exp
     doubles from [1]: with g^m's multiplication matrix M, the powers
@@ -370,6 +373,16 @@ def _tables(desc: FieldDesc) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ..
         m *= 2
     log = np.full(desc.order, -1, dtype=np.int64)
     log[exp @ p ** np.arange(k, dtype=np.int64)] = np.arange(n)
+    exp, log = exp.astype(np.int16), log.astype(np.int16)
+    exp.flags.writeable = False
+    log.flags.writeable = False
+    return exp, log
+
+
+@lru_cache(maxsize=None)
+def _tables(desc: FieldDesc) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """table_arrays(desc) as tuples, for the element arithmetic's lookups."""
+    exp, log = table_arrays(desc)
     # zip builds the row tuples from k column lists of small cached ints,
     # with no list object per row
     return tuple(zip(*exp.T.tolist())), tuple(log.tolist())
@@ -387,7 +400,7 @@ def _embedding_root(sub: FieldDesc, big: FieldDesc) -> FieldElem:
     all of them at once, y^j gathered from the exp table at j l mod (Q - 1)."""
     if sub.degree == 1:
         return big.one()
-    exp = np.array(_tables(big)[0], dtype=np.int64)
+    exp = table_arrays(big)[0].astype(np.int64)
     logs = np.arange(0, len(exp), (big.order - 1) // (sub.order - 1))
     values = sum(c * exp[j * logs % len(exp)] for j, c in enumerate(sub.modulus) if c) % big.p
     roots = exp[logs[~values.any(axis=1)]]

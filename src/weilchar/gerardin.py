@@ -234,12 +234,13 @@ def maximal_invariant_isotropic(g: SpElem) -> list[tuple[int, ...]]:
     """Greedy maximal g-invariant totally isotropic subspace for semisimple g:
     while some eigenvalue has an eigenvector in V'^perp outside V' (for
     semisimple g, an eigenline of V'^perp/V' lifts to one), add the first
-    such vector of the least such eigenvalue."""
+    such vector of the least such eigenvalue.  An isotropic subspace has
+    dimension at most dim V / 2, so the greedy stops there."""
     space = g.space
     p = space.p
     ident = np.eye(space.dim, dtype=np.int64)
     vprime: list[tuple[int, ...]] = []
-    while True:
+    while len(vprime) < space.dim // 2:
         in_perp = _basis_mat(space, vprime) @ space.gram_mat
         for lam in range(p):
             # the lam-eigenvectors inside V'^perp
@@ -249,7 +250,8 @@ def maximal_invariant_isotropic(g: SpElem) -> list[tuple[int, ...]]:
                 vprime.append(new[0])
                 break
         else:
-            return vprime
+            break
+    return vprime
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import ffield, modp, symplectic as sym, weil
 from .ffield import FieldDesc, FieldElem
@@ -79,15 +79,47 @@ def _perm_order(a: tuple[int, ...]) -> int:
     raise SignCalcError("permutation order bound exceeded")
 
 
+def _cycle(perm: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """The orbit of a under the powers of perm, starting at a."""
+    out = [a]
+    cur = perm[a]
+    while cur != a:
+        out.append(cur)
+        cur = perm[cur]
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class _RootInvariants:
+    """What an OrbitAction knows about one root, computed once."""
+
+    gamma: tuple[int, ...]  # the Gamma-orbit, frobenius^j(a) at j
+    theta: tuple[int, ...]  # the Theta-orbit, theta^j(a) at j
+    sigma: frozenset  # the Sigma-orbit: gamma and its negation
+    symmetric: bool
+    m: int
+    branch_sign: int | None
+    sigma_exp: int
+    tau_exp: int | None  # None for asymmetric roots
+    deg_pm_alpha: int
+    deg_res: int
+    deg_pm_res: int
+
+
 @dataclass(frozen=True)
 class OrbitAction:
     """Abstract roots with commuting actions: cyclic Galois group generated by
-    `frobenius`, fixed-point-free negation, and a finite-order twist."""
+    `frobenius`, fixed-point-free negation, and a finite-order twist.
+
+    Every per-root invariant (orbits, symmetry, m, l, branch sign, the
+    sigma/tau exponents, residue degrees) is computed once on construction."""
 
     size: int
     frobenius: tuple[int, ...]
     neg: tuple[int, ...]
     theta: tuple[int, ...]
+    theta_order: int = field(init=False, repr=False, compare=False, hash=False)
+    _roots: tuple[_RootInvariants, ...] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         n = self.size
@@ -102,100 +134,101 @@ class OrbitAction:
         for a, b in itertools.combinations((self.frobenius, self.neg, self.theta), 2):
             if _perm_mul(a, b) != _perm_mul(b, a):
                 raise SignCalcError("actions do not commute")
+        gammas = [_cycle(self.frobenius, a) for a in range(n)]
+        symmetric = [self.neg[a] in gammas[a] for a in range(n)]
         for a in range(n):
-            if self.is_symmetric(self.theta[a]) != self.is_symmetric(a):
+            if symmetric[self.theta[a]] != symmetric[a]:
                 raise SignCalcError("theta does not preserve the symmetry partition")
+        object.__setattr__(self, "theta_order", _perm_order(self.theta))
+        object.__setattr__(self, "_roots", tuple(self._invariants(a, gammas[a], symmetric[a]) for a in range(n)))
 
-    @property
-    def theta_order(self) -> int:
-        return _perm_order(self.theta)
+    def _invariants(self, a: int, gamma: tuple[int, ...], symmetric: bool) -> _RootInvariants:
+        neg = self.neg
+        theta = _cycle(self.theta, a)
+        sigma = frozenset(gamma) | frozenset(neg[x] for x in gamma)
+        # m: the first theta^m(a) back in the Sigma-orbit (theta^l(a) = a is)
+        m = next(j for j in range(1, len(theta) + 1) if theta[j % len(theta)] in sigma)
+        target = theta[m % len(theta)]
+        # sigma_alpha carries a to (-)^branch theta^m(a); the branch sign is
+        # +1 if theta^m(a) lands in the Gamma-orbit, -1 if in the negated one.
+        # Either way goal lies in gamma: neg commutes with frobenius, and on a
+        # symmetric root the Sigma-orbit is gamma itself.
+        if symmetric:
+            branch_sign, goal = None, target
+        elif target in gamma:
+            branch_sign, goal = 1, target
+        else:
+            branch_sign, goal = -1, neg[target]
+        theta_set = frozenset(theta)
+        return _RootInvariants(
+            gamma=gamma,
+            theta=theta,
+            sigma=sigma,
+            symmetric=symmetric,
+            m=m,
+            branch_sign=branch_sign,
+            sigma_exp=gamma.index(goal),
+            tau_exp=gamma.index(neg[a]) if symmetric else None,
+            deg_pm_alpha=len({frozenset((x, neg[x])) for x in gamma}),
+            deg_res=self._translates(theta_set),
+            deg_pm_res=self._translates(theta_set | frozenset(neg[x] for x in theta)),
+        )
 
     def theta_pow(self, a: int, j: int) -> int:
-        orb = self.theta_orbit(a)
+        orb = self._roots[a].theta
         return orb[j % len(orb)]
 
     def gamma_orbit(self, a: int) -> list[int]:
-        out = [a]
-        cur = self.frobenius[a]
-        while cur != a:
-            out.append(cur)
-            cur = self.frobenius[cur]
-        return out
+        return list(self._roots[a].gamma)
 
     def sigma_orbit(self, a: int) -> set[int]:
-        orb = set(self.gamma_orbit(a))
-        return orb | {self.neg[x] for x in orb}
+        return set(self._roots[a].sigma)
 
     def theta_orbit(self, a: int) -> list[int]:
-        out = [a]
-        cur = self.theta[a]
-        while cur != a:
-            out.append(cur)
-            cur = self.theta[cur]
-        return out
+        return list(self._roots[a].theta)
 
     def theta_cluster(self, a: int) -> set[int]:
         """The <Sigma, Theta>-orbit of a: the Sigma-orbits along its Theta-orbit."""
-        return set().union(*(self.sigma_orbit(b) for b in self.theta_orbit(a)))
+        return set().union(*(self._roots[b].sigma for b in self._roots[a].theta))
 
     def is_symmetric(self, a: int) -> bool:
-        return self.neg[a] in self.gamma_orbit(a)
+        return self._roots[a].symmetric
 
     def m_alpha(self, a: int) -> int:
-        sig = self.sigma_orbit(a)
-        cur = self.theta[a]
-        m = 1
-        while cur not in sig:
-            cur = self.theta[cur]
-            m += 1
-        return m
+        return self._roots[a].m
 
     def l_alpha(self, a: int) -> int:
-        return len(self.theta_orbit(a))
+        return len(self._roots[a].theta)
 
     def branch_sign(self, a: int) -> int | None:
         """For asymmetric a: +1 if theta^m(a) lands in the Gamma-orbit, -1 if
         in the negated one (then a_res is symmetric); None for symmetric a."""
-        if self.is_symmetric(a):
-            return None
-        target = self.theta_pow(a, self.m_alpha(a))
-        if target in self.gamma_orbit(a):
-            return 1
-        return -1
+        return self._roots[a].branch_sign
 
     def sigma_exponent(self, a: int) -> int:
         """Smallest j with frobenius^j(a) = sigma_alpha(a), the chosen element
         of Gamma carrying a to (-)^branch theta^m(a)."""
-        target = self.theta_pow(a, self.m_alpha(a))
-        if self.is_symmetric(a):
-            goal = target
-        else:
-            goal = target if self.branch_sign(a) == 1 else self.neg[target]
-        orb = self.gamma_orbit(a)
-        if goal not in orb:
-            raise SignCalcError("sigma_alpha does not exist (inconsistent action)")
-        return orb.index(goal)
+        return self._roots[a].sigma_exp
 
     def tau_exponent(self, a: int) -> int:
         """Smallest j with frobenius^j(a) = -a (symmetric a only)."""
-        if not self.is_symmetric(a):
+        tau = self._roots[a].tau_exp
+        if tau is None:
             raise SignCalcError("tau_alpha only exists for symmetric roots")
-        return self.gamma_orbit(a).index(self.neg[a])
+        return tau
 
     # F-level degrees from stabilizer indices
     def deg_alpha(self, a: int) -> int:
-        return len(self.gamma_orbit(a))
+        return len(self._roots[a].gamma)
 
     def deg_pm_alpha(self, a: int) -> int:
-        sets = {frozenset((x, self.neg[x])) for x in self.gamma_orbit(a)}
-        return len(sets)
+        return self._roots[a].deg_pm_alpha
 
     def deg_res(self, a: int) -> int:
-        return self._translates(frozenset(self.theta_orbit(a)))
+        return self._roots[a].deg_res
 
     def deg_pm_res(self, a: int) -> int:
-        orb = self.theta_orbit(a)
-        return self._translates(frozenset(orb) | frozenset(self.neg[x] for x in orb))
+        return self._roots[a].deg_pm_res
 
     def _translates(self, roots: frozenset) -> int:
         """How many distinct sets frobenius^j(roots) there are."""

@@ -301,21 +301,39 @@ def standard_polarized_space(p: int, n: int) -> SympSpace:
 # Field-element matrices (multiplication and Frobenius as F_p-linear maps)
 
 
-def _power_basis_matrix(desc: FieldDesc, image) -> np.ndarray:
-    """Matrix of an F_p-linear map of desc in the polynomial basis: column i
-    is image(t^i), t = desc.gen()."""
-    t = desc.gen()
-    return np.array([image(t**i).coeffs for i in range(desc.degree)], dtype=np.int64).T
+@lru_cache(maxsize=None)
+def _basis_logs(desc: FieldDesc) -> np.ndarray:
+    """log t^i for the polynomial basis t^i, i < degree, of desc."""
+    exp, log = ffield.table_arrays(desc)
+    out = np.arange(desc.degree) * int(log[desc.gen().index()]) % len(exp)
+    out.flags.writeable = False
+    return out
 
 
 def mult_matrix(x: FieldElem) -> np.ndarray:
-    """Matrix of y -> x*y on x.parent in the polynomial basis."""
-    return _power_basis_matrix(x.parent, x.__mul__)
+    """Matrix of y -> x*y on x.parent in the polynomial basis: column i is
+    x t^i = g^(log x + log t^i), gathered from the exp table."""
+    desc = x.parent
+    exp, log = ffield.table_arrays(desc)
+    a = int(log[x.index()])
+    if a < 0:
+        return np.zeros((desc.degree, desc.degree), dtype=np.int64)
+    return exp[(a + _basis_logs(desc)) % len(exp)].T.astype(np.int64)
 
 
 def frobenius_matrix(desc: FieldDesc, j: int = 1) -> np.ndarray:
-    """Matrix of y -> y^(p^j) on desc in the polynomial basis."""
-    return _power_basis_matrix(desc, lambda y: y.frobenius(j))
+    """Matrix of y -> y^(p^j) on desc in the polynomial basis; cached and
+    read-only."""
+    return _frobenius_matrix(desc, j % desc.degree)
+
+
+@lru_cache(maxsize=None)
+def _frobenius_matrix(desc: FieldDesc, j: int) -> np.ndarray:
+    """Column i is (t^i)^(p^j) = g^(p^j log t^i), gathered from the exp table."""
+    exp = ffield.table_arrays(desc)[0]
+    out = exp[desc.p**j * _basis_logs(desc) % len(exp)].T.astype(np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def coords_to_elem(desc: FieldDesc, coords) -> FieldElem:
@@ -419,12 +437,19 @@ def trace_form_gram(k: FieldDesc, c: FieldElem, tau_exp: int | None = None) -> n
     basis t^i of k.gen(); tau = Frobenius^tau_exp, or the identity if None.
 
     Entry (i, j) is Tr(t^i y) for y = C tau(t^j), column j of M_C F_tau; Tr
-    is F_p-linear, so G = H M_C F_tau with H[i, j] = Tr(t^(i+j)), the trace
-    of the matrix of multiplication by t^(i+j)."""
+    is F_p-linear, so G = H M_C F_tau with the trace Hankel H of k."""
+    return trace_hankel(k) @ mult_matrix(c) @ frobenius_matrix(k, tau_exp or 0) % k.p
+
+
+@lru_cache(maxsize=None)
+def trace_hankel(k: FieldDesc) -> np.ndarray:
+    """H[i, j] = Tr(t^(i+j)) mod p, read as the trace of the matrix of
+    multiplication by t^(i+j); cached and read-only."""
     d, t = k.degree, k.gen()
-    traces = [int(np.trace(mult_matrix(t**n))) for n in range(2 * d - 1)]
-    hankel = np.array([traces[i : i + d] for i in range(d)], dtype=np.int64)
-    return hankel @ mult_matrix(c) @ frobenius_matrix(k, tau_exp or 0) % k.p
+    traces = [int(np.trace(mult_matrix(t**n))) % k.p for n in range(2 * d - 1)]
+    out = np.array([traces[i : i + d] for i in range(d)], dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def field_block(k: FieldDesc, c: FieldElem, tau_exp: int | None = None) -> SympSpace:

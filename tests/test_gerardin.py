@@ -272,4 +272,19 @@ def test_complement_keeping_every_vector_turns_checks_red():
         return [tuple(int(x) % p for x in v) for v in big_basis]
 
     red = _red_gerardin_checks("complement_in", faulty)
-    assert red == {"gerardin.vprime", "gerardin.fixed-line"}
+    assert red == {"gerardin.vprime", "gerardin.fixed-line", "gerardin.weil-char"}
+
+
+def test_one_step_vprime_turns_weil_char_red():
+    # the weil-char row sees V' grow past its first line on split Levi parts
+    [row] = checks.check_weil_char_fixed_point_free()
+    several = int(row.quantity.split(", ")[1].split()[0])
+    assert row.passed and several > 0, row
+
+    # seeded fault: the greedy returns after its first vector
+    orig = ger.maximal_invariant_isotropic
+
+    def faulty(g):
+        return orig(g)[:1]
+
+    assert _red_gerardin_checks("maximal_invariant_isotropic", faulty) == {"gerardin.weil-char"}

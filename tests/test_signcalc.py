@@ -403,6 +403,65 @@ def test_orbit_action_lookups_equal_permutation_powers():
             assert act.deg_pm_res(a) == len({frozenset(f[x] for x in pm) for f in frob_pows})
 
 
+def _walk(perm, a):
+    out, cur = [a], perm[a]
+    while cur != a:
+        out.append(cur)
+        cur = perm[cur]
+    return out
+
+
+def test_cached_root_invariants_equal_the_orbit_walks():
+    # every one-orbit action with d <= 8: each cached invariant against the
+    # orbit walks OrbitAction did per call before it cached them
+    for d in range(1, 9):
+        for symmetric in (False, True) if d % 2 == 0 else (False,):
+            for shift in range(d):
+                for neg in (False, True):
+                    act = sc.one_orbit_action(d, symmetric, shift, neg)
+                    assert act.theta_order == len(_walk(act.theta, 0))
+                    for a in range(act.size):
+                        gamma, theta = _walk(act.frobenius, a), _walk(act.theta, a)
+                        sigma = set(gamma) | {act.neg[x] for x in gamma}
+                        sym_a = act.neg[a] in gamma
+                        m, cur = 1, act.theta[a]
+                        while cur not in sigma:
+                            cur, m = act.theta[cur], m + 1
+                        target = theta[m % len(theta)]
+                        bs = None if sym_a else (1 if target in gamma else -1)
+                        goal = act.neg[target] if bs == -1 else target
+
+                        def translates(roots):
+                            seen = set()
+                            while roots not in seen:
+                                seen.add(roots)
+                                roots = frozenset(act.frobenius[x] for x in roots)
+                            return len(seen)
+
+                        assert act.gamma_orbit(a) == gamma and act.theta_orbit(a) == theta
+                        assert act.sigma_orbit(a) == sigma and act.is_symmetric(a) == sym_a
+                        assert (act.m_alpha(a), act.l_alpha(a), act.branch_sign(a)) == (m, len(theta), bs)
+                        assert act.sigma_exponent(a) == gamma.index(goal)
+                        if sym_a:
+                            assert act.tau_exponent(a) == gamma.index(act.neg[a])
+                        else:
+                            with pytest.raises(sc.SignCalcError, match="tau_alpha only exists"):
+                                act.tau_exponent(a)
+                        assert act.deg_alpha(a) == len(gamma)
+                        assert act.deg_pm_alpha(a) == len({frozenset((x, act.neg[x])) for x in gamma})
+                        assert act.deg_res(a) == translates(frozenset(theta))
+                        assert act.deg_pm_res(a) == translates(frozenset(theta) | {act.neg[x] for x in theta})
+                        for j in range(-2, 2 * len(theta)):
+                            assert act.theta_pow(a, j) == theta[j % len(theta)]
+
+
+def test_cached_invariants_stay_out_of_eq_hash_and_repr():
+    a, b = sc.one_orbit_action(4, False, 1, True), sc.one_orbit_action(4, False, 1, True)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert "_roots" not in repr(a) and "theta_order" not in repr(a)
+    assert [f.name for f in dataclasses.fields(a) if f.compare] == ["size", "frobenius", "neg", "theta"]
+
+
 def test_m3_chain_over_f5():
     # three blocks rotated cyclically (theta of order 3, p = 5): the composite
     # of three intertwiners must normalize to the block twist operator

@@ -252,6 +252,69 @@ def test_trace_form_gram_is_the_trace_form():
             d += 1
 
 
+def _fields_under_cap():
+    for p in (3, 5, 7, 11, 13):
+        d = 1
+        while p**d <= ff.FIELD_CAP:
+            yield ff.field(p, d)
+            d += 1
+
+
+def _times_t(k):
+    """Multiplication by t = k.gen() from the modulus alone: the companion
+    matrix (t = 1 in degree 1)."""
+    if k.degree == 1:
+        return np.eye(1, dtype=np.int64)
+    comp = np.eye(k.degree, k.degree, -1, dtype=np.int64)
+    comp[:, -1] = [-c % k.p for c in k.modulus[: k.degree]]
+    return comp
+
+
+def test_mult_matrix_is_multiplication_on_every_element():
+    # column i of mult_matrix(x) is x t^i = C^i x, for every element of every
+    # field under the cap with p <= 13, zero included
+    for k in _fields_under_cap():
+        xs = list(k.elements())
+        coeffs = np.array([x.coeffs for x in xs], dtype=np.int64)
+        want = np.empty((len(xs), k.degree, k.degree), dtype=np.int64)
+        comp, power = _times_t(k), np.eye(k.degree, dtype=np.int64)
+        for i in range(k.degree):
+            want[:, :, i] = coeffs @ power.T % k.p
+            power = comp @ power % k.p
+        got = np.array([sym.mult_matrix(x) for x in xs])
+        assert (got == want).all(), k
+        assert not sym.mult_matrix(k.zero()).any()
+
+
+def test_frobenius_matrix_and_trace_hankel_are_their_definitions():
+    for k in _fields_under_cap():
+        p, d = k.p, k.degree
+        for j in range(-d, 2 * d):
+            # column i is (t^i)^(p^j), a polynomial power mod the modulus
+            if d == 1:
+                want = [[1]]
+            else:
+                cols = [ff._poly_powmod([0] * i + [1], p ** (j % d), list(k.modulus), p) for i in range(d)]
+                want = [[(col + [0] * d)[r] for col in cols] for r in range(d)]
+            assert sym.frobenius_matrix(k, j).tolist() == want, (k, j)
+        f1 = ff.field(p, 1)
+        t = k.gen()
+        want = [[ff.trace_to(t ** (i + j), f1).coeffs[0] for j in range(d)] for i in range(d)]
+        assert sym.trace_hankel(k).tolist() == want, k
+
+
+def test_cached_field_matrices_are_read_only():
+    for k in _fields_under_cap():
+        exp, log = ff.table_arrays(k)
+        cached = [exp, log, sym.trace_hankel(k)] + [sym.frobenius_matrix(k, j) for j in range(k.degree)]
+        for arr in cached:
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
+    # a gathered multiplication matrix is the caller's own
+    m = sym.mult_matrix(ff.field(5, 2).gen())
+    m[0, 0] = 1
+
+
 def test_hyperbolic_basis_on_funny_forms():
     # B^T G B is the standard (e, f) Gram matrix on every space: a trace form
     # over F_9, every sign block up to degree 4 for p = 3, 5, 7, and direct sums
