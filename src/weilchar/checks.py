@@ -391,11 +391,7 @@ def check_rho_homomorphism(seed: int = 0) -> list[Row]:
             # rho(a) rho(b) for every b by one gather: row t goes to column
             # cols[b, cols[a, t]] with phase phases[a, t] phases[b, cols[a, t]]
             got_cols, got = cols[:, cols[a]], phases[a] * phases[:, cols[a]]
-            want_cols, want = cols[grp.mul[a]], phases[grp.mul[a]]
-            # the max-norm of the difference of two monomial matrices: where
-            # a row's columns differ, it holds both unit entries
-            diff = np.where(got_cols == want_cols, np.abs(got - want), np.maximum(np.abs(got), np.abs(want)))
-            worst = max(worst, float(diff.max()))
+            worst = max(worst, weil.monomial_distance(got_cols, got, cols[grp.mul[a]], phases[grp.mul[a]]))
         rows.append(Row.compare("weil", "rho homomorphism p=%d exhaustive" % p, worst, 0, 1e-10))
         # irreducibility: sum |tr rho(h)|^2 = |H|, the trace read off the diagonal
         traces = np.where(cols == np.arange(model.dim), phases, 0).sum(axis=1)
@@ -504,33 +500,37 @@ def _fixed_and_swapped_pair(p: int, seed: int) -> weil.BlockTwist:
     return weil.block_twist([(ident, 1), (ident, 2)], seed=seed)
 
 
-def check_twisted_trace_decomposition(seed: int = 0) -> list[Row]:
-    """Product formula equals the direct tensor trace on the fixtures."""
-    rows = []
-    # p = 3: two swapped blocks, every block-preserving pair
+def twisted_trace_fixtures(seed: int = 0) -> list[tuple[str, weil.BlockTwist, list[sym.SpElem]]]:
+    """Criterion 04's fixtures as (label, block twist, elements) triples:
+    two swapped blocks at p = 3 with every block-preserving pair, and at
+    p = 5 one fixed block plus a swapped pair, both closed by a loop of
+    order 3, on torus elements and a sample."""
     bt = _two_swapped_blocks(3, seed)
     els = sym.sp_elements(sym.standard_polarized_space(3, 1))
-    worst = 0.0
-    for g1 in els:
-        for g2 in els:
-            r = weil.twisted_trace(bt, sym.block_diagonal(bt.space, [g1.mat_np, g2.mat_np]))
-            worst = max(worst, abs(r.product_value - r.direct_value))
-    rows.append(Row.compare("weil", "twisted trace p=3 two swapped blocks (all pairs)", worst, 0, 1e-8, seed=seed))
+    pairs = [sym.block_diagonal(bt.space, [g1.mat_np, g2.mat_np]) for g1 in els for g2 in els]
 
-    # p = 5: one fixed plus two swapped blocks; torus elements and a sample
-    bt3 = _fixed_and_swapped_pair(5, seed)
     v2 = sym.standard_polarized_space(5, 1)
+    loop = sym.sp_elem(v2, [[0, 4], [1, 4]])  # order 3: L and L^-1 give different traces
+    bt3 = weil.block_twist([(loop, 1), (loop, 2)], seed=seed)
     torus = [sym.sp_elem(v2, [[a, 0], [0, pow(a, 3, 5)]]) for a in (1, 2, 3, 4)]
-    rng = random.Random(seed)
-    els5 = sym.sp_elements(v2)
-    pool = torus + rng.sample(els5, 4)
-    worst3 = 0.0
-    for g0 in pool:
-        for g1 in pool[:5]:
-            for g2 in pool[:5]:
-                r = weil.twisted_trace(bt3, sym.block_diagonal(bt3.space, [g0.mat_np, g1.mat_np, g2.mat_np]))
-                worst3 = max(worst3, abs(r.product_value - r.direct_value))
-    rows.append(Row.compare("weil", "twisted trace p=5 fixed + swapped pair", worst3, 0, 1e-8, seed=seed))
+    pool = torus + random.Random(seed).sample(sym.sp_elements(v2), 4)
+    triples = [sym.block_diagonal(bt3.space, [g0.mat_np, g1.mat_np, g2.mat_np])
+               for g0 in pool for g1 in pool[:5] for g2 in pool[:5]]
+    return [
+        ("twisted trace p=3 two swapped blocks (all pairs)", bt, pairs),
+        ("twisted trace p=5 fixed + swapped pair, loops of order 3", bt3, triples),
+    ]
+
+
+def check_twisted_trace_decomposition(seed: int = 0) -> list[Row]:
+    """Product formula equals the direct trace on the whole direct sum."""
+    rows = []
+    for label, bt, gs in twisted_trace_fixtures(seed):
+        worst = 0.0
+        for g in gs:
+            r = weil.twisted_trace(bt, g)
+            worst = max(worst, abs(r.product_value - r.direct_value))
+        rows.append(Row.compare("weil", label, worst, 0, 1e-8, seed=seed))
     return rows
 
 

@@ -90,8 +90,11 @@ def split_space(p: int, x) -> SympSpace:
     """Two copies of F_p^n with Gram [[0, X], [-X^T, 0]]: both copies are
     Lagrangian, paired by X."""
     x = np.asarray(x, dtype=np.int64)
-    zero = np.zeros_like(x)
-    return symp_space(p, np.block([[zero, x], [-x.T, zero]]))
+    n = len(x)
+    gram = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    gram[:n, n:] = x
+    gram[n:, :n] = -x.T
+    return symp_space(p, gram)
 
 
 def standard_space(p: int, n: int) -> SympSpace:
@@ -163,6 +166,21 @@ def heis_elements(space: SympSpace):
             yield HeisElem(space, v, z)
 
 
+def heis_decode(space: SympSpace, positions) -> tuple[np.ndarray, np.ndarray]:
+    """(vs, zs) of the elements at the given heis_elements positions, the
+    vectors along a new last axis: position i is the base-p code of (v, z),
+    most significant digit first."""
+    p = space.p
+    digits = np.asarray(positions, dtype=np.int64)[..., None] // _heis_weights(space) % p
+    return digits[..., :-1], digits[..., -1]
+
+
+def _heis_weights(space: SympSpace) -> np.ndarray:
+    """Place values of the digits of a heis_elements position: (v, z) has
+    position (v, z) @ weights."""
+    return space.p ** np.arange(space.dim, -1, -1, dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class HeisGroup:
     """H(V) as an indexed table: elems in heis_elements order, vs[i] and
@@ -185,11 +203,9 @@ def heis_group(space: SympSpace) -> HeisGroup:
     if size > HEIS_ENUM_CAP:
         raise SymplecticError("|H| = %d exceeds the enumeration cap %d" % (size, HEIS_ENUM_CAP))
     elems = tuple(heis_elements(space))
-    vs = np.array([h.v for h in elems], dtype=np.int64)
-    zs = np.array([h.z for h in elems], dtype=np.int64)
+    vs, zs = heis_decode(space, np.arange(size))
     v, z = heis_law(space, vs[:, None], zs[:, None], vs[None], zs[None])
-    weights = p ** np.arange(dim, -1, -1, dtype=np.int64)
-    mul = (np.concatenate([v, z[..., None]], axis=-1) @ weights).astype(np.int16)
+    mul = (np.concatenate([v, z[..., None]], axis=-1) @ _heis_weights(space)).astype(np.int16)
     for arr in (vs, zs, mul):
         arr.flags.writeable = False  # shared through the cache
     return HeisGroup(elems, vs, zs, mul)
@@ -466,10 +482,13 @@ def plus_minus(plus: np.ndarray, minus: np.ndarray | None = None, sign: int | No
     when the map swaps the two lines (sign -1)."""
     if minus is None:
         return plus
-    zero = np.zeros_like(plus)
+    d = len(plus)
+    out = np.zeros((2 * d, 2 * d), dtype=np.result_type(plus, minus))
     if sign == 1:
-        return np.block([[plus, zero], [zero, minus]])
-    return np.block([[zero, plus], [minus, zero]])
+        out[:d, :d], out[d:, d:] = plus, minus
+    else:
+        out[:d, d:], out[d:, :d] = plus, minus
+    return out
 
 
 def plus_minus_parts(mat: np.ndarray, sign: int | None) -> tuple[np.ndarray, np.ndarray | None]:

@@ -34,6 +34,7 @@ from . import modp, symplectic as sym
 from .symplectic import HeisElem, SpElem, SympSpace
 
 SCHUR_RETRIES = 8
+GATHER_CHUNK_ENTRIES = 2**20  # entries per chunk of a batched rho gather: the Schur average, weil-verify
 
 
 class WeilError(Exception):
@@ -73,6 +74,14 @@ def dump_operator(m: np.ndarray) -> list:
     """Dense complex matrix as [[re, im], ...] rows for report files."""
     flat = np.asarray(m, dtype=complex).ravel()
     return [[round(float(x.real), 12), round(float(x.imag), 12)] for x in flat]
+
+
+def monomial_distance(cols1: np.ndarray, phases1: np.ndarray, cols2: np.ndarray, phases2: np.ndarray) -> float:
+    """Max-norm of the difference of monomial matrices given row by row as
+    (column, phase) arrays, as rho_parts returns them: where a row's columns
+    differ, the difference holds both entries."""
+    diff = np.where(cols1 == cols2, np.abs(phases1 - phases2), np.maximum(np.abs(phases1), np.abs(phases2)))
+    return float(diff.max())
 
 
 def gauss_sum(p: int) -> complex:
@@ -273,7 +282,9 @@ class WeilModel:
         tr omega(g) = tr omega(h), and F_S[x, y] vanishes unless x and y agree
         off S, so the trace is one sum over the points s with (T s)_S^c =
         (a2 s)_S^c: sgn d1(s) d2(s) c_r theta((T s)_S . (a2 s)_S)."""
-        f = self.word_factors(g)
+        return self._trace(self.word_factors(g))
+
+    def _trace(self, f: WordFactors) -> complex:
         r = f.rank
         on = (f.left[:, r:] == f.right[:, r:]).all(axis=1)
         phases = np.einsum("ti,ti->t", f.left[on, :r], f.right[on, :r])
@@ -357,7 +368,13 @@ def schur_intertwiner(model_a: WeilModel, model_b: WeilModel, phi: SpElem, seed:
     """Nonzero T with T rho_a(h) = rho_b(phi h) T, by averaging
     rho_b(phi h) A0 rho_a(h)^{-1} over H(V_a)/center; unitary- and
     phase-normalized, deterministic for a fixed seed.  phi is an element of
-    the space both models share."""
+    the space both models share.
+
+    Both rho operators are monomial, so each term is a gather from A0:
+    entry [s, t] of rho_b(phi v) A0 rho_a(-v) is ph_b(s) A0[col_b(s), w] ph_a(w)
+    with w the row that rho_a(-v) sends to column t.  The sum over v runs in
+    chunks of at most GATHER_CHUNK_ENTRIES gathered entries, one batched
+    rho_parts call per model and chunk."""
     phi_mat = phi.mat_np
     p = model_a.p
     if model_b.p != p:
@@ -367,14 +384,20 @@ def schur_intertwiner(model_a: WeilModel, model_b: WeilModel, phi: SpElem, seed:
     if ((phi_mat.T @ gb @ phi_mat - ga) % p).any():
         raise WeilError("phi does not preserve the symplectic forms")
     dim_v = model_a.space.dim
+    vs = np.indices((p,) * dim_v).reshape(dim_v, -1).T  # itertools.product order
+    chunk = max(1, GATHER_CHUNK_ENTRIES // (model_b.dim * model_a.dim))
     for attempt in range(SCHUR_RETRIES):
         rng = np.random.default_rng(seed + attempt)
         a0 = rng.standard_normal((model_b.dim, model_a.dim)) + 1j * rng.standard_normal((model_b.dim, model_a.dim))
         acc = np.zeros_like(a0)
-        for v in itertools.product(range(p), repeat=dim_v):
-            hv = HeisElem(model_a.space, v, 0)
-            bv = HeisElem(model_b.space, tuple(int(x) for x in phi_mat @ np.array(v) % p), 0)
-            acc += model_b.rho(bv) @ a0 @ model_a.rho(hv.inverse())
+        for lo in range(0, len(vs), chunk):
+            part = vs[lo : lo + chunk]
+            zs = np.zeros(len(part), dtype=np.int64)
+            cols_b, ph_b = model_b.rho_parts(part @ phi_mat.T % p, zs)
+            cols_a, ph_a = model_a.rho_parts(-part, zs)
+            rows_a = np.argsort(cols_a, axis=1)  # rows_a[v, t]: the row rho_a(-v) sends to column t
+            gathered = a0[cols_b[:, :, None], rows_a[:, None, :]]
+            acc += np.einsum("vs,vst,vt->st", ph_b, gathered, np.take_along_axis(ph_a, rows_a, axis=1))
         acc /= p**dim_v
         if np.abs(acc).max() > 1e-9:
             out = _phase_normalize(_unitary_normalize(acc))
@@ -434,12 +457,18 @@ class BlockTwist:
     """Chains of orthogonal blocks V^i_0 -> ... -> V^i_l cyclically permuted
     by the twist, one chain per group, with one Weil model per group and
     intertwiners normalized so each group's composite equals the Weil
-    operator of its loop L_i (see block_twist)."""
+    operator of its loop L_i (see block_twist).  The direct side of a
+    twisted trace reads each group's whole chain V^i_0 + ... + V^i_l
+    instead: its Weil model, its block-cyclic twist iota_i, and the word
+    model's Levi sign of the bare block permutation."""
 
     space: SympSpace  # the direct sum of every group's blocks, in group order
     groups: tuple[tuple[int, ...], ...]  # tuples of block indices into space.blocks
     loops: tuple[SpElem, ...]  # L_i, an element of group i's block space
     models: tuple[WeilModel, ...]  # group i's model, shared by its blocks
+    chain_models: tuple[WeilModel, ...]  # group i's model of its whole chain
+    iotas: tuple[SpElem, ...]  # on chain i: copy j -> j+1 by the identity, copy l -> 0 by L_i
+    signs: tuple[int, ...]  # word_factors(iota_i with the loop the identity).sgn
     inters: dict = dc_field(default_factory=dict)  # (i, j) -> matrix W_j -> W_{j+1}
 
     def composite(self, i: int) -> np.ndarray:
@@ -460,6 +489,17 @@ class BlockTwist:
             self.inters[(i, j)] = self.inters[(i, j)] * ph
 
 
+def block_cycle(space: SympSpace, groups, loops) -> SpElem:
+    """The twist of a direct sum of chains: copy j of group i goes to copy
+    j + 1 by the identity, and the last copy back to copy 0 by loops[i]."""
+    mat = np.zeros((space.dim, space.dim), dtype=np.int64)
+    for grp, loop in zip(groups, loops):
+        for j, b in enumerate(grp):
+            src, dst = space.blocks[b], space.blocks[grp[(j + 1) % len(grp)]]
+            mat[np.ix_(dst, src)] = loop.mat_np if j == len(grp) - 1 else np.eye(len(src), dtype=np.int64)
+    return sym.sp_elem(space, mat)
+
+
 def block_twist(chains, seed: int = 0) -> BlockTwist:
     """Build models and normalized intertwiners for a cyclic block twist.
 
@@ -477,8 +517,17 @@ def block_twist(chains, seed: int = 0) -> BlockTwist:
     space = sym.direct_sum([loop.space for loop, length in chains for _ in range(length)])
     starts = list(itertools.accumulate((length for _, length in chains), initial=0))
     groups = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
-    models = tuple(WeilModel(loop.space) for loop, _ in chains)
-    bt = BlockTwist(space, groups, tuple(loop for loop, _ in chains), models)
+    loops = tuple(loop for loop, _ in chains)
+    models = tuple(WeilModel(loop.space) for loop in loops)
+    # the direct side, one group at a time: the cost adds over the groups
+    chain_models, iotas, signs = [], [], []
+    for loop, length in chains:
+        chain = WeilModel(sym.direct_sum([loop.space] * length))
+        one = (tuple(range(length)),)
+        chain_models.append(chain)
+        iotas.append(block_cycle(chain.space, one, [loop]))
+        signs.append(chain.word_factors(block_cycle(chain.space, one, [sym.sp_identity(loop.space)])).sgn)
+    bt = BlockTwist(space, groups, loops, models, tuple(chain_models), tuple(iotas), tuple(signs))
     for i, (loop, length) in enumerate(chains):
         model = models[i]
         step = sym.sp_identity(loop.space)
@@ -507,7 +556,14 @@ class TwistedTraceResult:
 
 def twisted_trace(bt: BlockTwist, g: SpElem) -> TwistedTraceResult:
     """Trace of omega(g) composed with the block-twist intertwiner, evaluated
-    by the per-group product formula and by the direct full-tensor trace."""
+    by the per-group product formula and directly on each group's chain.
+
+    The direct value is the product over the groups of sign_i *
+    tr omega(g_i iota_i) in the word model of group i's chain, g_i the part
+    of g on that chain; the chain's Weil representation restricts to the
+    tensor product of its blocks' (Gerardin 1977).  omega(iota_i) and the
+    rotation of the tensor factors by the chain's intertwiners differ by
+    sign_i, the Levi sign the word model gives the bare block permutation."""
     p = bt.space.p
     gmat = g.mat_np
     # g must preserve every block
@@ -530,11 +586,10 @@ def twisted_trace(bt: BlockTwist, g: SpElem) -> TwistedTraceResult:
         arg = arg @ modp.mat_inv(loop, p) % p
         val = np.trace(model.omega(sym.sp_elem(model.space, arg)) @ bt.composite(i))
         product_value *= complex(val)
-
-        # direct: [tensor of omega(g_j)] composed with the rotation big op
-        rot = _rotation_big_op([bt.inters[(i, j)] for j in range(len(grp))])
-        tensor_g = model.omega(sym.sp_elem(model.space, gs[0]))
-        for gj in gs[1:]:
-            tensor_g = np.kron(tensor_g, model.omega(sym.sp_elem(model.space, gj)))
-        direct_value *= complex(np.trace(tensor_g @ rot))
+        chain = bt.chain_models[i]
+        idx = [r for b in grp for r in bt.space.blocks[b]]
+        g_i = sym.sp_elem(chain.space, gmat[np.ix_(idx, idx)] % p)
+        # g_i iota_i is new on almost every call: its normal form skips the
+        # model's memo, which would keep one p^n-row normal form per call
+        direct_value *= bt.signs[i] * chain._trace(chain._normal_form(g_i * bt.iotas[i]))
     return TwistedTraceResult(product_value, direct_value)

@@ -4,9 +4,10 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
-from weilchar import checks, cli, ffield, modp
+from weilchar import checks, cli, ffield, modp, symplectic as sym, weil
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCN = ROOT / "scenarios"
@@ -291,3 +292,52 @@ def test_weil_verify_dump(tmp_path):
     assert len(dump_rows) == 1
     entries = json.loads(dump_rows[0]["formula"])
     assert len(entries) == 9 and all(len(e) == 2 for e in entries)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_weil_verify_decodes_the_pairs_a_list_of_elements_gives(p, n):
+    # the same rng calls, indexing every element of H(V) in a list and
+    # decoding the positions, draw the same (a, b) pairs
+    space = sym.standard_polarized_space(p, n)
+    hs = list(sym.heis_elements(space))
+    listed, decoded = np.random.default_rng(7), np.random.default_rng(7)
+    old = [(h.v, h.z) for _ in range(40) for h in (hs[listed.integers(len(hs))], hs[listed.integers(len(hs))])]
+    drawn = [(decoded.integers(len(hs)), decoded.integers(len(hs))) for _ in range(40)]
+    vs, zs = sym.heis_decode(space, drawn)
+    assert old == [(tuple(v), z) for v, z in zip(vs.reshape(-1, 2 * n).tolist(), zs.ravel().tolist())]
+
+
+@pytest.mark.parametrize("fault", ["half-form phase dropped", "columns shifted"])
+def test_rho_faults_turn_weil_verify_red(fault, tmp_path, monkeypatch):
+    orig = weil.WeilModel.rho_parts
+
+    def faulty(self, vs, zs):
+        cols, phases = orig(self, vs, zs)
+        if fault == "columns shifted":
+            return (cols + 1) % self.dim, phases
+        vstd = np.asarray(vs, dtype=np.int64) @ self.to_std.T % self.p
+        xy = (vstd[..., : self.n] * vstd[..., self.n :]).sum(axis=-1) * pow(2, -1, self.p)
+        return cols, phases * np.exp(-2j * np.pi * xy / self.p)[..., None]
+
+    monkeypatch.setattr(weil.WeilModel, "rho_parts", faulty)
+    f = tmp_path / "rho.scn"
+    f.write_text(json.dumps({"scenarios": [{
+        "id": "w", "kind": "weil-verify", "payload": {"p": 5, "n": 1, "pairs": 40, "words": 3},
+    }]}))
+    report = tmp_path / "rep.json"
+    assert run_cli(["run", f, "--seed", 7, "--report", report]) == 1
+    failed = {r["quantity"] for r in json.loads(report.read_text())["rows"] if not r["pass"]}
+    assert failed == {"rho homomorphism (sampled)"}
+
+
+def test_weil_verify_in_chunks_of_pairs_gives_the_same_report(tmp_path, monkeypatch):
+    # 40 pairs in chunks of 3 (the last one short) against one chunk
+    f = tmp_path / "w.scn"
+    f.write_text(json.dumps({"scenarios": [{
+        "id": "w", "kind": "weil-verify", "payload": {"p": 5, "n": 1, "pairs": 40, "words": 3},
+    }]}))
+    whole, chunked = tmp_path / "whole.json", tmp_path / "chunked.json"
+    assert run_cli(["run", f, "--seed", 7, "--report", whole]) == 0
+    monkeypatch.setattr(weil, "GATHER_CHUNK_ENTRIES", 3 * 5 * 2)
+    assert run_cli(["run", f, "--seed", 7, "--report", chunked]) == 0
+    assert chunked.read_bytes() == whole.read_bytes()

@@ -61,10 +61,12 @@ def test_ci_workflow_parses():
     [scn_step] = [s for s in steps if 'python -m weilchar.cli run "scenarios/$scn" --seed 7 --report' in s]
     assert scn_step.count("python -m weilchar.cli run") == 2 and "cmp " in scn_step
     assert all(f.name in scn_step for f in (ROOT / "scenarios").glob("*.scn"))
-    # and a run with one thread the same bytes as a run with four
+    # and a run of every bundled scenario file with one thread the same bytes
+    # as a run with four
     [jobs_step] = [s for s in steps if "--jobs 1" in s]
-    assert "python -m weilchar.cli run scenarios/sign_f3.scn --seed 7 --jobs 1 --report" in jobs_step
-    assert "python -m weilchar.cli run scenarios/sign_f3.scn --seed 7 --jobs 4 --report" in jobs_step
+    assert 'python -m weilchar.cli run "scenarios/$scn" --seed 7 --jobs 1 --report' in jobs_step
+    assert 'python -m weilchar.cli run "scenarios/$scn" --seed 7 --jobs 4 --report' in jobs_step
+    assert all(f.name in jobs_step for f in (ROOT / "scenarios").glob("*.scn"))
     assert "cmp " in jobs_step
     # and two tabulate-ramified processes the same table
     assert any(s.count("python -m weilchar.cli tabulate-ramified >") == 2 and "cmp " in s for s in steps)

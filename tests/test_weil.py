@@ -1,10 +1,13 @@
 import cmath
 import hashlib
+import itertools
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +142,62 @@ def test_schur_intertwiner_examples(model5):
         assert np.abs(lhs - m2.omega_group(g)).max() < 1e-8
 
 
+def _schur_loop(model_a, model_b, phi, seed):
+    """The Schur average term by term from dense rho matrices, normalized
+    as schur_intertwiner normalizes it."""
+    p, dim_v = model_a.p, model_a.space.dim
+    for attempt in range(weil.SCHUR_RETRIES):
+        rng = np.random.default_rng(seed + attempt)
+        a0 = rng.standard_normal((model_b.dim, model_a.dim)) + 1j * rng.standard_normal((model_b.dim, model_a.dim))
+        acc = np.zeros_like(a0)
+        for v in itertools.product(range(p), repeat=dim_v):
+            hv = sym.HeisElem(model_a.space, v, 0)
+            acc += model_b.rho(sym.HeisElem(model_b.space, phi.apply(v), 0)) @ a0 @ model_a.rho(hv.inverse())
+        acc /= p**dim_v
+        if np.abs(acc).max() > 1e-9:
+            return weil._phase_normalize(weil._unitary_normalize(acc))
+    raise AssertionError("the average vanished for every seed")
+
+
+def _rotated_model(space):
+    # the model polarized by the first generator's images of the e and f lines
+    g = sym.sp_generators(space)[0]
+    n = space.dim // 2
+    unit = np.eye(2 * n, dtype=np.int64)
+    return weil.WeilModel(space, ([g.apply(v) for v in unit[:n]], [g.apply(v) for v in unit[n:]]))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_schur_gather_equals_dense_loop(p, n):
+    space = sym.standard_polarized_space(p, n)
+    plain, rotated = weil.WeilModel(space), _rotated_model(space)
+    phi = checks.cell_element(plain, n, np.random.default_rng(p))
+    assert phi != sym.sp_identity(space)
+    for model_a, model_b, el in ((plain, plain, sym.sp_identity(space)), (plain, plain, phi),
+                                 (plain, rotated, sym.sp_identity(space)), (rotated, plain, phi)):
+        got = weil.schur_intertwiner(model_a, model_b, el, seed=p)
+        assert np.abs(got - _schur_loop(model_a, model_b, el, seed=p)).max() < 1e-12
+
+
+def test_schur_gather_across_chunks(monkeypatch):
+    # Sp_4(F_7): 2401 vectors of 49 x 49 gathered entries, six chunks at the
+    # default size; then Sp_2(F_5) cut into chunks of 4 vectors and a last of 1
+    space = sym.standard_polarized_space(7, 2)
+    model_a, model_b = weil.WeilModel(space), _rotated_model(space)
+    assert model_a.dim * model_b.dim * 7**4 > 5 * weil.GATHER_CHUNK_ENTRIES
+    phi = checks.cell_element(model_a, 1, np.random.default_rng(0))
+    got = weil.schur_intertwiner(model_a, model_b, phi, seed=4)
+    assert np.abs(got - _schur_loop(model_a, model_b, phi, seed=4)).max() < 1e-12
+    space = sym.standard_polarized_space(5, 1)
+    model = weil.WeilModel(space)
+    phi = sym.sp_generators(space)[1]
+    want = weil.schur_intertwiner(model, model, phi, seed=2)
+    monkeypatch.setattr(weil, "GATHER_CHUNK_ENTRIES", 4 * model.dim**2)
+    got = weil.schur_intertwiner(model, model, phi, seed=2)
+    assert np.abs(got - want).max() < 1e-12
+    assert np.abs(got - _schur_loop(model, model, phi, seed=2)).max() < 1e-12
+
+
 def test_cyclic_tensor_trace_examples():
     rng = np.random.default_rng(0)
     single = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -192,10 +251,107 @@ def test_twisted_trace_on_chains_with_loop_of_order_3(p):
         bt = weil.block_twist([(loop, length)], seed=1)
         assert bt.space.blocks == tuple(tuple(range(2 * j, 2 * j + 2)) for j in range(length))
         assert np.abs(bt.composite(0) - bt.models[0].omega(loop)).max() < 1e-9
+        # the direct path closed by L^-1 in place of L, on the same elements
+        chain = bt.chain_models[0]
+        closed_by_inverse = weil.block_cycle(chain.space, bt.groups, [loop.inverse()])
+        apart = 0.0
         for _ in range(6):
-            parts = [rng.choice(els).mat_np for _ in range(length)]
-            r = weil.twisted_trace(bt, sym.block_diagonal(bt.space, parts))
+            g = sym.block_diagonal(bt.space, [rng.choice(els).mat_np for _ in range(length)])
+            r = weil.twisted_trace(bt, g)
             assert abs(r.product_value - r.direct_value) < 1e-8
+            apart = max(apart, abs(r.product_value - bt.signs[0] * chain.trace_omega(g * closed_by_inverse)))
+        assert apart > 0.5
+
+
+def _kron_rotation_direct(bt, g):
+    """The direct value as the tensor-product trace: per group, the Kronecker
+    product of the block operators against the rotation of the tensor
+    factors by the chains' intertwiners."""
+    gmat = g.mat_np
+    value = 1.0 + 0j
+    for i, grp in enumerate(bt.groups):
+        model = bt.models[i]
+        rot = weil._rotation_big_op([bt.inters[(i, j)] for j in range(len(grp))])
+        tensor_g = np.ones((1, 1))
+        for b in grp:
+            idx = bt.space.blocks[b]
+            tensor_g = np.kron(tensor_g, model.omega(sym.sp_elem(model.space, gmat[np.ix_(idx, idx)])))
+        value *= complex(np.trace(tensor_g @ rot))
+    return value
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_direct_value_equals_tensor_trace_on_criterion_04_fixtures(seed):
+    for label, bt, gs in checks.twisted_trace_fixtures(seed):
+        worst = max(abs(weil.twisted_trace(bt, g).direct_value - _kron_rotation_direct(bt, g)) for g in gs)
+        assert worst < 1e-10, label
+
+
+@pytest.mark.parametrize("p,n,length", [(3, 1, 3), (3, 1, 4), (5, 1, 4), (3, 2, 3)])
+def test_direct_value_equals_tensor_trace_on_chains(p, n, length):
+    # loops from every Bruhat cell of the block, and a block-diagonal g with
+    # parts from random cells; tensor dimensions 27 to 729.  (n, length) =
+    # (2, 4) would need three dense 6561 x 6561 complex matrices, 2 GB
+    block = weil.WeilModel(sym.standard_polarized_space(p, n))
+    rng = np.random.default_rng(100 * p + 10 * n + length)
+    for r in range(n + 1):
+        bt = weil.block_twist([(checks.cell_element(block, r, rng), length)], seed=r)
+        for _ in range(2):
+            parts = [checks.cell_element(block, int(rng.integers(n + 1)), rng).mat_np for _ in range(length)]
+            g = sym.block_diagonal(bt.space, parts)
+            res = weil.twisted_trace(bt, g)
+            assert abs(res.direct_value - _kron_rotation_direct(bt, g)) < 1e-10
+            assert abs(res.product_value - res.direct_value) < 1e-8
+
+
+def test_twisted_trace_faults_turn_criterion_04_red(monkeypatch):
+    # seeded faults in the direct path: the Levi sign dropped (it is -1 on
+    # the p = 3 pair and +1 at p = 5), and the twist closed by the identity
+    # in place of the loop (the p = 3 pair's loop is the identity)
+    orig = weil.block_twist
+
+    def sign_dropped(chains, seed=0):
+        bt = orig(chains, seed)
+        bt.signs = (1,) * len(bt.signs)
+        return bt
+
+    def loop_dropped(chains, seed=0):
+        bt = orig(chains, seed)
+        bt.iotas = tuple(weil.block_cycle(m.space, (tuple(range(len(grp))),), [sym.sp_identity(loop.space)])
+                         for m, grp, loop in zip(bt.chain_models, bt.groups, bt.loops))
+        return bt
+
+    for fault, red in ((sign_dropped, "twisted trace p=3 two swapped blocks (all pairs)"),
+                       (loop_dropped, "twisted trace p=5 fixed + swapped pair, loops of order 3")):
+        monkeypatch.setattr(weil, "block_twist", fault)
+        rows = checks.check_twisted_trace_decomposition()
+        assert {r.quantity for r in rows if not r.passed} == {red}, fault.__name__
+
+
+def test_twisted_trace_on_many_one_block_groups_stays_small():
+    # the direct side is one chain model per group, so its cost adds over
+    # the groups: a model of the whole direct sum of 14 blocks of Sp_2(F_3)
+    # would have 3^14 points and a 100 MB point table
+    v2 = sym.standard_polarized_space(3, 1)
+    els = sym.sp_elements(v2)
+    rng = random.Random(14)
+    loops = [rng.choice(els) for _ in range(14)]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        bt = weil.block_twist([(loop, 1) for loop in loops], seed=3)
+        for _ in range(3):
+            parts = [rng.choice(els) for _ in loops]
+            r = weil.twisted_trace(bt, sym.block_diagonal(bt.space, [g.mat_np for g in parts]))
+            want = np.prod([weil.WeilModel(v2).trace_omega(g * loop) for g, loop in zip(parts, loops)])
+            assert abs(r.direct_value - want) < 1e-8 * max(1, abs(want))
+            assert abs(r.product_value - r.direct_value) < 1e-8 * max(1, abs(want))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert elapsed < 10, elapsed
 
 
 def test_block_twist_rejects_empty_chains():
