@@ -40,19 +40,33 @@ class ScenarioValidationError(Exception):
 # payload parsing
 
 
-_JSON_TYPES = {dict: "an object", list: "a list", int: "an integer"}
+_JSON_TYPES = {dict: "an object", list: "a list", int: "an integer", str: "a string", (int, float): "a number"}
 
 
-def _typed(value, kind: type, what: str):
-    """value, refused unless it has JSON type kind (a bool is not an integer)."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+def _typed(value, kind, what: str):
+    """value, refused unless it has JSON type kind (a bool is not a number)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ScenarioValidationError("%s must be %s, got %r" % (what, _JSON_TYPES[kind], value))
     return value
 
 
-def _parse_field(s: str) -> ffield.FieldDesc:
-    ps, _, ks = s.partition("^")
+def _parse_field(s, what: str) -> ffield.FieldDesc:
+    ps, _, ks = _typed(s, str, what).partition("^")
     return ffield.field(int(ps), int(ks) if ks else 1)
+
+
+def _parse_elem(s, what: str) -> ffield.FieldElem:
+    return ffield.deserialize(_typed(s, str, what))
+
+
+def _int_rows(value, what: str) -> list[list[int]]:
+    return [[_typed(x, int, what + " entry") for x in _typed(row, list, what + " row")] for row in _typed(value, list, what)]
+
+
+def _parse_datum(obj) -> lattice.RootDatum:
+    _typed(obj, dict, "datum")
+    matrices = {key: _int_rows(obj[key], key) for key in ("roots", "coroots", "theta")}
+    return lattice.datum_from_json(dict(matrices, rank=_typed(obj["rank"], int, "rank")))
 
 
 def _parse_action(obj) -> signcalc.OrbitAction:
@@ -73,13 +87,10 @@ def _parse_orbit(action: signcalc.OrbitAction, obj) -> signcalc.OrbitScenario:
     return signcalc.OrbitScenario(
         action,
         _typed(obj["alpha"], int, "alpha"),
-        _parse_field(fields["k_alpha"]),
-        _parse_field(fields["k_pm_alpha"]),
-        _parse_field(fields["k_alpha_res"]),
-        _parse_field(fields["k_pm_alpha_res"]),
-        ffield.deserialize(obj["C"]),
-        ffield.deserialize(obj["eta_alpha"]),
-        None if eta_minus is None else ffield.deserialize(eta_minus),
+        *(_parse_field(fields[tag], tag) for tag in ("k_alpha", "k_pm_alpha", "k_alpha_res", "k_pm_alpha_res")),
+        _parse_elem(obj["C"], "C"),
+        _parse_elem(obj["eta_alpha"], "eta_alpha"),
+        None if eta_minus is None else _parse_elem(eta_minus, "eta_minus_alpha"),
         obj["classification"],
     )
 
@@ -90,7 +101,7 @@ _TORUS_FACTORS = {"norm-one": sym.NormOneFactor, "split": sym.SplitFactor}
 def _parse_torus(obj) -> sym.BuiltTorus:
     factories = []
     for f in _typed(obj["factors"], list, "factors"):
-        cls = _TORUS_FACTORS.get(_typed(f, dict, "factor")["type"])
+        cls = _TORUS_FACTORS.get(_typed(_typed(f, dict, "factor")["type"], str, "factor type"))
         if cls is None:
             raise ScenarioValidationError("unknown torus factor type %r (known: %s)" % (f["type"], ", ".join(_TORUS_FACTORS)))
         factories.append(cls(_typed(f["subdegree"], int, "subdegree")))
@@ -178,7 +189,8 @@ def run_sign_block(sid: str, payload, tol: float, seed: int) -> list[Row]:
         oracle = weil.WeilModel(bv.block.space).trace_omega(bv.block.op)
         rows.append(Row.compare(sid, "block %d (%s)" % (i, sc.classification), bv.value, oracle, tol, seed))
         if "expect_value" in obj:
-            rows.append(Row.compare(sid, "block %d pinned value" % i, bv.value, float(obj["expect_value"]), tol, seed))
+            pinned = float(_typed(obj["expect_value"], (int, float), "expect_value"))
+            rows.append(Row.compare(sid, "block %d pinned value" % i, bv.value, pinned, tol, seed))
     return rows
 
 
@@ -188,9 +200,11 @@ def run_assemble(sid: str, payload, tol: float, seed: int) -> list[Row]:
     for obj in _typed(payload["orbits"], list, "orbits"):
         sc = _parse_orbit(action, obj)
         scenarios[sc.alpha] = sc
-    s_values = {int(k): ffield.deserialize(v) for k, v in _typed(payload["s_values"], dict, "s_values").items()}
-    re_im = payload.get("vartheta_s", [1.0, 0.0])
-    vartheta = complex(float(re_im[0]), float(re_im[1]))
+    s_values = {int(k): _parse_elem(v, "s_values entry") for k, v in _typed(payload["s_values"], dict, "s_values").items()}
+    re_im = _typed(payload.get("vartheta_s", [1.0, 0.0]), list, "vartheta_s")
+    if len(re_im) != 2:
+        raise ScenarioValidationError("vartheta_s must be [re, im], got %r" % (re_im,))
+    vartheta = complex(*(_typed(x, (int, float), "vartheta_s entry") for x in re_im))
     asm = signcalc.assemble_product(action, scenarios, s_values)
     oracle = signcalc.full_space_oracle(action, scenarios, s_values, seed=seed)
     rows = [
@@ -206,9 +220,9 @@ def run_assemble(sid: str, payload, tol: float, seed: int) -> list[Row]:
 
 def run_root_datum(sid: str, payload, tol: float, seed: int) -> list[Row]:
     if "name" in payload:
-        datum = lattice.catalogue()[payload["name"]]
+        datum = lattice.catalogue()[_typed(payload["name"], str, "name")]
     else:
-        datum = lattice.datum_from_json(payload)
+        datum = _parse_datum(payload)
     res = lattice.restrict_roots(datum)
     counts: dict[int, int] = {}
     for r in res.restricted:
@@ -216,16 +230,17 @@ def run_root_datum(sid: str, payload, tol: float, seed: int) -> list[Row]:
     rows = [Row.compare(sid, "restricted count", len(res.restricted), len(res.restricted), 0, seed)]
     expect = payload.get("expect_type_counts")
     if expect is not None:
-        want = {int(k): int(v) for k, v in expect.items()}
+        want = {int(k): _typed(v, int, "expect_type_counts entry") for k, v in _typed(expect, dict, "expect_type_counts").items()}
         rows.append(Row.compare(sid, "type counts", str(sorted(counts.items())), str(sorted(want.items())), 0, seed))
     return rows
 
 
 def run_lattice_check(sid: str, payload, tol: float, seed: int) -> list[Row]:
     rows = []
-    for i, obj in enumerate(payload.get("matrices", [])):
-        torsion = lattice.pi0_torsion(obj["theta"])
-        rows.append(Row.compare(sid, "torsion #%d" % i, str(torsion), str([int(x) for x in obj["expect_torsion"]]), 0, seed))
+    for i, obj in enumerate(_typed(payload.get("matrices", []), list, "matrices")):
+        torsion = lattice.pi0_torsion(_typed(obj, dict, "matrices entry")["theta"])
+        want = [_typed(x, int, "expect_torsion entry") for x in _typed(obj["expect_torsion"], list, "expect_torsion")]
+        rows.append(Row.compare(sid, "torsion #%d" % i, str(torsion), str(want), 0, seed))
     trials = _typed(payload.get("pi0_trials", 0), int, "pi0_trials")
     if trials:
         out = checks.check_pi0_property(seed=seed, trials=trials)
@@ -329,7 +344,7 @@ def cmd_run(args) -> int:
             if kind not in KINDS:
                 raise ScenarioValidationError("unknown kind %r" % kind)
             tol = _tolerance(scn.get("tolerance", args.tolerance))
-            jobs.append((sid, kind, scn.get("payload", {}), tol))
+            jobs.append((sid, kind, _typed(scn.get("payload", {}), dict, "%s: payload" % sid), tol))
     except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError, ScenarioValidationError) as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
@@ -410,11 +425,13 @@ def cmd_root_datum(args) -> int:
     else:
         try:
             with open(args.file) as fh:
-                datum = lattice.datum_from_json(json.load(fh))
+                doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print("parse error: %s" % exc, file=sys.stderr)
             return EXIT_PARSE
-        except lattice.LatticeError as exc:
+        try:
+            datum = _parse_datum(doc)
+        except (lattice.LatticeError, ScenarioValidationError, KeyError) as exc:
             print("validation error: %s" % exc, file=sys.stderr)
             return EXIT_VALIDATION
     res = lattice.restrict_roots(datum)

@@ -2,18 +2,24 @@
 
 Elements are coefficient vectors in the polynomial basis of a deterministic
 modulus (the smallest monic irreducible in the integer encoding
-sum(c_i p^i) + p^k), so encodings are reproducible across runs.  Subfield
-embeddings map the subfield generator to the smallest root of its modulus in
-the big field.
+sum(c_i p^i) + p^k, found by Rabin's test on its companion matrix C:
+C^(p^k) = C and det(C^(p^(k/r)) - C) != 0 for every prime r | k), so
+encodings are reproducible across runs.
 
 Multiplication, powers, inverses, Frobenius, multiplicative orders and n-th
 roots are lookups in one discrete-log table per field (`_tables`): exp[i] is
 the coefficient vector of g^i, for g the first element of full multiplicative
 order in the canonical order, and log[x.index()] = i.  A field builds its
 table the first time it is used: g is found by an order test (g^((q-1)/r) != 1
-for every prime r | q - 1, as a power of g's multiplication matrix), and exp
-by log2(q) doublings with that matrix's repeated squares; FIELD_CAP bounds it
-at 6561 entries.
+for every prime r | q - 1, as a power of g's multiplication matrix, a
+polynomial in C), and exp by log2(q) doublings with that matrix's repeated
+squares; FIELD_CAP bounds it at 6561 entries.
+
+`poly_roots` finds the roots of an F_p polynomial in a field from the exp
+table, all elements at once.  A subfield embedding sends the subfield
+generator to the smallest root of its modulus in the big field; it is kept
+as one pair of index tables (image, preimage), so `embed` and the projection
+behind `trace_to` and `norm_to` are lookups.
 """
 
 from __future__ import annotations
@@ -64,57 +70,36 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
-    """num mod den over F_p; den monic, coefficients low degree first."""
-    num = [c % p for c in num]
-    dn = len(den) - 1
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            for j in range(dn + 1):
-                num[i - dn + j] = (num[i - dn + j] - c * den[j]) % p
-    return num[:dn]
+def _companion(modulus, p: int) -> np.ndarray:
+    """The companion matrix of a monic modulus (low degree first): the
+    matrix of multiplication by t on F_p[t]/(modulus) in the basis t^i."""
+    k = len(modulus) - 1
+    comp = np.eye(k, k, -1, dtype=np.int64)
+    comp[:, -1] = [-c % p for c in modulus[:k]]
+    return comp
 
 
-def _poly_powmod(a: list[int], e: int, den: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_mod(a, den, p)
+def _mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    """m^e mod p by repeated squaring."""
+    acc = np.eye(len(m), dtype=np.int64)
     while e:
         if e & 1:
-            result = _poly_mod(modp.poly_mul(result, base, p), den, p)
-        base = _poly_mod(modp.poly_mul(base, base, p), den, p)
+            acc = acc @ m % p
+        m = m @ m % p
         e >>= 1
-    return result
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    def norm(f):
-        while f and f[-1] % p == 0:
-            f = f[:-1]
-        return [c % p for c in f]
-
-    a, b = norm(a), norm(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        bb = [(c * inv) % p for c in b]
-        a, b = b, norm(_poly_mod(a, bb, p))
-    return a
+    return acc
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """f monic of degree k over F_p, via x^(p^d) fixed-point criteria."""
+    """Rabin's test for f monic of degree k over F_p, on its companion
+    matrix C (F_p[t]/f is F_p[C], t^e mod f is C^e): f is irreducible iff
+    C^(p^k) = C and C^(p^(k/r)) - C is invertible, i.e. t^(p^(k/r)) - t is
+    prime to f, for every prime r | k."""
     k = len(f) - 1
-    x = [0, 1]
-    xq = _poly_powmod(x, p**k, f, p)
-    diff = [(a - b) % p for a, b in zip(xq + [0] * 2, x + [0] * len(xq))]
-    if any(c % p for c in diff[: max(len(xq), 2)]):
+    comp = _companion(f, p)
+    if (_mat_pow(comp, p**k, p) != comp).any():
         return False
-    for q in {d for d in range(2, k + 1) if k % d == 0 and _is_prime(d)}:
-        xqd = _poly_powmod(x, p ** (k // q), f, p)
-        g = [(a - b) % p for a, b in zip(xqd + [0] * 2, x + [0] * len(xqd))]
-        if len(_poly_gcd(f, g, p)) > 1:
-            return False
-    return True
+    return all(modp.det(_mat_pow(comp, p ** (k // r), p) - comp, p) for r in _prime_factors(k))
 
 
 @dataclass(frozen=True)
@@ -325,24 +310,12 @@ def _mult_matrix(desc: FieldDesc, x: tuple[int, ...]) -> np.ndarray:
     by t); needs no table, so table_arrays can find its generator with it
     (symplectic.mult_matrix is the gather everyone else uses)."""
     p, k = desc.p, desc.degree
-    comp = np.eye(k, k, -1, dtype=np.int64)
-    comp[:, -1] = [-c % p for c in desc.modulus[:k]]
+    comp = _companion(desc.modulus, p)
     out, power = np.zeros((k, k), dtype=np.int64), np.eye(k, dtype=np.int64)
     for c in x:
         out = (out + c * power) % p
         power = comp @ power % p
     return out
-
-
-def _is_one_power(m: np.ndarray, e: int, p: int) -> bool:
-    """Whether m^e is the identity, m a multiplication matrix mod p."""
-    acc = np.eye(len(m), dtype=np.int64)
-    while e:
-        if e & 1:
-            acc = acc @ m % p
-        m = m @ m % p
-        e >>= 1
-    return bool((acc == np.eye(len(m), dtype=np.int64)).all())
 
 
 @lru_cache(maxsize=None)
@@ -360,7 +333,7 @@ def table_arrays(desc: FieldDesc) -> tuple[np.ndarray, np.ndarray]:
     primes = _prime_factors(n)
     for start in range(1, desc.order):
         gmat = _mult_matrix(desc, desc.from_index(start).coeffs)
-        if not any(_is_one_power(gmat, n // r, p) for r in primes):
+        if not any((_mat_pow(gmat, n // r, p) == np.eye(k, dtype=np.int64)).all() for r in primes):
             break
     else:
         raise FieldError("no multiplicative generator (unreachable)")
@@ -392,21 +365,68 @@ def is_subfield(sub: FieldDesc, big: FieldDesc) -> bool:
     return sub.p == big.p and big.degree % sub.degree == 0
 
 
+def poly_roots(coeffs, desc: FieldDesc) -> list[FieldElem]:
+    """The roots in desc of an F_p polynomial (coefficients low degree
+    first), each as often as its multiplicity, in canonical order.
+
+    f is evaluated at every unit g^l at once, f(g^l) = sum_j c_j g^(jl)
+    gathered from the exp table term by term; 0 is a root as often as f has
+    low zero coefficients.  The multiplicity of a unit root x is the least
+    m with D^m f(x) != 0, D^m f = sum_j binom(j, m) c_j X^(j-m) the m-th
+    Hasse derivative (f^(m) / m! without the division, so it also counts
+    multiplicities of p or more)."""
+    p = desc.p
+    cs = [int(c) % p for c in coeffs]
+    while cs and not cs[-1]:
+        cs.pop()
+    if not cs:
+        raise FieldError("the zero polynomial vanishes everywhere")
+    exp = table_arrays(desc)[0].astype(np.int64)
+    n = len(exp)
+
+    def vanishes(logs, poly):  # whether poly(g^l) = 0, for each l in logs
+        acc = np.zeros((len(logs), desc.degree), dtype=np.int64)
+        for j, c in enumerate(poly):
+            if c:
+                acc = (acc + c * exp[j * logs % n]) % p
+        return ~acc.any(axis=1)
+
+    logs = np.flatnonzero(vanishes(np.arange(n), cs))
+    # row m - 1: whether D^m f vanishes at each root, for m = 1 .. deg - 1
+    hasse = [vanishes(logs, [math.comb(j, m) * c % p for j, c in enumerate(cs)][m:]) for m in range(1, len(cs) - 1)]
+    mult = 1 + np.cumprod(np.array(hasse, dtype=bool).reshape(len(hasse), len(logs)), axis=0).sum(axis=0)
+    index = exp[logs] @ p ** np.arange(desc.degree)
+    order = np.argsort(index)
+    zeros = next(i for i, c in enumerate(cs) if c)
+    return [desc.from_index(i) for i in [0] * zeros + np.repeat(index[order], mult[order]).tolist()]
+
+
 @lru_cache(maxsize=None)
 def _embedding_root(sub: FieldDesc, big: FieldDesc) -> FieldElem:
     """Smallest root of sub's modulus inside big: the canonical embedding
-    sends sub.gen() there.  Every root lies in the image of sub^x, the
-    y = g^l with step = (Q-1)/(q-1) dividing l; the modulus is evaluated at
-    all of them at once, y^j gathered from the exp table at j l mod (Q - 1)."""
+    sends sub.gen() there (1 for the prime field, whose modulus is x)."""
     if sub.degree == 1:
         return big.one()
-    exp = table_arrays(big)[0].astype(np.int64)
-    logs = np.arange(0, len(exp), (big.order - 1) // (sub.order - 1))
-    values = sum(c * exp[j * logs % len(exp)] for j, c in enumerate(sub.modulus) if c) % big.p
-    roots = exp[logs[~values.any(axis=1)]]
-    if not len(roots):
-        raise FieldError("no embedding root (unreachable for subfields)")
-    return FieldElem(big, tuple(roots[np.argmin(roots @ big.p ** np.arange(big.degree))].tolist()))
+    return poly_roots(sub.modulus, big)[0]
+
+
+@lru_cache(maxsize=None)
+def _embedding(sub: FieldDesc, big: FieldDesc) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical embedding of sub in big as read-only int16 index tables
+    (image, preimage): image[y.index()] is the index of embed(y), the sum of
+    y's coefficients times the powers of the embedding root, and
+    preimage[x.index()] is the index of the y that embeds as x, or -1 when x
+    is not in the image."""
+    p, (exp, log) = sub.p, table_arrays(big)
+    powers = exp[log[_embedding_root(sub, big).index()] * np.arange(sub.degree) % len(exp)].astype(np.int64)
+    coeffs = np.arange(sub.order)[:, None] // p ** np.arange(sub.degree) % p
+    image = coeffs @ powers % p @ p ** np.arange(big.degree)
+    preimage = np.full(big.order, -1, dtype=np.int64)
+    preimage[image] = np.arange(sub.order)
+    image, preimage = image.astype(np.int16), preimage.astype(np.int16)
+    image.flags.writeable = False
+    preimage.flags.writeable = False
+    return image, preimage
 
 
 def embed(x: FieldElem, big: FieldDesc) -> FieldElem:
@@ -415,47 +435,15 @@ def embed(x: FieldElem, big: FieldDesc) -> FieldElem:
         return x
     if not is_subfield(x.parent, big):
         raise NotASubfield("%r is not a subfield of %r" % (x.parent, big))
-    root = _embedding_root(x.parent, big)
-    acc = big.zero()
-    rpow = big.one()
-    for c in x.coeffs:
-        if c:
-            acc = acc + rpow * c
-        rpow = rpow * root
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _embedding_matrix(sub: FieldDesc, big: FieldDesc) -> tuple[tuple[int, ...], ...]:
-    """Columns = coefficients of embed(gen^i), an F_p-linear map F_p^j -> F_p^k."""
-    root = _embedding_root(sub, big)
-    cols = []
-    rpow = big.one()
-    for _ in range(sub.degree):
-        cols.append(rpow.coeffs)
-        rpow = rpow * root
-    return tuple(zip(*cols))  # rows
-
-
-@lru_cache(maxsize=None)
-def _subfield_generator(sub: FieldDesc, big: FieldDesc) -> FieldElem:
-    """The y in sub that embeds as g^((Q-1)/(q-1)), g big's multiplicative
-    generator; the units of sub embed as the powers of that element."""
-    step = (big.order - 1) // (sub.order - 1)
-    sol = modp.solve(_embedding_matrix(sub, big), _tables(big)[0][step], sub.p)
-    return sub.element(tuple(int(c) for c in sol))
+    return big.from_index(int(_embedding(x.parent, big)[0][x.index()]))
 
 
 def _project(x: FieldElem, sub: FieldDesc) -> FieldElem:
-    """Inverse of embed on its image (raises if x is not in the image): the
-    image's units are the g^l with step = (Q-1)/(q-1) dividing l, and g^l is
-    the embedding of _subfield_generator ** (l / step)."""
-    if x.is_zero():
-        return sub.zero()
-    k, rest = divmod(_tables(x.parent)[1][x.index()], (x.parent.order - 1) // (sub.order - 1))
-    if rest:
+    """Inverse of embed on its image (raises if x is not in the image)."""
+    y = int(_embedding(sub, x.parent)[1][x.index()])
+    if y < 0:
         raise FieldError("element not in the subfield image")
-    return _subfield_generator(sub, x.parent) ** k
+    return sub.from_index(y)
 
 
 def trace_to(x: FieldElem, sub: FieldDesc) -> FieldElem:

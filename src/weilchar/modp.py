@@ -97,20 +97,6 @@ def kernel_basis(m, p: int) -> list[np.ndarray]:
     return basis
 
 
-def solve(m, rhs, p: int) -> np.ndarray | None:
-    """One solution of m x = rhs, or None if inconsistent."""
-    a = as_mat(m, p)
-    b = as_mat(rhs, p).reshape(-1, 1)
-    aug, pivots = rref(np.hstack([a, b]), p)
-    cols = a.shape[1]
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = aug[r, cols]
-    return x
-
-
 def mat_inv(m, p: int) -> np.ndarray:
     a = _square(m, p)
     n = a.shape[0]

@@ -611,7 +611,7 @@ def weight_charpoly_check(t: TorusElement) -> bool:
 
 def eigen_multiset(g: SpElem) -> list[FieldElem]:
     """Eigenvalues (with multiplicity) in the smallest splitting field of the
-    characteristic polynomial, found by exhaustive root search."""
+    characteristic polynomial, found by ffield.poly_roots."""
     p = g.space.p
     cp = modp.charpoly(g.mat_np, p)
     deg = len(cp) - 1
@@ -620,40 +620,10 @@ def eigen_multiset(g: SpElem) -> list[FieldElem]:
             desc = ffield.field(p, d)
         except ffield.FieldError:
             break
-        roots = _poly_roots_in(cp, desc)
+        roots = ffield.poly_roots(cp, desc)
         if len(roots) == deg:
             return roots
     raise SymplecticError("splitting field exceeds the size cap")
-
-
-def _poly_roots_in(cp: list[int], desc: FieldDesc) -> list[FieldElem]:
-    """Roots with multiplicity of an F_p-coefficient polynomial in desc."""
-    current = [desc.from_int(c) for c in cp]
-    roots: list[FieldElem] = []
-    for x in desc.elements():
-        while len(current) > 1:
-            acc = desc.zero()
-            for c in reversed(current):
-                acc = acc * x + c
-            if not acc.is_zero():
-                break
-            current = _synth_div(current, x, desc)
-            roots.append(x)
-        if len(current) <= 1:
-            break
-    return sorted(roots, key=lambda r: r.index())
-
-
-def _synth_div(coeffs: list[FieldElem], x: FieldElem, desc: FieldDesc) -> list[FieldElem]:
-    """coeffs / (X - x), assuming exact division; low degree first."""
-    n = len(coeffs) - 1
-    out = [desc.zero()] * n
-    carry = coeffs[n]
-    for i in range(n - 1, -1, -1):
-        out[i] = carry
-        carry = coeffs[i] + carry * x
-    assert carry.is_zero()
-    return out
 
 
 def eigen_multiset_key(vals: list[FieldElem]) -> tuple:

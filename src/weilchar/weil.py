@@ -469,6 +469,8 @@ class BlockTwist:
     chain_models: tuple[WeilModel, ...]  # group i's model of its whole chain
     iotas: tuple[SpElem, ...]  # on chain i: copy j -> j+1 by the identity, copy l -> 0 by L_i
     signs: tuple[int, ...]  # word_factors(iota_i with the loop the identity).sgn
+    ranges: tuple[tuple[int, int], ...]  # group i's coordinates of space, a slice lo:hi
+    off_block: np.ndarray  # True where row and column lie in different blocks
     inters: dict = dc_field(default_factory=dict)  # (i, j) -> matrix W_j -> W_{j+1}
 
     def composite(self, i: int) -> np.ndarray:
@@ -527,7 +529,12 @@ def block_twist(chains, seed: int = 0) -> BlockTwist:
         chain_models.append(chain)
         iotas.append(block_cycle(chain.space, one, [loop]))
         signs.append(chain.word_factors(block_cycle(chain.space, one, [sym.sp_identity(loop.space)])).sgn)
-    bt = BlockTwist(space, groups, loops, models, tuple(chain_models), tuple(iotas), tuple(signs))
+    ranges = tuple((space.blocks[grp[0]][0], space.blocks[grp[-1]][-1] + 1) for grp in groups)
+    block_of = np.repeat(np.arange(len(space.blocks)), [len(b) for b in space.blocks])
+    off_block = block_of[:, None] != block_of[None, :]
+    off_block.flags.writeable = False
+    bt = BlockTwist(space, groups, loops, models, tuple(chain_models), tuple(iotas), tuple(signs),
+                    ranges, off_block)
     for i, (loop, length) in enumerate(chains):
         model = models[i]
         step = sym.sp_identity(loop.space)
@@ -565,19 +572,17 @@ def twisted_trace(bt: BlockTwist, g: SpElem) -> TwistedTraceResult:
     rotation of the tensor factors by the chain's intertwiners differ by
     sign_i, the Levi sign the word model gives the bare block permutation."""
     p = bt.space.p
-    gmat = g.mat_np
-    # g must preserve every block
-    for idx in bt.space.blocks:
-        other = [r for r in range(bt.space.dim) if r not in idx]
-        if (gmat[np.ix_(other, idx)] % p).any():
-            raise BlockMismatch("element does not preserve the blocks")
-    parts = [gmat[np.ix_(idx, idx)] % p for idx in bt.space.blocks]
+    gmat = g.mat_np % p
+    if gmat[bt.off_block].any():
+        raise BlockMismatch("element does not preserve the blocks")
 
     product_value = 1.0 + 0j
     direct_value = 1.0 + 0j
-    for i, grp in enumerate(bt.groups):
+    for i, (lo, hi) in enumerate(bt.ranges):
         model, loop = bt.models[i], bt.loops[i].mat_np
-        gs = [parts[b] for b in grp]
+        g_chain = gmat[lo:hi, lo:hi]
+        w = model.space.dim
+        gs = [g_chain[j : j + w, j : j + w] for j in range(0, hi - lo, w)]
         # g_0 . L (g_l ... g_1) L^-1 on block 0: the twist carries block j to
         # block 0 by L whatever j is
         arg = gs[0] @ loop % p
@@ -587,8 +592,7 @@ def twisted_trace(bt: BlockTwist, g: SpElem) -> TwistedTraceResult:
         val = np.trace(model.omega(sym.sp_elem(model.space, arg)) @ bt.composite(i))
         product_value *= complex(val)
         chain = bt.chain_models[i]
-        idx = [r for b in grp for r in bt.space.blocks[b]]
-        g_i = sym.sp_elem(chain.space, gmat[np.ix_(idx, idx)] % p)
+        g_i = sym.sp_elem(chain.space, g_chain)
         # g_i iota_i is new on almost every call: its normal form skips the
         # model's memo, which would keep one p^n-row normal form per call
         direct_value *= bt.signs[i] * chain._trace(chain._normal_form(g_i * bt.iotas[i]))

@@ -94,6 +94,13 @@ def _sign_payload(edit):
     return {"id": "s", "kind": "sign-block", "payload": payload}
 
 
+def _assemble_payload(edit):
+    doc = json.loads((SCN / "sign_f3.scn").read_text())
+    scn = next(s for s in doc["scenarios"] if s["kind"] == "assemble")
+    edit(scn["payload"])
+    return {"id": "a", "kind": "assemble", "payload": scn["payload"]}
+
+
 BAD_PAYLOADS = {
     "alpha-negative": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(alpha=-1)),
     "alpha-past-last-root": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(alpha=9)),
@@ -124,15 +131,37 @@ BAD_PAYLOADS = {
     # C is checked before varsigma(C)/C divides by it
     "C-zero": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(C="3^2:0,0")),
     "lattice-check-pi0-trials-null": lambda: {"id": "l", "kind": "lattice-check", "payload": {"pi0_trials": None}},
+    # values of the wrong JSON type where a runner indexes, iterates or parses
+    "payload-a-list": lambda: {"id": "w", "kind": "weil-verify", "payload": [1, 2]},
+    "vartheta-s-a-number": lambda: _assemble_payload(lambda pl: pl.update(vartheta_s=5)),
+    "vartheta-s-of-lists": lambda: _assemble_payload(lambda pl: pl.update(vartheta_s=[[1], 0])),
+    "matrices-a-number": lambda: {"id": "l", "kind": "lattice-check", "payload": {"matrices": 5}},
+    "expect-torsion-a-number": lambda: {"id": "l", "kind": "lattice-check",
+                                        "payload": {"matrices": [{"theta": [[-1]], "expect_torsion": 5}]}},
+    "datum-name-a-list": lambda: {"id": "r", "kind": "root-datum", "payload": {"name": ["A2"]}},
+    "expect-type-counts-a-number": lambda: {"id": "r", "kind": "root-datum",
+                                            "payload": {"name": "A2", "expect_type_counts": 5}},
+    "field-tag-a-number": lambda: _sign_payload(lambda pl: pl["orbits"][0]["fields"].update(k_alpha=3)),
+    "C-a-number": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(C=5)),
+    "s-value-a-number": lambda: _assemble_payload(lambda pl: pl["s_values"].update({"0": 5})),
+    "factor-type-a-list": lambda: {"id": "g", "kind": "gerardin",
+                                   "payload": {"p": 3, "factors": [{"type": ["split"], "subdegree": 1}]}},
+    "expect-value-a-list": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(expect_value=[1])),
+    "datum-roots-a-number": lambda: {"id": "r", "kind": "root-datum",
+                                     "payload": {"rank": 1, "roots": 5, "coroots": [[2]], "theta": [[1]]}},
+    "datum-rank-a-list": lambda: {"id": "r", "kind": "root-datum",
+                                  "payload": {"rank": [1], "roots": [[1]], "coroots": [[2]], "theta": [[1]]}},
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_PAYLOADS))
 def test_malformed_payload_is_a_validation_error(case, tmp_path, capsys):
+    scn = BAD_PAYLOADS[case]()
     f = tmp_path / "bad.scn"
-    f.write_text(json.dumps({"scenarios": [BAD_PAYLOADS[case]()]}))
+    f.write_text(json.dumps({"scenarios": [scn]}))
     assert run_cli(["run", f, "--report", tmp_path / "r.json"]) == 3
-    assert "validation error" in capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("validation error: %s: " % scn["id"]) for line in lines), lines
     assert not (tmp_path / "r.json").exists()
 
 
@@ -227,6 +256,21 @@ def test_root_datum_command(capsys):
     assert run_cli(["root-datum", "A2.flip"]) == 0
     out = capsys.readouterr().out
     assert "type 3" in out and "type 2" in out
+
+
+@pytest.mark.parametrize("doc,code", [
+    ({"rank": 1, "roots": [[-1], [1]], "coroots": [[-2], [2]], "theta": [[1]]}, 0),
+    ({"rank": [1], "roots": [[-1], [1]], "coroots": [[-2], [2]], "theta": [[1]]}, 3),
+    ({"rank": 1, "roots": 5, "coroots": [[-2], [2]], "theta": [[1]]}, 3),
+    ({"rank": 1, "roots": [[-1], [1]], "coroots": [[-2], [2]]}, 3),
+    ([1, 2], 3),
+])
+def test_root_datum_command_reads_a_datum_file(doc, code, tmp_path, capsys):
+    f = tmp_path / "datum.json"
+    f.write_text(json.dumps(doc))
+    assert run_cli(["root-datum", f]) == code
+    captured = capsys.readouterr()
+    assert ("rank 1, 2 roots" in captured.out) if code == 0 else captured.err.startswith("validation error: ")
 
 
 def test_tabulate_ramified_deterministic(capsys):

@@ -3,10 +3,13 @@ import json
 import pathlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weilchar import ffield as ff, modp
+
+import polyref
 
 
 F3 = ff.field(3, 1)
@@ -263,12 +266,12 @@ def _pad(d, coeffs):
 def _ref_mul(a, b):
     """The polynomial product reduced by the modulus."""
     d = a.parent
-    return _pad(d, ff._poly_mod(modp.poly_mul(a.coeffs, b.coeffs, d.p), list(d.modulus), d.p))
+    return _pad(d, polyref.poly_mod(modp.poly_mul(a.coeffs, b.coeffs, d.p), list(d.modulus), d.p))
 
 
 def _ref_pow(a, e):
     d = a.parent
-    return _pad(d, ff._poly_powmod(list(a.coeffs), e, list(d.modulus), d.p))
+    return _pad(d, polyref.poly_powmod(list(a.coeffs), e, list(d.modulus), d.p))
 
 
 def _check_against_polynomials(a, b):
@@ -317,22 +320,80 @@ def test_arithmetic_equals_polynomial_reference_sampled(p, k):
 
 @pytest.mark.parametrize("p,k", sorted(PINNED))
 def test_project_equals_linear_solve(p, k):
-    # the projection is a log lookup; the reference solves embed(y) = x over
-    # F_p, which has a solution exactly on the image of the subfield
+    # embed is an index gather; the reference applies the embedding's F_p-linear
+    # map (the powers of the embedding root) to every element of the subfield,
+    # and the projection must be the brute-force inverse of that map: defined
+    # exactly on its image
     big = ff.field(p, k)
     rng = random.Random(1000 * p + k)
     pool = list(big.elements()) if big.order <= 81 else [big.from_index(rng.randrange(big.order)) for _ in range(100)]
     for sub in (ff.field(p, j) for j in range(1, k + 1) if k % j == 0):
-        for y in sub.elements() if sub.order <= 81 else pool:
-            assert ff._project(ff.embed(y, big), sub) == y
-        mat = ff._embedding_matrix(sub, big)
+        mat = np.array(polyref.embedding_matrix(sub, big), dtype=np.int64)
+        inverse = {}
+        for y in sub.elements():
+            x = ff.embed(y, big)
+            assert x.coeffs == tuple((mat @ np.array(y.coeffs) % p).tolist())
+            assert ff._project(x, sub) == y
+            inverse[x] = y
+        assert len(inverse) == sub.order
         for x in pool:
-            sol = modp.solve(mat, x.coeffs, p)
-            if sol is None:
+            if x in inverse:
+                assert ff._project(x, sub) == inverse[x]
+            else:
                 with pytest.raises(ff.FieldError):
                     ff._project(x, sub)
-            else:
-                assert ff._project(x, sub).coeffs == tuple(int(c) for c in sol)
+
+
+def _seeded_polys(p, rng):
+    """F_p polynomials with roots of every kind: products of random monic
+    factors of degree 1-3, some repeated, some times a power of X."""
+    out = []
+    for _ in range(12):
+        f = [rng.randrange(1, p)]
+        for _ in range(rng.randrange(1, 4)):
+            factor = [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1]
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                f = modp.poly_mul(f, factor, p)
+        out.append([0] * rng.choice((0, 0, 1, 2)) + f)
+    out += [[0, 1], [1], [0, 0, 0, 1], modp.poly_mul([p - 1, 1], [p - 1, 1], p)]  # X, 1, X^3, (X-1)^2
+    return out
+
+
+@pytest.mark.parametrize("p,k", SMALL)
+def test_poly_roots_equal_element_by_element_search(p, k):
+    desc = ff.field(p, k)
+    rng = random.Random(31 * p + k)
+    for f in _seeded_polys(p, rng):
+        assert ff.poly_roots(f, desc) == polyref.root_search(f, desc), f
+    # (X + 1)^(p+1): a multiplicity of p or more, which ordinary derivatives
+    # (all zero from the p-th on) cannot count
+    f = [1]
+    for _ in range(p + 1):
+        f = modp.poly_mul(f, [1, 1], p)
+    assert [x.index() for x in ff.poly_roots(f, desc)] == [p - 1] * (p + 1)
+    with pytest.raises(ff.FieldError):
+        ff.poly_roots([0, 0], desc)
+
+
+def _mobius(n):
+    out = 1
+    for r in ff._prime_factors(n):
+        if n % (r * r) == 0:
+            return 0
+        out = -out
+    return out
+
+
+@pytest.mark.parametrize("p,degrees", [(3, (2, 3, 4)), (5, (2, 3)), (7, (2,))])
+def test_is_irreducible_equals_trial_division(p, degrees):
+    for k in degrees:
+        count = 0
+        for f in polyref.monic_polys(k, p):
+            want = polyref.is_irreducible_by_trial_division(f, p)
+            assert ff._is_irreducible(f, p) == want, f
+            count += want
+        # Gauss: (1/k) sum_{d | k} mu(d) p^(k/d) monic irreducibles of degree k
+        assert count == sum(_mobius(d) * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
 
 
 def test_zero_keeps_its_results_and_exceptions():

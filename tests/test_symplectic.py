@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from weilchar import checks, ffield as ff, modp, signcalc, symplectic as sym
 
+import polyref
+
 
 V3 = sym.standard_space(3, 1)
 
@@ -229,35 +231,49 @@ def test_split_class_fault_turns_eigen_conjugacy_red(monkeypatch):
     assert [r.passed for r in rows] == [True, False, False]
 
 
+def test_poly_roots_without_multiplicities_turns_only_eigen_conjugacy_red():
+    # seeded fault: each root once, whatever its multiplicity; a repeated
+    # eigenvalue (of +-1, for one) then never fills the characteristic polynomial
+    orig = ff.poly_roots
+
+    def distinct(coeffs, desc):
+        return sorted(set(orig(coeffs, desc)), key=ff.FieldElem.index)
+
+    ff.poly_roots = distinct
+    try:
+        rows, _ = checks.run_checks()
+    finally:
+        ff.poly_roots = orig
+    assert {r.scenario_id for r in rows if not r.passed} == {"symplectic.eigen-conjugacy"}
+
+
 def test_sp_enumeration_cap():
     assert len(sym.sp_elements(sym.standard_polarized_space(3, 1))) == 24
     with pytest.raises(sym.SymplecticError):
         sym.sp_elements(sym.standard_polarized_space(3, 2))  # |Sp_4(F_3)| = 51840
 
 
+# every field with p <= 13 and p^k <= 6561, pinned so that a larger field cap
+# changes neither the cost nor the coverage of the tests that walk them
+FIELDS = [(p, k) for p, top in ((3, 8), (5, 5), (7, 4), (11, 3), (13, 3)) for k in range(1, top + 1)]
+
+
+def _pinned_fields():
+    for p, k in FIELDS:
+        yield ff.field(p, k)
+
+
 def test_trace_form_gram_is_the_trace_form():
     # the integer-matrix Gram against its definition Tr(C t^i tau(t^j)),
-    # one trace_to per entry, on every field under the cap
+    # one trace_to per entry, on every pinned field
     rng = random.Random(11)
-    for p in (3, 5, 7, 11, 13):
-        f1 = ff.field(p, 1)
-        d = 1
-        while p**d <= ff.FIELD_CAP:
-            k = ff.field(p, d)
-            basis = [k.gen() ** i for i in range(d)]
-            for c in [k.one()] + [k.from_index(rng.randrange(1, k.order)) for _ in range(2)]:
-                for tau in [None] + list(range(d)):
-                    want = [[ff.trace_to(c * x * (y if tau is None else y.frobenius(tau)), f1).coeffs[0] for y in basis] for x in basis]
-                    assert sym.trace_form_gram(k, c, tau).tolist() == want, (k, c, tau)
-            d += 1
-
-
-def _fields_under_cap():
-    for p in (3, 5, 7, 11, 13):
-        d = 1
-        while p**d <= ff.FIELD_CAP:
-            yield ff.field(p, d)
-            d += 1
+    for k in _pinned_fields():
+        d, f1 = k.degree, ff.field(k.p, 1)
+        basis = [k.gen() ** i for i in range(d)]
+        for c in [k.one()] + [k.from_index(rng.randrange(1, k.order)) for _ in range(2)]:
+            for tau in [None] + list(range(d)):
+                want = [[ff.trace_to(c * x * (y if tau is None else y.frobenius(tau)), f1).coeffs[0] for y in basis] for x in basis]
+                assert sym.trace_form_gram(k, c, tau).tolist() == want, (k, c, tau)
 
 
 def _times_t(k):
@@ -272,8 +288,8 @@ def _times_t(k):
 
 def test_mult_matrix_is_multiplication_on_every_element():
     # column i of mult_matrix(x) is x t^i = C^i x, for every element of every
-    # field under the cap with p <= 13, zero included
-    for k in _fields_under_cap():
+    # pinned field, zero included
+    for k in _pinned_fields():
         xs = list(k.elements())
         coeffs = np.array([x.coeffs for x in xs], dtype=np.int64)
         want = np.empty((len(xs), k.degree, k.degree), dtype=np.int64)
@@ -287,14 +303,14 @@ def test_mult_matrix_is_multiplication_on_every_element():
 
 
 def test_frobenius_matrix_and_trace_hankel_are_their_definitions():
-    for k in _fields_under_cap():
+    for k in _pinned_fields():
         p, d = k.p, k.degree
         for j in range(-d, 2 * d):
             # column i is (t^i)^(p^j), a polynomial power mod the modulus
             if d == 1:
                 want = [[1]]
             else:
-                cols = [ff._poly_powmod([0] * i + [1], p ** (j % d), list(k.modulus), p) for i in range(d)]
+                cols = [polyref.poly_powmod([0] * i + [1], p ** (j % d), list(k.modulus), p) for i in range(d)]
                 want = [[(col + [0] * d)[r] for col in cols] for r in range(d)]
             assert sym.frobenius_matrix(k, j).tolist() == want, (k, j)
         f1 = ff.field(p, 1)
@@ -304,9 +320,11 @@ def test_frobenius_matrix_and_trace_hankel_are_their_definitions():
 
 
 def test_cached_field_matrices_are_read_only():
-    for k in _fields_under_cap():
+    for k in _pinned_fields():
         exp, log = ff.table_arrays(k)
-        cached = [exp, log, sym.trace_hankel(k)] + [sym.frobenius_matrix(k, j) for j in range(k.degree)]
+        image, preimage = ff._embedding(ff.field(k.p, 1), k)
+        assert image.dtype == preimage.dtype == np.int16
+        cached = [exp, log, image, preimage, sym.trace_hankel(k)] + [sym.frobenius_matrix(k, j) for j in range(k.degree)]
         for arr in cached:
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1

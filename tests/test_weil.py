@@ -370,6 +370,18 @@ def test_twisted_trace_block_mismatch():
         weil.twisted_trace(bt, sym.sp_elem(vsum, off_block))
 
 
+def test_twisted_trace_refuses_symplectic_elements_that_move_blocks():
+    # swapping two equal blocks preserves the form but not the blocks, inside
+    # one group and across two groups
+    v2 = sym.standard_polarized_space(3, 1)
+    for chains in ([(sym.sp_identity(v2), 2)], [(sym.sp_identity(v2), 1), (sym.sp_identity(v2), 2)]):
+        bt = weil.block_twist(chains)
+        swap = np.eye(bt.space.dim, dtype=np.int64)
+        swap[:4, :4] = np.roll(np.eye(4, dtype=np.int64), 2, axis=0)
+        with pytest.raises(weil.BlockMismatch):
+            weil.twisted_trace(bt, sym.sp_elem(bt.space, swap))
+
+
 def test_scalar_distribution_freedom():
     bt, vsum = _swapped_fixture(3)
     g = sym.sp_elements(sym.standard_polarized_space(3, 1))[7]
