@@ -593,8 +593,7 @@ def check_gerardin_semisimple(ps=(3, 5, 7), include_sp4=True) -> list[Row]:
     for desc, label in tori:
         torus = sym.build_torus(desc)
         model = weil.WeilModel(torus.space)
-        wd = sym.weights(torus)
-        worst = max(abs(gerardin.char_semisimple(t, wd) - model.trace_omega(t.elem)) for t in torus.elements())
+        worst = max(abs(gerardin.char_semisimple(t) - model.trace_omega(t.elem)) for t in torus.elements())
         rows.append(Row.compare("gerardin", label, worst, 0, 1e-8))
     return rows
 
@@ -651,12 +650,11 @@ def check_polarized_agrees_with_semisimple() -> list[Row]:
     rows = []
     for p in (3, 5, 7):
         torus = sym.build_torus(sym.TorusDesc(p, (sym.SplitFactor(1),)))
-        wd = sym.weights(torus)
         worst = 0.0
         count = 0
         for t in torus.elements():
             for pol in gerardin.invariant_polarizations(t.elem):
-                worst = max(worst, abs(gerardin.char_semisimple(t, wd) - gerardin.char_polarized(t.elem, pol)))
+                worst = max(worst, abs(gerardin.char_semisimple(t) - gerardin.char_polarized(t.elem, pol)))
                 count += 1
         rows.append(Row.compare("gerardin", "polarized = semisimple p=%d (%d pairs)" % (p, count), worst, 0, 1e-9))
     return rows

@@ -1,5 +1,6 @@
 """Closed-form character formulas for Weil representations of finite
-symplectic groups, evaluated from torus/weight data or invariant subspaces.
+symplectic groups, evaluated from Sigma-orbits of eigenvalues or invariant
+subspaces.
 
 All formulas return exact integers times p-powers (as floats/complex for
 comparison against the matrix oracle); weight evaluations are compared to 1
@@ -14,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import ffield, modp, symplectic as sym, weil
-from .symplectic import SpElem, SympSpace, TorusElement, WeightOrbitData
+from .symplectic import SpElem, SympSpace, TorusElement, TorusPiece
 
 
 class GerardinError(Exception):
@@ -42,43 +43,45 @@ class NotInvariantPolarization(GerardinError):
 
 
 # ---------------------------------------------------------------------------
-# Semisimple formula from weight data
+# Semisimple formula over Sigma-orbits of eigenvalues
 
 
-def char_semisimple(t: TorusElement, wd: WeightOrbitData) -> complex:
-    """(-1)^{#orbits with eps(t) != 1} * p^{dim V^t / 2} * prod of quadratic
-    characters over the Sigma-orbits of weights."""
-    if not isinstance(t, TorusElement) or t.torus != wd.torus:
-        raise ElementNotInTorus("element does not belong to the weight data's torus")
-    p = wd.torus.p
+def piece_character(piece: TorusPiece) -> int:
+    """The quadratic character of one Sigma-orbit at its root x: sgn of the
+    norm-one group of k_i over its half-degree field on a symmetric piece,
+    sgn of k_i^x on an asymmetric one."""
+    p = piece.x.parent.p
+    k_i = ffield.field(p, piece.degree)
+    if piece.symmetric:
+        return ffield.sgn_norm_one(piece.x, ffield.field(p, piece.degree // 2), k_i)
+    return ffield.sgn_mult(piece.x, k_i)
 
-    l_count = 0
-    ones = 0
-    for o in wd.gamma_orbits:
-        val = o.eval_at(t)
-        if val == 1:
-            ones += o.size
-        else:
-            l_count += 1
 
-    fixed_dim = t.elem.fixed_space_dim()
-    if fixed_dim != ones:
-        raise GerardinError("weight multiplicities disagree with the fixed space")
-    if fixed_dim % 2:
-        raise GerardinError("odd-dimensional fixed space (impossible for tori)")
-
+def orbit_sign(pieces, fixed_dim: int) -> int:
+    """Gerardin's sign (-1)^l * prod of piece_character over the Sigma-orbits
+    `pieces`, l the number of Gamma-orbits with x != 1 (one per symmetric
+    piece, two per asymmetric one); the x = 1 orbits must fill the fixed
+    space, of dimension fixed_dim."""
+    l_count = ones = 0
     chi = 1
-    for so in wd.sigma_orbits:
-        rep = so.gamma_orbits[0]
-        val = rep.eval_at(t)
-        if so.symmetric:
-            # val is norm-one in a quadratic extension; chi = sgn of k^1
-            sub = ffield.field(p, val.parent.degree // 2)
-            chi *= ffield.sgn_norm_one(val, sub)
+    for piece in pieces:
+        gamma_orbits = 1 if piece.symmetric else 2
+        if piece.x == 1:
+            ones += gamma_orbits * piece.degree
         else:
-            chi *= ffield.sgn_mult(val)
+            l_count += gamma_orbits
+        chi *= piece_character(piece)
+    if ones != fixed_dim:
+        raise GerardinError("weight multiplicities disagree with the fixed space")
+    return (-1) ** l_count * chi
 
-    return (-1) ** l_count * float(p) ** (fixed_dim // 2) * chi
+
+def char_semisimple(t: TorusElement) -> float:
+    """orbit_sign over the pieces of t times p^{dim V^t / 2} (Gerardin)."""
+    if not isinstance(t, TorusElement):
+        raise ElementNotInTorus("char_semisimple needs a TorusElement, got %s" % type(t).__name__)
+    fixed_dim = t.elem.fixed_space_dim()
+    return orbit_sign(t.pieces(), fixed_dim) * float(t.torus.p) ** (fixed_dim // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
-from . import ffield, modp, symplectic as sym, weil
+from . import ffield, gerardin, modp, symplectic as sym, weil
 from .ffield import FieldDesc, FieldElem
 
 BRANCHES = ("asym/asym", "asym/sym-ur", "asym/sym-ram", "sym-ur/sym-ur", "sym-ur/sym-ram")
@@ -457,15 +457,8 @@ def s_action_matrix(bb: BlockBuild, value: FieldElem) -> sym.SpElem:
 
 
 @dataclass(frozen=True)
-class TorusPiece:
-    degree: int  # absolute degree of k_i over F_p
-    x: FieldElem  # the factor root, as an element of the ambient field
-    symmetric: bool
-
-
-@dataclass(frozen=True)
 class TorusPieces:
-    pieces: tuple[TorusPiece, ...]
+    pieces: tuple[sym.TorusPiece, ...]
     trace: tuple[str, ...]  # case tags along the recursion
 
 
@@ -474,7 +467,7 @@ def _roots_of_xf_minus(b: FieldElem, f: int, ambient: FieldDesc) -> list[FieldEl
     return ffield.nth_roots(bb, f)
 
 
-def _galois_pieces(b: FieldElem, f: int, k_res: FieldDesc, ambient: FieldDesc, symmetric: bool) -> list[TorusPiece]:
+def _galois_pieces(b: FieldElem, f: int, k_res: FieldDesc, ambient: FieldDesc, symmetric: bool) -> list[sym.TorusPiece]:
     """Factor X^f - b over k_res inside the ambient field: one piece per
     Galois orbit of roots, tagged symmetric or asymmetric."""
     roots = _roots_of_xf_minus(b, f, ambient)
@@ -494,7 +487,7 @@ def _galois_pieces(b: FieldElem, f: int, k_res: FieldDesc, ambient: FieldDesc, s
             orbit.append(cur)
             cur = cur**q_res
         seen.update(orbit)
-        pieces.append(TorusPiece(len(orbit) * k_res.degree, r, symmetric))
+        pieces.append(sym.TorusPiece(len(orbit) * k_res.degree, r, symmetric))
     return pieces
 
 
@@ -585,8 +578,8 @@ def block_sign_formula(sc: OrbitScenario) -> BlockValue:
     """Closed-form value of the twisted-block Weil character.
 
     asym/asym is sgn(-1)^{g(f-1)} sgn(eta_alpha); unramified restricted
-    branches run the torus algorithm and evaluate the weight-orbit sign
-    bookkeeping; ramified branches return the closed-form constant
+    branches run the torus algorithm and take gerardin.orbit_sign of its
+    pieces; ramified branches return the closed-form constant
     sgn_{k_res}(-2) of _ramified_sign. No branch calls the Weil oracle."""
     p = sc.p
     bb = build_block(sc)
@@ -619,26 +612,7 @@ def block_sign_formula(sc: OrbitScenario) -> BlockValue:
         beta = ffield.norm_to(sc.eta_alpha, sc.k_res)
         pieces = torus_algorithm(beta, sc.f, "sym", ambient=sc.k_alpha)
 
-    l_count = 0
-    chi = 1
-    ones = 0
-    for piece in pieces.pieces:
-        k_i = ffield.field(p, piece.degree)
-        if piece.symmetric:
-            chi *= ffield.sgn_norm_one(piece.x, ffield.field(p, piece.degree // 2), k_i)
-            if piece.x == 1:
-                ones += piece.degree
-            else:
-                l_count += 1
-        else:
-            chi *= ffield.sgn_mult(piece.x, k_i)
-            if piece.x == 1:
-                ones += 2 * piece.degree
-            else:
-                l_count += 2
-    if ones != fixed_dim:
-        raise SignCalcError("weight multiplicities disagree with the block fixed space")
-    sign = (-1) ** l_count * chi
+    sign = gerardin.orbit_sign(pieces.pieces, fixed_dim)
     return BlockValue(sign * fixed_factor, sign, fixed_factor, n_alpha, branch, pieces, bb)
 
 
@@ -675,26 +649,20 @@ class Assembled:
     eps_tilde: int | None
 
 
-def theta_orbit_reps(action: OrbitAction) -> list[int]:
-    """Canonical representatives of Theta \\ (Phi / Sigma)."""
+def _orbit_reps(action: OrbitAction, orbit) -> list[int]:
+    """The least root of each orbit, orbit(a) the set of roots in a's."""
     seen: set[int] = set()
     reps = []
     for a in range(action.size):
         if a not in seen:
             reps.append(a)
-            seen |= action.theta_cluster(a)
+            seen |= orbit(a)
     return reps
 
 
-def sigma_orbit_reps(action: OrbitAction) -> list[int]:
-    seen: set[int] = set()
-    reps = []
-    for a in range(action.size):
-        if a in seen:
-            continue
-        reps.append(a)
-        seen |= action.sigma_orbit(a)
-    return reps
+def theta_orbit_reps(action: OrbitAction) -> list[int]:
+    """Canonical representatives of Theta \\ (Phi / Sigma)."""
+    return _orbit_reps(action, action.theta_cluster)
 
 
 def _value_at_root(action: OrbitAction, s_values: dict[int, FieldElem], root: int) -> FieldElem:
@@ -764,17 +732,11 @@ def assemble_product(action: OrbitAction, scenarios: dict[int, OrbitScenario], s
     for bv in blocks.values():
         v_factor *= bv.fixed_factor
     eps_tilde = 1
-    for srep in sigma_orbit_reps(action):
-        cls = _orbit_classification(action, scenarios, srep)
-        if cls.endswith("sym-ram"):
+    for srep in _orbit_reps(action, action.sigma_orbit):
+        if _orbit_classification(action, scenarios, srep).endswith("sym-ram"):
             continue
         val = _value_at_root(action, s_values, srep)
-        if action.is_symmetric(srep):
-            k = val.parent
-            sub = ffield.field(k.p, k.degree // 2)
-            eps_tilde *= ffield.sgn_norm_one(val, sub)
-        else:
-            eps_tilde *= ffield.sgn_mult(val)
+        eps_tilde *= gerardin.piece_character(sym.TorusPiece(val.parent.degree, val, action.is_symmetric(srep)))
     factored = c_eta * (-1) ** ur_count * v_factor * eps_tilde
     if abs(factored - total) > 1e-6:
         raise SignCalcError("factored and unfactored evaluations disagree: %r vs %r" % (factored, total))

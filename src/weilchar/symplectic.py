@@ -1,5 +1,6 @@
 """Finite symplectic spaces over F_p, the Heisenberg group, Sp elements,
-maximal tori with their weights, and eigenvalue/conjugacy utilities.
+maximal tori with their eigenvalue orbits (TorusPiece), and
+eigenvalue/conjugacy utilities.
 
 Vectors are tuples over F_p, matrices numpy int arrays acting on column
 vectors; Gram matrices are kept explicit (block constructions of the sign
@@ -382,10 +383,29 @@ class TorusDesc:
 
 
 @dataclass(frozen=True)
+class TorusPiece:
+    """One Sigma-orbit of eigenvalues, the Galois conjugates over F_p of the
+    root x of k_i = GF(p^degree).  Symmetric: x is norm-one over the
+    half-degree field and its conjugates are closed under inversion, one
+    Gamma-orbit.  Asymmetric: the conjugates of x and of x^-1, two."""
+
+    degree: int  # absolute degree of k_i over F_p
+    x: FieldElem  # the root, in k_i or a field containing it
+    symmetric: bool
+
+
+@dataclass(frozen=True)
 class TorusElement:
     torus: "BuiltTorus"
     coords: tuple[FieldElem, ...]
     elem: SpElem
+
+    def pieces(self) -> tuple[TorusPiece, ...]:
+        """One piece per factor, its coordinate as root: symmetric of degree
+        2d on a norm-one factor, asymmetric of degree d on a split one."""
+        return tuple(
+            TorusPiece(x.parent.degree, x, isinstance(f, NormOneFactor)) for f, x in zip(self.torus.desc.factors, self.coords)
+        )
 
 
 @dataclass(frozen=True)
@@ -530,79 +550,17 @@ def build_torus(desc: TorusDesc, space: SympSpace | None = None) -> BuiltTorus:
     return BuiltTorus(desc, total_space)
 
 
-# ---------------------------------------------------------------------------
-# Weights of a torus
-
-
-@dataclass(frozen=True)
-class WeightOrbit:
-    """A Gamma_{F_p}-orbit of weights of one torus factor.
-
-    Represented by (factor index, sign); the orbit is {x -> sigma(x^sign)}.
-    For a norm-one factor the sign is absorbed (tau acts as inversion), the
-    orbit is symmetric of size 2d.  For a split factor sign=+1 and sign=-1
-    are distinct asymmetric orbits of size d, swapped by negation."""
-
-    factor: int
-    sign: int
-    size: int
-    symmetric: bool
-
-    def eval_at(self, t: TorusElement) -> FieldElem:
-        x = t.coords[self.factor]
-        return x if self.sign == 1 else x.inverse()
-
-
-@dataclass(frozen=True)
-class SigmaOrbit:
-    """A Sigma_{F_p}-orbit: one symmetric Gamma-orbit or an asymmetric pair."""
-
-    gamma_orbits: tuple[WeightOrbit, ...]
-    symmetric: bool
-
-    @property
-    def size(self) -> int:
-        return sum(o.size for o in self.gamma_orbits)
-
-
-@dataclass(frozen=True)
-class WeightOrbitData:
-    torus: BuiltTorus
-    gamma_orbits: tuple[WeightOrbit, ...]
-    sigma_orbits: tuple[SigmaOrbit, ...]
-
-
-def weights(torus: BuiltTorus) -> WeightOrbitData:
-    gamma = []
-    sigma = []
-    for i, f in enumerate(torus.desc.factors):
-        d = f.subdegree
-        if isinstance(f, NormOneFactor):
-            o = WeightOrbit(i, 1, 2 * d, True)
-            gamma.append(o)
-            sigma.append(SigmaOrbit((o,), True))
-        else:
-            plus = WeightOrbit(i, 1, d, False)
-            minus = WeightOrbit(i, -1, d, False)
-            gamma.extend([plus, minus])
-            sigma.append(SigmaOrbit((plus, minus), False))
-    return WeightOrbitData(torus, tuple(gamma), tuple(sigma))
-
-
 def weight_charpoly_check(t: TorusElement) -> bool:
-    """Char poly of the matrix equals the product over Gamma-orbits of the
-    minimal polynomials of the weight values (exact, no closure needed)."""
-    wd = weights(t.torus)
+    """Char poly of the matrix equals the product over the pieces of the
+    char polys of multiplication by x, and by x^-1 on an asymmetric piece:
+    mult-by-x on k_i has char poly prod_{j < deg} (X - x^{p^j}), exactly the
+    Gamma-orbit of x with multiplicity."""
     p = t.torus.p
     acc = [1]
-    for o in wd.gamma_orbits:
-        val = o.eval_at(t)
-        # mult-by-val on its field has char poly prod_{j < deg} (X - val^{p^j}),
-        # exactly this orbit's weight values with multiplicity
-        block = modp.charpoly(mult_matrix(val), p)
-        acc = modp.poly_mul(acc, block, p)
-    target = modp.charpoly(t.elem.mat_np, p)
-    return acc == target
+    for piece in t.pieces():
+        for val in (piece.x,) if piece.symmetric else (piece.x, piece.x.inverse()):
+            acc = modp.poly_mul(acc, modp.charpoly(mult_matrix(val), p), p)
+    return acc == modp.charpoly(t.elem.mat_np, p)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .symplectic import HeisElem, SpElem, SympSpace
 
 SCHUR_RETRIES = 8
 GATHER_CHUNK_ENTRIES = 2**20  # entries per chunk of a batched rho gather: the Schur average, weil-verify
+DENSE_DIM_CAP = 729  # largest model dimension p^n weil-verify builds dense operators for (8.5 MB each)
 
 
 class WeilError(Exception):

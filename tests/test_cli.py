@@ -87,6 +87,50 @@ def test_bad_scenario_tolerance_is_a_validation_error(tol, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def _run_one_scenario(scn, tmp_path, capsys):
+    f = tmp_path / "one.scn"
+    f.write_text(json.dumps({"scenarios": [scn]}))
+    code = run_cli(["run", f, "--report", tmp_path / "r.json"])
+    return code, capsys.readouterr().err
+
+
+def test_scenario_entry_not_an_object_names_its_position(tmp_path, capsys):
+    code, err = _run_one_scenario(["x", "root-datum"], tmp_path, capsys)
+    assert code == 3
+    assert "validation error: scenarios[0] must be an object" in err
+
+
+def test_scenario_id_not_a_string_names_its_position(tmp_path, capsys):
+    code, err = _run_one_scenario({"id": ["x"], "kind": "root-datum", "payload": {"name": "A2"}}, tmp_path, capsys)
+    assert code == 3
+    assert "validation error: scenarios[0].id must be a string" in err
+
+
+def test_scenario_tolerance_an_object_names_the_scenario(tmp_path, capsys):
+    scn = {"id": "rd", "kind": "root-datum", "payload": {"name": "A2"}, "tolerance": {"abs": 1e-8}}
+    code, err = _run_one_scenario(scn, tmp_path, capsys)
+    assert code == 3
+    assert "validation error: rd: tolerance must be a finite number >= 0" in err
+    # a numeric string is still a tolerance
+    code, err = _run_one_scenario(dict(scn, tolerance="0"), tmp_path, capsys)
+    assert code == 0, err
+
+
+def test_weil_verify_above_the_dense_cap_is_refused_before_any_model(tmp_path, capsys, monkeypatch):
+    def no_model(space, polarization=None):
+        raise weil.WeilError("model of dimension %d built" % space.p ** (space.dim // 2))
+
+    monkeypatch.setattr(weil, "WeilModel", no_model)
+    assert weil.DENSE_DIM_CAP == 3**6
+    for n in (7, 9, 10**9):
+        code, err = _run_one_scenario({"id": "w", "kind": "weil-verify", "payload": {"p": 3, "n": n}}, tmp_path, capsys)
+        assert code == 3
+        assert "validation error: w: p^n = 3^%d exceeds the dense operator cap 729" % n in err
+    # at the cap the runner goes on to build the model
+    code, err = _run_one_scenario({"id": "w", "kind": "weil-verify", "payload": {"p": 3, "n": 6}}, tmp_path, capsys)
+    assert code == 3 and "model of dimension 729 built" in err
+
+
 def _sign_payload(edit):
     doc = json.loads((SCN / "sign_f3.scn").read_text())
     payload = doc["scenarios"][0]["payload"]

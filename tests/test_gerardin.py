@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -15,35 +16,32 @@ def oracle5():
 
 def test_char_semisimple_identity_is_p_to_n():
     torus = sym.build_torus(sym.TorusDesc(5, (sym.SplitFactor(1),)))
-    wd = sym.weights(torus)
     one = torus.element((ff.field(5, 1).one(),))
-    assert ger.char_semisimple(one, wd) == 5.0
+    assert ger.char_semisimple(one) == 5.0
 
 
 def test_char_semisimple_vs_oracle_examples(oracle5):
     # diag(2,3) in Sp_2(F_5)
     torus = sym.build_torus(sym.TorusDesc(5, (sym.SplitFactor(1),)))
-    wd = sym.weights(torus)
     t = torus.element((ff.field(5, 1).from_int(2),))
     assert t.elem.mat == ((2, 0), (0, 3))
     oracle = weil.WeilModel(torus.space).trace_omega(t.elem)
-    assert abs(ger.char_semisimple(t, wd) - oracle) < 1e-8
+    assert abs(ger.char_semisimple(t) - oracle) < 1e-8
     # order-4 element of the norm-one torus of Sp_2(F_3)
     torus3 = sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(1),)))
-    wd3 = sym.weights(torus3)
     model3 = weil.WeilModel(torus3.space)
     for t in torus3.elements():
         if t.elem.order() == 4:
-            assert abs(ger.char_semisimple(t, wd3) - model3.trace_omega(t.elem)) < 1e-8
+            assert abs(ger.char_semisimple(t) - model3.trace_omega(t.elem)) < 1e-8
 
 
-def test_char_semisimple_rejects_foreign_elements():
+def test_char_semisimple_rejects_bare_sp_elements():
+    # the formula reads the eigenvalue orbits off the torus coordinates, so
+    # the matrix of a torus element alone is refused
     torus = sym.build_torus(sym.TorusDesc(5, (sym.SplitFactor(1),)))
-    other = sym.build_torus(sym.TorusDesc(5, (sym.NormOneFactor(1),)))
-    wd = sym.weights(torus)
-    t = next(iter(other.elements()))
-    with pytest.raises(ger.ElementNotInTorus):
-        ger.char_semisimple(t, wd)
+    t = torus.element((ff.field(5, 1).from_int(2),))
+    with pytest.raises(ger.ElementNotInTorus, match="SpElem"):
+        ger.char_semisimple(t.elem)
 
 
 def test_no_fixed_point_examples(oracle5):
@@ -120,12 +118,11 @@ def test_polarized_agrees_with_semisimple():
     # wherever both formulas apply they agree
     for p in (3, 5):
         torus = sym.build_torus(sym.TorusDesc(p, (sym.SplitFactor(1),)))
-        wd = sym.weights(torus)
         for t in torus.elements():
             pols = list(ger.invariant_polarizations(t.elem))
             if not pols:
                 continue
-            a = ger.char_semisimple(t, wd)
+            a = ger.char_semisimple(t)
             b = ger.char_polarized(t.elem, pols[0])
             assert abs(a - b) < 1e-9
 
@@ -250,6 +247,29 @@ def _red_gerardin_checks(name, faulty):
         setattr(ger, name, orig)
     assert getattr(ger, name) is orig
     return {r.scenario_id for r in rows if not r.passed}
+
+
+def test_orbit_sign_without_parity_turns_formula_checks_red():
+    # seeded fault: (-1)^l dropped from the one Gerardin sign that tori, the
+    # twisted sign blocks and the assembled product share; the fixed-space
+    # test and the characters stay
+    orig = ger.orbit_sign
+
+    def faulty(pieces, fixed_dim):
+        orig(pieces, fixed_dim)
+        return math.prod(ger.piece_character(piece) for piece in pieces)
+
+    ger.orbit_sign = faulty
+    try:
+        rows, _ = checks.run_checks()
+    finally:
+        ger.orbit_sign = orig
+    assert {r.scenario_id for r in rows if not r.passed} == {
+        "gerardin.semisimple",
+        "signcalc.oracle",
+        "signcalc.assemble",
+        "signcalc.f1-forms",
+    }
 
 
 def test_restrict_map_without_invariance_test_turns_checks_red():

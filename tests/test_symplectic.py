@@ -119,19 +119,19 @@ def test_build_torus_examples():
         sym.build_torus(sym.TorusDesc(3, (sym.SplitFactor(1),)), sym.standard_space(3, 2))
 
 
-def test_weights_examples():
-    split = sym.build_torus(sym.TorusDesc(5, (sym.SplitFactor(1),)))
-    wd = sym.weights(split)
-    assert len(wd.gamma_orbits) == 2
-    assert all(not o.symmetric for o in wd.gamma_orbits)
-    assert len(wd.sigma_orbits) == 1 and not wd.sigma_orbits[0].symmetric
-    normone = sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(1),)))
-    wd2 = sym.weights(normone)
-    assert len(wd2.gamma_orbits) == 1 and wd2.gamma_orbits[0].symmetric
-    # no identity weight: every weight evaluates nontrivially somewhere
-    for o in wd2.gamma_orbits + wd.gamma_orbits:
-        torus = normone if o.symmetric else split
-        assert any(o.eval_at(t) != 1 for t in torus.elements())
+def test_torus_pieces():
+    # one piece per factor, rooted at its coordinate: asymmetric of degree d
+    # on a split factor, symmetric of degree 2d on a norm-one factor
+    mixed = sym.build_torus(sym.TorusDesc(3, (sym.SplitFactor(2), sym.NormOneFactor(1))))
+    for t in mixed.elements():
+        split, normone = t.pieces()
+        assert (split.degree, split.symmetric, split.x) == (2, False, t.coords[0])
+        assert (normone.degree, normone.symmetric, normone.x) == (2, True, t.coords[1])
+    deg2 = sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(2),)))
+    t = next(t for t in deg2.elements() if t.coords[0] != 1)
+    assert t.pieces() == (sym.TorusPiece(4, t.coords[0], True),)
+    # every piece evaluates nontrivially somewhere: no identity weight
+    assert all(any(t.pieces()[i].x != 1 for t in mixed.elements()) for i in range(2))
 
 
 def test_eigen_examples():
