@@ -17,7 +17,8 @@ squares; FIELD_CAP bounds it at 6561 entries.
 
 `poly_roots` finds the roots of an F_p polynomial in a field from the exp
 table, all elements at once.  A subfield embedding sends the subfield
-generator to the smallest root of its modulus in the big field; it is kept
+generator to the smallest root of its modulus in the big field, searched
+among the units of the subfield's image only; it is kept
 as one pair of index tables (image, preimage), so `embed` and the projection
 behind `trace_to` and `norm_to` are lookups.
 """
@@ -365,9 +366,11 @@ def is_subfield(sub: FieldDesc, big: FieldDesc) -> bool:
     return sub.p == big.p and big.degree % sub.degree == 0
 
 
-def poly_roots(coeffs, desc: FieldDesc) -> list[FieldElem]:
+def poly_roots(coeffs, desc: FieldDesc, within: int | None = None) -> list[FieldElem]:
     """The roots in desc of an F_p polynomial (coefficients low degree
-    first), each as often as its multiplicity, in canonical order.
+    first), each as often as its multiplicity, in canonical order; with
+    `within` = j, only the roots in desc's subfield of degree j, whose units
+    are the g^l with l a multiple of (p^k - 1) / (p^j - 1).
 
     f is evaluated at every unit g^l at once, f(g^l) = sum_j c_j g^(jl)
     gathered from the exp table term by term; 0 is a root as often as f has
@@ -381,6 +384,8 @@ def poly_roots(coeffs, desc: FieldDesc) -> list[FieldElem]:
         cs.pop()
     if not cs:
         raise FieldError("the zero polynomial vanishes everywhere")
+    if within is not None and (within < 1 or desc.degree % within):
+        raise FieldError("GF(%d^%d) has no subfield of degree %r" % (p, desc.degree, within))
     exp = table_arrays(desc)[0].astype(np.int64)
     n = len(exp)
 
@@ -391,7 +396,8 @@ def poly_roots(coeffs, desc: FieldDesc) -> list[FieldElem]:
                 acc = (acc + c * exp[j * logs % n]) % p
         return ~acc.any(axis=1)
 
-    logs = np.flatnonzero(vanishes(np.arange(n), cs))
+    logs = np.arange(0, n, n // (p**within - 1) if within else 1)
+    logs = logs[vanishes(logs, cs)]
     # row m - 1: whether D^m f vanishes at each root, for m = 1 .. deg - 1
     hasse = [vanishes(logs, [math.comb(j, m) * c % p for j, c in enumerate(cs)][m:]) for m in range(1, len(cs) - 1)]
     mult = 1 + np.cumprod(np.array(hasse, dtype=bool).reshape(len(hasse), len(logs)), axis=0).sum(axis=0)
@@ -407,7 +413,7 @@ def _embedding_root(sub: FieldDesc, big: FieldDesc) -> FieldElem:
     sends sub.gen() there (1 for the prime field, whose modulus is x)."""
     if sub.degree == 1:
         return big.one()
-    return poly_roots(sub.modulus, big)[0]
+    return poly_roots(sub.modulus, big, within=sub.degree)[0]
 
 
 @lru_cache(maxsize=None)

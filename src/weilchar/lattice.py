@@ -9,7 +9,6 @@ lists of lists or anything numpy can coerce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 import numpy as np
 
@@ -113,23 +112,27 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
 
 
 def det_int(m) -> int:
-    """Exact integer determinant (fraction-free via Fractions; small sizes)."""
-    a = [[Fraction(x) for x in row] for row in _to_rows(m)]
+    """Exact integer determinant by Bareiss fraction-free elimination: after
+    step c every entry below and right of the pivot is a (c+2)-minor, so
+    each division by the previous pivot is exact."""
+    a = _to_rows(m)
     n = len(a)
-    det = Fraction(1)
+    if any(len(row) != n for row in a):
+        raise LatticeError("determinant of a non-square matrix")
+    sign, prev = 1, 1
     for c in range(n):
         piv = next((i for i in range(c, n) if a[i][c]), None)
         if piv is None:
             return 0
         if piv != c:
             a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
+            sign = -sign
+        top, pc = a[c], a[c][c]
         for i in range(c + 1, n):
-            f = a[i][c] / a[c][c]
-            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    assert det.denominator == 1
-    return int(det)
+            row, f = a[i], a[i][c]
+            a[i] = [0] * (c + 1) + [(x * pc - f * y) // prev for x, y in zip(row[c + 1 :], top[c + 1 :])]
+        prev = pc
+    return sign * prev
 
 
 def matrix_order(theta, bound: int = 10_000) -> int:

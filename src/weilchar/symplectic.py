@@ -10,7 +10,7 @@ machinery produce non-standard forms that must not be normalized away).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
@@ -218,16 +218,16 @@ class SpElem:
 
     space: SympSpace
     mat: tuple[tuple[int, ...], ...]
+    # mat as a read-only int64 array, built once; eq and hash read mat alone
+    mat_np: np.ndarray = dc_field(init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
-        m = self.mat_np
+        m = np.asarray(self.mat, dtype=np.int64)
+        m.flags.writeable = False
+        object.__setattr__(self, "mat_np", m)
         g = self.space.gram_mat
         if ((m.T @ g @ m - g) % self.space.p).any():
             raise SymplecticError("matrix does not preserve the form")
-
-    @property
-    def mat_np(self) -> np.ndarray:
-        return np.asarray(self.mat, dtype=np.int64)
 
     def __mul__(self, other: "SpElem") -> "SpElem":
         if self.space != other.space:
@@ -266,7 +266,7 @@ class SpElem:
 
 def sp_elem(space: SympSpace, mat) -> SpElem:
     m = np.asarray(mat, dtype=np.int64) % space.p
-    return SpElem(space, tuple(tuple(int(x) for x in row) for row in m))
+    return SpElem(space, tuple(map(tuple, m.tolist())))
 
 
 def sp_identity(space: SympSpace) -> SpElem:

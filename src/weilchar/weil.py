@@ -420,33 +420,30 @@ def cyclic_tensor_trace(maps: list[np.ndarray]) -> tuple[complex, complex]:
     """Both sides of the rotation-trace identity.
 
     maps = [I_0, ..., I_l] with I_j: W_j -> W_{j+1} (cyclically).  Returns
-    (trace of the rotated big operator on the tensor product, trace of the
-    composite I_l ... I_0 on W_0)."""
+    (trace of the rotated operator on the tensor product, summed from its
+    diagonal without forming the operator, trace of the composite
+    I_l ... I_0 on W_0)."""
     ms = [np.asarray(m, dtype=complex) for m in maps]
     l = len(ms) - 1
     dims = [m.shape[1] for m in ms]
     for j, m in enumerate(ms):
         if m.shape[0] != dims[(j + 1) % (l + 1)]:
             raise DimensionMismatch("map %d has shape %r, expected to land in W_%d" % (j, m.shape, (j + 1) % (l + 1)))
-    big = _rotation_big_op(ms)
     composite = ms[0]
     for m in ms[1:]:
         composite = m @ composite
-    return complex(np.trace(big)), complex(np.trace(composite))
+    return complex(_rotation_diagonal(ms).ravel().sum()), complex(np.trace(composite))
 
 
-def _rotation_big_op(ms: list[np.ndarray]) -> np.ndarray:
-    """Matrix of v_0 x ... x v_l -> I_l(v_l) x I_0(v_0) x ... x I_{l-1}(v_{l-1})."""
+def _rotation_diagonal(ms: list[np.ndarray]) -> np.ndarray:
+    """The diagonal of v_0 x ... x v_l -> I_l(v_l) x I_0(v_0) x ... x
+    I_{l-1}(v_{l-1}), indexed by (slot 0, ..., slot l)."""
     l = len(ms) - 1
     letters = "abcdefghijkl"
-    caps = "ABCDEFGHIJKL"
-    # output slot 0 takes I_l applied to input slot l; slot j+1 takes I_j on slot j
-    operands = [ms[l]] + ms[:l]
-    subs = [letters[0] + caps[l]] + [letters[j + 1] + caps[j] for j in range(l)]
-    out = "".join(letters[: l + 1]) + "".join(caps[: l + 1])
-    arr = np.einsum(",".join(subs) + "->" + out, *operands)
-    n = int(np.prod([m.shape[1] for m in ms]))
-    return arr.reshape(n, n)
+    # output slot 0 takes I_l applied to input slot l; slot j+1 takes I_j on
+    # slot j; each output index equals its input index
+    subs = [letters[0] + letters[l]] + [letters[j + 1] + letters[j] for j in range(l)]
+    return np.einsum(",".join(subs) + "->" + letters[: l + 1], ms[l], *ms[:l])
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +463,7 @@ class BlockTwist:
     space: SympSpace  # the direct sum of every group's blocks, in group order
     groups: tuple[tuple[int, ...], ...]  # tuples of block indices into space.blocks
     loops: tuple[SpElem, ...]  # L_i, an element of group i's block space
+    loop_invs: tuple[np.ndarray, ...]  # L_i^-1 mod p, read-only
     models: tuple[WeilModel, ...]  # group i's model, shared by its blocks
     chain_models: tuple[WeilModel, ...]  # group i's model of its whole chain
     iotas: tuple[SpElem, ...]  # on chain i: copy j -> j+1 by the identity, copy l -> 0 by L_i
@@ -521,6 +519,9 @@ def block_twist(chains, seed: int = 0) -> BlockTwist:
     starts = list(itertools.accumulate((length for _, length in chains), initial=0))
     groups = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
     loops = tuple(loop for loop, _ in chains)
+    loop_invs = tuple(modp.mat_inv(loop.mat_np, loop.space.p) for loop in loops)
+    for inv in loop_invs:
+        inv.flags.writeable = False
     models = tuple(WeilModel(loop.space) for loop in loops)
     # the direct side, one group at a time: the cost adds over the groups
     chain_models, iotas, signs = [], [], []
@@ -534,7 +535,7 @@ def block_twist(chains, seed: int = 0) -> BlockTwist:
     block_of = np.repeat(np.arange(len(space.blocks)), [len(b) for b in space.blocks])
     off_block = block_of[:, None] != block_of[None, :]
     off_block.flags.writeable = False
-    bt = BlockTwist(space, groups, loops, models, tuple(chain_models), tuple(iotas), tuple(signs),
+    bt = BlockTwist(space, groups, loops, loop_invs, models, tuple(chain_models), tuple(iotas), tuple(signs),
                     ranges, off_block)
     for i, (loop, length) in enumerate(chains):
         model = models[i]
@@ -589,7 +590,7 @@ def twisted_trace(bt: BlockTwist, g: SpElem) -> TwistedTraceResult:
         arg = gs[0] @ loop % p
         for gj in gs[:0:-1]:
             arg = arg @ gj % p
-        arg = arg @ modp.mat_inv(loop, p) % p
+        arg = arg @ bt.loop_invs[i] % p
         val = np.trace(model.omega(sym.sp_elem(model.space, arg)) @ bt.composite(i))
         product_value *= complex(val)
         chain = bt.chain_models[i]

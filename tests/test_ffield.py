@@ -364,7 +364,11 @@ def test_poly_roots_equal_element_by_element_search(p, k):
     desc = ff.field(p, k)
     rng = random.Random(31 * p + k)
     for f in _seeded_polys(p, rng):
-        assert ff.poly_roots(f, desc) == polyref.root_search(f, desc), f
+        want = polyref.root_search(f, desc)
+        assert ff.poly_roots(f, desc) == want, f
+        for j in (j for j in range(1, k + 1) if k % j == 0):
+            # the roots x = x^(p^j), those in the degree-j subfield
+            assert ff.poly_roots(f, desc, within=j) == [x for x in want if x ** (p**j) == x], (f, j)
     # (X + 1)^(p+1): a multiplicity of p or more, which ordinary derivatives
     # (all zero from the p-th on) cannot count
     f = [1]
@@ -373,6 +377,9 @@ def test_poly_roots_equal_element_by_element_search(p, k):
     assert [x.index() for x in ff.poly_roots(f, desc)] == [p - 1] * (p + 1)
     with pytest.raises(ff.FieldError):
         ff.poly_roots([0, 0], desc)
+    for j in (0, k + 1):
+        with pytest.raises(ff.FieldError):
+            ff.poly_roots([0, 1], desc, within=j)
 
 
 def _mobius(n):

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +26,46 @@ def test_snf_witnesses():
     assert (np.array(u, dtype=object) @ np.array(m, dtype=object) @ np.array(v, dtype=object) == np.array(d, dtype=object)).all()
     assert abs(lat.det_int(u)) == 1
     assert abs(lat.det_int(v)) == 1
+
+
+def _det_fraction(m):
+    """Gaussian elimination on Fractions: the reference for det_int."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n, det = len(a), Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return int(det)
+
+
+def test_det_int_equals_fraction_elimination():
+    rng = random.Random(19)
+    for n in range(1, 9):
+        for kind in ("random", "singular", "swap"):
+            for _ in range(5):
+                m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                if kind == "singular" and n > 1:
+                    (k, j), c = rng.sample(range(n), 2), rng.randint(-3, 3)
+                    m[k] = [c * x for x in m[j]]
+                if kind == "swap":
+                    m[0][0] = 0  # a zero pivot forces a row swap at step 0
+                    m[n - 1][0] = m[n - 1][0] or 1
+                want = _det_fraction(m)
+                assert lat.det_int(m) == want, m
+                if kind == "singular" and n > 1:
+                    assert want == 0
+    assert lat.det_int([[0, 1], [1, 0]]) == -1
+    assert lat.det_int([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    with pytest.raises(lat.LatticeError):
+        lat.det_int([[1, 2, 3], [4, 5, 6]])
 
 
 @given(st.integers(0, 10**6))

@@ -56,7 +56,12 @@ def test_ci_workflow_parses():
     assert "--durations=15" in tier1.split()  # every log names its slowest tests
     assert any("python -m pytest perfbench/tests -q" in s for s in steps)
     # two selfcheck processes must write the same report bytes
-    assert any(s.count("python -m weilchar.cli selfcheck --report") == 2 and "cmp " in s for s in steps)
+    [self_step] = [s for s in steps if "python -m weilchar.cli selfcheck --report" in s]
+    assert self_step.count("python -m weilchar.cli selfcheck --report") == 2 and "cmp " in self_step
+    # and two runs with the sgn fault, each exiting 1, the same report bytes
+    assert 'python -m weilchar.cli selfcheck --fault sgn --report "$RUNNER_TEMP/fault-$side.json"' in self_step
+    assert "for side in a b; do" in self_step and 'test "$status" -eq 1' in self_step
+    assert 'cmp "$RUNNER_TEMP/fault-a.json" "$RUNNER_TEMP/fault-b.json"' in self_step
     # and so must two runs of every bundled scenario file at a fixed seed
     [scn_step] = [s for s in steps if 'python -m weilchar.cli run "scenarios/$scn" --seed 7 --report' in s]
     assert scn_step.count("python -m weilchar.cli run") == 2 and "cmp " in scn_step

@@ -103,6 +103,28 @@ def test_sp_elem_validation():
     assert g.is_semisimple()
 
 
+def test_sp_elem_array_built_once_read_only():
+    rng = np.random.default_rng(19)
+    for space in (V3, sym.standard_polarized_space(5, 2)):
+        p = space.p
+        els = sym.sp_elements(space) if space is V3 else [sym.sp_identity(space)] + list(sym.sp_generators(space))
+        for g in els:
+            arr = g.mat_np
+            assert g.mat_np is arr and not arr.flags.writeable and arr.dtype == np.int64
+            assert arr.tolist() == [list(row) for row in g.mat]
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+            # eq, hash and repr read (space, mat) alone
+            twin = sym.SpElem(g.space, g.mat)
+            assert twin == g and hash(twin) == hash(g) == hash((g.space, g.mat)) and twin.mat_np is not arr
+            assert repr(g) == "SpElem(space=%r, mat=%r)" % (g.space, g.mat)
+            # sp_elem's tuples are the old per-entry conversion of m mod p
+            m = arr + p * rng.integers(-3, 4, arr.shape)
+            h = sym.sp_elem(space, m)
+            assert h.mat == tuple(tuple(int(x) for x in row) for row in m % p) == g.mat
+            assert all(type(x) is int for row in h.mat for x in row)
+
+
 def test_build_torus_examples():
     split = sym.build_torus(sym.TorusDesc(3, (sym.SplitFactor(1),)))
     els = list(split.elements())

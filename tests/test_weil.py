@@ -238,6 +238,26 @@ def test_twisted_trace_examples():
     assert abs(r.direct_value - want) < 1e-9
 
 
+def test_block_twist_inverts_each_loop_once(monkeypatch):
+    v2 = sym.standard_polarized_space(5, 1)
+    loop = sym.sp_generators(v2)[0]
+    bt = weil.block_twist([(loop, 2), (sym.sp_identity(v2), 1)], seed=0)
+    for lp, inv in zip(bt.loops, bt.loop_invs):
+        assert not inv.flags.writeable
+        assert np.array_equal(lp.mat_np @ inv % 5, np.eye(2, dtype=np.int64))
+    callers = []
+    orig = modp.mat_inv
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return orig(*args)
+
+    monkeypatch.setattr(modp, "mat_inv", counted)
+    for g in sym.sp_elements(v2)[:6]:
+        weil.twisted_trace(bt, sym.block_diagonal(bt.space, [g.mat_np] * 3))
+    assert callers and "twisted_trace" not in callers  # the word model's normal forms still invert
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_twisted_trace_on_chains_with_loop_of_order_3(p):
     # L^2 = L^-1 is not central, so conjugating g_l ... g_1 by L and by L^-1
@@ -263,6 +283,49 @@ def test_twisted_trace_on_chains_with_loop_of_order_3(p):
         assert apart > 0.5
 
 
+def _rotation_big_op(ms):
+    """Matrix of v_0 x ... x v_l -> I_l(v_l) x I_0(v_0) x ... x I_{l-1}(v_{l-1}),
+    the whole rotated operator: the reference for the library's diagonal."""
+    l = len(ms) - 1
+    letters, caps = "abcdefghijkl", "ABCDEFGHIJKL"
+    # output slot 0 takes I_l applied to input slot l; slot j+1 takes I_j on slot j
+    subs = [letters[0] + caps[l]] + [letters[j + 1] + caps[j] for j in range(l)]
+    out = letters[: l + 1] + caps[: l + 1]
+    arr = np.einsum(",".join(subs) + "->" + out, ms[l], *ms[:l])
+    n = int(np.prod([m.shape[1] for m in ms]))
+    return arr.reshape(n, n)
+
+
+def _random_chain(rng, l):
+    # I_j: W_j -> W_{j+1}, the W_j of unequal dimensions 1 to 4
+    dims = [int(rng.integers(1, 5)) for _ in range(l + 1)]
+    shapes = [(dims[(j + 1) % (l + 1)], dims[j]) for j in range(l + 1)]
+    return [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+
+
+def test_rotation_diagonal_is_the_big_operators_diagonal():
+    rng = np.random.default_rng(19)
+    for l in range(5):
+        for _ in range(30):
+            ms = _random_chain(rng, l)
+            big = _rotation_big_op(ms)
+            diagonal = weil._rotation_diagonal(ms).ravel()
+            assert np.array_equal(diagonal, np.diagonal(big))
+            assert weil.cyclic_tensor_trace(ms)[0] == complex(np.trace(big))
+
+
+def test_rotation_wiring_fault_turns_only_tensor_trace_red():
+    # seeded fault: the first two maps trade slots in the rotation, which
+    # changes its trace for chains of three or more maps
+    orig = weil._rotation_diagonal
+    weil._rotation_diagonal = lambda ms: orig([ms[1], ms[0]] + ms[2:] if len(ms) > 2 else ms)
+    try:
+        rows, _ = checks.run_checks()
+    finally:
+        weil._rotation_diagonal = orig
+    assert [r.scenario_id for r in rows if not r.passed] == ["weil.tensor-trace"]
+
+
 def _kron_rotation_direct(bt, g):
     """The direct value as the tensor-product trace: per group, the Kronecker
     product of the block operators against the rotation of the tensor
@@ -271,7 +334,7 @@ def _kron_rotation_direct(bt, g):
     value = 1.0 + 0j
     for i, grp in enumerate(bt.groups):
         model = bt.models[i]
-        rot = weil._rotation_big_op([bt.inters[(i, j)] for j in range(len(grp))])
+        rot = _rotation_big_op([bt.inters[(i, j)] for j in range(len(grp))])
         tensor_g = np.ones((1, 1))
         for b in grp:
             idx = bt.space.blocks[b]
