@@ -164,30 +164,33 @@ def check_snf_unimodular(seed: int = 0, trials: int = 120) -> list[Row]:
     return [Row.compare("lattice", "snf UMV=D, unimodular, divisibility (%d trials)" % trials, bad, 0, 0, seed=seed)]
 
 
-def make_finite_order_matrix(rng: random.Random):
-    """Random finite-order integer matrix: permutation/rotation blocks
-    conjugated by a random unimodular matrix; order in {1,2,3,4,6}."""
-    blocks = {
-        1: [[1]],
-        -1: [[-1]],
-        3: [[0, -1], [1, -1]],
-        4: [[0, -1], [1, 0]],
-        6: [[1, -1], [1, 0]],
-    }
+# (order, block): the blocks make_finite_order_matrix draws from, the
+# rank-1 blocks first
+_FINITE_ORDER_BLOCKS = (
+    (1, [[1]]),
+    (2, [[-1]]),
+    (3, [[0, -1], [1, -1]]),
+    (4, [[0, -1], [1, 0]]),
+    (6, [[1, -1], [1, 0]]),
+)
+
+
+def make_finite_order_matrix(rng: random.Random) -> tuple[list[list[int]], int]:
+    """Random finite-order integer matrix and its order: rotation blocks
+    conjugated by a random unimodular matrix.  The order is the lcm of the
+    block orders (conjugation keeps it), one of 1, 2, 3, 4, 6 and 12."""
     chosen = []
     size = 0
     while size < rng.randint(2, 6):
-        key = rng.choice(list(blocks))
-        b = blocks[key]
+        order, b = rng.choice(_FINITE_ORDER_BLOCKS)
         if size + len(b) > 6:
-            key = rng.choice([1, -1])
-            b = blocks[key]
-        chosen.append(b)
+            order, b = rng.choice(_FINITE_ORDER_BLOCKS[:2])
+        chosen.append((order, b))
         size += len(b)
     n = size
     m = [[0] * n for _ in range(n)]
     off = 0
-    for b in chosen:
+    for _, b in chosen:
         for i, row in enumerate(b):
             for j, x in enumerate(row):
                 m[off + i][off + j] = x
@@ -201,7 +204,7 @@ def make_finite_order_matrix(rng: random.Random):
             m[i][t] += c * m[j][t]
         for t in range(n):
             m[t][j] -= c * m[t][i]
-    return m
+    return m, math.lcm(*(order for order, _ in chosen))
 
 
 def check_pi0_property(seed: int = 0, trials: int = 200) -> list[Row]:
@@ -209,8 +212,7 @@ def check_pi0_property(seed: int = 0, trials: int = 200) -> list[Row]:
     rng = random.Random(seed)
     bad = 0
     for _ in range(trials):
-        m = make_finite_order_matrix(rng)
-        order = lattice.matrix_order(m)
+        m, order = make_finite_order_matrix(rng)
         for factor in lattice.pi0_torsion(m):
             ff_ = factor
             d = 2
@@ -754,26 +756,6 @@ def check_weil_char_fixed_point_free(ps=(3, 5), per_p: int = 8, seed: int = 0) -
 # signcalc
 
 
-def make_asym_asym_action() -> signcalc.OrbitAction:
-    return signcalc.one_orbit_action(1, False)
-
-
-def make_sym_ur_action() -> signcalc.OrbitAction:
-    return signcalc.one_orbit_action(2, True)
-
-
-def make_asym_symur_action() -> signcalc.OrbitAction:
-    return signcalc.one_orbit_action(2, False, shift=1, neg=True)
-
-
-def make_asym_symram_action() -> signcalc.OrbitAction:
-    return signcalc.one_orbit_action(1, False, neg=True)
-
-
-def make_symram_action() -> signcalc.OrbitAction:
-    return signcalc.one_orbit_action(2, True, neg=True)
-
-
 def _eta_pool(group: list, cap: int = 80, seed: int = 11):
     if len(group) <= cap:
         return list(group)
@@ -816,14 +798,15 @@ def sign_branch_scenarios(p: int, max_degree: int = 2, eta_cap: int = 80, c_vari
         if d > max_degree:
             continue
         act = signcalc.one_orbit_action(d, symmetric, shift, neg)
-        k, k_pm, k_res, k_pm_res = (ffield.field(p, deg(0)) for deg in (act.deg_alpha, act.deg_pm_alpha, act.deg_res, act.deg_pm_res))
+        root = act.roots[0]
+        k, k_pm, k_res, k_pm_res = (ffield.field(p, deg) for deg in (d, root.deg_pm_alpha, root.deg_res, root.deg_pm_res))
         if act.theta_order % p == 0 or (d // k_res.degree) % p == 0:
             continue
         branch = signcalc.orbit_branch(act, 0, d, k_res.degree, k_pm_res.degree)
         label = "%s p=%d %s" % (branch, p, suffix)
-        vexp = (-act.sigma_exponent(0)) % d
+        vexp = (-root.sigma_exp) % d
         if symmetric:
-            tau = act.tau_exponent(0) % d
+            tau = root.tau_exp % d
             cs = [x for x in k.units() if x.frobenius(tau) == -x]
         else:
             cs = [k.one(), k.gen()] if d > 1 else [k.one(), k.from_int(2)]
@@ -833,7 +816,7 @@ def sign_branch_scenarios(p: int, max_degree: int = 2, eta_cap: int = 80, c_vari
                 pool = [x for x in k.units() if x * x.frobenius(tau) == ratio]
                 pairs = [(eta, None) for eta in _eta_pool(pool, cap=eta_cap)]
             else:
-                ratio = ratio if act.branch_sign(0) == 1 else -ratio
+                ratio = ratio if root.branch_sign == 1 else -ratio
                 pairs = [(eta, ratio / eta) for eta in _eta_pool(list(k.units()), cap=eta_cap)]
             for eta, eta_minus in pairs:
                 yield label, signcalc.OrbitScenario(act, 0, k, k_pm, k_res, k_pm_res, c, eta, eta_minus, branch)
@@ -878,7 +861,7 @@ def check_ram_empty() -> list[Row]:
     constructor rejects every attempted C."""
     # symmetric alpha with trivial residue tau: Gamma of order 2 acting with
     # k_alpha = F_p (total ramification): every C fails
-    act = make_sym_ur_action()
+    act = signcalc.one_orbit_action(2, True)
     f1 = ffield.field(3, 1)
     bad = 0
     for c in f1.units():
@@ -895,7 +878,7 @@ def check_eta_constraint_both_directions() -> list[Row]:
     p = 3
     k = ffield.field(p, 2)
     f1 = ffield.field(p, 1)
-    act = make_asym_symur_action()
+    act = signcalc.one_orbit_action(2, False, shift=1, neg=True)
     c = k.one()
     good = bad_accepted = bad_rejected = 0
     for eta in k.units():
@@ -922,25 +905,24 @@ def check_ramified_eta_independence() -> list[Row]:
     f1 = ffield.field(p, 1)
     k2 = ffield.field(p, 2)
     c2 = sym.anti_invariant_unit(k2, 1)
+    asym_ram, sym_ram = signcalc.one_orbit_action(1, False, neg=True), signcalc.one_orbit_action(2, True, neg=True)
     vals = set()
     for eta in f1.units():
-        sc = signcalc.OrbitScenario(
-            make_asym_symram_action(), 0, f1, f1, f1, f1, f1.one(), eta, -eta.inverse(), "asym/sym-ram"
-        )
+        sc = signcalc.OrbitScenario(asym_ram, 0, f1, f1, f1, f1, f1.one(), eta, -eta.inverse(), "asym/sym-ram")
         bb = signcalc.build_block(sc)
         vals.add(round(weil.WeilModel(bb.space).trace_omega(bb.op).real, 6))
     rows.append(Row.compare("signcalc", "asym/sym-ram eta independence", len(vals), 1, 0))
     vals2 = set()
     for eta in k2.units():
         if ffield.norm_to(eta, f1) == -1:
-            sc = signcalc.OrbitScenario(make_symram_action(), 0, k2, f1, f1, f1, c2, eta, None, "sym-ur/sym-ram")
+            sc = signcalc.OrbitScenario(sym_ram, 0, k2, f1, f1, f1, c2, eta, None, "sym-ur/sym-ram")
             bb = signcalc.build_block(sc)
             vals2.add(round(weil.WeilModel(bb.space).trace_omega(bb.op).real, 6))
     rows.append(Row.compare("signcalc", "sym-ur/sym-ram eta independence", len(vals2), 1, 0))
     # the ramified norm identity Nr(eta) = -1 is forced
     forced = all(
         ffield.norm_to(eta, f1) == -1
-        or not _scenario_ok(make_symram_action(), k2, f1, c2, eta)
+        or not _scenario_ok(sym_ram, k2, f1, c2, eta)
         for eta in k2.units()
     )
     rows.append(Row.compare("signcalc", "sym-ram forces Nr(eta) = -1", forced, True, 0))
@@ -960,7 +942,7 @@ def check_asym_symur_norm_minus_one_fixed_space() -> list[Row]:
     p = 3
     k = ffield.field(p, 2)
     f1 = ffield.field(p, 1)
-    act = make_asym_symur_action()
+    act = signcalc.one_orbit_action(2, False, shift=1, neg=True)
     c = k.one()
     bad = 0
     seen = 0
@@ -1022,7 +1004,7 @@ def check_f1_closed_forms() -> list[Row]:
     p = 3
     f1 = ffield.field(p, 1)
     k2 = ffield.field(p, 2)
-    act = make_asym_symur_action()
+    act = signcalc.one_orbit_action(2, False, shift=1, neg=True)
     c = k2.one()
     bad = 0
     for eta in k2.units():
@@ -1035,9 +1017,10 @@ def check_f1_closed_forms() -> list[Row]:
             bad += 1
     rows.append(Row.compare("signcalc", "f=1 asym/sym-ur closed form", bad, 0, 0))
     c2 = sym.anti_invariant_unit(k2, 1)
+    sym_ur = signcalc.one_orbit_action(2, True)
     bad2 = 0
     for eta in ffield.norm_one_group(k2, f1):
-        sc = signcalc.OrbitScenario(make_sym_ur_action(), 0, k2, f1, k2, f1, c2, eta, None, "sym-ur/sym-ur")
+        sc = signcalc.OrbitScenario(sym_ur, 0, k2, f1, k2, f1, c2, eta, None, "sym-ur/sym-ur")
         bv = signcalc.block_sign_formula(sc)
         closed = (-1) ** (1 - bv.n_alpha) * ffield.sgn_norm_one(eta, f1) * bv.fixed_factor
         if abs(closed - bv.value) > 1e-9:

@@ -29,7 +29,6 @@ from . import checks, ffield, gerardin, lattice, signcalc, symplectic as sym, we
 from .checks import Row
 
 EXIT_OK, EXIT_FAIL, EXIT_PARSE, EXIT_VALIDATION = 0, 1, 2, 3
-KINDS = ("weil-verify", "gerardin", "twisted-trace", "sign-block", "assemble", "root-datum", "lattice-check")
 
 
 class ScenarioValidationError(Exception):
@@ -63,10 +62,17 @@ def _int_rows(value, what: str) -> list[list[int]]:
     return [[_typed(x, int, what + " entry") for x in _typed(row, list, what + " row")] for row in _typed(value, list, what)]
 
 
-def _parse_datum(obj) -> lattice.RootDatum:
-    _typed(obj, dict, "datum")
-    matrices = {key: _int_rows(obj[key], key) for key in ("roots", "coroots", "theta")}
-    return lattice.datum_from_json(dict(matrices, rank=_typed(obj["rank"], int, "rank")))
+def _load_datum(source) -> lattice.RootDatum:
+    """The root datum a catalogue name (a string) or a datum object
+    {rank, roots, coroots, theta} describes."""
+    if isinstance(source, str):
+        cat = lattice.catalogue()
+        if source not in cat:
+            raise ScenarioValidationError("unknown catalogue datum %r (known: %s)" % (source, ", ".join(sorted(cat))))
+        return cat[source]
+    _typed(source, dict, "datum")
+    matrices = {key: _int_rows(source[key], key) for key in ("roots", "coroots", "theta")}
+    return lattice.datum_from_json(dict(matrices, rank=_typed(source["rank"], int, "rank")))
 
 
 def _parse_action(obj) -> signcalc.OrbitAction:
@@ -202,7 +208,10 @@ def run_assemble(sid: str, payload, tol: float, seed: int) -> list[Row]:
     for obj in _typed(payload["orbits"], list, "orbits"):
         sc = _parse_orbit(action, obj)
         scenarios[sc.alpha] = sc
-    s_values = {int(k): _parse_elem(v, "s_values entry") for k, v in _typed(payload["s_values"], dict, "s_values").items()}
+    raw = _typed(payload["s_values"], dict, "s_values")
+    s_values = {int(k): _parse_elem(v, "s_values entry") for k, v in raw.items()}
+    if len(s_values) != len(raw):  # "0" and "00": the last would win
+        raise ScenarioValidationError("s_values keys %s name one root twice" % sorted(raw))
     re_im = _typed(payload.get("vartheta_s", [1.0, 0.0]), list, "vartheta_s")
     if len(re_im) != 2:
         raise ScenarioValidationError("vartheta_s must be [re, im], got %r" % (re_im,))
@@ -221,10 +230,7 @@ def run_assemble(sid: str, payload, tol: float, seed: int) -> list[Row]:
 
 
 def run_root_datum(sid: str, payload, tol: float, seed: int) -> list[Row]:
-    if "name" in payload:
-        datum = lattice.catalogue()[_typed(payload["name"], str, "name")]
-    else:
-        datum = _parse_datum(payload)
+    datum = _load_datum(_typed(payload["name"], str, "name") if "name" in payload else payload)
     res = lattice.restrict_roots(datum)
     counts: dict[int, int] = {}
     for r in res.restricted:
@@ -261,6 +267,7 @@ RUNNERS = {
     "root-datum": run_root_datum,
     "lattice-check": run_lattice_check,
 }
+KINDS = tuple(RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +412,13 @@ def cmd_tabulate_ramified(args) -> int:
         f1 = ffield.field(p, 1)
         k2 = ffield.field(p, 2)
         # asym/sym-ram: all four residue fields F_p, every C in F_p^x
-        act = checks.make_asym_symram_action()
+        act = signcalc.one_orbit_action(1, False, neg=True)
         for c in f1.units():
             # eta constraint here: eta_+ eta_- = -varsigma(C)/C = -1
             sc = signcalc.OrbitScenario(act, 0, f1, f1, f1, f1, c, f1.one(), -f1.one(), "asym/sym-ram")
             rows.append(("asym/sym-ram", p, 1, ffield.serialize(c), _oracle_sign(sc)))
         # sym-ur/sym-ram: k_alpha quadratic, tau-antiinvariant C
-        act2 = checks.make_symram_action()
+        act2 = signcalc.one_orbit_action(2, True, neg=True)
         for c in k2.units():
             if c.frobenius(1) != -c:
                 continue
@@ -425,21 +432,19 @@ def cmd_tabulate_ramified(args) -> int:
 
 
 def cmd_root_datum(args) -> int:
-    cat = lattice.catalogue()
-    if args.file in cat:
-        datum = cat[args.file]
-    else:
+    source = args.file
+    if source not in lattice.catalogue():
         try:
-            with open(args.file) as fh:
-                doc = json.load(fh)
+            with open(source) as fh:
+                source = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print("parse error: %s" % exc, file=sys.stderr)
             return EXIT_PARSE
-        try:
-            datum = _parse_datum(doc)
-        except (lattice.LatticeError, ScenarioValidationError, KeyError) as exc:
-            print("validation error: %s" % exc, file=sys.stderr)
-            return EXIT_VALIDATION
+    try:
+        datum = _load_datum(source)
+    except (lattice.LatticeError, ScenarioValidationError, KeyError) as exc:
+        print("validation error: %s" % exc, file=sys.stderr)
+        return EXIT_VALIDATION
     res = lattice.restrict_roots(datum)
     print("rank %d, %d roots, theta order %d" % (datum.rank, len(datum.roots), datum.order))
     for r in sorted(res.restricted, key=lambda r: r.vector):

@@ -56,29 +56,6 @@ def _perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a[b[i]] for i in range(len(a)))
 
 
-def _perm_pow(a: tuple[int, ...], k: int) -> tuple[int, ...]:
-    n = len(a)
-    out = tuple(range(n))
-    base = a
-    k %= _perm_order(a)
-    while k:
-        if k & 1:
-            out = _perm_mul(base, out)
-        base = _perm_mul(base, base)
-        k >>= 1
-    return out
-
-
-def _perm_order(a: tuple[int, ...]) -> int:
-    n = len(a)
-    cur = a
-    for k in range(1, 10_000):
-        if cur == tuple(range(n)):
-            return k
-        cur = _perm_mul(a, cur)
-    raise SignCalcError("permutation order bound exceeded")
-
-
 def _cycle(perm: tuple[int, ...], a: int) -> tuple[int, ...]:
     """The orbit of a under the powers of perm, starting at a."""
     out = [a]
@@ -90,17 +67,21 @@ def _cycle(perm: tuple[int, ...], a: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class _RootInvariants:
-    """What an OrbitAction knows about one root, computed once."""
+class RootOrbit:
+    """What an OrbitAction knows about one root alpha, computed once."""
 
-    gamma: tuple[int, ...]  # the Gamma-orbit, frobenius^j(a) at j
-    theta: tuple[int, ...]  # the Theta-orbit, theta^j(a) at j
+    gamma: tuple[int, ...]  # the Gamma-orbit, frobenius^j(alpha) at j; its length is [F_alpha : F]
+    theta: tuple[int, ...]  # the Theta-orbit, theta^j(alpha) at j; its length is l_alpha
     sigma: frozenset  # the Sigma-orbit: gamma and its negation
-    symmetric: bool
-    m: int
+    cluster: frozenset  # the <Sigma, Theta>-orbit: the Sigma-orbits along theta
+    symmetric: bool  # -alpha lies in gamma
+    m: int  # the least m >= 1 with theta^m(alpha) in sigma
+    # asymmetric alpha: +1 if theta^m(alpha) lies in gamma, -1 if in the
+    # negated orbit (then alpha_res is symmetric); None for symmetric alpha
     branch_sign: int | None
-    sigma_exp: int
-    tau_exp: int | None  # None for asymmetric roots
+    sigma_exp: int  # frobenius^sigma_exp(alpha) = sigma_alpha(alpha) = (-)^branch theta^m(alpha)
+    tau_exp: int | None  # frobenius^tau_exp(alpha) = -alpha; None for asymmetric alpha
+    # F-level degrees from stabilizer indices
     deg_pm_alpha: int
     deg_res: int
     deg_pm_res: int
@@ -111,21 +92,20 @@ class OrbitAction:
     """Abstract roots with commuting actions: cyclic Galois group generated by
     `frobenius`, fixed-point-free negation, and a finite-order twist.
 
-    Every per-root invariant (orbits, symmetry, m, l, branch sign, the
-    sigma/tau exponents, residue degrees) is computed once on construction."""
+    `roots[a]` is the RootOrbit of root a, computed once on construction."""
 
     size: int
     frobenius: tuple[int, ...]
     neg: tuple[int, ...]
     theta: tuple[int, ...]
     theta_order: int = field(init=False, repr=False, compare=False, hash=False)
-    _roots: tuple[_RootInvariants, ...] = field(init=False, repr=False, compare=False, hash=False)
+    roots: tuple[RootOrbit, ...] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         n = self.size
         for name in ("frobenius", "neg", "theta"):
             perm = getattr(self, name)
-            if not all(isinstance(x, int) for x in perm) or sorted(perm) != list(range(n)):
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in perm) or sorted(perm) != list(range(n)):
                 raise SignCalcError("%s is not a permutation of 0..%d" % (name, n - 1))
         if _perm_mul(self.neg, self.neg) != tuple(range(n)):
             raise SignCalcError("neg is not an involution")
@@ -135,17 +115,18 @@ class OrbitAction:
             if _perm_mul(a, b) != _perm_mul(b, a):
                 raise SignCalcError("actions do not commute")
         gammas = [_cycle(self.frobenius, a) for a in range(n)]
+        thetas = [_cycle(self.theta, a) for a in range(n)]
+        sigmas = [frozenset(g) | frozenset(self.neg[x] for x in g) for g in gammas]
         symmetric = [self.neg[a] in gammas[a] for a in range(n)]
         for a in range(n):
             if symmetric[self.theta[a]] != symmetric[a]:
                 raise SignCalcError("theta does not preserve the symmetry partition")
-        object.__setattr__(self, "theta_order", _perm_order(self.theta))
-        object.__setattr__(self, "_roots", tuple(self._invariants(a, gammas[a], symmetric[a]) for a in range(n)))
+        object.__setattr__(self, "theta_order", math.lcm(*map(len, thetas)))
+        object.__setattr__(self, "roots", tuple(
+            self._root_orbit(a, gammas[a], thetas[a], sigmas, symmetric[a]) for a in range(n)))
 
-    def _invariants(self, a: int, gamma: tuple[int, ...], symmetric: bool) -> _RootInvariants:
-        neg = self.neg
-        theta = _cycle(self.theta, a)
-        sigma = frozenset(gamma) | frozenset(neg[x] for x in gamma)
+    def _root_orbit(self, a: int, gamma: tuple[int, ...], theta: tuple[int, ...], sigmas: list[frozenset], symmetric: bool) -> RootOrbit:
+        neg, sigma = self.neg, sigmas[a]
         # m: the first theta^m(a) back in the Sigma-orbit (theta^l(a) = a is)
         m = next(j for j in range(1, len(theta) + 1) if theta[j % len(theta)] in sigma)
         target = theta[m % len(theta)]
@@ -160,10 +141,11 @@ class OrbitAction:
         else:
             branch_sign, goal = -1, neg[target]
         theta_set = frozenset(theta)
-        return _RootInvariants(
+        return RootOrbit(
             gamma=gamma,
             theta=theta,
             sigma=sigma,
+            cluster=frozenset().union(*(sigmas[b] for b in theta)),
             symmetric=symmetric,
             m=m,
             branch_sign=branch_sign,
@@ -173,62 +155,6 @@ class OrbitAction:
             deg_res=self._translates(theta_set),
             deg_pm_res=self._translates(theta_set | frozenset(neg[x] for x in theta)),
         )
-
-    def theta_pow(self, a: int, j: int) -> int:
-        orb = self._roots[a].theta
-        return orb[j % len(orb)]
-
-    def gamma_orbit(self, a: int) -> list[int]:
-        return list(self._roots[a].gamma)
-
-    def sigma_orbit(self, a: int) -> set[int]:
-        return set(self._roots[a].sigma)
-
-    def theta_orbit(self, a: int) -> list[int]:
-        return list(self._roots[a].theta)
-
-    def theta_cluster(self, a: int) -> set[int]:
-        """The <Sigma, Theta>-orbit of a: the Sigma-orbits along its Theta-orbit."""
-        return set().union(*(self._roots[b].sigma for b in self._roots[a].theta))
-
-    def is_symmetric(self, a: int) -> bool:
-        return self._roots[a].symmetric
-
-    def m_alpha(self, a: int) -> int:
-        return self._roots[a].m
-
-    def l_alpha(self, a: int) -> int:
-        return len(self._roots[a].theta)
-
-    def branch_sign(self, a: int) -> int | None:
-        """For asymmetric a: +1 if theta^m(a) lands in the Gamma-orbit, -1 if
-        in the negated one (then a_res is symmetric); None for symmetric a."""
-        return self._roots[a].branch_sign
-
-    def sigma_exponent(self, a: int) -> int:
-        """Smallest j with frobenius^j(a) = sigma_alpha(a), the chosen element
-        of Gamma carrying a to (-)^branch theta^m(a)."""
-        return self._roots[a].sigma_exp
-
-    def tau_exponent(self, a: int) -> int:
-        """Smallest j with frobenius^j(a) = -a (symmetric a only)."""
-        tau = self._roots[a].tau_exp
-        if tau is None:
-            raise SignCalcError("tau_alpha only exists for symmetric roots")
-        return tau
-
-    # F-level degrees from stabilizer indices
-    def deg_alpha(self, a: int) -> int:
-        return len(self._roots[a].gamma)
-
-    def deg_pm_alpha(self, a: int) -> int:
-        return self._roots[a].deg_pm_alpha
-
-    def deg_res(self, a: int) -> int:
-        return self._roots[a].deg_res
-
-    def deg_pm_res(self, a: int) -> int:
-        return self._roots[a].deg_pm_res
 
     def _translates(self, roots: frozenset) -> int:
         """How many distinct sets frobenius^j(roots) there are."""
@@ -254,7 +180,7 @@ def one_orbit_action(d: int, symmetric: bool, shift: int = 0, neg: bool = False)
         n = 2 * d
         frob = tuple(d * (i // d) + (i + 1) % d for i in range(n))
         negp = tuple((i + d) % n for i in range(n))
-    theta = _perm_pow(frob, shift)
+    theta = tuple(_cycle(frob, i)[shift % d] for i in range(n))
     if neg:
         theta = _perm_mul(negp, theta)
     return OrbitAction(n, frob, negp, theta)
@@ -266,9 +192,10 @@ def orbit_branch(action: OrbitAction, a: int, d_alpha: int, d_res: int, d_pm_res
     iff f = [k_alpha : k_res] is odd.  Asymmetric a: alpha_res is asymmetric
     on the +1 branch; on the -1 branch it is symmetric, unramified iff
     [k_alpha : k_pm_res] is even."""
-    if action.is_symmetric(a):
+    root = action.roots[a]
+    if root.symmetric:
         return "sym-ur/sym-ur" if (d_alpha // d_res) % 2 else "sym-ur/sym-ram"
-    if action.branch_sign(a) == 1:
+    if root.branch_sign == 1:
         return "asym/asym"
     return "asym/sym-ur" if (d_alpha // d_pm_res) % 2 == 0 else "asym/sym-ram"
 
@@ -305,12 +232,8 @@ class OrbitScenario:
         return self.k_alpha.p
 
     @property
-    def m(self) -> int:
-        return self.action.m_alpha(self.alpha)
-
-    @property
-    def l(self) -> int:
-        return self.action.l_alpha(self.alpha)
+    def root(self) -> RootOrbit:
+        return self.action.roots[self.alpha]
 
     @property
     def f(self) -> int:
@@ -322,22 +245,20 @@ class OrbitScenario:
 
     @property
     def sym_alpha(self) -> bool:
-        return self.action.is_symmetric(self.alpha)
-
-    @property
-    def branch_sign(self) -> int | None:
-        return self.action.branch_sign(self.alpha)
+        return self.root.symmetric
 
     @property
     def varsigma_exp(self) -> int:
         """Residue exponent of varsigma_alpha = sigma_alpha^{-1} on k_alpha."""
-        d = self.k_alpha.degree
-        return (-self.action.sigma_exponent(self.alpha)) % d
+        return (-self.root.sigma_exp) % self.k_alpha.degree
 
     @property
     def tau_exp(self) -> int:
-        d = self.k_alpha.degree
-        return self.action.tau_exponent(self.alpha) % d
+        """Residue exponent of tau_alpha, the element of Gamma carrying alpha to -alpha."""
+        tau = self.root.tau_exp
+        if tau is None:
+            raise SignCalcError("tau_alpha only exists for symmetric roots")
+        return tau % self.k_alpha.degree
 
     def varsigma(self, x: FieldElem) -> FieldElem:
         return x.frobenius(self.varsigma_exp)
@@ -345,14 +266,12 @@ class OrbitScenario:
     def tau(self, x: FieldElem) -> FieldElem:
         return x.frobenius(self.tau_exp)
 
-    def with_eta(self, eta_alpha: FieldElem, eta_minus_alpha: FieldElem | None) -> "OrbitScenario":
-        return replace(self, eta_alpha=eta_alpha, eta_minus_alpha=eta_minus_alpha)
-
 
 def validate_scenario(sc: OrbitScenario) -> None:
     act, a = sc.action, sc.alpha
     if not isinstance(a, int) or not 0 <= a < act.size:
         raise SignCalcError("alpha = %r is not a root index 0..%d" % (a, act.size - 1))
+    root = act.roots[a]
     if sc.classification not in BRANCHES:
         raise SignCalcError("unknown classification %r" % (sc.classification,))
     p = sc.k_alpha.p
@@ -363,7 +282,7 @@ def validate_scenario(sc: OrbitScenario) -> None:
     if d_a % d_r or d_r % d_pr or d_a % d_pm:
         raise InconsistentDegrees("field degrees do not form a tower")
     # residue degrees divide the F-level stabilizer indices
-    if act.deg_alpha(a) % d_a or act.deg_res(a) % d_r or act.deg_pm_res(a) % d_pr:
+    if len(root.gamma) % d_a or root.deg_res % d_r or root.deg_pm_res % d_pr:
         raise InconsistentDegrees("residue degrees incompatible with stabilizer indices")
     f = d_a // d_r
     if f % p == 0:
@@ -371,12 +290,12 @@ def validate_scenario(sc: OrbitScenario) -> None:
     if act.theta_order % p == 0:
         raise InconsistentDegrees("the twist order must be coprime to p")
 
-    sym_a = act.is_symmetric(a)
+    sym_a = root.symmetric
     # the residue image of sigma_alpha must generate the right Galois group:
     # its fixed field inside k_alpha is k_res (sym or asym-res) or k_pm_res
-    j_res = act.sigma_exponent(a) % d_a
+    j_res = root.sigma_exp % d_a
     fixed_deg = math.gcd(j_res, d_a) if j_res else d_a
-    want_fixed = d_r if (sym_a or act.branch_sign(a) == 1) else d_pr
+    want_fixed = d_r if (sym_a or root.branch_sign == 1) else d_pr
     if fixed_deg != want_fixed:
         raise InconsistentDegrees(
             "sigma_alpha fixes GF(p^%d) on the residue level, expected GF(p^%d)" % (fixed_deg, want_fixed)
@@ -411,7 +330,7 @@ def validate_scenario(sc: OrbitScenario) -> None:
             if e.parent != sc.k_alpha or e.is_zero():
                 raise SignCalcError("eta values must be units of k_alpha")
         want = sc.varsigma(sc.C) / sc.C
-        if act.branch_sign(a) == -1:
+        if root.branch_sign == -1:
             want = -want
         if sc.eta_alpha * sc.eta_minus_alpha != want:
             raise FormDegenerate("eta_alpha eta_minus_alpha violates form preservation")
@@ -437,7 +356,7 @@ def build_block(sc: OrbitScenario) -> BlockBuild:
     space = sym.field_block(k, sc.C, sc.tau_exp if sc.sym_alpha else None)
     frob = sym.frobenius_matrix(k, sc.varsigma_exp)
     etas = (sc.eta_alpha,) if sc.sym_alpha else (sc.eta_alpha, sc.eta_minus_alpha)
-    mat = sym.plus_minus(*(sym.mult_matrix(eta) @ frob for eta in etas), sign=sc.branch_sign)
+    mat = sym.plus_minus(*(sym.mult_matrix(eta) @ frob for eta in etas), sign=sc.root.branch_sign)
     return BlockBuild(space, sym.sp_elem(space, mat), sc)
 
 
@@ -649,34 +568,57 @@ class Assembled:
     eps_tilde: int | None
 
 
-def _orbit_reps(action: OrbitAction, orbit) -> list[int]:
-    """The least root of each orbit, orbit(a) the set of roots in a's."""
+def _orbit_reps(orbits: list[frozenset]) -> list[int]:
+    """The least root of each orbit, orbits[a] the set of roots in a's."""
     seen: set[int] = set()
     reps = []
-    for a in range(action.size):
+    for a, orbit in enumerate(orbits):
         if a not in seen:
             reps.append(a)
-            seen |= orbit(a)
+            seen |= orbit
     return reps
 
 
 def theta_orbit_reps(action: OrbitAction) -> list[int]:
     """Canonical representatives of Theta \\ (Phi / Sigma)."""
-    return _orbit_reps(action, action.theta_cluster)
+    return _orbit_reps([root.cluster for root in action.roots])
+
+
+def _check_s_values(action: OrbitAction, s_values: dict[int, FieldElem]) -> None:
+    """Refuse an s_values key that is not a root index, or two keys in one
+    Sigma-orbit: the value at a root would then depend on the key order."""
+    owner: dict[int, int] = {}
+    for key in s_values:
+        if not isinstance(key, int) or isinstance(key, bool) or not 0 <= key < action.size:
+            raise IncompleteScenarioCover("s_values key %r is not a root index 0..%d" % (key, action.size - 1))
+        if key in owner:
+            raise IncompleteScenarioCover("s_values keys %d and %d share a Sigma-orbit" % (owner[key], key))
+        owner.update(dict.fromkeys(action.roots[key].sigma, key))
+
+
+def _check_cover(action: OrbitAction, scenarios: dict[int, OrbitScenario], s_values: dict[int, FieldElem]) -> list[int]:
+    """The Theta-orbit reps, after refusing scenarios that are not keyed by
+    them, a scenario that does not describe its orbit, and bad s_values keys."""
+    reps = theta_orbit_reps(action)
+    if sorted(scenarios) != sorted(reps):
+        raise IncompleteScenarioCover("scenarios must be keyed by the canonical orbit reps %r" % (reps,))
+    for rep, sc in scenarios.items():
+        if sc.alpha != rep or sc.action != action:
+            raise IncompleteScenarioCover("scenario keyed by %d does not describe that orbit" % rep)
+    _check_s_values(action, s_values)
+    return reps
 
 
 def _value_at_root(action: OrbitAction, s_values: dict[int, FieldElem], root: int) -> FieldElem:
     """bar-root(s) derived from the stored Sigma-orbit representative value by
     Galois transport and negation-inversion."""
     for rep, val in s_values.items():
-        orbit = action.gamma_orbit(rep)
+        orbit = action.roots[rep].gamma
         if root in orbit:
-            j = orbit.index(root)
-            return val.frobenius(j)
+            return val.frobenius(orbit.index(root))
         neg_root = action.neg[root]
         if neg_root in orbit:
-            j = orbit.index(neg_root)
-            return val.frobenius(j).inverse()
+            return val.frobenius(orbit.index(neg_root)).inverse()
     raise IncompleteScenarioCover("no s-value covers root %d" % root)
 
 
@@ -689,31 +631,28 @@ def twisted_scenario(sc: OrbitScenario, s_values: dict[int, FieldElem]) -> Orbit
     block gives s_0 . op . s_(m-1) ... s_1.  That base is again
     eta' o varsigma on each line, so the eta entries are the images of 1,
     read off its plus/minus parts."""
-    act, a = sc.action, sc.alpha
+    act, root = sc.action, sc.root
+    _check_s_values(act, s_values)
     p = sc.p
     bb = build_block(sc)
-    smats = [s_action_matrix(bb, _value_at_root(act, s_values, act.theta_pow(a, j))).mat_np for j in range(sc.m)]
+    smats = [s_action_matrix(bb, _value_at_root(act, s_values, root.theta[j])).mat_np for j in range(root.m)]
     base = smats[0] @ bb.op.mat_np % p
     for smat in smats[:0:-1]:
         base = base @ smat % p
-    plus, minus = sym.plus_minus_parts(base, sc.branch_sign)
+    plus, minus = sym.plus_minus_parts(base, root.branch_sign)
     eta_plus = sym.coords_to_elem(sc.k_alpha, plus[:, 0])
     eta_minus = None if minus is None else sym.coords_to_elem(sc.k_alpha, minus[:, 0])
-    return sc.with_eta(eta_plus, eta_minus)
+    return replace(sc, eta_alpha=eta_plus, eta_minus_alpha=eta_minus)
 
 
 def assemble_product(action: OrbitAction, scenarios: dict[int, OrbitScenario], s_values: dict[int, FieldElem]) -> Assembled:
     """Product over Theta-orbits of the twisted block values for eta = s eta_0;
     in the all-f=1 regime also the factored decomposition, asserted equal."""
-    reps = theta_orbit_reps(action)
-    if sorted(scenarios) != sorted(reps):
-        raise IncompleteScenarioCover("scenarios must be keyed by the canonical orbit reps %r" % (reps,))
+    _check_cover(action, scenarios, s_values)
     blocks = {}
     total = 1.0
     f1 = all(sc.f == 1 for sc in scenarios.values())
     for rep, sc in scenarios.items():
-        if sc.alpha != rep or sc.action != action:
-            raise IncompleteScenarioCover("scenario keyed by %d does not describe that orbit" % rep)
         tw = twisted_scenario(sc, s_values)
         bv = block_sign_formula(tw)
         blocks[rep] = bv
@@ -732,11 +671,11 @@ def assemble_product(action: OrbitAction, scenarios: dict[int, OrbitScenario], s
     for bv in blocks.values():
         v_factor *= bv.fixed_factor
     eps_tilde = 1
-    for srep in _orbit_reps(action, action.sigma_orbit):
+    for srep in _orbit_reps([root.sigma for root in action.roots]):
         if _orbit_classification(action, scenarios, srep).endswith("sym-ram"):
             continue
         val = _value_at_root(action, s_values, srep)
-        eps_tilde *= gerardin.piece_character(sym.TorusPiece(val.parent.degree, val, action.is_symmetric(srep)))
+        eps_tilde *= gerardin.piece_character(sym.TorusPiece(val.parent.degree, val, action.roots[srep].symmetric))
     factored = c_eta * (-1) ** ur_count * v_factor * eps_tilde
     if abs(factored - total) > 1e-6:
         raise SignCalcError("factored and unfactored evaluations disagree: %r vs %r" % (factored, total))
@@ -745,7 +684,7 @@ def assemble_product(action: OrbitAction, scenarios: dict[int, OrbitScenario], s
 
 def _orbit_classification(action: OrbitAction, scenarios: dict[int, OrbitScenario], root: int) -> str:
     for rep, sc in scenarios.items():
-        if root in action.theta_cluster(rep):
+        if root in action.roots[rep].cluster:
             return sc.classification
     raise IncompleteScenarioCover("root %d not covered" % root)
 
@@ -767,17 +706,13 @@ def theta_rho(assembled: Assembled, vartheta_s: complex) -> complex:
 def full_space_oracle(action: OrbitAction, scenarios: dict[int, OrbitScenario], s_values: dict[int, FieldElem], seed: int = 0) -> weil.TwistedTraceResult:
     """tr(omega([s]) o I) on the direct sum of all twisted blocks, computed by
     the weil module: the independent cross-check of assemble_product."""
-    reps = theta_orbit_reps(action)
-    if sorted(scenarios) != sorted(reps):
-        raise IncompleteScenarioCover("scenarios must cover the orbit reps")
     chains = []
     s_blocks = []
-    for rep in reps:
-        sc = scenarios[rep]
-        bb = build_block(sc)
-        chains.append((bb.op, sc.m))
-        for j in range(sc.m):
-            val = _value_at_root(action, s_values, action.theta_pow(rep, j))
-            s_blocks.append(s_action_matrix(bb, val).mat_np)
+    for rep in _check_cover(action, scenarios, s_values):
+        bb = build_block(scenarios[rep])
+        root = action.roots[rep]
+        chains.append((bb.op, root.m))
+        for j in range(root.m):
+            s_blocks.append(s_action_matrix(bb, _value_at_root(action, s_values, root.theta[j])).mat_np)
     bt = weil.block_twist(chains, seed=seed)
     return weil.twisted_trace(bt, sym.block_diagonal(bt.space, s_blocks))

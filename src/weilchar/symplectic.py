@@ -46,9 +46,13 @@ class SympSpace:
     p: int
     gram: tuple[tuple[int, ...], ...]
     blocks: tuple[tuple[int, ...], ...] | None = None
+    # gram as a read-only int64 array, built once; eq, hash and repr read (p, gram, blocks)
+    gram_mat: np.ndarray = dc_field(init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
-        g = self.gram_mat
+        g = np.asarray(self.gram, dtype=np.int64)
+        g.flags.writeable = False
+        object.__setattr__(self, "gram_mat", g)
         if g.shape[0] != g.shape[1] or g.shape[0] % 2:
             raise SymplecticError("gram must be square of even size")
         if ((g + g.T) % self.p).any():
@@ -66,10 +70,6 @@ class SympSpace:
     @property
     def dim(self) -> int:
         return len(self.gram)
-
-    @property
-    def gram_mat(self) -> np.ndarray:
-        return np.asarray(self.gram, dtype=np.int64)
 
     def form(self, u, v) -> int:
         u = np.asarray(u, dtype=np.int64)

@@ -145,6 +145,11 @@ def _assemble_payload(edit):
     return {"id": "a", "kind": "assemble", "payload": scn["payload"]}
 
 
+def _with_s_values(keys):
+    values = {"0": "3^1:2", "00": "3^1:1", "1": "3^1:2", "2": "3^2:0,2", "99": "3^1:1", "-2": "3^1:1"}
+    return lambda: _assemble_payload(lambda pl: pl.update(s_values={k: values[k] for k in keys}))
+
+
 BAD_PAYLOADS = {
     "alpha-negative": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(alpha=-1)),
     "alpha-past-last-root": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(alpha=9)),
@@ -183,6 +188,7 @@ BAD_PAYLOADS = {
     "expect-torsion-a-number": lambda: {"id": "l", "kind": "lattice-check",
                                         "payload": {"matrices": [{"theta": [[-1]], "expect_torsion": 5}]}},
     "datum-name-a-list": lambda: {"id": "r", "kind": "root-datum", "payload": {"name": ["A2"]}},
+    "datum-name-unknown": lambda: {"id": "r", "kind": "root-datum", "payload": {"name": "A9"}},
     "expect-type-counts-a-number": lambda: {"id": "r", "kind": "root-datum",
                                             "payload": {"name": "A2", "expect_type_counts": 5}},
     "field-tag-a-number": lambda: _sign_payload(lambda pl: pl["orbits"][0]["fields"].update(k_alpha=3)),
@@ -195,6 +201,22 @@ BAD_PAYLOADS = {
                                      "payload": {"rank": 1, "roots": 5, "coroots": [[2]], "theta": [[1]]}},
     "datum-rank-a-list": lambda: {"id": "r", "kind": "root-datum",
                                   "payload": {"rank": [1], "roots": [[1]], "coroots": [[2]], "theta": [[1]]}},
+    # root indices of the assemble payload (4 roots; 0 and 1 share a Sigma-orbit)
+    "s-values-key-past-last-root": _with_s_values(["0", "2", "99"]),
+    "s-values-key-negative": _with_s_values(["0", "2", "-2"]),
+    "s-values-keys-share-a-sigma-orbit": _with_s_values(["0", "1", "2"]),
+    "s-values-keys-share-a-sigma-orbit-reordered": _with_s_values(["1", "0", "2"]),
+    "s-values-key-spelled-twice": _with_s_values(["0", "00", "2"]),
+    "bool-permutation": lambda: _assemble_payload(lambda pl: pl["action"].update(neg=[True, False, 3, 2])),
+}
+# the field a case's message must name, where the field alone is not enough
+BAD_PAYLOAD_MESSAGES = {
+    "s-values-key-past-last-root": "s_values key 99 is not a root index 0..3",
+    "s-values-key-negative": "s_values key -2 is not a root index 0..3",
+    "s-values-keys-share-a-sigma-orbit": "s_values keys 0 and 1 share a Sigma-orbit",
+    "s-values-keys-share-a-sigma-orbit-reordered": "s_values keys 1 and 0 share a Sigma-orbit",
+    "s-values-key-spelled-twice": "s_values keys ['0', '00', '2'] name one root twice",
+    "bool-permutation": "neg is not a permutation of 0..3",
 }
 
 
@@ -205,7 +227,8 @@ def test_malformed_payload_is_a_validation_error(case, tmp_path, capsys):
     f.write_text(json.dumps({"scenarios": [scn]}))
     assert run_cli(["run", f, "--report", tmp_path / "r.json"]) == 3
     lines = capsys.readouterr().err.splitlines()
-    assert any(line.startswith("validation error: %s: " % scn["id"]) for line in lines), lines
+    prefix = "validation error: %s: %s" % (scn["id"], BAD_PAYLOAD_MESSAGES.get(case, ""))
+    assert any(line.startswith(prefix) for line in lines), lines
     assert not (tmp_path / "r.json").exists()
 
 

@@ -105,8 +105,8 @@ def test_pi0_property_seeded():
     from weilchar.checks import make_finite_order_matrix
 
     for _ in range(60):
-        m = make_finite_order_matrix(rng)
-        order = lat.matrix_order(m)
+        m, order = make_finite_order_matrix(rng)
+        assert lat.matrix_order(m) == order  # the lcm of the block orders is the order
         for factor in lat.pi0_torsion(m):
             x = factor
             d = 2

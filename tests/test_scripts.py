@@ -1,5 +1,7 @@
 """Smoke tests: the bundled scripts run end to end and print their tables."""
 
+import importlib.util
+import json
 import os
 import pathlib
 import re
@@ -8,7 +10,7 @@ import sys
 
 import pytest
 
-from weilchar import signcalc
+from weilchar import cli, signcalc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -81,3 +83,34 @@ def test_ci_workflow_parses():
         assert floor in job["strategy"]["matrix"]["python-version"]
         setup = next(step for step in job["steps"] if step.get("uses", "").startswith("actions/setup-python"))
         assert setup["with"]["python-version"] == "${{ matrix.python-version }}"
+
+
+def _bench_module(name):
+    """perfbench/<name>.py, loaded under a private name so that nothing
+    named like it elsewhere on sys.path is shadowed."""
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, ROOT / "perfbench" / (name + ".py"))
+    mod = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_benchmark_hooks_resolve(tmp_path):
+    # the benchmark wraps weilchar names and builds its inputs through
+    # weilchar; a rename that breaks either fails here, not only in a bench run
+    tracer = _bench_module("tracer")
+    workloads = _bench_module("workloads")
+    real = signcalc.build_block, cli.RUNNERS["assemble"]
+    tr = tracer.Tracer()
+    tr.install()  # resolves every TARGETS entry, or restores and raises
+    try:
+        assert signcalc.build_block is not real[0] and signcalc.build_block.__wrapped__ is real[0]
+        assert cli.RUNNERS["assemble"].__wrapped__ is real[1]
+    finally:
+        tr.restore()
+    assert (signcalc.build_block, cli.RUNNERS["assemble"]) == real
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert names == ["sweep-small", "sweep-large", "selfcheck", "scenario-batch"]
+    for name in names:
+        workdir = tmp_path / name
+        workdir.mkdir()
+        workloads.make_inputs(name, 1, str(workdir))

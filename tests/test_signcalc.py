@@ -22,21 +22,27 @@ def test_action_validation():
     with pytest.raises(sc.SignCalcError):
         # non-commuting actions
         sc.OrbitAction(4, (1, 0, 2, 3), (2, 3, 0, 1), (0, 2, 1, 3))
+    # bools sort like 0 and 1, but are not root indices
+    with pytest.raises(sc.SignCalcError, match="neg is not a permutation"):
+        sc.OrbitAction(2, (0, 1), (True, False), (0, 1))
+    with pytest.raises(sc.SignCalcError, match="theta is not a permutation"):
+        sc.OrbitAction(2, (0, 1), (1, 0), (False, True))
 
 
 def test_classify_orbits_examples():
     # theta identity: m = l = 1, restricted symmetry = root symmetry
     # (the restricted root is symmetric exactly on the minus branch)
     def row(act):
-        return act.gamma_orbit(0), act.m_alpha(0), act.l_alpha(0), act.is_symmetric(0), act.branch_sign(0)
+        root = act.roots[0]
+        return root.gamma, root.m, len(root.theta), root.symmetric, root.branch_sign
 
-    assert row(checks.make_asym_asym_action()) == ([0], 1, 1, False, 1)
+    assert row(sc.one_orbit_action(1, False)) == ((0,), 1, 1, False, 1)
     # free theta of order 2: m = 2, theta^2(a) = a, restricted asymmetric
-    assert row(sc.OrbitAction(4, (0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2))) == ([0], 2, 2, False, 1)
+    assert row(sc.OrbitAction(4, (0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2))) == ((0,), 2, 2, False, 1)
     # theta = neg: m = 1, minus branch, restricted symmetric
-    assert row(checks.make_asym_symram_action()) == ([0], 1, 2, False, -1)
+    assert row(sc.one_orbit_action(1, False, neg=True)) == ((0,), 1, 2, False, -1)
     # symmetric alpha: neg lies in the Gamma-orbit, no branch sign
-    assert row(checks.make_sym_ur_action()) == ([0, 1], 1, 1, True, None)
+    assert row(sc.one_orbit_action(2, True)) == ((0, 1), 1, 1, True, None)
 
 
 def test_classify_restricted_per_degree_lemma():
@@ -44,41 +50,45 @@ def test_classify_restricted_per_degree_lemma():
     # residue-degree lemma gives, and rejects the other one
     # sym alpha, f odd -> unramified restricted root
     no = ff.norm_one_group(F9, F3)[2]
-    s = sc.OrbitScenario(checks.make_sym_ur_action(), 0, F9, F3, F9, F3, C9, no, None, "sym-ur/sym-ur")
+    s = sc.OrbitScenario(sc.one_orbit_action(2, True), 0, F9, F3, F9, F3, C9, no, None, "sym-ur/sym-ur")
     assert s.f == 1 and s.g == 1
     with pytest.raises(sc.SignCalcError):
-        sc.OrbitScenario(checks.make_sym_ur_action(), 0, F9, F3, F9, F3, C9, no, None, "sym-ur/sym-ram")
+        sc.OrbitScenario(sc.one_orbit_action(2, True), 0, F9, F3, F9, F3, C9, no, None, "sym-ur/sym-ram")
     # asym with [k_alpha : k_pm_res] even -> unramified
-    act = checks.make_asym_symur_action()
+    act = sc.one_orbit_action(2, False, shift=1, neg=True)
     c = F9.one()
     eta = F9.gen()
-    sc.OrbitScenario(act, 0, F9, F9, F9, F3, c, eta, -(c.frobenius(1) / c) / eta, "asym/sym-ur")
+    s_asym = sc.OrbitScenario(act, 0, F9, F9, F9, F3, c, eta, -(c.frobenius(1) / c) / eta, "asym/sym-ur")
+    # tau_alpha carries alpha to -alpha inside its Gamma-orbit: none on an asymmetric root
+    assert s_asym.root.tau_exp is None
+    with pytest.raises(sc.SignCalcError, match="tau_alpha only exists"):
+        s_asym.tau_exp
     with pytest.raises(sc.SignCalcError):
         sc.OrbitScenario(act, 0, F9, F9, F9, F3, c, eta, -(c.frobenius(1) / c) / eta, "asym/sym-ram")
     # asym with odd [k_alpha : k_pm_res] -> ramified
-    sc.OrbitScenario(checks.make_asym_symram_action(), 0, F3, F3, F3, F3,
+    sc.OrbitScenario(sc.one_orbit_action(1, False, neg=True), 0, F3, F3, F3, F3,
                      F3.one(), F3.one(), -F3.one(), "asym/sym-ram")
     # declaring the wrong classification is rejected
     with pytest.raises(sc.SignCalcError):
-        sc.OrbitScenario(checks.make_asym_symram_action(), 0, F3, F3, F3, F3,
+        sc.OrbitScenario(sc.one_orbit_action(1, False, neg=True), 0, F3, F3, F3, F3,
                          F3.one(), F3.one(), -F3.one(), "asym/sym-ur")
 
 
 def test_build_block_examples():
     # asym/asym over F_3 with C = 1, eta = 1: identity automorphism on the plane
-    s = sc.OrbitScenario(checks.make_asym_asym_action(), 0, F3, F3, F3, F3,
+    s = sc.OrbitScenario(sc.one_orbit_action(1, False), 0, F3, F3, F3, F3,
                          F3.one(), F3.one(), F3.one(), "asym/asym")
     bb = sc.build_block(s)
     assert bb.op.mat == ((1, 0), (0, 1))
     assert bb.space.gram == ((0, 1), (2, 0))
     # symmetric block over GF(9): nondegenerate 2-dim form
-    s2 = sc.OrbitScenario(checks.make_sym_ur_action(), 0, F9, F3, F9, F3, C9,
+    s2 = sc.OrbitScenario(sc.one_orbit_action(2, True), 0, F9, F3, F9, F3, C9,
                           ff.norm_one_group(F9, F3)[3], None, "sym-ur/sym-ur")
     bb2 = sc.build_block(s2)
     assert bb2.space.dim == 2
     # invariant violation rejected at construction (1 * 1 != -varsigma(C)/C)
     with pytest.raises(sc.FormDegenerate):
-        sc.OrbitScenario(checks.make_asym_symur_action(), 0, F9, F9, F9, F3,
+        sc.OrbitScenario(sc.one_orbit_action(2, False, shift=1, neg=True), 0, F9, F9, F9, F3,
                          F9.one(), F9.one(), F9.one(), "asym/sym-ur")
 
 
@@ -86,7 +96,7 @@ def test_ram_empty_surfaced():
     # symmetric alpha with residue-trivial tau: no antisymmetric C can exist
     for c in F3.units():
         with pytest.raises(sc.FormDegenerate):
-            sc.OrbitScenario(checks.make_sym_ur_action(), 0, F3, F3, F3, F3,
+            sc.OrbitScenario(sc.one_orbit_action(2, True), 0, F3, F3, F3, F3,
                              c, F3.one(), None, "sym-ur/sym-ur")
 
 
@@ -142,7 +152,7 @@ def test_sign_sweep_goes_red_on_corrupted_formula():
 def test_sym_f1_example_vs_oracle():
     # eta of order 4 in GF(9)^1: value fixed by oracle comparison
     eta = next(x for x in ff.norm_one_group(F9, F3) if x.mult_order() == 4)
-    s = sc.OrbitScenario(checks.make_sym_ur_action(), 0, F9, F3, F9, F3, C9, eta, None, "sym-ur/sym-ur")
+    s = sc.OrbitScenario(sc.one_orbit_action(2, True), 0, F9, F3, F9, F3, C9, eta, None, "sym-ur/sym-ur")
     bv = sc.block_sign_formula(s)
     bb = sc.build_block(s)
     oracle = weil.WeilModel(bb.space).trace_omega(bb.op)
@@ -256,7 +266,7 @@ def test_assemble_and_theta_rho():
 
 
 def test_single_orbit_assemble_reduces_to_block():
-    act = checks.make_asym_asym_action()
+    act = sc.one_orbit_action(1, False)
     s = sc.OrbitScenario(act, 0, F3, F3, F3, F3, F3.one(), F3.from_int(2), F3.from_int(2), "asym/asym")
     svals = {0: F3.one()}
     asm = sc.assemble_product(act, {0: s}, svals)
@@ -357,18 +367,18 @@ def test_orbit_action_invariants_random(seed):
     symmetric = rng.random() < 0.5
     d = rng.choice([2, 4] if symmetric else [1, 2, 3, 4])
     act = sc.one_orbit_action(d, symmetric, rng.randrange(d), rng.random() < 0.5)
-    for a in range(act.size):
-        m, l = act.m_alpha(a), act.l_alpha(a)
+    for a, root in enumerate(act.roots):
+        m, l = root.m, len(root.theta)
         assert l % m == 0
-        assert act.is_symmetric(act.neg[a]) == act.is_symmetric(a)
-        assert act.is_symmetric(act.theta[a]) == act.is_symmetric(a)
-        bs = act.branch_sign(a)
-        assert (bs is None) == act.is_symmetric(a)
-        # sigma_exponent lands on the branch target
-        j = act.sigma_exponent(a)
-        target = act.theta_pow(a, m)
+        assert act.roots[act.neg[a]].symmetric == root.symmetric
+        assert act.roots[act.theta[a]].symmetric == root.symmetric
+        bs = root.branch_sign
+        assert (bs is None) == root.symmetric
+        # sigma_exp lands on the branch target
+        j = root.sigma_exp
+        target = root.theta[m % l]
         goal = target if (bs is None or bs == 1) else act.neg[target]
-        assert act.gamma_orbit(a)[j] == goal
+        assert root.gamma[j] == goal
 
 
 def _validated_actions():
@@ -380,27 +390,43 @@ def _validated_actions():
                     yield sc.one_orbit_action(d, True, shift, neg)
 
 
+def _order_by_composition(perm):
+    """The least k >= 1 with perm^k = id, by repeated composition."""
+    k, cur = 1, tuple(perm)
+    while cur != tuple(range(len(perm))):
+        cur, k = tuple(perm[x] for x in cur), k + 1
+    return k
+
+
+def _power_by_composition(perm, k):
+    """perm^k by repeated composition; a negative k through the order."""
+    out = tuple(range(len(perm)))
+    for _ in range(k % _order_by_composition(perm)):
+        out = tuple(perm[x] for x in out)
+    return out
+
+
 def test_orbit_action_lookups_equal_permutation_powers():
     for act in _validated_actions():
-        gamma_order = sc._perm_order(act.frobenius)
-        frob_pows = [sc._perm_pow(act.frobenius, i) for i in range(gamma_order)]
-        for a in range(act.size):
-            orb = act.gamma_orbit(a)
+        gamma_order = _order_by_composition(act.frobenius)
+        frob_pows = [_power_by_composition(act.frobenius, i) for i in range(gamma_order)]
+        for a, root in enumerate(act.roots):
+            orb = root.gamma
             for j in range(-3, 2 * act.size):
-                assert act.theta_pow(a, j) == sc._perm_pow(act.theta, j)[a]
-                assert orb[j % len(orb)] == sc._perm_pow(act.frobenius, j)[a]
-            target = sc._perm_pow(act.theta, act.m_alpha(a))[a]
-            goal = act.neg[target] if act.branch_sign(a) == -1 else target
-            assert act.sigma_exponent(a) == next(i for i, f in enumerate(frob_pows) if f[a] == goal)
-            if act.is_symmetric(a):
-                assert act.tau_exponent(a) == next(i for i, f in enumerate(frob_pows) if f[a] == act.neg[a])
+                assert root.theta[j % len(root.theta)] == _power_by_composition(act.theta, j)[a]
+                assert orb[j % len(orb)] == _power_by_composition(act.frobenius, j)[a]
+            target = _power_by_composition(act.theta, root.m)[a]
+            goal = act.neg[target] if root.branch_sign == -1 else target
+            assert root.sigma_exp == next(i for i, f in enumerate(frob_pows) if f[a] == goal)
+            if root.symmetric:
+                assert root.tau_exp == next(i for i, f in enumerate(frob_pows) if f[a] == act.neg[a])
             else:
-                with pytest.raises(sc.SignCalcError):
-                    act.tau_exponent(a)
-            orb = set(act.theta_orbit(a))
+                assert root.tau_exp is None
+            orb = set(root.theta)
             pm = orb | {act.neg[x] for x in orb}
-            assert act.deg_res(a) == len({frozenset(f[x] for x in orb) for f in frob_pows})
-            assert act.deg_pm_res(a) == len({frozenset(f[x] for x in pm) for f in frob_pows})
+            assert root.deg_res == len({frozenset(f[x] for x in orb) for f in frob_pows})
+            assert root.deg_pm_res == len({frozenset(f[x] for x in pm) for f in frob_pows})
+        assert act.theta_order == _order_by_composition(act.theta)
 
 
 def _walk(perm, a):
@@ -420,9 +446,10 @@ def test_cached_root_invariants_equal_the_orbit_walks():
                 for neg in (False, True):
                     act = sc.one_orbit_action(d, symmetric, shift, neg)
                     assert act.theta_order == len(_walk(act.theta, 0))
-                    for a in range(act.size):
+                    for a, root in enumerate(act.roots):
                         gamma, theta = _walk(act.frobenius, a), _walk(act.theta, a)
                         sigma = set(gamma) | {act.neg[x] for x in gamma}
+                        cluster = {y for b in theta for x in _walk(act.frobenius, b) for y in (x, act.neg[x])}
                         sym_a = act.neg[a] in gamma
                         m, cur = 1, act.theta[a]
                         while cur not in sigma:
@@ -438,27 +465,27 @@ def test_cached_root_invariants_equal_the_orbit_walks():
                                 roots = frozenset(act.frobenius[x] for x in roots)
                             return len(seen)
 
-                        assert act.gamma_orbit(a) == gamma and act.theta_orbit(a) == theta
-                        assert act.sigma_orbit(a) == sigma and act.is_symmetric(a) == sym_a
-                        assert (act.m_alpha(a), act.l_alpha(a), act.branch_sign(a)) == (m, len(theta), bs)
-                        assert act.sigma_exponent(a) == gamma.index(goal)
+                        assert list(root.gamma) == gamma and list(root.theta) == theta
+                        assert root.sigma == sigma and root.symmetric == sym_a
+                        assert root.cluster == cluster
+                        assert (root.m, len(root.theta), root.branch_sign) == (m, len(theta), bs)
+                        assert root.sigma_exp == gamma.index(goal)
                         if sym_a:
-                            assert act.tau_exponent(a) == gamma.index(act.neg[a])
+                            assert root.tau_exp == gamma.index(act.neg[a])
                         else:
-                            with pytest.raises(sc.SignCalcError, match="tau_alpha only exists"):
-                                act.tau_exponent(a)
-                        assert act.deg_alpha(a) == len(gamma)
-                        assert act.deg_pm_alpha(a) == len({frozenset((x, act.neg[x])) for x in gamma})
-                        assert act.deg_res(a) == translates(frozenset(theta))
-                        assert act.deg_pm_res(a) == translates(frozenset(theta) | {act.neg[x] for x in theta})
+                            assert root.tau_exp is None
+                        assert len(root.gamma) == len(gamma)
+                        assert root.deg_pm_alpha == len({frozenset((x, act.neg[x])) for x in gamma})
+                        assert root.deg_res == translates(frozenset(theta))
+                        assert root.deg_pm_res == translates(frozenset(theta) | {act.neg[x] for x in theta})
                         for j in range(-2, 2 * len(theta)):
-                            assert act.theta_pow(a, j) == theta[j % len(theta)]
+                            assert root.theta[j % len(root.theta)] == theta[j % len(theta)]
 
 
 def test_cached_invariants_stay_out_of_eq_hash_and_repr():
     a, b = sc.one_orbit_action(4, False, 1, True), sc.one_orbit_action(4, False, 1, True)
     assert a == b and hash(a) == hash(b) and a is not b
-    assert "_roots" not in repr(a) and "theta_order" not in repr(a)
+    assert "roots" not in repr(a) and "theta_order" not in repr(a)
     assert [f.name for f in dataclasses.fields(a) if f.compare] == ["size", "frobenius", "neg", "theta"]
 
 
@@ -470,7 +497,7 @@ def test_m3_chain_over_f5():
     neg = (3, 4, 5, 0, 1, 2)
     theta = (1, 2, 0, 4, 5, 3)
     act = sc.OrbitAction(6, frob, neg, theta)
-    assert act.m_alpha(0) == 3 and act.l_alpha(0) == 3
+    assert act.roots[0].m == 3 and len(act.roots[0].theta) == 3
     s = sc.OrbitScenario(act, 0, F5, F5, F5, F5, F5.one(), F5.from_int(2), F5.from_int(3), "asym/asym")
     for vals in [(F5.one(), F5.one(), F5.one()), (F5.from_int(2), F5.from_int(3), F5.from_int(4))]:
         svals = {0: vals[0], 1: vals[1], 2: vals[2]}
@@ -535,7 +562,7 @@ def test_built_blocks_carry_the_scenario_etas(p):
     # eta is the image of 1 under eta o varsigma on each line: read it back
     # from the built operator in the plus/minus layout of the branch sign
     for label, s in checks.sign_branch_scenarios(p, 4, 20, 2):
-        plus, minus = sym.plus_minus_parts(sc.build_block(s).op.mat_np, s.branch_sign)
+        plus, minus = sym.plus_minus_parts(sc.build_block(s).op.mat_np, s.root.branch_sign)
         got = (sym.coords_to_elem(s.k_alpha, plus[:, 0]),
                None if minus is None else sym.coords_to_elem(s.k_alpha, minus[:, 0]))
         assert got == (s.eta_alpha, None if s.sym_alpha else s.eta_minus_alpha), label
@@ -549,13 +576,57 @@ def test_sign_branch_scenarios_respect_max_degree(p, max_degree):
 
 
 def test_action_fixtures_are_the_literal_actions():
-    assert checks.make_asym_asym_action() == sc.OrbitAction(2, (0, 1), (1, 0), (0, 1))
-    assert checks.make_sym_ur_action() == sc.OrbitAction(2, (1, 0), (1, 0), (0, 1))
-    assert checks.make_asym_symur_action() == sc.OrbitAction(4, (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
-    assert checks.make_asym_symram_action() == sc.OrbitAction(2, (0, 1), (1, 0), (1, 0))
-    assert checks.make_symram_action() == sc.OrbitAction(2, (1, 0), (1, 0), (1, 0))
+    assert sc.one_orbit_action(1, False) == sc.OrbitAction(2, (0, 1), (1, 0), (0, 1))
+    assert sc.one_orbit_action(2, True) == sc.OrbitAction(2, (1, 0), (1, 0), (0, 1))
+    assert sc.one_orbit_action(2, False, shift=1, neg=True) == sc.OrbitAction(4, (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+    assert sc.one_orbit_action(1, False, neg=True) == sc.OrbitAction(2, (0, 1), (1, 0), (1, 0))
+    assert sc.one_orbit_action(2, True, neg=True) == sc.OrbitAction(2, (1, 0), (1, 0), (1, 0))
+    # gamma^shift for every shift, negative ones included
+    assert sc.one_orbit_action(4, False, shift=3) == sc.one_orbit_action(4, False, shift=-1)
+    assert sc.one_orbit_action(4, False, shift=3).theta == (3, 0, 1, 2, 7, 4, 5, 6)
 
 
 def test_one_orbit_action_rejects_odd_symmetric_orbit():
     with pytest.raises(sc.SignCalcError):
         sc.one_orbit_action(3, True)
+
+
+def test_twist_order_is_the_lcm_of_its_cycles():
+    # 80 roots, identity Frobenius, theta with cycles 5, 7, 8, 9 and 11 on
+    # each half: order 27720, found without powering theta
+    half = []
+    for length in (5, 7, 8, 9, 11):
+        base = len(half)
+        half += [base + (i + 1) % length for i in range(length)]
+    theta = tuple(half) + tuple(x + 40 for x in half)
+    act = sc.OrbitAction(80, tuple(range(80)), tuple((i + 40) % 80 for i in range(80)), theta)
+    assert act.theta_order == 27720
+    assert all(root.m == len(root.theta) and root.branch_sign == 1 for root in act.roots)
+
+
+def _two_orbit_assembly():
+    act = sc.OrbitAction(4, (0, 1, 3, 2), (1, 0, 3, 2), (0, 1, 2, 3))
+    no = ff.norm_one_group(F9, F3)
+    scen = {
+        0: sc.OrbitScenario(act, 0, F3, F3, F3, F3, F3.one(), F3.from_int(2), F3.from_int(2), "asym/asym"),
+        2: sc.OrbitScenario(act, 2, F9, F3, F9, F3, C9, no[2], None, "sym-ur/sym-ur"),
+    }
+    return act, scen, no
+
+
+@pytest.mark.parametrize("keys,message", [
+    ((0, 2, 99), "s_values key 99 is not a root index 0..3"),
+    ((0, -2), "s_values key -2 is not a root index 0..3"),
+    ((0, True), "s_values key True is not a root index 0..3"),
+    ((0, 1, 2), "s_values keys 0 and 1 share a Sigma-orbit"),
+    ((1, 0, 2), "s_values keys 1 and 0 share a Sigma-orbit"),
+])
+def test_s_values_keys_are_root_indices_one_per_sigma_orbit(keys, message):
+    act, scen, no = _two_orbit_assembly()
+    values = {0: F3.from_int(2), 1: F3.from_int(2), 2: no[1]}
+    svals = {k: values.get(k, F3.one()) for k in keys}
+    for run in (lambda: sc.assemble_product(act, scen, svals),
+                lambda: sc.full_space_oracle(act, scen, svals),
+                lambda: sc.twisted_scenario(scen[0], svals)):
+        with pytest.raises(sc.IncompleteScenarioCover, match=message):
+            run()

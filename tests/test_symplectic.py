@@ -125,6 +125,20 @@ def test_sp_elem_array_built_once_read_only():
             assert all(type(x) is int for row in h.mat for x in row)
 
 
+def test_gram_array_built_once_read_only():
+    for space in (V3, sym.standard_polarized_space(5, 2), sym.field_block(ff.field(3, 2), ff.field(3, 2).one(), None)):
+        arr = space.gram_mat
+        assert space.gram_mat is arr and not arr.flags.writeable and arr.dtype == np.int64
+        assert arr.tolist() == [list(row) for row in space.gram]
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
+        # eq, hash and repr read (p, gram, blocks) alone, so lru caches keyed by a space are unchanged
+        twin = sym.SympSpace(space.p, space.gram, space.blocks)
+        assert twin == space and hash(twin) == hash(space) == hash((space.p, space.gram, space.blocks))
+        assert twin.gram_mat is not arr
+        assert repr(space) == "SympSpace(p=%r, gram=%r, blocks=%r)" % (space.p, space.gram, space.blocks)
+
+
 def test_build_torus_examples():
     split = sym.build_torus(sym.TorusDesc(3, (sym.SplitFactor(1),)))
     els = list(split.elements())
