@@ -42,10 +42,13 @@ class ScenarioValidationError(Exception):
 _JSON_TYPES = {dict: "an object", list: "a list", int: "an integer", str: "a string", (int, float): "a number"}
 
 
-def _typed(value, kind, what: str):
-    """value, refused unless it has JSON type kind (a bool is not a number)."""
+def _typed(value, kind, what: str, least: int | None = None):
+    """value, refused unless it has JSON type kind (a bool is not a number)
+    and, given least, is at least that: a count below it would check nothing."""
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ScenarioValidationError("%s must be %s, got %r" % (what, _JSON_TYPES[kind], value))
+    if least is not None and value < least:
+        raise ScenarioValidationError("%s must be at least %d, got %d" % (what, least, value))
     return value
 
 
@@ -131,18 +134,15 @@ def run_gerardin(sid: str, payload, tol: float, seed: int) -> list[Row]:
 
 
 def run_weil_verify(sid: str, payload, tol: float, seed: int) -> list[Row]:
-    p, n = _typed(payload["p"], int, "p"), _typed(payload.get("n", 1), int, "n")
-    if n < 1:
-        raise ScenarioValidationError("n must be at least 1, got %d" % n)
-    # p^n for p >= 2 is above the cap from this exponent on, so a huge n costs nothing
-    if p ** min(n, weil.DENSE_DIM_CAP.bit_length()) > weil.DENSE_DIM_CAP:
-        raise ScenarioValidationError("p^n = %d^%d exceeds the dense operator cap %d" % (p, n, weil.DENSE_DIM_CAP))
+    p, n = _typed(payload["p"], int, "p"), _typed(payload.get("n", 1), int, "n", least=1)
+    pairs = _typed(payload.get("pairs", 100), int, "pairs", least=1)
+    words = _typed(payload.get("words", 20), int, "words", least=1)
+    weil.check_model_dim(p, n, weil.DENSE_DIM_CAP, "dense operator")
     space = sym.standard_polarized_space(p, n)
     model = weil.WeilModel(space)
     rng = np.random.default_rng(seed)
     rows = []
     size = p ** (2 * n + 1)  # |H(V)|, drawn by heis_elements position
-    pairs = _typed(payload.get("pairs", 100), int, "pairs")
     worst = 0.0
     # chunks of pairs keep rho_parts' (pairs, p^n, 2n) temporaries bounded
     chunk = max(1, weil.GATHER_CHUNK_ENTRIES // (model.dim * space.dim))
@@ -159,7 +159,7 @@ def run_weil_verify(sid: str, payload, tol: float, seed: int) -> list[Row]:
     gens = sym.sp_generators(space)
     g = sym.sp_identity(space)
     worst_m = 0.0
-    for _ in range(_typed(payload.get("words", 20), int, "words")):
+    for _ in range(words):
         h = gens[rng.integers(len(gens))]
         worst_m = max(worst_m, float(np.abs(model.omega(g) @ model.omega(h) - model.omega(g * h)).max()))
         g = g * h
@@ -176,12 +176,13 @@ def run_twisted_trace(sid: str, payload, tol: float, seed: int) -> list[Row]:
     group_sizes = [_typed(x, int, "groups entry") for x in _typed(payload["groups"], list, "groups")]
     if not group_sizes or min(group_sizes) < 1:
         raise ScenarioValidationError("groups must be a nonempty list of sizes >= 1, got %r" % (group_sizes,))
+    trials = _typed(payload.get("trials", 10), int, "trials", least=1)
     v2 = sym.standard_polarized_space(p, 1)
     bt = weil.block_twist([(sym.sp_identity(v2), size) for size in group_sizes], seed=seed)
     rng = np.random.default_rng(seed)
     els = sym.sp_elements(v2)
     rows = []
-    for trial in range(_typed(payload.get("trials", 10), int, "trials")):
+    for trial in range(trials):
         parts = [els[rng.integers(len(els))].mat_np for _ in bt.space.blocks]
         res = weil.twisted_trace(bt, sym.block_diagonal(bt.space, parts))
         rows.append(Row.compare(sid, "product vs direct #%d" % trial, res.product_value, res.direct_value, tol, seed))
@@ -244,12 +245,15 @@ def run_root_datum(sid: str, payload, tol: float, seed: int) -> list[Row]:
 
 
 def run_lattice_check(sid: str, payload, tol: float, seed: int) -> list[Row]:
+    matrices = _typed(payload.get("matrices", []), list, "matrices")
+    trials = _typed(payload.get("pi0_trials", 0), int, "pi0_trials", least=0)
+    if not matrices and not trials:
+        raise ScenarioValidationError("a lattice check needs matrices or pi0_trials >= 1, got neither")
     rows = []
-    for i, obj in enumerate(_typed(payload.get("matrices", []), list, "matrices")):
+    for i, obj in enumerate(matrices):
         torsion = lattice.pi0_torsion(_typed(obj, dict, "matrices entry")["theta"])
         want = [_typed(x, int, "expect_torsion entry") for x in _typed(obj["expect_torsion"], list, "expect_torsion")]
         rows.append(Row.compare(sid, "torsion #%d" % i, str(torsion), str(want), 0, seed))
-    trials = _typed(payload.get("pi0_trials", 0), int, "pi0_trials")
     if trials:
         out = checks.check_pi0_property(seed=seed, trials=trials)
         for r in out:
@@ -383,6 +387,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    if not any(args.filter in name for name, _ in checks.CHECKS):
+        print("parse error: --filter %r matches no check" % args.filter, file=sys.stderr)
+        return EXIT_PARSE
     rows, elapsed = checks.run_checks(filter_substr=args.filter or "", fault=args.fault or "")
     text = render_report(rows, args.format)
     if args.report:

@@ -60,17 +60,6 @@ class NotCoprimeToP(FieldError):
     pass
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _companion(modulus, p: int) -> np.ndarray:
     """The companion matrix of a monic modulus (low degree first): the
     matrix of multiplication by t on F_p[t]/(modulus) in the basis t^i."""
@@ -273,7 +262,7 @@ class FieldElem:
 @lru_cache(maxsize=None)
 def field(p: int, k: int) -> FieldDesc:
     """The canonical GF(p^k) in the tower; cached, deterministic modulus."""
-    if not _is_prime(p) or p == 2:
+    if not modp.is_prime(p) or p == 2:
         raise FieldError("p must be an odd prime, got %r" % (p,))
     if k < 1:
         raise FieldError("degree must be positive")

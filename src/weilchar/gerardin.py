@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import ffield, modp, symplectic as sym, weil
+from . import ffield, modp, symplectic as sym
 from .symplectic import SpElem, SympSpace, TorusElement, TorusPiece
 
 
@@ -167,8 +167,9 @@ def char_no_fixed_point(g: SpElem, vprime) -> int:
 
 
 def char_fixed_line(g: SpElem, line, v0_basis) -> complex:
-    """Theta_{omega_{V0}}(g|V0) * sum over V0^perp/L of theta(<gv, v>), for a
-    pointwise-fixed line L and a g-invariant complement V0 of L in L^perp."""
+    """Theta_{omega_{V0}}(g|V0) * sum over V0^perp/L of psi(<gv, v>), for a
+    pointwise-fixed line L and a g-invariant complement V0 of L in L^perp;
+    psi is modp.theta_values, the central character the oracle uses too."""
     space = g.space
     p = space.p
     line = tuple(int(x) % p for x in line)
@@ -182,15 +183,13 @@ def char_fixed_line(g: SpElem, line, v0_basis) -> complex:
         raise GerardinError("V0 contains L")
     g_v0 = restrict_map(g, v0_basis)  # raises if dependent or not invariant
 
-    # Gauss factor: sum over V0^perp / L
-    v0perp = perp_basis(space, v0_basis)
-    reps = complement_in(v0perp, [line], p)
-    total = 0j
-    for coeffs in itertools.product(range(p), repeat=len(reps)):
-        v = np.zeros(space.dim, dtype=np.int64)
-        for c, b in zip(coeffs, reps):
-            v = (v + c * np.array(b, dtype=np.int64)) % p
-        total += weil.theta_char(p, space.form(g.apply(v), v))
+    # Gauss factor: sum over V0^perp / L, one v per combination of the
+    # representatives; their product order fixes the sum's rounding
+    reps = _basis_mat(space, complement_in(perp_basis(space, v0_basis), [line], p))
+    coeffs = np.array(list(itertools.product(range(p), repeat=len(reps))), dtype=np.int64).reshape(-1, len(reps))
+    vs = coeffs @ reps % p
+    phases = np.einsum("ti,ij,tj->t", vs @ g.mat_np.T % p, space.gram_mat, vs) % p
+    total = sum(modp.theta_values(p)[phases].tolist())
 
     if not v0_basis:
         return total

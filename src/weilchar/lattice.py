@@ -375,15 +375,6 @@ def catalogue() -> dict[str, RootDatum]:
     return out
 
 
-def datum_to_json(d: RootDatum) -> dict:
-    return {
-        "rank": d.rank,
-        "roots": [list(r) for r in d.roots],
-        "coroots": [list(r) for r in d.coroots],
-        "theta": [list(r) for r in d.theta],
-    }
-
-
 def datum_from_json(obj) -> RootDatum:
     return RootDatum(
         int(obj["rank"]),

@@ -1,7 +1,9 @@
 """Small exact linear algebra over F_p (p odd prime): numpy int arrays in and
-out, row operations on Python-int rows."""
+out, row operations on Python-int rows; and the additive character of F_p."""
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -9,6 +11,27 @@ import numpy as np
 def as_mat(m, p: int) -> np.ndarray:
     a = np.asarray(m, dtype=np.int64) % p
     return a
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+@lru_cache(maxsize=None)
+def theta_values(p: int) -> np.ndarray:
+    """The additive character psi(z) = exp(2 pi i z / p) of F_p at z = 0..p-1,
+    read-only: a phase mod p indexes it.  The only place that turns a phase
+    into a root of unity; the oracle and the formula side both gather here."""
+    vals = np.exp(2j * np.pi * np.arange(p) / p)
+    vals.flags.writeable = False
+    return vals
 
 
 def legendre(a: int, p: int) -> int:

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
-from . import ffield, gerardin, modp, symplectic as sym, weil
+from . import ffield, gerardin, modp, symplectic as sym
 from .ffield import FieldDesc, FieldElem
 
 BRANCHES = ("asym/asym", "asym/sym-ur", "asym/sym-ram", "sym-ur/sym-ur", "sym-ur/sym-ram")
@@ -705,7 +705,10 @@ def theta_rho(assembled: Assembled, vartheta_s: complex) -> complex:
 
 def full_space_oracle(action: OrbitAction, scenarios: dict[int, OrbitScenario], s_values: dict[int, FieldElem], seed: int = 0) -> weil.TwistedTraceResult:
     """tr(omega([s]) o I) on the direct sum of all twisted blocks, computed by
-    the weil module: the independent cross-check of assemble_product."""
+    the weil module: the independent cross-check of assemble_product.  The
+    only code here that reaches the oracle, so weil is imported here alone."""
+    from . import weil
+
     chains = []
     s_blocks = []
     for rep in _check_cover(action, scenarios, s_values):

@@ -140,10 +140,6 @@ class HeisElem:
         return HeisElem(self.space, tuple(-x % p for x in self.v), -self.z % p)
 
 
-def heis_identity(space: SympSpace) -> HeisElem:
-    return HeisElem(space, (0,) * space.dim, 0)
-
-
 def heis_law(space: SympSpace, v1, z1, v2, z2) -> tuple[np.ndarray, np.ndarray]:
     """(v1+v2, z1+z2+<v1,v2>/2) on broadcastable integer arrays, the vectors
     along the last axis of v1 and v2: the one copy of the Heisenberg law."""
@@ -240,10 +236,6 @@ class SpElem:
     def apply(self, v) -> tuple[int, ...]:
         out = self.mat_np @ np.asarray(v, dtype=np.int64) % self.space.p
         return tuple(int(x) for x in out)
-
-    def apply_heis(self, h: HeisElem) -> HeisElem:
-        # the induced automorphism of H(V): (v, z) -> (gv, z)
-        return HeisElem(h.space, self.apply(h.v), h.z)
 
     def order(self) -> int:
         n = self.space.dim

@@ -18,12 +18,14 @@ independent constructions:
   forced); SL_2(F_3) is seeded with the classical unipotent operator.  It is
   the independent reference the word model is compared against.
 
-The central character is pinned to theta(z) = exp(2*pi*i*z/p).
+The central character is psi(z) = exp(2*pi*i*z/p), read from
+modp.theta_values: every phase here stays an integer mod p until it indexes
+that table.  Nothing here reads the closed-form side (gerardin, signcalc, the
+ffield quadratic characters).
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass, field as dc_field
 from operator import attrgetter
@@ -36,6 +38,7 @@ from .symplectic import HeisElem, SpElem, SympSpace
 SCHUR_RETRIES = 8
 GATHER_CHUNK_ENTRIES = 2**20  # entries per chunk of a batched rho gather: the Schur average, weil-verify
 DENSE_DIM_CAP = 729  # largest model dimension p^n weil-verify builds dense operators for (8.5 MB each)
+MODEL_DIM_CAP = 32767  # largest model dimension p^n of any WeilModel: GF(13^4) sign blocks (28561) fit
 
 
 class WeilError(Exception):
@@ -66,9 +69,11 @@ class LinearizationFailed(WeilError):
     pass
 
 
-def theta_char(p: int, z: int) -> complex:
-    """The fixed central character: exp(2 pi i z / p) with z lifted to 0..p-1."""
-    return cmath.exp(2j * cmath.pi * (int(z) % p) / p)
+def check_model_dim(p: int, n: int, cap: int = MODEL_DIM_CAP, what: str = "model") -> None:
+    """Refuse a model dimension p^n above cap, before anything is built."""
+    # p^n for p >= 2 is above the cap from this exponent on, so a huge n costs nothing
+    if p ** min(n, cap.bit_length()) > cap:
+        raise WeilError("p^n = %d^%d exceeds the %s cap %d" % (p, n, what, cap))
 
 
 def dump_operator(m: np.ndarray) -> list:
@@ -86,7 +91,7 @@ def monomial_distance(cols1: np.ndarray, phases1: np.ndarray, cols2: np.ndarray,
 
 
 def gauss_sum(p: int) -> complex:
-    return sum(theta_char(p, t * t) for t in range(p))
+    return sum(modp.theta_values(p)[np.arange(p) ** 2 % p].tolist())
 
 
 def _fourier_scalar(p: int, r: int) -> complex:
@@ -100,11 +105,11 @@ def _fourier_scalar(p: int, r: int) -> complex:
 @dataclass(frozen=True, eq=False)
 class WordFactors:
     """Factors of omega(g) = W D1 M1 F_S M2 D2 W^H (see word_factors): the
-    cell rank r, sgn = (det a1 / p)(det a2 / p), the diagonals d1, d2 of
-    nbar(b1), nbar(b2), and the images left = T s, right = a2 s of the points
-    s (one row each, T = a1^-1), so that omega(h)[s, t] = sgn d1(s) F_S(T s,
-    a2 t) d2(t) with F_S[x, y] = c_r theta(x_S . y_S) delta(x_S^c = y_S^c).
-    The arrays are read-only: a model hands out one instance per element."""
+    cell rank r, sgn = (det a1 / p)(det a2 / p), the diagonals of nbar(b1),
+    nbar(b2) as integer phases d1, d2 mod p, and the images left = T s,
+    right = a2 s of the points s (one row each, T = a1^-1), so that
+    omega(h)[s, t] = sgn psi(d1(s)) F_S(T s, a2 t) psi(d2(t)) with
+    F_S[x, y] = c_r psi(x_S . y_S) delta(x_S^c = y_S^c)."""
 
     rank: int
     sgn: int
@@ -112,10 +117,6 @@ class WordFactors:
     left: np.ndarray
     right: np.ndarray
     d2: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.d1, self.left, self.right, self.d2):
-            arr.flags.writeable = False  # shared through the model's memo
 
 
 class WeilModel:
@@ -126,8 +127,9 @@ class WeilModel:
     symplectic basis change; rho acts on functions on the X-coordinates."""
 
     def __init__(self, space: SympSpace, polarization=None):
-        if space.p % 2 == 0:
+        if space.p == 2 or not modp.is_prime(space.p):
             raise WeilError("the Schrodinger model needs an odd prime, got p = %d" % space.p)
+        check_model_dim(space.p, space.dim // 2)
         self.space = space
         self.p = space.p
         self.n = space.dim // 2
@@ -143,7 +145,6 @@ class WeilModel:
         self.to_std = modp.mat_inv(basis, self.p)
         self._group_table: list | None = None
         self._w: np.ndarray | None = None  # the Fourier operator, built on first use
-        self._words: dict[tuple, WordFactors] = {}  # word_factors by g.mat
         self._powers = self.p ** np.arange(self.n, dtype=np.int64)
         # all of F_p^n, shape (p^n, n), row index = encoding (little-endian digits)
         self._pts = np.indices((self.p,) * self.n).reshape(self.n, -1)[::-1].T.copy()
@@ -165,11 +166,6 @@ class WeilModel:
             raise NotAPolarization("X and Y are not complementary Lagrangians")
         return gramxy
 
-    # -- index helpers ------------------------------------------------------
-
-    def _enc(self, t: np.ndarray) -> np.ndarray:
-        return (t % self.p) @ self._powers
-
     # -- Heisenberg action --------------------------------------------------
 
     def rho_parts(self, vs, zs) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +179,7 @@ class WeilModel:
         half = pow(2, p - 2, p)
         pts = self._pts
         phases = (np.asarray(zs, dtype=np.int64)[..., None] + (pts * b).sum(axis=-1) + half * (a * b).sum(axis=-1)) % p
-        return self._enc(pts + a), np.exp(2j * np.pi * phases / p)
+        return (pts + a) % p @ self._powers, modp.theta_values(p)[phases]
 
     def rho(self, h: HeisElem) -> np.ndarray:
         """The dense matrix of rho(h), scattered from rho_parts."""
@@ -203,16 +199,15 @@ class WeilModel:
         return self._w
 
     def _fourier_entries(self, phases: np.ndarray, r: int) -> np.ndarray:
-        """Entries c_r theta(x) of the rank-r Fourier operator from phases x."""
-        roots = _fourier_scalar(self.p, r) * np.exp(2j * np.pi * np.arange(self.p) / self.p)
+        """Entries c_r psi(x) of the rank-r Fourier operator from phases x."""
+        roots = _fourier_scalar(self.p, r) * modp.theta_values(self.p)
         return np.take(roots, phases, mode="wrap")  # wrap: index x mod p
 
     def _nbar_diag(self, b: np.ndarray) -> np.ndarray:
-        """Diagonal of the lower-unipotent operator nbar(b): theta(-t.b.t / 2)."""
-        p = self.p
-        half = pow(2, p - 2, p)
-        phases = (-half * np.einsum("ti,ij,tj->t", self._pts, b, self._pts)) % p
-        return np.exp(2j * np.pi * phases / p)
+        """Diagonal of the lower-unipotent operator nbar(b) as phases mod p:
+        psi(-t.b.t / 2) at the point t."""
+        half = pow(2, self.p - 2, self.p)
+        return (-half * np.einsum("ti,ij,tj->t", self._pts, b, self._pts)) % self.p
 
     def word_factors(self, g: SpElem) -> WordFactors:
         """Bruhat-cell normal form omega(g) = W D1 M1 F_S M2 D2 W^H.
@@ -221,15 +216,9 @@ class WeilModel:
         [[D, -C], [-B, A]] factors as nbar(b1) m(a1) w_S m(a2) nbar(b2), w_S
         the Weyl element on the first r = rank C coordinate pairs.  One row
         reduction T [-C | I] = [R | T] gives T = a1^-1, r and the pivot
-        columns; the rest is read off h's rows.  Built once per element."""
+        columns; the rest is read off h's rows."""
         if g.space != self.space:
             raise sym.SpaceMismatch("element from another space")
-        f = self._words.get(g.mat)
-        if f is None:
-            f = self._words[g.mat] = self._normal_form(g)
-        return f
-
-    def _normal_form(self, g: SpElem) -> WordFactors:
         p, n = self.p, self.n
         gstd = self.to_std @ g.mat_np @ self.from_std % p
         a, b, c, d = gstd[:n, :n], gstd[:n, n:], gstd[n:, :n], gstd[n:, n:]
@@ -266,12 +255,12 @@ class WeilModel:
     def omega_word(self, g: SpElem) -> np.ndarray:
         """Weil operator: the dense product of the word-model normal form."""
         f = self.word_factors(g)
-        r, w = f.rank, self._fourier()
-        # omega(h)[s, t] = sgn d1(s) F_S(T s, a2 t) d2(t)
+        r, w, theta = f.rank, self._fourier(), modp.theta_values(self.p)
+        # omega(h)[s, t] = sgn psi(d1(s)) F_S(T s, a2 t) psi(d2(t))
         rest = self._powers[: self.n - r]
         same = (f.left[:, r:] @ rest)[:, None] == (f.right[:, r:] @ rest)[None, :]
         fs = self._fourier_entries(f.left[:, :r] @ f.right[:, :r].T, r) * same
-        return (w * f.d1) @ (f.sgn * fs * f.d2) @ w.conj().T
+        return (w * theta[f.d1]) @ (f.sgn * fs * theta[f.d2]) @ w.conj().T
 
     def omega(self, g: SpElem) -> np.ndarray:
         """Weil operator: the word model, omega_word."""
@@ -282,14 +271,12 @@ class WeilModel:
 
         tr omega(g) = tr omega(h), and F_S[x, y] vanishes unless x and y agree
         off S, so the trace is one sum over the points s with (T s)_S^c =
-        (a2 s)_S^c: sgn d1(s) d2(s) c_r theta((T s)_S . (a2 s)_S)."""
-        return self._trace(self.word_factors(g))
-
-    def _trace(self, f: WordFactors) -> complex:
-        r = f.rank
+        (a2 s)_S^c: sgn psi(d1(s)) psi(d2(s)) c_r psi((T s)_S . (a2 s)_S)."""
+        f = self.word_factors(g)
+        r, theta = f.rank, modp.theta_values(self.p)
         on = (f.left[:, r:] == f.right[:, r:]).all(axis=1)
         phases = np.einsum("ti,ti->t", f.left[on, :r], f.right[on, :r])
-        return complex(f.sgn * np.dot(f.d1[on] * f.d2[on], self._fourier_entries(phases, r)))
+        return complex(f.sgn * np.dot(theta[f.d1[on]] * theta[f.d2[on]], self._fourier_entries(phases, r)))
 
     # -- Weil operators: whole-group model ----------------------------------
 
@@ -312,7 +299,7 @@ class WeilModel:
             # classical unipotent operator (generator-model convention)
             u0_std = np.array([[1, 0], [1, 1]], dtype=np.int64)
             u0 = sym.sp_elem(self.space, self.from_std @ u0_std @ self.to_std % 3)
-            pool[grp.index[u0.mat]] = np.diag(self._nbar_diag(np.array([[1]], dtype=np.int64)))
+            pool[grp.index[u0.mat]] = np.diag(modp.theta_values(3)[self._nbar_diag(np.array([[1]], dtype=np.int64))])
         table: list = [None] * len(grp.elems)
         table[0] = np.eye(self.dim, dtype=complex)
         frontier = [0]
@@ -515,6 +502,8 @@ def block_twist(chains, seed: int = 0) -> BlockTwist:
     chains = list(chains)
     if not chains or min(length for _, length in chains) < 1:
         raise BlockMismatch("need one or more chains, each of length >= 1")
+    for loop, length in chains:  # before the direct sum's Gram, quadratic in the length
+        check_model_dim(loop.space.p, loop.space.dim // 2 * length)
     space = sym.direct_sum([loop.space for loop, length in chains for _ in range(length)])
     starts = list(itertools.accumulate((length for _, length in chains), initial=0))
     groups = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
@@ -594,8 +583,5 @@ def twisted_trace(bt: BlockTwist, g: SpElem) -> TwistedTraceResult:
         val = np.trace(model.omega(sym.sp_elem(model.space, arg)) @ bt.composite(i))
         product_value *= complex(val)
         chain = bt.chain_models[i]
-        g_i = sym.sp_elem(chain.space, g_chain)
-        # g_i iota_i is new on almost every call: its normal form skips the
-        # model's memo, which would keep one p^n-row normal form per call
-        direct_value *= bt.signs[i] * chain._trace(chain._normal_form(g_i * bt.iotas[i]))
+        direct_value *= bt.signs[i] * chain.trace_omega(sym.sp_elem(chain.space, g_chain) * bt.iotas[i])
     return TwistedTraceResult(product_value, direct_value)

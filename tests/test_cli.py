@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 import types
 
 import numpy as np
@@ -208,6 +209,22 @@ BAD_PAYLOADS = {
     "s-values-keys-share-a-sigma-orbit-reordered": _with_s_values(["1", "0", "2"]),
     "s-values-key-spelled-twice": _with_s_values(["0", "00", "2"]),
     "bool-permutation": lambda: _assemble_payload(lambda pl: pl["action"].update(neg=[True, False, 3, 2])),
+    # counts that would check nothing
+    "weil-verify-pairs-0": lambda: {"id": "w", "kind": "weil-verify", "payload": {"p": 3, "pairs": 0}},
+    "weil-verify-words-0": lambda: {"id": "w", "kind": "weil-verify", "payload": {"p": 3, "words": 0}},
+    "weil-verify-pairs-negative": lambda: {"id": "w", "kind": "weil-verify", "payload": {"p": 3, "pairs": -4}},
+    "twisted-trace-trials-0": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": 3, "groups": [2], "trials": 0}},
+    "twisted-trace-trials-negative": lambda: {"id": "t", "kind": "twisted-trace",
+                                              "payload": {"p": 3, "groups": [2], "trials": -1}},
+    "lattice-check-nothing": lambda: {"id": "l", "kind": "lattice-check", "payload": {}},
+    "lattice-check-empty-matrices-0-trials": lambda: {"id": "l", "kind": "lattice-check",
+                                                      "payload": {"matrices": [], "pi0_trials": 0}},
+    "lattice-check-pi0-trials-negative": lambda: {"id": "l", "kind": "lattice-check", "payload": {"pi0_trials": -3}},
+    # the Schrodinger model needs an odd prime, and a chain model a size cap
+    "twisted-trace-p-9": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": 9, "groups": [2]}},
+    "twisted-trace-p-15": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": 15, "groups": [2]}},
+    "weil-verify-p-9": lambda: {"id": "w", "kind": "weil-verify", "payload": {"p": 9}},
+    "twisted-trace-chain-over-the-cap": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": 3, "groups": [20]}},
 }
 # the field a case's message must name, where the field alone is not enough
 BAD_PAYLOAD_MESSAGES = {
@@ -217,6 +234,18 @@ BAD_PAYLOAD_MESSAGES = {
     "s-values-keys-share-a-sigma-orbit-reordered": "s_values keys 1 and 0 share a Sigma-orbit",
     "s-values-key-spelled-twice": "s_values keys ['0', '00', '2'] name one root twice",
     "bool-permutation": "neg is not a permutation of 0..3",
+    "weil-verify-pairs-0": "pairs must be at least 1, got 0",
+    "weil-verify-words-0": "words must be at least 1, got 0",
+    "weil-verify-pairs-negative": "pairs must be at least 1, got -4",
+    "twisted-trace-trials-0": "trials must be at least 1, got 0",
+    "twisted-trace-trials-negative": "trials must be at least 1, got -1",
+    "lattice-check-nothing": "a lattice check needs matrices or pi0_trials >= 1, got neither",
+    "lattice-check-empty-matrices-0-trials": "a lattice check needs matrices or pi0_trials >= 1, got neither",
+    "lattice-check-pi0-trials-negative": "pi0_trials must be at least 0, got -3",
+    "twisted-trace-p-9": "the Schrodinger model needs an odd prime, got p = 9",
+    "twisted-trace-p-15": "the Schrodinger model needs an odd prime, got p = 15",
+    "weil-verify-p-9": "the Schrodinger model needs an odd prime, got p = 9",
+    "twisted-trace-chain-over-the-cap": "p^n = 3^20 exceeds the model cap 32767",
 }
 
 
@@ -299,6 +328,23 @@ def test_selfcheck_filter_and_fault(capsys):
     assert run_cli(["selfcheck", "--filter", "ffield.sgn-mult"]) == 0
     capsys.readouterr()
     assert run_cli(["selfcheck", "--filter", "ffield.sgn-mult", "--fault", "sgn"]) == 1
+
+
+def test_selfcheck_filter_matching_no_check_is_refused(tmp_path, capsys):
+    # zero rows and zero failures would read as a pass
+    assert run_cli(["selfcheck", "--filter", "nosuchcheck", "--report", tmp_path / "r.json"]) == 2
+    assert "--filter 'nosuchcheck' matches no check" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_chain_over_the_model_cap_is_refused_at_once(tmp_path):
+    # a 3^20-point chain model would need hundreds of GB; the cap refuses it
+    # before any table is built
+    f = tmp_path / "big.scn"
+    f.write_text(json.dumps({"scenarios": [{"id": "t", "kind": "twisted-trace", "payload": {"p": 3, "groups": [20]}}]}))
+    start = time.perf_counter()
+    assert run_cli(["run", f]) == 3
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sgn_fault_reaches_only_formula_checks():

@@ -1,0 +1,188 @@
+"""The formula side and the oracle side stay independent.
+
+gerardin and signcalc evaluate closed forms; weil builds Weil operators by
+brute force.  A formula that read an oracle value, or an oracle that read a
+closed form, would make their agreement prove nothing.  The static half walks
+the module syntax trees; the runtime half runs the formula entry points with
+the oracle's constructors replaced by raising stubs."""
+
+import ast
+import pathlib
+
+import numpy as np
+import pytest
+
+from weilchar import checks, gerardin, modp, signcalc as sc, symplectic as sym, weil
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "weilchar"
+BRANCHES = {"asym/asym", "asym/sym-ur", "asym/sym-ram", "sym-ur/sym-ur", "sym-ur/sym-ram"}
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / (module + ".py")).read_text())
+
+
+def _names(node) -> set[str]:
+    """The names a node refers to: bare names, attributes, the names an
+    import binds, and the last part of every module it imports from."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.update(filter(None, (sub.name.rpartition(".")[2], sub.asname)))
+        elif isinstance(sub, ast.ImportFrom) and sub.module:
+            out.add(sub.module.rpartition(".")[2])
+    return out
+
+
+def _sgn_calls(node) -> list[str]:
+    """ffield.sgn_* read as an attribute or imported by name."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and sub.attr.startswith("sgn_") and isinstance(sub.value, ast.Name) \
+                and sub.value.id == "ffield":
+            found.append("ffield." + sub.attr)
+        elif isinstance(sub, ast.ImportFrom) and (sub.module or "").endswith("ffield"):
+            found += ["ffield." + a.name for a in sub.names if a.name.startswith("sgn_") or a.name == "*"]
+    return found
+
+
+def _outside(tree: ast.Module, exempt: str) -> list[ast.stmt]:
+    """The module's top-level statements other than the function `exempt`."""
+    kept = [node for node in tree.body if not (isinstance(node, ast.FunctionDef) and node.name == exempt)]
+    assert len(kept) == len(tree.body) - 1, "no top-level function %s" % exempt
+    return kept
+
+
+def test_gerardin_never_names_weil():
+    assert "weil" not in _names(_tree("gerardin"))
+
+
+def test_signcalc_names_weil_only_in_full_space_oracle():
+    # full_space_oracle stays in signcalc under that name: the benchmark's
+    # tracer wraps it there
+    tree = _tree("signcalc")
+    assert "weil" not in set().union(*map(_names, _outside(tree, "full_space_oracle")))
+    oracle = next(node for node in tree.body if getattr(node, "name", None) == "full_space_oracle")
+    assert "weil" in _names(oracle)
+
+
+def test_weil_reads_no_closed_form():
+    tree = _tree("weil")
+    assert not {"gerardin", "signcalc"} & _names(tree)
+    assert _sgn_calls(tree) == []
+
+
+@pytest.mark.parametrize("source,broken", [
+    ("from . import ffield, weil", True),
+    ("from .weil import WeilModel", True),
+    ("import weilchar.weil", True),
+    ("from weilchar import weil as w", True),
+    ("def f(x):\n    return weil.theta(x)", True),
+    ("import weilchar\nweilchar.weil.WeilModel", True),
+    ("from . import ffield\nweil_char = 1", False),
+])
+def test_firewall_rules_see_every_spelling(source, broken):
+    # each way of reaching the oracle module from a formula module
+    assert ("weil" in _names(ast.parse(source))) == broken
+
+
+@pytest.mark.parametrize("source,found", [
+    ("ffield.sgn_mult(x, k)", ["ffield.sgn_mult"]),
+    ("from .ffield import sgn_norm_one", ["ffield.sgn_norm_one"]),
+    ("from .ffield import *", ["ffield.*"]),
+    ("ffield.field(3, 1)", []),
+])
+def test_sgn_rule_sees_every_spelling(source, found):
+    assert _sgn_calls(ast.parse(source)) == found
+
+
+# ---------------------------------------------------------------------------
+# runtime twin: the formula entry points with the oracle's constructors gone
+
+
+@pytest.fixture(scope="module")
+def samples():
+    """Inputs built before the oracle goes away (a cell element needs a model)."""
+    blocks = [(label, s) for p in (3, 5) for label, s in checks.sign_branch_scenarios(p, 4, eta_cap=2)]
+    tori = [sym.build_torus(sym.TorusDesc(p, (factor,))) for p in (3, 5)
+            for factor in (sym.SplitFactor(1), sym.NormOneFactor(1))]
+    tori += [sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(1), sym.SplitFactor(1)))),
+             sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(2),)))]
+    semisimple = [g for p in (3, 5) for g in sym.sp_elements(sym.standard_polarized_space(p, 1)) if g.is_semisimple()]
+    # Sp_4(F_3): a fixed line beside a fixed-point-free block, and
+    # cell-element conjugates of Levi elements without fixed points
+    v2 = sym.standard_polarized_space(3, 1)
+    for g1 in sym.sp_elements(v2):
+        if g1.is_semisimple() and not g1.fixed_space_dim():
+            semisimple.append(sym.block_diagonal(sym.direct_sum([v2, v2]), [g1.mat_np, np.eye(2, dtype=np.int64)]))
+    model = weil.WeilModel(sym.standard_polarized_space(3, 2))
+    rng = np.random.default_rng(0)
+    a = np.array([[0, 1], [1, 1]])  # x^2 - x - 1, irreducible over F_3
+    levi = sym.sp_elem(model.space, model.from_std @ np.block([[a, 0 * a], [0 * a, modp.mat_inv(a, 3).T]]) @ model.to_std)
+    for r in range(3):
+        c = checks.cell_element(model, r, rng)
+        semisimple.append(c * levi * c.inverse())
+    return blocks, tori, semisimple
+
+
+@pytest.fixture
+def no_oracle(monkeypatch):
+    """weil.WeilModel, block_twist and twisted_trace replaced by stubs that
+    raise and record the call, so a swallowed exception still shows."""
+    reached = []
+
+    def stub(name):
+        def refuse(*args, **kwargs):
+            reached.append(name)
+            raise AssertionError("formula code reached weil.%s" % name)
+        return refuse
+
+    for name in ("WeilModel", "block_twist", "twisted_trace"):
+        monkeypatch.setattr(weil, name, stub(name))
+    return reached
+
+
+def test_sign_formulas_call_no_oracle(samples, no_oracle):
+    blocks, _, _ = samples
+    seen = set()
+    for label, s in blocks:
+        value = sc.block_sign_formula(s).value
+        const = sc.f1_constant(s)
+        if s.classification.endswith("sym-ram"):
+            want = modp.legendre(-2, s.p) ** s.k_res.degree
+            assert value == want and const == want, label
+        seen.add(s.classification)
+    assert seen == BRANCHES
+    assert no_oracle == []
+
+
+def test_assembly_calls_no_oracle(samples, no_oracle):
+    blocks, _, _ = samples
+    seen = set()
+    for label, s in blocks:
+        asm = sc.assemble_product(s.action, {0: s}, {0: s.k_alpha.one()})
+        assert abs(asm.value - sc.block_sign_formula(s).value) < 1e-12, label
+        seen.add(s.classification)
+    assert seen == BRANCHES
+    # the oracle-side comparison does reach the stubs
+    s = blocks[0][1]
+    with pytest.raises(AssertionError, match="weil.block_twist"):
+        sc.full_space_oracle(s.action, {0: s}, {0: s.k_alpha.one()})
+    assert no_oracle == ["block_twist"]
+
+
+def test_character_formulas_call_no_oracle(samples, no_oracle):
+    _, tori, semisimple = samples
+    for torus in tori:
+        for t in torus.elements():
+            gerardin.char_semisimple(t)
+    lines = 0
+    for g in semisimple:
+        gerardin.weil_char(g)
+        lines += g.fixed_space_dim() > 0
+    assert 0 < lines < len(semisimple)  # both the fixed-line and the fixed-point-free path
+    assert no_oracle == []

@@ -198,26 +198,6 @@ def test_conjectured_f3_ramified_sign(p):
     assert signs == {modp.legendre(-2, p) ** 3}
 
 
-def test_ramified_sign_calls_no_oracle():
-    class Raising:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("the sign formula built a WeilModel")
-
-    real = weil.WeilModel
-    weil.WeilModel = Raising
-    try:
-        seen = 0
-        for p in (3, 5):
-            for label, s in _ramified_scenarios(p, 2):
-                want = modp.legendre(-2, p) ** s.k_res.degree
-                assert sc.block_sign_formula(s).value == want, label
-                assert sc.f1_constant(s) == want, label
-                seen += 1
-    finally:
-        weil.WeilModel = real
-    assert seen > 0
-
-
 def test_ramified_sign_equals_gerardin_fixed_point_free_formula():
     # formula against formula: Gerardin's fixed-point-free character
     # evaluation gives sgn_{k_res}(-2) on every ramified block, including

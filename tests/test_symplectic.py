@@ -25,7 +25,7 @@ def test_space_validation():
 
 
 def test_heis_examples():
-    e = sym.heis_identity(V3)
+    e = sym.HeisElem(V3, (0, 0), 0)
     h = sym.HeisElem(V3, (1, 2), 1)
     assert sym.heis_mul(e, h) == h
     # (e1,0)(e2,0) = (e1+e2, 2): 1/2 = 2 mod 3

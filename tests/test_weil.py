@@ -27,7 +27,7 @@ def test_dimension_and_central_character():
         m = weil.WeilModel(sym.standard_polarized_space(p, n))
         assert m.dim == p**n
         z = m.rho(sym.HeisElem(m.space, (0,) * 2 * n, 1))
-        assert np.abs(z - weil.theta_char(p, 1) * np.eye(p**n)).max() < 1e-12
+        assert np.abs(z - modp.theta_values(p)[1] * np.eye(p**n)).max() < 1e-12
 
 
 def test_rho_character_shape():
@@ -38,7 +38,7 @@ def test_rho_character_shape():
         if any(h.v):
             assert abs(tr) < 1e-12
         else:
-            assert abs(tr - weil.theta_char(3, h.z) * 3) < 1e-12
+            assert abs(tr - modp.theta_values(3)[h.z] * 3) < 1e-12
 
 
 def test_rho_irreducible():
@@ -83,8 +83,8 @@ def test_rho_phase_fault_turns_rho_rows_red():
         weil.WeilModel.rho_parts = orig
     worst = {r.quantity: r.abs_error for r in rows if not r.passed}
     assert worst.keys() == {"rho homomorphism p=3 exhaustive", "rho homomorphism p=5 exhaustive"}
-    assert worst["rho homomorphism p=3 exhaustive"] == pytest.approx(abs(1 - weil.theta_char(3, 1)))  # 1.73
-    assert worst["rho homomorphism p=5 exhaustive"] == pytest.approx(abs(1 - weil.theta_char(5, 2)))  # 1.90
+    assert worst["rho homomorphism p=3 exhaustive"] == pytest.approx(abs(1 - modp.theta_values(3)[1]))  # 1.73
+    assert worst["rho homomorphism p=5 exhaustive"] == pytest.approx(abs(1 - modp.theta_values(5)[2]))  # 1.90
 
 
 def test_polarization_validation():
@@ -102,7 +102,7 @@ def test_polarization_validation():
     h = sym.HeisElem(space, (1, 2), 0)
     g = sym.sp_elements(space)[5]
     og = m.omega(g)
-    assert np.abs(og @ m.rho(h) @ np.linalg.inv(og) - m.rho(g.apply_heis(h))).max() < 1e-9
+    assert np.abs(og @ m.rho(h) @ np.linalg.inv(og) - m.rho(sym.HeisElem(space, g.apply(h.v), h.z))).max() < 1e-9
 
 
 def test_weil_operator_examples(model5):
@@ -493,7 +493,7 @@ def test_operator_dump_format():
     dump = weil.dump_operator(m.rho(sym.HeisElem(m.space, (0, 0), 1)))
     assert len(dump) == 9
     assert all(len(entry) == 2 for entry in dump)
-    theta = weil.theta_char(3, 1)
+    theta = modp.theta_values(3)[1]
     assert abs(dump[0][0] - theta.real) < 1e-9 and abs(dump[0][1] - theta.imag) < 1e-9
 
 
@@ -647,22 +647,36 @@ def test_fourier_scalar_fault_is_caught():
         assert stats[label].worst > 1e-8, label
 
 
-def test_word_factors_built_once_per_element_and_read_only(model5):
+def test_word_factors_refuse_another_space(model5):
     g = sym.sp_elem(model5.space, [[1, 1], [4, 0]])
     f = model5.word_factors(g)
+    # the n-bar diagonals are integer phases mod p
+    for d in (f.d1, f.d2):
+        assert d.dtype == np.int64 and d.min() >= 0 and d.max() < 5
     again = sym.sp_elem(model5.space, [[6, 1], [9, 5]])  # the same matrix mod 5, a new SpElem
-    assert again is not g and model5.word_factors(again) is f
-    for name in ("d1", "left", "right", "d2"):
-        arr = getattr(f, name)
-        with pytest.raises(ValueError):
-            arr[0] = arr[0]
-    # every read of the memo sees the pristine normal form
     assert abs(model5.trace_omega(g) - np.trace(model5.omega_word(again))) < 1e-10
     # in Sp_2 every det-1 matrix preserves every form: equal matrix tuples
-    # from another space still raise, memo or not
+    # from another space still raise
     other = sym.symp_space(5, [[0, 2], [3, 0]])
     g_other = sym.sp_elem(other, g.mat)
     assert g_other.mat == g.mat and other != model5.space
     for fn in (model5.word_factors, model5.omega_word, model5.trace_omega):
         with pytest.raises(sym.SpaceMismatch):
             fn(g_other)
+
+
+@pytest.mark.parametrize("p", [9, 15])
+def test_model_refuses_a_non_prime(p):
+    with pytest.raises(weil.WeilError, match="needs an odd prime, got p = %d" % p):
+        weil.WeilModel(sym.standard_polarized_space(p, 1))
+
+
+def test_model_dimension_cap():
+    # GF(13^4) sign blocks (28561) fit; 3^10 does not
+    assert 13**4 <= weil.MODEL_DIM_CAP < 3**10
+    with pytest.raises(weil.WeilError, match=r"p\^n = 3\^10 exceeds the model cap 32767"):
+        weil.WeilModel(sym.standard_polarized_space(3, 10))
+    # a chain is refused before its direct sum is built
+    v2 = sym.standard_polarized_space(3, 1)
+    with pytest.raises(weil.WeilError, match=r"p\^n = 3\^11 exceeds"):
+        weil.block_twist([(sym.sp_identity(v2), 2), (sym.sp_identity(v2), 11)])
