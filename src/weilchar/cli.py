@@ -142,7 +142,7 @@ def run_weil_verify(sid: str, payload, tol: float, seed: int) -> list[Row]:
     model = weil.WeilModel(space)
     rng = np.random.default_rng(seed)
     rows = []
-    size = p ** (2 * n + 1)  # |H(V)|, drawn by heis_elements position
+    size = p ** (2 * n + 1)  # |H(V)|, drawn by heis_decode position
     worst = 0.0
     # chunks of pairs keep rho_parts' (pairs, p^n, 2n) temporaries bounded
     chunk = max(1, weil.GATHER_CHUNK_ENTRIES // (model.dim * space.dim))

@@ -36,6 +36,13 @@ def _to_rows(m) -> list[list[int]]:
     return [[int(x) for x in row] for row in a]
 
 
+def _square_rows(m, what: str) -> list[list[int]]:
+    a = _to_rows(m)
+    if any(len(row) != len(a) for row in a):
+        raise LatticeError("%s of a non-square %dx%d matrix" % (what, len(a), len(a[0])))
+    return a
+
+
 def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """U, D, V with D = U*m*V, U and V unimodular, D diagonal, d_i | d_{i+1}.
 
@@ -115,10 +122,8 @@ def det_int(m) -> int:
     """Exact integer determinant by Bareiss fraction-free elimination: after
     step c every entry below and right of the pivot is a (c+2)-minor, so
     each division by the previous pivot is exact."""
-    a = _to_rows(m)
+    a = _square_rows(m, "determinant")
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise LatticeError("determinant of a non-square matrix")
     sign, prev = 1, 1
     for c in range(n):
         piv = next((i for i in range(c, n) if a[i][c]), None)
@@ -136,8 +141,8 @@ def det_int(m) -> int:
 
 
 def matrix_order(theta, bound: int = 10_000) -> int:
-    """Multiplicative order of an integer matrix; NotFiniteOrder if > bound."""
-    t = _to_rows(theta)
+    """Multiplicative order of a square integer matrix; NotFiniteOrder if > bound."""
+    t = _square_rows(theta, "order")
     n = len(t)
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
     acc = t
@@ -173,6 +178,12 @@ class RootDatum:
     theta: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        for what, vecs in (("root", self.roots), ("coroot", self.coroots)):
+            for v in vecs:
+                if len(v) != self.rank:
+                    raise LatticeError("%s %r has length %d, not rank %d" % (what, v, len(v), self.rank))
+        if len(self.theta) != self.rank or any(len(row) != self.rank for row in self.theta):
+            raise LatticeError("theta must be %dx%d for rank %d" % (self.rank, self.rank, self.rank))
         if len(self.roots) != len(self.coroots):
             raise LatticeError("roots and coroots must align")
         for a, av in zip(self.roots, self.coroots):

@@ -410,18 +410,17 @@ def _galois_pieces(b: FieldElem, f: int, k_res: FieldDesc, ambient: FieldDesc, s
     return pieces
 
 
-def torus_algorithm(beta: FieldElem, f: int, branch: str, ambient: FieldDesc | None = None) -> TorusPieces:
+def torus_algorithm(beta: FieldElem, f: int, branch: str, ambient: FieldDesc) -> TorusPieces:
     """Factor fields and roots realizing the eigenvalue multiset of the twist.
 
     branch "asym": beta is a square root of the norm delta; handles the pair
     {beta, -beta} with the norm-case split and the even-f halving recursion.
     branch "sym": single polynomial X^f - beta, all pieces symmetric (f odd).
+    The roots are looked for in `ambient`, a field that holds them all.
     """
     k_res = beta.parent
     if f % k_res.p == 0:
         raise NormConditionViolated("f must be coprime to p")
-    if ambient is None:
-        ambient = ffield.field(k_res.p, k_res.degree * f)
     if branch == "sym":
         if f % 2 == 0:
             raise NormConditionViolated("symmetric branch needs odd f")

@@ -30,10 +30,6 @@ class SpaceMismatch(SymplecticError):
     pass
 
 
-class DegreeMismatch(SymplecticError):
-    pass
-
-
 class NotSemisimple(SymplecticError):
     pass
 
@@ -119,30 +115,10 @@ def direct_sum(spaces: list[SympSpace]) -> SympSpace:
     return symp_space(p, g, tuple(blocks))
 
 
-@dataclass(frozen=True)
-class HeisElem:
-    """Element (v, z) of the Heisenberg group H(V) = V x F_p with
-    (v1,z1)(v2,z2) = (v1+v2, z1+z2+<v1,v2>/2)."""
-
-    space: SympSpace
-    v: tuple[int, ...]
-    z: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", tuple(int(x) % self.space.p for x in self.v))
-        object.__setattr__(self, "z", int(self.z) % self.space.p)
-
-    def __mul__(self, other: "HeisElem") -> "HeisElem":
-        return heis_mul(self, other)
-
-    def inverse(self) -> "HeisElem":
-        p = self.space.p
-        return HeisElem(self.space, tuple(-x % p for x in self.v), -self.z % p)
-
-
 def heis_law(space: SympSpace, v1, z1, v2, z2) -> tuple[np.ndarray, np.ndarray]:
     """(v1+v2, z1+z2+<v1,v2>/2) on broadcastable integer arrays, the vectors
-    along the last axis of v1 and v2: the one copy of the Heisenberg law."""
+    along the last axis of v1 and v2: the one copy of the Heisenberg law of
+    H(V) = V x F_p."""
     p = space.p
     v1, v2 = np.asarray(v1, dtype=np.int64), np.asarray(v2, dtype=np.int64)
     half = pow(2, p - 2, p)  # 1/2 mod p
@@ -150,41 +126,26 @@ def heis_law(space: SympSpace, v1, z1, v2, z2) -> tuple[np.ndarray, np.ndarray]:
     return (v1 + v2) % p, (np.asarray(z1) + np.asarray(z2) + half * form) % p
 
 
-def heis_mul(a: HeisElem, b: HeisElem) -> HeisElem:
-    if a.space != b.space:
-        raise SpaceMismatch("Heisenberg elements from different spaces")
-    v, z = heis_law(a.space, a.v, a.z, b.v, b.z)
-    return HeisElem(a.space, tuple(v.tolist()), int(z))
-
-
-def heis_elements(space: SympSpace):
-    for v in space.vectors():
-        for z in range(space.p):
-            yield HeisElem(space, v, z)
-
-
 def heis_decode(space: SympSpace, positions) -> tuple[np.ndarray, np.ndarray]:
-    """(vs, zs) of the elements at the given heis_elements positions, the
-    vectors along a new last axis: position i is the base-p code of (v, z),
-    most significant digit first."""
+    """(vs, zs) of the elements of H(V) at the given positions, the vectors
+    along a new last axis: position i is the base-p code of (v, z), most
+    significant digit first."""
     p = space.p
     digits = np.asarray(positions, dtype=np.int64)[..., None] // _heis_weights(space) % p
     return digits[..., :-1], digits[..., -1]
 
 
 def _heis_weights(space: SympSpace) -> np.ndarray:
-    """Place values of the digits of a heis_elements position: (v, z) has
-    position (v, z) @ weights."""
+    """Place values of the digits of a position: (v, z) has position
+    (v, z) @ weights."""
     return space.p ** np.arange(space.dim, -1, -1, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
 class HeisGroup:
-    """H(V) as an indexed table: elems in heis_elements order, vs[i] and
-    zs[i] the parts of elems[i], and mul[i, j] the position of
-    elems[i] * elems[j]."""
+    """H(V) as an indexed table: (vs[i], zs[i]) is the element at position
+    i, and mul[i, j] the position of the product of elements i and j."""
 
-    elems: tuple[HeisElem, ...]
     vs: np.ndarray
     zs: np.ndarray
     mul: np.ndarray
@@ -193,19 +154,17 @@ class HeisGroup:
 @lru_cache(maxsize=None)
 def heis_group(space: SympSpace) -> HeisGroup:
     """The product table of H(V), built from heis_law over all pairs at once;
-    refuses above HEIS_ENUM_CAP elements.  Position i is the base-p code of
-    (v, z), most significant digit first, which is heis_elements order."""
+    refuses above HEIS_ENUM_CAP elements.  Positions are heis_decode's."""
     p, dim = space.p, space.dim
     size = p ** (dim + 1)
     if size > HEIS_ENUM_CAP:
         raise SymplecticError("|H| = %d exceeds the enumeration cap %d" % (size, HEIS_ENUM_CAP))
-    elems = tuple(heis_elements(space))
     vs, zs = heis_decode(space, np.arange(size))
     v, z = heis_law(space, vs[:, None], zs[:, None], vs[None], zs[None])
     mul = (np.concatenate([v, z[..., None]], axis=-1) @ _heis_weights(space)).astype(np.int16)
     for arr in (vs, zs, mul):
         arr.flags.writeable = False  # shared through the cache
-    return HeisGroup(elems, vs, zs, mul)
+    return HeisGroup(vs, zs, mul)
 
 
 @dataclass(frozen=True)
@@ -514,15 +473,14 @@ def plus_minus_parts(mat: np.ndarray, sign: int | None) -> tuple[np.ndarray, np.
     return mat[:d, d:], mat[d:, :d]
 
 
-def build_torus(desc: TorusDesc, space: SympSpace | None = None) -> BuiltTorus:
+def build_torus(desc: TorusDesc) -> BuiltTorus:
     """Embed the torus block-diagonally in its natural direct-sum space of
     field blocks.
 
     Norm-one factor on k_i: the symmetric block Tr(C x tau(y)) with tau(C) =
     -C, antisymmetric and preserved by norm-one multiplication; split factor
-    on k_i^o + k_i^o: the asymmetric block Tr(x1 y2 - y1 x2).  If `space` is
-    given it must equal the constructed direct sum (the embedding is
-    canonical here; use conjugate_in_sp to move elements elsewhere)."""
+    on k_i^o + k_i^o: the asymmetric block Tr(x1 y2 - y1 x2).  The embedding
+    is canonical; use conjugate_in_sp to move elements elsewhere."""
     p = desc.p
     spaces = []
     for f in desc.factors:
@@ -533,13 +491,7 @@ def build_torus(desc: TorusDesc, space: SympSpace | None = None) -> BuiltTorus:
         else:
             sub = ffield.field(p, d)
             spaces.append(field_block(sub, sub.one()))
-    total_space = direct_sum(spaces)
-    n = total_space.dim // 2
-    if sum(f.subdegree for f in desc.factors) != n:
-        raise DegreeMismatch("factor degrees do not sum to n")
-    if space is not None and space != total_space:
-        raise DegreeMismatch("supplied space does not match the canonical torus space")
-    return BuiltTorus(desc, total_space)
+    return BuiltTorus(desc, direct_sum(spaces))
 
 
 def weight_charpoly_check(t: TorusElement) -> bool:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import subprocess
@@ -225,6 +226,17 @@ BAD_PAYLOADS = {
     "twisted-trace-p-15": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": 15, "groups": [2]}},
     "weil-verify-p-9": lambda: {"id": "w", "kind": "weil-verify", "payload": {"p": 9}},
     "twisted-trace-chain-over-the-cap": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": 3, "groups": [20]}},
+    # theta and the root data must have the datum's rank
+    "lattice-check-theta-1x2": lambda: {"id": "l", "kind": "lattice-check",
+                                        "payload": {"matrices": [{"theta": [[1, 2]], "expect_torsion": []}]}},
+    "lattice-check-theta-3x2": lambda: {"id": "l", "kind": "lattice-check",
+                                        "payload": {"matrices": [{"theta": [[1, 0], [0, 1], [0, 0]], "expect_torsion": []}]}},
+    "datum-theta-below-rank": lambda: {"id": "r", "kind": "root-datum", "payload": {
+        "rank": 2, "roots": [[1, 0], [-1, 0]], "coroots": [[2, 0], [-2, 0]], "theta": [[1]]}},
+    "datum-root-below-rank": lambda: {"id": "r", "kind": "root-datum", "payload": {
+        "rank": 2, "roots": [[2], [-2]], "coroots": [[1, 0], [-1, 0]], "theta": [[1, 0], [0, 1]]}},
+    "datum-coroot-above-rank": lambda: {"id": "r", "kind": "root-datum", "payload": {
+        "rank": 1, "roots": [[1], [-1]], "coroots": [[2, 5], [-2, 5]], "theta": [[1]]}},
 }
 # the field a case's message must name, where the field alone is not enough
 BAD_PAYLOAD_MESSAGES = {
@@ -246,6 +258,11 @@ BAD_PAYLOAD_MESSAGES = {
     "twisted-trace-p-15": "the Schrodinger model needs an odd prime, got p = 15",
     "weil-verify-p-9": "the Schrodinger model needs an odd prime, got p = 9",
     "twisted-trace-chain-over-the-cap": "p^n = 3^20 exceeds the model cap 32767",
+    "lattice-check-theta-1x2": "order of a non-square 1x2 matrix",
+    "lattice-check-theta-3x2": "order of a non-square 3x2 matrix",
+    "datum-theta-below-rank": "theta must be 2x2 for rank 2",
+    "datum-root-below-rank": "root (2,) has length 1, not rank 2",
+    "datum-coroot-above-rank": "coroot (2, 5) has length 2, not rank 1",
 }
 
 
@@ -377,6 +394,7 @@ def test_root_datum_command(capsys):
     ({"rank": 1, "roots": 5, "coroots": [[-2], [2]], "theta": [[1]]}, 3),
     ({"rank": 1, "roots": [[-1], [1]], "coroots": [[-2], [2]]}, 3),
     ([1, 2], 3),
+    ({"rank": 2, "roots": [[1, 0], [-1, 0]], "coroots": [[2, 0], [-2, 0]], "theta": [[1]]}, 3),  # theta below the rank
 ])
 def test_root_datum_command_reads_a_datum_file(doc, code, tmp_path, capsys):
     f = tmp_path / "datum.json"
@@ -456,9 +474,9 @@ def test_weil_verify_decodes_the_pairs_a_list_of_elements_gives(p, n):
     # the same rng calls, indexing every element of H(V) in a list and
     # decoding the positions, draw the same (a, b) pairs
     space = sym.standard_polarized_space(p, n)
-    hs = list(sym.heis_elements(space))
+    hs = list(itertools.product(itertools.product(range(p), repeat=2 * n), range(p)))
     listed, decoded = np.random.default_rng(7), np.random.default_rng(7)
-    old = [(h.v, h.z) for _ in range(40) for h in (hs[listed.integers(len(hs))], hs[listed.integers(len(hs))])]
+    old = [h for _ in range(40) for h in (hs[listed.integers(len(hs))], hs[listed.integers(len(hs))])]
     drawn = [(decoded.integers(len(hs)), decoded.integers(len(hs))) for _ in range(40)]
     vs, zs = sym.heis_decode(space, drawn)
     assert old == [(tuple(v), z) for v, z in zip(vs.reshape(-1, 2 * n).tolist(), zs.ravel().tolist())]

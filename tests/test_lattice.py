@@ -96,6 +96,10 @@ def test_pi0_examples():
     assert lat.pi0_torsion([[0, -1], [1, -1]]) == [3]
     with pytest.raises(lat.NotFiniteOrder):
         lat.pi0_torsion([[1, 1], [0, 1]])
+    for theta, shape in (([[1, 2]], "1x2"), ([[1, 0], [0, 1], [0, 0]], "3x2")):
+        for call in (lat.matrix_order, lat.pi0_torsion):
+            with pytest.raises(lat.LatticeError, match="non-square %s matrix" % shape):
+                call(theta)
 
 
 def test_pi0_property_seeded():
@@ -191,6 +195,16 @@ def test_datum_validation():
     with pytest.raises(lat.LatticeError):
         # theta does not permute the roots
         lat.RootDatum(1, ((1,), (-1,)), ((2,), (-2,)), ((2,),))
+    # roots, coroots and theta must have the datum's rank
+    a1 = (((1,), (-1,)), ((2,), (-2,)))
+    with pytest.raises(lat.LatticeError, match=r"theta must be 2x2 for rank 2"):
+        lat.RootDatum(2, ((1, 0), (-1, 0)), ((2, 0), (-2, 0)), ((1,),))
+    with pytest.raises(lat.LatticeError, match=r"theta must be 1x1 for rank 1"):
+        lat.RootDatum(1, *a1, ((1, 0),))
+    with pytest.raises(lat.LatticeError, match=r"root \(1, 0\) has length 2, not rank 1"):
+        lat.RootDatum(1, ((1, 0), (-1, 0)), a1[1], ((1,),))
+    with pytest.raises(lat.LatticeError, match=r"coroot \(2,\) has length 1, not rank 2"):
+        lat.RootDatum(2, ((1, 0), (-1, 0)), a1[1], ((1, 0), (0, 1)))
 
 
 def test_datum_validation_checks_coroots_against_theta():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import pathlib
@@ -119,7 +120,7 @@ def test_torus_algorithm_examples():
     # case-3 recursion delegates to case 1/2 on the square root
     assert set(pieces2.trace[1:]) <= {"case1", "case2", "case3"}
     with pytest.raises(sc.NormConditionViolated):
-        sc.torus_algorithm(f25.gen(), 5, "asym")  # f divisible by p
+        sc.torus_algorithm(f25.gen(), 5, "asym", ambient=f25)  # f divisible by p, refused first
 
 
 def test_block_sign_formula_branch_matrix():
@@ -610,3 +611,29 @@ def test_s_values_keys_are_root_indices_one_per_sigma_orbit(keys, message):
                 lambda: sc.twisted_scenario(scen[0], svals)):
         with pytest.raises(sc.IncompleteScenarioCover, match=message):
             run()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_s_value_transport_inverts_under_negation_and_follows_frobenius(p):
+    # assemble_product and full_space_oracle both read s at every root of a
+    # Sigma-orbit through _value_at_root, so comparing them cannot see a wrong
+    # transport: check it against bar-(-r)(s) = bar-r(s)^-1 and
+    # bar-frob(r)(s) = bar-r(s)^p directly, from every key of the orbit
+    families = {}
+    for label, s in checks.sign_branch_scenarios(p, 4, 1):
+        families.setdefault(label, s)
+    checked = 0
+    for label, s in families.items():
+        act, root, k = s.action, s.action.roots[0], s.k_alpha
+        if root.symmetric:  # s lies in the norm-one torus: bar-(-r)(s) is bar-r(s)^(p^tau) too
+            values = [x for x in k.units() if x * x.frobenius(root.tau_exp) == k.one()]
+        else:
+            values = list(k.units())
+        for key in sorted(root.sigma):
+            for val in values[:6]:
+                at = functools.partial(sc._value_at_root, act, {key: val})
+                for r in sorted(root.sigma):
+                    assert at(act.neg[r]) == at(r).inverse(), (label, key, val, r)
+                    assert at(act.frobenius[r]) == at(r).frobenius(1), (label, key, val, r)
+                    checked += 2
+    assert checked > 500

@@ -26,29 +26,31 @@ def test_dimension_and_central_character():
     for p, n in ((3, 1), (5, 1), (3, 2)):
         m = weil.WeilModel(sym.standard_polarized_space(p, n))
         assert m.dim == p**n
-        z = m.rho(sym.HeisElem(m.space, (0,) * 2 * n, 1))
+        z = m.rho((0,) * 2 * n, 1)
         assert np.abs(z - modp.theta_values(p)[1] * np.eye(p**n)).max() < 1e-12
 
 
 def test_rho_character_shape():
     # trace rho(v, z) = 0 for v != 0 and theta(z) p^n at v = 0
     m = weil.WeilModel(sym.standard_polarized_space(3, 1))
-    for h in sym.heis_elements(m.space):
-        tr = np.trace(m.rho(h))
-        if any(h.v):
+    for v, z in itertools.product(itertools.product(range(3), repeat=2), range(3)):
+        tr = np.trace(m.rho(v, z))
+        if any(v):
             assert abs(tr) < 1e-12
         else:
-            assert abs(tr - modp.theta_values(3)[h.z] * 3) < 1e-12
+            assert abs(tr - modp.theta_values(3)[z] * 3) < 1e-12
 
 
 def test_rho_irreducible():
     m = weil.WeilModel(sym.standard_polarized_space(3, 1))
-    total = sum(abs(np.trace(m.rho(h))) ** 2 for h in sym.heis_elements(m.space))
+    vs, zs = sym.heis_decode(m.space, np.arange(27))
+    total = (abs(np.trace(m.rho(vs, zs), axis1=-2, axis2=-1)) ** 2).sum()
     assert abs(total - 27) < 1e-9
 
 
-# sha256 of the dense rho(h) of every h in heis_elements order, rounded to
-# 12 decimals, recorded when rho built each matrix from its own phases
+# sha256 of the dense rho(h) of every h in H(V), in heis_decode position
+# order, rounded to 12 decimals, recorded when rho built each matrix from its
+# own phases
 RHO_DIGESTS = {
     (3, 1): "423553dc8ca71feff767ae1e581d74896dbea246cb69c93a6376f17f510b7290",
     (5, 1): "bbbe3ccc922a11473e6db69830814fb8418006639338c0f44a83e77444f6d591",
@@ -59,9 +61,8 @@ RHO_DIGESTS = {
 @pytest.mark.parametrize("p,n", sorted(RHO_DIGESTS))
 def test_dense_rho_pinned(p, n):
     m = weil.WeilModel(sym.standard_polarized_space(p, n))
-    digest = hashlib.sha256()
-    for h in sym.heis_elements(m.space):
-        digest.update((np.round(m.rho(h), 12) + 0.0).tobytes())  # + 0.0 folds -0.0 into 0.0
+    mats = m.rho(*sym.heis_decode(m.space, np.arange(p ** (2 * n + 1))))
+    digest = hashlib.sha256((np.round(mats, 12) + 0.0).tobytes())  # + 0.0 folds -0.0 into 0.0
     assert digest.hexdigest() == RHO_DIGESTS[(p, n)]
 
 
@@ -99,10 +100,10 @@ def test_polarization_validation():
     with pytest.raises(weil.NotAPolarization, match="n vectors"):
         weil.WeilModel(s4, ([(1, 0, 0, 0)], [(0, 0, 1, 0)]))
     m = weil.WeilModel(space, ([(0, 1)], [(1, 0)]))  # swapped Lagrangians: fine
-    h = sym.HeisElem(space, (1, 2), 0)
+    v = (1, 2)
     g = sym.sp_elements(space)[5]
     og = m.omega(g)
-    assert np.abs(og @ m.rho(h) @ np.linalg.inv(og) - m.rho(sym.HeisElem(space, g.apply(h.v), h.z))).max() < 1e-9
+    assert np.abs(og @ m.rho(v, 0) @ np.linalg.inv(og) - m.rho(g.apply(v), 0)).max() < 1e-9
 
 
 def test_weil_operator_examples(model5):
@@ -151,8 +152,8 @@ def _schur_loop(model_a, model_b, phi, seed):
         a0 = rng.standard_normal((model_b.dim, model_a.dim)) + 1j * rng.standard_normal((model_b.dim, model_a.dim))
         acc = np.zeros_like(a0)
         for v in itertools.product(range(p), repeat=dim_v):
-            hv = sym.HeisElem(model_a.space, v, 0)
-            acc += model_b.rho(sym.HeisElem(model_b.space, phi.apply(v), 0)) @ a0 @ model_a.rho(hv.inverse())
+            # (v, 0)^-1 = (-v, 0)
+            acc += model_b.rho(phi.apply(v), 0) @ a0 @ model_a.rho([-x % p for x in v], 0)
         acc /= p**dim_v
         if np.abs(acc).max() > 1e-9:
             return weil._phase_normalize(weil._unitary_normalize(acc))
@@ -490,7 +491,7 @@ def test_word_model_beyond_group_cap():
 
 def test_operator_dump_format():
     m = weil.WeilModel(sym.standard_polarized_space(3, 1))
-    dump = weil.dump_operator(m.rho(sym.HeisElem(m.space, (0, 0), 1)))
+    dump = weil.dump_operator(m.rho((0, 0), 1))
     assert len(dump) == 9
     assert all(len(entry) == 2 for entry in dump)
     theta = modp.theta_values(3)[1]
