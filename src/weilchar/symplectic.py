@@ -439,10 +439,12 @@ def trace_hankel(k: FieldDesc) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
 def field_block(k: FieldDesc, c: FieldElem, tau_exp: int | None = None) -> SympSpace:
     """The symplectic space of one field block: k with Gram Tr(C x tau(y))
     (symmetric, tau = Frobenius^tau_exp with tau(C) = -C), or for tau_exp
-    None k + k with Gram Tr(C (x+ y- - x- y+)) (asymmetric)."""
+    None k + k with Gram Tr(C (x+ y- - x- y+)) (asymmetric).  Cached: equal
+    blocks share one space, validated once."""
     gram = trace_form_gram(k, c, tau_exp)
     return split_space(k.p, gram) if tau_exp is None else symp_space(k.p, gram)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -102,6 +103,29 @@ def _fourier_scalar(p: int, r: int) -> complex:
     return (modp.legendre(-2, p) / gauss_sum(p)) ** r
 
 
+@lru_cache(maxsize=None)
+def _std_frame(space: SympSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(B, B^-1) for B = hyperbolic_basis(space), read-only and shared by
+    every default-polarized model of an equal space; B is checked once to
+    carry the form of space to that of standard_polarized_space."""
+    p, n = space.p, space.dim // 2
+    basis = sym.hyperbolic_basis(space)
+    if ((basis.T @ space.gram_mat @ basis - sym.standard_polarized_space(p, n).gram_mat) % p).any():
+        raise WeilError("the hyperbolic basis does not carry the form to the standard one")
+    inv = modp.mat_inv(basis, p)
+    basis.flags.writeable = inv.flags.writeable = False
+    return basis, inv
+
+
+@lru_cache(maxsize=None)
+def _points(p: int, n: int) -> np.ndarray:
+    """All of F_p^n, shape (p^n, n), row index = encoding (little-endian
+    digits); read-only and shared by every model of dimension p^n."""
+    out = np.indices((p,) * n).reshape(n, -1)[::-1].T.copy()
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class WordFactors:
     """Factors of omega(g) = W D1 M1 F_S M2 D2 W^H (see word_factors): the
@@ -124,7 +148,10 @@ class WeilModel:
     Sp(V) x H(V) with the fixed central character, dimension p^n.
 
     Internally everything is transported to standard (e, f)-coordinates by a
-    symplectic basis change; rho acts on functions on the X-coordinates."""
+    symplectic basis change; rho acts on functions on the X-coordinates.
+    from_std, to_std and _pts are read-only: with the default polarization
+    the basis change is shared by every model of an equal space (_std_frame),
+    and the point table by every model of dimension p^n (_points)."""
 
     def __init__(self, space: SympSpace, polarization=None):
         if space.p == 2 or not modp.is_prime(space.p):
@@ -139,15 +166,14 @@ class WeilModel:
             gramxy = self._check_polarization(xs, ys)
             # rescale the Y-vectors so <x_i, y_j> = delta_ij
             basis = np.hstack([xs.T, ys.T @ modp.mat_inv(gramxy, self.p)]) % self.p
+            self.from_std, self.to_std = basis, modp.mat_inv(basis, self.p)
+            basis.flags.writeable = self.to_std.flags.writeable = False
         else:
-            basis = sym.hyperbolic_basis(space)
-        self.from_std = basis
-        self.to_std = modp.mat_inv(basis, self.p)
+            self.from_std, self.to_std = _std_frame(space)
         self._group_table: list | None = None
         self._w: np.ndarray | None = None  # the Fourier operator, built on first use
         self._powers = self.p ** np.arange(self.n, dtype=np.int64)
-        # all of F_p^n, shape (p^n, n), row index = encoding (little-endian digits)
-        self._pts = np.indices((self.p,) * self.n).reshape(self.n, -1)[::-1].T.copy()
+        self._pts = _points(self.p, self.n)
 
     def _check_polarization(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Validate the rows of xs and ys as complementary Lagrangians; returns
@@ -287,7 +313,7 @@ class WeilModel:
         mul, inv = grp.mul, grp.inv
         gens = sym.sp_generators(self.space)
         ball = _schur_ball([sym.sp_identity(self.space)] + gens + [g.inverse() for g in gens])
-        ms = {grp.index[b.mat]: _unitary_normalize(schur_intertwiner(self, self, b)) for b in ball}
+        ms = {grp.index[b.mat]: schur_intertwiner(self, self, b) for b in ball}
         pool: dict = {}
         for (x, mx), (y, my) in itertools.product(ms.items(), repeat=2):
             c = mul[mul[mul[x, y], inv[x]], inv[y]]

@@ -226,6 +226,9 @@ BAD_PAYLOADS = {
     "twisted-trace-p-15": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": 15, "groups": [2]}},
     "weil-verify-p-9": lambda: {"id": "w", "kind": "weil-verify", "payload": {"p": 9}},
     "twisted-trace-chain-over-the-cap": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": 3, "groups": [20]}},
+    # every group within the cap, their direct sum above it
+    "twisted-trace-sum-over-the-cap": lambda: {"id": "t", "kind": "twisted-trace",
+                                               "payload": {"p": 3, "groups": [1] * 50, "trials": 3}},
     # theta and the root data must have the datum's rank
     "lattice-check-theta-1x2": lambda: {"id": "l", "kind": "lattice-check",
                                         "payload": {"matrices": [{"theta": [[1, 2]], "expect_torsion": []}]}},
@@ -258,6 +261,7 @@ BAD_PAYLOAD_MESSAGES = {
     "twisted-trace-p-15": "the Schrodinger model needs an odd prime, got p = 15",
     "weil-verify-p-9": "the Schrodinger model needs an odd prime, got p = 9",
     "twisted-trace-chain-over-the-cap": "p^n = 3^20 exceeds the model cap 32767",
+    "twisted-trace-sum-over-the-cap": "p^n = 3^50 exceeds the model cap 32767",
     "lattice-check-theta-1x2": "order of a non-square 1x2 matrix",
     "lattice-check-theta-3x2": "order of a non-square 3x2 matrix",
     "datum-theta-below-rank": "theta must be 2x2 for rank 2",
@@ -276,6 +280,15 @@ def test_malformed_payload_is_a_validation_error(case, tmp_path, capsys):
     prefix = "validation error: %s: %s" % (scn["id"], BAD_PAYLOAD_MESSAGES.get(case, ""))
     assert any(line.startswith(prefix) for line in lines), lines
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("p,groups", [(3, [1] * 9), (7, [1] * 5)])
+def test_twisted_trace_with_many_groups_within_the_cap_passes(p, groups, tmp_path, capsys):
+    # |value| is at most p^sum(groups) <= MODEL_DIM_CAP, so the error stays far below the tolerance
+    assert p ** sum(groups) <= weil.MODEL_DIM_CAP
+    code, err = _run_one_scenario({"id": "t", "kind": "twisted-trace",
+                                   "payload": {"p": p, "groups": groups, "trials": 3}}, tmp_path, capsys)
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("tol", ["abc", "inf", "nan", "-1", "-1e-9"])

@@ -76,6 +76,10 @@ def test_ci_workflow_parses():
     assert "cmp " in jobs_step
     # and two tabulate-ramified processes the same table
     assert any(s.count("python -m weilchar.cli tabulate-ramified >") == 2 and "cmp " in s for s in steps)
+    # and two sign surveys the same rows, less the timing line
+    [survey_step] = [s for s in steps if "scripts/sign_survey.py" in s]
+    assert survey_step.count("python scripts/sign_survey.py 4 16 >") == 2
+    assert survey_step.count("head -n -1") == 2 and "cmp " in survey_step
     # every job runs on the lowest Python that pyproject.toml declares
     floor = re.search(r'requires-python = ">=(\d+\.\d+)"', (ROOT / "pyproject.toml").read_text()).group(1)
     for job in doc["jobs"].values():

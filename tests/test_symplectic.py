@@ -447,3 +447,12 @@ def test_sign_blocks_pinned(p):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_tori_pinned(p):
     assert torus_digests(p) == PINNED_BLOCKS["build_torus"][str(p)]
+
+
+def test_field_block_is_built_once_per_value():
+    k = ff.field(3, 2)
+    c = sym.anti_invariant_unit(k, 1)
+    assert sym.field_block(k, c, 1) is sym.field_block(k, c, 1)
+    assert sym.field_block(k, k.one(), None) is sym.field_block(k, k.one(), None)
+    # an equal C built afresh finds the same space
+    assert sym.field_block(k, k.element(c.coeffs), 1) is sym.field_block(k, c, 1)

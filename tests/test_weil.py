@@ -681,3 +681,45 @@ def test_model_dimension_cap():
     v2 = sym.standard_polarized_space(3, 1)
     with pytest.raises(weil.WeilError, match=r"p\^n = 3\^11 exceeds"):
         weil.block_twist([(sym.sp_identity(v2), 2), (sym.sp_identity(v2), 11)])
+
+
+def test_equal_spaces_share_one_read_only_frame():
+    s, s2 = (sym.split_space(5, [[1, 2], [3, 4]]) for _ in range(2))
+    assert s is not s2 and s == s2
+    m, m2 = weil.WeilModel(s), weil.WeilModel(s2)
+    assert m.to_std is m2.to_std and m.from_std is m2.from_std and m._pts is m2._pts
+    explicit = weil.WeilModel(sym.standard_polarized_space(3, 1), ([(0, 1)], [(1, 0)]))
+    for model in (m, explicit):
+        for name in ("from_std", "to_std", "_pts"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(model, name)[0, 0] = 1
+
+
+def test_sign_sweep_builds_one_frame_per_block_space():
+    weil._std_frame.cache_clear()
+    checks.sign_sweep((3,), 4, 16)
+    spaces = {signcalc.build_block(sc).space for _, sc in checks.sign_branch_scenarios(3, 4, 16)}
+    assert weil._std_frame.cache_info().misses == len(spaces)
+
+
+def test_swapped_hyperbolic_basis_is_refused_and_turns_selfcheck_red():
+    # seeded fault: e and f swapped in the symplectic Gram-Schmidt, so B^T G B
+    # is minus the standard Gram; the frame is checked once per space
+    orig = sym.hyperbolic_basis
+
+    def swapped(space):
+        b = orig(space)
+        n = space.dim // 2
+        return np.hstack([b[:, n:], b[:, :n]])
+
+    sym.hyperbolic_basis = swapped
+    weil._std_frame.cache_clear()
+    try:
+        with pytest.raises(weil.WeilError, match="does not carry the form"):
+            weil.WeilModel(sym.standard_polarized_space(3, 1))
+        rows, _ = checks.run_checks()
+    finally:
+        sym.hyperbolic_basis = orig
+        weil._std_frame.cache_clear()
+    red = {r.scenario_id for r in rows if not r.passed}
+    assert {"weil.rho", "weil.svn", "weil.omega-mult", "weil.twisted-trace", "signcalc.oracle"} <= red
