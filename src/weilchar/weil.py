@@ -8,9 +8,11 @@ independent constructions:
   with inverse Gauss-sum scalars) putting every element into one Bruhat-cell
   normal form W D1 M1 F_S M2 D2 W^H, with W the unitary Fourier operator, F_S
   the Fourier operator on the coordinates of S (|S| = rank C), D diagonal and
-  M monomial; omega and omega_word multiply it out and trace_omega takes its
-  trace in O(p^n) work on every cell, without forming a p^n x p^n product.
-  It is the only model omega and trace_omega read;
+  M monomial, kept as its n x n matrices (WordFactors); omega and omega_word
+  multiply it out, and trace_omega sums it over the points where F_S's
+  diagonal can be nonzero as one histogram of integer phases mod p, in
+  O(p^n) work on every cell and with no p^n x p^n product.  It is the only
+  model omega and trace_omega read;
 * a whole-group model (omega_group) for |Sp(V)| within the enumeration cap,
   built from Schur-averaged projective intertwiners whose scalar ambiguity is
   resolved by a commutator walk of the Cayley graph (commutators of
@@ -95,11 +97,12 @@ def gauss_sum(p: int) -> complex:
     return sum(modp.theta_values(p)[np.arange(p) ** 2 % p].tolist())
 
 
+@lru_cache(maxsize=None)
 def _fourier_scalar(p: int, r: int) -> complex:
     # sgn(-2)^r / g1^r, the scalar of the Fourier operator in r coordinates,
     # is forced by n(1) nbar(-1) n(1) = w once the lower-unipotent operators
     # carry scalar 1 (the -2 comes from the 1/2 in the rho phase convention);
-    # |g1|^2 = p makes it unitary
+    # |g1|^2 = p makes it unitary; cached per (p, r), so no trace re-sums g1
     return (modp.legendre(-2, p) / gauss_sum(p)) ** r
 
 
@@ -126,21 +129,47 @@ def _points(p: int, n: int) -> np.ndarray:
     return out
 
 
+def _nbar_form(b: np.ndarray, p: int) -> np.ndarray:
+    """-b/2 mod p: the diagonal of the lower-unipotent operator nbar(b) is
+    psi(t^T (-b/2) t) at the point t."""
+    return -pow(2, p - 2, p) * np.asarray(b, dtype=np.int64) % p
+
+
+def _quadratic_phases(pts: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
+    """The integer phases s^T q s mod p at the rows s of pts.  q is reduced
+    mod p first, so no product exceeds n p^2 and int64 holds for every
+    p^n <= MODEL_DIM_CAP."""
+    return (pts @ (q % p) % p * pts).sum(axis=1) % p
+
+
 @dataclass(frozen=True, eq=False)
 class WordFactors:
-    """Factors of omega(g) = W D1 M1 F_S M2 D2 W^H (see word_factors): the
-    cell rank r, sgn = (det a1 / p)(det a2 / p), the diagonals of nbar(b1),
-    nbar(b2) as integer phases d1, d2 mod p, and the images left = T s,
-    right = a2 s of the points s (one row each, T = a1^-1), so that
-    omega(h)[s, t] = sgn psi(d1(s)) F_S(T s, a2 t) psi(d2(t)) with
+    """The normal form omega(g) = W D1 M1 F_S M2 D2 W^H of word_factors, as
+    n x n int64 matrices mod p: h = w^-1 g w = nbar(b1) m(a1) w_S m(a2)
+    nbar(b2) with t = a1^-1, the cell rank r = |S| and sgn = (det a1 / p)
+    (det a2 / p).  On functions on F_p^n, omega(h)[s, u] = sgn psi(d1(s))
+    F_S(t s, a2 u) psi(d2(u)) with the nbar phases d(s) = s^T (-b/2) s and
     F_S[x, y] = c_r psi(x_S . y_S) delta(x_S^c = y_S^c)."""
 
     rank: int
     sgn: int
-    d1: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    d2: np.ndarray
+    t: np.ndarray
+    a2: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+
+
+def _trace_support(f: WordFactors, p: int) -> np.ndarray:
+    """(t - a2) on the coordinates off S, mod p: F_S(t s, a2 s) vanishes unless
+    t s and a2 s agree there, so the trace sums over this matrix's kernel."""
+    return (f.t - f.a2)[f.rank :] % p
+
+
+def _trace_phase(f: WordFactors, p: int) -> np.ndarray:
+    """Q mod p with the trace's summand sgn c_r psi(s^T Q s) at a point s of
+    the support: both nbar phases and F_S's phase (t s)_S . (a2 s)_S."""
+    r = f.rank
+    return (_nbar_form(f.b1 + f.b2, p) + f.t[:r].T @ f.a2[:r]) % p
 
 
 class WeilModel:
@@ -228,12 +257,6 @@ class WeilModel:
         roots = _fourier_scalar(self.p, r) * modp.theta_values(self.p)
         return np.take(roots, phases, mode="wrap")  # wrap: index x mod p
 
-    def _nbar_diag(self, b: np.ndarray) -> np.ndarray:
-        """Diagonal of the lower-unipotent operator nbar(b) as phases mod p:
-        psi(-t.b.t / 2) at the point t."""
-        half = pow(2, self.p - 2, self.p)
-        return (-half * np.einsum("ti,ij,tj->t", self._pts, b, self._pts)) % self.p
-
     def word_factors(self, g: SpElem) -> WordFactors:
         """Bruhat-cell normal form omega(g) = W D1 M1 F_S M2 D2 W^H.
 
@@ -268,24 +291,20 @@ class WeilModel:
         q = (-b - a @ b2) @ a2inv
         q[:, :r] = (a @ a2.T)[:, :r]
         b1 = (q % p) @ t % p
-        return WordFactors(
-            rank=r,
-            sgn=modp.legendre(modp.det(t @ a2, p), p),
-            d1=self._nbar_diag(b1),
-            left=self._pts @ t.T % p,
-            right=self._pts @ a2.T % p,
-            d2=self._nbar_diag(b2),
-        )
+        return WordFactors(rank=r, sgn=modp.legendre(modp.det(t @ a2, p), p), t=t, a2=a2, b1=b1, b2=b2)
 
     def omega_word(self, g: SpElem) -> np.ndarray:
         """Weil operator: the dense product of the word-model normal form."""
         f = self.word_factors(g)
-        r, w, theta = f.rank, self._fourier(), modp.theta_values(self.p)
-        # omega(h)[s, t] = sgn psi(d1(s)) F_S(T s, a2 t) psi(d2(t))
+        p, r, pts = self.p, f.rank, self._pts
+        w, theta = self._fourier(), modp.theta_values(p)
+        left, right = pts @ f.t.T % p, pts @ f.a2.T % p
+        d1, d2 = (_quadratic_phases(pts, _nbar_form(b, p), p) for b in (f.b1, f.b2))
+        # omega(h)[s, u] = sgn psi(d1(s)) F_S(t s, a2 u) psi(d2(u))
         rest = self._powers[: self.n - r]
-        same = (f.left[:, r:] @ rest)[:, None] == (f.right[:, r:] @ rest)[None, :]
-        fs = self._fourier_entries(f.left[:, :r] @ f.right[:, :r].T, r) * same
-        return (w * theta[f.d1]) @ (f.sgn * fs * theta[f.d2]) @ w.conj().T
+        same = (left[:, r:] @ rest)[:, None] == (right[:, r:] @ rest)[None, :]
+        fs = self._fourier_entries(left[:, :r] @ right[:, :r].T, r) * same
+        return (w * theta[d1]) @ (f.sgn * fs * theta[d2]) @ w.conj().T
 
     def omega(self, g: SpElem) -> np.ndarray:
         """Weil operator: the word model, omega_word."""
@@ -294,14 +313,15 @@ class WeilModel:
     def trace_omega(self, g: SpElem) -> complex:
         """tr omega_word(g) from the normal form without forming the operator.
 
-        tr omega(g) = tr omega(h), and F_S[x, y] vanishes unless x and y agree
-        off S, so the trace is one sum over the points s with (T s)_S^c =
-        (a2 s)_S^c: sgn psi(d1(s)) psi(d2(s)) c_r psi((T s)_S . (a2 s)_S)."""
-        f = self.word_factors(g)
-        r, theta = f.rank, modp.theta_values(self.p)
-        on = (f.left[:, r:] == f.right[:, r:]).all(axis=1)
-        phases = np.einsum("ti,ti->t", f.left[on, :r], f.right[on, :r])
-        return complex(f.sgn * np.dot(theta[f.d1[on]] * theta[f.d2[on]], self._fourier_entries(phases, r)))
+        tr omega(g) = tr omega(h) = sum_s sgn c_r psi(s^T Q s) over the points
+        s with (t s)_S^c = (a2 s)_S^c, the only ones where F_S(t s, a2 s) is
+        nonzero (_trace_support, _trace_phase).  The brute-force sum is
+        regrouped by phase: one bincount N_z of the integer phases s^T Q s mod
+        p, then sgn c_r sum_z N_z psi(z)."""
+        f, p, pts = self.word_factors(g), self.p, self._pts
+        on = pts[~(pts @ _trace_support(f, p).T % p).any(axis=1)]
+        counts = np.bincount(_quadratic_phases(on, _trace_phase(f, p), p), minlength=p)
+        return complex(f.sgn * _fourier_scalar(p, f.rank) * (counts @ modp.theta_values(p)))
 
     # -- Weil operators: whole-group model ----------------------------------
 
@@ -324,7 +344,8 @@ class WeilModel:
             # classical unipotent operator (generator-model convention)
             u0_std = np.array([[1, 0], [1, 1]], dtype=np.int64)
             u0 = sym.sp_elem(self.space, self.from_std @ u0_std @ self.to_std % 3)
-            pool[grp.index[u0.mat]] = np.diag(modp.theta_values(3)[self._nbar_diag(np.array([[1]], dtype=np.int64))])
+            nbar = _quadratic_phases(self._pts, _nbar_form([[1]], 3), 3)
+            pool[grp.index[u0.mat]] = np.diag(modp.theta_values(3)[nbar])
         table: list = [None] * len(grp.elems)
         table[0] = np.eye(self.dim, dtype=complex)
         frontier = [0]

@@ -648,12 +648,50 @@ def test_fourier_scalar_fault_is_caught():
         assert stats[label].worst > 1e-8, label
 
 
+TRACE_ROWS = {"word trace = trace of word model %s" % g
+              for g in ("p=3", "p=5", "p=7", "Sp_4(F_3)", "Sp_6(F_3)")}
+
+
+@pytest.mark.parametrize("name,fault", [
+    # the Fourier phase (t s)_S . (a2 s)_S dropped from Q
+    ("_trace_phase", lambda f, p: weil._nbar_form(f.b1 + f.b2, p)),
+    # the support taken where t s = -a2 s off S
+    ("_trace_support", lambda f, p: (f.t + f.a2)[f.rank:] % p),
+], ids=["cross-term", "support-sum"])
+def test_trace_fault_turns_trace_rows_red(monkeypatch, name, fault):
+    # the trace reads the normal form apart from omega_word, so the rows that
+    # compare the two, and the sign sweep, must see a fault in either part
+    monkeypatch.setattr(weil, name, fault)
+    failed = {r.quantity for r in checks.check_omega_multiplicative() if not r.passed}
+    assert failed == TRACE_ROWS
+    assert max(st.worst for st in checks.sign_sweep((3,), 2, 4).values()) > 1e-8
+
+
+@pytest.mark.parametrize("p,n", [(32749, 1), (181, 2)])
+def test_trace_at_the_largest_primes_under_the_cap(p, n):
+    # 32749 is the largest prime p with p <= MODEL_DIM_CAP, 181 with p^2 <= it:
+    # the integer phases must not wrap in int64, and |tr omega(g)|^2 =
+    # p^dim ker(g - 1) (Howe 1973) holds on every cell rank
+    top = int(weil.MODEL_DIM_CAP ** (1 / n))
+    assert modp.is_prime(p) and p <= top and not any(modp.is_prime(q) for q in range(p + 1, top + 1))
+    m = weil.WeilModel(sym.standard_polarized_space(p, n))
+    assert m.trace_omega(sym.sp_identity(m.space)) == p**n
+    rng = np.random.default_rng(p)
+    ident = np.eye(2 * n, dtype=np.int64)
+    for r in range(n + 1):
+        for _ in range(3):
+            g = checks.cell_element(m, r, rng)
+            assert m.word_factors(g).rank == r
+            fixed = 2 * n - modp.rank(g.mat_np - ident, p)
+            assert abs(abs(m.trace_omega(g)) ** 2 / p**fixed - 1) < 1e-12
+
+
 def test_word_factors_refuse_another_space(model5):
     g = sym.sp_elem(model5.space, [[1, 1], [4, 0]])
     f = model5.word_factors(g)
-    # the n-bar diagonals are integer phases mod p
-    for d in (f.d1, f.d2):
-        assert d.dtype == np.int64 and d.min() >= 0 and d.max() < 5
+    # the normal form is its n x n matrices mod p, no p^n-point arrays
+    for m in (f.t, f.a2, f.b1, f.b2):
+        assert m.dtype == np.int64 and m.shape == (1, 1) and m.min() >= 0 and m.max() < 5
     again = sym.sp_elem(model5.space, [[6, 1], [9, 5]])  # the same matrix mod 5, a new SpElem
     assert abs(model5.trace_omega(g) - np.trace(model5.omega_word(again))) < 1e-10
     # in Sp_2 every det-1 matrix preserves every form: equal matrix tuples
