@@ -75,20 +75,25 @@ def _first_nonzero(rows: list[list[int]], start: int, c: int) -> int | None:
     return None
 
 
-def rref(m, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row-reduced echelon form and pivot columns.  The row operations run on
-    Python-int rows (entries stay in 0..p-1); the result is an int64 array."""
-    a = as_mat(m, p)
-    rows = a.tolist()
+def reduce_rows(rows: list[list[int]], p: int) -> tuple[list[int], int]:
+    """Gauss-Jordan elimination of Python-int rows in place (entries stay in
+    0..p-1): afterwards rows is the reduced echelon form.  Returns the pivot
+    columns and the determinant of the row operations applied, -1 per swap
+    times the inverse of each pivot scaled to 1: reducing [m | I] leaves
+    E = m^-1 in the right half, with det E = 1 / det m when m is invertible."""
     n = len(rows)
     pivots: list[int] = []
+    d = 1
     r = 0
-    for c in range(a.shape[1]):
+    for c in range(len(rows[0]) if rows else 0):
         piv = _first_nonzero(rows, r, c)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            d = -d
         inv = pow(rows[r][c], p - 2, p)
+        d = d * inv % p
         pr = rows[r] = [x * inv % p for x in rows[r]]
         for i in range(n):
             f = rows[i][c]
@@ -98,6 +103,21 @@ def rref(m, p: int) -> tuple[np.ndarray, list[int]]:
         r += 1
         if r == n:
             break
+    return pivots, d
+
+
+def with_identity(rows: list[list[int]]) -> list[list[int]]:
+    """[m | I] as new Python-int rows, m given by its n rows."""
+    n = len(rows)
+    return [row + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(rows)]
+
+
+def rref(m, p: int) -> tuple[np.ndarray, list[int]]:
+    """Row-reduced echelon form and pivot columns, as reduce_rows leaves them;
+    the result is an int64 array of m's shape."""
+    a = as_mat(m, p)
+    rows = a.tolist()
+    pivots, _ = reduce_rows(rows, p)
     return np.array(rows, dtype=np.int64).reshape(a.shape), pivots
 
 
@@ -123,10 +143,10 @@ def kernel_basis(m, p: int) -> list[np.ndarray]:
 def mat_inv(m, p: int) -> np.ndarray:
     a = _square(m, p)
     n = a.shape[0]
-    aug, pivots = rref(np.hstack([a, np.eye(n, dtype=np.int64)]), p)
-    if pivots != list(range(n)):
+    rows = with_identity(a.tolist())
+    if reduce_rows(rows, p)[0] != list(range(n)):
         raise ZeroDivisionError("matrix not invertible mod %d" % p)
-    return aug[:, n:] % p
+    return np.array([row[n:] for row in rows], dtype=np.int64).reshape(n, n)
 
 
 def det(m, p: int) -> int:
@@ -150,17 +170,16 @@ def det(m, p: int) -> int:
     return d % p
 
 
-def _berkowitz(a: list[list[int]], red) -> list[int]:
-    """Division-free characteristic polynomial of det(X*I - a).
+def _berkowitz(a: list[list[int]], p: int) -> list[int]:
+    """Division-free characteristic polynomial det(X*I - a) over F_p.
 
-    `red` reduces intermediate integers (identity for Z, mod p otherwise).
     Returns coefficients low degree first, length n+1, monic.
     """
     n = len(a)
     if n == 0:
         return [1]
     # High-degree-first coefficient vector of the leading 1x1 block.
-    vec = [1, red(-a[0][0])]
+    vec = [1, -a[0][0] % p]
     for k in range(1, n):
         R = a[k][:k]
         C = [a[i][k] for i in range(k)]
@@ -169,28 +188,21 @@ def _berkowitz(a: list[list[int]], red) -> list[int]:
         q = []
         w = C[:]
         for _ in range(k):
-            q.append(red(sum(R[i] * w[i] for i in range(k))))
-            w = [red(sum(M[i][j] * w[j] for j in range(k))) for i in range(k)]
+            q.append(sum(R[i] * w[i] for i in range(k)) % p)
+            w = [sum(M[i][j] * w[j] for j in range(k)) % p for i in range(k)]
         # Toeplitz generator (1, -a_kk, -q_0, -q_1, ...): truncated convolution.
-        t = [1, red(-a[k][k])] + [red(-x) for x in q]
+        t = [1, -a[k][k] % p] + [-x % p for x in q]
         new = [0] * (k + 2)
         for i in range(k + 2):
             s = 0
             for j in range(min(i, k) + 1):
                 if i - j < len(t):
                     s += t[i - j] * vec[j]
-            new[i] = red(s)
+            new[i] = s % p
         vec = new
     return list(reversed(vec))
 
 
 def charpoly(m, p: int) -> list[int]:
     """Characteristic polynomial of m over F_p, low degree first, monic."""
-    a = [[int(x) % p for x in row] for row in as_mat(m, p)]
-    return _berkowitz(a, lambda x: x % p)
-
-
-def charpoly_int(m) -> list[int]:
-    """Characteristic polynomial over Z (exact), low degree first, monic."""
-    a = [[int(x) for x in row] for row in np.asarray(m, dtype=object)]
-    return _berkowitz(a, lambda x: x)
+    return _berkowitz(as_mat(m, p).tolist(), p)

@@ -211,8 +211,7 @@ class SpElem:
         return self.order() % self.space.p != 0
 
     def fixed_space_dim(self) -> int:
-        m = (self.mat_np - np.eye(self.space.dim, dtype=np.int64)) % self.space.p
-        return len(modp.kernel_basis(m, self.space.p))
+        return self.space.dim - modp.rank(self.mat_np - np.eye(self.space.dim, dtype=np.int64), self.space.p)
 
 
 def sp_elem(space: SympSpace, mat) -> SpElem:

@@ -147,7 +147,9 @@ class WordFactors:
     """The normal form omega(g) = W D1 M1 F_S M2 D2 W^H of word_factors, as
     n x n int64 matrices mod p: h = w^-1 g w = nbar(b1) m(a1) w_S m(a2)
     nbar(b2) with t = a1^-1, the cell rank r = |S| and sgn = (det a1 / p)
-    (det a2 / p).  On functions on F_p^n, omega(h)[s, u] = sgn psi(d1(s))
+    (det a2 / p) = (det t det a2 / p), both determinants read off the row
+    reductions that give t and a2^-1; on the big cell (r = n) a2 = I.  On
+    functions on F_p^n, omega(h)[s, u] = sgn psi(d1(s))
     F_S(t s, a2 u) psi(d2(u)) with the nbar phases d(s) = s^T (-b/2) s and
     F_S[x, y] = c_r psi(x_S . y_S) delta(x_S^c = y_S^c)."""
 
@@ -263,24 +265,32 @@ class WeilModel:
         With g = [[A, B], [C, D]] in standard coordinates, h = w^-1 g w =
         [[D, -C], [-B, A]] factors as nbar(b1) m(a1) w_S m(a2) nbar(b2), w_S
         the Weyl element on the first r = rank C coordinate pairs.  One row
-        reduction T [-C | I] = [R | T] gives T = a1^-1, r and the pivot
-        columns; the rest is read off h's rows."""
+        reduction T [-C | I] = [R | T] gives T = a1^-1, r, the pivot columns
+        and det T; the rest is read off h's rows.  On the big cell (r = n)
+        a2 = I, so b2 = T D and b1 = A T; on the others one reduction of
+        [a2 | I] gives a2^-1 and det a2.  sgn = (det T det a2 / p)."""
         if g.space != self.space:
             raise sym.SpaceMismatch("element from another space")
         p, n = self.p, self.n
         gstd = self.to_std @ g.mat_np @ self.from_std % p
         a, b, c, d = gstd[:n, :n], gstd[:n, n:], gstd[n:, :n], gstd[n:, n:]
-        ident = np.eye(n, dtype=np.int64)
-        red, pivots = modp.rref(np.hstack([-c, ident]), p)
-        t = red[:, n:]
+        rows = modp.with_identity((-c % p).tolist())
+        pivots, det_t = modp.reduce_rows(rows, p)
+        t = np.array([row[n:] for row in rows], dtype=np.int64)
         pivots = [j for j in pivots if j < n]
         r = len(pivots)
         # top row of h: T D = E' a2 + E a2^-T b2 and T (-C) = E a2^-T, E the
         # projection on the first r coordinates; a2 has rows e_pivot there
         x = t @ d % p
+        if r == n:  # the pivots are 0..n-1, so a2 = I and beta = X
+            a2 = np.eye(n, dtype=np.int64)
+            return WordFactors(rank=r, sgn=modp.legendre(det_t, p), t=t, a2=a2, b1=a @ t % p, b2=x)
         a2 = x.copy()
-        a2[:r] = ident[pivots]
-        a2inv = modp.mat_inv(a2, p)
+        a2[:r] = 0
+        a2[range(r), pivots] = 1
+        rows = modp.with_identity(a2.tolist())
+        _, det_inv_a2 = modp.reduce_rows(rows, p)  # 1 / det a2, of the same quadratic character
+        a2inv = np.array([row[n:] for row in rows], dtype=np.int64)
         # b2 = a2^T beta a2 with beta symmetric, its first r rows X_S a2^-1
         beta = np.zeros((n, n), dtype=np.int64)
         beta[:r] = x[:r] @ a2inv
@@ -291,7 +301,7 @@ class WeilModel:
         q = (-b - a @ b2) @ a2inv
         q[:, :r] = (a @ a2.T)[:, :r]
         b1 = (q % p) @ t % p
-        return WordFactors(rank=r, sgn=modp.legendre(modp.det(t @ a2, p), p), t=t, a2=a2, b1=b1, b2=b2)
+        return WordFactors(rank=r, sgn=modp.legendre(det_t * det_inv_a2, p), t=t, a2=a2, b1=b1, b2=b2)
 
     def omega_word(self, g: SpElem) -> np.ndarray:
         """Weil operator: the dense product of the word-model normal form."""

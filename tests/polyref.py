@@ -84,3 +84,20 @@ def _synth_div(coeffs, x, desc):
         carry = coeffs[i] + carry * x
     assert carry.is_zero()
     return out
+
+
+def charpoly_int(m):
+    """Characteristic polynomial det(X*I - m) over Z, low degree first, monic:
+    Faddeev-LeVerrier on Python ints, M_k = m M_{k-1} + c_{n-k+1} I and
+    c_{n-k} = -tr(m M_k) / k, the division exact for an integer matrix."""
+    a = [[int(x) for x in row] for row in m]
+    n = len(a)
+    coeffs = [0] * n + [1]
+    mk = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        mk = [[sum(a[i][l] * mk[l][j] for l in range(n)) + (coeffs[n - k + 1] if i == j else 0) for j in range(n)]
+              for i in range(n)]
+        tr = sum(a[i][l] * mk[l][i] for i in range(n) for l in range(n))
+        assert tr % k == 0
+        coeffs[n - k] = -tr // k
+    return coeffs

@@ -184,15 +184,78 @@ def test_det_swap_sign_fault_turns_rows_red():
     orig = modp.det
     modp.det = _det_without_swap_sign
     try:
-        rows, _ = checks.run_checks("weil.omega-mult")
         bad_2x2 = det_2x2_mismatches(3)
     finally:
         modp.det = orig
     assert bad_2x2 > 0
+    assert modp.det is orig and det_2x2_mismatches(3) == 0
+
+
+def tracked_det_mismatches(p):
+    """Matrices [[a, b], [c, d]] over F_p, invertible, whose inverse's
+    determinant as reduce_rows tracks it on [m | I] is not 1 / (ad - bc)."""
+    bad = 0
+    for a, b, c, d in itertools.product(range(p), repeat=4):
+        if (a * d - b * c) % p:
+            rows = modp.with_identity([[a, b], [c, d]])
+            bad += modp.reduce_rows(rows, p)[1] * (a * d - b * c) % p != 1
+    return bad
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_reduce_rows_tracks_the_determinant(p):
+    assert tracked_det_mismatches(p) == 0
+    rng = np.random.default_rng(p + 40)
+    for n in range(1, 7):
+        for _ in range(6):
+            m = rng.integers(0, p, size=(n, n))
+            rows = modp.with_identity(m.tolist())
+            pivots, d = modp.reduce_rows(rows, p)
+            # the right half is E with E [m | I] = [rref m | E]: d = det E
+            e = np.array([row[n:] for row in rows], dtype=np.int64)
+            assert d == modp.det(e, p) != 0
+            assert (e @ m % p == np.array([row[:n] for row in rows])).all()
+            if pivots == list(range(n)):
+                assert d * modp.det(m, p) % p == 1
+
+
+def test_elimination_swap_sign_fault_turns_rows_red(monkeypatch):
+    # the word model's Levi sign reads the determinants reduce_rows tracks
+    monkeypatch.setattr(modp, "reduce_rows", _reduce_without_swap_sign)
+    rows, _ = checks.run_checks("weil.omega-mult")
+    bad_2x2 = tracked_det_mismatches(3)
+    monkeypatch.undo()
+    assert bad_2x2 > 0
     failed = {r.quantity for r in rows if not r.passed}
-    # a 1x1 det never swaps, so only the Sp_4 and Sp_6 word-model products see it
+    # a 1x1 reduction never swaps, so only the Sp_4 and Sp_6 word-model products see it
     assert failed == {
         "word model multiplicative Sp_4(F_3) (9 pairs, ranks 0-2)",
         "word model multiplicative Sp_6(F_3) (16 pairs, ranks 0-3)",
     }
-    assert modp.det is orig and det_2x2_mismatches(3) == 0
+    assert tracked_det_mismatches(3) == 0
+
+
+def _reduce_without_swap_sign(rows, p):
+    """modp.reduce_rows with the row-swap sign dropped from the determinant
+    it tracks: the seeded elimination fault."""
+    n = len(rows)
+    pivots = []
+    d = 1
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = modp._first_nonzero(rows, r, c)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        d = d * inv % p
+        pr = rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(n):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pr)]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return pivots, d

@@ -207,7 +207,7 @@ def test_eigen_s_th_root_lemma_charpoly():
         for i in range(n):
             phi[(i + 1) % n, i] = 1
         m = np.diag(a) @ np.linalg.matrix_power(phi, r)
-        cp = modp.charpoly_int(m.astype(object))
+        cp = polyref.charpoly_int(m.astype(object))
         want = [1]
         for i in range(r):
             prod = 1

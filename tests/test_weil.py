@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import itertools
+import json
 import os
 import pathlib
 import random
@@ -246,17 +247,23 @@ def test_block_twist_inverts_each_loop_once(monkeypatch):
     for lp, inv in zip(bt.loops, bt.loop_invs):
         assert not inv.flags.writeable
         assert np.array_equal(lp.mat_np @ inv % 5, np.eye(2, dtype=np.int64))
-    callers = []
-    orig = modp.mat_inv
+    callers = {"mat_inv": [], "reduce_rows": []}
 
-    def counted(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return orig(*args)
+    def spy(name):
+        orig = getattr(modp, name)
 
-    monkeypatch.setattr(modp, "mat_inv", counted)
+        def counted(*args):
+            callers[name].append(sys._getframe(1).f_code.co_name)
+            return orig(*args)
+
+        monkeypatch.setattr(modp, name, counted)
+
+    spy("mat_inv")
+    spy("reduce_rows")
     for g in sym.sp_elements(v2)[:6]:
         weil.twisted_trace(bt, sym.block_diagonal(bt.space, [g.mat_np] * 3))
-    assert callers and "twisted_trace" not in callers  # the word model's normal forms still invert
+    # the word model's normal forms still reduce, through the spied name
+    assert "word_factors" in callers["reduce_rows"] and "twisted_trace" not in callers["mat_inv"]
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -702,6 +709,38 @@ def test_word_factors_refuse_another_space(model5):
     for fn in (model5.word_factors, model5.omega_word, model5.trace_omega):
         with pytest.raises(sym.SpaceMismatch):
             fn(g_other)
+
+
+# The normal forms of seeded cell elements of every rank and of every sign
+# block, pinned as one sha256 digest per model: however word_factors reduces,
+# it must return the same (rank, sgn, t, a2, b1, b2).
+WORD_FACTOR_CELLS = ((3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 2), (181, 2), (32749, 1))
+WORD_FACTOR_SIGN_PRIMES = (3, 5, 7)
+
+
+def _normal_form_key(f):
+    return [f.rank, f.sgn] + [[str(m.dtype), m.tolist()] for m in (f.t, f.a2, f.b1, f.b2)]
+
+
+def word_factors_digests() -> dict:
+    out = {}
+    for p, n in WORD_FACTOR_CELLS:
+        m = weil.WeilModel(sym.standard_polarized_space(p, n))
+        rng = np.random.default_rng(1000 * n + p)
+        keys = [_normal_form_key(m.word_factors(checks.cell_element(m, r, rng))) for r in range(n + 1) for _ in range(3)]
+        out["cells p=%d n=%d" % (p, n)] = [len(keys), hashlib.sha256(json.dumps(keys).encode()).hexdigest()]
+    for p in WORD_FACTOR_SIGN_PRIMES:
+        keys = []
+        for _, sc in checks.sign_branch_scenarios(p, 4, 12, 2):
+            bb = signcalc.build_block(sc)
+            keys.append(_normal_form_key(weil.WeilModel(bb.space).word_factors(bb.op)))
+        out["sign blocks p=%d" % p] = [len(keys), hashlib.sha256(json.dumps(keys).encode()).hexdigest()]
+    return out
+
+
+def test_word_factors_digests_pinned():
+    pinned = json.loads((pathlib.Path(__file__).parent / "word_factors_digests.json").read_text())
+    assert word_factors_digests() == pinned
 
 
 @pytest.mark.parametrize("p", [9, 15])
