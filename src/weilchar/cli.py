@@ -181,7 +181,7 @@ def run_twisted_trace(sid: str, payload, tol: float, seed: int) -> list[Row]:
     # float error stays far below the tolerance
     weil.check_model_dim(p, sum(group_sizes))
     v2 = sym.standard_polarized_space(p, 1)
-    bt = weil.block_twist([(sym.sp_identity(v2), size) for size in group_sizes], seed=seed)
+    bt = weil.block_twist([(sym.sp_identity(v2), size) for size in group_sizes])
     rng = np.random.default_rng(seed)
     els = sym.sp_elements(v2)
     rows = []
@@ -221,7 +221,7 @@ def run_assemble(sid: str, payload, tol: float, seed: int) -> list[Row]:
         raise ScenarioValidationError("vartheta_s must be [re, im], got %r" % (re_im,))
     vartheta = complex(*(_typed(x, (int, float), "vartheta_s entry") for x in re_im))
     asm = signcalc.assemble_product(action, scenarios, s_values)
-    oracle = signcalc.full_space_oracle(action, scenarios, s_values, seed=seed)
+    oracle = signcalc.full_space_oracle(action, scenarios, s_values)
     rows = [
         Row.compare(sid, "assembled vs oracle (product path)", asm.value, oracle.product_value, tol, seed),
         Row.compare(sid, "oracle product vs direct", oracle.product_value, oracle.direct_value, tol, seed),

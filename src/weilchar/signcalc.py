@@ -702,7 +702,7 @@ def theta_rho(assembled: Assembled, vartheta_s: complex) -> complex:
 # Full-space oracle for assembled products
 
 
-def full_space_oracle(action: OrbitAction, scenarios: dict[int, OrbitScenario], s_values: dict[int, FieldElem], seed: int = 0) -> weil.TwistedTraceResult:
+def full_space_oracle(action: OrbitAction, scenarios: dict[int, OrbitScenario], s_values: dict[int, FieldElem]) -> weil.TwistedTraceResult:
     """tr(omega([s]) o I) on the direct sum of all twisted blocks, computed by
     the weil module: the independent cross-check of assemble_product.  The
     only code here that reaches the oracle, so weil is imported here alone."""
@@ -716,5 +716,5 @@ def full_space_oracle(action: OrbitAction, scenarios: dict[int, OrbitScenario], 
         chains.append((bb.op, root.m))
         for j in range(root.m):
             s_blocks.append(s_action_matrix(bb, _value_at_root(action, s_values, root.theta[j])).mat_np)
-    bt = weil.block_twist(chains, seed=seed)
+    bt = weil.block_twist(chains)
     return weil.twisted_trace(bt, sym.block_diagonal(bt.space, s_blocks))

@@ -100,6 +100,8 @@ def standard_space(p: int, n: int) -> SympSpace:
 
 
 def direct_sum(spaces: list[SympSpace]) -> SympSpace:
+    if not spaces:
+        raise SymplecticError("a direct sum needs at least one space")
     p = spaces[0].p
     if any(s.p != p for s in spaces):
         raise SpaceMismatch("mixed characteristics")

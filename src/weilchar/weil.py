@@ -14,10 +14,11 @@ independent constructions:
   O(p^n) work on every cell and with no p^n x p^n product.  It is the only
   model omega and trace_omega read;
 * a whole-group model (omega_group) for |Sp(V)| within the enumeration cap,
-  built from Schur-averaged projective intertwiners whose scalar ambiguity is
-  resolved by a commutator walk of the Cayley graph (commutators of
-  projective operators are scalar-free, so on the perfect groups the walk is
-  forced); SL_2(F_3) is seeded with the classical unipotent operator.  It is
+  built from one Schur average of a matrix unit per element (a projective
+  intertwiner, one scatter of p^2n phases) and scaled so that
+  omega(g)^ord(g) = I and det omega(g) = 1 where ord(g) is prime to p; the
+  other elements are products of two such, or in SL_2(F_3) of one and the
+  classical unipotent operator.  It names nothing of the word model and is
   the independent reference the word model is compared against.
 
 The central character is psi(z) = exp(2*pi*i*z/p), read from
@@ -31,15 +32,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from operator import attrgetter
 
 import numpy as np
 
 from . import modp, symplectic as sym
 from .symplectic import SpElem, SympSpace
 
-SCHUR_RETRIES = 8
-GATHER_CHUNK_ENTRIES = 2**20  # entries per chunk of a batched rho gather: the Schur average, weil-verify
+GATHER_CHUNK_ENTRIES = 2**20  # entries per chunk of weil-verify's batched rho gather
 DENSE_DIM_CAP = 729  # largest model dimension p^n weil-verify builds dense operators for (8.5 MB each)
 MODEL_DIM_CAP = 32767  # largest model dimension p^n of any WeilModel: GF(13^4) sign blocks (28561) fit
 
@@ -49,10 +48,6 @@ class WeilError(Exception):
 
 
 class NotAPolarization(WeilError):
-    pass
-
-
-class ZeroAverage(WeilError):
     pass
 
 
@@ -336,41 +331,55 @@ class WeilModel:
     # -- Weil operators: whole-group model ----------------------------------
 
     def build_group_model(self) -> None:
-        """Enumerate Sp(V) and resolve all operators; cap-guarded."""
+        """Enumerate Sp(V) and build every operator; cap-guarded.
+
+        omega is the unique linear lift of the projective representation
+        (Howe 1973), so for g of order prime to p it is the unit-column Schur
+        average M0 times the one scalar c with (c M0)^ord(g) = I and
+        det(c M0) = 1: c = lambda^-a det(M0)^-b, with M0^ord(g) = lambda I and
+        a ord(g) + b p^n = 1.  (det omega = 1: Sp_2n(F_p) is perfect for odd
+        p, and the elements of Sp_2(F_3) of order prime to 3 form its derived
+        group Q_8.)  Any other element i is omega(i j^-1) omega(j), j the
+        first anchor in table order with i j^-1 of order prime to p: an
+        element of order prime to p, or in Sp_2(F_3) = Q_8 x| <U0> the
+        classical unipotent U0 or its square."""
         if self._group_table is not None:
             return
         grp = sym.sp_group(self.space)  # raises above the cap
-        mul, inv = grp.mul, grp.inv
-        gens = sym.sp_generators(self.space)
-        ball = _schur_ball([sym.sp_identity(self.space)] + gens + [g.inverse() for g in gens])
-        ms = {grp.index[b.mat]: schur_intertwiner(self, self, b) for b in ball}
-        pool: dict = {}
-        for (x, mx), (y, my) in itertools.product(ms.items(), repeat=2):
-            c = mul[mul[mul[x, y], inv[x]], inv[y]]
-            if c not in pool and c != 0:  # position 0 is the identity
-                pool[c] = mx @ my @ np.linalg.inv(mx) @ np.linalg.inv(my)
-        if self.p == 3 and self.n == 1:
-            # SL_2(F_3) is not perfect; seed the order-3 cosets with the
-            # classical unipotent operator (generator-model convention)
+        p, mul, size = self.p, grp.mul, len(grp.elems)
+        idx = np.arange(size)
+        orders, power, k = np.zeros(size, dtype=np.int64), idx, 1
+        while not orders.all():  # position 0 is the identity
+            orders[(power == 0) & (orders == 0)] = k
+            power, k = mul[power, idx], k + 1
+        coprime = np.flatnonzero(orders % p)
+        m0 = _schur_average(self, self, np.stack([grp.elems[i].mat_np for i in coprime]))
+        ords = orders[coprime]
+        lam, acc = np.empty(len(coprime), dtype=complex), m0
+        for e in range(1, ords.max() + 1):
+            lam[ords == e] = acc[ords == e, 0, 0]
+            acc = acc @ m0
+        # a ord = 1 mod p^n with |a| <= p^n / 2, which keeps both exponents small
+        a = np.array([(pow(int(o), -1, self.dim) + self.dim // 2) % self.dim - self.dim // 2 for o in ords])
+        b = (1 - a * ords) // self.dim
+        table = np.empty((size, self.dim, self.dim), dtype=complex)
+        table[coprime] = m0 * (lam**-a * np.linalg.det(m0) ** -b)[:, None, None]
+        if p == 3 and self.n == 1:
             u0_std = np.array([[1, 0], [1, 1]], dtype=np.int64)
-            u0 = sym.sp_elem(self.space, self.from_std @ u0_std @ self.to_std % 3)
-            nbar = _quadratic_phases(self._pts, _nbar_form([[1]], 3), 3)
-            pool[grp.index[u0.mat]] = np.diag(modp.theta_values(3)[nbar])
-        table: list = [None] * len(grp.elems)
-        table[0] = np.eye(self.dim, dtype=complex)
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for c, kc in pool.items():
-                    y = mul[x, c]
-                    if table[y] is None:
-                        table[y] = table[x] @ kc
-                        nxt.append(y)
-            frontier = nxt
-        covered = sum(m is not None for m in table)
-        if covered != len(table):
-            raise LinearizationFailed("commutator walk covered %d of %d elements" % (covered, len(table)))
+            u0 = grp.index[sym.sp_elem(self.space, self.from_std @ u0_std @ self.to_std % 3).mat]
+            anchors = np.array([u0, mul[u0, u0]])
+            table[u0] = np.diag(modp.theta_values(3)[_quadratic_phases(self._pts, _nbar_form([[1]], 3), 3)])
+            table[anchors[1]] = table[u0] @ table[u0]
+        else:
+            anchors = coprime
+        rest = np.setdiff1d(np.flatnonzero(orders % p == 0), anchors)
+        quot = mul[rest][:, grp.inv[anchors]]  # positions of i j^-1
+        ok = orders[quot] % p != 0
+        if not ok.any(axis=1).all():
+            raise LinearizationFailed("an element of order divisible by p is no product of two anchors")
+        first = ok.argmax(axis=1)
+        table[rest] = table[quot[np.arange(len(rest)), first]] @ table[anchors[first]]
+        table.flags.writeable = False
         self._group_table = table
 
     def omega_group(self, g: SpElem) -> np.ndarray:
@@ -379,46 +388,41 @@ class WeilModel:
         return self._group_table[sym.sp_group(self.space).index[g.mat]]
 
 
-def _schur_ball(seeds) -> list[SpElem]:
-    """The seeds and their pairwise products, stopping once more than 40
-    elements are collected; products are taken in matrix order so that the
-    ball depends on the set of seeds only, not on their order or hashes."""
-    ball = set(seeds)
-    for g, h in itertools.product(sorted(ball, key=attrgetter("mat")), repeat=2):
-        if len(ball) > 40:
-            break
-        ball.add(g * h)
-    return sorted(ball, key=attrgetter("mat"))
+def _schur_average(model_a: WeilModel, model_b: WeilModel, phis: np.ndarray) -> np.ndarray:
+    """For each matrix phi of the stack phis, shape (k, 2n, 2n), the Schur
+    average M = |V|^-1 sum_v rho_b(phi v) E_{s0,0} rho_a(v)^-1 of a matrix
+    unit, scaled to a unit column 0: shape (k, p^n, p^n).  By Schur's lemma
+    M = conj(T[s0, 0]) T / p^n, T the unitary operator with
+    T rho_a(h) = rho_b(phi h) T, so the result is T times a phase.
+
+    Both rho operators are monomial, so each term is one entry: with r the
+    row that rho_b(phi v) sends to column s0, and c the column of row 0 of
+    rho_a(v)^-1 = rho_a(-v), term v is ph_b(r) ph_a(0) at [r, c], and the
+    average is one scatter of |V| phases.  The terms with r = s0 and c = 0
+    give M's entry [s0, 0] = |T[s0, 0]|^2 / p^n for every s0 at once; s0 is
+    the first whose value is at least half the largest.  The nonzero entries
+    of a column of T share one modulus, so the choice does not hinge on
+    rounding, and M is never zero."""
+    p = model_a.p
+    vs = _points(p, model_a.space.dim)
+    cols_a, ph_a = (x[:, 0] for x in model_a.rho_parts(-vs, np.zeros(len(vs), dtype=np.int64)))
+    cols_b, ph_b = model_b.rho_parts(vs @ phis.transpose(0, 2, 1) % p, np.zeros((len(phis), len(vs)), dtype=np.int64))
+    on = cols_a == 0
+    fixed = cols_b[:, on] == np.arange(model_b.dim)
+    diag = np.einsum("kvs,v->ks", np.where(fixed, ph_b[:, on], 0), ph_a[on]).real
+    s0 = (diag >= 0.5 * diag.max(axis=1, keepdims=True)).argmax(axis=1)
+    rows = (cols_b == s0[:, None, None]).argmax(axis=2)
+    vals = np.take_along_axis(ph_b, rows[..., None], axis=2)[..., 0] * ph_a
+    out = np.zeros((len(phis), model_b.dim, model_a.dim), dtype=complex)
+    np.add.at(out, (np.arange(len(phis))[:, None], rows, cols_a), vals)
+    return out / np.linalg.norm(out[..., 0], axis=-1)[..., None, None]
 
 
-def _unitary_normalize(m: np.ndarray) -> np.ndarray:
-    gram = m.conj().T @ m
-    scale = np.sqrt(abs(gram[0, 0]))
-    if scale < 1e-12:
-        raise ZeroAverage("cannot normalize a null operator")
-    return m / scale
-
-
-def _phase_normalize(m: np.ndarray) -> np.ndarray:
-    flat = np.abs(m).ravel()
-    top = flat.max()
-    idx = int(np.argmax(flat > 0.5 * top))
-    val = m.ravel()[idx]
-    return m * (abs(val) / val)
-
-
-def schur_intertwiner(model_a: WeilModel, model_b: WeilModel, phi: SpElem, seed: int = 0) -> np.ndarray:
-    """Nonzero T with T rho_a(h) = rho_b(phi h) T, by averaging
-    rho_b(phi h) A0 rho_a(h)^{-1} over H(V_a)/center; unitary- and
-    phase-normalized, deterministic for a fixed seed, and checked to
-    intertwine at the probe (e_1, 1).  phi is an element of the space both
-    models share.
-
-    Both rho operators are monomial, so each term is a gather from A0:
-    entry [s, t] of rho_b(phi v) A0 rho_a(-v) is ph_b(s) A0[col_b(s), w] ph_a(w)
-    with w the row that rho_a(-v) sends to column t.  The sum over v runs in
-    chunks of at most GATHER_CHUNK_ENTRIES gathered entries, one batched
-    rho_parts call per model and chunk."""
+def schur_intertwiner(model_a: WeilModel, model_b: WeilModel, phi: SpElem) -> np.ndarray:
+    """The unitary T with T rho_a(h) = rho_b(phi h) T, up to a phase: the
+    Schur average of one matrix unit (_schur_average), checked to intertwine
+    at the probe (e_1, 1).  phi is an element of the space both models
+    share."""
     phi_mat = phi.mat_np
     p = model_a.p
     if model_b.p != p:
@@ -427,29 +431,11 @@ def schur_intertwiner(model_a: WeilModel, model_b: WeilModel, phi: SpElem, seed:
     gb = model_b.space.gram_mat
     if ((phi_mat.T @ gb @ phi_mat - ga) % p).any():
         raise WeilError("phi does not preserve the symplectic forms")
-    dim_v = model_a.space.dim
-    vs = np.indices((p,) * dim_v).reshape(dim_v, -1).T  # itertools.product order
-    chunk = max(1, GATHER_CHUNK_ENTRIES // (model_b.dim * model_a.dim))
-    for attempt in range(SCHUR_RETRIES):
-        rng = np.random.default_rng(seed + attempt)
-        a0 = rng.standard_normal((model_b.dim, model_a.dim)) + 1j * rng.standard_normal((model_b.dim, model_a.dim))
-        acc = np.zeros_like(a0)
-        for lo in range(0, len(vs), chunk):
-            part = vs[lo : lo + chunk]
-            zs = np.zeros(len(part), dtype=np.int64)
-            cols_b, ph_b = model_b.rho_parts(part @ phi_mat.T % p, zs)
-            cols_a, ph_a = model_a.rho_parts(-part, zs)
-            rows_a = np.argsort(cols_a, axis=1)  # rows_a[v, t]: the row rho_a(-v) sends to column t
-            gathered = a0[cols_b[:, :, None], rows_a[:, None, :]]
-            acc += np.einsum("vs,vst,vt->st", ph_b, gathered, np.take_along_axis(ph_a, rows_a, axis=1))
-        acc /= p**dim_v
-        if np.abs(acc).max() > 1e-9:
-            out = _phase_normalize(_unitary_normalize(acc))
-            e1 = np.eye(dim_v, dtype=np.int64)[0]
-            if np.abs(out @ model_a.rho(e1, 1) - model_b.rho(phi_mat @ e1 % p, 1) @ out).max() > 1e-7:
-                raise WeilError("averaged operator fails to intertwine")
-            return out
-    raise ZeroAverage("Schur average vanished for %d seeds" % SCHUR_RETRIES)
+    out = _schur_average(model_a, model_b, phi_mat[None])[0]
+    e1 = np.eye(model_a.space.dim, dtype=np.int64)[0]
+    if np.abs(out @ model_a.rho(e1, 1) - model_b.rho(phi_mat @ e1 % p, 1) @ out).max() > 1e-7:
+        raise WeilError("averaged operator fails to intertwine")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +527,7 @@ def block_cycle(space: SympSpace, groups, loops) -> SpElem:
     return sym.sp_elem(space, mat)
 
 
-def block_twist(chains, seed: int = 0) -> BlockTwist:
+def block_twist(chains) -> BlockTwist:
     """Build models and normalized intertwiners for a cyclic block twist.
 
     chains: one (loop, length) pair per group, the loop L an SpElem of the
@@ -584,7 +570,7 @@ def block_twist(chains, seed: int = 0) -> BlockTwist:
         step = sym.sp_identity(loop.space)
         for j in range(length):
             phi = loop if j == length - 1 else step
-            bt.inters[(i, j)] = schur_intertwiner(model, model, phi, seed=seed + 37 * (i + 5 * j))
+            bt.inters[(i, j)] = schur_intertwiner(model, model, phi)
         # normalize: composite = omega(L)
         target = model.omega(loop)
         comp = bt.composite(i)

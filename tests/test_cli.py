@@ -164,6 +164,7 @@ BAD_PAYLOADS = {
     "gerardin-unknown-factor": lambda: {"id": "g", "kind": "gerardin",
                                         "payload": {"p": 3, "factors": [{"type": "bogus", "subdegree": 1}]}},
     "gerardin-factors-null": lambda: {"id": "g", "kind": "gerardin", "payload": {"p": 3, "factors": None}},
+    "gerardin-factors-empty": lambda: {"id": "g", "kind": "gerardin", "payload": {"p": 3, "factors": []}},
     "twisted-trace-groups-not-a-list": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": 3, "groups": 5}},
     # scalars: each integer field refuses a list, null, string or float
     "weil-verify-p-a-list": lambda: {"id": "w", "kind": "weil-verify", "payload": {"p": [3]}},
@@ -267,6 +268,7 @@ BAD_PAYLOAD_MESSAGES = {
     "datum-theta-below-rank": "theta must be 2x2 for rank 2",
     "datum-root-below-rank": "root (2,) has length 1, not rank 2",
     "datum-coroot-above-rank": "coroot (2, 5) has length 2, not rank 1",
+    "gerardin-factors-empty": "a direct sum needs at least one space",
 }
 
 

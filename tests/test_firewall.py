@@ -76,6 +76,39 @@ def test_weil_reads_no_closed_form():
     assert _sgn_calls(tree) == []
 
 
+# the word model's construction: the group model and the Schur average must
+# reach none of it, so that comparing the two oracles shows a fault in either
+WORD_MODEL = {"word_factors", "WordFactors", "omega_word", "trace_omega", "_fourier", "_fourier_entries",
+              "_fourier_scalar", "gauss_sum"}
+GROUP_MODEL = ("build_group_model", "schur_intertwiner", "_schur_average")
+
+
+def _reached(tree: ast.Module, roots) -> set[str]:
+    """The names the functions `roots` refer to, following every call of
+    another function or method defined in the module."""
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    todo, seen, names = list(roots), set(), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        found = _names(defs[name])
+        names |= found
+        todo += [n for n in found if n in defs]
+    return names
+
+
+def test_group_model_reaches_no_word_model():
+    assert not WORD_MODEL & _reached(_tree("weil"), GROUP_MODEL)
+
+
+def test_reach_rule_follows_helpers():
+    source = "def f(m):\n    return g(m)\n\nclass M:\n    def g(self):\n        return self.word_factors(1)"
+    assert "word_factors" in _reached(ast.parse(source), ["f"])
+    assert "word_factors" not in _reached(ast.parse(source.replace("g(m)", "h(m)")), ["f"])
+
+
 @pytest.mark.parametrize("source,broken", [
     ("from . import ffield, weil", True),
     ("from .weil import WeilModel", True),

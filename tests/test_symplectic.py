@@ -23,6 +23,8 @@ def test_space_validation():
         sym.SympSpace(3, ((0, 0), (0, 0)))  # degenerate
     with pytest.raises(sym.SymplecticError):
         sym.SympSpace(3, ((0, 1, 0), (2, 0, 0), (0, 0, 0)))  # odd size
+    with pytest.raises(sym.SymplecticError, match="at least one space"):
+        sym.direct_sum([])  # a torus payload with no factors reaches this
 
 
 def heis_ref(space, a, b):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -127,16 +128,33 @@ def test_weil_operator_multiplicative_all_pairs(model5):
     assert worst < 1e-8
 
 
+def test_levi_sign_fault_turns_word_equals_group_rows_red():
+    # seeded fault: the word model's Levi sign forced to 1.  The group model
+    # is built from the Schur average alone, so its own rows stay green and
+    # every "word model = group model" row, with the word model's own
+    # multiplicativity beyond Sp_2, turns red
+    orig = weil.WeilModel.word_factors
+    weil.WeilModel.word_factors = lambda self, g: dataclasses.replace(orig(self, g), sgn=1)
+    try:
+        rows = checks.check_omega_multiplicative()
+    finally:
+        weil.WeilModel.word_factors = orig
+    assert {r.quantity for r in rows if not r.passed} == {
+        "word model = group model p=3", "word model = group model p=5", "word model = group model p=7",
+        "word model multiplicative Sp_4(F_3) (9 pairs, ranks 0-2)",
+        "word model multiplicative Sp_6(F_3) (16 pairs, ranks 0-3)"}
+
+
 def test_schur_intertwiner_examples(model5):
     space = model5.space
-    t = weil.schur_intertwiner(model5, model5, sym.sp_identity(space), seed=3)
+    t = weil.schur_intertwiner(model5, model5, sym.sp_identity(space))
     # Schur: self-intertwiner is scalar
     assert np.abs(t - t[0, 0] * np.eye(5)).max() < 1e-9
-    # two seeds give proportional intertwiners
+    # the intertwiners each way between two models compose to a scalar
     m2 = weil.WeilModel(space, ([(0, 1)], [(1, 0)]))
-    t1 = weil.schur_intertwiner(model5, m2, sym.sp_identity(space), seed=0)
-    t2 = weil.schur_intertwiner(model5, m2, sym.sp_identity(space), seed=99)
-    ratio = t2 @ np.linalg.inv(t1)
+    t1 = weil.schur_intertwiner(model5, m2, sym.sp_identity(space))
+    t2 = weil.schur_intertwiner(m2, model5, sym.sp_identity(space))
+    ratio = t2 @ t1
     assert np.abs(ratio - ratio[0, 0] * np.eye(5)).max() < 1e-9
     # T conjugates the Weil operators with trivial character for p >= 5
     for g in sym.sp_elements(space):
@@ -144,21 +162,21 @@ def test_schur_intertwiner_examples(model5):
         assert np.abs(lhs - m2.omega_group(g)).max() < 1e-8
 
 
-def _schur_loop(model_a, model_b, phi, seed):
-    """The Schur average term by term from dense rho matrices, normalized
-    as schur_intertwiner normalizes it."""
+def _schur_loop(model_a, model_b, phi):
+    """The Schur average of the matrix unit E_{s0,0} term by term from dense
+    rho matrices, for every s0; normalized and with s0 chosen as
+    schur_intertwiner chooses it."""
     p, dim_v = model_a.p, model_a.space.dim
-    for attempt in range(weil.SCHUR_RETRIES):
-        rng = np.random.default_rng(seed + attempt)
-        a0 = rng.standard_normal((model_b.dim, model_a.dim)) + 1j * rng.standard_normal((model_b.dim, model_a.dim))
-        acc = np.zeros_like(a0)
+    avgs = np.zeros((model_b.dim, model_b.dim, model_a.dim), dtype=complex)
+    for s0 in range(model_b.dim):
+        unit = np.zeros((model_b.dim, model_a.dim))
+        unit[s0, 0] = 1
         for v in itertools.product(range(p), repeat=dim_v):
             # (v, 0)^-1 = (-v, 0)
-            acc += model_b.rho(phi.apply(v), 0) @ a0 @ model_a.rho([-x % p for x in v], 0)
-        acc /= p**dim_v
-        if np.abs(acc).max() > 1e-9:
-            return weil._phase_normalize(weil._unitary_normalize(acc))
-    raise AssertionError("the average vanished for every seed")
+            avgs[s0] += model_b.rho(phi.apply(v), 0) @ unit @ model_a.rho([-x % p for x in v], 0)
+    diag = avgs[:, :, 0].diagonal().real
+    acc = avgs[int(np.argmax(diag >= 0.5 * diag.max()))]
+    return acc / np.linalg.norm(acc[:, 0])
 
 
 def _rotated_model(space):
@@ -177,27 +195,8 @@ def test_schur_gather_equals_dense_loop(p, n):
     assert phi != sym.sp_identity(space)
     for model_a, model_b, el in ((plain, plain, sym.sp_identity(space)), (plain, plain, phi),
                                  (plain, rotated, sym.sp_identity(space)), (rotated, plain, phi)):
-        got = weil.schur_intertwiner(model_a, model_b, el, seed=p)
-        assert np.abs(got - _schur_loop(model_a, model_b, el, seed=p)).max() < 1e-12
-
-
-def test_schur_gather_across_chunks(monkeypatch):
-    # Sp_4(F_7): 2401 vectors of 49 x 49 gathered entries, six chunks at the
-    # default size; then Sp_2(F_5) cut into chunks of 4 vectors and a last of 1
-    space = sym.standard_polarized_space(7, 2)
-    model_a, model_b = weil.WeilModel(space), _rotated_model(space)
-    assert model_a.dim * model_b.dim * 7**4 > 5 * weil.GATHER_CHUNK_ENTRIES
-    phi = checks.cell_element(model_a, 1, np.random.default_rng(0))
-    got = weil.schur_intertwiner(model_a, model_b, phi, seed=4)
-    assert np.abs(got - _schur_loop(model_a, model_b, phi, seed=4)).max() < 1e-12
-    space = sym.standard_polarized_space(5, 1)
-    model = weil.WeilModel(space)
-    phi = sym.sp_generators(space)[1]
-    want = weil.schur_intertwiner(model, model, phi, seed=2)
-    monkeypatch.setattr(weil, "GATHER_CHUNK_ENTRIES", 4 * model.dim**2)
-    got = weil.schur_intertwiner(model, model, phi, seed=2)
-    assert np.abs(got - want).max() < 1e-12
-    assert np.abs(got - _schur_loop(model, model, phi, seed=2)).max() < 1e-12
+        got = weil.schur_intertwiner(model_a, model_b, el)
+        assert np.abs(got - _schur_loop(model_a, model_b, el)).max() < 1e-12
 
 
 def test_cyclic_tensor_trace_examples():
@@ -215,16 +214,16 @@ def test_cyclic_tensor_trace_examples():
         weil.cyclic_tensor_trace([np.eye(2), np.ones((3, 2))])
 
 
-def _swapped_fixture(p, seed=0):
+def _swapped_fixture(p):
     v2 = sym.standard_polarized_space(p, 1)
-    bt = weil.block_twist([(sym.sp_identity(v2), 2)], seed=seed)
+    bt = weil.block_twist([(sym.sp_identity(v2), 2)])
     return bt, bt.space
 
 
 def test_twisted_trace_examples():
     # one block closed by the identity loop: the ordinary omega-character
     v2 = sym.standard_polarized_space(3, 1)
-    bt1 = weil.block_twist([(sym.sp_identity(v2), 1)], seed=0)
+    bt1 = weil.block_twist([(sym.sp_identity(v2), 1)])
     m = weil.WeilModel(v2)
     for g in sym.sp_elements(v2)[:8]:
         big = sym.sp_elem(bt1.space, g.mat_np)
@@ -243,7 +242,7 @@ def test_twisted_trace_examples():
 def test_block_twist_inverts_each_loop_once(monkeypatch):
     v2 = sym.standard_polarized_space(5, 1)
     loop = sym.sp_generators(v2)[0]
-    bt = weil.block_twist([(loop, 2), (sym.sp_identity(v2), 1)], seed=0)
+    bt = weil.block_twist([(loop, 2), (sym.sp_identity(v2), 1)])
     for lp, inv in zip(bt.loops, bt.loop_invs):
         assert not inv.flags.writeable
         assert np.array_equal(lp.mat_np @ inv % 5, np.eye(2, dtype=np.int64))
@@ -276,7 +275,7 @@ def test_twisted_trace_on_chains_with_loop_of_order_3(p):
     loop = next(g for g in els if g.order() == 3)
     rng = random.Random(p)
     for length in (1, 2, 3):
-        bt = weil.block_twist([(loop, length)], seed=1)
+        bt = weil.block_twist([(loop, length)])
         assert bt.space.blocks == tuple(tuple(range(2 * j, 2 * j + 2)) for j in range(length))
         assert np.abs(bt.composite(0) - bt.models[0].omega(loop)).max() < 1e-9
         # the direct path closed by L^-1 in place of L, on the same elements
@@ -366,7 +365,7 @@ def test_direct_value_equals_tensor_trace_on_chains(p, n, length):
     block = weil.WeilModel(sym.standard_polarized_space(p, n))
     rng = np.random.default_rng(100 * p + 10 * n + length)
     for r in range(n + 1):
-        bt = weil.block_twist([(checks.cell_element(block, r, rng), length)], seed=r)
+        bt = weil.block_twist([(checks.cell_element(block, r, rng), length)])
         for _ in range(2):
             parts = [checks.cell_element(block, int(rng.integers(n + 1)), rng).mat_np for _ in range(length)]
             g = sym.block_diagonal(bt.space, parts)
@@ -381,13 +380,13 @@ def test_twisted_trace_faults_turn_criterion_04_red(monkeypatch):
     # in place of the loop (the p = 3 pair's loop is the identity)
     orig = weil.block_twist
 
-    def sign_dropped(chains, seed=0):
-        bt = orig(chains, seed)
+    def sign_dropped(chains):
+        bt = orig(chains)
         bt.signs = (1,) * len(bt.signs)
         return bt
 
-    def loop_dropped(chains, seed=0):
-        bt = orig(chains, seed)
+    def loop_dropped(chains):
+        bt = orig(chains)
         bt.iotas = tuple(weil.block_cycle(m.space, (tuple(range(len(grp))),), [sym.sp_identity(loop.space)])
                          for m, grp, loop in zip(bt.chain_models, bt.groups, bt.loops))
         return bt
@@ -410,7 +409,7 @@ def test_twisted_trace_on_many_one_block_groups_stays_small():
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        bt = weil.block_twist([(loop, 1) for loop in loops], seed=3)
+        bt = weil.block_twist([(loop, 1) for loop in loops])
         for _ in range(3):
             parts = [rng.choice(els) for _ in loops]
             r = weil.twisted_trace(bt, sym.block_diagonal(bt.space, [g.mat_np for g in parts]))
@@ -521,6 +520,16 @@ def test_sl2_f3_convention_real_on_order_4_torus():
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
+def test_group_model_equals_word_model_on_every_element(p):
+    # elements of order divisible by p included: they are products of two
+    # operators scaled by order and determinant, or of one and U0 at p = 3
+    space = sym.standard_polarized_space(p, 1)
+    for model in (weil.WeilModel(space), _rotated_model(space)):
+        assert max(float(np.abs(model.omega_group(g) - model.omega_word(g)).max())
+                   for g in sym.sp_elements(space)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_trace_omega_ignores_group_model(p):
     # one oracle path: building the whole-group model changes no trace
     m = weil.WeilModel(sym.standard_polarized_space(p, 1))
@@ -534,25 +543,6 @@ def test_even_characteristic_rejected():
     # 2 has no inverse mod 2, so the rho phase theta(<x,y>/2) is undefined
     with pytest.raises(weil.WeilError):
         weil.WeilModel(sym.standard_space(2, 1))
-
-
-def test_schur_ball_ignores_seed_order():
-    # Sp_2(F_5): all pairwise products fit under the cap; Sp_4(F_3): the cap
-    # stops the products early, so the order they are taken in matters
-    for p, n in ((5, 1), (3, 2)):
-        space = sym.standard_polarized_space(p, n)
-        gens = sym.sp_generators(space)
-        seeds = [sym.sp_identity(space)] + gens + [g.inverse() for g in gens]
-        want = [g.mat for g in weil._schur_ball(seeds)]
-        products = {(g * h).mat for g in seeds for h in seeds}
-        if n == 1:
-            assert set(want) == products | {g.mat for g in seeds}
-        else:
-            assert len(want) == 41 and len(products) > 41
-        rng = random.Random(0)
-        for _ in range(5):
-            rng.shuffle(seeds)
-            assert [g.mat for g in weil._schur_ball(seeds)] == want
 
 
 _TABLE_DIGEST = """
