@@ -612,9 +612,12 @@ def check_polarized_formula(ps=(3, 5, 7)) -> list[Row]:
         for g in sym.sp_elements(space):
             if not g.is_semisimple():
                 continue
-            for pol in gerardin.invariant_polarizations(g):
+            pols = list(gerardin.invariant_polarizations(g))
+            if not pols:
+                continue
+            oracle = model.trace_omega(g)
+            for pol in pols:
                 val = gerardin.char_polarized(g, pol)
-                oracle = model.trace_omega(g)
                 count += 1
                 if abs(val - complex(round(oracle.real), round(oracle.imag))) > 1e-9 or abs(oracle - round(oracle.real)) > 1e-6:
                     bad += 1
@@ -626,18 +629,19 @@ def check_polarized_formula(ps=(3, 5, 7)) -> list[Row]:
     vsum = sym.direct_sum([v2, v2])
     m2 = weil.WeilModel(v2)
     ss = [g for g in sym.sp_elements(v2) if g.is_semisimple()]
+    seconds = [(g2, list(gerardin.invariant_polarizations(g2)), np.trace(m2.omega(g2))) for g2 in ss[:4]]
     bad = 0
     count = 0
     for g1 in ss:
         pols1 = list(gerardin.invariant_polarizations(g1))
         if not pols1:
             continue
-        for g2 in ss[:4]:
-            pols2 = list(gerardin.invariant_polarizations(g2))
+        trace1 = np.trace(m2.omega(g1))
+        for g2, pols2, trace2 in seconds:
             if not pols2:
                 continue
             gbig = sym.block_diagonal(vsum, [g1.mat_np, g2.mat_np])
-            oracle = np.trace(m2.omega(g1)) * np.trace(m2.omega(g2))
+            oracle = trace1 * trace2
             for (vp1, vm1), (vp2, vm2) in itertools.product(pols1[:2], pols2[:2]):
                 vplus = [tuple(v) + (0, 0) for v in vp1] + [(0, 0) + tuple(v) for v in vp2]
                 vminus = [tuple(v) + (0, 0) for v in vm1] + [(0, 0) + tuple(v) for v in vm2]

@@ -1,19 +1,23 @@
 """Exact arithmetic in a compatible tower of finite fields GF(p^k), p odd.
 
-Elements are coefficient vectors in the polynomial basis of a deterministic
+An element is its canonical index: the integer whose little-endian base-p
+digits are its coefficient vector in the polynomial basis of a deterministic
 modulus (the smallest monic irreducible in the integer encoding
 sum(c_i p^i) + p^k, found by Rabin's test on its companion matrix C:
 C^(p^k) = C and det(C^(p^(k/r)) - C) != 0 for every prime r | k), so
 encodings are reproducible across runs.
 
-Multiplication, powers, inverses, Frobenius, multiplicative orders and n-th
-roots are lookups in one discrete-log table per field (`_tables`): exp[i] is
-the coefficient vector of g^i, for g the first element of full multiplicative
-order in the canonical order, and log[x.index()] = i.  A field builds its
-table the first time it is used: g is found by an order test (g^((q-1)/r) != 1
-for every prime r | q - 1, as a power of g's multiplication matrix, a
-polynomial in C), and exp by log2(q) doublings with that matrix's repeated
-squares; FIELD_CAP bounds it at 6561 entries.
+Each field keeps one pair of integer tables, built the first time it is
+used: _log[i] = e for the element g^e of index i (-1 at zero) and _exp[e] =
+the index of g^e, for g the first element of full multiplicative order in the
+canonical order (log/antilog tables).  Multiplication, division,
+powers, inverses, Frobenius, negation (times g^((q-1)/2)), multiplicative
+orders and n-th roots are lookups in them; sums and differences go digit by
+digit, and the coefficient vector is read off the digits.  Both tables come
+from table_arrays: g is found by an order test (g^((q-1)/r) != 1 for every
+prime r | q - 1, as a power of g's multiplication matrix, a polynomial in
+C), and exp by log2(q) doublings with that matrix's repeated squares;
+FIELD_CAP bounds it at 6561 entries.
 
 `poly_roots` finds the roots of an F_p polynomial in a field from the exp
 table, all elements at once.  A subfield embedding sends the subfield
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -92,129 +96,161 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     return all(modp.det(_mat_pow(comp, p ** (k // r), p) - comp, p) for r in _prime_factors(k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldDesc:
-    """GF(p^degree) with the deterministic defining modulus (low degree first)."""
+    """GF(p^degree) with the deterministic defining modulus (low degree first).
+
+    Equal descriptions are equal fields; field() hands out one object per
+    field, so the element arithmetic compares parents by identity first."""
 
     p: int
     degree: int
     modulus: tuple[int, ...]
 
-    @property
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, FieldDesc):
+            return NotImplemented
+        return (self.p, self.degree, self.modulus) == (other.p, other.degree, other.modulus)
+
+    def __hash__(self):
+        return hash((self.p, self.degree, self.modulus))
+
+    @cached_property
     def order(self) -> int:
         return self.p**self.degree
+
+    @cached_property
+    def _log(self) -> tuple[int, ...]:
+        """_log[i] = e for the element g^e of index i; -1 at zero."""
+        return tuple(table_arrays(self)[1].tolist())
+
+    @cached_property
+    def _exp(self) -> tuple[int, ...]:
+        """_exp[e] is the index of g^e, for 0 <= e < q - 1."""
+        exp = table_arrays(self)[0].astype(np.int64)
+        return tuple((exp @ self.p ** np.arange(self.degree, dtype=np.int64)).tolist())
 
     def __repr__(self):
         return f"GF({self.p}^{self.degree})"
 
     def zero(self) -> "FieldElem":
-        return FieldElem(self, (0,) * self.degree)
+        return FieldElem(self, 0)
 
     def one(self) -> "FieldElem":
-        return self.from_int(1)
+        return FieldElem(self, 1)
 
     def from_int(self, n: int) -> "FieldElem":
-        return FieldElem(self, (n % self.p,) + (0,) * (self.degree - 1))
+        return FieldElem(self, n % self.p)
 
     def gen(self) -> "FieldElem":
         """The polynomial-basis generator t (root of the modulus)."""
-        if self.degree == 1:
-            return self.from_int(1)
-        return FieldElem(self, (0, 1) + (0,) * (self.degree - 2))
+        return FieldElem(self, self.p if self.degree > 1 else 1)
 
     def element(self, coeffs) -> "FieldElem":
-        coeffs = tuple(int(c) % self.p for c in coeffs)
+        coeffs = [int(c) % self.p for c in coeffs]
         if len(coeffs) != self.degree:
             raise FieldError("coefficient vector has wrong length")
-        return FieldElem(self, coeffs)
+        n = 0
+        for c in reversed(coeffs):
+            n = n * self.p + c
+        return FieldElem(self, n)
 
     def from_index(self, n: int) -> "FieldElem":
-        """Element number n in the canonical order (little-endian base-p digits)."""
-        coeffs = []
-        for _ in range(self.degree):
-            coeffs.append(n % self.p)
-            n //= self.p
-        return FieldElem(self, tuple(coeffs))
+        """Element number n in the canonical order (little-endian base-p
+        digits), 0 <= n < order."""
+        if not 0 <= n < self.order:
+            raise FieldError("index %d is outside 0..%d of %r" % (n, self.order - 1, self))
+        return FieldElem(self, n)
 
     def elements(self):
-        for n in range(self.order):
-            yield self.from_index(n)
+        return (FieldElem(self, n) for n in range(self.order))
 
     def units(self):
-        for n in range(1, self.order):
-            yield self.from_index(n)
+        return (FieldElem(self, n) for n in range(1, self.order))
 
     def multiplicative_generator(self) -> "FieldElem":
-        return FieldElem(self, _tables(self)[0][1])
+        return FieldElem(self, self._exp[1])
 
 
 class FieldElem:
-    """Element of a FieldDesc, immutable, hashable, exact."""
+    """Element of a FieldDesc, immutable, hashable, exact: its index idx in
+    the canonical order, whose base-p digits are its coefficient vector.
+    Products, quotients, powers, Frobenius and negation are lookups in the
+    parent's (_log, _exp) pair; sums go digit by digit."""
 
-    __slots__ = ("parent", "coeffs")
+    __slots__ = ("parent", "idx")
 
-    def __init__(self, parent: FieldDesc, coeffs: tuple[int, ...]):
+    def __init__(self, parent: FieldDesc, idx: int):
         self.parent = parent
-        self.coeffs = coeffs
+        self.idx = idx
 
     def __repr__(self):
         return serialize(self)
 
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The coefficient vector in the polynomial basis (low degree first)."""
+        p, n, out = self.parent.p, self.idx, []
+        for _ in range(self.parent.degree):
+            n, c = divmod(n, p)
+            out.append(c)
+        return tuple(out)
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.idx == 0
 
     def index(self) -> int:
         """Position in the canonical element order."""
-        p = self.parent.p
-        n = 0
-        for c in reversed(self.coeffs):
-            n = n * p + c
-        return n
+        return self.idx
 
     def __eq__(self, other):
+        if isinstance(other, FieldElem):
+            return self.idx == other.idx and (self.parent is other.parent or self.parent == other.parent)
         if isinstance(other, int):
-            other = self.parent.from_int(other)
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        return self.parent == other.parent and self.coeffs == other.coeffs
+            return self.idx == other % self.parent.p
+        return NotImplemented
 
     def __hash__(self):
-        # a constant hashes as its residue in [0, p), like the ints it equals
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.parent.p, self.parent.degree, self.coeffs))
+        # a constant's index is its residue in [0, p), so it hashes like the
+        # ints it equals
+        return hash(self.idx)
 
-    def _check(self, other: "FieldElem"):
-        if self.parent != other.parent:
-            raise FieldError("mixed parents: %r vs %r" % (self.parent, other.parent))
+    def _other(self, other) -> int:
+        """The index of other in self.parent; an int is a constant."""
+        if isinstance(other, FieldElem):
+            if other.parent is not self.parent and other.parent != self.parent:
+                raise FieldError("mixed parents: %r vs %r" % (self.parent, other.parent))
+            return other.idx
+        if isinstance(other, int):
+            return other % self.parent.p
+        raise TypeError("cannot combine %r with %r" % (self, other))
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = self.parent.from_int(other)
-        self._check(other)
-        p = self.parent.p
-        return FieldElem(self.parent, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        parent, a, b = self.parent, self.idx, self._other(other)
+        p, out, place = parent.p, 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + y) % p * place
+            place *= p
+        return FieldElem(parent, out)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.parent.from_int(other)
-        self._check(other)
-        p = self.parent.p
-        return FieldElem(self.parent, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self):
-        p = self.parent.p
-        return FieldElem(self.parent, tuple((-a) % p for a in self.coeffs))
+        return self * -1  # one lookup: -1 is g^((q-1)/2)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.parent.from_int(other)
-        self._check(other)
-        exp, log = _tables(self.parent)
-        a, b = log[self.index()], log[other.index()]
+        parent = self.parent
+        log = parent._log
+        a, b = log[self.idx], log[self._other(other)]
         if a < 0 or b < 0:
-            return self.parent.zero()
-        return FieldElem(self.parent, exp[(a + b) % len(exp)])
+            return FieldElem(parent, 0)
+        exp = parent._exp
+        return FieldElem(parent, exp[(a + b) % len(exp)])
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -225,12 +261,18 @@ class FieldElem:
         return self.parent.from_int(other) - self
 
     def inverse(self) -> "FieldElem":
-        return self ** -1
+        return self**-1
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            other = self.parent.from_int(other)
-        return self * other.inverse()
+        parent = self.parent
+        log = parent._log
+        a, b = log[self.idx], log[self._other(other)]
+        if b < 0:
+            raise ZeroDivisionError("inverse of zero")
+        if a < 0:
+            return self
+        exp = parent._exp
+        return FieldElem(parent, exp[(a - b) % len(exp)])
 
     def __rtruediv__(self, other):
         if not isinstance(other, int):
@@ -238,21 +280,21 @@ class FieldElem:
         return self.parent.from_int(other) / self
 
     def __pow__(self, e: int):
-        exp, log = _tables(self.parent)
-        a = log[self.index()]
+        parent = self.parent
+        a = parent._log[self.idx]
         if a >= 0:
-            return FieldElem(self.parent, exp[a * e % len(exp)])
+            exp = parent._exp
+            return FieldElem(parent, exp[a * e % len(exp)])
         if e < 0:
             raise ZeroDivisionError("inverse of zero")
-        return self.parent.one() if e == 0 else self
+        return parent.one() if e == 0 else self
 
     def frobenius(self, j: int = 1) -> "FieldElem":
         """x^(p^j), the j-th power of the arithmetic Frobenius."""
-        j %= self.parent.degree
-        return self ** (self.parent.p**j)
+        return self ** (self.parent.p ** (j % self.parent.degree))
 
     def mult_order(self) -> int:
-        a = _tables(self.parent)[1][self.index()]
+        a = self.parent._log[self.idx]
         if a < 0:
             raise ZeroElement("order of zero")
         n = self.parent.order - 1
@@ -340,15 +382,6 @@ def table_arrays(desc: FieldDesc) -> tuple[np.ndarray, np.ndarray]:
     exp.flags.writeable = False
     log.flags.writeable = False
     return exp, log
-
-
-@lru_cache(maxsize=None)
-def _tables(desc: FieldDesc) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """table_arrays(desc) as tuples, for the element arithmetic's lookups."""
-    exp, log = table_arrays(desc)
-    # zip builds the row tuples from k column lists of small cached ints,
-    # with no list object per row
-    return tuple(zip(*exp.T.tolist())), tuple(log.tolist())
 
 
 def is_subfield(sub: FieldDesc, big: FieldDesc) -> bool:
@@ -512,8 +545,8 @@ def nth_roots(x: FieldElem, n: int) -> list[FieldElem]:
         raise FieldError("n must be positive")
     if n % x.parent.p == 0:
         raise NotCoprimeToP("n = %d is divisible by p = %d" % (n, x.parent.p))
-    exp, log = _tables(x.parent)
-    a = log[x.index()]
+    desc = x.parent
+    exp, a = desc._exp, desc._log[x.idx]
     if a < 0:
         return [x]
     d = math.gcd(n, len(exp))
@@ -521,7 +554,7 @@ def nth_roots(x: FieldElem, n: int) -> list[FieldElem]:
         return []
     step = len(exp) // d
     e0 = (a // d) * pow(n // d, -1, step) % step
-    return sorted((FieldElem(x.parent, exp[e0 + i * step]) for i in range(d)), key=FieldElem.index)
+    return [FieldElem(desc, i) for i in sorted(exp[e0 + j * step] for j in range(d))]
 
 
 def serialize(x: FieldElem) -> str:

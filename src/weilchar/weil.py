@@ -38,7 +38,7 @@ import numpy as np
 from . import modp, symplectic as sym
 from .symplectic import SpElem, SympSpace
 
-GATHER_CHUNK_ENTRIES = 2**20  # entries per chunk of weil-verify's batched rho gather
+GATHER_CHUNK_ENTRIES = 2**20  # entries per chunk of a batched rho gather (weil-verify, the group model's Schur averages)
 DENSE_DIM_CAP = 729  # largest model dimension p^n weil-verify builds dense operators for (8.5 MB each)
 MODEL_DIM_CAP = 32767  # largest model dimension p^n of any WeilModel: GF(13^4) sign blocks (28561) fit
 
@@ -353,7 +353,10 @@ class WeilModel:
             orders[(power == 0) & (orders == 0)] = k
             power, k = mul[power, idx], k + 1
         coprime = np.flatnonzero(orders % p)
-        m0 = _schur_average(self, self, np.stack([grp.elems[i].mat_np for i in coprime]))
+        # slices of the stack keep _schur_average's (k, p^2n, p^n) gathers bounded
+        mats = np.stack([grp.elems[i].mat_np for i in coprime])
+        step = max(1, GATHER_CHUNK_ENTRIES // (p**self.space.dim * self.dim))
+        m0 = np.concatenate([_schur_average(self, self, mats[i : i + step]) for i in range(0, len(mats), step)])
         ords = orders[coprime]
         lam, acc = np.empty(len(coprime), dtype=complex), m0
         for e in range(1, ords.max() + 1):

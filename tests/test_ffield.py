@@ -2,6 +2,8 @@ import hashlib
 import json
 import pathlib
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -257,6 +259,52 @@ def test_field_tables_and_embedding_roots_pinned():
                 roots["%d^%d<%d^%d" % (p, j, p, k)] = _sha(ff._embedding_root.__wrapped__(ff.field(p, j), big).coeffs)
     assert tables == PINNED_TABLES["_tables"]
     assert roots == PINNED_TABLES["_embedding_root"]
+
+
+@pytest.mark.parametrize("p,k", sorted(pk for pk in PINNED if pk[0] ** pk[1] <= 729))
+def test_element_contract(p, k):
+    # every element built three ways (coefficients, index, power of the
+    # generator or a product with zero) is one element: ==, hash, index and
+    # coeffs agree, and the coefficient vector is the index's base-p digits
+    desc = ff.field(p, k)
+    g, log = desc.multiplicative_generator(), ff.table_arrays(desc)[1]
+    for n in range(desc.order):
+        digits = tuple(n // p**i % p for i in range(k))
+        ways = [desc.element(digits), desc.from_index(n), g ** int(log[n]) if n else desc.zero() * g]
+        for x in ways:
+            assert x == ways[0] and hash(x) == hash(ways[0])
+            assert x.index() == n and x.coeffs == digits
+            assert desc.element(x.coeffs).index() == n
+            if n < p:  # a constant equals its residue and hashes like it
+                assert x == n and hash(x) == hash(n)
+            else:
+                assert all(x != c for c in range(p))
+
+
+def test_tables_first_built_by_racing_threads():
+    # the --jobs thread pool can be first to touch a field's (_log, _exp)
+    # pair; threads racing on a fresh description all read the same tables
+    ref = ff.field(3, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            desc = ff.FieldDesc(ref.p, ref.degree, ref.modulus)
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(lambda: (desc._log, desc._exp, [(x * x).idx for x in desc.units()])) for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+            want = (ref._log, ref._exp, [(x * x).idx for x in ref.units()])
+            assert all(r == want for r in results)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_from_index_refuses_out_of_range():
+    f25 = ff.field(5, 2)
+    assert f25.from_index(0).is_zero() and f25.from_index(24).coeffs == (4, 4)
+    for n in (-1, 25, 26):
+        with pytest.raises(ff.FieldError):
+            f25.from_index(n)
 
 
 def _pad(d, coeffs):

@@ -60,9 +60,9 @@ def test_ci_workflow_parses():
     [self_step] = [s for s in steps if "python -m weilchar.cli selfcheck --report" in s]
     assert self_step.count("python -m weilchar.cli selfcheck --report") == 2 and "cmp " in self_step
     # and two runs with the sgn fault, each exiting 1, the same report bytes
-    assert 'python -m weilchar.cli selfcheck --fault sgn --report "$RUNNER_TEMP/fault-$side.json"' in self_step
-    assert "for side in a b; do" in self_step and 'test "$status" -eq 1' in self_step
-    assert 'cmp "$RUNNER_TEMP/fault-a.json" "$RUNNER_TEMP/fault-b.json"' in self_step
+    assert 'PYTHONHASHSEED=$seed python -m weilchar.cli selfcheck --fault sgn --report "$RUNNER_TEMP/fault-$seed.json"' in self_step
+    assert "for seed in 0 1; do" in self_step and 'test "$status" -eq 1' in self_step
+    assert 'cmp "$RUNNER_TEMP/fault-0.json" "$RUNNER_TEMP/fault-1.json"' in self_step
     # and so must two runs of every bundled scenario file at a fixed seed
     [scn_step] = [s for s in steps if 'python -m weilchar.cli run "scenarios/$scn" --seed 7 --report' in s]
     assert scn_step.count("python -m weilchar.cli run") == 2 and "cmp " in scn_step
@@ -80,6 +80,11 @@ def test_ci_workflow_parses():
     [survey_step] = [s for s in steps if "scripts/sign_survey.py" in s]
     assert survey_step.count("python scripts/sign_survey.py 4 16 >") == 2
     assert survey_step.count("head -n -1") == 2 and "cmp " in survey_step
+    # each two-process comparison runs its sides with hash seeds 0 and 1, so
+    # a red run can be replayed
+    ramified_step = next(s for s in steps if "tabulate-ramified" in s)
+    for step in (self_step, scn_step, ramified_step, survey_step):
+        assert "PYTHONHASHSEED=0 python" in step and "PYTHONHASHSEED=1 python" in step
     # every job runs on the lowest Python that pyproject.toml declares
     floor = re.search(r'requires-python = ">=(\d+\.\d+)"', (ROOT / "pyproject.toml").read_text()).group(1)
     for job in doc["jobs"].values():

@@ -530,6 +530,19 @@ def test_group_model_equals_word_model_on_every_element(p):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
+def test_group_model_slices_change_no_bit(p, monkeypatch):
+    # build_group_model averages its stack in slices of GATHER_CHUNK_ENTRIES
+    # gathered entries; one element per slice gives the same table bit for bit
+    space = sym.standard_polarized_space(p, 1)
+    whole = weil.WeilModel(space)
+    whole.build_group_model()
+    monkeypatch.setattr(weil, "GATHER_CHUNK_ENTRIES", 1)
+    sliced = weil.WeilModel(space)
+    sliced.build_group_model()
+    assert whole._group_table.tobytes() == sliced._group_table.tobytes()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_trace_omega_ignores_group_model(p):
     # one oracle path: building the whole-group model changes no trace
     m = weil.WeilModel(sym.standard_polarized_space(p, 1))
