@@ -2,13 +2,20 @@
 twist coinvariants, restricted roots with type tags, and descended root
 systems.
 
-All arithmetic is over Z with plain Python ints (no overflow); matrices are
-lists of lists or anything numpy can coerce.
+All arithmetic is over Z with plain Python ints (no overflow). A matrix is
+taken in as a non-empty list or tuple of equal-length rows of scalars, or as
+a 2-D ndarray read with ``tolist()``; each entry goes through ``int``.
+
+The built-in catalogue is built and validated once per process; each
+``catalogue()`` call returns a fresh dict over the same frozen data, and a
+datum's theta order is computed once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 
 import numpy as np
 
@@ -29,11 +36,32 @@ class InconsistentEvaluation(LatticeError):
     pass
 
 
+class RankAboveCap(LatticeError):
+    pass
+
+
+# Largest rank matrix_order walks; a larger theta is refused before its first
+# power. The catalogue's largest rank is 4 and checks.make_finite_order_matrix
+# draws up to rank 6. At rank 6 the full 10,000-power walk takes 0.35-0.48 s
+# for three [[2, 1], [1, 1]] blocks (entries grow to ~4,200 digits) and
+# 0.24-0.25 s for the all-ones upper triangle (unipotent), on a 2-vCPU x86 VM;
+# at rank 8 the blocks take 0.68-0.99 s.
+ORDER_RANK_CAP = 6
+
+
 def _to_rows(m) -> list[list[int]]:
-    a = np.asarray(m, dtype=object)
-    if a.ndim != 2:
+    if isinstance(m, np.ndarray):
+        if m.ndim != 2:
+            raise LatticeError("expected a matrix")
+        rows = m.tolist()
+    elif isinstance(m, (list, tuple)) and m and all(isinstance(r, (list, tuple)) and len(r) == len(m[0]) for r in m):
+        rows = m
+    else:
         raise LatticeError("expected a matrix")
-    return [[int(x) for x in row] for row in a]
+    try:
+        return [[int(x) for x in row] for row in rows]
+    except TypeError:  # an entry that is a sequence (or None) is not a scalar
+        raise LatticeError("expected a matrix") from None
 
 
 def _square_rows(m, what: str) -> list[list[int]]:
@@ -144,12 +172,15 @@ def matrix_order(theta, bound: int = 10_000) -> int:
     """Multiplicative order of a square integer matrix; NotFiniteOrder if > bound."""
     t = _square_rows(theta, "order")
     n = len(t)
+    if n > ORDER_RANK_CAP:
+        raise RankAboveCap("order of a %dx%d matrix: rank %d is above the cap %d" % (n, n, n, ORDER_RANK_CAP))
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    cols = tuple(zip(*t))
     acc = t
     for k in range(1, bound + 1):
         if acc == ident:
             return k
-        acc = [[sum(acc[i][r] * t[r][j] for r in range(n)) for j in range(n)] for i in range(n)]
+        acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
     raise NotFiniteOrder("no power up to %d is the identity" % bound)
 
 
@@ -200,7 +231,7 @@ class RootDatum:
             if _apply(theta_t, self.coroots[self.roots.index(ta)]) != av:
                 raise LatticeError("theta action on coroots incompatible with roots")
 
-    @property
+    @functools.cached_property
     def order(self) -> int:
         return matrix_order(self.theta)
 
@@ -371,7 +402,12 @@ def _generate_root_system(cartan) -> tuple[list[tuple[int, ...]], list[tuple[int
 
 def catalogue() -> dict[str, RootDatum]:
     """Built-in root data: A1..A4, B2, C2, D4, with identity theta, plus the
-    diagram-automorphism variants."""
+    diagram-automorphism variants. A fresh dict over the data built once."""
+    return dict(_catalogue())
+
+
+@functools.cache
+def _catalogue() -> tuple[tuple[str, RootDatum], ...]:
     out = {}
     for name, cartan in _CARTAN.items():
         roots, coroots = _generate_root_system(cartan)
@@ -383,7 +419,7 @@ def catalogue() -> dict[str, RootDatum]:
         n = d.rank
         theta = tuple(tuple(int(perm[j] == i) for j in range(n)) for i in range(n))
         out[name] = RootDatum(n, d.roots, d.coroots, theta)
-    return out
+    return tuple(out.items())
 
 
 def datum_from_json(obj) -> RootDatum:

@@ -38,7 +38,7 @@ import numpy as np
 from . import modp, symplectic as sym
 from .symplectic import SpElem, SympSpace
 
-GATHER_CHUNK_ENTRIES = 2**20  # entries per chunk of a batched rho gather (weil-verify, the group model's Schur averages)
+GATHER_CHUNK_ENTRIES = 2**18  # entries per chunk of a batched rho gather (weil-verify, the group model's Schur averages)
 DENSE_DIM_CAP = 729  # largest model dimension p^n weil-verify builds dense operators for (8.5 MB each)
 MODEL_DIM_CAP = 32767  # largest model dimension p^n of any WeilModel: GF(13^4) sign blocks (28561) fit
 

@@ -152,6 +152,20 @@ def _with_s_values(keys):
     return lambda: _assemble_payload(lambda pl: pl.update(s_values={k: values[k] for k in keys}))
 
 
+# a permutation of 40 points of order lcm(5, 7, 8, 9, 11) = 27,720, above
+# matrix_order's 10,000-power bound: without the rank cap the walk took about a minute
+CAP_CYCLES = (5, 7, 8, 9, 11)
+
+
+def _cycles_matrix(cycles):
+    """The permutation matrix of consecutive cycles of the given lengths."""
+    perm, start = [], 0
+    for c in cycles:
+        perm += [start + (i + 1) % c for i in range(c)]
+        start += c
+    return [[int(perm[j] == i) for j in range(start)] for i in range(start)]
+
+
 BAD_PAYLOADS = {
     "alpha-negative": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(alpha=-1)),
     "alpha-past-last-root": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(alpha=9)),
@@ -241,6 +255,16 @@ BAD_PAYLOADS = {
         "rank": 2, "roots": [[2], [-2]], "coroots": [[1, 0], [-1, 0]], "theta": [[1, 0], [0, 1]]}},
     "datum-coroot-above-rank": lambda: {"id": "r", "kind": "root-datum", "payload": {
         "rank": 1, "roots": [[1], [-1]], "coroots": [[2, 5], [-2, 5]], "theta": [[1]]}},
+    # a theta above lattice.ORDER_RANK_CAP is refused before its first power
+    "lattice-check-theta-above-the-rank-cap": lambda: {"id": "l", "kind": "lattice-check", "payload": {
+        "matrices": [{"theta": _cycles_matrix(CAP_CYCLES), "expect_torsion": []}]}},
+    "datum-theta-above-the-rank-cap": lambda: {"id": "r", "kind": "root-datum", "payload": {
+        "rank": 40, "roots": [], "coroots": [], "theta": _cycles_matrix(CAP_CYCLES)}},
+    # an entry that is null or a list is no matrix entry
+    "lattice-check-theta-null-entry": lambda: {"id": "l", "kind": "lattice-check",
+                                               "payload": {"matrices": [{"theta": [[None]], "expect_torsion": []}]}},
+    "lattice-check-theta-list-entry": lambda: {"id": "l", "kind": "lattice-check",
+                                               "payload": {"matrices": [{"theta": [[[1]], [2]], "expect_torsion": []}]}},
 }
 # the field a case's message must name, where the field alone is not enough
 BAD_PAYLOAD_MESSAGES = {
@@ -269,6 +293,10 @@ BAD_PAYLOAD_MESSAGES = {
     "datum-root-below-rank": "root (2,) has length 1, not rank 2",
     "datum-coroot-above-rank": "coroot (2, 5) has length 2, not rank 1",
     "gerardin-factors-empty": "a direct sum needs at least one space",
+    "lattice-check-theta-above-the-rank-cap": "order of a 40x40 matrix: rank 40 is above the cap 6",
+    "datum-theta-above-the-rank-cap": "order of a 40x40 matrix: rank 40 is above the cap 6",
+    "lattice-check-theta-null-entry": "expected a matrix",
+    "lattice-check-theta-list-entry": "expected a matrix",
 }
 
 
@@ -282,6 +310,25 @@ def test_malformed_payload_is_a_validation_error(case, tmp_path, capsys):
     prefix = "validation error: %s: %s" % (scn["id"], BAD_PAYLOAD_MESSAGES.get(case, ""))
     assert any(line.startswith(prefix) for line in lines), lines
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("case", ["lattice-check-theta-above-the-rank-cap", "datum-theta-above-the-rank-cap"])
+def test_theta_above_the_rank_cap_is_refused_at_once(case, tmp_path, capsys):
+    # refused before the first of the 10,000 powers: well inside 1 s
+    start = time.perf_counter()
+    code, err = _run_one_scenario(BAD_PAYLOADS[case](), tmp_path, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "rank 40 is above the cap" in err
+
+
+def test_root_datum_command_refuses_a_theta_above_the_rank_cap(tmp_path, capsys):
+    f = tmp_path / "datum.json"
+    f.write_text(json.dumps({"rank": 40, "roots": [], "coroots": [], "theta": _cycles_matrix(CAP_CYCLES)}))
+    start = time.perf_counter()
+    assert run_cli(["root-datum", f]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("validation error: order of a 40x40 matrix: rank 40 is above the cap 6")
 
 
 @pytest.mark.parametrize("p,groups", [(3, [1] * 9), (7, [1] * 5)])

@@ -1,4 +1,9 @@
+import hashlib
+import json
+import pathlib
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +138,68 @@ def test_catalogue_membership_and_sizes():
     assert cat["D4.triality"].order == 3
 
 
+def test_catalogue_is_built_once_and_returned_fresh():
+    first, second = lat.catalogue(), lat.catalogue()
+    assert first == second and first is not second
+    assert all(first[name] is second[name] for name in first)
+    del first["A2"]
+    assert "A2" in lat.catalogue() and lat.catalogue()["A2"] is second["A2"]
+
+
+def test_catalogue_built_in_racing_threads_is_one_catalogue():
+    # the --jobs pool shares the cached catalogue; threads that race its
+    # first build all read the same data and orders
+    want = {name: (d, d.order) for name, d in lat.catalogue().items()}
+    lat._catalogue.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(lambda _: {name: (d, d.order) for name, d in lat.catalogue().items()}, range(16), timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(g == want for g in got)
+    assert lat.catalogue() == lat.catalogue()
+
+
+def test_datum_order_is_computed_once(monkeypatch):
+    calls = []
+    order = lat.matrix_order
+    monkeypatch.setattr(lat, "matrix_order", lambda t: calls.append(t) or order(t))
+    d = lat.RootDatum(2, ((1, 0), (0, 1), (-1, 0), (0, -1)), ((2, 0), (0, 2), (-2, 0), (0, -2)), ((0, 1), (1, 0)))
+    assert (d.order, d.order) == (2, 2)
+    assert len(calls) == 1  # the one in __post_init__'s validation
+
+
+@pytest.mark.parametrize("m", [[1, 2, 3], [[1, 2], [3]], np.zeros((2, 2, 2), dtype=int), [], 5, "12"],
+                         ids=["flat", "ragged", "3-d", "empty", "scalar", "string"])
+def test_non_matrices_are_refused(m):
+    for call in (lat.smith_normal_form, lat.matrix_order, lat.pi0_torsion, lat.det_int):
+        with pytest.raises(lat.LatticeError, match="expected a matrix"):
+            call(m)
+
+
+def test_rows_read_lists_tuples_and_arrays_alike():
+    m = [[0, -1], [1, -1]]
+    for form in (m, tuple(map(tuple, m)), np.array(m), np.array(m, dtype=object)):
+        assert lat.matrix_order(form) == 3
+        assert lat.smith_normal_form(form) == lat.smith_normal_form(m)
+    assert lat.smith_normal_form(np.zeros((0, 3), dtype=int)) == ([], [], [])  # no rows: nothing to reduce
+
+
+def test_rank_above_the_cap_is_refused_before_any_power(monkeypatch):
+    n = lat.ORDER_RANK_CAP + 1
+    shift = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    at_cap = [[int(j == (i + 1) % (n - 1)) for j in range(n - 1)] for i in range(n - 1)]
+    assert lat.matrix_order(at_cap) == n - 1
+    monkeypatch.setattr(lat, "mul", None)  # any product would fail
+    for call in (lat.matrix_order, lat.pi0_torsion):
+        with pytest.raises(lat.RankAboveCap, match="order of a %dx%d matrix: rank %d is above the cap %d" % (n, n, n, lat.ORDER_RANK_CAP)):
+            call(shift)
+    with pytest.raises(lat.RankAboveCap):
+        lat.RootDatum(n, (), (), tuple(map(tuple, shift)))
+
+
 def test_restrict_examples():
     cat = lat.catalogue()
     # identity theta: Phi_res = Phi, all type 1
@@ -231,3 +298,55 @@ def test_type_2_and_3_pair_up():
             if r.type_tag == 3:
                 half = tuple(x // 2 for x in r.vector)
                 assert by_vec.get(half) == 2
+
+
+# -- pinned outputs of the integer kernels and the catalogue -----------------
+
+PINNED = json.loads((pathlib.Path(__file__).parent / "lattice_digests.json").read_text())
+
+
+def _sha(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def snf_batch():
+    """A random, a low-rank and a zero matrix of every shape 1x1 to 8x8."""
+    rng = random.Random(2028)
+    out = {"random": [], "low-rank": [], "zero": []}
+    for r in range(1, 9):
+        for c in range(1, 9):
+            out["random"].append([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
+            k = max(1, min(r, c) - 1)
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+            right = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(k)]
+            out["low-rank"].append([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left])
+            out["zero"].append([[0] * c for _ in range(r)])
+    return out
+
+
+def lattice_digests():
+    """sha256 of smith_normal_form's (U, D, V) per batch kind, of
+    matrix_order and pi0_torsion on seeded finite-order draws, and of each
+    catalogue datum's restriction and nu = 1 descended roots."""
+    from weilchar.checks import make_finite_order_matrix
+
+    out = {"snf %s" % kind: _sha([lat.smith_normal_form(m) for m in ms]) for kind, ms in snf_batch().items()}
+    rng = random.Random(2029)
+    draws = [make_finite_order_matrix(rng)[0] for _ in range(80)]
+    out["matrix_order"] = _sha([lat.matrix_order(m) for m in draws])
+    out["pi0_torsion"] = _sha([lat.pi0_torsion(m) for m in draws])
+    cat = lat.catalogue()
+    out["catalogue order"] = _sha(list(cat))
+    for name, d in cat.items():
+        res = lat.restrict_roots(d)
+        out["restrict %s" % name] = _sha([
+            res.proj_rows,
+            [[r.vector, r.type_tag, r.orbit] for r in res.restricted],
+            list(res.by_root.items()),
+            sorted(lat.descended_roots(d, {a: 1 for a in d.roots})),
+        ])
+    return out
+
+
+def test_lattice_digests_pinned():
+    assert lattice_digests() == PINNED

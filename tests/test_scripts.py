@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 
-from weilchar import cli, signcalc
+from weilchar import cli, signcalc, weil
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -76,6 +76,12 @@ def test_ci_workflow_parses():
     assert "cmp " in jobs_step
     # and two tabulate-ramified processes the same table
     assert any(s.count("python -m weilchar.cli tabulate-ramified >") == 2 and "cmp " in s for s in steps)
+    # and two root-datum processes the same report for every catalogue name
+    from weilchar import lattice
+
+    [datum_step] = [s for s in steps if "python -m weilchar.cli root-datum" in s]
+    assert datum_step.count('python -m weilchar.cli root-datum "$name"') == 2 and "cmp " in datum_step
+    assert datum_step.split("for name in ")[1].split("; do")[0].split() == list(lattice.catalogue())
     # and two sign surveys the same rows, less the timing line
     [survey_step] = [s for s in steps if "scripts/sign_survey.py" in s]
     assert survey_step.count("python scripts/sign_survey.py 4 16 >") == 2
@@ -83,7 +89,7 @@ def test_ci_workflow_parses():
     # each two-process comparison runs its sides with hash seeds 0 and 1, so
     # a red run can be replayed
     ramified_step = next(s for s in steps if "tabulate-ramified" in s)
-    for step in (self_step, scn_step, ramified_step, survey_step):
+    for step in (self_step, scn_step, ramified_step, survey_step, datum_step):
         assert "PYTHONHASHSEED=0 python" in step and "PYTHONHASHSEED=1 python" in step
     # every job runs on the lowest Python that pyproject.toml declares
     floor = re.search(r'requires-python = ">=(\d+\.\d+)"', (ROOT / "pyproject.toml").read_text()).group(1)
@@ -100,6 +106,15 @@ def _bench_module(name):
     mod = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def test_batch_weil_verify_draws_its_pairs_in_one_chunk():
+    # the scenario-batch workload's weil-verify payloads draw all their pairs
+    # in one GATHER_CHUNK_ENTRIES chunk, so the chunk size moves none of its work
+    workloads = _bench_module("workloads")
+    for i in range(len(workloads._WEIL_SHAPES)):
+        pl = workloads._gen_weil_verify(None, None, i)
+        assert pl["pairs"] * pl["p"] ** pl["n"] * 2 * pl["n"] <= weil.GATHER_CHUNK_ENTRIES
 
 
 def test_benchmark_hooks_resolve(tmp_path):

@@ -543,6 +543,18 @@ def test_group_model_slices_change_no_bit(p, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
+def test_selfcheck_group_models_fit_one_slice(p, monkeypatch):
+    # the selfcheck's group models are Sp_2(F_p) at p <= 7; each averages its
+    # whole stack (at p = 7, 240 elements of p^3 = 343 entries) in one slice
+    slices = []
+    average = weil._schur_average
+    monkeypatch.setattr(weil, "_schur_average", lambda a, b, phis: slices.append(len(phis)) or average(a, b, phis))
+    weil.WeilModel(sym.standard_polarized_space(p, 1)).build_group_model()
+    assert len(slices) == 1
+    assert slices[0] * p**3 <= weil.GATHER_CHUNK_ENTRIES
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_trace_omega_ignores_group_model(p):
     # one oracle path: building the whole-group model changes no trace
     m = weil.WeilModel(sym.standard_polarized_space(p, 1))
