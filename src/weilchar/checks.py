@@ -7,6 +7,7 @@ Each check returns a list of Row records; a check passes when every row does.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import itertools
 import math
 import random
@@ -629,14 +630,14 @@ def check_polarized_formula(ps=(3, 5, 7)) -> list[Row]:
     vsum = sym.direct_sum([v2, v2])
     m2 = weil.WeilModel(v2)
     ss = [g for g in sym.sp_elements(v2) if g.is_semisimple()]
-    seconds = [(g2, list(gerardin.invariant_polarizations(g2)), np.trace(m2.omega(g2))) for g2 in ss[:4]]
+    seconds = [(g2, list(gerardin.invariant_polarizations(g2)), m2.trace_omega(g2)) for g2 in ss[:4]]
     bad = 0
     count = 0
     for g1 in ss:
         pols1 = list(gerardin.invariant_polarizations(g1))
         if not pols1:
             continue
-        trace1 = np.trace(m2.omega(g1))
+        trace1 = m2.trace_omega(g1)
         for g2, pols2, trace2 in seconds:
             if not pols2:
                 continue
@@ -719,7 +720,7 @@ def check_fixed_line_formula() -> list[Row]:
         if not g1.is_semisimple() or g1.fixed_space_dim():
             continue
         gbig = sym.block_diagonal(vsum, [g1.mat_np, np.eye(2, dtype=np.int64)])
-        oracle = np.trace(m2.omega(g1)) * np.trace(m2.omega(sym.sp_identity(v2)))
+        oracle = m2.trace_omega(g1) * m2.trace_omega(sym.sp_identity(v2))
         worst = max(worst, abs(gerardin.weil_char(gbig) - complex(oracle)))
         count += 1
     rows.append(Row.compare("gerardin", "fixed line Sp_4(F_3) (%d cases)" % count, worst, 0, 1e-8))
@@ -786,45 +787,57 @@ SIGN_FAMILIES = (
 )
 
 
+def orbit_scenarios(action: signcalc.OrbitAction, alpha: int, p: int, eta_cap: int = 80, c_variants: int = 1):
+    """Generator of the scenarios of root alpha's orbit in `action` over F_p.
+
+    The fields are GF(p^k) for the stabilizer indices of action.roots[alpha]
+    (k_alpha: the Gamma-orbit's length; k_pm_alpha, k_res, k_pm_res: its
+    deg_pm_alpha, deg_res, deg_pm_res) and the branch is orbit_branch's.
+    C runs over [1, gen] ([1, 2] in degree 1) for asymmetric alpha and over
+    the tau-antiinvariant units for symmetric alpha, the first c_variants of
+    them; eta runs over the units meeting the form constraint
+    validate_scenario enforces, sampled down to eta_cap by _eta_pool, with
+    eta_minus read off the constraint.  Nothing is yielded when the twist
+    order or f = [k_alpha : k_res] is divisible by p."""
+    root = action.roots[alpha]
+    d = len(root.gamma)
+    k, k_pm, k_res, k_pm_res = (ffield.field(p, deg) for deg in (d, root.deg_pm_alpha, root.deg_res, root.deg_pm_res))
+    if action.theta_order % p == 0 or (d // root.deg_res) % p == 0:
+        return
+    branch = signcalc.orbit_branch(action, alpha, d, root.deg_res, root.deg_pm_res)
+    vexp = (-root.sigma_exp) % d
+    if root.symmetric:
+        tau = root.tau_exp % d
+        cs = [x for x in k.units() if x.frobenius(tau) == -x]
+    else:
+        cs = [k.one(), k.gen()] if d > 1 else [k.one(), k.from_int(2)]
+    for c in cs[: max(1, c_variants)]:
+        ratio = c.frobenius(vexp) / c
+        if root.symmetric:
+            pool = [x for x in k.units() if x * x.frobenius(tau) == ratio]
+            pairs = [(eta, None) for eta in _eta_pool(pool, cap=eta_cap)]
+        else:
+            ratio = ratio if root.branch_sign == 1 else -ratio
+            pairs = [(eta, ratio / eta) for eta in _eta_pool(list(k.units()), cap=eta_cap)]
+        for eta, eta_minus in pairs:
+            yield signcalc.OrbitScenario(action, alpha, k, k_pm, k_res, k_pm_res, c, eta, eta_minus, branch)
+
+
 def sign_branch_scenarios(p: int, max_degree: int = 2, eta_cap: int = 80, c_variants: int = 1):
     """Generator of (label, scenario) pairs across all five classification
     branches, for k_alpha of degree <= max_degree.
 
     The families are theta = id on an asymmetric orbit of every degree
-    d <= max_degree (asym/asym, f = 1), then SIGN_FAMILIES.  Each family's
-    fields, branch, C and eta come from its one-orbit action: the field
-    degrees are the action's stabilizer indices; C runs over [1, gen] ([1, 2]
-    in degree 1) for asymmetric alpha and over the tau-antiinvariant units for
-    symmetric alpha, the first c_variants of them; eta runs over the units
-    meeting the form constraint validate_scenario enforces, sampled down to
-    eta_cap.  A family whose twist order or f is divisible by p is skipped."""
+    d <= max_degree (asym/asym, f = 1), then SIGN_FAMILIES.  Each family is
+    the orbit_scenarios of root 0 of its one-orbit action, labelled
+    "<classification> p=<p> <suffix>"."""
     families = [(False, d, 0, False, "d=%d f=1" % d) for d in range(1, max_degree + 1)] + list(SIGN_FAMILIES)
     for symmetric, d, shift, neg, suffix in families:
         if d > max_degree:
             continue
         act = signcalc.one_orbit_action(d, symmetric, shift, neg)
-        root = act.roots[0]
-        k, k_pm, k_res, k_pm_res = (ffield.field(p, deg) for deg in (d, root.deg_pm_alpha, root.deg_res, root.deg_pm_res))
-        if act.theta_order % p == 0 or (d // k_res.degree) % p == 0:
-            continue
-        branch = signcalc.orbit_branch(act, 0, d, k_res.degree, k_pm_res.degree)
-        label = "%s p=%d %s" % (branch, p, suffix)
-        vexp = (-root.sigma_exp) % d
-        if symmetric:
-            tau = root.tau_exp % d
-            cs = [x for x in k.units() if x.frobenius(tau) == -x]
-        else:
-            cs = [k.one(), k.gen()] if d > 1 else [k.one(), k.from_int(2)]
-        for c in cs[: max(1, c_variants)]:
-            ratio = c.frobenius(vexp) / c
-            if symmetric:
-                pool = [x for x in k.units() if x * x.frobenius(tau) == ratio]
-                pairs = [(eta, None) for eta in _eta_pool(pool, cap=eta_cap)]
-            else:
-                ratio = ratio if root.branch_sign == 1 else -ratio
-                pairs = [(eta, ratio / eta) for eta in _eta_pool(list(k.units()), cap=eta_cap)]
-            for eta, eta_minus in pairs:
-                yield label, signcalc.OrbitScenario(act, 0, k, k_pm, k_res, k_pm_res, c, eta, eta_minus, branch)
+        for sc in orbit_scenarios(act, 0, p, eta_cap, c_variants):
+            yield "%s p=%d %s" % (sc.classification, p, suffix), sc
 
 
 @dataclass
@@ -878,89 +891,63 @@ def check_ram_empty() -> list[Row]:
     return [Row.compare("signcalc", "ram-empty rejects all C (3 tried)", bad, 0, 0)]
 
 
+def _every_eta(d: int, symmetric: bool, shift: int = 0, neg: bool = False) -> list[signcalc.OrbitScenario]:
+    """Every scenario of the one-orbit family at p = 3, with every eta."""
+    act = signcalc.one_orbit_action(d, symmetric, shift, neg)
+    return list(orbit_scenarios(act, 0, 3, eta_cap=ffield.FIELD_CAP))
+
+
 def check_eta_constraint_both_directions() -> list[Row]:
     """Constructed twists satisfy the Sp invariant iff the eta constraint holds."""
-    p = 3
-    k = ffield.field(p, 2)
-    f1 = ffield.field(p, 1)
-    act = signcalc.one_orbit_action(2, False, shift=1, neg=True)
-    c = k.one()
-    good = bad_accepted = bad_rejected = 0
-    for eta in k.units():
-        for eta_minus in k.units():
-            want = -(c.frobenius(1) / c)
-            legal = eta * eta_minus == want
-            try:
-                signcalc.OrbitScenario(act, 0, k, k, k, f1, c, eta, eta_minus, "asym/sym-ur")
-                if legal:
-                    good += 1
-                else:
-                    bad_accepted += 1
-            except signcalc.FormDegenerate:
-                if legal:
-                    bad_rejected += 1
-    rows = [Row.compare("signcalc", "eta constraint acceptance (%d legal)" % good, bad_accepted + bad_rejected, 0, 0)]
-    return rows
+    first = _every_eta(2, False, shift=1, neg=True)[0]  # asym/sym-ur f=1
+    want = -(first.C.frobenius(1) / first.C)
+    good = wrong = 0
+    for eta, eta_minus in itertools.product(first.k_alpha.units(), repeat=2):
+        legal = eta * eta_minus == want
+        try:
+            dataclasses.replace(first, eta_alpha=eta, eta_minus_alpha=eta_minus)
+            accepted = True
+        except signcalc.FormDegenerate:
+            accepted = False
+        good += legal and accepted
+        wrong += legal != accepted
+    return [Row.compare("signcalc", "eta constraint acceptance (%d legal)" % good, wrong, 0, 0)]
 
 
-def check_ramified_eta_independence() -> list[Row]:
-    """Block traces agree across all admissible eta in ramified branches."""
-    rows = []
-    p = 3
-    f1 = ffield.field(p, 1)
-    k2 = ffield.field(p, 2)
-    c2 = sym.anti_invariant_unit(k2, 1)
-    asym_ram, sym_ram = signcalc.one_orbit_action(1, False, neg=True), signcalc.one_orbit_action(2, True, neg=True)
-    vals = set()
-    for eta in f1.units():
-        sc = signcalc.OrbitScenario(asym_ram, 0, f1, f1, f1, f1, f1.one(), eta, -eta.inverse(), "asym/sym-ram")
-        bb = signcalc.build_block(sc)
-        vals.add(round(weil.WeilModel(bb.space).trace_omega(bb.op).real, 6))
-    rows.append(Row.compare("signcalc", "asym/sym-ram eta independence", len(vals), 1, 0))
-    vals2 = set()
-    for eta in k2.units():
-        if ffield.norm_to(eta, f1) == -1:
-            sc = signcalc.OrbitScenario(sym_ram, 0, k2, f1, f1, f1, c2, eta, None, "sym-ur/sym-ram")
-            bb = signcalc.build_block(sc)
-            vals2.add(round(weil.WeilModel(bb.space).trace_omega(bb.op).real, 6))
-    rows.append(Row.compare("signcalc", "sym-ur/sym-ram eta independence", len(vals2), 1, 0))
-    # the ramified norm identity Nr(eta) = -1 is forced
-    forced = all(
-        ffield.norm_to(eta, f1) == -1
-        or not _scenario_ok(sym_ram, k2, f1, c2, eta)
-        for eta in k2.units()
-    )
-    rows.append(Row.compare("signcalc", "sym-ram forces Nr(eta) = -1", forced, True, 0))
-    return rows
-
-
-def _scenario_ok(act, k2, f1, c2, eta) -> bool:
+def _accepts(sc: signcalc.OrbitScenario, eta: ffield.FieldElem) -> bool:
     try:
-        signcalc.OrbitScenario(act, 0, k2, f1, f1, f1, c2, eta, None, "sym-ur/sym-ram")
+        dataclasses.replace(sc, eta_alpha=eta)
         return True
     except signcalc.SignCalcError:
         return False
 
 
+def check_ramified_eta_independence() -> list[Row]:
+    """Block traces agree across all admissible eta in ramified branches."""
+    rows = []
+    asym_ram, sym_ram = _every_eta(1, False, neg=True), _every_eta(2, True, neg=True)
+    for label, scs in (("asym/sym-ram", asym_ram), ("sym-ur/sym-ram", sym_ram)):
+        vals = set()
+        for sc in scs:
+            bb = signcalc.build_block(sc)
+            vals.add(round(weil.WeilModel(bb.space).trace_omega(bb.op).real, 6))
+        rows.append(Row.compare("signcalc", "%s eta independence" % label, len(vals), 1, 0))
+    # the ramified norm identity Nr(eta) = -1 is forced
+    first = sym_ram[0]
+    forced = all(ffield.norm_to(eta, first.k_res) == -1 or not _accepts(first, eta) for eta in first.k_alpha.units())
+    rows.append(Row.compare("signcalc", "sym-ram forces Nr(eta) = -1", forced, True, 0))
+    return rows
+
+
 def check_asym_symur_norm_minus_one_fixed_space() -> list[Row]:
-    """In the asym/sym-ur branch with Nr(beta) = -1 the fixed space is zero."""
-    p = 3
-    k = ffield.field(p, 2)
-    f1 = ffield.field(p, 1)
-    act = signcalc.one_orbit_action(2, False, shift=1, neg=True)
-    c = k.one()
-    bad = 0
-    seen = 0
-    for eta in k.units():
-        eta_minus = -(c.frobenius(1) / c) / eta
-        sc = signcalc.OrbitScenario(act, 0, k, k, k, f1, c, eta, eta_minus, "asym/sym-ur")
-        gamma = sc.varsigma(sc.eta_minus_alpha * sc.C) / (sc.eta_minus_alpha * sc.C)
-        delta = ffield.norm_to(-gamma, sc.k_res)
-        beta = ffield.nth_roots(delta, 2)[0]
-        if ffield.norm_to(beta, f1) == -1:
+    """In the asym/sym-ur branch with Nr(beta) = -1 the fixed space is zero:
+    the formula's torus algorithm says which case beta is in."""
+    bad = seen = 0
+    for sc in _every_eta(2, False, shift=1, neg=True):
+        bv = signcalc.block_sign_formula(sc)
+        if bv.pieces.trace[0] == "case1":
             seen += 1
-            if signcalc.build_block(sc).op.fixed_space_dim() != 0:
-                bad += 1
+            bad += bv.block.op.fixed_space_dim() != 0
     return [Row.compare("signcalc", "Nr(beta)=-1 => trivial fixed space (%d cases)" % seen, bad, 0, 0)]
 
 
@@ -1006,28 +993,17 @@ def check_assemble_dual_path(seed: int = 0) -> list[Row]:
 def check_f1_closed_forms() -> list[Row]:
     """The general torus-algorithm engine reduces to the displayed f=1 forms."""
     rows = []
-    p = 3
-    f1 = ffield.field(p, 1)
-    k2 = ffield.field(p, 2)
-    act = signcalc.one_orbit_action(2, False, shift=1, neg=True)
-    c = k2.one()
     bad = 0
-    for eta in k2.units():
-        eta_minus = -(c.frobenius(1) / c) / eta
-        sc = signcalc.OrbitScenario(act, 0, k2, k2, k2, f1, c, eta, eta_minus, "asym/sym-ur")
+    for sc in _every_eta(2, False, shift=1, neg=True):
         bv = signcalc.block_sign_formula(sc)
-        n_alpha = bv.n_alpha
-        closed = (-1) ** n_alpha * ffield.sgn_mult(eta_minus * c) * bv.fixed_factor
+        closed = (-1) ** bv.n_alpha * ffield.sgn_mult(sc.eta_minus_alpha * sc.C) * bv.fixed_factor
         if abs(closed - bv.value) > 1e-9:
             bad += 1
     rows.append(Row.compare("signcalc", "f=1 asym/sym-ur closed form", bad, 0, 0))
-    c2 = sym.anti_invariant_unit(k2, 1)
-    sym_ur = signcalc.one_orbit_action(2, True)
     bad2 = 0
-    for eta in ffield.norm_one_group(k2, f1):
-        sc = signcalc.OrbitScenario(sym_ur, 0, k2, f1, k2, f1, c2, eta, None, "sym-ur/sym-ur")
+    for sc in _every_eta(2, True):
         bv = signcalc.block_sign_formula(sc)
-        closed = (-1) ** (1 - bv.n_alpha) * ffield.sgn_norm_one(eta, f1) * bv.fixed_factor
+        closed = (-1) ** (1 - bv.n_alpha) * ffield.sgn_norm_one(sc.eta_alpha, sc.k_pm_res) * bv.fixed_factor
         if abs(closed - bv.value) > 1e-9:
             bad2 += 1
     rows.append(Row.compare("signcalc", "f=1 sym-ur closed form", bad2, 0, 0))

@@ -254,7 +254,7 @@ def run_lattice_check(sid: str, payload, tol: float, seed: int) -> list[Row]:
         raise ScenarioValidationError("a lattice check needs matrices or pi0_trials >= 1, got neither")
     rows = []
     for i, obj in enumerate(matrices):
-        torsion = lattice.pi0_torsion(_typed(obj, dict, "matrices entry")["theta"])
+        torsion = lattice.pi0_torsion(_int_rows(_typed(obj, dict, "matrices entry")["theta"], "theta"))
         want = [_typed(x, int, "expect_torsion entry") for x in _typed(obj["expect_torsion"], list, "expect_torsion")]
         rows.append(Row.compare(sid, "torsion #%d" % i, str(torsion), str(want), 0, seed))
     if trials:

@@ -293,13 +293,6 @@ class FieldElem:
         """x^(p^j), the j-th power of the arithmetic Frobenius."""
         return self ** (self.parent.p ** (j % self.parent.degree))
 
-    def mult_order(self) -> int:
-        a = self.parent._log[self.idx]
-        if a < 0:
-            raise ZeroElement("order of zero")
-        n = self.parent.order - 1
-        return n // math.gcd(n, a)
-
 
 @lru_cache(maxsize=None)
 def field(p: int, k: int) -> FieldDesc:

@@ -42,10 +42,10 @@ class RankAboveCap(LatticeError):
 
 # Largest rank matrix_order walks; a larger theta is refused before its first
 # power. The catalogue's largest rank is 4 and checks.make_finite_order_matrix
-# draws up to rank 6. At rank 6 the full 10,000-power walk takes 0.35-0.48 s
-# for three [[2, 1], [1, 1]] blocks (entries grow to ~4,200 digits) and
-# 0.24-0.25 s for the all-ones upper triangle (unipotent), on a 2-vCPU x86 VM;
-# at rank 8 the blocks take 0.68-0.99 s.
+# draws up to rank 6. matrix_order's trace test refuses an infinite-order
+# theta early ([[2, 1], [1, 1]] blocks and unipotent thetas at their first
+# power); the cap bounds the rest: a product costs rank^3 multiplications,
+# and a 40x40 permutation of order 27,720 walked 10,000 powers in 60-69 s.
 ORDER_RANK_CAP = 6
 
 
@@ -169,7 +169,11 @@ def det_int(m) -> int:
 
 
 def matrix_order(theta, bound: int = 10_000) -> int:
-    """Multiplicative order of a square integer matrix; NotFiniteOrder if > bound."""
+    """Multiplicative order of a square integer matrix; NotFiniteOrder if > bound.
+
+    A finite-order matrix is diagonalizable with roots of unity as
+    eigenvalues, so every power has |trace| <= rank, with trace = rank only
+    at the identity: the walk stops at the first power that breaks this."""
     t = _square_rows(theta, "order")
     n = len(t)
     if n > ORDER_RANK_CAP:
@@ -180,6 +184,9 @@ def matrix_order(theta, bound: int = 10_000) -> int:
     for k in range(1, bound + 1):
         if acc == ident:
             return k
+        tr = sum(acc[i][i] for i in range(n))
+        if abs(tr) > n or tr == n:
+            raise NotFiniteOrder("theta^%d is not the identity and its trace is outside [-%d, %d): theta has infinite order" % (k, n, n))
         acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
     raise NotFiniteOrder("no power up to %d is the identity" % bound)
 

@@ -150,24 +150,11 @@ def mat_inv(m, p: int) -> np.ndarray:
 
 
 def det(m, p: int) -> int:
+    """0 unless reduce_rows finds a pivot in every column; then m reduces to
+    I, and det m is the inverse of the determinant reduce_rows returns."""
     rows = _square(m, p).tolist()
-    n = len(rows)
-    d = 1
-    for c in range(n):
-        piv = _first_nonzero(rows, c, c)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            d = -d
-        pc = rows[c]
-        d = d * pc[c] % p
-        inv = pow(pc[c], p - 2, p)
-        for i in range(c + 1, n):
-            f = rows[i][c] * inv % p
-            if f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pc)]
-    return d % p
+    pivots, d = reduce_rows(rows, p)
+    return pow(d, p - 2, p) if len(pivots) == len(rows) else 0
 
 
 def _berkowitz(a: list[list[int]], p: int) -> list[int]:

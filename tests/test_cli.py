@@ -265,6 +265,13 @@ BAD_PAYLOADS = {
                                                "payload": {"matrices": [{"theta": [[None]], "expect_torsion": []}]}},
     "lattice-check-theta-list-entry": lambda: {"id": "l", "kind": "lattice-check",
                                                "payload": {"matrices": [{"theta": [[[1]], [2]], "expect_torsion": []}]}},
+    # a float, a bool or a string is no integer entry, though int() would read it
+    "lattice-check-theta-float-entry": lambda: {"id": "l", "kind": "lattice-check",
+                                                "payload": {"matrices": [{"theta": [[1.5]], "expect_torsion": []}]}},
+    "lattice-check-theta-bool-entry": lambda: {"id": "l", "kind": "lattice-check",
+                                               "payload": {"matrices": [{"theta": [[True]], "expect_torsion": []}]}},
+    "lattice-check-theta-string-entry": lambda: {"id": "l", "kind": "lattice-check",
+                                                 "payload": {"matrices": [{"theta": [["3"]], "expect_torsion": []}]}},
 }
 # the field a case's message must name, where the field alone is not enough
 BAD_PAYLOAD_MESSAGES = {
@@ -295,8 +302,11 @@ BAD_PAYLOAD_MESSAGES = {
     "gerardin-factors-empty": "a direct sum needs at least one space",
     "lattice-check-theta-above-the-rank-cap": "order of a 40x40 matrix: rank 40 is above the cap 6",
     "datum-theta-above-the-rank-cap": "order of a 40x40 matrix: rank 40 is above the cap 6",
-    "lattice-check-theta-null-entry": "expected a matrix",
-    "lattice-check-theta-list-entry": "expected a matrix",
+    "lattice-check-theta-null-entry": "theta entry must be an integer, got None",
+    "lattice-check-theta-list-entry": "theta entry must be an integer, got [1]",
+    "lattice-check-theta-float-entry": "theta entry must be an integer, got 1.5",
+    "lattice-check-theta-bool-entry": "theta entry must be an integer, got True",
+    "lattice-check-theta-string-entry": "theta entry must be an integer, got '3'",
 }
 
 

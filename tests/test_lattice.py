@@ -3,6 +3,7 @@ import json
 import pathlib
 import random
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -198,6 +199,36 @@ def test_rank_above_the_cap_is_refused_before_any_power(monkeypatch):
             call(shift)
     with pytest.raises(lat.RankAboveCap):
         lat.RootDatum(n, (), (), tuple(map(tuple, shift)))
+
+
+def test_infinite_order_is_refused_at_the_trace_bound(monkeypatch):
+    # a finite-order theta has |tr theta^k| <= rank for every k, with equality
+    # at +rank only at the identity, so the walk stops at the first power
+    # that breaks this instead of walking all 10,000 powers (2.5 s for
+    # [[10**50]], about 1 s for the rank-6 conjugate below, 8 s for the
+    # unipotent with 10**2000 above the diagonal); the budget counts entry
+    # multiplications through lattice.mul
+    blocks = [[0] * 6 for _ in range(6)]
+    for i in (0, 2, 4):
+        blocks[i][i:i + 2], blocks[i + 1][i:i + 2] = [2, 1], [1, 1]
+    # conjugated by the all-ones upper triangle, whose inverse is I - superdiagonal
+    upper, upper_inv = np.triu(np.ones((6, 6), dtype=np.int64)), np.eye(6, dtype=np.int64) - np.eye(6, k=1, dtype=np.int64)
+    conjugate = (upper @ np.array(blocks) @ upper_inv).tolist()
+    unipotent = [[int(j == i) + 10**2000 * (j == i + 1) for j in range(6)] for i in range(6)]
+    products = []
+    monkeypatch.setattr(lat, "mul", lambda a, b: products.append(1) or a * b)
+    start = time.perf_counter()
+    # after one 2x2 product (8 entry multiplications): the Fibonacci matrix
+    # has traces 1, then 3 > 2; [[-1, 1], [0, -1]] has trace -2, allowed (-I
+    # has it), then its square [[1, -2], [0, 1]] has trace 2 off the identity
+    cases = (([[10**50]], 0), ([[2, 1], [1, 1]], 0), (conjugate, 0), (unipotent, 0), ([[0, 1], [1, 1]], 8),
+             ([[-1, 1], [0, -1]], 8))
+    for theta, budget in cases:
+        products.clear()
+        with pytest.raises(lat.NotFiniteOrder, match=r"its trace is outside \[-%d, %d\)" % (len(theta), len(theta))):
+            lat.matrix_order(theta)
+        assert len(products) == budget
+    assert time.perf_counter() - start < 0.1
 
 
 def test_restrict_examples():

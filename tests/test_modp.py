@@ -160,35 +160,13 @@ def test_kernel_basis_spans_every_solution(p):
             assert _row_space(np.array(basis, dtype=np.int64).reshape(len(basis), shape[1]), p) == sols
 
 
-def _det_without_swap_sign(m, p):
-    """modp.det with the row-swap sign dropped: the seeded kernel fault."""
-    rows = modp._square(m, p).tolist()
-    n = len(rows)
-    d = 1
-    for c in range(n):
-        piv = modp._first_nonzero(rows, c, c)
-        if piv is None:
-            return 0
-        rows[c], rows[piv] = rows[piv], rows[c]
-        pc = rows[c]
-        d = d * pc[c] % p
-        inv = pow(pc[c], p - 2, p)
-        for i in range(c + 1, n):
-            f = rows[i][c] * inv % p
-            if f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pc)]
-    return d % p
-
-
-def test_det_swap_sign_fault_turns_rows_red():
-    orig = modp.det
-    modp.det = _det_without_swap_sign
-    try:
-        bad_2x2 = det_2x2_mismatches(3)
-    finally:
-        modp.det = orig
+def test_det_swap_sign_fault_turns_rows_red(monkeypatch):
+    # det reads the determinant reduce_rows tracks, swap signs included
+    monkeypatch.setattr(modp, "reduce_rows", _reduce_without_swap_sign)
+    bad_2x2 = det_2x2_mismatches(3)
+    monkeypatch.undo()
     assert bad_2x2 > 0
-    assert modp.det is orig and det_2x2_mismatches(3) == 0
+    assert det_2x2_mismatches(3) == 0
 
 
 def tracked_det_mismatches(p):

@@ -152,7 +152,7 @@ def test_sign_sweep_goes_red_on_corrupted_formula():
 
 def test_sym_f1_example_vs_oracle():
     # eta of order 4 in GF(9)^1: value fixed by oracle comparison
-    eta = next(x for x in ff.norm_one_group(F9, F3) if x.mult_order() == 4)
+    eta = next(x for x in ff.norm_one_group(F9, F3) if x**2 != 1)  # the group has order 4
     s = sc.OrbitScenario(sc.one_orbit_action(2, True), 0, F9, F3, F9, F3, C9, eta, None, "sym-ur/sym-ur")
     bv = sc.block_sign_formula(s)
     bb = sc.build_block(s)
@@ -536,6 +536,47 @@ def test_sign_branch_scenarios_pinned(params):
         per_label.setdefault(label, []).append(_scenario_key(s))
     got = {label: [len(v), hashlib.sha256(json.dumps(v).encode()).hexdigest()] for label, v in per_label.items()}
     assert got == PINNED_SCENARIOS[params]
+
+
+def test_orbit_scenarios_read_any_root_of_the_action():
+    # the 4-root action of check_assemble_dual_path: root 0 is asym/asym over
+    # F_3, root 2 sym-ur/sym-ur over F_9; the check's hand-built scenarios are
+    # among what orbit_scenarios yields on each root
+    act = sc.OrbitAction(4, (0, 1, 3, 2), (1, 0, 3, 2), (0, 1, 2, 3))
+    by_root = {a: list(checks.orbit_scenarios(act, a, 3)) for a in (0, 2)}
+    for a, fields, c, branch in ((0, (F3,) * 4, F3.one(), "asym/asym"), (2, (F9, F3, F9, F3), C9, "sym-ur/sym-ur")):
+        assert by_root[a] and all(s.alpha == a for s in by_root[a])
+        assert {((s.k_alpha, s.k_pm_alpha, s.k_res, s.k_pm_res), s.C, s.classification) for s in by_root[a]} == {(fields, c, branch)}
+    assert sc.OrbitScenario(act, 0, F3, F3, F3, F3, F3.one(), F3.from_int(2), F3.from_int(2), "asym/asym") in by_root[0]
+    assert sc.OrbitScenario(act, 2, F9, F3, F9, F3, C9, ff.norm_one_group(F9, F3)[2], None, "sym-ur/sym-ur") in by_root[2]
+    assert [s.eta_alpha for s in by_root[2]] == ff.norm_one_group(F9, F3)
+
+
+def _inverted_case_split(b, f, k_res, sub, ambient):
+    """sc._asym_pm_pieces with its Nr(b) = +-1 case split inverted: the
+    seeded torus-algorithm fault."""
+    if ff.norm_to(b, sub) != -1:
+        return sc._galois_pieces(b, f, k_res, ambient, False), ["case1"]
+    if f % 2 == 1:
+        return sc._galois_pieces(b, f, k_res, ambient, True) + sc._galois_pieces(-b, f, k_res, ambient, True), ["case2"]
+    p1, t1 = _inverted_case_split(ff.nth_roots(b, 2)[0], f // 2, k_res, sub, ambient)
+    p2, t2 = _inverted_case_split(ff.nth_roots(-b, 2)[0], f // 2, k_res, sub, ambient)
+    return p1 + p2, ["case3"] + t1 + t2
+
+
+def test_fixed_space_row_reads_the_formulas_case_split():
+    # the row reads beta's case from block_sign_formula, so inverting the
+    # formula's case split turns it red (here the formula's own bookkeeping
+    # refuses the wrong pieces, a crash the registry reports as a red row)
+    real = sc._asym_pm_pieces
+    sc._asym_pm_pieces = _inverted_case_split
+    try:
+        rows, _ = checks.run_checks("signcalc.fixed-space")
+    finally:
+        sc._asym_pm_pieces = real
+    assert rows and not any(r.passed for r in rows)
+    clean, _ = checks.run_checks("signcalc.fixed-space")
+    assert [r.quantity for r in clean] == ["Nr(beta)=-1 => trivial fixed space (4 cases)"] and clean[0].passed
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
