@@ -7,7 +7,9 @@ Each check returns a list of Row records; a check passes when every row does.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -1051,20 +1053,210 @@ CHECKS = [
 ]
 
 
+# ---------------------------------------------------------------------------
+# seeded faults
+#
+# Each entry is a deliberate bug in one layer, there to show that some check
+# catches it: FAULTS[name]() is a context manager that, on entry, clears the
+# weilchar caches, looks its target up and puts the faulty version in its
+# place, and on exit puts the original back and clears the caches again, so
+# what a fault turns red does not depend on what ran before.  ffield.field
+# stays: it hands out the one object per field, and no fault reaches it.
+
+
+def _clear_caches() -> None:
+    for mod in (ffield, gerardin, lattice, modp, signcalc, sym, weil):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear") and obj is not ffield.field:
+                obj.cache_clear()
+
+
+def _fault(owner, path: str, faulty):
+    """A FAULTS entry: while entered, owner.<path> calls faulty with the
+    original as its first argument."""
+
+    @contextlib.contextmanager
+    def seeded():
+        *head, attr = path.split(".")
+        target = functools.reduce(getattr, head, owner)
+        orig = getattr(target, attr)
+        _clear_caches()
+        setattr(target, attr, lambda *args, **kwargs: faulty(orig, *args, **kwargs))
+        try:
+            yield
+        finally:
+            setattr(target, attr, orig)
+            _clear_caches()
+
+    return seeded
+
+
+def _orbit_sign_without_parity(orig, pieces, fixed_dim):
+    # (-1)^l dropped from the one Gerardin sign that tori, the twisted sign
+    # blocks and the assembled product share; the fixed-space test stays
+    orig(pieces, fixed_dim)
+    return math.prod(gerardin.piece_character(piece) for piece in pieces)
+
+
+def _restrict_map_unchecked(orig, g, basis):
+    # [B | gB] read off without asking whether gB stays in span(B)
+    k = len(basis)
+    b = gerardin._basis_mat(g.space, basis).T
+    red, piv = modp.rref(np.hstack([b, g.mat_np @ b]), g.space.p)
+    if piv[:k] != list(range(k)):
+        raise gerardin.GerardinError("basis vectors are dependent")
+    return red[:k, k:]
+
+
+def _reduce_without_swap_sign(orig, rows, p):
+    # reduce_rows with the row-swap sign dropped from the determinant it tracks
+    n, pivots, d, r = len(rows), [], 1, 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = modp._first_nonzero(rows, r, c)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        d = d * inv % p
+        pr = rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(n):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pr)]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return pivots, d
+
+
+def _block_sign_negated(orig, s):
+    bv = orig(s)
+    return dataclasses.replace(bv, value=-bv.value)
+
+
+def _abelian_law(orig, space, v1, z1, v2, z2):
+    # <v1,v2>/2 dropped from the law, which leaves H(V) abelian and still
+    # associative
+    v, _ = orig(space, v1, z1, v2, z2)
+    return v, (np.asarray(z1) + np.asarray(z2)) % space.p
+
+
+def _split_class(orig, g):
+    # a duplicate eigenvalue on every g with g[0][1] = 0 splits conjugacy
+    # classes across two eigenvalue keys
+    vals = orig(g)
+    return vals + vals[:1] if g.mat[0][1] == 0 else vals
+
+
+def _rho_half_phase(orig, model, vs, zs):
+    # the <x,y>/2 term dropped from every rho phase; rho(a) rho(b) then
+    # misses theta(<a,b>/2), and the traces (x = 0) do not move
+    cols, phases = orig(model, vs, zs)
+    vstd = np.asarray(vs, dtype=np.int64) @ model.to_std.T % model.p
+    xy = (vstd[..., : model.n] * vstd[..., model.n :]).sum(axis=-1) * pow(2, -1, model.p)
+    return cols, phases * np.exp(-2j * np.pi * xy / model.p)[..., None]
+
+
+def _rho_columns_shifted(orig, model, vs, zs):
+    cols, phases = orig(model, vs, zs)
+    return (cols + 1) % model.dim, phases
+
+
+def _twisted_sign_dropped(orig, chains):
+    # the direct path's Levi sign dropped: -1 on criterion 04's p = 3 pair,
+    # +1 at p = 5
+    bt = orig(chains)
+    bt.signs = (1,) * len(bt.signs)
+    return bt
+
+
+def _twisted_loop_dropped(orig, chains):
+    # the twist closed by the identity in place of the loop (criterion 04's
+    # p = 3 pair's loop is the identity)
+    bt = orig(chains)
+    bt.iotas = tuple(weil.block_cycle(m.space, (tuple(range(len(grp))),), [sym.sp_identity(loop.space)])
+                     for m, grp, loop in zip(bt.chain_models, bt.groups, bt.loops))
+    return bt
+
+
+def _off_sample_trace(orig, model, g):
+    # off by 0.5 on diag(2, 3), a semisimple element that a 40-pair random
+    # sample at seed 0 never draws
+    off = g.mat == ((2, 0), (0, 3)) and g.space == sym.standard_polarized_space(5, 1)
+    return orig(model, g) + (0.5 if off else 0)
+
+
+def _hyperbolic_e_f(orig, space):
+    # e and f swapped in the symplectic Gram-Schmidt, so B^T G B is minus the
+    # standard Gram
+    return np.roll(orig(space), space.dim // 2, axis=1)
+
+
+def _inverted_case_split(orig, b, f, k_res, sub, ambient):
+    # the Nr(b) = +-1 case split inverted; the halving step recurses into
+    # the faulty split, as the original recurses into itself
+    if ffield.norm_to(b, sub) != -1:
+        return signcalc._galois_pieces(b, f, k_res, ambient, False), ["case1"]
+    if f % 2 == 1:
+        pieces = signcalc._galois_pieces(b, f, k_res, ambient, True) + signcalc._galois_pieces(-b, f, k_res, ambient, True)
+        return pieces, ["case2"]
+    p1, t1 = signcalc._asym_pm_pieces(ffield.nth_roots(b, 2)[0], f // 2, k_res, sub, ambient)
+    p2, t2 = signcalc._asym_pm_pieces(ffield.nth_roots(-b, 2)[0], f // 2, k_res, sub, ambient)
+    return p1 + p2, ["case3"] + t1 + t2
+
+
+FAULTS = {
+    "sgn": _fault(ffield, "sgn_mult", lambda orig, *args, **kwargs: -orig(*args, **kwargs)),
+    "orbit-sign-parity": _fault(gerardin, "orbit_sign", _orbit_sign_without_parity),
+    "restrict-map": _fault(gerardin, "restrict_map", _restrict_map_unchecked),
+    # no vector of the big basis is recognised as lying in the span
+    "complement-in": _fault(gerardin, "complement_in",
+                            lambda orig, big, small, p: [tuple(int(x) % p for x in v) for v in big]),
+    # the greedy V' returns after its first vector
+    "one-step-vprime": _fault(gerardin, "maximal_invariant_isotropic", lambda orig, g: orig(g)[:1]),
+    "swap-sign": _fault(modp, "reduce_rows", _reduce_without_swap_sign),
+    "block-sign-negated": _fault(signcalc, "block_sign_formula", _block_sign_negated),
+    "abelian-law": _fault(sym, "heis_law", _abelian_law),
+    "split-class": _fault(sym, "eigen_multiset", _split_class),
+    # each root once, whatever its multiplicity; a repeated eigenvalue (of
+    # +-1, for one) then never fills the characteristic polynomial
+    "poly-roots-distinct": _fault(ffield, "poly_roots", lambda orig, coeffs, desc, within=None: sorted(
+        set(orig(coeffs, desc, within)), key=ffield.FieldElem.index)),
+    "rho-half-phase": _fault(weil, "WeilModel.rho_parts", _rho_half_phase),
+    "rho-columns": _fault(weil, "WeilModel.rho_parts", _rho_columns_shifted),
+    # the word model's Levi sign forced to 1
+    "levi-sign": _fault(weil, "WeilModel.word_factors",
+                        lambda orig, model, g: dataclasses.replace(orig(model, g), sgn=1)),
+    # the first two maps trade slots in the rotation, which changes its trace
+    # for chains of three or more maps
+    "rotation-wiring": _fault(weil, "_rotation_diagonal",
+                              lambda orig, ms: orig([ms[1], ms[0]] + ms[2:] if len(ms) > 2 else ms)),
+    "twisted-sign": _fault(weil, "block_twist", _twisted_sign_dropped),
+    "twisted-loop": _fault(weil, "block_twist", _twisted_loop_dropped),
+    "off-sample-trace": _fault(weil, "WeilModel.trace_omega", _off_sample_trace),
+    # sgn(-2) -> sgn(2) in the Fourier scalar: the partial Fourier operator of
+    # rank r, and the trace evaluator with it, flip by (-1)^r where (-1/p) = -1
+    "fourier-scalar": _fault(weil, "_fourier_scalar",
+                             lambda orig, p, n: (modp.legendre(2, p) / weil.gauss_sum(p)) ** n),
+    # the Fourier phase (t s)_S . (a2 s)_S dropped from the trace's Q
+    "trace-cross-term": _fault(weil, "_trace_phase", lambda orig, f, p: weil._nbar_form(f.b1 + f.b2, p)),
+    # the trace's support taken where t s = -a2 s off S
+    "trace-support": _fault(weil, "_trace_support", lambda orig, f, p: (f.t + f.a2)[f.rank:] % p),
+    "hyperbolic-e-f": _fault(sym, "hyperbolic_basis", _hyperbolic_e_f),
+    "case-split": _fault(signcalc, "_asym_pm_pieces", _inverted_case_split),
+}
+
+
 def run_checks(filter_substr: str = "", fault: str = "") -> tuple[list[Row], float]:
-    """Run the registry (optionally filtered); `fault` injects a deliberate
-    bug to prove the harness catches failures."""
+    """Run the registry, or only the checks whose name contains
+    `filter_substr`.  `fault` names a FAULTS entry to run under, a deliberate
+    bug that some check must catch; an unknown name raises ValueError."""
+    if fault and fault not in FAULTS:
+        raise ValueError("unknown fault %r; known faults: %s" % (fault, ", ".join(FAULTS)))
     rows: list[Row] = []
     start = time.time()
-    patched = None
-    if fault == "sgn":
-        patched = ffield.sgn_mult
-
-        def broken(*args, **kwargs):
-            return -patched(*args, **kwargs)
-
-        ffield.sgn_mult = broken
-    try:
+    with FAULTS[fault]() if fault else contextlib.nullcontext():
         for name, fn in CHECKS:
             if filter_substr and filter_substr not in name:
                 continue
@@ -1075,7 +1267,4 @@ def run_checks(filter_substr: str = "", fault: str = "") -> tuple[list[Row], flo
             for r in out:
                 r.scenario_id = name
             rows.extend(out)
-    finally:
-        if patched is not None:
-            ffield.sgn_mult = patched
     return rows, time.time() - start

@@ -3,8 +3,8 @@
 Subcommands:
   weilchar run <file> [--seed N] [--jobs N] [--tolerance X] [--report PATH] [--format json|csv]
                                 execute a scenario file, emit a report
-  weilchar selfcheck [--filter S] [--fault sgn] [--report PATH] [--format json|csv]
-                                run the built-in invariant suite
+  weilchar selfcheck [--filter S] [--fault NAME] [--report PATH] [--format json|csv]
+                                run the built-in invariants (--fault: a checks.FAULTS name)
   weilchar tabulate-ramified    print the oracle-computed ramified constants
   weilchar root-datum <file>    restricted-root report for a datum
 
@@ -164,10 +164,6 @@ def run_weil_verify(sid: str, payload, tol: float, seed: int) -> list[Row]:
         worst_m = max(worst_m, float(np.abs(model.omega(g) @ model.omega(h) - model.omega(g * h)).max()))
         g = g * h
     rows.append(Row.compare(sid, "omega multiplicative (word walk)", worst_m, 0, tol, seed))
-    rows.append(Row.compare(sid, "dim W", model.dim, p**n, 0, seed))
-    if payload.get("dump_operators"):
-        dump = json.dumps(weil.dump_operator(model.omega(gens[0])))
-        rows.append(Row.compare(sid, "operator dump omega(gen0)", dump, dump, 0, seed))
     return rows
 
 
@@ -497,7 +493,7 @@ def main(argv=None) -> int:
 
     p_self = sub.add_parser("selfcheck", parents=[report], help="run the built-in invariant suite")
     p_self.add_argument("--filter", type=str, default="")
-    p_self.add_argument("--fault", type=str, default="", choices=("", "sgn"))
+    p_self.add_argument("--fault", type=str, default="", choices=("", *checks.FAULTS))
 
     sub.add_parser("tabulate-ramified", help="oracle-computed ramified signs, p <= 13 (tests hold sgn_{k_res}(-2) to them)")
 

@@ -74,12 +74,6 @@ def check_model_dim(p: int, n: int, cap: int = MODEL_DIM_CAP, what: str = "model
         raise WeilError("p^n = %d^%d exceeds the %s cap %d" % (p, n, what, cap))
 
 
-def dump_operator(m: np.ndarray) -> list:
-    """Dense complex matrix as [[re, im], ...] rows for report files."""
-    flat = np.asarray(m, dtype=complex).ravel()
-    return [[round(float(x.real), 12), round(float(x.imag), 12)] for x in flat]
-
-
 def monomial_distance(cols1: np.ndarray, phases1: np.ndarray, cols2: np.ndarray, phases2: np.ndarray) -> float:
     """Max-norm of the difference of monomial matrices given row by row as
     (column, phase) arrays, as rho_parts returns them: where a row's columns

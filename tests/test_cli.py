@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from weilchar import checks, cli, ffield, modp, symplectic as sym, weil
+from weilchar import checks, cli, modp, symplectic as sym, weil
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCN = ROOT / "scenarios"
@@ -436,24 +436,6 @@ def test_chain_over_the_model_cap_is_refused_at_once(tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
-def test_sgn_fault_reaches_only_formula_checks():
-    # the oracle never calls an ffield sign function, so exactly the checks
-    # that compare a quadratic-character formula go red; only the assemble
-    # check's internal dual-path assertion turns the fault into an exception
-    sgn = ffield.sgn_mult
-    rows, _ = checks.run_checks(fault="sgn")
-    assert ffield.sgn_mult is sgn
-    assert {r.scenario_id for r in rows if not r.passed} == {
-        "ffield.sgn-mult",
-        "gerardin.semisimple",
-        "gerardin.polarized-agrees",
-        "signcalc.oracle",
-        "signcalc.assemble",
-        "signcalc.f1-forms",
-    }
-    assert [r.scenario_id for r in rows if r.quantity == "exception"] == ["signcalc.assemble"]
-
-
 def test_root_datum_command(capsys):
     assert run_cli(["root-datum", "A2.flip"]) == 0
     out = capsys.readouterr().out
@@ -526,21 +508,6 @@ def test_invalid_action_payload_is_validation_error(tmp_path):
     assert run_cli(["run", f]) == 3
 
 
-def test_weil_verify_dump(tmp_path):
-    f = tmp_path / "dump.scn"
-    f.write_text(json.dumps({"scenarios": [{
-        "id": "d", "kind": "weil-verify",
-        "payload": {"p": 3, "n": 1, "pairs": 5, "words": 3, "dump_operators": True},
-    }]}))
-    report = tmp_path / "rep.json"
-    assert run_cli(["run", f, "--report", report]) == 0
-    doc = json.loads(report.read_text())
-    dump_rows = [r for r in doc["rows"] if "dump" in r["quantity"]]
-    assert len(dump_rows) == 1
-    entries = json.loads(dump_rows[0]["formula"])
-    assert len(entries) == 9 and all(len(e) == 2 for e in entries)
-
-
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_weil_verify_decodes_the_pairs_a_list_of_elements_gives(p, n):
     # the same rng calls, indexing every element of H(V) in a list and
@@ -554,25 +521,15 @@ def test_weil_verify_decodes_the_pairs_a_list_of_elements_gives(p, n):
     assert old == [(tuple(v), z) for v, z in zip(vs.reshape(-1, 2 * n).tolist(), zs.ravel().tolist())]
 
 
-@pytest.mark.parametrize("fault", ["half-form phase dropped", "columns shifted"])
-def test_rho_faults_turn_weil_verify_red(fault, tmp_path, monkeypatch):
-    orig = weil.WeilModel.rho_parts
-
-    def faulty(self, vs, zs):
-        cols, phases = orig(self, vs, zs)
-        if fault == "columns shifted":
-            return (cols + 1) % self.dim, phases
-        vstd = np.asarray(vs, dtype=np.int64) @ self.to_std.T % self.p
-        xy = (vstd[..., : self.n] * vstd[..., self.n :]).sum(axis=-1) * pow(2, -1, self.p)
-        return cols, phases * np.exp(-2j * np.pi * xy / self.p)[..., None]
-
-    monkeypatch.setattr(weil.WeilModel, "rho_parts", faulty)
+@pytest.mark.parametrize("fault", ["rho-half-phase", "rho-columns"], ids=["half-form phase dropped", "columns shifted"])
+def test_rho_faults_turn_weil_verify_red(fault, tmp_path):
     f = tmp_path / "rho.scn"
     f.write_text(json.dumps({"scenarios": [{
         "id": "w", "kind": "weil-verify", "payload": {"p": 5, "n": 1, "pairs": 40, "words": 3},
     }]}))
     report = tmp_path / "rep.json"
-    assert run_cli(["run", f, "--seed", 7, "--report", report]) == 1
+    with checks.FAULTS[fault]():
+        assert run_cli(["run", f, "--seed", 7, "--report", report]) == 1
     failed = {r["quantity"] for r in json.loads(report.read_text())["rows"] if not r["pass"]}
     assert failed == {"rho homomorphism (sampled)"}
 

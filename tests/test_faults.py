@@ -1,0 +1,93 @@
+"""The seeded-fault table: every checks.FAULTS entry is a deliberate bug in
+one layer that some registry check catches, and leaves nothing behind."""
+
+import contextlib
+
+import pytest
+
+from weilchar import checks, cli, ffield, gerardin, modp, signcalc, symplectic as sym, weil
+
+# fault -> the registry checks it turns red, the whole registry run once in a
+# fresh process (weilchar selfcheck --fault NAME); a fault without a record of
+# what catches it fails test_every_fault_has_a_detection_record
+GERARDIN = "gerardin.semisimple gerardin.polarized gerardin.vprime gerardin.fixed-line gerardin.weil-char "
+WEIL = "weil.omega-mult weil.twisted-trace "
+DETECTION = {name: set(red.split()) for name, red in {
+    "sgn": "ffield.sgn-mult gerardin.semisimple gerardin.polarized-agrees signcalc.oracle signcalc.assemble "
+           "signcalc.f1-forms",
+    "orbit-sign-parity": "gerardin.semisimple signcalc.oracle signcalc.assemble signcalc.f1-forms",
+    "restrict-map": "gerardin.polarized gerardin.polarized-agrees gerardin.vprime",
+    "complement-in": "gerardin.vprime gerardin.fixed-line gerardin.weil-char",
+    "one-step-vprime": "gerardin.weil-char",
+    "swap-sign": "weil.omega-mult gerardin.semisimple gerardin.fixed-line gerardin.weil-char signcalc.oracle",
+    "block-sign-negated": "signcalc.oracle signcalc.f1-forms",
+    "abelian-law": "symplectic.heis weil.rho",
+    "split-class": "symplectic.eigen-conjugacy",
+    "poly-roots-distinct": "symplectic.eigen-conjugacy",
+    "rho-half-phase": WEIL + "weil.rho weil.normalization signcalc.assemble",
+    "rho-columns": WEIL + "weil.svn weil.rho weil.normalization signcalc.assemble",
+    "levi-sign": GERARDIN + WEIL + "weil.conjugacy signcalc.oracle signcalc.eta-independence signcalc.assemble",
+    "rotation-wiring": "weil.tensor-trace",
+    "twisted-sign": "weil.twisted-trace",
+    "twisted-loop": "weil.twisted-trace signcalc.assemble",
+    "off-sample-trace": "weil.omega-mult weil.conjugacy gerardin.polarized gerardin.vprime gerardin.fixed-line",
+    "fourier-scalar": WEIL + "gerardin.semisimple gerardin.polarized gerardin.fixed-line signcalc.oracle "
+                      "signcalc.assemble",
+    "trace-cross-term": GERARDIN + WEIL + "weil.conjugacy signcalc.oracle signcalc.assemble",
+    "trace-support": GERARDIN + WEIL + "signcalc.oracle signcalc.assemble",
+    # every model build refuses the swapped frame
+    "hyperbolic-e-f": GERARDIN + WEIL + "weil.svn weil.rho weil.algebraic weil.normalization weil.conjugacy "
+                      "signcalc.oracle signcalc.eta-independence signcalc.assemble",
+    "case-split": "signcalc.oracle signcalc.fixed-space signcalc.f1-forms",
+}.items()}
+
+# the faults tier-1 runs over the whole registry -> the red checks that go
+# red by an exception
+WHOLE_REGISTRY = {
+    # the oracle never calls an ffield sign function, so exactly the checks
+    # that compare a quadratic-character formula go red; only the assemble
+    # check's internal dual-path assertion turns the fault into an exception
+    "sgn": {"signcalc.assemble"},
+    "orbit-sign-parity": {"signcalc.assemble"},
+    "rotation-wiring": set(),
+    "poly-roots-distinct": {"symplectic.eigen-conjugacy"},
+    "hyperbolic-e-f": DETECTION["hyperbolic-e-f"],
+}
+
+
+def test_every_fault_has_a_detection_record():
+    assert DETECTION.keys() == checks.FAULTS.keys()
+
+
+@pytest.mark.parametrize("name", WHOLE_REGISTRY)
+def test_fault_turns_exactly_its_checks_red(name):
+    rows, _ = checks.run_checks(fault=name)
+    assert {r.scenario_id for r in rows if not r.passed} == DETECTION[name]
+    assert {r.scenario_id for r in rows if r.quantity == "exception"} == WHOLE_REGISTRY[name]
+
+
+@pytest.mark.parametrize("name", checks.FAULTS)
+def test_fault_patches_one_attribute_and_restores_it(name):
+    def attributes():
+        spaces = (ffield, gerardin, modp, signcalc, sym, weil, weil.WeilModel)
+        return {(ns.__name__, key): val for ns in spaces for key, val in vars(ns).items()}
+
+    clean = attributes()
+    for raised in (None, RuntimeError):  # a body that returns, and one that raises
+        with pytest.raises(raised) if raised else contextlib.nullcontext():
+            with checks.FAULTS[name]():
+                inside = attributes()
+                assert len([k for k in clean if inside[k] is not clean[k]]) == 1
+                if raised:
+                    raise raised
+        after = attributes()
+        assert after.keys() == clean.keys() and all(after[k] is clean[k] for k in clean)
+
+
+def test_unknown_fault_is_refused():
+    # a misspelled fault must not run a green registry
+    with pytest.raises(ValueError, match="unknown fault 'sgnn'.*sgn, orbit-sign-parity"):
+        checks.run_checks("ffield.sgn-mult", fault="sgnn")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selfcheck", "--fault", "nosuch"])
+    assert exc.value.code == 2

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import pathlib
 
 import numpy as np
@@ -238,61 +237,14 @@ def test_fixed_line_refuses_a_dependent_v0():
         ger.char_fixed_line(gbig, (0, 0, 1, 0), [(1, 0, 0, 0), (2, 0, 0, 0)])
 
 
-def _red_gerardin_checks(name, faulty):
-    orig = getattr(ger, name)
-    setattr(ger, name, faulty)
-    try:
-        rows, _ = checks.run_checks("gerardin")
-    finally:
-        setattr(ger, name, orig)
-    assert getattr(ger, name) is orig
-    return {r.scenario_id for r in rows if not r.passed}
-
-
-def test_orbit_sign_without_parity_turns_formula_checks_red():
-    # seeded fault: (-1)^l dropped from the one Gerardin sign that tori, the
-    # twisted sign blocks and the assembled product share; the fixed-space
-    # test and the characters stay
-    orig = ger.orbit_sign
-
-    def faulty(pieces, fixed_dim):
-        orig(pieces, fixed_dim)
-        return math.prod(ger.piece_character(piece) for piece in pieces)
-
-    ger.orbit_sign = faulty
-    try:
-        rows, _ = checks.run_checks()
-    finally:
-        ger.orbit_sign = orig
-    assert {r.scenario_id for r in rows if not r.passed} == {
-        "gerardin.semisimple",
-        "signcalc.oracle",
-        "signcalc.assemble",
-        "signcalc.f1-forms",
-    }
-
-
 def test_restrict_map_without_invariance_test_turns_checks_red():
-    # seeded fault: [B | gB] read off without asking whether gB stays in span(B)
-    def faulty(g, basis):
-        k = len(basis)
-        b = ger._basis_mat(g.space, basis).T
-        red, piv = modp.rref(np.hstack([b, g.mat_np @ b]), g.space.p)
-        if piv[:k] != list(range(k)):
-            raise ger.GerardinError("basis vectors are dependent")
-        return red[:k, k:]
-
-    red = _red_gerardin_checks("restrict_map", faulty)
-    assert red == {"gerardin.polarized", "gerardin.polarized-agrees", "gerardin.vprime"}
+    rows, _ = checks.run_checks("gerardin", fault="restrict-map")
+    assert {r.scenario_id for r in rows if not r.passed} == {"gerardin.polarized", "gerardin.polarized-agrees", "gerardin.vprime"}
 
 
 def test_complement_keeping_every_vector_turns_checks_red():
-    # seeded fault: no vector of the big basis is recognised as lying in the span
-    def faulty(big_basis, small_basis, p):
-        return [tuple(int(x) % p for x in v) for v in big_basis]
-
-    red = _red_gerardin_checks("complement_in", faulty)
-    assert red == {"gerardin.vprime", "gerardin.fixed-line", "gerardin.weil-char"}
+    rows, _ = checks.run_checks("gerardin", fault="complement-in")
+    assert {r.scenario_id for r in rows if not r.passed} == {"gerardin.vprime", "gerardin.fixed-line", "gerardin.weil-char"}
 
 
 def test_one_step_vprime_turns_weil_char_red():
@@ -301,10 +253,5 @@ def test_one_step_vprime_turns_weil_char_red():
     several = int(row.quantity.split(", ")[1].split()[0])
     assert row.passed and several > 0, row
 
-    # seeded fault: the greedy returns after its first vector
-    orig = ger.maximal_invariant_isotropic
-
-    def faulty(g):
-        return orig(g)[:1]
-
-    assert _red_gerardin_checks("maximal_invariant_isotropic", faulty) == {"gerardin.weil-char"}
+    rows, _ = checks.run_checks("gerardin", fault="one-step-vprime")
+    assert {r.scenario_id for r in rows if not r.passed} == {"gerardin.weil-char"}

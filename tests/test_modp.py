@@ -160,11 +160,10 @@ def test_kernel_basis_spans_every_solution(p):
             assert _row_space(np.array(basis, dtype=np.int64).reshape(len(basis), shape[1]), p) == sols
 
 
-def test_det_swap_sign_fault_turns_rows_red(monkeypatch):
+def test_det_swap_sign_fault_turns_rows_red():
     # det reads the determinant reduce_rows tracks, swap signs included
-    monkeypatch.setattr(modp, "reduce_rows", _reduce_without_swap_sign)
-    bad_2x2 = det_2x2_mismatches(3)
-    monkeypatch.undo()
+    with checks.FAULTS["swap-sign"]():
+        bad_2x2 = det_2x2_mismatches(3)
     assert bad_2x2 > 0
     assert det_2x2_mismatches(3) == 0
 
@@ -197,12 +196,11 @@ def test_reduce_rows_tracks_the_determinant(p):
                 assert d * modp.det(m, p) % p == 1
 
 
-def test_elimination_swap_sign_fault_turns_rows_red(monkeypatch):
+def test_elimination_swap_sign_fault_turns_rows_red():
     # the word model's Levi sign reads the determinants reduce_rows tracks
-    monkeypatch.setattr(modp, "reduce_rows", _reduce_without_swap_sign)
-    rows, _ = checks.run_checks("weil.omega-mult")
-    bad_2x2 = tracked_det_mismatches(3)
-    monkeypatch.undo()
+    with checks.FAULTS["swap-sign"]():
+        rows, _ = checks.run_checks("weil.omega-mult")
+        bad_2x2 = tracked_det_mismatches(3)
     assert bad_2x2 > 0
     failed = {r.quantity for r in rows if not r.passed}
     # a 1x1 reduction never swaps, so only the Sp_4 and Sp_6 word-model products see it
@@ -211,29 +209,3 @@ def test_elimination_swap_sign_fault_turns_rows_red(monkeypatch):
         "word model multiplicative Sp_6(F_3) (16 pairs, ranks 0-3)",
     }
     assert tracked_det_mismatches(3) == 0
-
-
-def _reduce_without_swap_sign(rows, p):
-    """modp.reduce_rows with the row-swap sign dropped from the determinant
-    it tracks: the seeded elimination fault."""
-    n = len(rows)
-    pivots = []
-    d = 1
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = modp._first_nonzero(rows, r, c)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        d = d * inv % p
-        pr = rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(n):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pr)]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return pivots, d

@@ -63,6 +63,11 @@ def test_ci_workflow_parses():
     assert 'PYTHONHASHSEED=$seed python -m weilchar.cli selfcheck --fault sgn --report "$RUNNER_TEMP/fault-$seed.json"' in self_step
     assert "for seed in 0 1; do" in self_step and 'test "$status" -eq 1' in self_step
     assert 'cmp "$RUNNER_TEMP/fault-0.json" "$RUNNER_TEMP/fault-1.json"' in self_step
+    # and every seeded fault, each in a fresh process, must exit 1
+    [faults_step] = [s for s in steps if "checks.FAULTS" in s]
+    assert 'for name in $(python -c "from weilchar import checks; print(*checks.FAULTS)"); do' in faults_step
+    assert 'python -m weilchar.cli selfcheck --fault "$name"' in faults_step
+    assert 'test "$status" -eq 1' in faults_step
     # and so must two runs of every bundled scenario file at a fixed seed
     [scn_step] = [s for s in steps if 'python -m weilchar.cli run "scenarios/$scn" --seed 7 --report' in s]
     assert scn_step.count("python -m weilchar.cli run") == 2 and "cmp " in scn_step

@@ -133,18 +133,9 @@ def test_block_sign_formula_branch_matrix():
 def test_sign_sweep_goes_red_on_corrupted_formula():
     clean = checks.sign_sweep((3,), max_degree=2, eta_cap=4)
     assert clean and all(st.worst <= 1e-8 and st.count for st in clean.values())
-    real = sc.block_sign_formula
-
-    def corrupted(s):
-        bv = real(s)
-        return dataclasses.replace(bv, value=-bv.value)
-
-    sc.block_sign_formula = corrupted
-    try:
+    with checks.FAULTS["block-sign-negated"]():
         bad = checks.sign_sweep((3,), max_degree=2, eta_cap=4)
         rows = checks.check_sign_formula_vs_oracle(ps=(3,), max_degree=2)
-    finally:
-        sc.block_sign_formula = real
     assert bad.keys() == clean.keys()
     assert all(st.worst > 1e-8 for st in bad.values())
     assert rows and not any(r.passed for r in rows)
@@ -552,28 +543,11 @@ def test_orbit_scenarios_read_any_root_of_the_action():
     assert [s.eta_alpha for s in by_root[2]] == ff.norm_one_group(F9, F3)
 
 
-def _inverted_case_split(b, f, k_res, sub, ambient):
-    """sc._asym_pm_pieces with its Nr(b) = +-1 case split inverted: the
-    seeded torus-algorithm fault."""
-    if ff.norm_to(b, sub) != -1:
-        return sc._galois_pieces(b, f, k_res, ambient, False), ["case1"]
-    if f % 2 == 1:
-        return sc._galois_pieces(b, f, k_res, ambient, True) + sc._galois_pieces(-b, f, k_res, ambient, True), ["case2"]
-    p1, t1 = _inverted_case_split(ff.nth_roots(b, 2)[0], f // 2, k_res, sub, ambient)
-    p2, t2 = _inverted_case_split(ff.nth_roots(-b, 2)[0], f // 2, k_res, sub, ambient)
-    return p1 + p2, ["case3"] + t1 + t2
-
-
 def test_fixed_space_row_reads_the_formulas_case_split():
     # the row reads beta's case from block_sign_formula, so inverting the
     # formula's case split turns it red (here the formula's own bookkeeping
     # refuses the wrong pieces, a crash the registry reports as a red row)
-    real = sc._asym_pm_pieces
-    sc._asym_pm_pieces = _inverted_case_split
-    try:
-        rows, _ = checks.run_checks("signcalc.fixed-space")
-    finally:
-        sc._asym_pm_pieces = real
+    rows, _ = checks.run_checks("signcalc.fixed-space", fault="case-split")
     assert rows and not any(r.passed for r in rows)
     clean, _ = checks.run_checks("signcalc.fixed-space")
     assert [r.quantity for r in clean] == ["Nr(beta)=-1 => trivial fixed space (4 cases)"] and clean[0].passed

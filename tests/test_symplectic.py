@@ -94,21 +94,8 @@ def test_heis_group_refuses_above_the_cap():
 
 
 def test_abelian_law_fault_turns_heis_center_red():
-    # seeded fault: <v1,v2>/2 dropped from the law, which leaves H(V) abelian
-    # and still associative
-    orig = sym.heis_law
-
-    def abelian(space, v1, z1, v2, z2):
-        v, _ = orig(space, v1, z1, v2, z2)
-        return v, (np.asarray(z1) + np.asarray(z2)) % space.p
-
-    sym.heis_law = abelian
-    sym.heis_group.cache_clear()
-    try:
+    with checks.FAULTS["abelian-law"]():
         rows = checks.check_heis_associativity()
-    finally:
-        sym.heis_law = orig
-        sym.heis_group.cache_clear()
     assert {r.quantity: (r.formula, r.oracle) for r in rows if not r.passed} == {"heis center p=3 n=1": (27, 3)}
 
 
@@ -267,35 +254,11 @@ def test_sp_group_table_matches_products(p):
         assert [grp.elems[k] for k in grp.mul[i]] == [g * h for h in grp.elems]
 
 
-def test_split_class_fault_turns_eigen_conjugacy_red(monkeypatch):
-    # seeded fault: a duplicate eigenvalue on every g with g[0][1] = 0 splits
-    # conjugacy classes across two eigenvalue keys
-    orig = sym.eigen_multiset
-
-    def split(g):
-        vals = orig(g)
-        return vals + vals[:1] if g.mat[0][1] == 0 else vals
-
-    monkeypatch.setattr(sym, "eigen_multiset", split)
-    rows = checks.check_eigen_conjugacy()
+def test_split_class_fault_turns_eigen_conjugacy_red():
+    with checks.FAULTS["split-class"]():
+        rows = checks.check_eigen_conjugacy()
     assert [r.formula for r in rows] == [0, 400, 2352]
     assert [r.passed for r in rows] == [True, False, False]
-
-
-def test_poly_roots_without_multiplicities_turns_only_eigen_conjugacy_red():
-    # seeded fault: each root once, whatever its multiplicity; a repeated
-    # eigenvalue (of +-1, for one) then never fills the characteristic polynomial
-    orig = ff.poly_roots
-
-    def distinct(coeffs, desc):
-        return sorted(set(orig(coeffs, desc)), key=ff.FieldElem.index)
-
-    ff.poly_roots = distinct
-    try:
-        rows, _ = checks.run_checks()
-    finally:
-        ff.poly_roots = orig
-    assert {r.scenario_id for r in rows if not r.passed} == {"symplectic.eigen-conjugacy"}
 
 
 def test_sp_enumeration_cap():

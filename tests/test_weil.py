@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -69,21 +68,8 @@ def test_dense_rho_pinned(p, n):
 
 
 def test_rho_phase_fault_turns_rho_rows_red():
-    # seeded fault: the <x,y>/2 term dropped from every rho phase; rho(a)
-    # rho(b) then misses theta(<a,b>/2), and the traces (x = 0) do not move
-    orig = weil.WeilModel.rho_parts
-
-    def faulty(self, vs, zs):
-        cols, phases = orig(self, vs, zs)
-        vstd = np.asarray(vs, dtype=np.int64) @ self.to_std.T % self.p
-        xy = (vstd[..., : self.n] * vstd[..., self.n :]).sum(axis=-1) * pow(2, -1, self.p)
-        return cols, phases * np.exp(-2j * np.pi * xy / self.p)[..., None]
-
-    weil.WeilModel.rho_parts = faulty
-    try:
+    with checks.FAULTS["rho-half-phase"]():
         rows = checks.check_rho_homomorphism()
-    finally:
-        weil.WeilModel.rho_parts = orig
     worst = {r.quantity: r.abs_error for r in rows if not r.passed}
     assert worst.keys() == {"rho homomorphism p=3 exhaustive", "rho homomorphism p=5 exhaustive"}
     assert worst["rho homomorphism p=3 exhaustive"] == pytest.approx(abs(1 - modp.theta_values(3)[1]))  # 1.73
@@ -129,16 +115,11 @@ def test_weil_operator_multiplicative_all_pairs(model5):
 
 
 def test_levi_sign_fault_turns_word_equals_group_rows_red():
-    # seeded fault: the word model's Levi sign forced to 1.  The group model
-    # is built from the Schur average alone, so its own rows stay green and
-    # every "word model = group model" row, with the word model's own
-    # multiplicativity beyond Sp_2, turns red
-    orig = weil.WeilModel.word_factors
-    weil.WeilModel.word_factors = lambda self, g: dataclasses.replace(orig(self, g), sgn=1)
-    try:
+    # the group model is built from the Schur average alone, so its own rows
+    # stay green and every "word model = group model" row, with the word
+    # model's own multiplicativity beyond Sp_2, turns red
+    with checks.FAULTS["levi-sign"]():
         rows = checks.check_omega_multiplicative()
-    finally:
-        weil.WeilModel.word_factors = orig
     assert {r.quantity for r in rows if not r.passed} == {
         "word model = group model p=3", "word model = group model p=5", "word model = group model p=7",
         "word model multiplicative Sp_4(F_3) (9 pairs, ranks 0-2)",
@@ -321,18 +302,6 @@ def test_rotation_diagonal_is_the_big_operators_diagonal():
             assert weil.cyclic_tensor_trace(ms)[0] == complex(np.trace(big))
 
 
-def test_rotation_wiring_fault_turns_only_tensor_trace_red():
-    # seeded fault: the first two maps trade slots in the rotation, which
-    # changes its trace for chains of three or more maps
-    orig = weil._rotation_diagonal
-    weil._rotation_diagonal = lambda ms: orig([ms[1], ms[0]] + ms[2:] if len(ms) > 2 else ms)
-    try:
-        rows, _ = checks.run_checks()
-    finally:
-        weil._rotation_diagonal = orig
-    assert [r.scenario_id for r in rows if not r.passed] == ["weil.tensor-trace"]
-
-
 def _kron_rotation_direct(bt, g):
     """The direct value as the tensor-product trace: per group, the Kronecker
     product of the block operators against the rotation of the tensor
@@ -374,28 +343,12 @@ def test_direct_value_equals_tensor_trace_on_chains(p, n, length):
             assert abs(res.product_value - res.direct_value) < 1e-8
 
 
-def test_twisted_trace_faults_turn_criterion_04_red(monkeypatch):
-    # seeded faults in the direct path: the Levi sign dropped (it is -1 on
-    # the p = 3 pair and +1 at p = 5), and the twist closed by the identity
-    # in place of the loop (the p = 3 pair's loop is the identity)
-    orig = weil.block_twist
-
-    def sign_dropped(chains):
-        bt = orig(chains)
-        bt.signs = (1,) * len(bt.signs)
-        return bt
-
-    def loop_dropped(chains):
-        bt = orig(chains)
-        bt.iotas = tuple(weil.block_cycle(m.space, (tuple(range(len(grp))),), [sym.sp_identity(loop.space)])
-                         for m, grp, loop in zip(bt.chain_models, bt.groups, bt.loops))
-        return bt
-
-    for fault, red in ((sign_dropped, "twisted trace p=3 two swapped blocks (all pairs)"),
-                       (loop_dropped, "twisted trace p=5 fixed + swapped pair, loops of order 3")):
-        monkeypatch.setattr(weil, "block_twist", fault)
-        rows = checks.check_twisted_trace_decomposition()
-        assert {r.quantity for r in rows if not r.passed} == {red}, fault.__name__
+def test_twisted_trace_faults_turn_criterion_04_red():
+    for fault, red in (("twisted-sign", "twisted trace p=3 two swapped blocks (all pairs)"),
+                       ("twisted-loop", "twisted trace p=5 fixed + swapped pair, loops of order 3")):
+        with checks.FAULTS[fault]():
+            rows = checks.check_twisted_trace_decomposition()
+        assert {r.quantity for r in rows if not r.passed} == {red}, fault
 
 
 def test_twisted_trace_on_many_one_block_groups_stays_small():
@@ -468,17 +421,9 @@ def test_scalar_distribution_freedom():
         bt.redistribute(0, [2.0, 0.5j])
 
 
-def test_off_sample_fault_turns_character_conjugacy_red(monkeypatch):
-    # seeded fault: trace_omega is off by 0.5 on diag(2, 3), a semisimple
-    # element that a 40-pair random sample at seed 0 never draws
-    target = sym.sp_elem(sym.standard_polarized_space(5, 1), [[2, 0], [0, 3]])
-    orig = weil.WeilModel.trace_omega
-
-    def perturbed(self, g):
-        return orig(self, g) + (0.5 if g == target else 0)
-
-    monkeypatch.setattr(weil.WeilModel, "trace_omega", perturbed)
-    [row] = checks.check_character_conjugacy_invariance()
+def test_off_sample_fault_turns_character_conjugacy_red():
+    with checks.FAULTS["off-sample-trace"]():
+        [row] = checks.check_character_conjugacy_invariance()
     assert row.quantity == "character conjugacy invariance p=5 (72 elements)"
     assert not row.passed and abs(row.abs_error - 0.5) < 1e-9
 
@@ -493,15 +438,6 @@ def test_word_model_beyond_group_cap():
     h = gens[3] * gens[0]
     err = np.abs(m.omega_word(g) @ m.omega_word(h) - m.omega_word(g * h)).max()
     assert err < 1e-9
-
-
-def test_operator_dump_format():
-    m = weil.WeilModel(sym.standard_polarized_space(3, 1))
-    dump = weil.dump_operator(m.rho((0, 0), 1))
-    assert len(dump) == 9
-    assert all(len(entry) == 2 for entry in dump)
-    theta = modp.theta_values(3)[1]
-    assert abs(dump[0][0] - theta.real) < 1e-9 and abs(dump[0][1] - theta.imag) < 1e-9
 
 
 def test_sl2_f3_convention_real_on_order_4_torus():
@@ -646,16 +582,9 @@ def test_trace_word_on_frontier_blocks(p, d):
 
 
 def test_fourier_scalar_fault_is_caught():
-    # seeded fault: sgn(-2) -> sgn(2) in the Fourier scalar; it flips the
-    # partial Fourier operator of rank r by (-1)^r where (-1/p) = -1, and the
-    # trace evaluator with it
-    orig = weil._fourier_scalar
-    weil._fourier_scalar = lambda p, n: (modp.legendre(2, p) / weil.gauss_sum(p)) ** n
-    try:
+    with checks.FAULTS["fourier-scalar"]():
         rows = checks.check_omega_multiplicative()
         stats = checks.sign_sweep((3,), 2, 4)
-    finally:
-        weil._fourier_scalar = orig
     failed = {r.quantity for r in rows if not r.passed}
     # c_r flips by (-1)^r at p = 3, which no character of Sp_4 or Sp_6 absorbs
     assert failed == {
@@ -674,19 +603,15 @@ TRACE_ROWS = {"word trace = trace of word model %s" % g
               for g in ("p=3", "p=5", "p=7", "Sp_4(F_3)", "Sp_6(F_3)")}
 
 
-@pytest.mark.parametrize("name,fault", [
-    # the Fourier phase (t s)_S . (a2 s)_S dropped from Q
-    ("_trace_phase", lambda f, p: weil._nbar_form(f.b1 + f.b2, p)),
-    # the support taken where t s = -a2 s off S
-    ("_trace_support", lambda f, p: (f.t + f.a2)[f.rank:] % p),
-], ids=["cross-term", "support-sum"])
-def test_trace_fault_turns_trace_rows_red(monkeypatch, name, fault):
+@pytest.mark.parametrize("fault", ["trace-cross-term", "trace-support"], ids=["cross-term", "support-sum"])
+def test_trace_fault_turns_trace_rows_red(fault):
     # the trace reads the normal form apart from omega_word, so the rows that
     # compare the two, and the sign sweep, must see a fault in either part
-    monkeypatch.setattr(weil, name, fault)
-    failed = {r.quantity for r in checks.check_omega_multiplicative() if not r.passed}
+    with checks.FAULTS[fault]():
+        failed = {r.quantity for r in checks.check_omega_multiplicative() if not r.passed}
+        worst = max(st.worst for st in checks.sign_sweep((3,), 2, 4).values())
     assert failed == TRACE_ROWS
-    assert max(st.worst for st in checks.sign_sweep((3,), 2, 4).values()) > 1e-8
+    assert worst > 1e-8
 
 
 @pytest.mark.parametrize("p,n", [(32749, 1), (181, 2)])
@@ -794,24 +719,8 @@ def test_sign_sweep_builds_one_frame_per_block_space():
     assert weil._std_frame.cache_info().misses == len(spaces)
 
 
-def test_swapped_hyperbolic_basis_is_refused_and_turns_selfcheck_red():
-    # seeded fault: e and f swapped in the symplectic Gram-Schmidt, so B^T G B
-    # is minus the standard Gram; the frame is checked once per space
-    orig = sym.hyperbolic_basis
-
-    def swapped(space):
-        b = orig(space)
-        n = space.dim // 2
-        return np.hstack([b[:, n:], b[:, :n]])
-
-    sym.hyperbolic_basis = swapped
-    weil._std_frame.cache_clear()
-    try:
+def test_swapped_hyperbolic_basis_is_refused():
+    # the frame is checked once per space, when the first model is built
+    with checks.FAULTS["hyperbolic-e-f"]():
         with pytest.raises(weil.WeilError, match="does not carry the form"):
             weil.WeilModel(sym.standard_polarized_space(3, 1))
-        rows, _ = checks.run_checks()
-    finally:
-        sym.hyperbolic_basis = orig
-        weil._std_frame.cache_clear()
-    red = {r.scenario_id for r in rows if not r.passed}
-    assert {"weil.rho", "weil.svn", "weil.omega-mult", "weil.twisted-trace", "signcalc.oracle"} <= red
