@@ -364,7 +364,7 @@ def check_torus_weights_vs_eigen() -> list[Row]:
 # weil
 
 
-def check_stone_von_neumann(seed: int = 0) -> list[Row]:
+def check_stone_von_neumann() -> list[Row]:
     """Any two models with the same central character are intertwined, and the
     Schur intertwiner one way is proportional to the inverse of the other:
     their composite is scalar."""
@@ -381,11 +381,11 @@ def check_stone_von_neumann(seed: int = 0) -> list[Row]:
         t2 = weil.schur_intertwiner(m2, m1, sym.sp_identity(space))
         ratio = t2 @ t1
         off = np.abs(ratio - ratio[0, 0] * np.eye(ratio.shape[0])).max()
-        rows.append(Row.compare("weil", "SvN proportional intertwiners p=%d n=%d" % (p, n), off, 0, 1e-8, seed=seed))
+        rows.append(Row.compare("weil", "SvN proportional intertwiners p=%d n=%d" % (p, n), off, 0, 1e-8))
     return rows
 
 
-def check_rho_homomorphism(seed: int = 0) -> list[Row]:
+def check_rho_homomorphism() -> list[Row]:
     rows = []
     for p, n in ((3, 1), (5, 1)):
         space = sym.standard_polarized_space(p, n)
@@ -497,73 +497,72 @@ def check_cyclic_tensor_trace(seed: int = 0, trials: int = 500) -> list[Row]:
     return [Row.compare("weil", "cyclic tensor trace (%d chains)" % trials, worst, 0, 1e-9, seed=seed)]
 
 
-def _two_swapped_blocks(p: int) -> weil.BlockTwist:
+def _two_swapped_blocks(p: int) -> tuple[weil.TwistChain, ...]:
     return weil.block_twist([(sym.sp_identity(sym.standard_polarized_space(p, 1)), 2)])
 
 
-def _fixed_and_swapped_pair(p: int) -> weil.BlockTwist:
+def _fixed_and_swapped_pair(p: int) -> tuple[weil.TwistChain, ...]:
     ident = sym.sp_identity(sym.standard_polarized_space(p, 1))
     return weil.block_twist([(ident, 1), (ident, 2)])
 
 
-def twisted_trace_fixtures(seed: int = 0) -> list[tuple[str, weil.BlockTwist, list[sym.SpElem]]]:
-    """Criterion 04's fixtures as (label, block twist, elements) triples:
-    two swapped blocks at p = 3 with every block-preserving pair, and at
-    p = 5 one fixed block plus a swapped pair, both closed by a loop of
-    order 3, on torus elements and a sample."""
-    bt = _two_swapped_blocks(3)
+def twisted_trace_fixtures(seed: int = 0) -> list[tuple[str, tuple[weil.TwistChain, ...], list[list[sym.SpElem]]]]:
+    """Criterion 04's fixtures as (label, block twist, elements) triples, each
+    element a list of parts, one per block: two swapped blocks at p = 3 with
+    every pair, and at p = 5 one fixed block plus a swapped pair, both closed
+    by a loop of order 3, on torus elements and a sample."""
+    twist = _two_swapped_blocks(3)
     els = sym.sp_elements(sym.standard_polarized_space(3, 1))
-    pairs = [sym.block_diagonal(bt.space, [g1.mat_np, g2.mat_np]) for g1 in els for g2 in els]
+    pairs = [[g1, g2] for g1 in els for g2 in els]
 
     v2 = sym.standard_polarized_space(5, 1)
     loop = sym.sp_elem(v2, [[0, 4], [1, 4]])  # order 3: L and L^-1 give different traces
-    bt3 = weil.block_twist([(loop, 1), (loop, 2)])
+    twist3 = weil.block_twist([(loop, 1), (loop, 2)])
     torus = [sym.sp_elem(v2, [[a, 0], [0, pow(a, 3, 5)]]) for a in (1, 2, 3, 4)]
     pool = torus + random.Random(seed).sample(sym.sp_elements(v2), 4)
-    triples = [sym.block_diagonal(bt3.space, [g0.mat_np, g1.mat_np, g2.mat_np])
-               for g0 in pool for g1 in pool[:5] for g2 in pool[:5]]
+    triples = [[g0, g1, g2] for g0 in pool for g1 in pool[:5] for g2 in pool[:5]]
     return [
-        ("twisted trace p=3 two swapped blocks (all pairs)", bt, pairs),
-        ("twisted trace p=5 fixed + swapped pair, loops of order 3", bt3, triples),
+        ("twisted trace p=3 two swapped blocks (all pairs)", twist, pairs),
+        ("twisted trace p=5 fixed + swapped pair, loops of order 3", twist3, triples),
     ]
 
 
 def check_twisted_trace_decomposition(seed: int = 0) -> list[Row]:
-    """Product formula equals the direct trace on the whole direct sum."""
+    """Product formula equals the direct trace on each whole chain."""
     rows = []
-    for label, bt, gs in twisted_trace_fixtures(seed):
+    for label, twist, gs in twisted_trace_fixtures(seed):
         worst = 0.0
-        for g in gs:
-            r = weil.twisted_trace(bt, g)
+        for parts in gs:
+            r = weil.twisted_trace(twist, parts)
             worst = max(worst, abs(r.product_value - r.direct_value))
         rows.append(Row.compare("weil", label, worst, 0, 1e-8, seed=seed))
     return rows
 
 
-def check_intertwiner_normalization(seed: int = 0) -> list[Row]:
+def check_intertwiner_normalization() -> list[Row]:
     """Composite equals the Weil operator of the loop on every fixture; scalar
     redistribution leaves every reported trace unchanged."""
     rows = []
-    bt = _two_swapped_blocks(3)
-    target = bt.models[0].omega(bt.loops[0])
-    err = float(np.abs(bt.composite(0) - target).max())
-    rows.append(Row.compare("weil", "composite = omega(iota^2|block)", err, 0, 1e-9, seed=seed))
+    twist = _two_swapped_blocks(3)
+    [chain] = twist
+    target = chain.model.omega(chain.loop)
+    err = float(np.abs(chain.composite() - target).max())
+    rows.append(Row.compare("weil", "composite = omega(iota^2|block)", err, 0, 1e-9))
 
-    # p = 5 fixture (one fixed block plus a swapped pair): every group
-    bt3 = _fixed_and_swapped_pair(5)
-    for i, (model, loop) in enumerate(zip(bt3.models, bt3.loops)):
-        err_i = float(np.abs(bt3.composite(i) - model.omega(loop)).max())
-        rows.append(Row.compare("weil", "composite group %d p=5 fixture" % i, err_i, 0, 1e-9, seed=seed))
+    # p = 5 fixture (one fixed block plus a swapped pair): every chain
+    for i, c in enumerate(_fixed_and_swapped_pair(5)):
+        err_i = float(np.abs(c.composite() - c.model.omega(c.loop)).max())
+        rows.append(Row.compare("weil", "composite group %d p=5 fixture" % i, err_i, 0, 1e-9))
 
-    g = sym.sp_identity(bt.space)
-    before = weil.twisted_trace(bt, g)
-    bt.redistribute(0, [cmath.exp(0.4j), cmath.exp(-0.4j)])
-    after = weil.twisted_trace(bt, g)
+    ident = [sym.sp_identity(chain.model.space)] * 2
+    before = weil.twisted_trace(twist, ident)
+    chain.redistribute([cmath.exp(0.4j), cmath.exp(-0.4j)])
+    after = weil.twisted_trace(twist, ident)
     rows.append(
-        Row.compare("weil", "trace invariant under scalar redistribution", after.product_value, before.product_value, 1e-9, seed=seed)
+        Row.compare("weil", "trace invariant under scalar redistribution", after.product_value, before.product_value, 1e-9)
     )
-    err2 = float(np.abs(bt.composite(0) - target).max())
-    rows.append(Row.compare("weil", "composite invariant under redistribution", err2, 0, 1e-9, seed=seed))
+    err2 = float(np.abs(chain.composite() - target).max())
+    rows.append(Row.compare("weil", "composite invariant under redistribution", err2, 0, 1e-9))
     return rows
 
 
@@ -582,19 +581,18 @@ def check_character_conjugacy_invariance() -> list[Row]:
 # gerardin
 
 
-def check_gerardin_semisimple(ps=(3, 5, 7), include_sp4=True) -> list[Row]:
+def check_gerardin_semisimple(ps=(3, 5, 7)) -> list[Row]:
     tori = []
     for p in ps:
         for factor in (sym.SplitFactor(1), sym.NormOneFactor(1)):
             tori.append((sym.TorusDesc(p, (factor,)), "semisimple Sp_2(F_%d) %s" % (p, factor.__class__.__name__)))
-    if include_sp4:
-        for f1 in (sym.NormOneFactor(1), sym.SplitFactor(1)):
-            for f2 in (sym.NormOneFactor(1), sym.SplitFactor(1)):
-                label = "semisimple Sp_4(F_3) %s+%s" % (f1.__class__.__name__[:5], f2.__class__.__name__[:5])
-                tori.append((sym.TorusDesc(3, (f1, f2)), label))
-        # beyond the required block tori: the irreducible degree-2 factors
-        for factor in (sym.NormOneFactor(2), sym.SplitFactor(2)):
-            tori.append((sym.TorusDesc(3, (factor,)), "semisimple Sp_4(F_3) %s deg 2" % factor.__class__.__name__[:5]))
+    for f1 in (sym.NormOneFactor(1), sym.SplitFactor(1)):
+        for f2 in (sym.NormOneFactor(1), sym.SplitFactor(1)):
+            label = "semisimple Sp_4(F_3) %s+%s" % (f1.__class__.__name__[:5], f2.__class__.__name__[:5])
+            tori.append((sym.TorusDesc(3, (f1, f2)), label))
+    # beyond the required block tori: the irreducible degree-2 factors
+    for factor in (sym.NormOneFactor(2), sym.SplitFactor(2)):
+        tori.append((sym.TorusDesc(3, (factor,)), "semisimple Sp_4(F_3) %s deg 2" % factor.__class__.__name__[:5]))
     rows = []
     for desc, label in tori:
         torus = sym.build_torus(desc)
@@ -953,7 +951,7 @@ def check_asym_symur_norm_minus_one_fixed_space() -> list[Row]:
     return [Row.compare("signcalc", "Nr(beta)=-1 => trivial fixed space (%d cases)" % seen, bad, 0, 0)]
 
 
-def check_assemble_dual_path(seed: int = 0) -> list[Row]:
+def check_assemble_dual_path() -> list[Row]:
     """Factored vs unfactored agreement and the full-space oracle, f=1 regime."""
     rows = []
     p = 3
@@ -975,7 +973,7 @@ def check_assemble_dual_path(seed: int = 0) -> list[Row]:
             res = signcalc.full_space_oracle(act, scen, svals)
             worst = max(worst, abs(asm.value - res.product_value), abs(res.product_value - res.direct_value))
             eps_vals[(v0.index(), v2.index())] = asm.eps_tilde
-    rows.append(Row.compare("signcalc", "assemble dual path + oracle (8 s-values)", worst, 0, 1e-8, seed=seed))
+    rows.append(Row.compare("signcalc", "assemble dual path + oracle (8 s-values)", worst, 0, 1e-8))
     # eps_tilde is a character: multiplicative under componentwise s-products
     ok = True
     units = list(f1.units())
@@ -988,7 +986,7 @@ def check_assemble_dual_path(seed: int = 0) -> list[Row]:
     asm = signcalc.assemble_product(act, scen, {0: f1.from_int(2), 2: no[2]})
     th = signcalc.theta_rho(asm, 1.0 + 0j)
     res = signcalc.full_space_oracle(act, scen, {0: f1.from_int(2), 2: no[2]})
-    rows.append(Row.compare("signcalc", "theta_rho = oracle * vartheta", th, res.product_value, 1e-8, seed=seed))
+    rows.append(Row.compare("signcalc", "theta_rho = oracle * vartheta", th, res.product_value, 1e-8))
     return rows
 
 
@@ -1166,18 +1164,14 @@ def _rho_columns_shifted(orig, model, vs, zs):
 def _twisted_sign_dropped(orig, chains):
     # the direct path's Levi sign dropped: -1 on criterion 04's p = 3 pair,
     # +1 at p = 5
-    bt = orig(chains)
-    bt.signs = (1,) * len(bt.signs)
-    return bt
+    return tuple(dataclasses.replace(chain, sign=1) for chain in orig(chains))
 
 
 def _twisted_loop_dropped(orig, chains):
     # the twist closed by the identity in place of the loop (criterion 04's
     # p = 3 pair's loop is the identity)
-    bt = orig(chains)
-    bt.iotas = tuple(weil.block_cycle(m.space, (tuple(range(len(grp))),), [sym.sp_identity(loop.space)])
-                     for m, grp, loop in zip(bt.chain_models, bt.groups, bt.loops))
-    return bt
+    return tuple(dataclasses.replace(chain, iota=weil.block_cycle(chain.whole.space, sym.sp_identity(chain.loop.space)))
+                 for chain in orig(chains))
 
 
 def _off_sample_trace(orig, model, g):

@@ -177,13 +177,13 @@ def run_twisted_trace(sid: str, payload, tol: float, seed: int) -> list[Row]:
     # float error stays far below the tolerance
     weil.check_model_dim(p, sum(group_sizes))
     v2 = sym.standard_polarized_space(p, 1)
-    bt = weil.block_twist([(sym.sp_identity(v2), size) for size in group_sizes])
+    twist = weil.block_twist([(sym.sp_identity(v2), size) for size in group_sizes])
     rng = np.random.default_rng(seed)
     els = sym.sp_elements(v2)
     rows = []
     for trial in range(trials):
-        parts = [els[rng.integers(len(els))].mat_np for _ in bt.space.blocks]
-        res = weil.twisted_trace(bt, sym.block_diagonal(bt.space, parts))
+        parts = [els[rng.integers(len(els))] for _ in range(sum(group_sizes))]
+        res = weil.twisted_trace(twist, parts)
         rows.append(Row.compare(sid, "product vs direct #%d" % trial, res.product_value, res.direct_value, tol, seed))
     return rows
 

@@ -422,10 +422,10 @@ def poly_roots(coeffs, desc: FieldDesc, within: int | None = None) -> list[Field
     return [desc.from_index(i) for i in [0] * zeros + np.repeat(index[order], mult[order]).tolist()]
 
 
-@lru_cache(maxsize=None)
 def _embedding_root(sub: FieldDesc, big: FieldDesc) -> FieldElem:
     """Smallest root of sub's modulus inside big: the canonical embedding
-    sends sub.gen() there (1 for the prime field, whose modulus is x)."""
+    sends sub.gen() there (1 for the prime field, whose modulus is x).  Not
+    cached: its one caller, _embedding, is."""
     if sub.degree == 1:
         return big.one()
     return poly_roots(sub.modulus, big, within=sub.degree)[0]

@@ -703,18 +703,16 @@ def theta_rho(assembled: Assembled, vartheta_s: complex) -> complex:
 
 
 def full_space_oracle(action: OrbitAction, scenarios: dict[int, OrbitScenario], s_values: dict[int, FieldElem]) -> weil.TwistedTraceResult:
-    """tr(omega([s]) o I) on the direct sum of all twisted blocks, computed by
-    the weil module: the independent cross-check of assemble_product.  The
-    only code here that reaches the oracle, so weil is imported here alone."""
+    """tr(omega([s]) o I) on the direct sum of all twisted blocks, one chain
+    per covered orbit and one s-block per copy, computed by the weil module:
+    the independent cross-check of assemble_product.  The only code here
+    that reaches the oracle, so weil is imported here alone."""
     from . import weil
 
-    chains = []
-    s_blocks = []
+    chains, s_parts = [], []
     for rep in _check_cover(action, scenarios, s_values):
         bb = build_block(scenarios[rep])
         root = action.roots[rep]
         chains.append((bb.op, root.m))
-        for j in range(root.m):
-            s_blocks.append(s_action_matrix(bb, _value_at_root(action, s_values, root.theta[j])).mat_np)
-    bt = weil.block_twist(chains)
-    return weil.twisted_trace(bt, sym.block_diagonal(bt.space, s_blocks))
+        s_parts.extend(s_action_matrix(bb, _value_at_root(action, s_values, root.theta[j])) for j in range(root.m))
+    return weil.twisted_trace(weil.block_twist(chains), s_parts)

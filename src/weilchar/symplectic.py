@@ -618,15 +618,9 @@ def sp_generators(space: SympSpace) -> list[SpElem]:
             gens_std.append(np.block([[ident, zero], [b, ident]]))
     # a Levi generator keeps the closure shallow
     a = np.eye(n, dtype=np.int64)
-    a[0, 0] = _primitive_root(p)
+    a[0, 0] = ffield.field(p, 1).multiplicative_generator().coeffs[0]
     gens_std.append(plus_minus(a, modp.mat_inv(a, p).T))
     return [sp_elem(space, basis @ g @ to_std % p) for g in gens_std]
-
-
-@lru_cache(maxsize=None)
-def _primitive_root(p: int) -> int:
-    f = ffield.field(p, 1)
-    return f.multiplicative_generator().coeffs[0]
 
 
 def conjugate_in_sp(g: SpElem, t: SpElem) -> SpElem | None:

@@ -30,7 +30,7 @@ ffield quadratic characters).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,6 +41,7 @@ from .symplectic import SpElem, SympSpace
 GATHER_CHUNK_ENTRIES = 2**18  # entries per chunk of a batched rho gather (weil-verify, the group model's Schur averages)
 DENSE_DIM_CAP = 729  # largest model dimension p^n weil-verify builds dense operators for (8.5 MB each)
 MODEL_DIM_CAP = 32767  # largest model dimension p^n of any WeilModel: GF(13^4) sign blocks (28561) fit
+SCHUR_DIM_CAP = 81  # largest block dimension p^n block_twist averages intertwiners on (p^3n gathered entries each)
 
 
 class WeilError(Exception):
@@ -473,113 +474,89 @@ def _rotation_diagonal(ms: list[np.ndarray]) -> np.ndarray:
 # Block twists and twisted traces
 
 
-@dataclass
-class BlockTwist:
-    """Chains of orthogonal blocks V^i_0 -> ... -> V^i_l cyclically permuted
-    by the twist, one chain per group, with one Weil model per group and
-    intertwiners normalized so each group's composite equals the Weil
-    operator of its loop L_i (see block_twist).  The direct side of a
-    twisted trace reads each group's whole chain V^i_0 + ... + V^i_l
-    instead: its Weil model, its block-cyclic twist iota_i, and the word
-    model's Levi sign of the bare block permutation."""
+@dataclass(frozen=True, eq=False)
+class TwistChain:
+    """One chain of orthogonal blocks V_0 -> ... -> V_l, copies of one block
+    space, cyclically permuted by the twist, with the block's Weil model
+    (shared by its copies) and intertwiners W_j -> W_{j+1} normalized so
+    their composite equals the Weil operator of the loop L (see
+    block_twist).  The direct side of a twisted trace reads the whole chain
+    V_0 + ... + V_l instead: its Weil model, its block-cyclic twist iota,
+    and the word model's Levi sign of the bare block permutation."""
 
-    space: SympSpace  # the direct sum of every group's blocks, in group order
-    groups: tuple[tuple[int, ...], ...]  # tuples of block indices into space.blocks
-    loops: tuple[SpElem, ...]  # L_i, an element of group i's block space
-    loop_invs: tuple[np.ndarray, ...]  # L_i^-1 mod p, read-only
-    models: tuple[WeilModel, ...]  # group i's model, shared by its blocks
-    chain_models: tuple[WeilModel, ...]  # group i's model of its whole chain
-    iotas: tuple[SpElem, ...]  # on chain i: copy j -> j+1 by the identity, copy l -> 0 by L_i
-    signs: tuple[int, ...]  # word_factors(iota_i with the loop the identity).sgn
-    ranges: tuple[tuple[int, int], ...]  # group i's coordinates of space, a slice lo:hi
-    off_block: np.ndarray  # True where row and column lie in different blocks
-    inters: dict = dc_field(default_factory=dict)  # (i, j) -> matrix W_j -> W_{j+1}
+    loop: SpElem  # L, an element of the block space
+    loop_inv: np.ndarray  # L^-1 mod p, read-only
+    model: WeilModel  # the block's model, shared by its copies
+    inters: list[np.ndarray]  # copy j's W_j -> W_{j+1}, scaled in place by the normalization and redistribute
+    whole: WeilModel  # the model of the whole chain
+    iota: SpElem  # on the whole chain: copy j -> j+1 by the identity, copy l -> 0 by L
+    sign: int  # whole.word_factors(iota with the loop the identity).sgn
 
-    def composite(self, i: int) -> np.ndarray:
-        blocks = self.groups[i]
-        out = self.inters[(i, 0)]
-        for j in range(1, len(blocks)):
-            out = self.inters[(i, j)] @ out
+    def composite(self) -> np.ndarray:
+        out = self.inters[0]
+        for m in self.inters[1:]:
+            out = m @ out
         return out
 
-    def redistribute(self, i: int, phases: list[complex]) -> None:
-        """Rescale the individual intertwiners of group i by unit scalars with
-        product 1 (composite unchanged); for distribution-invariance tests."""
-        blocks = self.groups[i]
-        prod = np.prod(phases)
-        if abs(prod - 1) > 1e-9 or len(phases) != len(blocks):
+    def redistribute(self, phases: list[complex]) -> None:
+        """Rescale the individual intertwiners by unit scalars with product 1
+        (composite unchanged); for distribution-invariance tests."""
+        if abs(np.prod(phases) - 1) > 1e-9 or len(phases) != len(self.inters):
             raise NotNormalized("phases must multiply to 1, one per factor")
-        for j, ph in enumerate(phases):
-            self.inters[(i, j)] = self.inters[(i, j)] * ph
+        self.inters[:] = [m * ph for m, ph in zip(self.inters, phases)]
 
 
-def block_cycle(space: SympSpace, groups, loops) -> SpElem:
-    """The twist of a direct sum of chains: copy j of group i goes to copy
-    j + 1 by the identity, and the last copy back to copy 0 by loops[i]."""
+def block_cycle(space: SympSpace, loop: SpElem) -> SpElem:
+    """The twist of one chain, space the direct sum of its copies: copy j
+    goes to copy j + 1 by the identity, and the last copy back to copy 0 by
+    loop."""
+    blocks = space.blocks
     mat = np.zeros((space.dim, space.dim), dtype=np.int64)
-    for grp, loop in zip(groups, loops):
-        for j, b in enumerate(grp):
-            src, dst = space.blocks[b], space.blocks[grp[(j + 1) % len(grp)]]
-            mat[np.ix_(dst, src)] = loop.mat_np if j == len(grp) - 1 else np.eye(len(src), dtype=np.int64)
+    for j, src in enumerate(blocks):
+        dst = blocks[(j + 1) % len(blocks)]
+        mat[np.ix_(dst, src)] = loop.mat_np if j == len(blocks) - 1 else np.eye(len(src), dtype=np.int64)
     return sym.sp_elem(space, mat)
 
 
-def block_twist(chains) -> BlockTwist:
+def block_twist(chains) -> tuple[TwistChain, ...]:
     """Build models and normalized intertwiners for a cyclic block twist.
 
-    chains: one (loop, length) pair per group, the loop L an SpElem of the
-    group's block space.  Group i is a chain of `length` copies V_0, ..., V_l
-    of that space, consecutive blocks of the direct sum (bt.space); the twist
-    maps V_j to V_{j+1} by the identity and closes the chain V_l -> V_0 by L.
-    Any iota permuting the blocks of a Theta-orbit cyclically reduces to a
-    chain: conjugating it by the block-diagonal transport t = (iota^j on V_0,
-    onto V_j) makes t^-1 iota t the identity from copy j to copy j+1 and
-    L = iota^(l+1) restricted to V_0 on the closing step."""
+    chains: one (loop, length) pair per chain, the loop L an SpElem of the
+    chain's block space.  A chain is `length` copies V_0, ..., V_l of that
+    space; the twist maps V_j to V_{j+1} by the identity and closes the
+    chain V_l -> V_0 by L.  Any iota permuting the blocks of a Theta-orbit
+    cyclically reduces to a chain: conjugating it by the block-diagonal
+    transport t = (iota^j on V_0, onto V_j) makes t^-1 iota t the identity
+    from copy j to copy j+1 and L = iota^(l+1) restricted to V_0 on the
+    closing step.  Every chain is checked against MODEL_DIM_CAP and its
+    block against SCHUR_DIM_CAP before anything is built."""
     chains = list(chains)
     if not chains or min(length for _, length in chains) < 1:
         raise BlockMismatch("need one or more chains, each of length >= 1")
-    for loop, length in chains:  # before the direct sum's Gram, quadratic in the length
-        check_model_dim(loop.space.p, loop.space.dim // 2 * length)
-    space = sym.direct_sum([loop.space for loop, length in chains for _ in range(length)])
-    starts = list(itertools.accumulate((length for _, length in chains), initial=0))
-    groups = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
-    loops = tuple(loop for loop, _ in chains)
-    loop_invs = tuple(modp.mat_inv(loop.mat_np, loop.space.p) for loop in loops)
-    for inv in loop_invs:
-        inv.flags.writeable = False
-    models = tuple(WeilModel(loop.space) for loop in loops)
-    # the direct side, one group at a time: the cost adds over the groups
-    chain_models, iotas, signs = [], [], []
-    for loop, length in chains:
-        chain = WeilModel(sym.direct_sum([loop.space] * length))
-        one = (tuple(range(length)),)
-        chain_models.append(chain)
-        iotas.append(block_cycle(chain.space, one, [loop]))
-        signs.append(chain.word_factors(block_cycle(chain.space, one, [sym.sp_identity(loop.space)])).sgn)
-    ranges = tuple((space.blocks[grp[0]][0], space.blocks[grp[-1]][-1] + 1) for grp in groups)
-    block_of = np.repeat(np.arange(len(space.blocks)), [len(b) for b in space.blocks])
-    off_block = block_of[:, None] != block_of[None, :]
-    off_block.flags.writeable = False
-    bt = BlockTwist(space, groups, loops, loop_invs, models, tuple(chain_models), tuple(iotas), tuple(signs),
-                    ranges, off_block)
-    for i, (loop, length) in enumerate(chains):
-        model = models[i]
-        step = sym.sp_identity(loop.space)
-        for j in range(length):
-            phi = loop if j == length - 1 else step
-            bt.inters[(i, j)] = schur_intertwiner(model, model, phi)
-        # normalize: composite = omega(L)
-        target = model.omega(loop)
-        comp = bt.composite(i)
-        ratio = target @ np.linalg.inv(comp)
-        off = np.abs(ratio - ratio[0, 0] * np.eye(ratio.shape[0])).max()
-        if off > 1e-7:
-            raise NotNormalized("composite is not a scalar multiple of the block Weil operator")
-        scalar = complex(ratio[0, 0])
-        root = scalar ** (1.0 / length)
-        for j in range(length):
-            bt.inters[(i, j)] = bt.inters[(i, j)] * root
-    return bt
+    for loop, length in chains:  # before the chain's Gram, quadratic in the length
+        p, n = loop.space.p, loop.space.dim // 2
+        check_model_dim(p, n * length)
+        check_model_dim(p, n, SCHUR_DIM_CAP, "Schur-average")
+    return tuple(_twist_chain(loop, length) for loop, length in chains)
+
+
+def _twist_chain(loop: SpElem, length: int) -> TwistChain:
+    model = WeilModel(loop.space)
+    whole = WeilModel(sym.direct_sum([loop.space] * length))
+    step = sym.sp_identity(loop.space)
+    loop_inv = modp.mat_inv(loop.mat_np, loop.space.p)
+    loop_inv.flags.writeable = False
+    inters = [schur_intertwiner(model, model, loop if j == length - 1 else step) for j in range(length)]
+    chain = TwistChain(loop, loop_inv, model, inters, whole, block_cycle(whole.space, loop),
+                       whole.word_factors(block_cycle(whole.space, step)).sgn)
+    # normalize: composite = omega(L)
+    ratio = model.omega(loop) @ np.linalg.inv(chain.composite())
+    off = np.abs(ratio - ratio[0, 0] * np.eye(ratio.shape[0])).max()
+    if off > 1e-7:
+        raise NotNormalized("composite is not a scalar multiple of the block Weil operator")
+    root = complex(ratio[0, 0]) ** (1.0 / length)
+    inters[:] = [m * root for m in inters]
+    return chain
 
 
 @dataclass(frozen=True)
@@ -588,36 +565,36 @@ class TwistedTraceResult:
     direct_value: complex
 
 
-def twisted_trace(bt: BlockTwist, g: SpElem) -> TwistedTraceResult:
+def twisted_trace(chains, parts) -> TwistedTraceResult:
     """Trace of omega(g) composed with the block-twist intertwiner, evaluated
-    by the per-group product formula and directly on each group's chain.
+    by the per-chain product formula and directly on each whole chain.
 
-    The direct value is the product over the groups of sign_i *
-    tr omega(g_i iota_i) in the word model of group i's chain, g_i the part
-    of g on that chain; the chain's Weil representation restricts to the
-    tensor product of its blocks' (Gerardin 1977).  omega(iota_i) and the
+    chains is block_twist's tuple; g is given by its parts, one SpElem of
+    the block space per block, chain after chain and copy after copy.  The
+    direct value is the product over the chains of sign * tr omega(g_c iota)
+    in the word model of the whole chain, g_c the chain's parts as one
+    block-diagonal element; the chain's Weil representation restricts to
+    the tensor product of its blocks' (Gerardin 1977).  omega(iota) and the
     rotation of the tensor factors by the chain's intertwiners differ by
-    sign_i, the Levi sign the word model gives the bare block permutation."""
-    p = bt.space.p
-    gmat = g.mat_np % p
-    if gmat[bt.off_block].any():
-        raise BlockMismatch("element does not preserve the blocks")
-
+    sign, the Levi sign the word model gives the bare block permutation."""
+    parts = list(parts)
+    starts = list(itertools.accumulate((len(chain.inters) for chain in chains), initial=0))
+    if len(parts) != starts[-1]:
+        raise BlockMismatch("%d parts for %d blocks" % (len(parts), starts[-1]))
     product_value = 1.0 + 0j
     direct_value = 1.0 + 0j
-    for i, (lo, hi) in enumerate(bt.ranges):
-        model, loop = bt.models[i], bt.loops[i].mat_np
-        g_chain = gmat[lo:hi, lo:hi]
-        w = model.space.dim
-        gs = [g_chain[j : j + w, j : j + w] for j in range(0, hi - lo, w)]
+    for i, chain in enumerate(chains):
+        model, p, gs = chain.model, chain.model.p, parts[starts[i] : starts[i + 1]]
+        if any(g.space != model.space for g in gs):
+            raise BlockMismatch("a part of chain %d is not an element of its block space" % i)
         # g_0 . L (g_l ... g_1) L^-1 on block 0: the twist carries block j to
         # block 0 by L whatever j is
-        arg = gs[0] @ loop % p
-        for gj in gs[:0:-1]:
-            arg = arg @ gj % p
-        arg = arg @ bt.loop_invs[i] % p
-        val = np.trace(model.omega(sym.sp_elem(model.space, arg)) @ bt.composite(i))
+        arg = gs[0].mat_np @ chain.loop.mat_np % p
+        for g in gs[:0:-1]:
+            arg = arg @ g.mat_np % p
+        arg = arg @ chain.loop_inv % p
+        val = np.trace(model.omega(sym.sp_elem(model.space, arg)) @ chain.composite())
         product_value *= complex(val)
-        chain = bt.chain_models[i]
-        direct_value *= bt.signs[i] * chain.trace_omega(sym.sp_elem(chain.space, g_chain) * bt.iotas[i])
+        g_chain = sym.block_diagonal(chain.whole.space, [g.mat_np for g in gs])
+        direct_value *= chain.sign * chain.whole.trace_omega(g_chain * chain.iota)
     return TwistedTraceResult(product_value, direct_value)

@@ -25,7 +25,7 @@ def report(num, label, ok, detail=""):
 
 def test_criterion_01_gerardin_semisimple():
     t0 = time.time()
-    rows = checks.check_gerardin_semisimple(ps=(3, 5, 7), include_sp4=True)
+    rows = checks.check_gerardin_semisimple(ps=(3, 5, 7))
     elapsed = time.time() - t0
     worst = max(r.abs_error for r in rows)
     ok = all(r.passed for r in rows) and worst <= 1e-8 and elapsed <= 60
@@ -73,7 +73,7 @@ def test_criterion_05_sign_formulas():
 
 
 def test_criterion_06_intertwiner_normalization():
-    rows = checks.check_intertwiner_normalization(seed=5)
+    rows = checks.check_intertwiner_normalization()
     composite_rows = [r for r in rows if "composite" in r.quantity]
     ok = all(r.passed for r in rows) and all(r.abs_error <= 1e-9 for r in composite_rows)
     report(6, "composite intertwiner = block Weil operator; traces distribution-invariant", ok,

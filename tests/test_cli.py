@@ -244,6 +244,9 @@ BAD_PAYLOADS = {
     # every group within the cap, their direct sum above it
     "twisted-trace-sum-over-the-cap": lambda: {"id": "t", "kind": "twisted-trace",
                                                "payload": {"p": 3, "groups": [1] * 50, "trials": 3}},
+    # each block's Schur averages gather p^2n points x p^n rows
+    "twisted-trace-block-over-the-schur-cap": lambda: {"id": "t", "kind": "twisted-trace",
+                                                       "payload": {"p": 32749, "groups": [1], "trials": 1}},
     # theta and the root data must have the datum's rank
     "lattice-check-theta-1x2": lambda: {"id": "l", "kind": "lattice-check",
                                         "payload": {"matrices": [{"theta": [[1, 2]], "expect_torsion": []}]}},
@@ -294,6 +297,7 @@ BAD_PAYLOAD_MESSAGES = {
     "weil-verify-p-9": "the Schrodinger model needs an odd prime, got p = 9",
     "twisted-trace-chain-over-the-cap": "p^n = 3^20 exceeds the model cap 32767",
     "twisted-trace-sum-over-the-cap": "p^n = 3^50 exceeds the model cap 32767",
+    "twisted-trace-block-over-the-schur-cap": "p^n = 32749^1 exceeds the Schur-average cap 81",
     "lattice-check-theta-1x2": "order of a non-square 1x2 matrix",
     "lattice-check-theta-3x2": "order of a non-square 3x2 matrix",
     "datum-theta-below-rank": "theta must be 2x2 for rank 2",
@@ -330,6 +334,16 @@ def test_theta_above_the_rank_cap_is_refused_at_once(case, tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert "rank 40 is above the cap" in err
+
+
+def test_block_above_the_schur_cap_is_refused_at_once(tmp_path, capsys):
+    # within the model cap, but one Schur average would gather 32749^3
+    # entries (_points(32749, 2) alone is 16 GiB)
+    start = time.perf_counter()
+    code, err = _run_one_scenario(BAD_PAYLOADS["twisted-trace-block-over-the-schur-cap"](), tmp_path, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "exceeds the Schur-average cap 81" in err
 
 
 def test_root_datum_command_refuses_a_theta_above_the_rank_cap(tmp_path, capsys):

@@ -66,8 +66,11 @@ def test_ci_workflow_parses():
     # and every seeded fault, each in a fresh process, must exit 1
     [faults_step] = [s for s in steps if "checks.FAULTS" in s]
     assert 'for name in $(python -c "from weilchar import checks; print(*checks.FAULTS)"); do' in faults_step
-    assert 'python -m weilchar.cli selfcheck --fault "$name"' in faults_step
+    assert 'python -m weilchar.cli selfcheck --fault "$name" --report "$RUNNER_TEMP/red-$name.json"' in faults_step
     assert 'test "$status" -eq 1' in faults_step
+    # with exactly the checks of its DETECTION record red
+    assert "from test_faults import DETECTION" in faults_step and "for name, want in DETECTION.items():" in faults_step
+    assert 'red-%s.json" % (sys.argv[1], name)' in faults_step and "red != want" in faults_step
     # and so must two runs of every bundled scenario file at a fixed seed
     [scn_step] = [s for s in steps if 'python -m weilchar.cli run "scenarios/$scn" --seed 7 --report' in s]
     assert scn_step.count("python -m weilchar.cli run") == 2 and "cmp " in scn_step

@@ -197,25 +197,23 @@ def test_cyclic_tensor_trace_examples():
 
 def _swapped_fixture(p):
     v2 = sym.standard_polarized_space(p, 1)
-    bt = weil.block_twist([(sym.sp_identity(v2), 2)])
-    return bt, bt.space
+    return weil.block_twist([(sym.sp_identity(v2), 2)]), v2
 
 
 def test_twisted_trace_examples():
     # one block closed by the identity loop: the ordinary omega-character
     v2 = sym.standard_polarized_space(3, 1)
-    bt1 = weil.block_twist([(sym.sp_identity(v2), 1)])
+    twist1 = weil.block_twist([(sym.sp_identity(v2), 1)])
     m = weil.WeilModel(v2)
     for g in sym.sp_elements(v2)[:8]:
-        big = sym.sp_elem(bt1.space, g.mat_np)
-        r = weil.twisted_trace(bt1, big)
+        r = weil.twisted_trace(twist1, [g])
         assert abs(r.product_value - m.trace_omega(g)) < 1e-8
         assert abs(r.direct_value - m.trace_omega(g)) < 1e-8
 
     # two swapped blocks, g = identity: trace of the composite intertwiner
-    bt, vsum = _swapped_fixture(3)
-    r = weil.twisted_trace(bt, sym.sp_identity(vsum))
-    want = np.trace(bt.models[0].omega(bt.loops[0]))
+    twist, v2 = _swapped_fixture(3)
+    r = weil.twisted_trace(twist, [sym.sp_identity(v2)] * 2)
+    want = np.trace(twist[0].model.omega(twist[0].loop))
     assert abs(r.product_value - want) < 1e-9
     assert abs(r.direct_value - want) < 1e-9
 
@@ -223,10 +221,10 @@ def test_twisted_trace_examples():
 def test_block_twist_inverts_each_loop_once(monkeypatch):
     v2 = sym.standard_polarized_space(5, 1)
     loop = sym.sp_generators(v2)[0]
-    bt = weil.block_twist([(loop, 2), (sym.sp_identity(v2), 1)])
-    for lp, inv in zip(bt.loops, bt.loop_invs):
-        assert not inv.flags.writeable
-        assert np.array_equal(lp.mat_np @ inv % 5, np.eye(2, dtype=np.int64))
+    twist = weil.block_twist([(loop, 2), (sym.sp_identity(v2), 1)])
+    for chain in twist:
+        assert not chain.loop_inv.flags.writeable
+        assert np.array_equal(chain.loop.mat_np @ chain.loop_inv % 5, np.eye(2, dtype=np.int64))
     callers = {"mat_inv": [], "reduce_rows": []}
 
     def spy(name):
@@ -241,7 +239,7 @@ def test_block_twist_inverts_each_loop_once(monkeypatch):
     spy("mat_inv")
     spy("reduce_rows")
     for g in sym.sp_elements(v2)[:6]:
-        weil.twisted_trace(bt, sym.block_diagonal(bt.space, [g.mat_np] * 3))
+        weil.twisted_trace(twist, [g] * 3)
     # the word model's normal forms still reduce, through the spied name
     assert "word_factors" in callers["reduce_rows"] and "twisted_trace" not in callers["mat_inv"]
 
@@ -256,18 +254,18 @@ def test_twisted_trace_on_chains_with_loop_of_order_3(p):
     loop = next(g for g in els if g.order() == 3)
     rng = random.Random(p)
     for length in (1, 2, 3):
-        bt = weil.block_twist([(loop, length)])
-        assert bt.space.blocks == tuple(tuple(range(2 * j, 2 * j + 2)) for j in range(length))
-        assert np.abs(bt.composite(0) - bt.models[0].omega(loop)).max() < 1e-9
+        [chain] = weil.block_twist([(loop, length)])
+        assert chain.whole.space.blocks == tuple(tuple(range(2 * j, 2 * j + 2)) for j in range(length))
+        assert np.abs(chain.composite() - chain.model.omega(loop)).max() < 1e-9
         # the direct path closed by L^-1 in place of L, on the same elements
-        chain = bt.chain_models[0]
-        closed_by_inverse = weil.block_cycle(chain.space, bt.groups, [loop.inverse()])
+        closed_by_inverse = weil.block_cycle(chain.whole.space, loop.inverse())
         apart = 0.0
         for _ in range(6):
-            g = sym.block_diagonal(bt.space, [rng.choice(els).mat_np for _ in range(length)])
-            r = weil.twisted_trace(bt, g)
+            parts = [rng.choice(els) for _ in range(length)]
+            g = sym.block_diagonal(chain.whole.space, [h.mat_np for h in parts])
+            r = weil.twisted_trace((chain,), parts)
             assert abs(r.product_value - r.direct_value) < 1e-8
-            apart = max(apart, abs(r.product_value - bt.signs[0] * chain.trace_omega(g * closed_by_inverse)))
+            apart = max(apart, abs(r.product_value - chain.sign * chain.whole.trace_omega(g * closed_by_inverse)))
         assert apart > 0.5
 
 
@@ -302,27 +300,26 @@ def test_rotation_diagonal_is_the_big_operators_diagonal():
             assert weil.cyclic_tensor_trace(ms)[0] == complex(np.trace(big))
 
 
-def _kron_rotation_direct(bt, g):
-    """The direct value as the tensor-product trace: per group, the Kronecker
+def _kron_rotation_direct(twist, parts):
+    """The direct value as the tensor-product trace: per chain, the Kronecker
     product of the block operators against the rotation of the tensor
-    factors by the chains' intertwiners."""
-    gmat = g.mat_np
+    factors by the chain's intertwiners."""
+    parts = iter(parts)
     value = 1.0 + 0j
-    for i, grp in enumerate(bt.groups):
-        model = bt.models[i]
-        rot = _rotation_big_op([bt.inters[(i, j)] for j in range(len(grp))])
+    for chain in twist:
+        rot = _rotation_big_op(chain.inters)
         tensor_g = np.ones((1, 1))
-        for b in grp:
-            idx = bt.space.blocks[b]
-            tensor_g = np.kron(tensor_g, model.omega(sym.sp_elem(model.space, gmat[np.ix_(idx, idx)])))
+        for _ in chain.inters:
+            tensor_g = np.kron(tensor_g, chain.model.omega(next(parts)))
         value *= complex(np.trace(tensor_g @ rot))
     return value
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_direct_value_equals_tensor_trace_on_criterion_04_fixtures(seed):
-    for label, bt, gs in checks.twisted_trace_fixtures(seed):
-        worst = max(abs(weil.twisted_trace(bt, g).direct_value - _kron_rotation_direct(bt, g)) for g in gs)
+    for label, twist, gs in checks.twisted_trace_fixtures(seed):
+        worst = max(abs(weil.twisted_trace(twist, parts).direct_value - _kron_rotation_direct(twist, parts))
+                    for parts in gs)
         assert worst < 1e-10, label
 
 
@@ -334,12 +331,11 @@ def test_direct_value_equals_tensor_trace_on_chains(p, n, length):
     block = weil.WeilModel(sym.standard_polarized_space(p, n))
     rng = np.random.default_rng(100 * p + 10 * n + length)
     for r in range(n + 1):
-        bt = weil.block_twist([(checks.cell_element(block, r, rng), length)])
+        twist = weil.block_twist([(checks.cell_element(block, r, rng), length)])
         for _ in range(2):
-            parts = [checks.cell_element(block, int(rng.integers(n + 1)), rng).mat_np for _ in range(length)]
-            g = sym.block_diagonal(bt.space, parts)
-            res = weil.twisted_trace(bt, g)
-            assert abs(res.direct_value - _kron_rotation_direct(bt, g)) < 1e-10
+            parts = [checks.cell_element(block, int(rng.integers(n + 1)), rng) for _ in range(length)]
+            res = weil.twisted_trace(twist, parts)
+            assert abs(res.direct_value - _kron_rotation_direct(twist, parts)) < 1e-10
             assert abs(res.product_value - res.direct_value) < 1e-8
 
 
@@ -362,10 +358,10 @@ def test_twisted_trace_on_many_one_block_groups_stays_small():
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        bt = weil.block_twist([(loop, 1) for loop in loops])
+        twist = weil.block_twist([(loop, 1) for loop in loops])
         for _ in range(3):
             parts = [rng.choice(els) for _ in loops]
-            r = weil.twisted_trace(bt, sym.block_diagonal(bt.space, [g.mat_np for g in parts]))
+            r = weil.twisted_trace(twist, parts)
             want = np.prod([weil.WeilModel(v2).trace_omega(g * loop) for g, loop in zip(parts, loops)])
             assert abs(r.direct_value - want) < 1e-8 * max(1, abs(want))
             assert abs(r.product_value - r.direct_value) < 1e-8 * max(1, abs(want))
@@ -384,41 +380,46 @@ def test_block_twist_rejects_empty_chains():
             weil.block_twist(chains)
 
 
-def test_twisted_trace_block_mismatch():
-    bt, vsum = _swapped_fixture(3)
-    off_block = np.eye(4, dtype=np.int64)
-    off_block[:2, 2:] = np.eye(2, dtype=np.int64)  # upper-triangular across blocks
-    # make it symplectic? it is not block-preserving either way
-    with pytest.raises((weil.BlockMismatch, sym.SymplecticError)):
-        weil.twisted_trace(bt, sym.sp_elem(vsum, off_block))
-
-
-def test_twisted_trace_refuses_symplectic_elements_that_move_blocks():
-    # swapping two equal blocks preserves the form but not the blocks, inside
-    # one group and across two groups
+def test_twisted_trace_refuses_the_wrong_number_of_parts():
+    # one part per block, chain after chain: 2 blocks, and 3 across two chains
     v2 = sym.standard_polarized_space(3, 1)
-    for chains in ([(sym.sp_identity(v2), 2)], [(sym.sp_identity(v2), 1), (sym.sp_identity(v2), 2)]):
-        bt = weil.block_twist(chains)
-        swap = np.eye(bt.space.dim, dtype=np.int64)
-        swap[:4, :4] = np.roll(np.eye(4, dtype=np.int64), 2, axis=0)
-        with pytest.raises(weil.BlockMismatch):
-            weil.twisted_trace(bt, sym.sp_elem(bt.space, swap))
+    one = sym.sp_identity(v2)
+    for chains, blocks in (([(one, 2)], 2), ([(one, 1), (one, 2)], 3)):
+        twist = weil.block_twist(chains)
+        for count in (0, blocks - 1, blocks + 1):
+            with pytest.raises(weil.BlockMismatch, match="%d parts for %d blocks" % (count, blocks)):
+                weil.twisted_trace(twist, [one] * count)
+
+
+def test_twisted_trace_refuses_parts_from_another_space():
+    # a p = 3 twist of two swapped Sp_2 blocks: at the parent (-I) + (-I) in
+    # Sp_4(F_5) was read mod 3, [[1, 4], [0, 1]] over F_5 on both blocks gave
+    # 1.732i, and a part of another dimension escaped as an IndexError
+    twist, v2 = _swapped_fixture(3)
+    v5 = sym.standard_polarized_space(5, 1)
+    minus = sym.sp_elem(v5, -np.eye(2, dtype=np.int64))
+    unipotent = sym.sp_elem(v5, [[1, 4], [0, 1]])
+    wide = sym.sp_identity(sym.standard_polarized_space(3, 2))
+    for parts in ([minus, minus], [unipotent, unipotent], [sym.sp_identity(v2), wide], [wide, wide]):
+        with pytest.raises(weil.BlockMismatch, match="chain 0 is not an element of its block space"):
+            weil.twisted_trace(twist, parts)
+    # across two chains the refusal names the chain
+    twist = weil.block_twist([(sym.sp_identity(v2), 1), (sym.sp_identity(v5), 2)])
+    with pytest.raises(weil.BlockMismatch, match="chain 1"):
+        weil.twisted_trace(twist, [sym.sp_identity(v2)] * 3)
 
 
 def test_scalar_distribution_freedom():
-    bt, vsum = _swapped_fixture(3)
-    g = sym.sp_elements(sym.standard_polarized_space(3, 1))[7]
-    big = np.zeros((4, 4), dtype=np.int64)
-    big[:2, :2] = g.mat_np
-    big[2:, 2:] = g.inverse().mat_np
-    gbig = sym.sp_elem(vsum, big)
-    before = weil.twisted_trace(bt, gbig)
-    bt.redistribute(0, [cmath.exp(1.234j), cmath.exp(-1.234j)])
-    after = weil.twisted_trace(bt, gbig)
+    twist, v2 = _swapped_fixture(3)
+    g = sym.sp_elements(v2)[7]
+    parts = [g, g.inverse()]
+    before = weil.twisted_trace(twist, parts)
+    twist[0].redistribute([cmath.exp(1.234j), cmath.exp(-1.234j)])
+    after = weil.twisted_trace(twist, parts)
     assert abs(before.product_value - after.product_value) < 1e-9
     assert abs(before.direct_value - after.direct_value) < 1e-9
     with pytest.raises(weil.NotNormalized):
-        bt.redistribute(0, [2.0, 0.5j])
+        twist[0].redistribute([2.0, 0.5j])
 
 
 def test_off_sample_fault_turns_character_conjugacy_red():
@@ -698,6 +699,27 @@ def test_model_dimension_cap():
     v2 = sym.standard_polarized_space(3, 1)
     with pytest.raises(weil.WeilError, match=r"p\^n = 3\^11 exceeds"):
         weil.block_twist([(sym.sp_identity(v2), 2), (sym.sp_identity(v2), 11)])
+
+
+def test_schur_average_cap():
+    # a block of p^n = 81 (3^4) takes 0.2-0.4 s and 92 MB; tier-1's largest
+    # block is 9; above the cap each block is refused before any model
+    assert weil.SCHUR_DIM_CAP == 81
+    for p, n in ((83, 1), (3, 5), (5, 3), (32749, 1)):
+        start = time.perf_counter()
+        with pytest.raises(weil.WeilError, match=r"p\^n = %d\^%d exceeds the Schur-average cap 81" % (p, n)):
+            weil.block_twist([(sym.sp_identity(sym.standard_polarized_space(3, 1)), 1),
+                              (sym.sp_identity(sym.standard_polarized_space(p, n)), 1)])
+        assert time.perf_counter() - start < 0.5
+
+
+def test_full_space_oracle_refuses_a_block_above_the_schur_cap():
+    # a p = 5 sign block of degree 4 (p^n = 625): one Schur average would
+    # gather 5^12 entries
+    sc = next(sc for label, sc in checks.sign_branch_scenarios(5, 4, 4) if label.startswith("asym/asym")
+              and signcalc.build_block(sc).space.dim == 8)
+    with pytest.raises(weil.WeilError, match=r"p\^n = 5\^4 exceeds the Schur-average cap 81"):
+        signcalc.full_space_oracle(sc.action, {0: sc}, {0: sc.k_alpha.one()})
 
 
 def test_equal_spaces_share_one_read_only_frame():
