@@ -235,7 +235,8 @@ def run_root_datum(sid: str, payload, tol: float, seed: int) -> list[Row]:
     counts: dict[int, int] = {}
     for r in res.restricted:
         counts[r.type_tag] = counts.get(r.type_tag, 0) + 1
-    rows = [Row.compare(sid, "restricted count", len(res.restricted), len(res.restricted), 0, seed)]
+    orbits = {frozenset(datum.theta_orbit(a)) for a in datum.roots}  # Phi / Theta, apart from restrict_roots
+    rows = [Row.compare(sid, "restricted count", len(res.restricted), len(orbits), 0, seed)]
     expect = payload.get("expect_type_counts")
     if expect is not None:
         want = {int(k): _typed(v, int, "expect_type_counts entry") for k, v in _typed(expect, dict, "expect_type_counts").items()}
@@ -420,15 +421,13 @@ def cmd_tabulate_ramified(args) -> int:
         # asym/sym-ram: all four residue fields F_p, every C in F_p^x
         act = signcalc.one_orbit_action(1, False, neg=True)
         for c in f1.units():
-            # eta constraint here: eta_+ eta_- = -varsigma(C)/C = -1
-            sc = signcalc.OrbitScenario(act, 0, f1, f1, f1, f1, c, f1.one(), -f1.one(), "asym/sym-ram")
+            eta_minus = signcalc.eta_target(act.roots[0], c)
+            sc = signcalc.OrbitScenario(act, 0, f1, f1, f1, f1, c, f1.one(), eta_minus, "asym/sym-ram")
             rows.append(("asym/sym-ram", p, 1, ffield.serialize(c), _oracle_sign(sc)))
         # sym-ur/sym-ram: k_alpha quadratic, tau-antiinvariant C
         act2 = signcalc.one_orbit_action(2, True, neg=True)
-        for c in k2.units():
-            if c.frobenius(1) != -c:
-                continue
-            eta = next(e for e in k2.units() if e * e.frobenius(1) == c.frobenius(1) / c)
+        for c in sym.anti_invariant_units(k2, 1):
+            eta = ffield.units_of_norm(k2, f1, signcalc.eta_target(act2.roots[0], c))[0]
             sc = signcalc.OrbitScenario(act2, 0, k2, f1, f1, f1, c, eta, None, "sym-ur/sym-ram")
             rows.append(("sym-ur/sym-ram", p, 2, ffield.serialize(c), _oracle_sign(sc)))
     print("branch,p,k_alpha_degree,C,constant,provenance")

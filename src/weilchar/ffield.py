@@ -93,7 +93,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     comp = _companion(f, p)
     if (_mat_pow(comp, p**k, p) != comp).any():
         return False
-    return all(modp.det(_mat_pow(comp, p ** (k // r), p) - comp, p) for r in _prime_factors(k))
+    return all(modp.det(_mat_pow(comp, p ** (k // r), p) - comp, p) for r in modp.prime_factors(k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,6 +297,8 @@ class FieldElem:
 @lru_cache(maxsize=None)
 def field(p: int, k: int) -> FieldDesc:
     """The canonical GF(p^k) in the tower; cached, deterministic modulus."""
+    if p > FIELD_CAP:  # before trial division, which a huge p would stall
+        raise FieldError("GF(%d^%d) exceeds the size cap %d" % (p, k, FIELD_CAP))
     if not modp.is_prime(p) or p == 2:
         raise FieldError("p must be an odd prime, got %r" % (p,))
     if k < 1:
@@ -316,17 +318,6 @@ def field(p: int, k: int) -> FieldDesc:
         if _is_irreducible(coeffs, p):
             return FieldDesc(p, k, tuple(coeffs))
     raise FieldError("no irreducible polynomial found (unreachable)")
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return out + [n] if n > 1 else out
 
 
 def _mult_matrix(desc: FieldDesc, x: tuple[int, ...]) -> np.ndarray:
@@ -355,7 +346,7 @@ def table_arrays(desc: FieldDesc) -> tuple[np.ndarray, np.ndarray]:
     doubles from [1]: with g^m's multiplication matrix M, the powers
     g^m .. g^(2m-1) are M times g^0 .. g^(m-1), and M squares to g^2m's."""
     p, k, n = desc.p, desc.degree, desc.order - 1
-    primes = _prime_factors(n)
+    primes = modp.prime_factors(n)
     for start in range(1, desc.order):
         gmat = _mult_matrix(desc, desc.from_index(start).coeffs)
         if not any((_mat_pow(gmat, n // r, p) == np.eye(k, dtype=np.int64)).all() for r in primes):
@@ -521,12 +512,22 @@ def sgn_norm_one(x: FieldElem, sub: FieldDesc, k: FieldDesc | None = None) -> in
     return _sign(x ** ((sub.order + 1) // 2))
 
 
+def units_of_norm(big: FieldDesc, sub: FieldDesc, target: FieldElem) -> list[FieldElem]:
+    """The fibre of Nr: big^x -> sub^x over target, an element of big, in
+    canonical order: the norm is x^n with n = (|big| - 1) / (|sub| - 1), so
+    the fibre is the n-th roots of target, empty unless target is a unit
+    fixed by sub's Frobenius."""
+    if not is_subfield(sub, big) or target.parent != big:
+        raise NotASubfield("no norm from %r to %r over %r" % (big, sub, target))
+    return [] if target.is_zero() else nth_roots(target, (big.order - 1) // (sub.order - 1))
+
+
 def norm_one_group(big: FieldDesc, sub: FieldDesc) -> list[FieldElem]:
     """All of ker(Nr: big^x -> sub^x) for a quadratic extension, in canonical
     order; cyclic of order sub.order + 1."""
     if big.degree != 2 * sub.degree or big.p != sub.p:
         raise WrongIndex("[%r : %r] != 2" % (big, sub))
-    out = [x for x in big.units() if x * x.frobenius(sub.degree) == 1]
+    out = units_of_norm(big, sub, big.one())
     assert len(out) == sub.order + 1
     return out
 
@@ -558,4 +559,7 @@ def deserialize(s: str) -> FieldElem:
     head, _, tail = s.partition(":")
     ps, _, ks = head.partition("^")
     desc = field(int(ps), int(ks) if ks else 1)
-    return desc.element([int(c) for c in tail.split(",")])
+    digits = [int(c) for c in tail.split(",")]
+    if not all(0 <= c < desc.p for c in digits):  # element() would reduce them mod p
+        raise FieldError("%r has a digit outside 0..%d" % (s, desc.p - 1))
+    return desc.element(digits)

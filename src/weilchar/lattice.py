@@ -14,7 +14,7 @@ datum's theta order is computed once.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
@@ -47,6 +47,7 @@ class RankAboveCap(LatticeError):
 # power); the cap bounds the rest: a product costs rank^3 multiplications,
 # and a 40x40 permutation of order 27,720 walked 10,000 powers in 60-69 s.
 ORDER_RANK_CAP = 6
+ORDER_BOUND = 10_000  # the largest order matrix_order walks to
 
 
 def _to_rows(m) -> list[list[int]]:
@@ -168,8 +169,8 @@ def det_int(m) -> int:
     return sign * prev
 
 
-def matrix_order(theta, bound: int = 10_000) -> int:
-    """Multiplicative order of a square integer matrix; NotFiniteOrder if > bound.
+def matrix_order(theta) -> int:
+    """Multiplicative order of a square integer matrix; NotFiniteOrder above ORDER_BOUND.
 
     A finite-order matrix is diagonalizable with roots of unity as
     eigenvalues, so every power has |trace| <= rank, with trace = rank only
@@ -181,14 +182,14 @@ def matrix_order(theta, bound: int = 10_000) -> int:
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
     cols = tuple(zip(*t))
     acc = t
-    for k in range(1, bound + 1):
+    for k in range(1, ORDER_BOUND + 1):
         if acc == ident:
             return k
         tr = sum(acc[i][i] for i in range(n))
         if abs(tr) > n or tr == n:
             raise NotFiniteOrder("theta^%d is not the identity and its trace is outside [-%d, %d): theta has infinite order" % (k, n, n))
         acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
-    raise NotFiniteOrder("no power up to %d is the identity" % bound)
+    raise NotFiniteOrder("no power up to %d is the identity" % ORDER_BOUND)
 
 
 def pi0_torsion(theta) -> list[int]:
@@ -264,15 +265,14 @@ class RestrictedRoot:
     orbit: tuple[tuple[int, ...], ...]  # the Theta-orbit of preimages
 
 
-@dataclass
+@dataclass(frozen=True)
 class Restriction:
     """Output of restrict_roots: the projection to the coinvariant lattice and
     the restricted-root bookkeeping."""
 
-    datum: RootDatum
     proj_rows: tuple[tuple[int, ...], ...]  # p*: X* -> Z^m, rows of U at zero divisors
     restricted: tuple[RestrictedRoot, ...]
-    by_root: dict = dc_field(default_factory=dict)  # root -> restricted vector
+    by_root: dict  # root -> restricted vector
 
 
 def restrict_roots(d: RootDatum) -> Restriction:
@@ -322,9 +322,7 @@ def restrict_roots(d: RootDatum) -> Restriction:
         restricted.append(rr)
         for a in orb:
             by_root[a] = v
-    out = Restriction(d, proj_rows, tuple(restricted))
-    out.by_root = by_root
-    return out
+    return Restriction(proj_rows, tuple(restricted), by_root)
 
 
 def norm_sum(alpha, d: RootDatum) -> tuple[tuple[int, ...], int, int, int]:

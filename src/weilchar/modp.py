@@ -13,15 +13,21 @@ def as_mat(m, p: int) -> np.ndarray:
     return a
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, increasing, by trial division; [] for
+    n < 2."""
+    out, d = [], 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    return out + [n] if n > 1 else out
+
+
+def is_prime(n: int) -> bool:
+    return prime_factors(n) == [n]
 
 
 @lru_cache(maxsize=None)

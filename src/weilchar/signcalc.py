@@ -321,7 +321,7 @@ def validate_scenario(sc: OrbitScenario) -> None:
     if sym_a:
         if sc.eta_alpha.parent != sc.k_alpha or sc.eta_alpha.is_zero():
             raise SignCalcError("eta_alpha must be a unit of k_alpha")
-        if sc.eta_alpha * sc.tau(sc.eta_alpha) != sc.varsigma(sc.C) / sc.C:
+        if sc.eta_alpha * sc.tau(sc.eta_alpha) != eta_target(root, sc.C):
             raise FormDegenerate("eta_alpha tau(eta_alpha) != varsigma(C)/C")
     else:
         if sc.eta_minus_alpha is None:
@@ -329,11 +329,17 @@ def validate_scenario(sc: OrbitScenario) -> None:
         for e in (sc.eta_alpha, sc.eta_minus_alpha):
             if e.parent != sc.k_alpha or e.is_zero():
                 raise SignCalcError("eta values must be units of k_alpha")
-        want = sc.varsigma(sc.C) / sc.C
-        if root.branch_sign == -1:
-            want = -want
-        if sc.eta_alpha * sc.eta_minus_alpha != want:
+        if sc.eta_alpha * sc.eta_minus_alpha != eta_target(root, sc.C):
             raise FormDegenerate("eta_alpha eta_minus_alpha violates form preservation")
+
+
+def eta_target(root: RootOrbit, C: FieldElem) -> FieldElem:
+    """What the form constraint asks of the twist on root's block with the
+    form constant C, an element of k_alpha: eta_alpha tau(eta_alpha)
+    (symmetric root) or eta_alpha eta_minus_alpha (asymmetric) must be
+    varsigma(C)/C, negated on the -1 branch."""
+    ratio = C.frobenius(-root.sigma_exp) / C
+    return -ratio if root.branch_sign == -1 else ratio
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +373,7 @@ def s_action_matrix(bb: BlockBuild, value: FieldElem) -> sym.SpElem:
     sc = bb.scenario
     if sc.sym_alpha and value * sc.tau(value) != 1:
         raise SignCalcError("symmetric s-value must be norm-one")
-    minus = None if sc.sym_alpha else sym.mult_matrix(value.inverse())
-    return sym.sp_elem(bb.space, sym.plus_minus(sym.mult_matrix(value), minus))
+    return sym.sp_elem(bb.space, sym.toral_matrix(value, sc.sym_alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -383,15 +383,12 @@ class BuiltTorus:
         blocks = []
         for i, f in enumerate(self.desc.factors):
             x, k = coords[i], self.factor_field(i)
-            if isinstance(f, NormOneFactor):
-                if x.parent != k or x * x.frobenius(f.subdegree) != 1:
-                    raise SymplecticError("coordinate %d is not norm-one in %r" % (i, k))
-                minus = None
-            else:
-                if x.parent != k or x.is_zero():
-                    raise SymplecticError("coordinate %d is not a unit of %r" % (i, k))
-                minus = mult_matrix(x.inverse())
-            blocks.append(plus_minus(mult_matrix(x), minus))
+            symmetric = isinstance(f, NormOneFactor)
+            if symmetric and (x.parent != k or x * x.frobenius(f.subdegree) != 1):
+                raise SymplecticError("coordinate %d is not norm-one in %r" % (i, k))
+            if not symmetric and (x.parent != k or x.is_zero()):
+                raise SymplecticError("coordinate %d is not a unit of %r" % (i, k))
+            blocks.append(toral_matrix(x, symmetric))
         return TorusElement(self, coords, block_diagonal(self.space, blocks))
 
     def elements(self):
@@ -412,12 +409,14 @@ class BuiltTorus:
         return out
 
 
+def anti_invariant_units(k: FieldDesc, j: int) -> list[FieldElem]:
+    """The units C of k with C^(p^j) = -C, in canonical order."""
+    return [x for x in k.units() if x.frobenius(j) == -x]
+
+
 def anti_invariant_unit(big: FieldDesc, subdeg: int) -> FieldElem:
-    """Canonical unit C with C^(p^subdeg) = -C (first in element order)."""
-    for x in big.units():
-        if x.frobenius(subdeg) == -x:
-            return x
-    raise SymplecticError("no anti-invariant unit (unreachable for quadratic)")
+    """The canonical anti-invariant unit: the first of anti_invariant_units."""
+    return anti_invariant_units(big, subdeg)[0]
 
 
 def trace_form_gram(k: FieldDesc, c: FieldElem, tau_exp: int | None = None) -> np.ndarray:
@@ -463,6 +462,13 @@ def plus_minus(plus: np.ndarray, minus: np.ndarray | None = None, sign: int | No
     else:
         out[:d, d:], out[d:, :d] = plus, minus
     return out
+
+
+def toral_matrix(x: FieldElem, symmetric: bool) -> np.ndarray:
+    """The matrix of the toral element x on a field_block: multiplication by
+    x on a symmetric block; on an asymmetric one, by x on the plus line and
+    by x^-1 on the minus line."""
+    return plus_minus(mult_matrix(x), None if symmetric else mult_matrix(x.inverse()))
 
 
 def plus_minus_parts(mat: np.ndarray, sign: int | None) -> tuple[np.ndarray, np.ndarray | None]:

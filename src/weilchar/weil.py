@@ -29,8 +29,9 @@ ffield quadratic characters).
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -440,6 +441,11 @@ def schur_intertwiner(model_a: WeilModel, model_b: WeilModel, phi: SpElem) -> np
 # Cyclic tensor traces
 
 
+def _composite(maps) -> np.ndarray:
+    """I_l ... I_1 I_0: the maps composed in order, I_0 applied first."""
+    return functools.reduce(lambda acc, m: m @ acc, maps)
+
+
 def cyclic_tensor_trace(maps: list[np.ndarray]) -> tuple[complex, complex]:
     """Both sides of the rotation-trace identity.
 
@@ -453,10 +459,7 @@ def cyclic_tensor_trace(maps: list[np.ndarray]) -> tuple[complex, complex]:
     for j, m in enumerate(ms):
         if m.shape[0] != dims[(j + 1) % (l + 1)]:
             raise DimensionMismatch("map %d has shape %r, expected to land in W_%d" % (j, m.shape, (j + 1) % (l + 1)))
-    composite = ms[0]
-    for m in ms[1:]:
-        composite = m @ composite
-    return complex(_rotation_diagonal(ms).ravel().sum()), complex(np.trace(composite))
+    return complex(_rotation_diagonal(ms).ravel().sum()), complex(np.trace(_composite(ms)))
 
 
 def _rotation_diagonal(ms: list[np.ndarray]) -> np.ndarray:
@@ -487,23 +490,20 @@ class TwistChain:
     loop: SpElem  # L, an element of the block space
     loop_inv: np.ndarray  # L^-1 mod p, read-only
     model: WeilModel  # the block's model, shared by its copies
-    inters: list[np.ndarray]  # copy j's W_j -> W_{j+1}, scaled in place by the normalization and redistribute
+    inters: tuple[np.ndarray, ...]  # copy j's W_j -> W_{j+1}, normalized
     whole: WeilModel  # the model of the whole chain
     iota: SpElem  # on the whole chain: copy j -> j+1 by the identity, copy l -> 0 by L
     sign: int  # whole.word_factors(iota with the loop the identity).sgn
 
     def composite(self) -> np.ndarray:
-        out = self.inters[0]
-        for m in self.inters[1:]:
-            out = m @ out
-        return out
+        return _composite(self.inters)
 
-    def redistribute(self, phases: list[complex]) -> None:
-        """Rescale the individual intertwiners by unit scalars with product 1
-        (composite unchanged); for distribution-invariance tests."""
+    def redistribute(self, phases: list[complex]) -> "TwistChain":
+        """This chain with its intertwiners rescaled by unit scalars with
+        product 1 (composite unchanged); for distribution-invariance tests."""
         if abs(np.prod(phases) - 1) > 1e-9 or len(phases) != len(self.inters):
             raise NotNormalized("phases must multiply to 1, one per factor")
-        self.inters[:] = [m * ph for m, ph in zip(self.inters, phases)]
+        return replace(self, inters=tuple(m * ph for m, ph in zip(self.inters, phases)))
 
 
 def block_cycle(space: SympSpace, loop: SpElem) -> SpElem:
@@ -547,16 +547,14 @@ def _twist_chain(loop: SpElem, length: int) -> TwistChain:
     loop_inv = modp.mat_inv(loop.mat_np, loop.space.p)
     loop_inv.flags.writeable = False
     inters = [schur_intertwiner(model, model, loop if j == length - 1 else step) for j in range(length)]
-    chain = TwistChain(loop, loop_inv, model, inters, whole, block_cycle(whole.space, loop),
-                       whole.word_factors(block_cycle(whole.space, step)).sgn)
     # normalize: composite = omega(L)
-    ratio = model.omega(loop) @ np.linalg.inv(chain.composite())
+    ratio = model.omega(loop) @ np.linalg.inv(_composite(inters))
     off = np.abs(ratio - ratio[0, 0] * np.eye(ratio.shape[0])).max()
     if off > 1e-7:
         raise NotNormalized("composite is not a scalar multiple of the block Weil operator")
     root = complex(ratio[0, 0]) ** (1.0 / length)
-    inters[:] = [m * root for m in inters]
-    return chain
+    return TwistChain(loop, loop_inv, model, tuple(m * root for m in inters), whole, block_cycle(whole.space, loop),
+                      whole.word_factors(block_cycle(whole.space, step)).sgn)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ def report(num, label, ok, detail=""):
 
 def test_criterion_01_gerardin_semisimple():
     t0 = time.time()
-    rows = checks.check_gerardin_semisimple(ps=(3, 5, 7))
+    rows = checks.check_gerardin_semisimple()
     elapsed = time.time() - t0
     worst = max(r.abs_error for r in rows)
     ok = all(r.passed for r in rows) and worst <= 1e-8 and elapsed <= 60
@@ -34,7 +34,7 @@ def test_criterion_01_gerardin_semisimple():
 
 
 def test_criterion_02_polarization_corollary():
-    rows = checks.check_polarized_formula(ps=(3, 5, 7))
+    rows = checks.check_polarized_formula()
     ok = all(r.passed for r in rows)
     report(2, "polarization corollary exact after integer snap", ok,
            "; ".join(r.quantity for r in rows))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import pathlib
@@ -9,7 +10,7 @@ import types
 import numpy as np
 import pytest
 
-from weilchar import checks, cli, modp, symplectic as sym, weil
+from weilchar import checks, cli, lattice, modp, symplectic as sym, weil
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCN = ROOT / "scenarios"
@@ -196,6 +197,9 @@ BAD_PAYLOADS = {
     "alpha-a-list": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(alpha=[0])),
     # C is checked before varsigma(C)/C divides by it
     "C-zero": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(C="3^2:0,0")),
+    # digits outside 0..p-1 would name another element: 4 and -2 are 1 mod 3
+    "C-digit-out-of-range": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(C="3^2:4,0")),
+    "eta-digit-negative": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(eta_alpha="3^2:0,-2")),
     "lattice-check-pi0-trials-null": lambda: {"id": "l", "kind": "lattice-check", "payload": {"pi0_trials": None}},
     # values of the wrong JSON type where a runner indexes, iterates or parses
     "payload-a-list": lambda: {"id": "w", "kind": "weil-verify", "payload": [1, 2]},
@@ -311,6 +315,8 @@ BAD_PAYLOAD_MESSAGES = {
     "lattice-check-theta-float-entry": "theta entry must be an integer, got 1.5",
     "lattice-check-theta-bool-entry": "theta entry must be an integer, got True",
     "lattice-check-theta-string-entry": "theta entry must be an integer, got '3'",
+    "C-digit-out-of-range": "'3^2:4,0' has a digit outside 0..2",
+    "eta-digit-negative": "'3^2:0,-2' has a digit outside 0..2",
 }
 
 
@@ -454,6 +460,13 @@ def test_root_datum_command(capsys):
     assert run_cli(["root-datum", "A2.flip"]) == 0
     out = capsys.readouterr().out
     assert "type 3" in out and "type 2" in out
+
+
+def test_restricted_count_row_counts_theta_orbits_apart_from_restrict_roots(monkeypatch):
+    orig = lattice.restrict_roots
+    monkeypatch.setattr(lattice, "restrict_roots", lambda d: dataclasses.replace(orig(d), restricted=orig(d).restricted[1:]))
+    rows = cli.run_root_datum("r", {"name": "A2.flip"}, 0.0, 0)
+    assert [(r.quantity, r.formula, r.oracle, r.passed) for r in rows] == [("restricted count", 3, 4, False)]
 
 
 @pytest.mark.parametrize("doc,code", [

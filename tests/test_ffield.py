@@ -48,6 +48,24 @@ def test_norm_examples():
     assert ff.norm_to(t, F9) == t  # norm to the parent is the identity
 
 
+# every quadratic extension GF(p^2d) / GF(p^d) under the cap
+QUADRATIC = [(p, d) for p in range(3, 82) if modp.is_prime(p) for d in range(1, 5) if p ** (2 * d) <= ff.FIELD_CAP]
+
+
+@pytest.mark.parametrize("p,d", QUADRATIC)
+def test_norm_fibres_partition_the_units(p, d):
+    big, sub = ff.field(p, 2 * d), ff.field(p, d)
+    q = sub.order
+    targets = [x for x in big.units() if x ** q == x]
+    fibres = [ff.units_of_norm(big, sub, t) for t in targets]
+    assert len(fibres) == q - 1 and all(len(f) == q + 1 for f in fibres)
+    assert all(x ** (q + 1) == t for f, t in zip(fibres, targets) for x in f)
+    assert sorted(x.index() for f in fibres for x in f) == list(range(1, big.order))
+    assert all([x.index() for x in f] == sorted(x.index() for x in f) for f in fibres)
+    assert ff.norm_one_group(big, sub) == ff.units_of_norm(big, sub, big.one())
+    assert ff.units_of_norm(big, sub, big.gen()) == ff.units_of_norm(big, sub, big.zero()) == []
+
+
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 4), (5, 2), (7, 2)])
 def test_norm_surjective_onto_subfield(p, k):
     big = ff.field(p, k)
@@ -144,6 +162,9 @@ def test_serialization_round_trip():
     x = F9.gen() + 2
     assert ff.serialize(x) == "3^2:2,1"
     assert ff.deserialize(ff.serialize(x)) == x
+    for s in ("3^2:5,1", "3^2:2,-2"):  # each is 2 + t mod 3
+        with pytest.raises(ff.FieldError, match="has a digit outside 0..2"):
+            ff.deserialize(s)
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (5, 3), (7, 2)])
@@ -436,7 +457,7 @@ def test_poly_roots_equal_element_by_element_search(p, k):
 
 def _mobius(n):
     out = 1
-    for r in ff._prime_factors(n):
+    for r in modp.prime_factors(n):
         if n % (r * r) == 0:
             return 0
         out = -out

@@ -85,6 +85,15 @@ def test_kernel_digests_pinned():
     assert kernel_digests() == PINNED["kernel"]
 
 
+def test_prime_factors_are_trial_division_and_is_prime_the_primes():
+    top = 10**4
+    primes = np.array([d for d in range(2, top + 1) if all(d % e for e in range(2, int(d**0.5) + 1))])
+    assert modp.prime_factors(0) == modp.prime_factors(1) == []
+    for n in range(2, top + 1):
+        assert modp.prime_factors(n) == primes[n % primes == 0].tolist()
+    assert [n for n in range(-3, top + 1) if modp.is_prime(n)] == primes.tolist()
+
+
 def test_non_square_input_rejected():
     m = [[1, 2, 3], [0, 1, 4]]
     with pytest.raises(ValueError):

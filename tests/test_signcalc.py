@@ -15,6 +15,17 @@ F9 = ff.field(3, 2)
 C9 = sym.anti_invariant_unit(F9, 1)
 
 
+@pytest.mark.parametrize("family", checks.SIGN_FAMILIES, ids=lambda fam: "%s-d%d-s%d-n%d" % (fam[0], *fam[1:4]))
+def test_eta_target_is_varsigma_c_over_c_negated_on_the_minus_branch(family):
+    symmetric, d, shift, neg, _ = family
+    act = sc.one_orbit_action(d, symmetric, shift, neg)
+    k = ff.field(3, d)
+    for root in act.roots:
+        for c in k.units():
+            ratio = c ** (3 ** ((-root.sigma_exp) % d)) / c
+            assert sc.eta_target(root, c) == (-ratio if root.branch_sign == -1 else ratio)
+
+
 def test_action_validation():
     with pytest.raises(sc.SignCalcError):
         sc.OrbitAction(2, (0, 1), (0, 1), (0, 1))  # neg has fixed points
@@ -126,7 +137,7 @@ def test_torus_algorithm_examples():
 def test_block_sign_formula_branch_matrix():
     """Every branch, every admissible eta within the small pool: formula
     equals the brute-force Weil trace (the module's central property)."""
-    rows = checks.check_sign_formula_vs_oracle(ps=(3,), max_degree=2)
+    rows = checks.check_sign_formula_vs_oracle()
     assert all(r.passed for r in rows), [r.quantity for r in rows if not r.passed]
 
 
@@ -135,7 +146,7 @@ def test_sign_sweep_goes_red_on_corrupted_formula():
     assert clean and all(st.worst <= 1e-8 and st.count for st in clean.values())
     with checks.FAULTS["block-sign-negated"]():
         bad = checks.sign_sweep((3,), max_degree=2, eta_cap=4)
-        rows = checks.check_sign_formula_vs_oracle(ps=(3,), max_degree=2)
+        rows = checks.check_sign_formula_vs_oracle()
     assert bad.keys() == clean.keys()
     assert all(st.worst > 1e-8 for st in bad.values())
     assert rows and not any(r.passed for r in rows)

@@ -99,6 +99,21 @@ def test_abelian_law_fault_turns_heis_center_red():
     assert {r.quantity: (r.formula, r.oracle) for r in rows if not r.passed} == {"heis center p=3 n=1": (27, 3)}
 
 
+def test_a_law_with_a_non_bilinear_z_term_turns_the_n2_row_red(monkeypatch):
+    # z1 + z2 + <v1,v2>/2 + v1[0]^2 v2[1]: the added term is no cocycle, so
+    # (ab)c and a(bc) differ by 2 a0 b0 c1 in z
+    law = sym.heis_law
+
+    def skewed(space, v1, z1, v2, z2):
+        v, z = law(space, v1, z1, v2, z2)
+        return v, (z + np.asarray(v1)[..., 0] ** 2 * np.asarray(v2)[..., 1]) % space.p
+
+    monkeypatch.setattr(sym, "heis_law", skewed)
+    rows = {r.quantity: r for r in checks.check_heis_associativity()}
+    row = rows["heis cocycle p=3 n=2 (exhaustive triples)"]
+    assert not row.passed and row.formula == 8 * 3**9  # a0, b0 and c1 all nonzero: 8/27 of the 3^12 triples
+
+
 def test_sp_elem_validation():
     with pytest.raises(sym.SymplecticError):
         sym.sp_elem(V3, [[1, 1], [1, 1]])
@@ -275,6 +290,14 @@ FIELDS = [(p, k) for p, top in ((3, 8), (5, 5), (7, 4), (11, 3), (13, 3)) for k 
 def _pinned_fields():
     for p, k in FIELDS:
         yield ff.field(p, k)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 4), (3, 6), (5, 2), (7, 2)])
+def test_anti_invariant_units_are_the_units_with_frobenius_minus_one(p, k):
+    big = ff.field(p, k)
+    for j in range(k + 1):  # none at j = 0 and j = k, where the Frobenius power is the identity
+        assert sym.anti_invariant_units(big, j) == [x for x in big.units() if x ** (p**j) == -x]
+    assert sym.anti_invariant_unit(big, k // 2) == sym.anti_invariant_units(big, k // 2)[0]
 
 
 def test_trace_form_gram_is_the_trace_form():

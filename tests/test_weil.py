@@ -414,8 +414,8 @@ def test_scalar_distribution_freedom():
     g = sym.sp_elements(v2)[7]
     parts = [g, g.inverse()]
     before = weil.twisted_trace(twist, parts)
-    twist[0].redistribute([cmath.exp(1.234j), cmath.exp(-1.234j)])
-    after = weil.twisted_trace(twist, parts)
+    moved = twist[0].redistribute([cmath.exp(1.234j), cmath.exp(-1.234j)])
+    after = weil.twisted_trace((moved,), parts)
     assert abs(before.product_value - after.product_value) < 1e-9
     assert abs(before.direct_value - after.direct_value) < 1e-9
     with pytest.raises(weil.NotNormalized):
