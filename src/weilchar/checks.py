@@ -360,11 +360,10 @@ def check_stone_von_neumann() -> list[Row]:
     for p, n in ((3, 1), (5, 1), (3, 2)):
         space = sym.standard_polarized_space(p, n)
         m1 = weil.WeilModel(space)
-        # a different polarization: rotate by some group element
+        # a different polarization: the images g e_i, g's columns, of the
+        # unit vectors under some group element
         g = sym.sp_generators(space)[0]
-        xs = [g.apply(v) for v in np.eye(2 * n, dtype=np.int64)[:n]]
-        ys = [g.apply(v) for v in np.eye(2 * n, dtype=np.int64)[n:]]
-        m2 = weil.WeilModel(space, (xs, ys))
+        m2 = weil.WeilModel(space, (g.mat_np[:, :n].T, g.mat_np[:, n:].T))
         t1 = weil.schur_intertwiner(m1, m2, sym.sp_identity(space))
         t2 = weil.schur_intertwiner(m2, m1, sym.sp_identity(space))
         ratio = t2 @ t1
@@ -619,6 +618,7 @@ def check_polarized_formula() -> list[Row]:
     m2 = weil.WeilModel(v2)
     ss = [g for g in sym.sp_elements(v2) if g.is_semisimple()]
     seconds = [(g2, list(gerardin.invariant_polarizations(g2)), m2.trace_omega(g2)) for g2 in ss[:4]]
+    zero = np.zeros((1, 2), dtype=np.int64)  # a line of one block, placed in the sum
     bad = 0
     count = 0
     for g1 in ss:
@@ -632,8 +632,8 @@ def check_polarized_formula() -> list[Row]:
             gbig = sym.block_diagonal(vsum, [g1.mat_np, g2.mat_np])
             oracle = trace1 * trace2
             for (vp1, vm1), (vp2, vm2) in itertools.product(pols1[:2], pols2[:2]):
-                vplus = [tuple(v) + (0, 0) for v in vp1] + [(0, 0) + tuple(v) for v in vp2]
-                vminus = [tuple(v) + (0, 0) for v in vm1] + [(0, 0) + tuple(v) for v in vm2]
+                vplus = np.block([[vp1, zero], [zero, vp2]])
+                vminus = np.block([[vm1, zero], [zero, vm2]])
                 val = gerardin.char_polarized(gbig, (vplus, vminus))
                 count += 1
                 if abs(val - complex(round(oracle.real), round(oracle.imag))) > 1e-9:
@@ -1081,8 +1081,8 @@ def _orbit_sign_without_parity(orig, pieces, fixed_dim):
 
 def _restrict_map_unchecked(orig, g, basis):
     # [B | gB] read off without asking whether gB stays in span(B)
-    k = len(basis)
-    b = gerardin._basis_mat(g.space, basis).T
+    b = gerardin._rows(basis, g.space.p, g.space.dim).T
+    k = b.shape[1]
     red, piv = modp.rref(np.hstack([b, g.mat_np @ b]), g.space.p)
     if piv[:k] != list(range(k)):
         raise gerardin.GerardinError("basis vectors are dependent")
@@ -1189,7 +1189,7 @@ FAULTS = {
     "restrict-map": _fault(gerardin, "restrict_map", _restrict_map_unchecked),
     # no vector of the big basis is recognised as lying in the span
     "complement-in": _fault(gerardin, "complement_in",
-                            lambda orig, big, small, p: [tuple(int(x) % p for x in v) for v in big]),
+                            lambda orig, big, small, p: np.asarray(big, dtype=np.int64) % p),
     # the greedy V' returns after its first vector
     "one-step-vprime": _fault(gerardin, "maximal_invariant_isotropic", lambda orig, g: orig(g)[:1]),
     "swap-sign": _fault(modp, "reduce_rows", _reduce_without_swap_sign),

@@ -107,14 +107,14 @@ def _parse_orbit(action: signcalc.OrbitAction, obj) -> signcalc.OrbitScenario:
 _TORUS_FACTORS = {"norm-one": sym.NormOneFactor, "split": sym.SplitFactor}
 
 
-def _parse_torus(obj) -> sym.BuiltTorus:
+def _parse_torus(obj) -> sym.TorusDesc:
     factories = []
     for f in _typed(obj["factors"], list, "factors"):
         cls = _TORUS_FACTORS.get(_typed(_typed(f, dict, "factor")["type"], str, "factor type"))
         if cls is None:
             raise ScenarioValidationError("unknown torus factor type %r (known: %s)" % (f["type"], ", ".join(_TORUS_FACTORS)))
         factories.append(cls(_typed(f["subdegree"], int, "subdegree")))
-    return sym.build_torus(sym.TorusDesc(_typed(obj["p"], int, "p"), tuple(factories)))
+    return sym.TorusDesc(_typed(obj["p"], int, "p"), tuple(factories))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,11 @@ def _parse_torus(obj) -> sym.BuiltTorus:
 
 
 def run_gerardin(sid: str, payload, tol: float, seed: int) -> list[Row]:
-    torus = _parse_torus(payload)
+    desc = _parse_torus(payload)
+    # the model of the torus's space has dimension p^(sum of the subdegrees):
+    # refused before any field block is built
+    weil.check_model_dim(desc.p, sum(f.subdegree for f in desc.factors))
+    torus = sym.build_torus(desc)
     model = weil.WeilModel(torus.space)
     rows = []
     for t in torus.elements():

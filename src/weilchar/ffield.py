@@ -303,7 +303,8 @@ def field(p: int, k: int) -> FieldDesc:
         raise FieldError("p must be an odd prime, got %r" % (p,))
     if k < 1:
         raise FieldError("degree must be positive")
-    if p**k > FIELD_CAP:
+    # p^k for p >= 2 is above the cap from this exponent on, so a huge k costs nothing
+    if p ** min(k, FIELD_CAP.bit_length()) > FIELD_CAP:
         raise FieldError("GF(%d^%d) exceeds the size cap %d" % (p, k, FIELD_CAP))
     if k == 1:
         return FieldDesc(p, 1, (0, 1))  # modulus x (never used for reduction)

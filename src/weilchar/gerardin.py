@@ -85,18 +85,20 @@ def char_semisimple(t: TorusElement) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Subspace helpers (bases are lists of coordinate tuples); each answers its
-# question with one row reduction
+# Subspace helpers: a basis is one (k, dim) int64 array mod p, one vector per
+# row; each helper answers its question with one row reduction
 
 
-def _basis_mat(space: SympSpace, basis) -> np.ndarray:
-    return np.array(basis, dtype=np.int64).reshape(len(basis), space.dim)
+def _rows(basis, p: int, dim: int) -> np.ndarray:
+    """basis, any array-like of coordinate rows (a list of tuples reads as an
+    array does), as one (k, dim) int64 array mod p."""
+    a = np.asarray(basis, dtype=np.int64)
+    return a.reshape(len(a), dim) % p
 
 
-def perp_basis(space: SympSpace, basis) -> list[tuple[int, ...]]:
+def perp_basis(space: SympSpace, basis) -> np.ndarray:
     """Basis of {v : <b, v> = 0 for all b in basis}."""
-    m = _basis_mat(space, basis) @ space.gram_mat % space.p
-    return [tuple(int(x) for x in v) for v in modp.kernel_basis(m, space.p)]
+    return modp.kernel_basis(_rows(basis, space.p, space.dim) @ space.gram_mat, space.p)
 
 
 def restrict_map(g: SpElem, basis) -> np.ndarray:
@@ -104,8 +106,8 @@ def restrict_map(g: SpElem, basis) -> np.ndarray:
     reduction of [B | gB]; the basis must be independent and its span
     invariant.  0 x 0 on the zero space."""
     p = g.space.p
-    k = len(basis)
-    b = _basis_mat(g.space, basis).T  # columns
+    b = _rows(basis, p, g.space.dim).T  # columns
+    k = b.shape[1]
     red, piv = modp.rref(np.hstack([b, g.mat_np @ b]), p)
     if piv[:k] != list(range(k)):
         raise GerardinError("basis vectors are dependent")
@@ -119,16 +121,18 @@ def is_isotropic(space: SympSpace, basis) -> bool:
 
 
 def subspace_gram(space: SympSpace, basis) -> np.ndarray:
-    b = _basis_mat(space, basis)
+    b = _rows(basis, space.p, space.dim)
     return b @ space.gram_mat @ b.T % space.p
 
 
-def complement_in(big_basis, small_basis, p: int) -> list[tuple[int, ...]]:
-    """The big_basis vectors that extend small_basis to a basis of the sum,
+def complement_in(big_basis, small_basis, p: int) -> np.ndarray:
+    """The big_basis rows that extend small_basis to a basis of the sum,
     picked greedily in order: the pivot columns of [small | big]."""
-    cols = [tuple(int(x) % p for x in v) for v in [*small_basis, *big_basis]]
-    _, piv = modp.rref(np.array(cols, dtype=np.int64).T, p)
-    return [cols[c] for c in piv if c >= len(small_basis)]
+    dim = max(np.shape(b)[-1] for b in (big_basis, small_basis))
+    small = _rows(small_basis, p, dim)
+    cols = np.vstack([small, _rows(big_basis, p, dim)])
+    _, piv = modp.rref(cols.T, p)
+    return cols[[c for c in piv if c >= len(small)]]
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +146,7 @@ def char_no_fixed_point(g: SpElem, vprime) -> int:
     p = space.p
     if g.fixed_space_dim() != 0:
         raise HasFixedPoint("element has nonzero fixed points")
-    vprime = [tuple(int(x) % p for x in v) for v in vprime]
+    vprime = _rows(vprime, p, space.dim)
     if not is_isotropic(space, vprime):
         raise NotIsotropic("V' is not totally isotropic")
     # V0 = V'^perp / V', spanned by a complement of V' inside V'^perp; V'^perp
@@ -150,7 +154,7 @@ def char_no_fixed_point(g: SpElem, vprime) -> int:
     # triangular with g|V' top left and the quotient action bottom right
     v0 = complement_in(perp_basis(space, vprime), vprime, p)
     k = len(vprime)
-    gq = restrict_map(g, vprime + v0)  # raises if V' is dependent or not invariant
+    gq = restrict_map(g, np.vstack([vprime, v0]))  # raises if V' is dependent or not invariant
     det_vp = modp.det(gq[:k, :k], p)
     g_v0 = gq[k:, k:]
     # maximality: g on V0 must have no eigenvalue in F_p
@@ -172,26 +176,26 @@ def char_fixed_line(g: SpElem, line, v0_basis) -> complex:
     psi is modp.theta_values, the central character the oracle uses too."""
     space = g.space
     p = space.p
-    line = tuple(int(x) % p for x in line)
-    if g.apply(line) != line or not any(line):
+    line = _rows([line], p, space.dim)
+    if not line.any() or (g.mat_np @ line[0] % p != line[0]).any():
         raise LineNotFixed("the line is not fixed pointwise")
-    v0_basis = [tuple(int(x) % p for x in v) for v in v0_basis]
-    lperp = perp_basis(space, [line])
-    if len(v0_basis) != len(lperp) - 1 or complement_in(v0_basis, lperp, p):
+    v0_basis = _rows(v0_basis, p, space.dim)
+    lperp = perp_basis(space, line)
+    if len(v0_basis) != len(lperp) - 1 or len(complement_in(v0_basis, lperp, p)):
         raise GerardinError("V0 is not a complement of L in L^perp")
-    if not complement_in([line], v0_basis, p):
+    if not len(complement_in(line, v0_basis, p)):
         raise GerardinError("V0 contains L")
     g_v0 = restrict_map(g, v0_basis)  # raises if dependent or not invariant
 
     # Gauss factor: sum over V0^perp / L, one v per combination of the
     # representatives; their product order fixes the sum's rounding
-    reps = _basis_mat(space, complement_in(perp_basis(space, v0_basis), [line], p))
+    reps = complement_in(perp_basis(space, v0_basis), line, p)
     coeffs = np.array(list(itertools.product(range(p), repeat=len(reps))), dtype=np.int64).reshape(-1, len(reps))
     vs = coeffs @ reps % p
     phases = np.einsum("ti,ij,tj->t", vs @ g.mat_np.T % p, space.gram_mat, vs) % p
     total = sum(modp.theta_values(p)[phases].tolist())
 
-    if not v0_basis:
+    if not len(v0_basis):
         return total
     sub = sym.symp_space(p, subspace_gram(space, v0_basis))
     return weil_char(sym.sp_elem(sub, g_v0)) * total
@@ -208,31 +212,26 @@ def weil_char(g: SpElem) -> complex:
     if not g.is_semisimple():
         raise GerardinError("recursive evaluation requires a semisimple element")
     fixed = modp.kernel_basis((g.mat_np - np.eye(space.dim, dtype=np.int64)) % p, p)
-    if fixed:
-        line = tuple(int(x) for x in fixed[0])
-        v0 = invariant_complement_in_perp(g, line)
-        return char_fixed_line(g, line, v0)
+    if len(fixed):
+        return char_fixed_line(g, fixed[0], invariant_complement_in_perp(g, fixed[0]))
     vprime = maximal_invariant_isotropic(g)
     return float(char_no_fixed_point(g, vprime))
 
 
-def invariant_complement_in_perp(g: SpElem, line) -> list[tuple[int, ...]]:
+def invariant_complement_in_perp(g: SpElem, line) -> np.ndarray:
     """A g-invariant V0 with L^perp = L + V0 (g semisimple): the (g-1)-image
     of L^perp plus a complement of L inside the fixed part of L^perp."""
     space = g.space
     p = space.p
-    lperp = perp_basis(space, [line])
-    glp = restrict_map(g, lperp)
-    k = len(lperp)
-    ident = np.eye(k, dtype=np.int64)
-    img = [(np.array(lperp, dtype=np.int64).T @ col) % p for col in ((glp - ident) % p).T]
-    fixed_cols = modp.kernel_basis((glp - ident) % p, p)
-    fixed = [tuple(int(x) for x in (np.array(lperp, dtype=np.int64).T @ c) % p) for c in fixed_cols]
-    fixed_rest = complement_in(fixed, [line], p)
-    return complement_in(img, [], p) + fixed_rest
+    line = _rows([line], p, space.dim)
+    lperp = perp_basis(space, line)
+    shift = (restrict_map(g, lperp) - np.eye(len(lperp), dtype=np.int64)) % p
+    img = shift.T @ lperp % p
+    fixed = modp.kernel_basis(shift, p) @ lperp % p
+    return np.vstack([complement_in(img, [], p), complement_in(fixed, line, p)])
 
 
-def maximal_invariant_isotropic(g: SpElem) -> list[tuple[int, ...]]:
+def maximal_invariant_isotropic(g: SpElem) -> np.ndarray:
     """Greedy maximal g-invariant totally isotropic subspace for semisimple g:
     while some eigenvalue has an eigenvector in V'^perp outside V' (for
     semisimple g, an eigenline of V'^perp/V' lifts to one), add the first
@@ -241,15 +240,15 @@ def maximal_invariant_isotropic(g: SpElem) -> list[tuple[int, ...]]:
     space = g.space
     p = space.p
     ident = np.eye(space.dim, dtype=np.int64)
-    vprime: list[tuple[int, ...]] = []
+    vprime = np.zeros((0, space.dim), dtype=np.int64)
     while len(vprime) < space.dim // 2:
-        in_perp = _basis_mat(space, vprime) @ space.gram_mat
+        in_perp = vprime @ space.gram_mat
         for lam in range(p):
             # the lam-eigenvectors inside V'^perp
             eig = modp.kernel_basis(np.vstack([g.mat_np - lam * ident, in_perp]), p)
-            new = complement_in(eig, vprime, p) if eig else []
-            if new:
-                vprime.append(new[0])
+            new = complement_in(eig, vprime, p) if len(eig) else eig
+            if len(new):
+                vprime = np.vstack([vprime, new[:1]])
                 break
         else:
             break
@@ -264,15 +263,13 @@ def char_polarized(g: SpElem, polarization) -> complex:
     """sgn(det(g|V+)) * |V^g|^{1/2} for semisimple g preserving a polarization."""
     space = g.space
     p = space.p
-    vplus, vminus = polarization
-    vplus = [tuple(int(x) % p for x in v) for v in vplus]
-    vminus = [tuple(int(x) % p for x in v) for v in vminus]
+    vplus, vminus = (_rows(side, p, space.dim) for side in polarization)
     n = space.dim // 2
     if len(vplus) != n or len(vminus) != n:
         raise NotInvariantPolarization("polarization sides must have dimension n")
     if not is_isotropic(space, vplus) or not is_isotropic(space, vminus):
         raise NotInvariantPolarization("polarization sides must be Lagrangian")
-    if modp.rank(np.array(vplus + vminus, dtype=np.int64), p) != 2 * n:
+    if modp.rank(np.vstack([vplus, vminus]), p) != 2 * n:
         raise NotInvariantPolarization("sides do not span")
     if not g.is_semisimple():
         raise sym.NotSemisimple("polarized formula requires a semisimple element")
@@ -287,7 +284,8 @@ def char_polarized(g: SpElem, polarization) -> complex:
 
 
 def invariant_polarizations(g: SpElem):
-    """All g-invariant polarizations (V+, V-) of a small space, brute force."""
+    """All g-invariant polarizations (V+, V-) of a small space, brute force;
+    each side a read-only (n, dim) array."""
     space = g.space
     p = space.p
     n = space.dim // 2
@@ -300,20 +298,24 @@ def invariant_polarizations(g: SpElem):
                 continue
             lagr.append(basis)
     for vp, vm in itertools.combinations(lagr, 2):
-        if modp.rank(np.array(vp + vm, dtype=np.int64), p) == 2 * n:
+        if modp.rank(np.vstack([vp, vm]), p) == 2 * n:
             yield vp, vm
             yield vm, vp
 
 
 @lru_cache(maxsize=None)
-def _all_subspaces(space: SympSpace, dim: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All dim-dimensional subspaces as canonical RREF bases, in the order of
-    their first spanning combination of nonzero vectors; small spaces."""
+def _all_subspaces(space: SympSpace, dim: int) -> np.ndarray:
+    """All dim-dimensional subspaces as canonical RREF bases, one read-only
+    (N, dim, space.dim) array, in the order of their first spanning
+    combination of nonzero vectors; small spaces."""
     p = space.p
-    bases: dict[tuple, None] = {}  # an insertion-ordered set
-    vecs = [v for v in space.vectors() if any(v)]
+    # every vector, last coordinate fastest (itertools.product's order); row 0 is 0
+    vecs = np.indices((p,) * space.dim).reshape(space.dim, -1).T[1:]
+    bases: dict[bytes, np.ndarray] = {}  # an insertion-ordered set
     for combo in itertools.combinations(vecs, dim):
         m, piv = modp.rref(np.array(combo, dtype=np.int64), p)
         if len(piv) == dim:
-            bases.setdefault(tuple(tuple(row) for row in m.tolist()), None)
-    return tuple(bases)
+            bases.setdefault(m.tobytes(), m)
+    out = np.array(list(bases.values()), dtype=np.int64).reshape(len(bases), dim, space.dim)
+    out.flags.writeable = False
+    return out

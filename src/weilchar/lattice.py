@@ -430,7 +430,7 @@ def _catalogue() -> tuple[tuple[str, RootDatum], ...]:
 def datum_from_json(obj) -> RootDatum:
     return RootDatum(
         int(obj["rank"]),
-        tuple(tuple(int(x) for x in r) for r in obj["roots"]),
-        tuple(tuple(int(x) for x in r) for r in obj["coroots"]),
-        tuple(tuple(int(x) for x in r) for r in obj["theta"]),
+        tuple(tuple(map(int, r)) for r in obj["roots"]),
+        tuple(tuple(map(int, r)) for r in obj["coroots"]),
+        tuple(tuple(map(int, r)) for r in obj["theta"]),
     )

@@ -9,8 +9,7 @@ import numpy as np
 
 
 def as_mat(m, p: int) -> np.ndarray:
-    a = np.asarray(m, dtype=np.int64) % p
-    return a
+    return np.asarray(m, dtype=np.int64) % p
 
 
 def prime_factors(n: int) -> list[int]:
@@ -131,19 +130,21 @@ def rank(m, p: int) -> int:
     return len(rref(m, p)[1])
 
 
-def kernel_basis(m, p: int) -> list[np.ndarray]:
-    """Basis of the right kernel {x : m x = 0}."""
-    a, pivots = rref(m, p)
+def kernel_basis(m, p: int) -> np.ndarray:
+    """Basis of the right kernel {x : m x = 0}, one row per free column c of
+    the reduced m: 1 at c, and minus column c of the reduced rows at their
+    pivots."""
+    a = as_mat(m, p)
+    rows = a.tolist()
+    pivots, _ = reduce_rows(rows, p)
     cols = a.shape[1]
     free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(cols, dtype=np.int64)
+    basis = [[0] * cols for _ in free]
+    for v, f in zip(basis, free):
         v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-a[r, f]) % p
-        basis.append(v)
-    return basis
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f] % p
+    return np.array(basis, dtype=np.int64).reshape(len(free), cols)
 
 
 def mat_inv(m, p: int) -> np.ndarray:

@@ -105,7 +105,8 @@ class OrbitAction:
         n = self.size
         for name in ("frobenius", "neg", "theta"):
             perm = getattr(self, name)
-            if not all(isinstance(x, int) and not isinstance(x, bool) for x in perm) or sorted(perm) != list(range(n)):
+            # the length first: sorted and range would be as long as size
+            if len(perm) != n or not all(isinstance(x, int) and not isinstance(x, bool) for x in perm) or sorted(perm) != list(range(n)):
                 raise SignCalcError("%s is not a permutation of 0..%d" % (name, n - 1))
         if _perm_mul(self.neg, self.neg) != tuple(range(n)):
             raise SignCalcError("neg is not an involution")
@@ -644,8 +645,8 @@ def twisted_scenario(sc: OrbitScenario, s_values: dict[int, FieldElem]) -> Orbit
     for smat in smats[:0:-1]:
         base = base @ smat % p
     plus, minus = sym.plus_minus_parts(base, root.branch_sign)
-    eta_plus = sym.coords_to_elem(sc.k_alpha, plus[:, 0])
-    eta_minus = None if minus is None else sym.coords_to_elem(sc.k_alpha, minus[:, 0])
+    eta_plus = sc.k_alpha.element(plus[:, 0])
+    eta_minus = None if minus is None else sc.k_alpha.element(minus[:, 0])
     return replace(sc, eta_alpha=eta_plus, eta_minus_alpha=eta_minus)
 
 

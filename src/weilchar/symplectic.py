@@ -2,9 +2,10 @@
 maximal tori with their eigenvalue orbits (TorusPiece), and
 eigenvalue/conjugacy utilities.
 
-Vectors are tuples over F_p, matrices numpy int arrays acting on column
-vectors; Gram matrices are kept explicit (block constructions of the sign
-machinery produce non-standard forms that must not be normalized away).
+Vectors are int64 arrays over F_p (a basis is one array, a vector per
+row), matrices numpy int arrays acting on column vectors; Gram matrices are
+kept explicit (block constructions of the sign machinery produce
+non-standard forms that must not be normalized away).
 """
 
 from __future__ import annotations
@@ -67,20 +68,11 @@ class SympSpace:
     def dim(self) -> int:
         return len(self.gram)
 
-    def form(self, u, v) -> int:
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        return int(u @ self.gram_mat @ v % self.p)
-
-    def vectors(self):
-        for vv in itertools.product(range(self.p), repeat=self.dim):
-            yield vv
-
 
 def symp_space(p: int, gram, blocks=None) -> SympSpace:
     """The space with the integer Gram matrix `gram`, reduced mod p."""
     g = np.asarray(gram, dtype=np.int64) % p
-    return SympSpace(p, tuple(tuple(int(x) for x in row) for row in g), blocks)
+    return SympSpace(p, tuple(map(tuple, g.tolist())), blocks)
 
 
 def split_space(p: int, x) -> SympSpace:
@@ -194,10 +186,6 @@ class SpElem:
     def inverse(self) -> "SpElem":
         return sp_elem(self.space, modp.mat_inv(self.mat_np, self.space.p))
 
-    def apply(self, v) -> tuple[int, ...]:
-        out = self.mat_np @ np.asarray(v, dtype=np.int64) % self.space.p
-        return tuple(int(x) for x in out)
-
     def order(self) -> int:
         n = self.space.dim
         ident = np.eye(n, dtype=np.int64)
@@ -305,10 +293,6 @@ def _frobenius_matrix(desc: FieldDesc, j: int) -> np.ndarray:
     return out
 
 
-def coords_to_elem(desc: FieldDesc, coords) -> FieldElem:
-    return desc.element(tuple(int(c) for c in coords))
-
-
 # ---------------------------------------------------------------------------
 # Maximal tori (Lemma: norm-one and split factors)
 
@@ -400,13 +384,6 @@ class BuiltTorus:
                 pools.append(list(self.factor_field(i).units()))
         for combo in itertools.product(*pools):
             yield self.element(combo)
-
-    def order(self) -> int:
-        out = 1
-        for f in self.desc.factors:
-            q = self.p**f.subdegree
-            out *= (q + 1) if isinstance(f, NormOneFactor) else (q - 1)
-        return out
 
 
 def anti_invariant_units(k: FieldDesc, j: int) -> list[FieldElem]:

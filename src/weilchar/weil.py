@@ -184,7 +184,7 @@ class WeilModel:
         self.n = space.dim // 2
         self.dim = self.p**self.n
         if polarization is not None:
-            xs, ys = (np.array(list(v), dtype=np.int64) for v in polarization)
+            xs, ys = (modp.as_mat(side, self.p) for side in polarization)
             gramxy = self._check_polarization(xs, ys)
             # rescale the Y-vectors so <x_i, y_j> = delta_ij
             basis = np.hstack([xs.T, ys.T @ modp.mat_inv(gramxy, self.p)]) % self.p

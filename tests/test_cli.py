@@ -279,6 +279,13 @@ BAD_PAYLOADS = {
                                                "payload": {"matrices": [{"theta": [[True]], "expect_torsion": []}]}},
     "lattice-check-theta-string-entry": lambda: {"id": "l", "kind": "lattice-check",
                                                  "payload": {"matrices": [{"theta": [["3"]], "expect_torsion": []}]}},
+    # sizes refused before anything of that size is computed or allocated:
+    # a field degree before p^k, phi before a list of phi entries, a torus's
+    # model dimension before its field blocks
+    "C-field-degree-huge": lambda: _sign_payload(lambda pl: pl["orbits"][0].update(C="3^10000000:1")),
+    "phi-huge": lambda: _sign_payload(lambda pl: pl["action"].update(phi=3 * 10**7)),
+    "gerardin-torus-over-the-cap": lambda: {"id": "g", "kind": "gerardin",
+                                            "payload": {"p": 3, "factors": [{"type": "split", "subdegree": 1}] * 800}},
 }
 # the field a case's message must name, where the field alone is not enough
 BAD_PAYLOAD_MESSAGES = {
@@ -317,6 +324,9 @@ BAD_PAYLOAD_MESSAGES = {
     "lattice-check-theta-string-entry": "theta entry must be an integer, got '3'",
     "C-digit-out-of-range": "'3^2:4,0' has a digit outside 0..2",
     "eta-digit-negative": "'3^2:0,-2' has a digit outside 0..2",
+    "C-field-degree-huge": "GF(3^10000000) exceeds the size cap 6561",
+    "phi-huge": "frobenius is not a permutation of 0..29999999",
+    "gerardin-torus-over-the-cap": "p^n = 3^800 exceeds the model cap 32767",
 }
 
 
@@ -340,6 +350,17 @@ def test_theta_above_the_rank_cap_is_refused_at_once(case, tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert "rank 40 is above the cap" in err
+
+
+@pytest.mark.parametrize("case", ["C-field-degree-huge", "phi-huge", "gerardin-torus-over-the-cap"])
+def test_a_size_above_its_cap_is_refused_at_once(case, tmp_path, capsys):
+    # checked only after the work they bound, these sizes took 2.3-4.6 s and
+    # up to 1.2 GB to refuse (whole CLI run, 2-vCPU x86-64 VM)
+    start = time.perf_counter()
+    code, err = _run_one_scenario(BAD_PAYLOADS[case](), tmp_path, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert BAD_PAYLOAD_MESSAGES[case] in err
 
 
 def test_block_above_the_schur_cap_is_refused_at_once(tmp_path, capsys):

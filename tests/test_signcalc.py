@@ -570,8 +570,8 @@ def test_built_blocks_carry_the_scenario_etas(p):
     # from the built operator in the plus/minus layout of the branch sign
     for label, s in checks.sign_branch_scenarios(p, 4, 20, 2):
         plus, minus = sym.plus_minus_parts(sc.build_block(s).op.mat_np, s.root.branch_sign)
-        got = (sym.coords_to_elem(s.k_alpha, plus[:, 0]),
-               None if minus is None else sym.coords_to_elem(s.k_alpha, minus[:, 0]))
+        got = (s.k_alpha.element(plus[:, 0]),
+               None if minus is None else s.k_alpha.element(minus[:, 0]))
         assert got == (s.eta_alpha, None if s.sym_alpha else s.eta_minus_alpha), label
 
 

@@ -91,7 +91,7 @@ def test_polarization_validation():
     v = (1, 2)
     g = sym.sp_elements(space)[5]
     og = m.omega(g)
-    assert np.abs(og @ m.rho(v, 0) @ np.linalg.inv(og) - m.rho(g.apply(v), 0)).max() < 1e-9
+    assert np.abs(og @ m.rho(v, 0) @ np.linalg.inv(og) - m.rho(g.mat_np @ v % space.p, 0)).max() < 1e-9
 
 
 def test_weil_operator_examples(model5):
@@ -154,7 +154,7 @@ def _schur_loop(model_a, model_b, phi):
         unit[s0, 0] = 1
         for v in itertools.product(range(p), repeat=dim_v):
             # (v, 0)^-1 = (-v, 0)
-            avgs[s0] += model_b.rho(phi.apply(v), 0) @ unit @ model_a.rho([-x % p for x in v], 0)
+            avgs[s0] += model_b.rho(phi.mat_np @ v % p, 0) @ unit @ model_a.rho([-x % p for x in v], 0)
     diag = avgs[:, :, 0].diagonal().real
     acc = avgs[int(np.argmax(diag >= 0.5 * diag.max()))]
     return acc / np.linalg.norm(acc[:, 0])
@@ -165,7 +165,7 @@ def _rotated_model(space):
     g = sym.sp_generators(space)[0]
     n = space.dim // 2
     unit = np.eye(2 * n, dtype=np.int64)
-    return weil.WeilModel(space, ([g.apply(v) for v in unit[:n]], [g.apply(v) for v in unit[n:]]))
+    return weil.WeilModel(space, ([g.mat_np @ v % space.p for v in unit[:n]], [g.mat_np @ v % space.p for v in unit[n:]]))
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
