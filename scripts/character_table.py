@@ -20,11 +20,11 @@ def main(p: int) -> None:
             buckets[sym.eigen_multiset_key(sym.eigen_multiset(g))].append(g)
     print("Sp_2(F_%d): %d semisimple classes" % (p, len(buckets)))
     print("%-28s %6s %22s %22s" % ("eigenvalues (index key)", "size", "recursive formula", "oracle trace"))
-    for key in sorted(buckets):
+    keys = sorted(buckets)
+    oracles = model.trace_stack([buckets[key][0] for key in keys]).tolist()
+    for key, oracle in zip(keys, oracles):
         members = buckets[key]
-        g = members[0]
-        formula = gerardin.weil_char(g)
-        oracle = model.trace_omega(g)
+        formula = gerardin.weil_char(members[0])
         print(
             "%-28s %6d %11.4f%+9.4fj %11.4f%+9.4fj"
             % (key, len(members), formula.real, formula.imag, oracle.real, oracle.imag)

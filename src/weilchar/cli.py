@@ -129,9 +129,9 @@ def run_gerardin(sid: str, payload, tol: float, seed: int) -> list[Row]:
     torus = sym.build_torus(desc)
     model = weil.WeilModel(torus.space)
     rows = []
-    for t in torus.elements():
+    els = list(torus.elements())
+    for t, oracle in zip(els, model.trace_stack([t.elem for t in els]).tolist()):
         formula = gerardin.char_semisimple(t)
-        oracle = model.trace_omega(t.elem)
         label = "char t=(%s)" % ",".join(ffield.serialize(c) for c in t.coords)
         rows.append(Row.compare(sid, label, formula, oracle, tol, seed))
     return rows
@@ -161,12 +161,18 @@ def run_weil_verify(sid: str, payload, tol: float, seed: int) -> list[Row]:
         worst = max(worst, weil.monomial_distance(got_cols, got, cab, pab))
     rows.append(Row.compare(sid, "rho homomorphism (sampled)", worst, 0, tol, seed))
     gens = sym.sp_generators(space)
-    g = sym.sp_identity(space)
+    hs = [gens[rng.integers(len(gens))] for _ in range(words)]
+    walk = [sym.sp_identity(space)]
+    for h in hs:
+        walk.append(walk[-1] * h)
+    # omega(g_i) omega(h_i) = omega(g_i+1) along the walk g_i+1 = g_i h_i, in
+    # chunks of steps that keep the (k, p^n, p^n) operator stacks bounded
     worst_m = 0.0
-    for _ in range(words):
-        h = gens[rng.integers(len(gens))]
-        worst_m = max(worst_m, float(np.abs(model.omega(g) @ model.omega(h) - model.omega(g * h)).max()))
-        g = g * h
+    step = max(1, weil.GATHER_CHUNK_ENTRIES // (2 * model.dim**2))
+    for lo in range(0, words, step):
+        k = min(step, words - lo)
+        ops = model.omega_stack(walk[lo : lo + k + 1] + hs[lo : lo + k])
+        worst_m = max(worst_m, float(np.abs(ops[:k] @ ops[k + 1 :] - ops[1 : k + 1]).max()))
     rows.append(Row.compare(sid, "omega multiplicative (word walk)", worst_m, 0, tol, seed))
     return rows
 
@@ -185,9 +191,8 @@ def run_twisted_trace(sid: str, payload, tol: float, seed: int) -> list[Row]:
     rng = np.random.default_rng(seed)
     els = sym.sp_elements(v2)
     rows = []
-    for trial in range(trials):
-        parts = [els[rng.integers(len(els))] for _ in range(sum(group_sizes))]
-        res = weil.twisted_trace(twist, parts)
+    drawn = [[els[rng.integers(len(els))] for _ in range(sum(group_sizes))] for _ in range(trials)]
+    for trial, res in enumerate(weil.twisted_trace_stack(twist, drawn)):
         rows.append(Row.compare(sid, "product vs direct #%d" % trial, res.product_value, res.direct_value, tol, seed))
     return rows
 

@@ -12,7 +12,10 @@ independent constructions:
   multiply it out, and trace_omega sums it over the points where F_S's
   diagonal can be nonzero as one histogram of integer phases mod p, in
   O(p^n) work on every cell and with no p^n x p^n product.  It is the only
-  model omega and trace_omega read;
+  model omega and trace_omega read.  It takes a stack of elements of one
+  space (normal_forms, omega_stack, trace_stack): each element's
+  elimination runs on Python-int rows, the rest once per cell rank with a
+  leading batch axis; one element is the stack of one;
 * a whole-group model (omega_group) for |Sp(V)| within the enumeration cap,
   built from one Schur average of a matrix unit per element (a projective
   intertwiner, one scatter of p^2n phases) and scaled so that
@@ -120,17 +123,38 @@ def _points(p: int, n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, int64 and read-only."""
+    out = np.eye(n, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
 def _nbar_form(b: np.ndarray, p: int) -> np.ndarray:
     """-b/2 mod p: the diagonal of the lower-unipotent operator nbar(b) is
     psi(t^T (-b/2) t) at the point t."""
     return -pow(2, p - 2, p) * np.asarray(b, dtype=np.int64) % p
 
 
-def _quadratic_phases(pts: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
-    """The integer phases s^T q s mod p at the rows s of pts.  q is reduced
-    mod p first, so no product exceeds n p^2 and int64 holds for every
-    p^n <= MODEL_DIM_CAP."""
-    return (pts @ (q % p) % p * pts).sum(axis=1) % p
+@lru_cache(maxsize=None)
+def _pair_products(p: int, n: int) -> np.ndarray:
+    """s_i s_j for every point s of F_p^n (rows in _points order) and every
+    pair (i, j), row-major: shape (p^n, n^2), read-only and shared by every
+    model of dimension p^n."""
+    pts = _points(p, n)
+    out = (pts[:, :, None] * pts[:, None, :]).reshape(len(pts), n * n)
+    out.flags.writeable = False
+    return out
+
+
+def _quadratic_phases(p: int, n: int, q: np.ndarray) -> np.ndarray:
+    """The integer phases s^T q s mod p at every point s of F_p^n, in
+    _points order: one matmul with _pair_products, one row of phases per
+    n x n matrix of a stack q.  q is reduced mod p, as _nbar_form and
+    _trace_phase return it, so no sum exceeds n^2 p^3 and int64 holds for
+    every p^n <= MODEL_DIM_CAP."""
+    return q.reshape(q.shape[:-2] + (n * n,)) @ _pair_products(p, n).T % p
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,10 +166,13 @@ class WordFactors:
     reductions that give t and a2^-1; on the big cell (r = n) a2 = I.  On
     functions on F_p^n, omega(h)[s, u] = sgn psi(d1(s))
     F_S(t s, a2 u) psi(d2(u)) with the nbar phases d(s) = s^T (-b/2) s and
-    F_S[x, y] = c_r psi(x_S . y_S) delta(x_S^c = y_S^c)."""
+    F_S[x, y] = c_r psi(x_S . y_S) delta(x_S^c = y_S^c).
+
+    normal_forms stacks the elements of one cell rank: there sgn is an int64
+    array and every matrix gains a leading axis, one entry per element."""
 
     rank: int
-    sgn: int
+    sgn: int | np.ndarray
     t: np.ndarray
     a2: np.ndarray
     b1: np.ndarray
@@ -153,16 +180,18 @@ class WordFactors:
 
 
 def _trace_support(f: WordFactors, p: int) -> np.ndarray:
-    """(t - a2) on the coordinates off S, mod p: F_S(t s, a2 s) vanishes unless
-    t s and a2 s agree there, so the trace sums over this matrix's kernel."""
-    return (f.t - f.a2)[f.rank :] % p
+    """(t - a2) on the coordinates off S, mod p, for each element of a
+    stacked normal form: F_S(t s, a2 s) vanishes unless t s and a2 s agree
+    there, so the trace sums over this matrix's kernel."""
+    return (f.t - f.a2)[:, f.rank :] % p
 
 
 def _trace_phase(f: WordFactors, p: int) -> np.ndarray:
     """Q mod p with the trace's summand sgn c_r psi(s^T Q s) at a point s of
-    the support: both nbar phases and F_S's phase (t s)_S . (a2 s)_S."""
+    the support, for each element of a stacked normal form: both nbar
+    phases and F_S's phase (t s)_S . (a2 s)_S."""
     r = f.rank
-    return (_nbar_form(f.b1 + f.b2, p) + f.t[:r].T @ f.a2[:r]) % p
+    return (_nbar_form(f.b1 + f.b2, p) + f.t[:, :r].transpose(0, 2, 1) @ f.a2[:, :r]) % p
 
 
 class WeilModel:
@@ -250,79 +279,154 @@ class WeilModel:
         roots = _fourier_scalar(self.p, r) * modp.theta_values(self.p)
         return np.take(roots, phases, mode="wrap")  # wrap: index x mod p
 
-    def word_factors(self, g: SpElem) -> WordFactors:
-        """Bruhat-cell normal form omega(g) = W D1 M1 F_S M2 D2 W^H.
+    def normal_forms(self, gs) -> list[tuple[np.ndarray, WordFactors]]:
+        """Bruhat-cell normal forms omega(g) = W D1 M1 F_S M2 D2 W^H of a
+        stack of elements of this model's space, grouped by cell rank: one
+        (positions in gs, stacked WordFactors) pair per rank that occurs.
 
         With g = [[A, B], [C, D]] in standard coordinates, h = w^-1 g w =
         [[D, -C], [-B, A]] factors as nbar(b1) m(a1) w_S m(a2) nbar(b2), w_S
         the Weyl element on the first r = rank C coordinate pairs.  One row
-        reduction T [-C | I] = [R | T] gives T = a1^-1, r, the pivot columns
-        and det T; the rest is read off h's rows.  On the big cell (r = n)
-        a2 = I, so b2 = T D and b1 = A T; on the others one reduction of
-        [a2 | I] gives a2^-1 and det a2.  sgn = (det T det a2 / p)."""
-        if g.space != self.space:
-            raise sym.SpaceMismatch("element from another space")
+        reduction T [-C | I] = [R | T] per element gives T = a1^-1, r, the
+        pivot columns and det T; the rest is read off h's rows, once per rank
+        group with a leading batch axis (_cell_forms).  A stack of one rank
+        is not regrouped."""
+        for g in gs:
+            if g.space is not self.space and g.space != self.space:
+                raise sym.SpaceMismatch("element from another space")
+        if not gs:
+            return []
         p, n = self.p, self.n
-        gstd = self.to_std @ g.mat_np @ self.from_std % p
-        a, b, c, d = gstd[:n, :n], gstd[:n, n:], gstd[n:, :n], gstd[n:, n:]
-        rows = modp.with_identity((-c % p).tolist())
-        pivots, det_t = modp.reduce_rows(rows, p)
-        t = np.array([row[n:] for row in rows], dtype=np.int64)
-        pivots = [j for j in pivots if j < n]
-        r = len(pivots)
+        mats = gs[0].mat_np[None] if len(gs) == 1 else np.stack([g.mat_np for g in gs])
+        gstd = self.to_std @ mats @ self.from_std % p
+        ts, pivots, dets = [], [], []
+        for neg_c in (-gstd[:, n:, :n] % p).tolist():
+            rows = modp.with_identity(neg_c)
+            piv, det_t = modp.reduce_rows(rows, p)
+            ts.append([row[n:] for row in rows])
+            pivots.append([j for j in piv if j < n])
+            dets.append(det_t)
+        t = np.array(ts, dtype=np.int64)
+        ranks = [len(piv) for piv in pivots]
+        if ranks.count(ranks[0]) == len(ranks):
+            return [(np.arange(len(gs)), self._cell_forms(gstd, t, pivots, dets))]
+        groups = [np.flatnonzero(np.array(ranks) == r) for r in sorted(set(ranks))]
+        return [(pos, self._cell_forms(gstd[pos], t[pos], [pivots[i] for i in pos], [dets[i] for i in pos]))
+                for pos in groups]
+
+    def _cell_forms(self, gstd: np.ndarray, t: np.ndarray, pivots: list, dets: list) -> WordFactors:
+        """The stacked normal form of elements of one cell rank r, from their
+        standard matrices, T, pivot columns and det T.  On the big cell
+        (r = n) a2 = I, so b2 = T D and b1 = A T; on the others one reduction
+        of [a2 | I] per element gives a2^-1 and det a2.  sgn = (det T det a2
+        / p)."""
+        p, n, r = self.p, self.n, len(pivots[0])
+        a, b, d = gstd[:, :n, :n], gstd[:, :n, n:], gstd[:, n:, n:]
         # top row of h: T D = E' a2 + E a2^-T b2 and T (-C) = E a2^-T, E the
         # projection on the first r coordinates; a2 has rows e_pivot there
         x = t @ d % p
         if r == n:  # the pivots are 0..n-1, so a2 = I and beta = X
-            a2 = np.eye(n, dtype=np.int64)
-            return WordFactors(rank=r, sgn=modp.legendre(det_t, p), t=t, a2=a2, b1=a @ t % p, b2=x)
-        a2 = x.copy()
-        a2[:r] = 0
-        a2[range(r), pivots] = 1
-        rows = modp.with_identity(a2.tolist())
-        _, det_inv_a2 = modp.reduce_rows(rows, p)  # 1 / det a2, of the same quadratic character
-        a2inv = np.array([row[n:] for row in rows], dtype=np.int64)
+            a2 = _identity(n)[None].repeat(len(t), axis=0)
+            sgn = np.array([modp.legendre(det_t, p) for det_t in dets])
+            return WordFactors(rank=r, sgn=sgn, t=t, a2=a2, b1=a @ t % p, b2=x)
+        a2_rows = [[[int(j == c) for j in range(n)] for c in piv] + x_rest for piv, x_rest in zip(pivots, x[:, r:].tolist())]
+        a2 = np.array(a2_rows, dtype=np.int64)
+        inv_rows, det_invs = [], []
+        for rows in map(modp.with_identity, a2_rows):
+            _, det_inv_a2 = modp.reduce_rows(rows, p)  # 1 / det a2, of the same quadratic character
+            inv_rows.append([row[n:] for row in rows])
+            det_invs.append(det_inv_a2)
+        a2inv, a2t = np.array(inv_rows, dtype=np.int64), a2.transpose(0, 2, 1)
         # b2 = a2^T beta a2 with beta symmetric, its first r rows X_S a2^-1
-        beta = np.zeros((n, n), dtype=np.int64)
-        beta[:r] = x[:r] @ a2inv
-        beta[r:, :r] = beta[:r, r:].T
-        b2 = a2.T @ beta @ a2 % p
+        beta = np.zeros(t.shape, dtype=np.int64)
+        beta[:, :r] = x[:, :r] @ a2inv
+        beta[:, r:, :r] = beta[:, :r, r:].transpose(0, 2, 1)
+        b2 = a2t @ beta @ a2 % p
         # bottom row of h nbar(-b2) = nbar(b1) m(a1) w_S m(a2), paired with
         # [a2^-1 E'; a2^T E], gives b1 a1
         q = (-b - a @ b2) @ a2inv
-        q[:, :r] = (a @ a2.T)[:, :r]
+        q[:, :, :r] = (a @ a2t)[:, :, :r]
         b1 = (q % p) @ t % p
-        return WordFactors(rank=r, sgn=modp.legendre(det_t * det_inv_a2, p), t=t, a2=a2, b1=b1, b2=b2)
+        sgn = np.array([modp.legendre(det_t * det_inv, p) for det_t, det_inv in zip(dets, det_invs)])
+        return WordFactors(rank=r, sgn=sgn, t=t, a2=a2, b1=b1, b2=b2)
+
+    def word_factors(self, g: SpElem) -> WordFactors:
+        """The normal form of one element: normal_forms on a stack of one."""
+        [(_, f)] = self.normal_forms([g])
+        return WordFactors(rank=f.rank, sgn=int(f.sgn[0]), t=f.t[0], a2=f.a2[0], b1=f.b1[0], b2=f.b2[0])
+
+    def _stacked(self, gs, cell, entries: int, shape: tuple) -> np.ndarray:
+        """cell(f) on the stacked normal forms f of gs, one call per rank group
+        of each slice of gs, put back in input order: shape (len(gs),) +
+        shape.  A slice holds GATHER_CHUNK_ENTRIES // entries elements (at
+        least one), entries bounding what cell gathers per element."""
+        gs = list(gs)
+        step = max(1, GATHER_CHUNK_ENTRIES // entries)
+        if len(gs) <= step:
+            groups = self.normal_forms(gs)
+            if len(groups) == 1:  # one slice of one rank: nothing to put back
+                return cell(groups[0][1])
+            slices = [(0, groups)]
+        else:
+            slices = [(lo, self.normal_forms(gs[lo : lo + step])) for lo in range(0, len(gs), step)]
+        out = np.empty((len(gs),) + shape, dtype=complex)
+        for lo, groups in slices:
+            for pos, f in groups:
+                out[lo + pos] = cell(f)
+        return out
+
+    def omega_stack(self, gs) -> np.ndarray:
+        """Weil operators of a stack of elements, the dense products of their
+        word-model normal forms: shape (len(gs), p^n, p^n), in input order."""
+        return self._stacked(gs, self._cell_operators, self.dim**2, (self.dim, self.dim))
+
+    def _cell_operators(self, f: WordFactors) -> np.ndarray:
+        p, r, pts = self.p, f.rank, self._pts
+        w, theta = self._fourier(), modp.theta_values(p)
+        left, right = pts @ f.t.transpose(0, 2, 1) % p, pts @ f.a2.transpose(0, 2, 1) % p
+        d1, d2 = _quadratic_phases(p, self.n, _nbar_form(np.stack([f.b1, f.b2]), p))
+        # omega(h)[s, u] = sgn psi(d1(s)) F_S(t s, a2 u) psi(d2(u))
+        rest = self._powers[: self.n - r]
+        same = (left[..., r:] @ rest)[:, :, None] == (right[..., r:] @ rest)[:, None, :]
+        fs = self._fourier_entries(left[..., :r] @ right[..., :r].transpose(0, 2, 1), r) * same
+        return (w * theta[d1][:, None]) @ (f.sgn[:, None, None] * fs * theta[d2][:, None]) @ w.conj().T
 
     def omega_word(self, g: SpElem) -> np.ndarray:
         """Weil operator: the dense product of the word-model normal form."""
-        f = self.word_factors(g)
-        p, r, pts = self.p, f.rank, self._pts
-        w, theta = self._fourier(), modp.theta_values(p)
-        left, right = pts @ f.t.T % p, pts @ f.a2.T % p
-        d1, d2 = (_quadratic_phases(pts, _nbar_form(b, p), p) for b in (f.b1, f.b2))
-        # omega(h)[s, u] = sgn psi(d1(s)) F_S(t s, a2 u) psi(d2(u))
-        rest = self._powers[: self.n - r]
-        same = (left[:, r:] @ rest)[:, None] == (right[:, r:] @ rest)[None, :]
-        fs = self._fourier_entries(left[:, :r] @ right[:, :r].T, r) * same
-        return (w * theta[d1]) @ (f.sgn * fs * theta[d2]) @ w.conj().T
+        return self.omega_stack([g])[0]
 
     def omega(self, g: SpElem) -> np.ndarray:
         """Weil operator: the word model, omega_word."""
         return self.omega_word(g)
 
-    def trace_omega(self, g: SpElem) -> complex:
-        """tr omega_word(g) from the normal form without forming the operator.
+    def trace_stack(self, gs) -> np.ndarray:
+        """tr omega_word(g) for each g of a stack, from the normal forms
+        without forming any operator: complex, in input order.
 
         tr omega(g) = tr omega(h) = sum_s sgn c_r psi(s^T Q s) over the points
         s with (t s)_S^c = (a2 s)_S^c, the only ones where F_S(t s, a2 s) is
         nonzero (_trace_support, _trace_phase).  The brute-force sum is
         regrouped by phase: one bincount N_z of the integer phases s^T Q s mod
-        p, then sgn c_r sum_z N_z psi(z)."""
-        f, p, pts = self.word_factors(g), self.p, self._pts
-        on = pts[~(pts @ _trace_support(f, p).T % p).any(axis=1)]
-        counts = np.bincount(_quadratic_phases(on, _trace_phase(f, p), p), minlength=p)
-        return complex(f.sgn * _fourier_scalar(p, f.rank) * (counts @ modp.theta_values(p)))
+        p, then sgn c_r sum_z N_z psi(z), a 1-D sum per element, so that a
+        trace does not depend on the stack it is taken in."""
+        return self._stacked(gs, self._cell_traces, self.dim * self.n, ())
+
+    def _cell_traces(self, f: WordFactors) -> np.ndarray:
+        p, k = self.p, len(f.sgn)
+        # one bincount for the stack: element i's phases are offset by i p;
+        # on the big cell every point is in the support
+        phases = _quadratic_phases(p, self.n, _trace_phase(f, p))
+        if k > 1:
+            phases += np.arange(0, k * p, p)[:, None]
+        if f.rank < self.n:
+            phases = phases[~(self._pts @ _trace_support(f, p).transpose(0, 2, 1) % p).any(axis=-1)]
+        counts = np.bincount(phases.ravel(), minlength=k * p).reshape(k, p)
+        c_r, theta = _fourier_scalar(p, f.rank), modp.theta_values(p)
+        return np.array([sgn * c_r * (row @ theta) for sgn, row in zip(f.sgn.tolist(), counts)])
+
+    def trace_omega(self, g: SpElem) -> complex:
+        """tr omega_word(g): trace_stack on a stack of one."""
+        return complex(self.trace_stack([g])[0])
 
     # -- Weil operators: whole-group model ----------------------------------
 
@@ -367,7 +471,7 @@ class WeilModel:
             u0_std = np.array([[1, 0], [1, 1]], dtype=np.int64)
             u0 = grp.index[sym.sp_elem(self.space, self.from_std @ u0_std @ self.to_std % 3).mat]
             anchors = np.array([u0, mul[u0, u0]])
-            table[u0] = np.diag(modp.theta_values(3)[_quadratic_phases(self._pts, _nbar_form([[1]], 3), 3)])
+            table[u0] = np.diag(modp.theta_values(3)[_quadratic_phases(3, 1, _nbar_form([[1]], 3))])
             table[anchors[1]] = table[u0] @ table[u0]
         else:
             anchors = coprime
@@ -565,34 +669,53 @@ class TwistedTraceResult:
 
 def twisted_trace(chains, parts) -> TwistedTraceResult:
     """Trace of omega(g) composed with the block-twist intertwiner, evaluated
-    by the per-chain product formula and directly on each whole chain.
+    by the per-chain product formula and directly on each whole chain:
+    twisted_trace_stack on a stack of one element g, given by its parts."""
+    return twisted_trace_stack(chains, [parts])[0]
 
-    chains is block_twist's tuple; g is given by its parts, one SpElem of
-    the block space per block, chain after chain and copy after copy.  The
-    direct value is the product over the chains of sign * tr omega(g_c iota)
-    in the word model of the whole chain, g_c the chain's parts as one
-    block-diagonal element; the chain's Weil representation restricts to
-    the tensor product of its blocks' (Gerardin 1977).  omega(iota) and the
-    rotation of the tensor factors by the chain's intertwiners differ by
-    sign, the Levi sign the word model gives the bare block permutation."""
-    parts = list(parts)
+
+def twisted_trace_stack(chains, elements) -> list[TwistedTraceResult]:
+    """twisted_trace of each element of a stack, in input order.
+
+    chains is block_twist's tuple; each element is a list of parts, one
+    SpElem of the block space per block, chain after chain and copy after
+    copy.  The direct value is the product over the chains of sign *
+    tr omega(g_c iota) in the word model of the whole chain, g_c the chain's
+    parts as one block-diagonal element; the chain's Weil representation
+    restricts to the tensor product of its blocks' (Gerardin 1977).
+    omega(iota) and the rotation of the tensor factors by the chain's
+    intertwiners differ by sign, the Levi sign the word model gives the bare
+    block permutation.  Per chain, the composite is formed once, the product
+    side is omega_stack on slices of GATHER_CHUNK_ENTRIES operator entries
+    and the direct side one trace_stack."""
+    elements = [list(parts) for parts in elements]
     starts = list(itertools.accumulate((len(chain.inters) for chain in chains), initial=0))
-    if len(parts) != starts[-1]:
-        raise BlockMismatch("%d parts for %d blocks" % (len(parts), starts[-1]))
-    product_value = 1.0 + 0j
-    direct_value = 1.0 + 0j
+    for parts in elements:
+        if len(parts) != starts[-1]:
+            raise BlockMismatch("%d parts for %d blocks" % (len(parts), starts[-1]))
+    if not elements:
+        return []
+    products = [1.0 + 0j] * len(elements)
+    directs = [1.0 + 0j] * len(elements)
     for i, chain in enumerate(chains):
-        model, p, gs = chain.model, chain.model.p, parts[starts[i] : starts[i + 1]]
-        if any(g.space != model.space for g in gs):
+        model, p = chain.model, chain.model.p
+        gss = [parts[starts[i] : starts[i + 1]] for parts in elements]
+        if any(g.space != model.space for gs in gss for g in gs):
             raise BlockMismatch("a part of chain %d is not an element of its block space" % i)
+        mats = np.array([[g.mat_np for g in gs] for gs in gss])  # (element, copy, row, column)
         # g_0 . L (g_l ... g_1) L^-1 on block 0: the twist carries block j to
         # block 0 by L whatever j is
-        arg = gs[0].mat_np @ chain.loop.mat_np % p
-        for g in gs[:0:-1]:
-            arg = arg @ g.mat_np % p
+        arg = mats[:, 0] @ chain.loop.mat_np % p
+        for j in range(mats.shape[1] - 1, 0, -1):
+            arg = arg @ mats[:, j] % p
         arg = arg @ chain.loop_inv % p
-        val = np.trace(model.omega(sym.sp_elem(model.space, arg)) @ chain.composite())
-        product_value *= complex(val)
-        g_chain = sym.block_diagonal(chain.whole.space, [g.mat_np for g in gs])
-        direct_value *= chain.sign * chain.whole.trace_omega(g_chain * chain.iota)
-    return TwistedTraceResult(product_value, direct_value)
+        args, composite = [sym.sp_elem(model.space, m) for m in arg], chain.composite()
+        step = max(1, GATHER_CHUNK_ENTRIES // model.dim**2)
+        vals = np.concatenate([np.trace(model.omega_stack(args[lo : lo + step]) @ composite, axis1=1, axis2=2)
+                               for lo in range(0, len(args), step)])
+        whole = chain.whole.trace_stack([sym.block_diagonal(chain.whole.space, [g.mat_np for g in gs]) * chain.iota
+                                         for gs in gss])
+        for e, (val, tr) in enumerate(zip(vals.tolist(), whole.tolist())):
+            products[e] *= val
+            directs[e] *= chain.sign * tr
+    return [TwistedTraceResult(prod, direct) for prod, direct in zip(products, directs)]

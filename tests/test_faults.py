@@ -5,7 +5,7 @@ import contextlib
 
 import pytest
 
-from weilchar import checks, cli, ffield, gerardin, modp, signcalc, symplectic as sym, weil
+from weilchar import checks, cli, ffield, gerardin, lattice, modp, signcalc, symplectic as sym, weil
 
 # fault -> the registry checks it turns red, the whole registry run once in a
 # fresh process (weilchar selfcheck --fault NAME); a fault without a record of
@@ -20,6 +20,7 @@ DETECTION = {name: set(red.split()) for name, red in {
     "complement-in": "gerardin.vprime gerardin.fixed-line gerardin.weil-char",
     "one-step-vprime": "gerardin.weil-char",
     "swap-sign": "weil.omega-mult gerardin.semisimple gerardin.fixed-line gerardin.weil-char signcalc.oracle",
+    "snf-fixup": "lattice.snf",
     "block-sign-negated": "signcalc.oracle signcalc.f1-forms",
     "abelian-law": "symplectic.heis weil.rho",
     "split-class": "symplectic.eigen-conjugacy",
@@ -69,7 +70,7 @@ def test_fault_turns_exactly_its_checks_red(name):
 @pytest.mark.parametrize("name", checks.FAULTS)
 def test_fault_patches_one_attribute_and_restores_it(name):
     def attributes():
-        spaces = (ffield, gerardin, modp, signcalc, sym, weil, weil.WeilModel)
+        spaces = (ffield, gerardin, lattice, modp, signcalc, sym, weil, weil.WeilModel)
         return {(ns.__name__, key): val for ns in spaces for key, val in vars(ns).items()}
 
     clean = attributes()

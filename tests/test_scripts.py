@@ -55,7 +55,9 @@ def test_ci_workflow_parses():
     assert 'python -m pip install -e ".[test]"' in steps
     [tier1] = [s for s in steps if "python -m pytest -q --continue-on-collection-errors" in s]
     assert "--durations=15" in tier1.split()  # every log names its slowest tests
-    assert any("python -m pytest perfbench/tests -q" in s for s in steps)
+    # the benchmark's own suite runs last: a red step skips every step after it
+    assert "python -m pytest perfbench/tests -q" in steps[-1]
+    assert not any("python -m pytest perfbench/tests -q" in s for s in steps[:-1])
     # two selfcheck processes must write the same report bytes
     [self_step] = [s for s in steps if "python -m weilchar.cli selfcheck --report" in s]
     assert self_step.count("python -m weilchar.cli selfcheck --report") == 2 and "cmp " in self_step

@@ -241,7 +241,8 @@ def test_block_twist_inverts_each_loop_once(monkeypatch):
     for g in sym.sp_elements(v2)[:6]:
         weil.twisted_trace(twist, [g] * 3)
     # the word model's normal forms still reduce, through the spied name
-    assert "word_factors" in callers["reduce_rows"] and "twisted_trace" not in callers["mat_inv"]
+    assert "normal_forms" in callers["reduce_rows"]
+    assert not {"twisted_trace", "twisted_trace_stack"} & set(callers["mat_inv"])
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -650,6 +651,98 @@ def test_word_factors_refuse_another_space(model5):
     for fn in (model5.word_factors, model5.omega_word, model5.trace_omega):
         with pytest.raises(sym.SpaceMismatch):
             fn(g_other)
+
+
+# -- word model on element stacks -------------------------------------------
+
+
+def _normal_form_bytes(f):
+    return (f.rank, int(f.sgn), f.t.tobytes(), f.a2.tobytes(), f.b1.tobytes(), f.b2.tobytes())
+
+
+def _stack_equals_one_at_a_time(m, els, operators=True):
+    """trace_stack, omega_stack and normal_forms on els equal the single-
+    element calls bit for bit, in input order."""
+    assert m.trace_stack(els).tobytes() == np.array([m.trace_omega(g) for g in els]).tobytes()
+    if operators:
+        assert m.omega_stack(els).tobytes() == np.stack([m.omega_word(g) for g in els]).tobytes()
+    seen = []
+    for pos, f in m.normal_forms(els):
+        assert f.t.shape == (len(pos), m.n, m.n) and f.sgn.shape == (len(pos),)
+        for j, i in enumerate(pos.tolist()):
+            part = weil.WordFactors(f.rank, f.sgn[j], f.t[j], f.a2[j], f.b1[j], f.b2[j])
+            assert _normal_form_bytes(part) == _normal_form_bytes(m.word_factors(els[i]))
+            seen.append(i)
+    assert sorted(seen) == list(range(len(els)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_stacks_equal_single_elements_on_all_of_sp2(p):
+    # sp_elements order mixes the big cell (rank 1) and the Borel (rank 0)
+    m = weil.WeilModel(sym.standard_polarized_space(p, 1))
+    els = sym.sp_elements(m.space)
+    assert len(m.normal_forms(els)) == 2
+    _stack_equals_one_at_a_time(m, els)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (3, 4)])
+def test_stacks_equal_single_elements_on_mixed_rank_cells(p, n):
+    m = weil.WeilModel(sym.standard_polarized_space(p, n))
+    rng = np.random.default_rng(100 * p + n)
+    els = [checks.cell_element(m, r, rng) for r in range(n + 1) for _ in range(3)]
+    random.Random(n).shuffle(els)
+    assert sorted(f.rank for _, f in m.normal_forms(els)) == list(range(n + 1))
+    _stack_equals_one_at_a_time(m, els)
+    # a stack of one rank comes back as one group, in input order
+    [(pos, f)] = m.normal_forms(els[:1] * 4)
+    assert pos.tolist() == [0, 1, 2, 3] and f.t.shape == (4, n, n)
+
+
+def test_empty_stack_gives_empty_results(model5):
+    assert model5.normal_forms([]) == []
+    assert model5.trace_stack([]).shape == (0,)
+    assert model5.omega_stack([]).shape == (0, 5, 5)
+    twist = weil.block_twist([(sym.sp_identity(model5.space), 2)])
+    assert weil.twisted_trace_stack(twist, []) == []
+
+
+def test_stack_refuses_an_element_of_another_space(model5):
+    other = sym.symp_space(5, [[0, 2], [3, 0]])
+    els = list(sym.sp_elements(model5.space)[:3]) + [sym.sp_elem(other, [[1, 1], [4, 0]])]
+    for fn in (model5.normal_forms, model5.trace_stack, model5.omega_stack):
+        with pytest.raises(sym.SpaceMismatch):
+            fn(els)
+
+
+def test_stack_past_one_gather_slice_equals_one_at_a_time():
+    # 50 operators of dimension 81 are past one slice of GATHER_CHUNK_ENTRIES
+    # entries (39 of them)
+    m = weil.WeilModel(sym.standard_polarized_space(3, 4))
+    assert 50 * m.dim**2 > weil.GATHER_CHUNK_ENTRIES
+    rng = np.random.default_rng(7)
+    els = [checks.cell_element(m, int(r), rng) for r in rng.integers(0, 5, 50)]
+    _stack_equals_one_at_a_time(m, els)
+
+
+@pytest.mark.parametrize("entries", [1, 40])
+def test_stack_slices_change_no_bit(entries, monkeypatch):
+    m = weil.WeilModel(sym.standard_polarized_space(3, 2))
+    rng = np.random.default_rng(8)
+    els = [checks.cell_element(m, r, rng) for r in (0, 2, 1, 2, 0, 1, 1, 2)]
+    whole = m.trace_stack(els).tobytes(), m.omega_stack(els).tobytes()
+    monkeypatch.setattr(weil, "GATHER_CHUNK_ENTRIES", entries)
+    assert (m.trace_stack(els).tobytes(), m.omega_stack(els).tobytes()) == whole
+
+
+@pytest.mark.parametrize("entries", [weil.GATHER_CHUNK_ENTRIES, 40])
+def test_twisted_trace_stack_equals_one_element_at_a_time(entries, monkeypatch):
+    # criterion 04's fixtures in one slice, and in slices of 4 (p = 3) and 1
+    # (p = 5) operators
+    monkeypatch.setattr(weil, "GATHER_CHUNK_ENTRIES", entries)
+    for label, twist, gs in checks.twisted_trace_fixtures(0):
+        stacked = weil.twisted_trace_stack(twist, gs)
+        single = [weil.twisted_trace(twist, parts) for parts in gs]
+        assert stacked == single, label
 
 
 # The normal forms of seeded cell elements of every rank and of every sign
