@@ -6,7 +6,6 @@ Each check returns a list of Row records; a check passes when every row does.
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import dataclasses
 import functools
@@ -421,17 +420,21 @@ def cell_element(model: weil.WeilModel, r: int, rng: np.random.Generator) -> sym
     """A random element of the Bruhat cell P w_S P with |S| = r, P the Siegel
     parabolic of the model's standard coordinates: its C block has rank r."""
     p, n = model.p, model.n
-    ident, zero = np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
 
     def parabolic():  # m(a) n(b + b^T)
         a = rng.integers(0, p, (n, n))
         while modp.det(a, p) == 0:
             a = rng.integers(0, p, (n, n))
         b = rng.integers(0, p, (n, n))
-        return np.block([[a, a @ (b + b.T)], [zero, modp.mat_inv(a, p).T]])
+        out = np.zeros((2 * n, 2 * n), dtype=np.int64)
+        out[:n, :n], out[:n, n:], out[n:, n:] = a, a @ (b + b.T), modp.mat_inv(a, p).T
+        return out
 
-    e = np.diag([1] * r + [0] * (n - r))
-    std = parabolic() @ np.block([[ident - e, e], [-e, ident - e]]) @ parabolic() % p
+    # w_S: [[I - E, E], [-E, I - E]], E the projection on the first r coordinates
+    w, s = np.eye(2 * n, dtype=np.int64), np.arange(r)
+    w[s, s] = w[n + s, n + s] = 0
+    w[s, n + s], w[n + s, s] = 1, -1
+    std = parabolic() @ w @ parabolic() % p
     return sym.sp_elem(model.space, model.from_std @ std @ model.to_std % p)
 
 
@@ -512,13 +515,9 @@ def check_cyclic_tensor_trace(seed: int = 0, trials: int = 500) -> list[Row]:
     return [Row.compare("weil", "cyclic tensor trace (%d chains)" % trials, worst, 0, 1e-9, seed=seed)]
 
 
-def _two_swapped_blocks(p: int) -> tuple[weil.TwistChain, ...]:
-    return weil.block_twist([(sym.sp_identity(sym.standard_polarized_space(p, 1)), 2)])
-
-
-def _fixed_and_swapped_pair(p: int) -> tuple[weil.TwistChain, ...]:
-    ident = sym.sp_identity(sym.standard_polarized_space(p, 1))
-    return weil.block_twist([(ident, 1), (ident, 2)])
+def _order_3_loop() -> sym.SpElem:
+    # L and L^-1 give different twisted traces
+    return sym.sp_elem(sym.standard_polarized_space(5, 1), [[0, 4], [1, 4]])
 
 
 def twisted_trace_fixtures(seed: int = 0) -> list[tuple[str, tuple[weil.TwistChain, ...], list[list[sym.SpElem]]]]:
@@ -526,12 +525,13 @@ def twisted_trace_fixtures(seed: int = 0) -> list[tuple[str, tuple[weil.TwistCha
     element a list of parts, one per block: two swapped blocks at p = 3 with
     every pair, and at p = 5 one fixed block plus a swapped pair, both closed
     by a loop of order 3, on torus elements and a sample."""
-    twist = _two_swapped_blocks(3)
-    els = sym.sp_elements(sym.standard_polarized_space(3, 1))
+    v3 = sym.standard_polarized_space(3, 1)
+    twist = weil.block_twist([(sym.sp_identity(v3), 2)])
+    els = sym.sp_elements(v3)
     pairs = [[g1, g2] for g1 in els for g2 in els]
 
-    v2 = sym.standard_polarized_space(5, 1)
-    loop = sym.sp_elem(v2, [[0, 4], [1, 4]])  # order 3: L and L^-1 give different traces
+    loop = _order_3_loop()
+    v2 = loop.space
     twist3 = weil.block_twist([(loop, 1), (loop, 2)])
     torus = [sym.sp_elem(v2, [[a, 0], [0, pow(a, 3, 5)]]) for a in (1, 2, 3, 4)]
     pool = torus + random.Random(seed).sample(sym.sp_elements(v2), 4)
@@ -543,7 +543,8 @@ def twisted_trace_fixtures(seed: int = 0) -> list[tuple[str, tuple[weil.TwistCha
 
 
 def check_twisted_trace_decomposition(seed: int = 0) -> list[Row]:
-    """Product formula equals the direct trace on each whole chain."""
+    """The trace at each chain's norm, multiplied over the chains, equals the
+    direct trace on each whole chain."""
     rows = []
     for label, twist, gs in twisted_trace_fixtures(seed):
         worst = 0.0
@@ -554,29 +555,33 @@ def check_twisted_trace_decomposition(seed: int = 0) -> list[Row]:
 
 
 def check_intertwiner_normalization() -> list[Row]:
-    """Composite equals the Weil operator of the loop on every fixture; scalar
-    redistribution leaves every reported trace unchanged."""
+    """A loop's Weil operator by two constructions: its Schur intertwiner,
+    scaled by the group model's rule (weil.linear_lift), against the word
+    model's omega_stack.  The loops are those of criterion 04's fixtures,
+    then in Sp_2(F_3), Sp_2(F_7) and Sp_4(F_3) one seeded cell element of
+    order prime to p per cell rank."""
+    fixtures = [sym.sp_identity(sym.standard_polarized_space(3, 1)), _order_3_loop()]
+    loops = [("p=%d fixture loop" % g.space.p, g, g.order()) for g in fixtures]
+    rng = np.random.default_rng(0)
+    for p, n in ((3, 1), (7, 1), (3, 2)):
+        model = weil.WeilModel(sym.standard_polarized_space(p, n))
+        for r in range(n + 1):
+            order = 0
+            while order % p == 0:
+                loop = cell_element(model, r, rng)
+                order = loop.order()
+            loops.append(("Sp_%d(F_%d) cell rank %d" % (2 * n, p, r), loop, order))
+    by_space = {}
+    for entry in loops:
+        by_space.setdefault(entry[1].space, []).append(entry)
     rows = []
-    twist = _two_swapped_blocks(3)
-    [chain] = twist
-    target = chain.model.omega(chain.loop)
-    err = float(np.abs(chain.composite() - target).max())
-    rows.append(Row.compare("weil", "composite = omega(iota^2|block)", err, 0, 1e-9))
-
-    # p = 5 fixture (one fixed block plus a swapped pair): every chain
-    for i, c in enumerate(_fixed_and_swapped_pair(5)):
-        err_i = float(np.abs(c.composite() - c.model.omega(c.loop)).max())
-        rows.append(Row.compare("weil", "composite group %d p=5 fixture" % i, err_i, 0, 1e-9))
-
-    ident = [sym.sp_identity(chain.model.space)] * 2
-    before = weil.twisted_trace(twist, ident)
-    moved = chain.redistribute([cmath.exp(0.4j), cmath.exp(-0.4j)])
-    after = weil.twisted_trace((moved,), ident)
-    rows.append(
-        Row.compare("weil", "trace invariant under scalar redistribution", after.product_value, before.product_value, 1e-9)
-    )
-    err2 = float(np.abs(moved.composite() - target).max())
-    rows.append(Row.compare("weil", "composite invariant under redistribution", err2, 0, 1e-9))
+    for space, group in by_space.items():
+        model = weil.WeilModel(space)
+        labels, gs, orders = zip(*group)
+        lifted = weil.linear_lift(np.stack([weil.schur_intertwiner(model, model, g) for g in gs]), np.array(orders))
+        errs = np.abs(lifted - model.omega_stack(gs)).max(axis=(1, 2))
+        rows += [Row.compare("weil", "lifted Schur intertwiner = omega(L), %s" % label, float(err), 0, 1e-9)
+                 for label, err in zip(labels, errs)]
     return rows
 
 

@@ -183,13 +183,14 @@ def run_twisted_trace(sid: str, payload, tol: float, seed: int) -> list[Row]:
     if not group_sizes or min(group_sizes) < 1:
         raise ScenarioValidationError("groups must be a nonempty list of sizes >= 1, got %r" % (group_sizes,))
     trials = _typed(payload.get("trials", 10), int, "trials", least=1)
+    weil.check_odd_prime(p)
     # |value| is at most the whole sum's model dimension, so within the cap the
     # float error stays far below the tolerance
     weil.check_model_dim(p, sum(group_sizes))
     v2 = sym.standard_polarized_space(p, 1)
+    els = sym.sp_elements(v2)  # refuses a group above the enumeration cap before any model is built
     twist = weil.block_twist([(sym.sp_identity(v2), size) for size in group_sizes])
     rng = np.random.default_rng(seed)
-    els = sym.sp_elements(v2)
     rows = []
     drawn = [[els[rng.integers(len(els))] for _ in range(sum(group_sizes))] for _ in range(trials)]
     for trial, res in enumerate(weil.twisted_trace_stack(twist, drawn)):

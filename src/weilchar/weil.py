@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -45,7 +45,6 @@ from .symplectic import SpElem, SympSpace
 GATHER_CHUNK_ENTRIES = 2**18  # entries per chunk of a batched rho gather (weil-verify, the group model's Schur averages)
 DENSE_DIM_CAP = 729  # largest model dimension p^n weil-verify builds dense operators for (8.5 MB each)
 MODEL_DIM_CAP = 32767  # largest model dimension p^n of any WeilModel: GF(13^4) sign blocks (28561) fit
-SCHUR_DIM_CAP = 81  # largest block dimension p^n block_twist averages intertwiners on (p^3n gathered entries each)
 
 
 class WeilError(Exception):
@@ -64,12 +63,14 @@ class BlockMismatch(WeilError):
     pass
 
 
-class NotNormalized(WeilError):
-    pass
-
-
 class LinearizationFailed(WeilError):
     pass
+
+
+def check_odd_prime(p: int) -> None:
+    """Refuse a characteristic the Schrodinger model cannot take."""
+    if p == 2 or not modp.is_prime(p):
+        raise WeilError("the Schrodinger model needs an odd prime, got p = %d" % p)
 
 
 def check_model_dim(p: int, n: int, cap: int = MODEL_DIM_CAP, what: str = "model") -> None:
@@ -205,8 +206,7 @@ class WeilModel:
     and the point table by every model of dimension p^n (_points)."""
 
     def __init__(self, space: SympSpace, polarization=None):
-        if space.p == 2 or not modp.is_prime(space.p):
-            raise WeilError("the Schrodinger model needs an odd prime, got p = %d" % space.p)
+        check_odd_prime(space.p)
         check_model_dim(space.p, space.dim // 2)
         self.space = space
         self.p = space.p
@@ -433,16 +433,11 @@ class WeilModel:
     def build_group_model(self) -> None:
         """Enumerate Sp(V) and build every operator; cap-guarded.
 
-        omega is the unique linear lift of the projective representation
-        (Howe 1973), so for g of order prime to p it is the unit-column Schur
-        average M0 times the one scalar c with (c M0)^ord(g) = I and
-        det(c M0) = 1: c = lambda^-a det(M0)^-b, with M0^ord(g) = lambda I and
-        a ord(g) + b p^n = 1.  (det omega = 1: Sp_2n(F_p) is perfect for odd
-        p, and the elements of Sp_2(F_3) of order prime to 3 form its derived
-        group Q_8.)  Any other element i is omega(i j^-1) omega(j), j the
-        first anchor in table order with i j^-1 of order prime to p: an
-        element of order prime to p, or in Sp_2(F_3) = Q_8 x| <U0> the
-        classical unipotent U0 or its square."""
+        An element g of order prime to p gets the unit-column Schur average
+        M0, lifted by linear_lift.  Any other element i is omega(i j^-1)
+        omega(j), j the first anchor in table order with i j^-1 of order
+        prime to p: an element of order prime to p, or in Sp_2(F_3) = Q_8 x|
+        <U0> the classical unipotent U0 or its square."""
         if self._group_table is not None:
             return
         grp = sym.sp_group(self.space)  # raises above the cap
@@ -457,16 +452,8 @@ class WeilModel:
         mats = np.stack([grp.elems[i].mat_np for i in coprime])
         step = max(1, GATHER_CHUNK_ENTRIES // (p**self.space.dim * self.dim))
         m0 = np.concatenate([_schur_average(self, self, mats[i : i + step]) for i in range(0, len(mats), step)])
-        ords = orders[coprime]
-        lam, acc = np.empty(len(coprime), dtype=complex), m0
-        for e in range(1, ords.max() + 1):
-            lam[ords == e] = acc[ords == e, 0, 0]
-            acc = acc @ m0
-        # a ord = 1 mod p^n with |a| <= p^n / 2, which keeps both exponents small
-        a = np.array([(pow(int(o), -1, self.dim) + self.dim // 2) % self.dim - self.dim // 2 for o in ords])
-        b = (1 - a * ords) // self.dim
         table = np.empty((size, self.dim, self.dim), dtype=complex)
-        table[coprime] = m0 * (lam**-a * np.linalg.det(m0) ** -b)[:, None, None]
+        table[coprime] = linear_lift(m0, orders[coprime])
         if p == 3 and self.n == 1:
             u0_std = np.array([[1, 0], [1, 1]], dtype=np.int64)
             u0 = grp.index[sym.sp_elem(self.space, self.from_std @ u0_std @ self.to_std % 3).mat]
@@ -489,6 +476,27 @@ class WeilModel:
         """Weil operator from the whole-group model, built on first use."""
         self.build_group_model()
         return self._group_table[sym.sp_group(self.space).index[g.mat]]
+
+
+def linear_lift(m0: np.ndarray, ords: np.ndarray) -> np.ndarray:
+    """The Weil operators of elements of order prime to p, from intertwiners
+    known up to a scalar: for each matrix M0 of the stack m0, shape
+    (k, p^n, p^n), with ords[i] the order of its element, the one multiple
+    c M0 with (c M0)^ord = I and det(c M0) = 1.
+
+    omega is the unique linear lift of the projective representation (Howe
+    1973), and det omega = 1: Sp_2n(F_p) is perfect for odd p, and the
+    elements of Sp_2(F_3) of order prime to 3 form its derived group Q_8.
+    With M0^ord = lambda I and a ord + b p^n = 1, c = lambda^-a det(M0)^-b."""
+    dim = m0.shape[-1]
+    lam, acc = np.empty(len(ords), dtype=complex), m0
+    for e in range(1, ords.max() + 1):
+        lam[ords == e] = acc[ords == e, 0, 0]
+        acc = acc @ m0
+    # a ord = 1 mod p^n with |a| <= p^n / 2, which keeps both exponents small
+    a = np.array([(pow(int(o), -1, dim) + dim // 2) % dim - dim // 2 for o in ords])
+    b = (1 - a * ords) // dim
+    return m0 * (lam**-a * np.linalg.det(m0) ** -b)[:, None, None]
 
 
 def _schur_average(model_a: WeilModel, model_b: WeilModel, phis: np.ndarray) -> np.ndarray:
@@ -583,31 +591,19 @@ def _rotation_diagonal(ms: list[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TwistChain:
-    """One chain of orthogonal blocks V_0 -> ... -> V_l, copies of one block
-    space, cyclically permuted by the twist, with the block's Weil model
-    (shared by its copies) and intertwiners W_j -> W_{j+1} normalized so
-    their composite equals the Weil operator of the loop L (see
-    block_twist).  The direct side of a twisted trace reads the whole chain
-    V_0 + ... + V_l instead: its Weil model, its block-cyclic twist iota,
-    and the word model's Levi sign of the bare block permutation."""
+    """One chain of orthogonal blocks V_0 -> ... -> V_l, `length` copies of
+    one block space, cyclically permuted by the twist, with the block's Weil
+    model (shared by its copies).  The direct side of a twisted trace reads
+    the whole chain V_0 + ... + V_l instead: its Weil model, its block-cyclic
+    twist iota, and the word model's Levi sign of the bare block
+    permutation."""
 
     loop: SpElem  # L, an element of the block space
-    loop_inv: np.ndarray  # L^-1 mod p, read-only
+    length: int  # the number of copies
     model: WeilModel  # the block's model, shared by its copies
-    inters: tuple[np.ndarray, ...]  # copy j's W_j -> W_{j+1}, normalized
     whole: WeilModel  # the model of the whole chain
     iota: SpElem  # on the whole chain: copy j -> j+1 by the identity, copy l -> 0 by L
     sign: int  # whole.word_factors(iota with the loop the identity).sgn
-
-    def composite(self) -> np.ndarray:
-        return _composite(self.inters)
-
-    def redistribute(self, phases: list[complex]) -> "TwistChain":
-        """This chain with its intertwiners rescaled by unit scalars with
-        product 1 (composite unchanged); for distribution-invariance tests."""
-        if abs(np.prod(phases) - 1) > 1e-9 or len(phases) != len(self.inters):
-            raise NotNormalized("phases must multiply to 1, one per factor")
-        return replace(self, inters=tuple(m * ph for m, ph in zip(self.inters, phases)))
 
 
 def block_cycle(space: SympSpace, loop: SpElem) -> SpElem:
@@ -623,7 +619,7 @@ def block_cycle(space: SympSpace, loop: SpElem) -> SpElem:
 
 
 def block_twist(chains) -> tuple[TwistChain, ...]:
-    """Build models and normalized intertwiners for a cyclic block twist.
+    """Build the Weil models of a cyclic block twist.
 
     chains: one (loop, length) pair per chain, the loop L an SpElem of the
     chain's block space.  A chain is `length` copies V_0, ..., V_l of that
@@ -632,33 +628,21 @@ def block_twist(chains) -> tuple[TwistChain, ...]:
     cyclically reduces to a chain: conjugating it by the block-diagonal
     transport t = (iota^j on V_0, onto V_j) makes t^-1 iota t the identity
     from copy j to copy j+1 and L = iota^(l+1) restricted to V_0 on the
-    closing step.  Every chain is checked against MODEL_DIM_CAP and its
-    block against SCHUR_DIM_CAP before anything is built."""
+    closing step.  Every chain is checked against MODEL_DIM_CAP before
+    anything is built."""
     chains = list(chains)
     if not chains or min(length for _, length in chains) < 1:
         raise BlockMismatch("need one or more chains, each of length >= 1")
     for loop, length in chains:  # before the chain's Gram, quadratic in the length
-        p, n = loop.space.p, loop.space.dim // 2
-        check_model_dim(p, n * length)
-        check_model_dim(p, n, SCHUR_DIM_CAP, "Schur-average")
+        check_model_dim(loop.space.p, loop.space.dim // 2 * length)
     return tuple(_twist_chain(loop, length) for loop, length in chains)
 
 
 def _twist_chain(loop: SpElem, length: int) -> TwistChain:
-    model = WeilModel(loop.space)
     whole = WeilModel(sym.direct_sum([loop.space] * length))
-    step = sym.sp_identity(loop.space)
-    loop_inv = modp.mat_inv(loop.mat_np, loop.space.p)
-    loop_inv.flags.writeable = False
-    inters = [schur_intertwiner(model, model, loop if j == length - 1 else step) for j in range(length)]
-    # normalize: composite = omega(L)
-    ratio = model.omega(loop) @ np.linalg.inv(_composite(inters))
-    off = np.abs(ratio - ratio[0, 0] * np.eye(ratio.shape[0])).max()
-    if off > 1e-7:
-        raise NotNormalized("composite is not a scalar multiple of the block Weil operator")
-    root = complex(ratio[0, 0]) ** (1.0 / length)
-    return TwistChain(loop, loop_inv, model, tuple(m * root for m in inters), whole, block_cycle(whole.space, loop),
-                      whole.word_factors(block_cycle(whole.space, step)).sgn)
+    bare = block_cycle(whole.space, sym.sp_identity(loop.space))
+    return TwistChain(loop, length, WeilModel(loop.space), whole, block_cycle(whole.space, loop),
+                      whole.word_factors(bare).sgn)
 
 
 @dataclass(frozen=True)
@@ -679,17 +663,20 @@ def twisted_trace_stack(chains, elements) -> list[TwistedTraceResult]:
 
     chains is block_twist's tuple; each element is a list of parts, one
     SpElem of the block space per block, chain after chain and copy after
-    copy.  The direct value is the product over the chains of sign *
-    tr omega(g_c iota) in the word model of the whole chain, g_c the chain's
-    parts as one block-diagonal element; the chain's Weil representation
-    restricts to the tensor product of its blocks' (Gerardin 1977).
-    omega(iota) and the rotation of the tensor factors by the chain's
-    intertwiners differ by sign, the Levi sign the word model gives the bare
-    block permutation.  Per chain, the composite is formed once, the product
-    side is omega_stack on slices of GATHER_CHUNK_ENTRIES operator entries
-    and the direct side one trace_stack."""
+    copy.  Both values are products over the chains.  The product value's
+    factor is tr omega(g_0 L g_l ... g_1) on the block, the trace at the
+    chain's norm.  The direct value's is sign * tr omega(g_c iota) in the
+    word model of the whole chain, g_c the chain's parts as one
+    block-diagonal element.  The chain's Weil representation restricts to
+    the tensor product of its blocks' (Gerardin 1977), and omega(iota)
+    differs by sign, the Levi sign the word model gives the bare block
+    permutation, from the rotation of the tensor factors by I, ..., I,
+    omega(L); the rotation's trace against omega(g_0) x ... x omega(g_l) is
+    the trace of the composite omega(L) omega(g_l) ... omega(g_0)
+    (cyclic_tensor_trace), which is the norm's.  Per chain, each side is one
+    trace_stack."""
     elements = [list(parts) for parts in elements]
-    starts = list(itertools.accumulate((len(chain.inters) for chain in chains), initial=0))
+    starts = list(itertools.accumulate((chain.length for chain in chains), initial=0))
     for parts in elements:
         if len(parts) != starts[-1]:
             raise BlockMismatch("%d parts for %d blocks" % (len(parts), starts[-1]))
@@ -703,16 +690,10 @@ def twisted_trace_stack(chains, elements) -> list[TwistedTraceResult]:
         if any(g.space != model.space for gs in gss for g in gs):
             raise BlockMismatch("a part of chain %d is not an element of its block space" % i)
         mats = np.array([[g.mat_np for g in gs] for gs in gss])  # (element, copy, row, column)
-        # g_0 . L (g_l ... g_1) L^-1 on block 0: the twist carries block j to
-        # block 0 by L whatever j is
-        arg = mats[:, 0] @ chain.loop.mat_np % p
-        for j in range(mats.shape[1] - 1, 0, -1):
-            arg = arg @ mats[:, j] % p
-        arg = arg @ chain.loop_inv % p
-        args, composite = [sym.sp_elem(model.space, m) for m in arg], chain.composite()
-        step = max(1, GATHER_CHUNK_ENTRIES // model.dim**2)
-        vals = np.concatenate([np.trace(model.omega_stack(args[lo : lo + step]) @ composite, axis1=1, axis2=2)
-                               for lo in range(0, len(args), step)])
+        norm = mats[:, 0] @ chain.loop.mat_np % p
+        for j in range(chain.length - 1, 0, -1):
+            norm = norm @ mats[:, j] % p
+        vals = model.trace_stack([sym.sp_elem(model.space, m) for m in norm])
         whole = chain.whole.trace_stack([sym.block_diagonal(chain.whole.space, [g.mat_np for g in gs]) * chain.iota
                                          for gs in gss])
         for e, (val, tr) in enumerate(zip(vals.tolist(), whole.tolist())):

@@ -74,10 +74,9 @@ def test_criterion_05_sign_formulas():
 
 def test_criterion_06_intertwiner_normalization():
     rows = checks.check_intertwiner_normalization()
-    composite_rows = [r for r in rows if "composite" in r.quantity]
-    ok = all(r.passed for r in rows) and all(r.abs_error <= 1e-9 for r in composite_rows)
-    report(6, "composite intertwiner = block Weil operator; traces distribution-invariant", ok,
-           "worst %.1e" % max(r.abs_error for r in rows))
+    ok = all(r.passed for r in rows) and all(r.abs_error <= 1e-9 for r in rows)
+    report(6, "lifted Schur intertwiner = word-model Weil operator on every loop", ok,
+           "%d loops, worst %.1e" % (len(rows), max(r.abs_error for r in rows)))
 
 
 def test_criterion_07_finite_field_lemmas():

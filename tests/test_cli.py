@@ -248,9 +248,9 @@ BAD_PAYLOADS = {
     # every group within the cap, their direct sum above it
     "twisted-trace-sum-over-the-cap": lambda: {"id": "t", "kind": "twisted-trace",
                                                "payload": {"p": 3, "groups": [1] * 50, "trials": 3}},
-    # each block's Schur averages gather p^2n points x p^n rows
-    "twisted-trace-block-over-the-schur-cap": lambda: {"id": "t", "kind": "twisted-trace",
-                                                       "payload": {"p": 32749, "groups": [1], "trials": 1}},
+    # the parts are drawn from all of Sp_2(F_p)
+    "twisted-trace-group-over-the-enumeration-cap": lambda: {"id": "t", "kind": "twisted-trace",
+                                                             "payload": {"p": 32749, "groups": [1], "trials": 1}},
     # theta and the root data must have the datum's rank
     "lattice-check-theta-1x2": lambda: {"id": "l", "kind": "lattice-check",
                                         "payload": {"matrices": [{"theta": [[1, 2]], "expect_torsion": []}]}},
@@ -308,7 +308,7 @@ BAD_PAYLOAD_MESSAGES = {
     "weil-verify-p-9": "the Schrodinger model needs an odd prime, got p = 9",
     "twisted-trace-chain-over-the-cap": "p^n = 3^20 exceeds the model cap 32767",
     "twisted-trace-sum-over-the-cap": "p^n = 3^50 exceeds the model cap 32767",
-    "twisted-trace-block-over-the-schur-cap": "p^n = 32749^1 exceeds the Schur-average cap 81",
+    "twisted-trace-group-over-the-enumeration-cap": "|Sp| = 35123204253000 exceeds the enumeration cap 10000",
     "lattice-check-theta-1x2": "order of a non-square 1x2 matrix",
     "lattice-check-theta-3x2": "order of a non-square 3x2 matrix",
     "datum-theta-below-rank": "theta must be 2x2 for rank 2",
@@ -363,14 +363,15 @@ def test_a_size_above_its_cap_is_refused_at_once(case, tmp_path, capsys):
     assert BAD_PAYLOAD_MESSAGES[case] in err
 
 
-def test_block_above_the_schur_cap_is_refused_at_once(tmp_path, capsys):
-    # within the model cap, but one Schur average would gather 32749^3
-    # entries (_points(32749, 2) alone is 16 GiB)
+def test_group_above_the_enumeration_cap_is_refused_at_once(tmp_path, capsys):
+    # within the model cap, but Sp_2(F_32749) has 3.5e13 elements to draw
+    # from; refused before any Weil model is built
+    case = "twisted-trace-group-over-the-enumeration-cap"
     start = time.perf_counter()
-    code, err = _run_one_scenario(BAD_PAYLOADS["twisted-trace-block-over-the-schur-cap"](), tmp_path, capsys)
+    code, err = _run_one_scenario(BAD_PAYLOADS[case](), tmp_path, capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 3
-    assert "exceeds the Schur-average cap 81" in err
+    assert BAD_PAYLOAD_MESSAGES[case] in err
 
 
 def test_root_datum_command_refuses_a_theta_above_the_rank_cap(tmp_path, capsys):

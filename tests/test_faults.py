@@ -19,21 +19,24 @@ DETECTION = {name: set(red.split()) for name, red in {
     "restrict-map": "gerardin.polarized gerardin.polarized-agrees gerardin.vprime",
     "complement-in": "gerardin.vprime gerardin.fixed-line gerardin.weil-char",
     "one-step-vprime": "gerardin.weil-char",
-    "swap-sign": "weil.omega-mult gerardin.semisimple gerardin.fixed-line gerardin.weil-char signcalc.oracle",
+    "swap-sign": "weil.omega-mult weil.normalization gerardin.semisimple gerardin.fixed-line gerardin.weil-char "
+                 "signcalc.oracle",
     "snf-fixup": "lattice.snf",
     "block-sign-negated": "signcalc.oracle signcalc.f1-forms",
     "abelian-law": "symplectic.heis weil.rho",
     "split-class": "symplectic.eigen-conjugacy",
     "poly-roots-distinct": "symplectic.eigen-conjugacy",
-    "rho-half-phase": WEIL + "weil.rho weil.normalization signcalc.assemble",
-    "rho-columns": WEIL + "weil.svn weil.rho weil.normalization signcalc.assemble",
-    "levi-sign": GERARDIN + WEIL + "weil.conjugacy signcalc.oracle signcalc.eta-independence signcalc.assemble",
+    # the twisted traces read no rho: they do not move
+    "rho-half-phase": "weil.omega-mult weil.rho weil.normalization",
+    "rho-columns": "weil.omega-mult weil.svn weil.rho weil.normalization",
+    "levi-sign": GERARDIN + WEIL + "weil.normalization weil.conjugacy signcalc.oracle signcalc.eta-independence "
+                 "signcalc.assemble",
     "rotation-wiring": "weil.tensor-trace",
     "twisted-sign": "weil.twisted-trace",
     "twisted-loop": "weil.twisted-trace signcalc.assemble",
     "off-sample-trace": "weil.omega-mult weil.conjugacy gerardin.polarized gerardin.vprime gerardin.fixed-line",
-    "fourier-scalar": WEIL + "gerardin.semisimple gerardin.polarized gerardin.fixed-line signcalc.oracle "
-                      "signcalc.assemble",
+    "fourier-scalar": WEIL + "weil.normalization gerardin.semisimple gerardin.polarized gerardin.fixed-line "
+                      "signcalc.oracle signcalc.assemble",
     "trace-cross-term": GERARDIN + WEIL + "weil.conjugacy signcalc.oracle signcalc.assemble",
     "trace-support": GERARDIN + WEIL + "signcalc.oracle signcalc.assemble",
     # every model build refuses the swapped frame
@@ -65,6 +68,15 @@ def test_fault_turns_exactly_its_checks_red(name):
     rows, _ = checks.run_checks(fault=name)
     assert {r.scenario_id for r in rows if not r.passed} == DETECTION[name]
     assert {r.scenario_id for r in rows if r.quantity == "exception"} == WHOLE_REGISTRY[name]
+
+
+@pytest.mark.parametrize("name", checks.FAULTS)
+def test_fault_turns_criterion_06_red_as_recorded(name):
+    # weil.normalization alone: the lifted Schur intertwiner against the
+    # word model, red under a fault exactly where the fresh-process run is
+    rows, _ = checks.run_checks("weil.normalization", fault=name)
+    assert {r.scenario_id for r in rows} == {"weil.normalization"}
+    assert (not all(r.passed for r in rows)) == ("weil.normalization" in DETECTION[name])
 
 
 @pytest.mark.parametrize("name", checks.FAULTS)

@@ -79,8 +79,9 @@ def test_weil_reads_no_closed_form():
 # the word model's construction: the group model and the Schur average must
 # reach none of it, so that comparing the two oracles shows a fault in either
 WORD_MODEL = {"word_factors", "WordFactors", "omega_word", "trace_omega", "_fourier", "_fourier_entries",
-              "_fourier_scalar", "gauss_sum"}
-GROUP_MODEL = ("build_group_model", "schur_intertwiner", "_schur_average")
+              "_fourier_scalar", "gauss_sum", "normal_forms", "_cell_forms", "trace_stack", "_cell_traces",
+              "omega_stack", "_cell_operators", "_stacked"}
+GROUP_MODEL = ("build_group_model", "schur_intertwiner", "_schur_average", "linear_lift")
 
 
 def _reached(tree: ast.Module, roots) -> set[str]:
