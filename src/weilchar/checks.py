@@ -319,34 +319,32 @@ def check_torus_maximality() -> list[Row]:
         for factory in ((sym.SplitFactor(1),), (sym.NormOneFactor(1),)):
             torus = sym.build_torus(sym.TorusDesc(p, factory))
             mats = {t.elem.mat for t in torus.elements()}
-            group = sym.sp_elements(torus.space)
-            commuting = [
-                g.mat
-                for g in group
-                if all(((g.mat_np @ np.array(m) - np.array(m) @ g.mat_np) % p == 0).all() for m in mats)
-            ]
+            group, ts = sym.sp_group(torus.space).mats[:, None], np.array(list(mats))
+            commuting = int(((group @ ts - ts @ group) % p == 0).all(axis=(1, 2, 3)).sum())
             label = "%s torus p=%d centralizer = torus" % (factory[0].__class__.__name__, p)
             # split torus at p=3 is the central {+-1}: its centralizer is the
             # whole group (frozen honest value; the algebraic torus is still
             # maximal but its rational points are too small to pin it)
             expected = 24 if (p == 3 and isinstance(factory[0], sym.SplitFactor)) else len(mats)
-            rows.append(Row.compare("symplectic", label, len(commuting), expected, 0))
+            rows.append(Row.compare("symplectic", label, commuting, expected, 0))
     return rows
 
 
-def _semisimple_classes(grp: sym.SpGroup) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The positions ss of the semisimple elements; for each, the least
-    position x t x^-1 reaches over the table (the label of t's conjugacy
-    class) and the first x reaching it."""
-    ss = [i for i, g in enumerate(grp.elems) if g.is_semisimple()]
-    conj = grp.mul[grp.mul[:, ss], grp.inv[:, None]]  # conj[x, k] = x ss[k] x^-1
+def _semisimple_classes(grp: sym.SpGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positions ss of the semisimple elements; for each t, the least
+    position x t x^-1 reaches over the group (the label of t's conjugacy
+    class) and the first x reaching it, in slices of at most 2^16 entries."""
+    ss, inv = np.flatnonzero(grp.orders % grp.space.p), sym.inverses(grp.space, grp.mats)[:, None]
+    step = max(1, 2**16 // grp.mats.size)
+    conj = np.concatenate([grp.positions(grp.mats[:, None] @ grp.mats[ss[i : i + step]] @ inv)
+                           for i in range(0, len(ss), step)], axis=1)  # conj[x, k] = x ss[k] x^-1
     return ss, conj.min(axis=0), conj.argmin(axis=0)
 
 
 def check_eigen_conjugacy() -> list[Row]:
     """Equal eigen multisets iff conjugate in Sp(V), over every pair of
     semisimple elements: the class of t is labelled by the least position
-    x t x^-1 reaches in the product table, and the x reaching it is checked
+    x t x^-1 reaches in the group, and the x reaching it is checked
     by SpElem products."""
     rows = []
     for p in (3, 5, 7):
@@ -355,9 +353,8 @@ def check_eigen_conjugacy() -> list[Row]:
         keys = [sym.eigen_multiset_key(sym.eigen_multiset(grp.elems[i])) for i in ss]
         same_key = np.array([[a == b for b in keys] for a in keys])
         bad = int(((reps[:, None] == reps) != same_key).sum())
-        for i, r, x in zip(ss, reps, witnesses):
-            w = grp.elems[x]
-            bad += (w * grp.elems[i] * w.inverse()).mat != grp.elems[r].mat
+        bad += sum(grp.elems[x] * grp.elems[i] * grp.elems[x].inverse() != grp.elems[r]
+                   for i, r, x in zip(ss, reps, witnesses))
         rows.append(Row.compare("symplectic", "eigen<->conjugacy p=%d (%d elements)" % (p, len(ss)), bad, 0, 0))
     return rows
 
@@ -446,19 +443,16 @@ def check_omega_multiplicative() -> list[Row]:
     for p in (3, 5, 7):
         space = sym.standard_polarized_space(p, 1)
         model = weil.WeilModel(space)
-        els = sym.sp_elements(space)
-        ops = np.stack([model.omega_group(g) for g in els])
-        prod_idx = sym.sp_group(space).mul
+        grp = sym.sp_group(space)
+        ops = np.stack([model.omega_group(g) for g in grp.elems])
         worst = 0.0
-        for i in range(len(els)):
-            lhs = ops[i] @ ops  # (N, d, d)
-            rhs = ops[prod_idx[i]]
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+        for i in range(len(ops)):  # omega(g_i) omega(g) against omega(g_i g) for every g
+            worst = max(worst, float(np.abs(ops[i] @ ops - ops[grp.positions(grp.mats[i] @ grp.mats)]).max()))
         rows.append(Row.compare("weil", "omega multiplicative p=%d (all pairs)" % p, worst, 0, 1e-8))
-        words = model.omega_stack(els)
+        words = model.omega_stack(grp.elems)
         word_worst = float(np.abs(words - ops).max())
         rows.append(Row.compare("weil", "word model = group model p=%d" % p, word_worst, 0, 1e-8))
-        trace_worst = _trace_distance(model.trace_stack(els), words)
+        trace_worst = _trace_distance(model.trace_stack(grp.elems), words)
         rows.append(Row.compare("weil", "word trace = trace of word model p=%d" % p, trace_worst, 0, 1e-10))
     rng = np.random.default_rng(0)
     for p, n in ((3, 2), (3, 3)):
@@ -587,7 +581,7 @@ def check_intertwiner_normalization() -> list[Row]:
 
 def check_character_conjugacy_invariance() -> list[Row]:
     """Weil character constant on conjugacy classes: every semisimple element
-    of Sp_2(F_5) against its class representative in the product table."""
+    of Sp_2(F_5) against its class representative in the group."""
     space = sym.standard_polarized_space(5, 1)
     model = weil.WeilModel(space)
     grp = sym.sp_group(space)

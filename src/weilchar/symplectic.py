@@ -11,6 +11,7 @@ non-standard forms that must not be normalized away).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -187,14 +188,7 @@ class SpElem:
         return sp_elem(self.space, modp.mat_inv(self.mat_np, self.space.p))
 
     def order(self) -> int:
-        n = self.space.dim
-        ident = np.eye(n, dtype=np.int64)
-        acc = self.mat_np.copy()
-        for k in range(1, SP_ENUM_CAP * 4):
-            if not ((acc - ident) % self.space.p).any():
-                return k
-            acc = acc @ self.mat_np % self.space.p
-        raise SymplecticError("order exceeds bound")
+        return int(orders(self.space, self.mat_np))
 
     def is_semisimple(self) -> bool:
         # order coprime to p suffices for the groups considered here
@@ -518,87 +512,98 @@ def eigen_multiset_key(vals: list[FieldElem]) -> tuple:
     return tuple(sorted(v.index() for v in vals))
 
 
+def _codes(space: SympSpace, mats: np.ndarray) -> np.ndarray:
+    """The base-p codes of a stack of matrices reduced mod p: shape mats.shape[:-2]."""
+    return mats.reshape(mats.shape[:-2] + (space.dim**2,)) @ space.p ** np.arange(space.dim**2, dtype=np.int64)
+
+
+def orders(space: SympSpace, mats) -> np.ndarray:
+    """The order of each element of a stack, shape mats.shape[:-2], from
+    repeated stack products; raises past 4 SP_ENUM_CAP."""
+    mats = np.asarray(mats, dtype=np.int64) % space.p
+    out, acc, ident = np.zeros(mats.shape[:-2], dtype=np.int64), mats, np.eye(space.dim, dtype=np.int64)
+    for k in range(1, SP_ENUM_CAP * 4):
+        out[(out == 0) & (acc == ident).all(axis=(-2, -1))] = k
+        if out.all():
+            return out
+        acc = acc @ mats % space.p
+    raise SymplecticError("order exceeds bound")
+
+
+def inverses(space: SympSpace, mats: np.ndarray) -> np.ndarray:
+    """The inverse G^-1 m^T G of each element m of a stack, G the Gram matrix."""
+    return modp.mat_inv(space.gram_mat, space.p) @ np.swapaxes(mats, -1, -2) @ space.gram_mat % space.p
+
+
 @lru_cache(maxsize=None)
 def sp_elements(space: SympSpace) -> tuple[SpElem, ...]:
-    """All of Sp(V)(F_p) by closure from generators; refuses above the cap."""
-    size = _sp_order(space.p, space.dim // 2)
-    if size > SP_ENUM_CAP:
-        raise SymplecticError("|Sp| = %d exceeds the enumeration cap %d" % (size, SP_ENUM_CAP))
-    gens = sp_generators(space)
-    seen = {sp_identity(space).mat}
-    frontier = [sp_identity(space)]
-    out = [sp_identity(space)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = g * s
-                if h.mat not in seen:
-                    seen.add(h.mat)
-                    nxt.append(h)
-                    out.append(h)
-        frontier = nxt
-    assert len(out) == size
-    return tuple(out)
+    """All of Sp(V)(F_p) in sp_group's breadth-first order; refuses above the cap."""
+    return sp_group(space).elems
 
 
 @dataclass(frozen=True, eq=False)
 class SpGroup:
-    """Sp(V) as an indexed table: elems[0] is the identity, index maps a
-    matrix to its position, mul[i, j] is the position of elems[i] * elems[j]
-    and inv[i] that of elems[i]^-1."""
+    """Sp(V) as one element array: elems[i] has the matrix mats[i] and the
+    order orders[i], elems[0] is the identity; codes are the sorted base-p
+    codes of mats and at[k] the position of the element with code codes[k]."""
 
+    space: SympSpace
     elems: tuple[SpElem, ...]
-    index: dict
-    mul: np.ndarray
-    inv: np.ndarray
+    mats: np.ndarray
+    orders: np.ndarray
+    codes: np.ndarray
+    at: np.ndarray
+
+    def positions(self, mats) -> np.ndarray:
+        """The positions of a stack of matrices, shape mats.shape[:-2], by one
+        search on the sorted codes; raises on a non-element."""
+        codes = _codes(self.space, np.asarray(mats, dtype=np.int64) % self.space.p)
+        k = np.searchsorted(self.codes, codes).clip(max=len(self.codes) - 1)
+        if (self.codes[k] != codes).any():
+            raise SymplecticError("matrix is not an element of Sp(V)")
+        return self.at[k]
 
 
 @lru_cache(maxsize=None)
 def sp_group(space: SympSpace) -> SpGroup:
-    """The product table of sp_elements(space), built one row at a time from
-    integer matrix products and a lookup of their base-p codes; int16 holds
-    every position since SP_ENUM_CAP < 2^15."""
-    elems = sp_elements(space)  # raises above the cap
-    p, size = space.p, len(elems)
-    mats = np.array([g.mat for g in elems], dtype=np.int64)
-    weights = p ** np.arange(space.dim**2, dtype=np.int64)
-    codes = mats.reshape(size, -1) @ weights
-    order = np.argsort(codes)
-    sorted_codes = codes[order]
-    mul = np.empty((size, size), dtype=np.int16)
-    for i in range(size):
-        row = (mats[i] @ mats % p).reshape(size, -1) @ weights
-        mul[i] = order[np.searchsorted(sorted_codes, row)]
-    inv = np.nonzero(mul == 0)[1].astype(np.int16)
-    mul.flags.writeable = inv.flags.writeable = False  # shared through the cache
-    return SpGroup(elems, {g.mat: i for i, g in enumerate(elems)}, mul, inv)
+    """Sp(V)(F_p) as one read-only element array, by breadth-first closure from
+    generators (each frontier times every generator at once, a product with
+    an unseen base-p code kept at its first occurrence); refuses above the cap."""
+    size = _sp_order(space.p, space.dim // 2)
+    if size > SP_ENUM_CAP:
+        raise SymplecticError("|Sp| = %d exceeds the enumeration cap %d" % (size, SP_ENUM_CAP))
+    gens = np.stack([s.mat_np for s in sp_generators(space)])
+    mats = frontier = np.eye(space.dim, dtype=np.int64)[None]
+    seen = set(_codes(space, mats).tolist())
+    while len(frontier):
+        prods = (frontier[:, None] @ gens % space.p).reshape((-1,) + gens.shape[1:])
+        # each unseen code once, at its first product (set.add returns None)
+        frontier = prods[[i for i, c in enumerate(_codes(space, prods).tolist()) if c not in seen and not seen.add(c)]]
+        mats = np.concatenate([mats, frontier])
+    assert len(mats) == size
+    codes = _codes(space, mats)
+    at = np.argsort(codes)
+    grp = SpGroup(space, tuple(sp_elem(space, m) for m in mats), mats, orders(space, mats), codes[at], at)
+    for arr in (grp.mats, grp.orders, grp.codes, grp.at):
+        arr.flags.writeable = False  # shared through the cache
+    return grp
 
 
 def _sp_order(p: int, n: int) -> int:
-    out = p ** (n * n)
-    for i in range(1, n + 1):
-        out *= p ** (2 * i) - 1
-    return out
+    return p ** (n * n) * math.prod(p ** (2 * i) - 1 for i in range(1, n + 1))
 
 
 def sp_generators(space: SympSpace) -> list[SpElem]:
     """Generators of Sp(V): in standard coordinates the Weyl rotation and the
     lower unipotents n_bar(B) for elementary symmetric B, transported back."""
-    p = space.p
-    n = space.dim // 2
+    p, n = space.p, space.dim // 2
     basis = hyperbolic_basis(space)
     to_std = modp.mat_inv(basis, p)
-    gens_std = []
-    ident = np.eye(n, dtype=np.int64)
-    zero = np.zeros((n, n), dtype=np.int64)
-    gens_std.append(standard_polarized_space(p, n).gram_mat)  # the Weyl rotation
-    for i in range(n):
-        for j in range(i, n):
-            b = np.zeros((n, n), dtype=np.int64)
-            b[i, j] = 1
-            b[j, i] = 1
-            gens_std.append(np.block([[ident, zero], [b, ident]]))
+    gens_std = [standard_polarized_space(p, n).gram_mat]  # the Weyl rotation
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        nbar = np.eye(2 * n, dtype=np.int64)
+        nbar[n + i, j] = nbar[n + j, i] = 1  # [[I, 0], [B, I]]
+        gens_std.append(nbar)
     # a Levi generator keeps the closure shallow
     a = np.eye(n, dtype=np.int64)
     a[0, 0] = ffield.field(p, 1).multiplicative_generator().coeffs[0]
@@ -607,12 +612,12 @@ def sp_generators(space: SympSpace) -> list[SpElem]:
 
 
 def conjugate_in_sp(g: SpElem, t: SpElem) -> SpElem | None:
-    """The first x in sp_elements order with x t x^{-1} = g, None if g and t
-    are not conjugate; exhaustive within the enumeration cap."""
+    """The first x in sp_elements order with x t = g x, None if g and t are
+    not conjugate; exhaustive within the enumeration cap."""
     if g.space != t.space:
         raise SpaceMismatch("elements from different spaces")
     if not g.is_semisimple() or not t.is_semisimple():
         raise NotSemisimple("conjugacy test requires semisimple elements")
     grp = sp_group(g.space)
-    hits = np.flatnonzero(grp.mul[grp.mul[:, grp.index[t.mat]], grp.inv] == grp.index[g.mat])
+    hits = np.flatnonzero(((grp.mats @ t.mat_np - g.mat_np @ grp.mats) % g.space.p == 0).all(axis=(1, 2)))
     return grp.elems[hits[0]] if len(hits) else None

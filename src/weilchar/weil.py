@@ -435,35 +435,31 @@ class WeilModel:
 
         An element g of order prime to p gets the unit-column Schur average
         M0, lifted by linear_lift.  Any other element i is omega(i j^-1)
-        omega(j), j the first anchor in table order with i j^-1 of order
+        omega(j), j the first anchor in group order with i j^-1 of order
         prime to p: an element of order prime to p, or in Sp_2(F_3) = Q_8 x|
         <U0> the classical unipotent U0 or its square."""
         if self._group_table is not None:
             return
         grp = sym.sp_group(self.space)  # raises above the cap
-        p, mul, size = self.p, grp.mul, len(grp.elems)
-        idx = np.arange(size)
-        orders, power, k = np.zeros(size, dtype=np.int64), idx, 1
-        while not orders.all():  # position 0 is the identity
-            orders[(power == 0) & (orders == 0)] = k
-            power, k = mul[power, idx], k + 1
+        p, size, orders = self.p, len(grp.elems), grp.orders
         coprime = np.flatnonzero(orders % p)
         # slices of the stack keep _schur_average's (k, p^2n, p^n) gathers bounded
-        mats = np.stack([grp.elems[i].mat_np for i in coprime])
         step = max(1, GATHER_CHUNK_ENTRIES // (p**self.space.dim * self.dim))
-        m0 = np.concatenate([_schur_average(self, self, mats[i : i + step]) for i in range(0, len(mats), step)])
+        m0 = np.concatenate([_schur_average(self, self, grp.mats[coprime[i : i + step]]) for i in range(0, len(coprime), step)])
         table = np.empty((size, self.dim, self.dim), dtype=complex)
         table[coprime] = linear_lift(m0, orders[coprime])
         if p == 3 and self.n == 1:
-            u0_std = np.array([[1, 0], [1, 1]], dtype=np.int64)
-            u0 = grp.index[sym.sp_elem(self.space, self.from_std @ u0_std @ self.to_std % 3).mat]
-            anchors = np.array([u0, mul[u0, u0]])
-            table[u0] = np.diag(modp.theta_values(3)[_quadratic_phases(3, 1, _nbar_form([[1]], 3))])
-            table[anchors[1]] = table[u0] @ table[u0]
+            u0 = self.from_std @ np.array([[1, 0], [1, 1]], dtype=np.int64) @ self.to_std
+            anchors = grp.positions(np.stack([u0, u0 @ u0]))
+            table[anchors[0]] = np.diag(modp.theta_values(3)[_quadratic_phases(3, 1, _nbar_form([[1]], 3))])
+            table[anchors[1]] = table[anchors[0]] @ table[anchors[0]]
         else:
             anchors = coprime
         rest = np.setdiff1d(np.flatnonzero(orders % p == 0), anchors)
-        quot = mul[rest][:, grp.inv[anchors]]  # positions of i j^-1
+        # positions of i j^-1, a slice of rows at a time: at most GATHER_CHUNK_ENTRIES matrix entries
+        inv = sym.inverses(self.space, grp.mats[anchors])
+        step = max(1, GATHER_CHUNK_ENTRIES // inv.size)
+        quot = np.concatenate([grp.positions(grp.mats[rest[i : i + step], None] @ inv) for i in range(0, len(rest), step)])
         ok = orders[quot] % p != 0
         if not ok.any(axis=1).all():
             raise LinearizationFailed("an element of order divisible by p is no product of two anchors")
@@ -474,8 +470,10 @@ class WeilModel:
 
     def omega_group(self, g: SpElem) -> np.ndarray:
         """Weil operator from the whole-group model, built on first use."""
+        if g.space is not self.space and g.space != self.space:
+            raise sym.SpaceMismatch("element from another space")
         self.build_group_model()
-        return self._group_table[sym.sp_group(self.space).index[g.mat]]
+        return self._group_table[sym.sp_group(self.space).positions(g.mat_np)]
 
 
 def linear_lift(m0: np.ndarray, ords: np.ndarray) -> np.ndarray:
@@ -694,8 +692,10 @@ def twisted_trace_stack(chains, elements) -> list[TwistedTraceResult]:
         for j in range(chain.length - 1, 0, -1):
             norm = norm @ mats[:, j] % p
         vals = model.trace_stack([sym.sp_elem(model.space, m) for m in norm])
-        whole = chain.whole.trace_stack([sym.block_diagonal(chain.whole.space, [g.mat_np for g in gs]) * chain.iota
-                                         for gs in gss])
+        diag = np.zeros((len(gss),) + (chain.whole.space.dim,) * 2, dtype=np.int64)
+        for j, idx in enumerate(chain.whole.space.blocks):  # g_c, the parts as one block-diagonal stack
+            diag[(slice(None),) + np.ix_(idx, idx)] = mats[:, j]
+        whole = chain.whole.trace_stack([sym.sp_elem(chain.whole.space, m) for m in diag @ chain.iota.mat_np])
         for e, (val, tr) in enumerate(zip(vals.tolist(), whole.tolist())):
             products[e] *= val
             directs[e] *= chain.sign * tr

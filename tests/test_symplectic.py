@@ -264,14 +264,63 @@ def test_conjugacy_refuses_above_the_cap():
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_sp_group_table_matches_products(p):
+def test_sp_group_positions_orders_and_inverses_match_products(p):
     grp = sym.sp_group(sym.standard_polarized_space(p, 1))
-    assert grp.elems[0] == sym.sp_identity(grp.elems[0].space)
-    assert grp.mul.dtype == np.int16
+    ident = sym.sp_identity(grp.space)
+    assert grp.elems[0] == ident
+    assert not any(a.flags.writeable for a in (grp.mats, grp.orders, grp.codes, grp.at))
+    assert grp.positions(grp.mats).tolist() == list(range(len(grp.elems)))
+    assert grp.positions(grp.mats[:6].reshape(2, 3, 2, 2) - p).tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert grp.positions(grp.mats[:0]).shape == (0,)
+    invs = sym.inverses(grp.space, grp.mats)
     for i, g in enumerate(grp.elems):
-        assert grp.index[g.mat] == i
-        assert grp.elems[grp.inv[i]] == g.inverse()
-        assert [grp.elems[k] for k in grp.mul[i]] == [g * h for h in grp.elems]
+        assert [grp.elems[k] for k in grp.positions(grp.mats[i] @ grp.mats)] == [g * h for h in grp.elems]
+        assert grp.elems[grp.positions(invs[i])] == g.inverse()
+        power, order = g, 1
+        while power != ident:
+            power, order = power * g, order + 1
+        assert grp.orders[i] == order == g.order()
+
+
+def _closure_reference(space):
+    """sp_elements as a Python breadth-first closure over validated SpElem
+    products: frontier after frontier, each element times every generator,
+    a product kept at its first occurrence."""
+    ident = sym.sp_identity(space)
+    seen, frontier, out = {ident.mat}, [ident], [ident]
+    gens = sym.sp_generators(space)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = g * s
+                if h.mat not in seen:
+                    seen.add(h.mat)
+                    nxt.append(h)
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, "torus"])
+def test_sp_elements_keeps_the_breadth_first_order(p):
+    if p == "torus":  # the norm-one field block of GF(25) over F_5
+        big = ff.field(5, 2)
+        space = sym.field_block(big, sym.anti_invariant_unit(big, 1), 1)
+    else:
+        space = sym.standard_polarized_space(p, 1)
+    assert list(sym.sp_elements(space)) == _closure_reference(space)
+
+
+def test_sp_group_builds_the_largest_group_under_the_cap():
+    # |Sp_2(F_19)| = 6840; Sp_2(F_23) has 12144 elements, past SP_ENUM_CAP
+    grp = sym.sp_group(sym.standard_polarized_space(19, 1))
+    assert len(grp.elems) == len(set(grp.codes.tolist())) == 6840 <= sym.SP_ENUM_CAP
+    assert grp.positions(grp.mats[::-1]).tolist() == list(range(6839, -1, -1))
+    with pytest.raises(sym.SymplecticError):
+        grp.positions(np.array([[2, 0], [0, 2]]))  # determinant 4
+    with pytest.raises(sym.SymplecticError):
+        grp.positions(np.stack([grp.mats[7], np.ones((2, 2), dtype=np.int64)]))
 
 
 def test_split_class_fault_turns_eigen_conjugacy_red():

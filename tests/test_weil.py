@@ -697,6 +697,14 @@ def test_stack_refuses_an_element_of_another_space(model5):
             fn(els)
 
 
+def test_omega_group_refuses_an_element_of_another_space():
+    # diag(2, 3) is also an element of the standard space's group, so a
+    # lookup by matrix alone would hand back its operator
+    model = weil.WeilModel(sym.standard_polarized_space(5, 1))
+    with pytest.raises(sym.SpaceMismatch):
+        model.omega_group(sym.sp_elem(sym.split_space(5, [[2]]), [[2, 0], [0, 3]]))
+
+
 def test_stack_past_one_gather_slice_equals_one_at_a_time():
     # 50 operators of dimension 81 are past one slice of GATHER_CHUNK_ENTRIES
     # entries (39 of them)
