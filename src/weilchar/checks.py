@@ -42,6 +42,13 @@ class Row:
         return Row(scenario_id, quantity, formula, oracle, err, ok, seed=seed)
 
 
+def max_error(errors) -> float:
+    """The largest of some errors, 0.0 for none and NaN if any is NaN, so
+    that Row.compare fails it: a running max(worst, err) from 0.0 drops a
+    NaN, as max(0.0, nan) is 0.0."""
+    return float(np.max(np.array(list(errors), dtype=float), initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # ffield
 
@@ -350,9 +357,10 @@ def check_eigen_conjugacy() -> list[Row]:
     for p in (3, 5, 7):
         grp = sym.sp_group(sym.standard_polarized_space(p, 1))
         ss, reps, witnesses = _semisimple_classes(grp)
-        keys = [sym.eigen_multiset_key(sym.eigen_multiset(grp.elems[i])) for i in ss]
-        same_key = np.array([[a == b for b in keys] for a in keys])
-        bad = int(((reps[:, None] == reps) != same_key).sum())
+        label_of = {}  # eigen multiset key -> its label, in order of first appearance
+        labels = np.array([label_of.setdefault(sym.eigen_multiset_key(sym.eigen_multiset(grp.elems[i])), len(label_of))
+                           for i in ss])
+        bad = int(((reps[:, None] == reps) != (labels[:, None] == labels)).sum())
         bad += sum(grp.elems[x] * grp.elems[i] * grp.elems[x].inverse() != grp.elems[r]
                    for i, r, x in zip(ss, reps, witnesses))
         rows.append(Row.compare("symplectic", "eigen<->conjugacy p=%d (%d elements)" % (p, len(ss)), bad, 0, 0))
@@ -399,12 +407,13 @@ def check_rho_homomorphism() -> list[Row]:
         model = weil.WeilModel(space)
         grp = sym.heis_group(space)
         cols, phases = model.rho_parts(grp.vs, grp.zs)
-        worst = 0.0
+        errs = []
         for a in range(len(cols)):
             # rho(a) rho(b) for every b by one gather: row t goes to column
             # cols[b, cols[a, t]] with phase phases[a, t] phases[b, cols[a, t]]
             got_cols, got = cols[:, cols[a]], phases[a] * phases[:, cols[a]]
-            worst = max(worst, weil.monomial_distance(got_cols, got, cols[grp.mul[a]], phases[grp.mul[a]]))
+            errs.append(weil.monomial_distance(got_cols, got, cols[grp.mul[a]], phases[grp.mul[a]]))
+        worst = max_error(errs)
         rows.append(Row.compare("weil", "rho homomorphism p=%d exhaustive" % p, worst, 0, 1e-10))
         # irreducibility: sum |tr rho(h)|^2 = |H|, the trace read off the diagonal
         traces = np.where(cols == np.arange(model.dim), phases, 0).sum(axis=1)
@@ -444,10 +453,14 @@ def check_omega_multiplicative() -> list[Row]:
         space = sym.standard_polarized_space(p, 1)
         model = weil.WeilModel(space)
         grp = sym.sp_group(space)
-        ops = np.stack([model.omega_group(g) for g in grp.elems])
-        worst = 0.0
-        for i in range(len(ops)):  # omega(g_i) omega(g) against omega(g_i g) for every g
-            worst = max(worst, float(np.abs(ops[i] @ ops - ops[grp.positions(grp.mats[i] @ grp.mats)]).max()))
+        ops = model.omega_group(grp.elems)
+        d = model.dim
+        side = ops.transpose(1, 0, 2).reshape(d, -1)  # every operator side by side, (d, size * d)
+        errs = []
+        for i in range(len(ops)):  # omega(g_i) omega(g) against omega(g_i g) for every g, as one product
+            want = ops[grp.positions(grp.mats[i] @ grp.mats)].transpose(1, 0, 2)
+            errs.append(np.abs((ops[i] @ side).reshape(d, -1, d) - want).max())
+        worst = max_error(errs)
         rows.append(Row.compare("weil", "omega multiplicative p=%d (all pairs)" % p, worst, 0, 1e-8))
         words = model.omega_stack(grp.elems)
         word_worst = float(np.abs(words - ops).max())
@@ -474,39 +487,41 @@ def check_omega_multiplicative() -> list[Row]:
 def _trace_distance(traces: np.ndarray, ops: np.ndarray) -> float:
     """The largest |traces[i] - tr ops[i]|, each difference taken as one
     complex scalar."""
-    return max(abs(v - d) for v, d in zip(traces.tolist(), np.trace(ops, axis1=1, axis2=2)))
+    return max_error(abs(v - d) for v, d in zip(traces.tolist(), np.trace(ops, axis1=1, axis2=2)))
+
+
+def _group_traces(p: int) -> tuple[sym.SpGroup, np.ndarray, list]:
+    """Sp_2(F_p) in standard coordinates, the positions of its semisimple
+    elements (order prime to p) and tr omega of every element, by one
+    trace_stack."""
+    grp = sym.sp_group(sym.standard_polarized_space(p, 1))
+    return grp, np.flatnonzero(grp.orders % p), weil.WeilModel(grp.space).trace_stack(grp.elems).tolist()
 
 
 def check_omega_values_algebraic() -> list[Row]:
     """Character values snap to Z + Z sqrt(+-p)."""
     rows = []
     for p in (3, 5, 7):
-        space = sym.standard_polarized_space(p, 1)
-        model = weil.WeilModel(space)
         root = math.sqrt(p)
-        worst = 0.0
-        for v in model.trace_stack(sym.sp_elements(space)).tolist():
-            # try v = a + b sqrt(p) or a + b i sqrt(p) with a, b in (1/2)Z
-            best = min(
-                abs(v - (round(v.real * 2) / 2 + (round(v.imag * 2 / root) / 2) * root * 1j)),
-                abs((v.real - round(v.real * 2 / root) / 2 * root)) + abs(v.imag),
-            )
-            worst = max(worst, best)
+        # try v = a + b sqrt(p) or a + b i sqrt(p) with a, b in (1/2)Z
+        worst = max_error(min(
+            abs(v - (round(v.real * 2) / 2 + (round(v.imag * 2 / root) / 2) * root * 1j)),
+            abs((v.real - round(v.real * 2 / root) / 2 * root)) + abs(v.imag),
+        ) for v in _group_traces(p)[2])
         rows.append(Row.compare("weil", "character values algebraic p=%d" % p, worst, 0, 1e-6))
     return rows
 
 
 def check_cyclic_tensor_trace(seed: int = 0, trials: int = 500) -> list[Row]:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errs = []
     for _ in range(trials):
         l = int(rng.integers(0, 5))
         dim = int(rng.integers(1, 5))
         maps = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(l + 1)]
         big, comp = weil.cyclic_tensor_trace(maps)
-        scale = max(1.0, abs(comp))
-        worst = max(worst, abs(big - comp) / scale)
-    return [Row.compare("weil", "cyclic tensor trace (%d chains)" % trials, worst, 0, 1e-9, seed=seed)]
+        errs.append(abs(big - comp) / max(1.0, abs(comp)))
+    return [Row.compare("weil", "cyclic tensor trace (%d chains)" % trials, max_error(errs), 0, 1e-9, seed=seed)]
 
 
 def _order_3_loop() -> sym.SpElem:
@@ -541,9 +556,7 @@ def check_twisted_trace_decomposition(seed: int = 0) -> list[Row]:
     direct trace on each whole chain."""
     rows = []
     for label, twist, gs in twisted_trace_fixtures(seed):
-        worst = 0.0
-        for r in weil.twisted_trace_stack(twist, gs):
-            worst = max(worst, abs(r.product_value - r.direct_value))
+        worst = max_error(abs(r.product_value - r.direct_value) for r in weil.twisted_trace_stack(twist, gs))
         rows.append(Row.compare("weil", label, worst, 0, 1e-8, seed=seed))
     return rows
 
@@ -582,12 +595,9 @@ def check_intertwiner_normalization() -> list[Row]:
 def check_character_conjugacy_invariance() -> list[Row]:
     """Weil character constant on conjugacy classes: every semisimple element
     of Sp_2(F_5) against its class representative in the group."""
-    space = sym.standard_polarized_space(5, 1)
-    model = weil.WeilModel(space)
-    grp = sym.sp_group(space)
+    grp, _, traces = _group_traces(5)
     ss, reps, _ = _semisimple_classes(grp)
-    traces = model.trace_stack(grp.elems).tolist()
-    worst = max(abs(traces[i] - traces[r]) for i, r in zip(ss, reps))
+    worst = max_error(abs(traces[i] - traces[r]) for i, r in zip(ss, reps))
     return [Row.compare("weil", "character conjugacy invariance p=5 (%d elements)" % len(ss), worst, 0, 1e-8)]
 
 
@@ -613,7 +623,7 @@ def check_gerardin_semisimple() -> list[Row]:
         model = weil.WeilModel(torus.space)
         els = list(torus.elements())
         traces = model.trace_stack([t.elem for t in els]).tolist()
-        worst = max(abs(gerardin.char_semisimple(t) - tr) for t, tr in zip(els, traces))
+        worst = max_error(abs(gerardin.char_semisimple(t) - tr) for t, tr in zip(els, traces))
         rows.append(Row.compare("gerardin", label, worst, 0, 1e-8))
     return rows
 
@@ -621,18 +631,12 @@ def check_gerardin_semisimple() -> list[Row]:
 def check_polarized_formula() -> list[Row]:
     """Exhaustive over polarization-preserving semisimple g; exact after snap."""
     rows = []
-    for p in (3, 5, 7):
-        space = sym.standard_polarized_space(p, 1)
-        model = weil.WeilModel(space)
+    groups = {p: _group_traces(p) for p in (3, 5, 7)}
+    for p, (grp, ss, traces) in groups.items():
         bad = 0
         count = 0
-        preserved = []  # (g, the polarizations g preserves), semisimple g only
-        for g in sym.sp_elements(space):
-            pols = list(gerardin.invariant_polarizations(g)) if g.is_semisimple() else []
-            if pols:
-                preserved.append((g, pols))
-        for (g, pols), oracle in zip(preserved, model.trace_stack([g for g, _ in preserved]).tolist()):
-            for pol in pols:
+        for g, oracle in ((grp.elems[i], traces[i]) for i in ss):
+            for pol in gerardin.invariant_polarizations(g):
                 val = gerardin.char_polarized(g, pol)
                 count += 1
                 if abs(val - complex(round(oracle.real), round(oracle.imag))) > 1e-9 or abs(oracle - round(oracle.real)) > 1e-6:
@@ -640,17 +644,14 @@ def check_polarized_formula() -> list[Row]:
         rows.append(Row.compare("gerardin", "polarized Sp_2(F_%d) (%d pairs, snapped)" % (p, count), bad, 0, 0))
     # diagonal-block g in Sp_4(F_3): per-block polarizations combine to a
     # g-invariant polarization of the sum; oracle is the tensor product
-    p = 3
-    v2 = sym.standard_polarized_space(p, 1)
-    vsum = sym.direct_sum([v2, v2])
-    m2 = weil.WeilModel(v2)
-    ss = [g for g in sym.sp_elements(v2) if g.is_semisimple()]
-    traces = m2.trace_stack(ss).tolist()
-    seconds = [(g2, list(gerardin.invariant_polarizations(g2)), trace2) for g2, trace2 in zip(ss[:4], traces)]
+    grp, ss, traces = groups[3]
+    vsum = sym.direct_sum([grp.space, grp.space])
+    firsts = [(grp.elems[i], traces[i]) for i in ss]
+    seconds = [(g2, list(gerardin.invariant_polarizations(g2)), trace2) for g2, trace2 in firsts[:4]]
     zero = np.zeros((1, 2), dtype=np.int64)  # a line of one block, placed in the sum
     bad = 0
     count = 0
-    for g1, trace1 in zip(ss, traces):
+    for g1, trace1 in firsts:
         pols1 = list(gerardin.invariant_polarizations(g1))
         if not pols1:
             continue
@@ -674,12 +675,9 @@ def check_polarized_agrees_with_semisimple() -> list[Row]:
     rows = []
     for p in (3, 5, 7):
         torus = sym.build_torus(sym.TorusDesc(p, (sym.SplitFactor(1),)))
-        worst = 0.0
-        count = 0
-        for t in torus.elements():
-            for pol in gerardin.invariant_polarizations(t.elem):
-                worst = max(worst, abs(gerardin.char_semisimple(t) - gerardin.char_polarized(t.elem, pol)))
-                count += 1
+        errs = [abs(gerardin.char_semisimple(t) - gerardin.char_polarized(t.elem, pol))
+                for t in torus.elements() for pol in gerardin.invariant_polarizations(t.elem)]
+        worst, count = max_error(errs), len(errs)
         rows.append(Row.compare("gerardin", "polarized = semisimple p=%d (%d pairs)" % (p, count), worst, 0, 1e-9))
     return rows
 
@@ -687,13 +685,12 @@ def check_polarized_agrees_with_semisimple() -> list[Row]:
 def check_no_fixed_point_choice_independence() -> list[Row]:
     """The fixed-point-free formula does not depend on the choice of V'."""
     rows = []
-    p = 5
-    space = sym.standard_polarized_space(p, 1)
-    model = weil.WeilModel(space)
+    grp, ss, traces = _group_traces(5)
+    space = grp.space
     checked = 0
     bad = 0
-    for g in sym.sp_elements(space):
-        if not g.is_semisimple() or g.fixed_space_dim():
+    for g, oracle in ((grp.elems[i], traces[i]) for i in ss):
+        if g.fixed_space_dim():
             continue
         vals = set()
         for vp in gerardin._all_subspaces(space, 1):
@@ -707,7 +704,7 @@ def check_no_fixed_point_choice_independence() -> list[Row]:
             pass
         if len(vals) != 1:
             bad += 1
-        elif abs(vals.pop() - model.trace_omega(g)) > 1e-8:
+        elif abs(vals.pop() - oracle) > 1e-8:
             bad += 1
         checked += 1
     rows.append(Row.compare("gerardin", "V' choice independence p=5 (%d elements)" % checked, bad, 0, 0))
@@ -717,28 +714,18 @@ def check_no_fixed_point_choice_independence() -> list[Row]:
 def check_fixed_line_formula() -> list[Row]:
     """Recursive evaluation matches the oracle on all semisimple elements."""
     rows = []
-    for p in (3, 5):
-        space = sym.standard_polarized_space(p, 1)
-        model = weil.WeilModel(space)
-        worst = 0.0
-        for g in sym.sp_elements(space):
-            if g.is_semisimple():
-                worst = max(worst, abs(gerardin.weil_char(g) - model.trace_omega(g)))
+    groups = {p: _group_traces(p) for p in (3, 5)}
+    for p, (grp, ss, traces) in groups.items():
+        worst = max_error(abs(gerardin.weil_char(grp.elems[i]) - traces[i]) for i in ss)
         rows.append(Row.compare("gerardin", "recursive char Sp_2(F_%d)" % p, worst, 0, 1e-8))
-    # Sp_4(F_3) fixed-line cases (Jordan-free fixed lines) with tensor oracle
-    p = 3
-    v2 = sym.standard_polarized_space(p, 1)
-    vsum = sym.direct_sum([v2, v2])
-    m2 = weil.WeilModel(v2)
-    count = 0
-    worst = 0.0
-    for g1 in sym.sp_elements(v2):
-        if not g1.is_semisimple() or g1.fixed_space_dim():
-            continue
-        gbig = sym.block_diagonal(vsum, [g1.mat_np, np.eye(2, dtype=np.int64)])
-        oracle = m2.trace_omega(g1) * m2.trace_omega(sym.sp_identity(v2))
-        worst = max(worst, abs(gerardin.weil_char(gbig) - complex(oracle)))
-        count += 1
+    # Sp_4(F_3) fixed-line cases (Jordan-free fixed lines) with tensor oracle;
+    # elems[0] is the identity
+    grp, ss, traces = groups[3]
+    vsum = sym.direct_sum([grp.space, grp.space])
+    cases = [i for i in ss if not grp.elems[i].fixed_space_dim()]
+    worst = max_error(abs(gerardin.weil_char(sym.block_diagonal(vsum, [grp.mats[i], np.eye(2, dtype=np.int64)]))
+                          - traces[i] * traces[0]) for i in cases)
+    count = len(cases)
     rows.append(Row.compare("gerardin", "fixed line Sp_4(F_3) (%d cases)" % count, worst, 0, 1e-8))
     return rows
 
@@ -750,7 +737,7 @@ def check_weil_char_fixed_point_free() -> list[Row]:
     takes more than one greedy step; the row fails if no element needs one."""
     rng = np.random.default_rng(0)
     zero, ident = np.zeros((2, 2), dtype=np.int64), np.eye(2, dtype=np.int64)
-    worst, several = 0.0, 0
+    errs, several = [], 0
     for p in (3, 5):
         model = weil.WeilModel(sym.standard_polarized_space(p, 2))
         found = 0
@@ -766,9 +753,9 @@ def check_weil_char_fixed_point_free() -> list[Row]:
             g = c * m * c.inverse()
             found += 1
             several += len(gerardin.maximal_invariant_isotropic(g)) > 1
-            worst = max(worst, abs(gerardin.weil_char(g) - model.trace_omega(g)))
+            errs.append(abs(gerardin.weil_char(g) - model.trace_omega(g)))
     label = "weil_char fixed-point-free Sp_4(F_3/5) (16 elements, %d with a multi-line V')" % several
-    row = Row.compare("gerardin", label, worst, 0, 1e-8)
+    row = Row.compare("gerardin", label, max_error(errs), 0, 1e-8)
     row.passed = row.passed and several > 0
     return [row]
 
@@ -870,7 +857,7 @@ def sign_sweep(ps, max_degree: int = 2, eta_cap: int = 80, c_variants: int = 1) 
             oracle = weil.WeilModel(bv.block.space).trace_omega(bv.block.op)
             st = stats.setdefault(label, FamilyStats())
             st.count += 1
-            st.worst = max(st.worst, abs(bv.value - oracle))
+            st.worst = max_error([st.worst, abs(bv.value - oracle)])
             st.signs.add(bv.sign)
     return stats
 
@@ -975,16 +962,16 @@ def check_assemble_dual_path() -> list[Row]:
         0: signcalc.OrbitScenario(act, 0, f1, f1, f1, f1, f1.one(), f1.from_int(2), f1.from_int(2), "asym/asym"),
         2: signcalc.OrbitScenario(act, 2, k2, f1, k2, f1, c2, no[2], None, "sym-ur/sym-ur"),
     }
-    worst = 0.0
+    errs = []
     eps_vals = {}
     for v0 in f1.units():
         for v2 in no:
             svals = {0: v0, 2: v2}
             asm = signcalc.assemble_product(act, scen, svals)  # asserts dual-path internally
             res = signcalc.full_space_oracle(act, scen, svals)
-            worst = max(worst, abs(asm.value - res.product_value), abs(res.product_value - res.direct_value))
+            errs += [abs(asm.value - res.product_value), abs(res.product_value - res.direct_value)]
             eps_vals[(v0.index(), v2.index())] = asm.eps_tilde
-    rows.append(Row.compare("signcalc", "assemble dual path + oracle (8 s-values)", worst, 0, 1e-8))
+    rows.append(Row.compare("signcalc", "assemble dual path + oracle (8 s-values)", max_error(errs), 0, 1e-8))
     # eps_tilde is a character: multiplicative under componentwise s-products
     ok = True
     units = list(f1.units())

@@ -147,7 +147,7 @@ def run_weil_verify(sid: str, payload, tol: float, seed: int) -> list[Row]:
     rng = np.random.default_rng(seed)
     rows = []
     size = p ** (2 * n + 1)  # |H(V)|, drawn by heis_decode position
-    worst = 0.0
+    errs = []
     # chunks of pairs keep rho_parts' (pairs, p^n, 2n) temporaries bounded
     chunk = max(1, weil.GATHER_CHUNK_ENTRIES // (model.dim * space.dim))
     for lo in range(0, pairs, chunk):
@@ -158,8 +158,8 @@ def run_weil_verify(sid: str, payload, tol: float, seed: int) -> list[Row]:
         cab, pab = model.rho_parts(*sym.heis_law(space, va, za, vb, zb))
         # rho(a) rho(b) is monomial: row t goes to column cb[ca[t]] with phase pa[t] pb[ca[t]]
         got_cols, got = np.take_along_axis(cb, ca, axis=1), pa * np.take_along_axis(pb, ca, axis=1)
-        worst = max(worst, weil.monomial_distance(got_cols, got, cab, pab))
-    rows.append(Row.compare(sid, "rho homomorphism (sampled)", worst, 0, tol, seed))
+        errs.append(weil.monomial_distance(got_cols, got, cab, pab))
+    rows.append(Row.compare(sid, "rho homomorphism (sampled)", checks.max_error(errs), 0, tol, seed))
     gens = sym.sp_generators(space)
     hs = [gens[rng.integers(len(gens))] for _ in range(words)]
     walk = [sym.sp_identity(space)]
@@ -167,13 +167,13 @@ def run_weil_verify(sid: str, payload, tol: float, seed: int) -> list[Row]:
         walk.append(walk[-1] * h)
     # omega(g_i) omega(h_i) = omega(g_i+1) along the walk g_i+1 = g_i h_i, in
     # chunks of steps that keep the (k, p^n, p^n) operator stacks bounded
-    worst_m = 0.0
+    errs = []
     step = max(1, weil.GATHER_CHUNK_ENTRIES // (2 * model.dim**2))
     for lo in range(0, words, step):
         k = min(step, words - lo)
         ops = model.omega_stack(walk[lo : lo + k + 1] + hs[lo : lo + k])
-        worst_m = max(worst_m, float(np.abs(ops[:k] @ ops[k + 1 :] - ops[1 : k + 1]).max()))
-    rows.append(Row.compare(sid, "omega multiplicative (word walk)", worst_m, 0, tol, seed))
+        errs.append(np.abs(ops[:k] @ ops[k + 1 :] - ops[1 : k + 1]).max())
+    rows.append(Row.compare(sid, "omega multiplicative (word walk)", checks.max_error(errs), 0, tol, seed))
     return rows
 
 

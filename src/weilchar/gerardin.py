@@ -284,23 +284,35 @@ def char_polarized(g: SpElem, polarization) -> complex:
 
 
 def invariant_polarizations(g: SpElem):
-    """All g-invariant polarizations (V+, V-) of a small space, brute force;
-    each side a read-only (n, dim) array."""
-    space = g.space
-    p = space.p
-    n = space.dim // 2
-    lagr = []
-    for basis in _all_subspaces(space, n):
-        if is_isotropic(space, basis):
-            try:
-                restrict_map(g, basis)
-            except GerardinError:
-                continue
-            lagr.append(basis)
-    for vp, vm in itertools.combinations(lagr, 2):
-        if modp.rank(np.vstack([vp, vm]), p) == 2 * n:
-            yield vp, vm
-            yield vm, vp
+    """All g-invariant polarizations (V+, V-) of a small space, brute force
+    over its _lagrangians; each side a read-only (n, dim) array."""
+    lagr, pairs = _lagrangians(g.space)
+    invariant = []
+    for basis in lagr:
+        try:
+            restrict_map(g, basis)
+            invariant.append(True)
+        except GerardinError:
+            invariant.append(False)
+    for i, j in pairs:
+        if invariant[i] and invariant[j]:
+            yield lagr[i], lagr[j]
+            yield lagr[j], lagr[i]
+
+
+@lru_cache(maxsize=None)
+def _lagrangians(space: SympSpace) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """The Lagrangians of a small space, the isotropic ones of
+    _all_subspaces in its order (one read-only (N, n, dim) array), and the
+    pairs (i, j), i < j, of transversal ones, in itertools.combinations
+    order."""
+    p, n = space.p, space.dim // 2
+    subs = _all_subspaces(space, n)
+    lagr = subs[[is_isotropic(space, b) for b in subs]]
+    lagr.flags.writeable = False
+    pairs = [(i, j) for i, j in itertools.combinations(range(len(lagr)), 2)
+             if modp.rank(np.vstack([lagr[i], lagr[j]]), p) == 2 * n]
+    return lagr, tuple(pairs)
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -188,13 +188,22 @@ class SpElem:
         return sp_elem(self.space, modp.mat_inv(self.mat_np, self.space.p))
 
     def order(self) -> int:
-        return int(orders(self.space, self.mat_np))
+        return self._order
 
     def is_semisimple(self) -> bool:
         # order coprime to p suffices for the groups considered here
         return self.order() % self.space.p != 0
 
     def fixed_space_dim(self) -> int:
+        return self._fixed_space_dim
+
+    # computed once per element: a frozen element's matrix never changes
+    @cached_property
+    def _order(self) -> int:
+        return int(orders(self.space, self.mat_np))
+
+    @cached_property
+    def _fixed_space_dim(self) -> int:
         return self.space.dim - modp.rank(self.mat_np - np.eye(self.space.dim, dtype=np.int64), self.space.p)
 
 

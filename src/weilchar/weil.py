@@ -455,7 +455,9 @@ class WeilModel:
             table[anchors[1]] = table[anchors[0]] @ table[anchors[0]]
         else:
             anchors = coprime
-        rest = np.setdiff1d(np.flatnonzero(orders % p == 0), anchors)
+        unanchored = orders % p == 0
+        unanchored[anchors] = False
+        rest = np.flatnonzero(unanchored)
         # positions of i j^-1, a slice of rows at a time: at most GATHER_CHUNK_ENTRIES matrix entries
         inv = sym.inverses(self.space, grp.mats[anchors])
         step = max(1, GATHER_CHUNK_ENTRIES // inv.size)
@@ -468,12 +470,15 @@ class WeilModel:
         table.flags.writeable = False
         self._group_table = table
 
-    def omega_group(self, g: SpElem) -> np.ndarray:
-        """Weil operator from the whole-group model, built on first use."""
-        if g.space is not self.space and g.space != self.space:
+    def omega_group(self, gs) -> np.ndarray:
+        """Weil operators of a stack of elements from the whole-group model,
+        built on first use: its table rows, read by one positions lookup,
+        shape (len(gs), p^n, p^n), in input order."""
+        if any(g.space is not self.space and g.space != self.space for g in gs):
             raise sym.SpaceMismatch("element from another space")
         self.build_group_model()
-        return self._group_table[sym.sp_group(self.space).positions(g.mat_np)]
+        mats = np.array([g.mat_np for g in gs], dtype=np.int64).reshape(-1, self.space.dim, self.space.dim)
+        return self._group_table[sym.sp_group(self.space).positions(mats)]
 
 
 def linear_lift(m0: np.ndarray, ords: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 one layer that some registry check catches, and leaves nothing behind."""
 
 import contextlib
+import math
 
 import pytest
 
@@ -104,3 +105,20 @@ def test_unknown_fault_is_refused():
     with pytest.raises(SystemExit) as exc:
         cli.main(["selfcheck", "--fault", "nosuch"])
     assert exc.value.code == 2
+
+
+def test_max_error_keeps_a_nan():
+    # a running max(worst, err) from 0.0 drops a NaN wherever it falls
+    assert math.isnan(checks.max_error([0.0, math.nan, 1.0]))
+    assert math.isnan(checks.max_error(iter([1.0, math.nan])))
+    assert checks.max_error([]) == 0.0
+    assert checks.max_error(x for x in (2e-15, 3e-15, 1e-15)) == 3e-15
+
+
+def test_nan_operators_fail_the_all_pairs_rows():
+    # rho-columns shifts every rho column, so the group model's Schur averages
+    # and with them its operators are NaN: the all-pairs products must fail
+    rows, _ = checks.run_checks("weil.omega-mult", fault="rho-columns")
+    pairs = [r for r in rows if r.quantity.startswith("omega multiplicative p=")]
+    assert [r.quantity for r in pairs] == ["omega multiplicative p=%d (all pairs)" % p for p in (3, 5, 7)]
+    assert all(math.isnan(r.formula) and not r.passed for r in pairs)

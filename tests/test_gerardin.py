@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import pathlib
 
@@ -256,3 +257,48 @@ def test_one_step_vprime_turns_weil_char_red():
 
     rows, _ = checks.run_checks("gerardin", fault="one-step-vprime")
     assert {r.scenario_id for r in rows if not r.passed} == {"gerardin.weil-char"}
+
+
+def _polarizations_brute_force(g):
+    """invariant_polarizations as it read every subspace for itself: the
+    isotropic, g-invariant n-spaces of _all_subspaces, and every transversal
+    pair of them, both ways round."""
+    space, n = g.space, g.space.dim // 2
+    lagr = []
+    for basis in ger._all_subspaces(space, n):
+        if ger.is_isotropic(space, basis):
+            try:
+                ger.restrict_map(g, basis)
+            except ger.GerardinError:
+                continue
+            lagr.append(basis)
+    for vp, vm in itertools.combinations(lagr, 2):
+        if modp.rank(np.vstack([vp, vm]), space.p) == 2 * n:
+            yield vp, vm
+            yield vm, vp
+
+
+def _sp4_elements():
+    """Four semisimple elements of Sp_4(F_3): the identity, -1, a split torus
+    element and a seeded cell element of order prime to 3."""
+    model = weil.WeilModel(sym.standard_polarized_space(3, 2))
+    ident = sym.sp_identity(model.space)
+    torus = sym.build_torus(sym.TorusDesc(3, (sym.SplitFactor(1), sym.SplitFactor(1))))
+    rng = np.random.default_rng(5)
+    cell = checks.cell_element(model, 1, rng)
+    while not cell.is_semisimple():
+        cell = checks.cell_element(model, 1, rng)
+    return [ident, sym.sp_elem(model.space, -ident.mat_np), list(torus.elements())[1].elem, cell]
+
+
+def test_invariant_polarizations_equal_the_brute_force():
+    # the per-space Lagrangian table changes no pair and no order
+    grps = [sym.sp_group(sym.standard_polarized_space(p, 1)) for p in (3, 5, 7)]
+    els = [grp.elems[i] for grp in grps for i in np.flatnonzero(grp.orders % grp.space.p)] + _sp4_elements()
+    seen = 0
+    for g in els:
+        want, got = list(_polarizations_brute_force(g)), list(ger.invariant_polarizations(g))
+        assert [(vp.tolist(), vm.tolist()) for vp, vm in got] == [(vp.tolist(), vm.tolist()) for vp, vm in want]
+        assert not any(side.flags.writeable for pol in got for side in pol)
+        seen += len(got)
+    assert seen > 1000  # the Sp_4 identity alone is invariant under every polarization

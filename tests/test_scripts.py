@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 
-from weilchar import cli, signcalc, weil
+from weilchar import checks, cli, signcalc, weil
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -147,3 +147,11 @@ def test_benchmark_hooks_resolve(tmp_path):
         workdir = tmp_path / name
         workdir.mkdir()
         workloads.make_inputs(name, 1, str(workdir))
+
+
+def test_registry_times_script():
+    out = json.loads("\n".join(run_script("registry_times.py", "1")))
+    assert out["runs"] == 1
+    assert list(out["checks"]) == [name for name, _ in checks.CHECKS] + ["registry"]
+    for stats in out["checks"].values():
+        assert stats["q1_s"] == stats["median_s"] == stats["q3_s"] >= 0

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import itertools
 import json
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weilchar import checks, ffield as ff, modp, signcalc, symplectic as sym
+from weilchar import checks, ffield as ff, modp, signcalc, symplectic as sym, weil
 
 import polyref
 
@@ -498,3 +499,22 @@ def test_field_block_is_built_once_per_value():
     assert sym.field_block(k, k.one(), None) is sym.field_block(k, k.one(), None)
     # an equal C built afresh finds the same space
     assert sym.field_block(k, k.element(c.coeffs), 1) is sym.field_block(k, c, 1)
+
+
+@pytest.mark.parametrize("fault", [None, "swap-sign"])
+def test_memoized_order_and_fixed_space_dim(fault):
+    # order() and fixed_space_dim() are computed once per element and then
+    # read back; both calls must equal symplectic.orders and dim - rank(g - 1),
+    # also under a fault in the row reduction that rank reads
+    with checks.FAULTS[fault]() if fault else contextlib.nullcontext():
+        grp = sym.sp_group(sym.standard_polarized_space(5, 1))
+        model = weil.WeilModel(sym.standard_polarized_space(3, 2))
+        rng = np.random.default_rng(11)
+        cells = [checks.cell_element(model, r, rng) for r in (0, 1, 2) for _ in range(6)]
+        assert [g.order() for g in grp.elems] == grp.orders.tolist()
+        for g in list(grp.elems) + cells:
+            shift = (g.mat_np - np.eye(g.space.dim, dtype=np.int64)) % g.space.p
+            for _ in range(2):
+                assert g.order() == int(sym.orders(g.space, g.mat_np))
+                assert g.fixed_space_dim() == g.space.dim - modp.rank(shift, g.space.p)
+        assert {g.fixed_space_dim() for g in cells} >= {0, 2}

@@ -104,13 +104,26 @@ def test_weil_operator_examples(model5):
 
 def test_weil_operator_multiplicative_all_pairs(model5):
     els = sym.sp_elements(model5.space)
-    ops = np.stack([model5.omega_group(g) for g in els])
+    ops = model5.omega_group(els)
     idx = {g.mat: i for i, g in enumerate(els)}
     worst = 0.0
     for i, g in enumerate(els):
         rhs = ops[np.array([idx[(g * h).mat] for h in els])]
         worst = max(worst, float(np.abs(ops[i] @ ops - rhs).max()))
     assert worst < 1e-8
+
+
+def test_all_pairs_rows_equal_one_product_per_pair():
+    # the registry forms each row's products side by side in one matrix
+    # product; against size small products per row the worst error may move
+    # only by rounding, far below the row's 1e-8 tolerance
+    rows = {r.quantity: r.formula for r in checks.check_omega_multiplicative()}
+    for p in (3, 5, 7):
+        model = weil.WeilModel(sym.standard_polarized_space(p, 1))
+        grp = sym.sp_group(model.space)
+        ops = model.omega_group(grp.elems)
+        want = max(float(np.abs(ops[i] @ ops - ops[grp.positions(grp.mats[i] @ grp.mats)]).max()) for i in range(len(ops)))
+        assert abs(rows["omega multiplicative p=%d (all pairs)" % p] - want) < 1e-14
 
 
 def test_levi_sign_fault_turns_word_equals_group_rows_red():
@@ -137,9 +150,10 @@ def test_schur_intertwiner_examples(model5):
     ratio = t2 @ t1
     assert np.abs(ratio - ratio[0, 0] * np.eye(5)).max() < 1e-9
     # T conjugates the Weil operators with trivial character for p >= 5
-    for g in sym.sp_elements(space):
+    els = sym.sp_elements(space)
+    for g, op in zip(els, m2.omega_group(els)):
         lhs = t1 @ model5.omega(g) @ np.linalg.inv(t1)
-        assert np.abs(lhs - m2.omega_group(g)).max() < 1e-8
+        assert np.abs(lhs - op).max() < 1e-8
 
 
 def _schur_loop(model_a, model_b, phi):
@@ -433,11 +447,11 @@ def test_sl2_f3_convention_real_on_order_4_torus():
 
     torus = sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(1),)))
     model = weil.WeilModel(torus.space)
-    for t in torus.elements():
-        tr = np.trace(model.omega_group(t.elem))
-        assert abs(tr.imag) < 1e-9
-    for g in sym.sp_elements(torus.space):
-        assert np.abs(model.omega_group(g) - model.omega_word(g)).max() < 1e-8
+    trs = np.trace(model.omega_group([t.elem for t in torus.elements()]), axis1=1, axis2=2)
+    assert np.abs(trs.imag).max() < 1e-9
+    els = sym.sp_elements(torus.space)
+    for g, op in zip(els, model.omega_group(els)):
+        assert np.abs(op - model.omega_word(g)).max() < 1e-8
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -445,9 +459,9 @@ def test_group_model_equals_word_model_on_every_element(p):
     # elements of order divisible by p included: they are products of two
     # operators scaled by order and determinant, or of one and U0 at p = 3
     space = sym.standard_polarized_space(p, 1)
+    els = sym.sp_elements(space)
     for model in (weil.WeilModel(space), _rotated_model(space)):
-        assert max(float(np.abs(model.omega_group(g) - model.omega_word(g)).max())
-                   for g in sym.sp_elements(space)) < 1e-12
+        assert max(float(np.abs(op - model.omega_word(g)).max()) for g, op in zip(els, model.omega_group(els))) < 1e-12
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -498,8 +512,7 @@ h = hashlib.sha256()
 for p in (3, 5):
     space = sym.standard_polarized_space(p, 1)
     m = weil.WeilModel(space)
-    for g in sym.sp_elements(space):
-        h.update(m.omega_group(g).tobytes())
+    h.update(m.omega_group(sym.sp_elements(space)).tobytes())
 print(h.hexdigest())
 """
 
@@ -515,6 +528,18 @@ def test_group_model_identical_across_processes():
         for _ in range(3)
     }
     assert len(digests) == 1
+
+
+def test_group_model_build_imports_no_masked_arrays():
+    # the unanchored elements are one boolean mask; np.setdiff1d would import
+    # numpy.ma (15-20 ms and about 1 MB) in every process that builds a model
+    code = ("import sys\nfrom weilchar import symplectic as sym, weil\n"
+            "weil.WeilModel(sym.standard_polarized_space(5, 1)).build_group_model()\n"
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 # -- word model: one normal form per Bruhat cell ---------------------------
@@ -697,12 +722,26 @@ def test_stack_refuses_an_element_of_another_space(model5):
             fn(els)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_stacked_omega_group_equals_per_element_reads(p):
+    # one positions lookup for the whole stack hands back the table rows that
+    # stacks of one read, bit for bit, in input order (here reversed)
+    model = weil.WeilModel(sym.standard_polarized_space(p, 1))
+    els = sym.sp_elements(model.space)[::-1]
+    ops = model.omega_group(els)
+    assert ops.shape == (len(els), model.dim, model.dim)
+    assert all(op.tobytes() == model.omega_group([g])[0].tobytes() for g, op in zip(els, ops))
+    other = sym.sp_elem(sym.split_space(p, [[2]]), [[1, 0], [0, 1]])
+    with pytest.raises(sym.SpaceMismatch):
+        model.omega_group([els[0], other])
+
+
 def test_omega_group_refuses_an_element_of_another_space():
     # diag(2, 3) is also an element of the standard space's group, so a
     # lookup by matrix alone would hand back its operator
     model = weil.WeilModel(sym.standard_polarized_space(5, 1))
     with pytest.raises(sym.SpaceMismatch):
-        model.omega_group(sym.sp_elem(sym.split_space(5, [[2]]), [[2, 0], [0, 3]]))
+        model.omega_group([sym.sp_elem(sym.split_space(5, [[2]]), [[2, 0], [0, 3]])])
 
 
 def test_stack_past_one_gather_slice_equals_one_at_a_time():
