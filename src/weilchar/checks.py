@@ -1053,7 +1053,14 @@ CHECKS = [
 # seeded faults
 #
 # Each entry is a deliberate bug in one layer, there to show that some check
-# catches it: FAULTS[name]() is a context manager that, on entry, clears the
+# catches it.  A fault patches the one named function that holds the rule it
+# breaks, and never a copy of library code: a copy runs code the library
+# never runs, and drifts when the original changes.  Where a rule had no
+# seam of its own, the library gives it one (modp._exchange,
+# lattice._divisibility_offender, signcalc._inverse_closed).  restrict-map
+# alone keeps a variant of its target: the refusal it drops has no seam.
+#
+# FAULTS[name]() is a context manager that, on entry, clears the
 # weilchar caches, looks its target up and puts the faulty version in its
 # place, and on exit puts the original back and clears the caches again, so
 # what a fault turns red does not depend on what ran before.  ffield.field
@@ -1102,63 +1109,6 @@ def _restrict_map_unchecked(orig, g, basis):
     if piv[:k] != list(range(k)):
         raise gerardin.GerardinError("basis vectors are dependent")
     return red[:k, k:]
-
-
-def _reduce_without_swap_sign(orig, rows, p):
-    # reduce_rows with the row-swap sign dropped from the determinant it tracks
-    n, pivots, d, r = len(rows), [], 1, 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = modp._first_nonzero(rows, r, c)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        d = d * inv % p
-        pr = rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(n):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pr)]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return pivots, d
-
-
-def _snf_without_fixup(orig, m):
-    # smith_normal_form with the divisibility fixup skipped: U m V is still
-    # diagonal, by unimodular U and V, but d_i need not divide d_i+1
-    d = lattice._to_rows(m)
-    rows, cols = len(d), len(d[0]) if d else 0
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-    s = 0
-    while s < min(rows, cols):
-        # the pivot: the first entry of least absolute value in row-major order
-        entries = [(abs(d[i][j]), i, j) for i in range(s, rows) for j in range(s, cols) if d[i][j]]
-        if not entries:
-            break
-        _, i0, j0 = min(entries)
-        d[s], d[i0], u[s], u[i0] = d[i0], d[s], u[i0], u[s]
-        for x in d + v:
-            x[s], x[j0] = x[j0], x[s]
-        for i in range(s + 1, rows):
-            k = d[i][s] // d[s][s]
-            d[i] = [a - k * b for a, b in zip(d[i], d[s])]
-            u[i] = [a - k * b for a, b in zip(u[i], u[s])]
-        if any(d[i][s] for i in range(s + 1, rows)):
-            continue
-        for j in range(s + 1, cols):
-            k = d[s][j] // d[s][s]
-            for x in d + v:
-                x[j] -= k * x[s]
-        if any(d[s][j] for j in range(s + 1, cols)):
-            continue
-        if d[s][s] < 0:
-            d[s], u[s] = [-a for a in d[s]], [-a for a in u[s]]
-        s += 1
-    return u, d, v
 
 
 def _block_sign_negated(orig, s):
@@ -1222,19 +1172,6 @@ def _hyperbolic_e_f(orig, space):
     return np.roll(orig(space), space.dim // 2, axis=1)
 
 
-def _inverted_case_split(orig, b, f, k_res, sub, ambient):
-    # the Nr(b) = +-1 case split inverted; the halving step recurses into
-    # the faulty split, as the original recurses into itself
-    if ffield.norm_to(b, sub) != -1:
-        return signcalc._galois_pieces(b, f, k_res, ambient, False), ["case1"]
-    if f % 2 == 1:
-        pieces = signcalc._galois_pieces(b, f, k_res, ambient, True) + signcalc._galois_pieces(-b, f, k_res, ambient, True)
-        return pieces, ["case2"]
-    p1, t1 = signcalc._asym_pm_pieces(ffield.nth_roots(b, 2)[0], f // 2, k_res, sub, ambient)
-    p2, t2 = signcalc._asym_pm_pieces(ffield.nth_roots(-b, 2)[0], f // 2, k_res, sub, ambient)
-    return p1 + p2, ["case3"] + t1 + t2
-
-
 FAULTS = {
     "sgn": _fault(ffield, "sgn_mult", lambda orig, *args, **kwargs: -orig(*args, **kwargs)),
     "orbit-sign-parity": _fault(gerardin, "orbit_sign", _orbit_sign_without_parity),
@@ -1244,8 +1181,11 @@ FAULTS = {
                             lambda orig, big, small, p: np.asarray(big, dtype=np.int64) % p),
     # the greedy V' returns after its first vector
     "one-step-vprime": _fault(gerardin, "maximal_invariant_isotropic", lambda orig, g: orig(g)[:1]),
-    "swap-sign": _fault(modp, "reduce_rows", _reduce_without_swap_sign),
-    "snf-fixup": _fault(lattice, "smith_normal_form", _snf_without_fixup),
+    # a row swap leaves the determinant reduce_rows tracks unchanged
+    "swap-sign": _fault(modp, "_exchange", lambda orig, rows, i, j: -orig(rows, i, j)),
+    # no row fails divisibility, so U m V is diagonal by unimodular U and V
+    # but d_i need not divide d_i+1
+    "snf-fixup": _fault(lattice, "_divisibility_offender", lambda orig, d, s: None),
     "block-sign-negated": _fault(signcalc, "block_sign_formula", _block_sign_negated),
     "abelian-law": _fault(sym, "heis_law", _abelian_law),
     "split-class": _fault(sym, "eigen_multiset", _split_class),
@@ -1274,7 +1214,8 @@ FAULTS = {
     # the trace's support taken where t s = -a2 s off S
     "trace-support": _fault(weil, "_trace_support", lambda orig, f, p: (f.t + f.a2)[:, f.rank :] % p),
     "hyperbolic-e-f": _fault(sym, "hyperbolic_basis", _hyperbolic_e_f),
-    "case-split": _fault(signcalc, "_asym_pm_pieces", _inverted_case_split),
+    # the Nr(b) = -1 case split inverted, in the halving step's recursion too
+    "case-split": _fault(signcalc, "_inverse_closed", lambda orig, b, sub: not orig(b, sub)),
 }
 
 

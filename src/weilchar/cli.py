@@ -30,6 +30,11 @@ from .checks import Row
 
 EXIT_OK, EXIT_FAIL, EXIT_PARSE, EXIT_VALIDATION = 0, 1, 2, 3
 
+# the most samples a payload may ask for (weil-verify pairs and words,
+# twisted-trace trials, lattice-check pi0_trials); the bundled scenarios ask
+# for at most 150
+SAMPLE_CAP = 10_000
+
 
 class ScenarioValidationError(Exception):
     pass
@@ -50,6 +55,15 @@ def _typed(value, kind, what: str, least: int | None = None):
     if least is not None and value < least:
         raise ScenarioValidationError("%s must be at least %d, got %d" % (what, least, value))
     return value
+
+
+def _samples(payload, key: str, default: int, least: int = 1) -> int:
+    """The sample count payload[key], refused above SAMPLE_CAP before any
+    sample is drawn."""
+    count = _typed(payload.get(key, default), int, key, least)
+    if count > SAMPLE_CAP:
+        raise ScenarioValidationError("%s must be at most %d, got %d" % (key, SAMPLE_CAP, count))
+    return count
 
 
 def _parse_field(s, what: str) -> ffield.FieldDesc:
@@ -139,9 +153,10 @@ def run_gerardin(sid: str, payload, tol: float, seed: int) -> list[Row]:
 
 def run_weil_verify(sid: str, payload, tol: float, seed: int) -> list[Row]:
     p, n = _typed(payload["p"], int, "p"), _typed(payload.get("n", 1), int, "n", least=1)
-    pairs = _typed(payload.get("pairs", 100), int, "pairs", least=1)
-    words = _typed(payload.get("words", 20), int, "words", least=1)
+    pairs, words = _samples(payload, "pairs", 100), _samples(payload, "words", 20)
+    # the cap first: it bounds p before the primality test's trial division
     weil.check_model_dim(p, n, weil.DENSE_DIM_CAP, "dense operator")
+    weil.check_odd_prime(p)
     space = sym.standard_polarized_space(p, n)
     model = weil.WeilModel(space)
     rng = np.random.default_rng(seed)
@@ -182,11 +197,12 @@ def run_twisted_trace(sid: str, payload, tol: float, seed: int) -> list[Row]:
     group_sizes = [_typed(x, int, "groups entry") for x in _typed(payload["groups"], list, "groups")]
     if not group_sizes or min(group_sizes) < 1:
         raise ScenarioValidationError("groups must be a nonempty list of sizes >= 1, got %r" % (group_sizes,))
-    trials = _typed(payload.get("trials", 10), int, "trials", least=1)
-    weil.check_odd_prime(p)
+    trials = _samples(payload, "trials", 10)
     # |value| is at most the whole sum's model dimension, so within the cap the
-    # float error stays far below the tolerance
+    # float error stays far below the tolerance; the cap also bounds p before
+    # the primality test's trial division
     weil.check_model_dim(p, sum(group_sizes))
+    weil.check_odd_prime(p)
     v2 = sym.standard_polarized_space(p, 1)
     els = sym.sp_elements(v2)  # refuses a group above the enumeration cap before any model is built
     twist = weil.block_twist([(sym.sp_identity(v2), size) for size in group_sizes])
@@ -256,7 +272,7 @@ def run_root_datum(sid: str, payload, tol: float, seed: int) -> list[Row]:
 
 def run_lattice_check(sid: str, payload, tol: float, seed: int) -> list[Row]:
     matrices = _typed(payload.get("matrices", []), list, "matrices")
-    trials = _typed(payload.get("pi0_trials", 0), int, "pi0_trials", least=0)
+    trials = _samples(payload, "pi0_trials", 0, least=0)
     if not matrices and not trials:
         raise ScenarioValidationError("a lattice check needs matrices or pi0_trials >= 1, got neither")
     rows = []

@@ -72,6 +72,15 @@ def _square_rows(m, what: str) -> list[list[int]]:
     return a
 
 
+def _divisibility_offender(d: list[list[int]], s: int) -> int | None:
+    """The first row below s with an entry right of column s that the pivot
+    d[s][s] does not divide, or None: the row the fixup pulls in."""
+    for i in range(s + 1, len(d)):
+        if any(x % d[s][s] for x in d[i][s + 1 :]):
+            return i
+    return None
+
+
 def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """U, D, V with D = U*m*V, U and V unimodular, D diagonal, d_i | d_{i+1}.
 
@@ -132,11 +141,7 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
             continue
         # divisibility fixup: pull an offending row into the pivot row and
         # restart the step (the next pivot properly divides the old one)
-        offender = None
-        for i in range(s + 1, rows):
-            if any(d[i][j] % d[s][s] for j in range(s + 1, cols)):
-                offender = i
-                break
+        offender = _divisibility_offender(d, s)
         if offender is not None:
             row_op(s, offender, -1)
             continue

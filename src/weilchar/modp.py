@@ -80,6 +80,12 @@ def _first_nonzero(rows: list[list[int]], start: int, c: int) -> int | None:
     return None
 
 
+def _exchange(rows: list[list[int]], i: int, j: int) -> int:
+    """Swap rows i and j in place; returns the swap's determinant, -1."""
+    rows[i], rows[j] = rows[j], rows[i]
+    return -1
+
+
 def reduce_rows(rows: list[list[int]], p: int) -> tuple[list[int], int]:
     """Gauss-Jordan elimination of Python-int rows in place (entries stay in
     0..p-1): afterwards rows is the reduced echelon form.  Returns the pivot
@@ -95,8 +101,7 @@ def reduce_rows(rows: list[list[int]], p: int) -> tuple[list[int], int]:
         if piv is None:
             continue
         if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            d = -d
+            d *= _exchange(rows, r, piv)
         inv = pow(rows[r][c], p - 2, p)
         d = d * inv % p
         pr = rows[r] = [x * inv % p for x in rows[r]]

@@ -445,10 +445,15 @@ def torus_algorithm(beta: FieldElem, f: int, branch: str, ambient: FieldDesc) ->
     return TorusPieces(tuple(pieces), tuple(trace))
 
 
+def _inverse_closed(b: FieldElem, sub: FieldDesc) -> bool:
+    """Nr(b) = -1: the pair Gal{b}^{1/f}, Gal{-b}^{1/f} is one inverse-closed
+    set (case 1)."""
+    return ffield.norm_to(b, sub) == -1
+
+
 def _asym_pm_pieces(b: FieldElem, f: int, k_res: FieldDesc, sub: FieldDesc, ambient: FieldDesc):
     """Pieces for the eigenvalue pair Gal{b}^{1/f} and Gal{-b}^{1/f}."""
-    nr = ffield.norm_to(b, sub)
-    if nr == -1:
+    if _inverse_closed(b, sub):
         # inverse-closed: the fields of X^f - b with split (k_i^x) factors
         return _galois_pieces(b, f, k_res, ambient, False), ["case1"]
     if f % 2 == 1:

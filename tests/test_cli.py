@@ -244,6 +244,12 @@ BAD_PAYLOADS = {
     "twisted-trace-p-9": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": 9, "groups": [2]}},
     "twisted-trace-p-15": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": 15, "groups": [2]}},
     "weil-verify-p-9": lambda: {"id": "w", "kind": "weil-verify", "payload": {"p": 9}},
+    "weil-verify-p-1": lambda: {"id": "w", "kind": "weil-verify", "payload": {"p": 1}},
+    "weil-verify-p-0": lambda: {"id": "w", "kind": "weil-verify", "payload": {"p": 0}},
+    # the model cap bounds p before the primality test, whose trial division
+    # ran past 5 s on this product of two primes near 10^9
+    "twisted-trace-p-huge-composite": lambda: {"id": "t", "kind": "twisted-trace",
+                                               "payload": {"p": 1000000007 * 1000000009, "groups": [1]}},
     "twisted-trace-chain-over-the-cap": lambda: {"id": "t", "kind": "twisted-trace", "payload": {"p": 3, "groups": [20]}},
     # every group within the cap, their direct sum above it
     "twisted-trace-sum-over-the-cap": lambda: {"id": "t", "kind": "twisted-trace",
@@ -279,6 +285,15 @@ BAD_PAYLOADS = {
                                                "payload": {"matrices": [{"theta": [[True]], "expect_torsion": []}]}},
     "lattice-check-theta-string-entry": lambda: {"id": "l", "kind": "lattice-check",
                                                  "payload": {"matrices": [{"theta": [["3"]], "expect_torsion": []}]}},
+    # sample counts above cli.SAMPLE_CAP, refused before the first sample
+    "weil-verify-pairs-above-the-sample-cap": lambda: {"id": "w", "kind": "weil-verify",
+                                                       "payload": {"p": 3, "pairs": 10**8}},
+    "weil-verify-words-above-the-sample-cap": lambda: {"id": "w", "kind": "weil-verify",
+                                                       "payload": {"p": 3, "words": 10**8}},
+    "twisted-trace-trials-above-the-sample-cap": lambda: {"id": "t", "kind": "twisted-trace",
+                                                          "payload": {"p": 3, "groups": [2], "trials": 10**8}},
+    "lattice-check-pi0-trials-above-the-sample-cap": lambda: {"id": "l", "kind": "lattice-check",
+                                                              "payload": {"pi0_trials": 10**8}},
     # sizes refused before anything of that size is computed or allocated:
     # a field degree before p^k, phi before a list of phi entries, a torus's
     # model dimension before its field blocks
@@ -306,6 +321,13 @@ BAD_PAYLOAD_MESSAGES = {
     "twisted-trace-p-9": "the Schrodinger model needs an odd prime, got p = 9",
     "twisted-trace-p-15": "the Schrodinger model needs an odd prime, got p = 15",
     "weil-verify-p-9": "the Schrodinger model needs an odd prime, got p = 9",
+    "weil-verify-p-1": "the Schrodinger model needs an odd prime, got p = 1",
+    "weil-verify-p-0": "the Schrodinger model needs an odd prime, got p = 0",
+    "twisted-trace-p-huge-composite": "p^n = 1000000016000000063^1 exceeds the model cap 32767",
+    "weil-verify-pairs-above-the-sample-cap": "pairs must be at most 10000, got 100000000",
+    "weil-verify-words-above-the-sample-cap": "words must be at most 10000, got 100000000",
+    "twisted-trace-trials-above-the-sample-cap": "trials must be at most 10000, got 100000000",
+    "lattice-check-pi0-trials-above-the-sample-cap": "pi0_trials must be at most 10000, got 100000000",
     "twisted-trace-chain-over-the-cap": "p^n = 3^20 exceeds the model cap 32767",
     "twisted-trace-sum-over-the-cap": "p^n = 3^50 exceeds the model cap 32767",
     "twisted-trace-group-over-the-enumeration-cap": "|Sp| = 35123204253000 exceeds the enumeration cap 10000",
@@ -352,10 +374,15 @@ def test_theta_above_the_rank_cap_is_refused_at_once(case, tmp_path, capsys):
     assert "rank 40 is above the cap" in err
 
 
-@pytest.mark.parametrize("case", ["C-field-degree-huge", "phi-huge", "gerardin-torus-over-the-cap"])
+@pytest.mark.parametrize("case", ["C-field-degree-huge", "phi-huge", "gerardin-torus-over-the-cap",
+                                  "twisted-trace-p-huge-composite", "weil-verify-pairs-above-the-sample-cap",
+                                  "weil-verify-words-above-the-sample-cap", "twisted-trace-trials-above-the-sample-cap",
+                                  "lattice-check-pi0-trials-above-the-sample-cap"])
 def test_a_size_above_its_cap_is_refused_at_once(case, tmp_path, capsys):
-    # checked only after the work they bound, these sizes took 2.3-4.6 s and
-    # up to 1.2 GB to refuse (whole CLI run, 2-vCPU x86-64 VM)
+    # checked only after the work they bound, the first three sizes took
+    # 2.3-4.6 s and up to 1.2 GB to refuse (whole CLI run, 2-vCPU x86-64 VM);
+    # unchecked, 10^8 twisted-trace trials ran past an 8 s timeout, and the
+    # huge composite p spent more than 5 s in trial division
     start = time.perf_counter()
     code, err = _run_one_scenario(BAD_PAYLOADS[case](), tmp_path, capsys)
     assert time.perf_counter() - start < 1.0

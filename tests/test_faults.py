@@ -57,6 +57,11 @@ WHOLE_REGISTRY = {
     "rotation-wiring": set(),
     "poly-roots-distinct": {"symplectic.eigen-conjugacy"},
     "hyperbolic-e-f": DETECTION["hyperbolic-e-f"],
+    # the three faults that patch a seam the library keeps for its rule
+    "swap-sign": set(),
+    "snf-fixup": set(),
+    # the inverted split's pieces miss the fixed space's weight multiplicities
+    "case-split": {"signcalc.oracle", "signcalc.fixed-space", "signcalc.f1-forms"},
 }
 
 
@@ -98,6 +103,32 @@ def test_fault_patches_one_attribute_and_restores_it(name):
         assert after.keys() == clean.keys() and all(after[k] is clean[k] for k in clean)
 
 
+# one pinned input per seam: the clean value, and the value under its fault
+
+
+def test_swap_sign_patches_the_determinant_of_a_swap():
+    swap = [[0, 1], [1, 0]]
+    assert modp.det(swap, 5) == 4
+    with checks.FAULTS["swap-sign"]():
+        assert modp.det(swap, 5) == 1
+
+
+def test_snf_fixup_patches_the_divisibility_chain():
+    assert lattice.smith_normal_form([[2, 0], [0, 3]])[1] == [[1, 0], [0, 6]]
+    with checks.FAULTS["snf-fixup"]():
+        assert lattice.smith_normal_form([[2, 0], [0, 3]])[1] == [[2, 0], [0, 3]]
+
+
+@pytest.mark.parametrize("beta, clean, faulty", [("3^2:1,1", "case1", "case2"), ("3^2:1,0", "case2", "case1")])
+def test_case_split_patches_the_norm_test(beta, clean, faulty):
+    # Nr(1 + x) = -1 and Nr(1) = 1 over F_3; f = 1, so no halving step
+    f9 = ffield.field(3, 2)
+    trace = lambda: signcalc.torus_algorithm(ffield.deserialize(beta), 1, "asym", ambient=f9).trace
+    assert trace() == (clean,)
+    with checks.FAULTS["case-split"]():
+        assert trace() == (faulty,)
+
+
 def test_unknown_fault_is_refused():
     # a misspelled fault must not run a green registry
     with pytest.raises(ValueError, match="unknown fault 'sgnn'.*sgn, orbit-sign-parity"):
@@ -117,8 +148,11 @@ def test_max_error_keeps_a_nan():
 
 def test_nan_operators_fail_the_all_pairs_rows():
     # rho-columns shifts every rho column, so the group model's Schur averages
-    # and with them its operators are NaN: the all-pairs products must fail
-    rows, _ = checks.run_checks("weil.omega-mult", fault="rho-columns")
+    # and with them its operators are NaN: the all-pairs products must fail;
+    # linear_lift's power of the NaN determinant warns, the one warning tier-1
+    # expects
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        rows, _ = checks.run_checks("weil.omega-mult", fault="rho-columns")
     pairs = [r for r in rows if r.quantity.startswith("omega multiplicative p=")]
     assert [r.quantity for r in pairs] == ["omega multiplicative p=%d (all pairs)" % p for p in (3, 5, 7)]
     assert all(math.isnan(r.formula) and not r.passed for r in pairs)
