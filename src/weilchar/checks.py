@@ -1055,10 +1055,10 @@ CHECKS = [
 # Each entry is a deliberate bug in one layer, there to show that some check
 # catches it.  A fault patches the one named function that holds the rule it
 # breaks, and never a copy of library code: a copy runs code the library
-# never runs, and drifts when the original changes.  Where a rule had no
-# seam of its own, the library gives it one (modp._exchange,
-# lattice._divisibility_offender, signcalc._inverse_closed).  restrict-map
-# alone keeps a variant of its target: the refusal it drops has no seam.
+# never runs, and drifts when the original changes.  So a fault either
+# transforms its target's value or replaces a function whose whole body is
+# the one rule it breaks; where a rule had no function of its own, the
+# library gives it a seam on the live path (such as modp._exchange).
 #
 # FAULTS[name]() is a context manager that, on entry, clears the
 # weilchar caches, looks its target up and puts the faulty version in its
@@ -1094,33 +1094,9 @@ def _fault(owner, path: str, faulty):
     return seeded
 
 
-def _orbit_sign_without_parity(orig, pieces, fixed_dim):
-    # (-1)^l dropped from the one Gerardin sign that tori, the twisted sign
-    # blocks and the assembled product share; the fixed-space test stays
-    orig(pieces, fixed_dim)
-    return math.prod(gerardin.piece_character(piece) for piece in pieces)
-
-
-def _restrict_map_unchecked(orig, g, basis):
-    # [B | gB] read off without asking whether gB stays in span(B)
-    b = gerardin._rows(basis, g.space.p, g.space.dim).T
-    k = b.shape[1]
-    red, piv = modp.rref(np.hstack([b, g.mat_np @ b]), g.space.p)
-    if piv[:k] != list(range(k)):
-        raise gerardin.GerardinError("basis vectors are dependent")
-    return red[:k, k:]
-
-
 def _block_sign_negated(orig, s):
     bv = orig(s)
     return dataclasses.replace(bv, value=-bv.value)
-
-
-def _abelian_law(orig, space, v1, z1, v2, z2):
-    # <v1,v2>/2 dropped from the law, which leaves H(V) abelian and still
-    # associative
-    v, _ = orig(space, v1, z1, v2, z2)
-    return v, (np.asarray(z1) + np.asarray(z2)) % space.p
 
 
 def _split_class(orig, g):
@@ -1128,15 +1104,6 @@ def _split_class(orig, g):
     # classes across two eigenvalue keys
     vals = orig(g)
     return vals + vals[:1] if g.mat[0][1] == 0 else vals
-
-
-def _rho_half_phase(orig, model, vs, zs):
-    # the <x,y>/2 term dropped from every rho phase; rho(a) rho(b) then
-    # misses theta(<a,b>/2), and the traces (x = 0) do not move
-    cols, phases = orig(model, vs, zs)
-    vstd = np.asarray(vs, dtype=np.int64) @ model.to_std.T % model.p
-    xy = (vstd[..., : model.n] * vstd[..., model.n :]).sum(axis=-1) * pow(2, -1, model.p)
-    return cols, phases * np.exp(-2j * np.pi * xy / model.p)[..., None]
 
 
 def _rho_columns_shifted(orig, model, vs, zs):
@@ -1174,8 +1141,11 @@ def _hyperbolic_e_f(orig, space):
 
 FAULTS = {
     "sgn": _fault(ffield, "sgn_mult", lambda orig, *args, **kwargs: -orig(*args, **kwargs)),
-    "orbit-sign-parity": _fault(gerardin, "orbit_sign", _orbit_sign_without_parity),
-    "restrict-map": _fault(gerardin, "restrict_map", _restrict_map_unchecked),
+    # (-1)^l dropped from the one Gerardin sign that tori, the twisted sign
+    # blocks and the assembled product share; the fixed-space test stays
+    "orbit-sign-parity": _fault(gerardin, "_moving_orbits", lambda orig, pieces: 0),
+    # [B | gB] read off without asking whether gB stays in span(B)
+    "restrict-map": _fault(gerardin, "_in_span", lambda orig, piv, k: True),
     # no vector of the big basis is recognised as lying in the span
     "complement-in": _fault(gerardin, "complement_in",
                             lambda orig, big, small, p: np.asarray(big, dtype=np.int64) % p),
@@ -1187,13 +1157,17 @@ FAULTS = {
     # but d_i need not divide d_i+1
     "snf-fixup": _fault(lattice, "_divisibility_offender", lambda orig, d, s: None),
     "block-sign-negated": _fault(signcalc, "block_sign_formula", _block_sign_negated),
-    "abelian-law": _fault(sym, "heis_law", _abelian_law),
+    # <v1,v2>/2 dropped from the law, which leaves H(V) abelian and still
+    # associative
+    "abelian-law": _fault(sym, "_cocycle", lambda orig, space, v1, v2: 0),
     "split-class": _fault(sym, "eigen_multiset", _split_class),
     # each root once, whatever its multiplicity; a repeated eigenvalue (of
     # +-1, for one) then never fills the characteristic polynomial
     "poly-roots-distinct": _fault(ffield, "poly_roots", lambda orig, coeffs, desc, within=None: sorted(
         set(orig(coeffs, desc, within)), key=ffield.FieldElem.index)),
-    "rho-half-phase": _fault(weil, "WeilModel.rho_parts", _rho_half_phase),
+    # the <x,y>/2 term dropped from every rho phase; rho(a) rho(b) then
+    # misses theta(<a,b>/2), and the traces (x = 0) do not move
+    "rho-half-phase": _fault(weil, "_half_pairing", lambda orig, x, y, p: 0),
     "rho-columns": _fault(weil, "WeilModel.rho_parts", _rho_columns_shifted),
     # the word model's Levi sign forced to 1
     "levi-sign": _fault(weil, "WeilModel.normal_forms", lambda orig, model, gs: [
@@ -1205,12 +1179,12 @@ FAULTS = {
     "twisted-sign": _fault(weil, "block_twist", _twisted_sign_dropped),
     "twisted-loop": _fault(weil, "block_twist", _twisted_loop_dropped),
     "off-sample-trace": _fault(weil, "WeilModel.trace_stack", _off_sample_trace),
-    # sgn(-2) -> sgn(2) in the Fourier scalar: the partial Fourier operator of
-    # rank r, and the trace evaluator with it, flip by (-1)^r where (-1/p) = -1
-    "fourier-scalar": _fault(weil, "_fourier_scalar",
-                             lambda orig, p, n: (modp.legendre(2, p) / weil.gauss_sum(p)) ** n),
+    # sgn(-2) -> sgn(2) = sgn(-1) sgn(-2) in the Fourier scalar: the partial
+    # Fourier operator of rank r, and the trace evaluator with it, flip by
+    # (-1)^r where (-1/p) = -1
+    "fourier-scalar": _fault(weil, "_fourier_scalar", lambda orig, p, r: orig(p, r) * modp.legendre(-1, p) ** r),
     # the Fourier phase (t s)_S . (a2 s)_S dropped from the trace's Q
-    "trace-cross-term": _fault(weil, "_trace_phase", lambda orig, f, p: weil._nbar_form(f.b1 + f.b2, p)),
+    "trace-cross-term": _fault(weil, "_cross_phase", lambda orig, f: 0),
     # the trace's support taken where t s = -a2 s off S
     "trace-support": _fault(weil, "_trace_support", lambda orig, f, p: (f.t + f.a2)[:, f.rank :] % p),
     "hyperbolic-e-f": _fault(sym, "hyperbolic_basis", _hyperbolic_e_f),

@@ -31,8 +31,8 @@ from .checks import Row
 EXIT_OK, EXIT_FAIL, EXIT_PARSE, EXIT_VALIDATION = 0, 1, 2, 3
 
 # the most samples a payload may ask for (weil-verify pairs and words,
-# twisted-trace trials, lattice-check pi0_trials); the bundled scenarios ask
-# for at most 150
+# twisted-trace trials, lattice-check pi0_trials) and the most elements a
+# gerardin torus may have; the bundled scenarios ask for at most 150
 SAMPLE_CAP = 10_000
 
 
@@ -140,6 +140,10 @@ def run_gerardin(sid: str, payload, tol: float, seed: int) -> list[Row]:
     # the model of the torus's space has dimension p^(sum of the subdegrees):
     # refused before any field block is built
     weil.check_model_dim(desc.p, sum(f.subdegree for f in desc.factors))
+    # one trace per element: |T| is refused before any element is built
+    order = math.prod(desc.p**f.subdegree + (1 if isinstance(f, sym.NormOneFactor) else -1) for f in desc.factors)
+    if order > SAMPLE_CAP:
+        raise ScenarioValidationError("|T| = %d exceeds the sample cap %d" % (order, SAMPLE_CAP))
     torus = sym.build_torus(desc)
     model = weil.WeilModel(torus.space)
     rows = []

@@ -10,6 +10,7 @@ exactly in the field, never numerically.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -57,23 +58,19 @@ def piece_character(piece: TorusPiece) -> int:
     return ffield.sgn_mult(piece.x, k_i)
 
 
-def orbit_sign(pieces, fixed_dim: int) -> int:
+def _moving_orbits(pieces) -> int:
+    """l: one Gamma-orbit per symmetric piece with x != 1, two per asymmetric one."""
+    return sum(1 if piece.symmetric else 2 for piece in pieces if piece.x != 1)
+
+
+def orbit_sign(pieces: tuple[TorusPiece, ...], fixed_dim: int) -> int:
     """Gerardin's sign (-1)^l * prod of piece_character over the Sigma-orbits
-    `pieces`, l the number of Gamma-orbits with x != 1 (one per symmetric
-    piece, two per asymmetric one); the x = 1 orbits must fill the fixed
-    space, of dimension fixed_dim."""
-    l_count = ones = 0
-    chi = 1
-    for piece in pieces:
-        gamma_orbits = 1 if piece.symmetric else 2
-        if piece.x == 1:
-            ones += gamma_orbits * piece.degree
-        else:
-            l_count += gamma_orbits
-        chi *= piece_character(piece)
-    if ones != fixed_dim:
+    `pieces`, l = _moving_orbits(pieces); the x = 1 orbits must fill the
+    fixed space, of dimension fixed_dim."""
+    chi = math.prod(piece_character(piece) for piece in pieces)
+    if sum((1 if piece.symmetric else 2) * piece.degree for piece in pieces if piece.x == 1) != fixed_dim:
         raise GerardinError("weight multiplicities disagree with the fixed space")
-    return (-1) ** l_count * chi
+    return (-1) ** _moving_orbits(pieces) * chi
 
 
 def char_semisimple(t: TorusElement) -> float:
@@ -111,9 +108,14 @@ def restrict_map(g: SpElem, basis) -> np.ndarray:
     red, piv = modp.rref(np.hstack([b, g.mat_np @ b]), p)
     if piv[:k] != list(range(k)):
         raise GerardinError("basis vectors are dependent")
-    if len(piv) > k:
+    if not _in_span(piv, k):
         raise GerardinError("subspace is not invariant under the element")
     return red[:k, k:]
+
+
+def _in_span(piv: list[int], k: int) -> bool:
+    """Whether gB stays in span(B): [B | gB] has no pivot past B's k columns."""
+    return len(piv) == k
 
 
 def is_isotropic(space: SympSpace, basis) -> bool:

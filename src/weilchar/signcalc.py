@@ -18,6 +18,9 @@ from . import ffield, gerardin, modp, symplectic as sym
 from .ffield import FieldDesc, FieldElem
 
 BRANCHES = ("asym/asym", "asym/sym-ur", "asym/sym-ram", "sym-ur/sym-ur", "sym-ur/sym-ram")
+# the most roots an OrbitAction takes (E8 has 240); its orbit records grow
+# faster than size^2 (2.6 s at 1,000 roots, 0.17-0.31 s at 256, 2-vCPU VM)
+ACTION_ROOT_CAP = 256
 
 
 class SignCalcError(Exception):
@@ -108,6 +111,8 @@ class OrbitAction:
             # the length first: sorted and range would be as long as size
             if len(perm) != n or not all(isinstance(x, int) and not isinstance(x, bool) for x in perm) or sorted(perm) != list(range(n)):
                 raise SignCalcError("%s is not a permutation of 0..%d" % (name, n - 1))
+        if n > ACTION_ROOT_CAP:
+            raise SignCalcError("%d roots exceed the action cap %d" % (n, ACTION_ROOT_CAP))
         if _perm_mul(self.neg, self.neg) != tuple(range(n)):
             raise SignCalcError("neg is not an involution")
         if any(self.neg[i] == i for i in range(n)):

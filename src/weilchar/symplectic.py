@@ -114,11 +114,13 @@ def heis_law(space: SympSpace, v1, z1, v2, z2) -> tuple[np.ndarray, np.ndarray]:
     """(v1+v2, z1+z2+<v1,v2>/2) on broadcastable integer arrays, the vectors
     along the last axis of v1 and v2: the one copy of the Heisenberg law of
     H(V) = V x F_p."""
-    p = space.p
     v1, v2 = np.asarray(v1, dtype=np.int64), np.asarray(v2, dtype=np.int64)
-    half = pow(2, p - 2, p)  # 1/2 mod p
-    form = (v1 @ space.gram_mat * v2).sum(axis=-1)
-    return (v1 + v2) % p, (np.asarray(z1) + np.asarray(z2) + half * form) % p
+    return (v1 + v2) % space.p, (np.asarray(z1) + np.asarray(z2) + _cocycle(space, v1, v2)) % space.p
+
+
+def _cocycle(space: SympSpace, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """<v1,v2>/2, unreduced: the term of heis_law that makes H(V) non-abelian."""
+    return pow(2, space.p - 2, space.p) * (v1 @ space.gram_mat * v2).sum(axis=-1)
 
 
 def heis_decode(space: SympSpace, positions) -> tuple[np.ndarray, np.ndarray]:

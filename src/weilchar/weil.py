@@ -132,6 +132,11 @@ def _identity(n: int) -> np.ndarray:
     return out
 
 
+def _half_pairing(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """<x,y>/2 = x . y / 2 over the last axis, unreduced: rho's half phase."""
+    return pow(2, p - 2, p) * (x * y).sum(axis=-1)
+
+
 def _nbar_form(b: np.ndarray, p: int) -> np.ndarray:
     """-b/2 mod p: the diagonal of the lower-unipotent operator nbar(b) is
     psi(t^T (-b/2) t) at the point t."""
@@ -191,8 +196,12 @@ def _trace_phase(f: WordFactors, p: int) -> np.ndarray:
     """Q mod p with the trace's summand sgn c_r psi(s^T Q s) at a point s of
     the support, for each element of a stacked normal form: both nbar
     phases and F_S's phase (t s)_S . (a2 s)_S."""
-    r = f.rank
-    return (_nbar_form(f.b1 + f.b2, p) + f.t[:, :r].transpose(0, 2, 1) @ f.a2[:, :r]) % p
+    return (_nbar_form(f.b1 + f.b2, p) + _cross_phase(f)) % p
+
+
+def _cross_phase(f: WordFactors) -> np.ndarray:
+    """F_S's phase (t s)_S . (a2 s)_S as the unreduced matrices t_S^T a2_S."""
+    return f.t[:, : f.rank].transpose(0, 2, 1) @ f.a2[:, : f.rank]
 
 
 class WeilModel:
@@ -253,9 +262,8 @@ class WeilModel:
         p, n = self.p, self.n
         vstd = np.asarray(vs, dtype=np.int64) @ self.to_std.T % p
         a, b = vstd[..., None, :n], vstd[..., None, n:]
-        half = pow(2, p - 2, p)
         pts = self._pts
-        phases = (np.asarray(zs, dtype=np.int64)[..., None] + (pts * b).sum(axis=-1) + half * (a * b).sum(axis=-1)) % p
+        phases = (np.asarray(zs, dtype=np.int64)[..., None] + (pts * b).sum(axis=-1) + _half_pairing(a, b, p)) % p
         return (pts + a) % p @ self._powers, modp.theta_values(p)[phases]
 
     def rho(self, vs, zs) -> np.ndarray:

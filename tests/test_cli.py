@@ -301,6 +301,15 @@ BAD_PAYLOADS = {
     "phi-huge": lambda: _sign_payload(lambda pl: pl["action"].update(phi=3 * 10**7)),
     "gerardin-torus-over-the-cap": lambda: {"id": "g", "kind": "gerardin",
                                             "payload": {"p": 3, "factors": [{"type": "split", "subdegree": 1}] * 800}},
+    # within the model cap (3^9), but |T| = 4^9 elements to trace, refused
+    # before the first is built
+    "gerardin-torus-over-the-sample-cap": lambda: {"id": "g", "kind": "gerardin", "payload": {
+        "p": 3, "factors": [{"type": "norm-one", "subdegree": 1}] * 9}},
+    # a valid action of 2,000 roots (one Frobenius cycle), refused before any
+    # orbit record is built
+    "action-over-the-root-cap": lambda: _sign_payload(lambda pl: pl.update(action={
+        "phi": 2000, "gamma_gens": [[(i + 1) % 2000 for i in range(2000)]],
+        "neg": [(i + 1000) % 2000 for i in range(2000)], "theta": list(range(2000))})),
 }
 # the field a case's message must name, where the field alone is not enough
 BAD_PAYLOAD_MESSAGES = {
@@ -349,6 +358,8 @@ BAD_PAYLOAD_MESSAGES = {
     "C-field-degree-huge": "GF(3^10000000) exceeds the size cap 6561",
     "phi-huge": "frobenius is not a permutation of 0..29999999",
     "gerardin-torus-over-the-cap": "p^n = 3^800 exceeds the model cap 32767",
+    "gerardin-torus-over-the-sample-cap": "|T| = 262144 exceeds the sample cap 10000",
+    "action-over-the-root-cap": "2000 roots exceed the action cap 256",
 }
 
 
@@ -375,14 +386,16 @@ def test_theta_above_the_rank_cap_is_refused_at_once(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["C-field-degree-huge", "phi-huge", "gerardin-torus-over-the-cap",
+                                  "gerardin-torus-over-the-sample-cap", "action-over-the-root-cap",
                                   "twisted-trace-p-huge-composite", "weil-verify-pairs-above-the-sample-cap",
                                   "weil-verify-words-above-the-sample-cap", "twisted-trace-trials-above-the-sample-cap",
                                   "lattice-check-pi0-trials-above-the-sample-cap"])
 def test_a_size_above_its_cap_is_refused_at_once(case, tmp_path, capsys):
     # checked only after the work they bound, the first three sizes took
     # 2.3-4.6 s and up to 1.2 GB to refuse (whole CLI run, 2-vCPU x86-64 VM);
-    # unchecked, 10^8 twisted-trace trials ran past an 8 s timeout, and the
-    # huge composite p spent more than 5 s in trial division
+    # unchecked, 10^8 twisted-trace trials ran past an 8 s timeout, the huge
+    # composite p spent more than 5 s in trial division, the 4^9-element torus
+    # ran past a 20 s timeout, and the 2,000-root action took 17.6 s
     start = time.perf_counter()
     code, err = _run_one_scenario(BAD_PAYLOADS[case](), tmp_path, capsys)
     assert time.perf_counter() - start < 1.0

@@ -76,6 +76,29 @@ def test_weil_reads_no_closed_form():
     assert _sgn_calls(tree) == []
 
 
+def _exp_callers(tree: ast.Module) -> list[str]:
+    """The top-level definitions of a module that call an exp (np.exp,
+    cmath.exp, a bare exp), once per call."""
+    return [getattr(node, "name", "<module>") for node in tree.body for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and "exp" in (getattr(sub.func, "attr", None), getattr(sub.func, "id", None))]
+
+
+def test_psi_is_computed_only_in_theta_values():
+    # psi(z) = exp(2 pi i z / p) exists once; every phase elsewhere is an
+    # integer mod p that indexes modp.theta_values
+    calls = [path.stem + "." + name for path in sorted(SRC.glob("*.py")) for name in _exp_callers(ast.parse(path.read_text()))]
+    assert calls == ["modp.theta_values"]
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def f(z):\n    return np.exp(2j * z)", ["f"]),
+    ("from cmath import exp\nclass C:\n    def g(self):\n        return exp(1j)", ["C"]),
+    ("def f(desc):\n    return desc._exp[np.expm1(0)]", []),
+])
+def test_exp_rule_sees_every_spelling(source, found):
+    assert _exp_callers(ast.parse(source)) == found
+
+
 # the word model's construction: the group model and the Schur average must
 # reach none of it, so that comparing the two oracles shows a fault in either
 WORD_MODEL = {"word_factors", "WordFactors", "omega_word", "trace_omega", "_fourier", "_fourier_entries",
