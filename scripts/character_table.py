@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Print the Weil character of Sp_2(F_p) on all semisimple classes, formula
-next to oracle.
+next to oracle: the classes are symplectic.classes labels, and each class
+reads one eigen multiset and one formula, on its representative.
 
 Usage: python scripts/character_table.py [p]
 """
 
-import collections
 import sys
+
+import numpy as np
 
 from weilchar import gerardin, symplectic as sym, weil
 
@@ -14,20 +16,20 @@ from weilchar import gerardin, symplectic as sym, weil
 def main(p: int) -> None:
     space = sym.standard_polarized_space(p, 1)
     model = weil.WeilModel(space)
-    buckets = collections.defaultdict(list)
-    for g in sym.sp_elements(space):
-        if g.is_semisimple():
-            buckets[sym.eigen_multiset_key(sym.eigen_multiset(g))].append(g)
-    print("Sp_2(F_%d): %d semisimple classes" % (p, len(buckets)))
+    grp = sym.sp_group(space)
+    reps, sizes = np.unique(sym.classes(grp)[grp.orders % p != 0], return_counts=True)
+    # one eigen multiset per class, read on its representative; no two
+    # classes share one, so the rows sort by it
+    rows = sorted((sym.eigen_multiset_key(sym.eigen_multiset(grp.elems[r])), r, size)
+                  for r, size in zip(reps.tolist(), sizes.tolist()))
+    print("Sp_2(F_%d): %d semisimple classes" % (p, len(rows)))
     print("%-28s %6s %22s %22s" % ("eigenvalues (index key)", "size", "recursive formula", "oracle trace"))
-    keys = sorted(buckets)
-    oracles = model.trace_stack([buckets[key][0] for key in keys]).tolist()
-    for key, oracle in zip(keys, oracles):
-        members = buckets[key]
-        formula = gerardin.weil_char(members[0])
+    oracles = model.trace_stack([grp.elems[r] for _, r, _ in rows]).tolist()
+    for (key, r, size), oracle in zip(rows, oracles):
+        formula = gerardin.weil_char(grp.elems[r])
         print(
             "%-28s %6d %11.4f%+9.4fj %11.4f%+9.4fj"
-            % (key, len(members), formula.real, formula.imag, oracle.real, oracle.imag)
+            % (key, size, formula.real, formula.imag, oracle.real, oracle.imag)
         )
         assert abs(formula - oracle) < 1e-8
 

@@ -337,33 +337,33 @@ def check_torus_maximality() -> list[Row]:
     return rows
 
 
-def _semisimple_classes(grp: sym.SpGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The positions ss of the semisimple elements; for each t, the least
-    position x t x^-1 reaches over the group (the label of t's conjugacy
-    class) and the first x reaching it, in slices of at most 2^16 entries."""
-    ss, inv = np.flatnonzero(grp.orders % grp.space.p), sym.inverses(grp.space, grp.mats)[:, None]
-    step = max(1, 2**16 // grp.mats.size)
-    conj = np.concatenate([grp.positions(grp.mats[:, None] @ grp.mats[ss[i : i + step]] @ inv)
-                           for i in range(0, len(ss), step)], axis=1)  # conj[x, k] = x ss[k] x^-1
-    return ss, conj.min(axis=0), conj.argmin(axis=0)
+CLASS_EXTRA_MEMBERS = 2  # members per class, past its representative, whose eigenvalues eigen-conjugacy reads
+
+
+def _classes_of(grp: sym.SpGroup, positions: np.ndarray) -> list[np.ndarray]:
+    """The conjugacy classes of grp that meet `positions`, each as the
+    increasing positions of its members, so that members[0] is the class's
+    representative (its symplectic.classes label); in order of the
+    representatives."""
+    labels = sym.classes(grp)
+    return [np.flatnonzero(labels == rep) for rep in np.unique(labels[positions])]
 
 
 def check_eigen_conjugacy() -> list[Row]:
-    """Equal eigen multisets iff conjugate in Sp(V), over every pair of
-    semisimple elements: the class of t is labelled by the least position
-    x t x^-1 reaches in the group, and the x reaching it is checked
-    by SpElem products."""
+    """Equal eigen multisets iff conjugate in Sp(V) (Springer-Steinberg),
+    over the semisimple classes of symplectic.classes: the representative of
+    each class and its next CLASS_EXTRA_MEMBERS members share one eigen
+    multiset, and no two classes share one."""
     rows = []
     for p in (3, 5, 7):
         grp = sym.sp_group(sym.standard_polarized_space(p, 1))
-        ss, reps, witnesses = _semisimple_classes(grp)
-        label_of = {}  # eigen multiset key -> its label, in order of first appearance
-        labels = np.array([label_of.setdefault(sym.eigen_multiset_key(sym.eigen_multiset(grp.elems[i])), len(label_of))
-                           for i in ss])
-        bad = int(((reps[:, None] == reps) != (labels[:, None] == labels)).sum())
-        bad += sum(grp.elems[x] * grp.elems[i] * grp.elems[x].inverse() != grp.elems[r]
-                   for i, r, x in zip(ss, reps, witnesses))
-        rows.append(Row.compare("symplectic", "eigen<->conjugacy p=%d (%d elements)" % (p, len(ss)), bad, 0, 0))
+        keys, bad = [], 0
+        for members in _classes_of(grp, np.flatnonzero(grp.orders % p)):
+            own = [sym.eigen_multiset_key(sym.eigen_multiset(grp.elems[i])) for i in members[: 1 + CLASS_EXTRA_MEMBERS]]
+            bad += sum(key != own[0] for key in own[1:])
+            keys.append(own[0])
+        bad += len(keys) - len(set(keys))
+        rows.append(Row.compare("symplectic", "eigen<->conjugacy p=%d (%d classes)" % (p, len(keys)), bad, 0, 0))
     return rows
 
 
@@ -593,12 +593,15 @@ def check_intertwiner_normalization() -> list[Row]:
 
 
 def check_character_conjugacy_invariance() -> list[Row]:
-    """Weil character constant on conjugacy classes: every semisimple element
-    of Sp_2(F_5) against its class representative in the group."""
-    grp, _, traces = _group_traces(5)
-    ss, reps, _ = _semisimple_classes(grp)
-    worst = max_error(abs(traces[i] - traces[r]) for i, r in zip(ss, reps))
-    return [Row.compare("weil", "character conjugacy invariance p=5 (%d elements)" % len(ss), worst, 0, 1e-8)]
+    """Weil character constant on conjugacy classes: the trace of every
+    element of Sp_2(F_p) against its class representative's."""
+    rows = []
+    for p in (3, 5, 7):
+        grp, _, traces = _group_traces(p)
+        worst = max_error(abs(tr - traces[rep]) for tr, rep in zip(traces, sym.classes(grp).tolist()))
+        rows.append(Row.compare("weil", "character conjugacy invariance p=%d (%d elements)" % (p, len(traces)),
+                                worst, 0, 1e-8))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -629,18 +632,23 @@ def check_gerardin_semisimple() -> list[Row]:
 
 
 def check_polarized_formula() -> list[Row]:
-    """Exhaustive over polarization-preserving semisimple g; exact after snap."""
+    """Exhaustive over polarization-preserving semisimple g; exact after snap.
+    On Sp_2 the formula runs on each class's representative, once per
+    invariant polarization, and its value meets the oracle trace of every
+    member: x g x^-1 keeps x V+, so a (g, polarization) pair stands for one
+    pair per member."""
     rows = []
     groups = {p: _group_traces(p) for p in (3, 5, 7)}
     for p, (grp, ss, traces) in groups.items():
         bad = 0
         count = 0
-        for g, oracle in ((grp.elems[i], traces[i]) for i in ss):
-            for pol in gerardin.invariant_polarizations(g):
-                val = gerardin.char_polarized(g, pol)
-                count += 1
-                if abs(val - complex(round(oracle.real), round(oracle.imag))) > 1e-9 or abs(oracle - round(oracle.real)) > 1e-6:
-                    bad += 1
+        for members in _classes_of(grp, ss):
+            rep = grp.elems[members[0]]
+            for pol in gerardin.invariant_polarizations(rep):
+                val = gerardin.char_polarized(rep, pol)
+                count += len(members)
+                bad += sum(abs(val - complex(round(oracle.real), round(oracle.imag))) > 1e-9
+                           or abs(oracle - round(oracle.real)) > 1e-6 for oracle in (traces[i] for i in members))
         rows.append(Row.compare("gerardin", "polarized Sp_2(F_%d) (%d pairs, snapped)" % (p, count), bad, 0, 0))
     # diagonal-block g in Sp_4(F_3): per-block polarizations combine to a
     # g-invariant polarization of the sum; oracle is the tensor product
@@ -683,13 +691,16 @@ def check_polarized_agrees_with_semisimple() -> list[Row]:
 
 
 def check_no_fixed_point_choice_independence() -> list[Row]:
-    """The fixed-point-free formula does not depend on the choice of V'."""
+    """The fixed-point-free formula does not depend on the choice of V'; it
+    runs on each class's representative, and its value meets the oracle
+    trace of every member."""
     rows = []
     grp, ss, traces = _group_traces(5)
     space = grp.space
     checked = 0
     bad = 0
-    for g, oracle in ((grp.elems[i], traces[i]) for i in ss):
+    for members in _classes_of(grp, ss):
+        g = grp.elems[members[0]]
         if g.fixed_space_dim():
             continue
         vals = set()
@@ -703,21 +714,27 @@ def check_no_fixed_point_choice_independence() -> list[Row]:
         except gerardin.GerardinError:
             pass
         if len(vals) != 1:
-            bad += 1
-        elif abs(vals.pop() - oracle) > 1e-8:
-            bad += 1
-        checked += 1
+            bad += len(members)
+        else:
+            val = vals.pop()
+            bad += sum(abs(val - traces[i]) > 1e-8 for i in members)
+        checked += len(members)
     rows.append(Row.compare("gerardin", "V' choice independence p=5 (%d elements)" % checked, bad, 0, 0))
     return rows
 
 
 def check_fixed_line_formula() -> list[Row]:
-    """Recursive evaluation matches the oracle on all semisimple elements."""
+    """Recursive evaluation matches the oracle on all semisimple elements: on
+    Sp_2, one evaluation per class representative against the trace of every
+    member."""
     rows = []
     groups = {p: _group_traces(p) for p in (3, 5)}
     for p, (grp, ss, traces) in groups.items():
-        worst = max_error(abs(gerardin.weil_char(grp.elems[i]) - traces[i]) for i in ss)
-        rows.append(Row.compare("gerardin", "recursive char Sp_2(F_%d)" % p, worst, 0, 1e-8))
+        errs = []
+        for members in _classes_of(grp, ss):
+            val = gerardin.weil_char(grp.elems[members[0]])
+            errs += [abs(val - traces[i]) for i in members]
+        rows.append(Row.compare("gerardin", "recursive char Sp_2(F_%d)" % p, max_error(errs), 0, 1e-8))
     # Sp_4(F_3) fixed-line cases (Jordan-free fixed lines) with tensor oracle;
     # elems[0] is the identity
     grp, ss, traces = groups[3]

@@ -622,6 +622,30 @@ def sp_generators(space: SympSpace) -> list[SpElem]:
     return [sp_elem(space, basis @ g @ to_std % p) for g in gens_std]
 
 
+@lru_cache(maxsize=None)
+def classes(grp: SpGroup) -> np.ndarray:
+    """The conjugacy class of each element of grp as one read-only int64
+    label array: labels[i] is the least position in the class of element i.
+
+    Conjugation by each of sp_generators is one permutation of the
+    positions (one positions call); a class is an orbit of these
+    permutations, so the least label is propagated along them, both ways,
+    until no label changes.  A label is always a position in its element's
+    class, so labels[labels] is one too, and reading it shortens the walk."""
+    gens = np.stack([s.mat_np for s in sp_generators(grp.space)])
+    perms = [grp.positions(g @ grp.mats @ g_inv) for g, g_inv in zip(gens, inverses(grp.space, gens))]
+    perms += [np.argsort(perm) for perm in perms]  # conjugation by each inverse
+    labels = np.arange(len(grp.mats))
+    while True:
+        new = np.minimum.reduce([labels] + [labels[perm] for perm in perms])
+        new = new[new]
+        if (new == labels).all():
+            break
+        labels = new
+    labels.flags.writeable = False  # shared through the cache
+    return labels
+
+
 def conjugate_in_sp(g: SpElem, t: SpElem) -> SpElem | None:
     """The first x in sp_elements order with x t = g x, None if g and t are
     not conjugate; exhaustive within the enumeration cap."""

@@ -442,7 +442,7 @@ class WeilModel:
         """Enumerate Sp(V) and build every operator; cap-guarded.
 
         An element g of order prime to p gets the unit-column Schur average
-        M0, lifted by linear_lift.  Any other element i is omega(i j^-1)
+        M0, checked at the probe (_probed_average) and lifted by linear_lift.  Any other element i is omega(i j^-1)
         omega(j), j the first anchor in group order with i j^-1 of order
         prime to p: an element of order prime to p, or in Sp_2(F_3) = Q_8 x|
         <U0> the classical unipotent U0 or its square."""
@@ -453,7 +453,7 @@ class WeilModel:
         coprime = np.flatnonzero(orders % p)
         # slices of the stack keep _schur_average's (k, p^2n, p^n) gathers bounded
         step = max(1, GATHER_CHUNK_ENTRIES // (p**self.space.dim * self.dim))
-        m0 = np.concatenate([_schur_average(self, self, grp.mats[coprime[i : i + step]]) for i in range(0, len(coprime), step)])
+        m0 = np.concatenate([_probed_average(self, self, grp.mats[coprime[i : i + step]]) for i in range(0, len(coprime), step)])
         table = np.empty((size, self.dim, self.dim), dtype=complex)
         table[coprime] = linear_lift(m0, orders[coprime])
         if p == 3 and self.n == 1:
@@ -542,9 +542,8 @@ def _schur_average(model_a: WeilModel, model_b: WeilModel, phis: np.ndarray) -> 
 
 def schur_intertwiner(model_a: WeilModel, model_b: WeilModel, phi: SpElem) -> np.ndarray:
     """The unitary T with T rho_a(h) = rho_b(phi h) T, up to a phase: the
-    Schur average of one matrix unit (_schur_average), checked to intertwine
-    at the probe (e_1, 1).  phi is an element of the space both models
-    share."""
+    Schur average of one matrix unit, checked to intertwine at the probe
+    (_probed_average).  phi is an element of the space both models share."""
     phi_mat = phi.mat_np
     p = model_a.p
     if model_b.p != p:
@@ -553,9 +552,17 @@ def schur_intertwiner(model_a: WeilModel, model_b: WeilModel, phi: SpElem) -> np
     gb = model_b.space.gram_mat
     if ((phi_mat.T @ gb @ phi_mat - ga) % p).any():
         raise WeilError("phi does not preserve the symplectic forms")
-    out = _schur_average(model_a, model_b, phi_mat[None])[0]
+    return _probed_average(model_a, model_b, phi_mat[None])[0]
+
+
+def _probed_average(model_a: WeilModel, model_b: WeilModel, phis: np.ndarray) -> np.ndarray:
+    """_schur_average of the stack phis, checked to intertwine at the probe
+    (e_1, 1): each M must have M rho_a(e_1, 1) = rho_b(phi e_1, 1) M, or no
+    scaling (linear_lift's included) makes it a Weil operator."""
+    out = _schur_average(model_a, model_b, phis)
     e1 = np.eye(model_a.space.dim, dtype=np.int64)[0]
-    if np.abs(out @ model_a.rho(e1, 1) - model_b.rho(phi_mat @ e1 % p, 1) @ out).max() > 1e-7:
+    probes = model_b.rho(phis @ e1 % model_a.p, np.ones(len(phis), dtype=np.int64))
+    if np.abs(out @ model_a.rho(e1, 1) - probes @ out).max() > 1e-7:
         raise WeilError("averaged operator fails to intertwine")
     return out
 

@@ -4,6 +4,7 @@ one layer that some registry check catches, and leaves nothing behind."""
 import contextlib
 import math
 
+import numpy as np
 import pytest
 
 from weilchar import checks, cli, ffield, gerardin, lattice, modp, signcalc, symplectic as sym, weil
@@ -36,10 +37,13 @@ DETECTION = {name: set(red.split()) for name, red in {
     "twisted-sign": "weil.twisted-trace",
     "twisted-loop": "weil.twisted-trace signcalc.assemble",
     "off-sample-trace": "weil.omega-mult weil.conjugacy gerardin.polarized gerardin.vprime gerardin.fixed-line",
-    "fourier-scalar": WEIL + "weil.normalization gerardin.semisimple gerardin.polarized gerardin.fixed-line "
-                      "signcalc.oracle signcalc.assemble",
+    # where (-1/p) = -1 the rank-1 cell's traces flip, and weil.conjugacy
+    # reads Sp_2(F_3) and Sp_2(F_7), whose non-semisimple classes (and at
+    # p = 7 two semisimple ones) meet both cells
+    "fourier-scalar": WEIL + "weil.normalization weil.conjugacy gerardin.semisimple gerardin.polarized "
+                      "gerardin.fixed-line signcalc.oracle signcalc.assemble",
     "trace-cross-term": GERARDIN + WEIL + "weil.conjugacy signcalc.oracle signcalc.assemble",
-    "trace-support": GERARDIN + WEIL + "signcalc.oracle signcalc.assemble",
+    "trace-support": GERARDIN + WEIL + "weil.conjugacy signcalc.oracle signcalc.assemble",
     # every model build refuses the swapped frame
     "hyperbolic-e-f": GERARDIN + WEIL + "weil.svn weil.rho weil.algebraic weil.normalization weil.conjugacy "
                       "signcalc.oracle signcalc.eta-independence signcalc.assemble",
@@ -65,8 +69,9 @@ WHOLE_REGISTRY = {
     # g restricted to a span it does not keep can be singular, and the
     # Legendre symbol of that determinant, 0, raises
     "restrict-map": {"gerardin.polarized", "gerardin.polarized-agrees", "gerardin.vprime"},
-    # the Schur average no longer intertwines rho, and says so
-    "rho-half-phase": {"weil.normalization"},
+    # the Schur averages no longer intertwine rho, and both the group model
+    # and the Schur intertwiner say so
+    "rho-half-phase": {"weil.omega-mult", "weil.normalization"},
     "abelian-law": set(),
     "trace-cross-term": set(),
 }
@@ -78,10 +83,7 @@ def test_every_fault_has_a_detection_record():
 
 @pytest.mark.parametrize("name", WHOLE_REGISTRY)
 def test_fault_turns_exactly_its_checks_red(name):
-    # without the half phase the group model's operators grow past 1e30, and
-    # the all-pairs products overflow
-    with pytest.warns(RuntimeWarning, match="overflow|invalid value") if name == "rho-half-phase" else contextlib.nullcontext():
-        rows, _ = checks.run_checks(fault=name)
+    rows, _ = checks.run_checks(fault=name)
     assert {r.scenario_id for r in rows if not r.passed} == DETECTION[name]
     assert {r.scenario_id for r in rows if r.quantity == "exception"} == WHOLE_REGISTRY[name]
 
@@ -201,13 +203,24 @@ def test_max_error_keeps_a_nan():
     assert checks.max_error(x for x in (2e-15, 3e-15, 1e-15)) == 3e-15
 
 
-def test_nan_operators_fail_the_all_pairs_rows():
-    # rho-columns shifts every rho column, so the group model's Schur averages
-    # and with them its operators are NaN: the all-pairs products must fail;
-    # linear_lift's power of the NaN determinant warns, the one warning tier-1
-    # expects
-    with pytest.warns(RuntimeWarning, match="invalid value"):
-        rows, _ = checks.run_checks("weil.omega-mult", fault="rho-columns")
+def test_nan_operators_fail_the_all_pairs_rows(monkeypatch):
+    # a lift that returns NaN leaves every operator of the group model NaN
+    # (the anchors' products too): the all-pairs products must fail
+    monkeypatch.setattr(weil, "linear_lift", lambda m0, ords: np.full_like(m0, np.nan))
+    rows, _ = checks.run_checks("weil.omega-mult")
     pairs = [r for r in rows if r.quantity.startswith("omega multiplicative p=")]
     assert [r.quantity for r in pairs] == ["omega multiplicative p=%d (all pairs)" % p for p in (3, 5, 7)]
     assert all(math.isnan(r.formula) and not r.passed for r in pairs)
+
+
+@pytest.mark.parametrize("name", ["rho-half-phase", "rho-columns"])
+def test_group_model_refuses_a_rho_that_does_not_intertwine(name):
+    # the Schur averages are probed before linear_lift scales them, so under
+    # either rho fault the build raises and weil.omega-mult reports one
+    # exception row, not lifted non-intertwiners
+    with checks.FAULTS[name]():
+        model = weil.WeilModel(sym.standard_polarized_space(5, 1))
+        with pytest.raises(weil.WeilError, match="fails to intertwine"):
+            model.build_group_model()
+        [row] = checks.run_checks("weil.omega-mult")[0]
+    assert row.quantity == "exception" and not row.passed

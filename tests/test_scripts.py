@@ -43,6 +43,7 @@ def test_character_table_script():
     lines = run_script("character_table.py", "3")
     assert lines[0].startswith("Sp_2(F_3): ")
     classes = int(lines[0].split()[1])
+    assert classes == 3  # Sp_2(F_p) has p semisimple classes
     assert len(lines) == 2 + classes
 
 

@@ -257,6 +257,41 @@ def test_conjugacy_reads_no_eigenvalues(monkeypatch):
     test_conjugacy_examples()
 
 
+def _brute_classes(grp):
+    """The least position x t x^-1 reaches over the group, for every t: each
+    element conjugated by every element, in slices of at most 2^16 entries."""
+    inv = sym.inverses(grp.space, grp.mats)[:, None]
+    step = max(1, 2**16 // grp.mats.size)
+    conj = np.concatenate([grp.positions(grp.mats[:, None] @ grp.mats[i : i + step] @ inv)
+                           for i in range(0, len(grp.mats), step)], axis=1)  # conj[x, t] = x t x^-1
+    return conj.min(axis=0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 19])
+def test_classes_count_p_plus_4_on_sp2(p):
+    # Sp_2(F_p) = SL_2(F_p) has p + 4 conjugacy classes for odd p, p of them
+    # semisimple
+    grp = sym.sp_group(sym.standard_polarized_space(p, 1))
+    labels = sym.classes(grp)
+    assert labels.dtype == np.int64 and labels.shape == (len(grp.mats),)
+    assert len(np.unique(labels)) == p + 4
+    assert len(np.unique(labels[grp.orders % p != 0])) == p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_classes_equal_the_least_conjugate(p):
+    grp = sym.sp_group(sym.standard_polarized_space(p, 1))
+    assert sym.classes(grp).tolist() == _brute_classes(grp).tolist()
+
+
+def test_classes_are_read_only_and_cached():
+    grp = sym.sp_group(sym.standard_polarized_space(5, 1))
+    labels = sym.classes(grp)
+    assert sym.classes(grp) is labels
+    with pytest.raises(ValueError):
+        labels[0] = 1
+
+
 def test_conjugacy_refuses_above_the_cap():
     v = sym.standard_polarized_space(3, 2)  # |Sp_4(F_3)| = 51840
     g = sym.sp_identity(v)
@@ -327,7 +362,9 @@ def test_sp_group_builds_the_largest_group_under_the_cap():
 def test_split_class_fault_turns_eigen_conjugacy_red():
     with checks.FAULTS["split-class"]():
         rows = checks.check_eigen_conjugacy()
-    assert [r.formula for r in rows] == [0, 400, 2352]
+    # read on each class's representative and its next two members
+    assert [r.quantity for r in rows] == ["eigen<->conjugacy p=%d (%d classes)" % (p, p) for p in (3, 5, 7)]
+    assert [r.formula for r in rows] == [0, 1, 2]
     assert [r.passed for r in rows] == [True, False, False]
 
 

@@ -422,9 +422,12 @@ def test_twisted_trace_refuses_parts_from_another_space():
 
 def test_off_sample_fault_turns_character_conjugacy_red():
     with checks.FAULTS["off-sample-trace"]():
-        [row] = checks.check_character_conjugacy_invariance()
-    assert row.quantity == "character conjugacy invariance p=5 (72 elements)"
-    assert not row.passed and abs(row.abs_error - 0.5) < 1e-9
+        rows = checks.check_character_conjugacy_invariance()
+    # every element of Sp_2(F_3/5/7) against its class representative
+    assert [r.quantity for r in rows] == ["character conjugacy invariance p=%d (%d elements)" % (p, p**3 - p)
+                                          for p in (3, 5, 7)]
+    assert [r.passed for r in rows] == [True, False, True]
+    assert abs(rows[1].abs_error - 0.5) < 1e-9
 
 
 def test_word_model_beyond_group_cap():
