@@ -865,13 +865,15 @@ class FamilyStats:
 
 
 def sign_sweep(ps, max_degree: int = 2, eta_cap: int = 80, c_variants: int = 1) -> dict[str, FamilyStats]:
-    """Closed-form block value against the brute-force Weil trace of the same
-    built block, for every scenario of sign_branch_scenarios over ps."""
+    """Closed-form block value against the brute-force Weil trace of the
+    scenario's block, for every scenario of sign_branch_scenarios over ps.
+    The formula builds no block, so each scenario builds one."""
     stats: dict[str, FamilyStats] = {}
     for p in ps:
         for label, sc in sign_branch_scenarios(p, max_degree, eta_cap, c_variants):
+            bb = signcalc.build_block(sc)
             bv = signcalc.block_sign_formula(sc)
-            oracle = weil.WeilModel(bv.block.space).trace_omega(bv.block.op)
+            oracle = weil.WeilModel(bb.space).trace_omega(bb.op)
             st = stats.setdefault(label, FamilyStats())
             st.count += 1
             st.worst = max_error([st.worst, abs(bv.value - oracle)])
@@ -962,7 +964,7 @@ def check_asym_symur_norm_minus_one_fixed_space() -> list[Row]:
         bv = signcalc.block_sign_formula(sc)
         if bv.pieces.trace[0] == "case1":
             seen += 1
-            bad += bv.block.op.fixed_space_dim() != 0
+            bad += signcalc.build_block(sc).op.fixed_space_dim() != 0
     return [Row.compare("signcalc", "Nr(beta)=-1 => trivial fixed space (%d cases)" % seen, bad, 0, 0)]
 
 
@@ -1207,6 +1209,9 @@ FAULTS = {
     "hyperbolic-e-f": _fault(sym, "hyperbolic_basis", _hyperbolic_e_f),
     # the Nr(b) = -1 case split inverted, in the halving step's recursion too
     "case-split": _fault(signcalc, "_inverse_closed", lambda orig, b, sub: not orig(b, sub)),
+    # Hilbert 90's fixed K0-line counted as one dimension over F_p, which
+    # is wrong wherever [K0 : F_p] > 1
+    "fixed-line-over-fp": _fault(ffield, "twisted_fixed_dim", lambda orig, eta, j: min(orig(eta, j), 1)),
 }
 
 

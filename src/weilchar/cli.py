@@ -223,8 +223,9 @@ def run_sign_block(sid: str, payload, tol: float, seed: int) -> list[Row]:
     rows = []
     for i, obj in enumerate(_typed(payload["orbits"], list, "orbits")):
         sc = _parse_orbit(action, obj)
+        bb = signcalc.build_block(sc)
         bv = signcalc.block_sign_formula(sc)
-        oracle = weil.WeilModel(bv.block.space).trace_omega(bv.block.op)
+        oracle = weil.WeilModel(bb.space).trace_omega(bb.op)
         rows.append(Row.compare(sid, "block %d (%s)" % (i, sc.classification), bv.value, oracle, tol, seed))
         if "expect_value" in obj:
             pinned = float(_typed(obj["expect_value"], (int, float), "expect_value"))

@@ -479,6 +479,17 @@ def norm_to(x: FieldElem, sub: FieldDesc) -> FieldElem:
     return _project(x ** ((x.parent.order - 1) // (sub.order - 1)), sub)
 
 
+def twisted_fixed_dim(eta: FieldElem, j: int) -> int:
+    """The F_p-dimension of {x in k : eta x^(p^j) = x}, k = eta.parent, eta a
+    unit.  K0, the fixed field of x -> x^(p^j), has degree gcd(j, [k : F_p]);
+    by Hilbert's Theorem 90 the solutions are a K0-line when
+    N_{k/K0}(eta) = 1 and zero otherwise."""
+    k = eta.parent
+    d = math.gcd(j, k.degree)
+    # N_{k/K0}(eta) as an element of k, as in norm_to
+    return d if eta ** ((k.order - 1) // (k.p**d - 1)) == 1 else 0
+
+
 def _sign(v: FieldElem) -> int:
     if v == 1:
         return 1

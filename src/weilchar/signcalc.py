@@ -372,6 +372,21 @@ def build_block(sc: OrbitScenario) -> BlockBuild:
     return BlockBuild(space, sym.sp_elem(space, mat), sc)
 
 
+def fixed_space_dim(sc: OrbitScenario) -> int:
+    """dim V^g of the block's twist g, in closed form, without building the
+    block (ffield.twisted_fixed_dim, e = varsigma_exp): eta_alpha varsigma
+    on a symmetric block; eta_alpha varsigma and eta_-alpha varsigma on the
+    two lines of the +1 branch; on the -1 branch, whose lines g swaps, a
+    fixed (x+, x-) has x- = eta_-alpha varsigma(x+) and x+ fixed by g^2 =
+    eta_alpha varsigma(eta_-alpha) varsigma^2."""
+    e = sc.varsigma_exp
+    if sc.sym_alpha:
+        return ffield.twisted_fixed_dim(sc.eta_alpha, e)
+    if sc.root.branch_sign == 1:
+        return ffield.twisted_fixed_dim(sc.eta_alpha, e) + ffield.twisted_fixed_dim(sc.eta_minus_alpha, e)
+    return ffield.twisted_fixed_dim(sc.eta_alpha * sc.varsigma(sc.eta_minus_alpha), 2 * e)
+
+
 def s_action_matrix(bb: BlockBuild, value: FieldElem) -> sym.SpElem:
     """The toral element [s] on the built block: multiplication by
     bar-alpha(s) on the plus line (inverse on the minus line for asymmetric
@@ -487,7 +502,6 @@ class BlockValue:
     n_alpha: int
     branch: str
     pieces: TorusPieces | None
-    block: BlockBuild  # the block the value was computed on
 
 
 def _asym_asym_sign(sc: OrbitScenario) -> int:
@@ -514,10 +528,10 @@ def block_sign_formula(sc: OrbitScenario) -> BlockValue:
     asym/asym is sgn(-1)^{g(f-1)} sgn(eta_alpha); unramified restricted
     branches run the torus algorithm and take gerardin.orbit_sign of its
     pieces; ramified branches return the closed-form constant
-    sgn_{k_res}(-2) of _ramified_sign. No branch calls the Weil oracle."""
+    sgn_{k_res}(-2) of _ramified_sign. The fixed factor reads
+    fixed_space_dim. No branch calls the Weil oracle or builds the block."""
     p = sc.p
-    bb = build_block(sc)
-    fixed_dim = bb.op.fixed_space_dim()
+    fixed_dim = fixed_space_dim(sc)
     if fixed_dim % 2:
         raise SignCalcError("odd fixed-space dimension")
     fixed_factor = float(p) ** (fixed_dim // 2)
@@ -526,13 +540,13 @@ def block_sign_formula(sc: OrbitScenario) -> BlockValue:
 
     if branch == "asym/asym":
         sign = _asym_asym_sign(sc)
-        return BlockValue(sign * fixed_factor, sign, fixed_factor, n_alpha, branch, None, bb)
+        return BlockValue(sign * fixed_factor, sign, fixed_factor, n_alpha, branch, None)
 
     if branch.endswith("sym-ram"):
         if fixed_dim:
             raise SignCalcError("ramified branch must have a trivial fixed space")
         sign = _ramified_sign(sc)
-        return BlockValue(float(sign), sign, 1.0, 0, branch, None, bb)
+        return BlockValue(float(sign), sign, 1.0, 0, branch, None)
 
     # unramified restricted branches: torus algorithm + Gerardin bookkeeping
     if branch == "asym/sym-ur":
@@ -547,7 +561,7 @@ def block_sign_formula(sc: OrbitScenario) -> BlockValue:
         pieces = torus_algorithm(beta, sc.f, "sym", ambient=sc.k_alpha)
 
     sign = gerardin.orbit_sign(pieces.pieces, fixed_dim)
-    return BlockValue(sign * fixed_factor, sign, fixed_factor, n_alpha, branch, pieces, bb)
+    return BlockValue(sign * fixed_factor, sign, fixed_factor, n_alpha, branch, pieces)
 
 
 def ramified_cache_snapshot() -> dict[tuple, int]:

@@ -48,6 +48,7 @@ DETECTION = {name: set(red.split()) for name, red in {
     "hyperbolic-e-f": GERARDIN + WEIL + "weil.svn weil.rho weil.algebraic weil.normalization weil.conjugacy "
                       "signcalc.oracle signcalc.eta-independence signcalc.assemble",
     "case-split": "signcalc.oracle signcalc.fixed-space signcalc.f1-forms",
+    "fixed-line-over-fp": "signcalc.oracle signcalc.fixed-space signcalc.assemble signcalc.f1-forms",
 }.items()}
 
 # the faults tier-1 runs over the whole registry -> the red checks that go
@@ -66,6 +67,9 @@ WHOLE_REGISTRY = {
     "snf-fixup": set(),
     # the inverted split's pieces miss the fixed space's weight multiplicities
     "case-split": {"signcalc.oracle", "signcalc.fixed-space", "signcalc.f1-forms"},
+    # a symmetric block's fixed space comes out odd-dimensional, which the
+    # block sign formula refuses
+    "fixed-line-over-fp": DETECTION["fixed-line-over-fp"],
     # g restricted to a span it does not keep can be singular, and the
     # Legendre symbol of that determinant, 0, raises
     "restrict-map": {"gerardin.polarized", "gerardin.polarized-agrees", "gerardin.vprime"},
@@ -139,6 +143,20 @@ def test_case_split_patches_the_norm_test(beta, clean, faulty):
     assert trace() == (clean,)
     with checks.FAULTS["case-split"]():
         assert trace() == (faulty,)
+
+
+def test_fixed_line_over_fp_patches_the_hilbert_90_count():
+    # eta = 1, j = 0 on GF(9): K0 is GF(9), and the fixed K0-line has
+    # dimension 2 over F_3; a symmetric block whose fixed space is such a
+    # line then comes out odd-dimensional, which the formula refuses
+    f9 = ffield.field(3, 2)
+    block = next(s for _, s in checks.sign_branch_scenarios(3, 2, ffield.FIELD_CAP)
+                 if s.sym_alpha and signcalc.fixed_space_dim(s) == 2)
+    assert ffield.twisted_fixed_dim(f9.one(), 0) == 2
+    with checks.FAULTS["fixed-line-over-fp"]():
+        assert ffield.twisted_fixed_dim(f9.one(), 0) == 1
+        with pytest.raises(signcalc.SignCalcError, match="odd fixed-space dimension"):
+            signcalc.block_sign_formula(block)
 
 
 def test_restrict_map_patches_the_invariance_test():

@@ -74,6 +74,18 @@ def test_norm_surjective_onto_subfield(p, k):
     assert images == set(sub.units())
 
 
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
+def test_twisted_fixed_dim_counts_the_solutions(p, k):
+    # p^dim solutions x of eta x^(p^j) = x, counted over the whole field, for
+    # every unit eta and j = 0 .. 2k - 1
+    big = ff.field(p, k)
+    for j in range(2 * k):
+        for eta in big.units():
+            solutions = sum(eta * x.frobenius(j) == x for x in big.elements())
+            assert solutions == p ** ff.twisted_fixed_dim(eta, j), (eta, j)
+    assert ff.twisted_fixed_dim(big.one(), 0) == k
+
+
 def test_sgn_examples():
     assert ff.sgn_mult(F3.one()) == 1
     assert ff.sgn_mult(F3.from_int(2)) == -1

@@ -203,8 +203,16 @@ def no_oracle(monkeypatch):
     return reached
 
 
-def test_sign_formulas_call_no_oracle(samples, no_oracle):
+def test_sign_formulas_call_no_oracle(samples, no_oracle, monkeypatch):
+    """Nor do the sign formulas build the block: its fixed-space dimension
+    is signcalc.fixed_space_dim's closed form, so build_block is a stub too."""
     blocks, _, _ = samples
+
+    def no_block(*args, **kwargs):
+        no_oracle.append("build_block")
+        raise AssertionError("formula code reached signcalc.build_block")
+
+    monkeypatch.setattr(sc, "build_block", no_block)
     seen = set()
     for label, s in blocks:
         value = sc.block_sign_formula(s).value
@@ -215,9 +223,17 @@ def test_sign_formulas_call_no_oracle(samples, no_oracle):
         seen.add(s.classification)
     assert seen == BRANCHES
     assert no_oracle == []
+    # the oracle side does reach the stub
+    s = blocks[0][1]
+    with pytest.raises(AssertionError, match="signcalc.build_block"):
+        sc.full_space_oracle(s.action, {0: s}, {0: s.k_alpha.one()})
+    assert no_oracle == ["build_block"]
 
 
 def test_assembly_calls_no_oracle(samples, no_oracle):
+    """build_block stays live here: twisted_scenario reads eta' off the
+    built block's matrix on purpose, so assembly builds blocks but never
+    reaches a Weil operator."""
     blocks, _, _ = samples
     seen = set()
     for label, s in blocks:

@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from weilchar import checks, ffield as ff, gerardin, modp, signcalc as sc, symplectic as sym, weil
+from weilchar import checks, cli, ffield as ff, gerardin, modp, signcalc as sc, symplectic as sym, weil
 
 
 F3 = ff.field(3, 1)
@@ -141,6 +141,44 @@ def test_block_sign_formula_branch_matrix():
     assert all(r.passed for r in rows), [r.quantity for r in rows if not r.passed]
 
 
+@pytest.mark.parametrize("p,max_degree", [(3, 4), (5, 4), (7, 4), (11, 3), (13, 3)])
+def test_fixed_space_dim_is_the_rank_of_g_minus_one(p, max_degree):
+    # the closed form against dim ker(g - 1) of the built block, for every
+    # eta and four C per family
+    dims = set()
+    for label, s in checks.sign_branch_scenarios(p, max_degree, ff.FIELD_CAP, 4):
+        dim = sc.fixed_space_dim(s)
+        assert dim == sc.build_block(s).op.fixed_space_dim(), label
+        dims.add(dim)
+    assert 0 in dims and max(dims) > 2
+
+
+def test_sweep_and_sign_block_runner_build_one_block_per_scenario(monkeypatch):
+    # the formula side builds no block: each scenario's one build is the
+    # oracle side's
+    built = []
+    real = sc.build_block
+
+    def counted(s):
+        built.append(s)
+        return real(s)
+
+    monkeypatch.setattr(sc, "build_block", counted)
+    checks.sign_sweep((3,), 2)
+    assert built == [s for _, s in checks.sign_branch_scenarios(3, 2)]
+    doc = json.loads((pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "sign_f3.scn").read_text())
+    orbits = 0
+    for entry in doc["scenarios"]:
+        if entry["kind"] == "sign-block":
+            payload = dict(entry["payload"], orbits=entry["payload"]["orbits"] * 2)
+            built.clear()
+            rows = cli.run_sign_block(entry["id"], payload, 1e-8, 7)
+            assert all(r.passed for r in rows) and len(built) == len(payload["orbits"])
+            assert built[0] == built[1]
+            orbits += len(built)
+    assert orbits == 6
+
+
 def test_sign_sweep_goes_red_on_corrupted_formula():
     clean = checks.sign_sweep((3,), max_degree=2, eta_cap=4)
     assert clean and all(st.worst <= 1e-8 and st.count for st in clean.values())
@@ -177,8 +215,8 @@ def test_ramified_constant_eta_independent():
         (label, s) for label, s in _ramified_scenarios(7, 3, eta_cap=400) if label.endswith("f=3")
     ]
     for label, s in scenarios:
-        bv = sc.block_sign_formula(s)
-        oracle = weil.WeilModel(bv.block.space).trace_omega(bv.block.op)
+        bv, bb = sc.block_sign_formula(s), sc.build_block(s)
+        oracle = weil.WeilModel(bb.space).trace_omega(bb.op)
         assert abs(bv.value - oracle) < 1e-8, label
         signs.setdefault(label, set()).add(bv.sign)
     assert sorted(signs) == ["asym/sym-ram p=3 d=1 f=1", "asym/sym-ram p=3 d=2 f=1", "asym/sym-ram p=7 f=3", "sym-ur/sym-ram p=3 g=1"]
@@ -194,8 +232,8 @@ def test_conjectured_f3_ramified_sign(p):
     assert len(blocks) == 50
     signs = set()
     for s in blocks:
-        bv = sc.block_sign_formula(s)
-        oracle = weil.WeilModel(bv.block.space).trace_omega(bv.block.op)
+        bv, bb = sc.block_sign_formula(s), sc.build_block(s)
+        oracle = weil.WeilModel(bb.space).trace_omega(bb.op)
         assert abs(bv.value - oracle) <= 1e-8
         signs.add(round(oracle.real))
     assert signs == {modp.legendre(-2, p) ** 3}

@@ -573,10 +573,10 @@ def test_trace_word_on_large_sign_blocks():
               if sc.p ** (sc.k_alpha.degree // 2 if sc.sym_alpha else sc.k_alpha.degree) == 625]
     assert len(blocks) == 6
     for sc in blocks:
-        bv = signcalc.block_sign_formula(sc)
-        m = weil.WeilModel(bv.block.space)
-        tr = m.trace_omega(bv.block.op)
-        assert abs(tr - np.trace(m.omega_word(bv.block.op))) < 1e-10
+        bv, bb = signcalc.block_sign_formula(sc), signcalc.build_block(sc)
+        m = weil.WeilModel(bb.space)
+        tr = m.trace_omega(bb.op)
+        assert abs(tr - np.trace(m.omega_word(bb.op))) < 1e-10
         assert abs(bv.value - tr) < 1e-8
 
 
@@ -588,10 +588,10 @@ def test_trace_word_on_frontier_blocks(p, d):
               if label.startswith("asym/asym") and sc.k_alpha.degree == d]
     assert blocks
     for sc in blocks:
-        bv = signcalc.block_sign_formula(sc)
-        m = weil.WeilModel(bv.block.space)
+        bv, bb = signcalc.block_sign_formula(sc), signcalc.build_block(sc)
+        m = weil.WeilModel(bb.space)
         assert m.dim == p**d
-        assert abs(m.trace_omega(bv.block.op) - bv.value) < 1e-8
+        assert abs(m.trace_omega(bb.op) - bv.value) < 1e-8
 
 
 def test_fourier_scalar_fault_is_caught():
