@@ -20,13 +20,13 @@ def main(p: int) -> None:
     reps, sizes = np.unique(sym.classes(grp)[grp.orders % p != 0], return_counts=True)
     # one eigen multiset per class, read on its representative; no two
     # classes share one, so the rows sort by it
-    rows = sorted((sym.eigen_multiset_key(sym.eigen_multiset(grp.elems[r])), r, size)
+    rows = sorted((sym.eigen_multiset_key(sym.eigen_multiset(grp.elem(r))), r, size)
                   for r, size in zip(reps.tolist(), sizes.tolist()))
     print("Sp_2(F_%d): %d semisimple classes" % (p, len(rows)))
     print("%-28s %6s %22s %22s" % ("eigenvalues (index key)", "size", "recursive formula", "oracle trace"))
-    oracles = model.trace_stack([grp.elems[r] for _, r, _ in rows]).tolist()
+    oracles = model.trace_stack(grp.mats[[r for _, r, _ in rows]]).tolist()
     for (key, r, size), oracle in zip(rows, oracles):
-        formula = gerardin.weil_char(grp.elems[r])
+        formula = gerardin.weil_char(grp.elem(r))
         print(
             "%-28s %6d %11.4f%+9.4fj %11.4f%+9.4fj"
             % (key, size, formula.real, formula.imag, oracle.real, oracle.imag)

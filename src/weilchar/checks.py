@@ -349,17 +349,25 @@ def _classes_of(grp: sym.SpGroup, positions: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(labels == rep) for rep in np.unique(labels[positions])]
 
 
+def _spread(members: np.ndarray, k: int) -> np.ndarray:
+    """The members that start each of k equal parts of a class (fewer when
+    the class is smaller): the representative, members[0], first, and the
+    others spread over the class rather than at the positions right after it."""
+    return members[np.unique(np.arange(k) * len(members) // k)]
+
+
 def check_eigen_conjugacy() -> list[Row]:
     """Equal eigen multisets iff conjugate in Sp(V) (Springer-Steinberg),
     over the semisimple classes of symplectic.classes: the representative of
-    each class and its next CLASS_EXTRA_MEMBERS members share one eigen
-    multiset, and no two classes share one."""
+    each class and CLASS_EXTRA_MEMBERS more members, spread over the class,
+    share one eigen multiset, and no two classes share one."""
     rows = []
     for p in (3, 5, 7):
         grp = sym.sp_group(sym.standard_polarized_space(p, 1))
         keys, bad = [], 0
         for members in _classes_of(grp, np.flatnonzero(grp.orders % p)):
-            own = [sym.eigen_multiset_key(sym.eigen_multiset(grp.elems[i])) for i in members[: 1 + CLASS_EXTRA_MEMBERS]]
+            read = _spread(members, 1 + CLASS_EXTRA_MEMBERS)
+            own = [sym.eigen_multiset_key(sym.eigen_multiset(grp.elem(i))) for i in read]
             bad += sum(key != own[0] for key in own[1:])
             keys.append(own[0])
         bad += len(keys) - len(set(keys))
@@ -453,7 +461,7 @@ def check_omega_multiplicative() -> list[Row]:
         space = sym.standard_polarized_space(p, 1)
         model = weil.WeilModel(space)
         grp = sym.sp_group(space)
-        ops = model.omega_group(grp.elems)
+        ops = model.omega_group(grp.mats)
         d = model.dim
         side = ops.transpose(1, 0, 2).reshape(d, -1)  # every operator side by side, (d, size * d)
         errs = []
@@ -462,10 +470,10 @@ def check_omega_multiplicative() -> list[Row]:
             errs.append(np.abs((ops[i] @ side).reshape(d, -1, d) - want).max())
         worst = max_error(errs)
         rows.append(Row.compare("weil", "omega multiplicative p=%d (all pairs)" % p, worst, 0, 1e-8))
-        words = model.omega_stack(grp.elems)
+        words = model.omega_stack(grp.mats)
         word_worst = float(np.abs(words - ops).max())
         rows.append(Row.compare("weil", "word model = group model p=%d" % p, word_worst, 0, 1e-8))
-        trace_worst = _trace_distance(model.trace_stack(grp.elems), words)
+        trace_worst = _trace_distance(model.trace_stack(grp.mats), words)
         rows.append(Row.compare("weil", "word trace = trace of word model p=%d" % p, trace_worst, 0, 1e-10))
     rng = np.random.default_rng(0)
     for p, n in ((3, 2), (3, 3)):
@@ -495,7 +503,7 @@ def _group_traces(p: int) -> tuple[sym.SpGroup, np.ndarray, list]:
     elements (order prime to p) and tr omega of every element, by one
     trace_stack."""
     grp = sym.sp_group(sym.standard_polarized_space(p, 1))
-    return grp, np.flatnonzero(grp.orders % p), weil.WeilModel(grp.space).trace_stack(grp.elems).tolist()
+    return grp, np.flatnonzero(grp.orders % p), weil.WeilModel(grp.space).trace_stack(grp.mats).tolist()
 
 
 def check_omega_values_algebraic() -> list[Row]:
@@ -536,14 +544,16 @@ def twisted_trace_fixtures(seed: int = 0) -> list[tuple[str, tuple[weil.TwistCha
     by a loop of order 3, on torus elements and a sample."""
     v3 = sym.standard_polarized_space(3, 1)
     twist = weil.block_twist([(sym.sp_identity(v3), 2)])
-    els = sym.sp_elements(v3)
+    grp = sym.sp_group(v3)
+    els = [grp.elem(i) for i in range(len(grp.mats))]
     pairs = [[g1, g2] for g1 in els for g2 in els]
 
     loop = _order_3_loop()
     v2 = loop.space
     twist3 = weil.block_twist([(loop, 1), (loop, 2)])
     torus = [sym.sp_elem(v2, [[a, 0], [0, pow(a, 3, 5)]]) for a in (1, 2, 3, 4)]
-    pool = torus + random.Random(seed).sample(sym.sp_elements(v2), 4)
+    grp = sym.sp_group(v2)
+    pool = torus + [grp.elem(i) for i in random.Random(seed).sample(range(len(grp.mats)), 4)]
     triples = [[g0, g1, g2] for g0 in pool for g1 in pool[:5] for g2 in pool[:5]]
     return [
         ("twisted trace p=3 two swapped blocks (all pairs)", twist, pairs),
@@ -564,9 +574,10 @@ def check_twisted_trace_decomposition(seed: int = 0) -> list[Row]:
 def check_intertwiner_normalization() -> list[Row]:
     """A loop's Weil operator by two constructions: its Schur intertwiner,
     scaled by the group model's rule (weil.linear_lift), against the word
-    model's omega_stack.  The loops are those of criterion 04's fixtures,
-    then in Sp_2(F_3), Sp_2(F_7) and Sp_4(F_3) one seeded cell element of
-    order prime to p per cell rank."""
+    model's omega_stack; the loops of one space are averaged as one stack.
+    The loops are those of criterion 04's fixtures, then in Sp_2(F_3),
+    Sp_2(F_7) and Sp_4(F_3) one seeded cell element of order prime to p per
+    cell rank."""
     fixtures = [sym.sp_identity(sym.standard_polarized_space(3, 1)), _order_3_loop()]
     loops = [("p=%d fixture loop" % g.space.p, g, g.order()) for g in fixtures]
     rng = np.random.default_rng(0)
@@ -585,7 +596,8 @@ def check_intertwiner_normalization() -> list[Row]:
     for space, group in by_space.items():
         model = weil.WeilModel(space)
         labels, gs, orders = zip(*group)
-        lifted = weil.linear_lift(np.stack([weil.schur_intertwiner(model, model, g) for g in gs]), np.array(orders))
+        averages = weil.schur_intertwiners(model, model, np.stack([g.mat_np for g in gs]))
+        lifted = weil.linear_lift(averages, np.array(orders))
         errs = np.abs(lifted - model.omega_stack(gs)).max(axis=(1, 2))
         rows += [Row.compare("weil", "lifted Schur intertwiner = omega(L), %s" % label, float(err), 0, 1e-9)
                  for label, err in zip(labels, errs)]
@@ -643,7 +655,7 @@ def check_polarized_formula() -> list[Row]:
         bad = 0
         count = 0
         for members in _classes_of(grp, ss):
-            rep = grp.elems[members[0]]
+            rep = grp.elem(members[0])
             for pol in gerardin.invariant_polarizations(rep):
                 val = gerardin.char_polarized(rep, pol)
                 count += len(members)
@@ -654,7 +666,7 @@ def check_polarized_formula() -> list[Row]:
     # g-invariant polarization of the sum; oracle is the tensor product
     grp, ss, traces = groups[3]
     vsum = sym.direct_sum([grp.space, grp.space])
-    firsts = [(grp.elems[i], traces[i]) for i in ss]
+    firsts = [(grp.elem(i), traces[i]) for i in ss]
     seconds = [(g2, list(gerardin.invariant_polarizations(g2)), trace2) for g2, trace2 in firsts[:4]]
     zero = np.zeros((1, 2), dtype=np.int64)  # a line of one block, placed in the sum
     bad = 0
@@ -700,7 +712,7 @@ def check_no_fixed_point_choice_independence() -> list[Row]:
     checked = 0
     bad = 0
     for members in _classes_of(grp, ss):
-        g = grp.elems[members[0]]
+        g = grp.elem(members[0])
         if g.fixed_space_dim():
             continue
         vals = set()
@@ -732,14 +744,14 @@ def check_fixed_line_formula() -> list[Row]:
     for p, (grp, ss, traces) in groups.items():
         errs = []
         for members in _classes_of(grp, ss):
-            val = gerardin.weil_char(grp.elems[members[0]])
+            val = gerardin.weil_char(grp.elem(members[0]))
             errs += [abs(val - traces[i]) for i in members]
         rows.append(Row.compare("gerardin", "recursive char Sp_2(F_%d)" % p, max_error(errs), 0, 1e-8))
     # Sp_4(F_3) fixed-line cases (Jordan-free fixed lines) with tensor oracle;
-    # elems[0] is the identity
+    # position 0 is the identity
     grp, ss, traces = groups[3]
     vsum = sym.direct_sum([grp.space, grp.space])
-    cases = [i for i in ss if not grp.elems[i].fixed_space_dim()]
+    cases = [i for i in ss if not grp.elem(i).fixed_space_dim()]
     worst = max_error(abs(gerardin.weil_char(sym.block_diagonal(vsum, [grp.mats[i], np.eye(2, dtype=np.int64)]))
                           - traces[i] * traces[0]) for i in cases)
     count = len(cases)
@@ -1145,10 +1157,12 @@ def _twisted_loop_dropped(orig, chains):
 
 def _off_sample_trace(orig, model, gs):
     # off by 0.5 on diag(2, 3), a semisimple element that a 40-pair random
-    # sample at seed 0 never draws
-    space = sym.standard_polarized_space(5, 1)
+    # sample at seed 0 never draws; gs is a stack that orig has checked to be
+    # of the model's space, SpElems or matrices
     vals = orig(model, gs).tolist()
-    return np.array([v + (0.5 if g.mat == ((2, 0), (0, 3)) and g.space == space else 0) for v, g in zip(vals, gs)],
+    on = model.space == sym.standard_polarized_space(5, 1)
+    mats = gs if isinstance(gs, np.ndarray) else (g.mat_np for g in gs)
+    return np.array([v + (0.5 if on and (m % 5 == ((2, 0), (0, 3))).all() else 0) for v, m in zip(vals, mats)],
                     dtype=complex)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -208,11 +209,11 @@ def run_twisted_trace(sid: str, payload, tol: float, seed: int) -> list[Row]:
     weil.check_model_dim(p, sum(group_sizes))
     weil.check_odd_prime(p)
     v2 = sym.standard_polarized_space(p, 1)
-    els = sym.sp_elements(v2)  # refuses a group above the enumeration cap before any model is built
+    grp = sym.sp_group(v2)  # refuses a group above the enumeration cap before any model is built
     twist = weil.block_twist([(sym.sp_identity(v2), size) for size in group_sizes])
     rng = np.random.default_rng(seed)
     rows = []
-    drawn = [[els[rng.integers(len(els))] for _ in range(sum(group_sizes))] for _ in range(trials)]
+    drawn = [[grp.elem(rng.integers(len(grp.mats))) for _ in range(sum(group_sizes))] for _ in range(trials)]
     for trial, res in enumerate(weil.twisted_trace_stack(twist, drawn)):
         rows.append(Row.compare(sid, "product vs direct #%d" % trial, res.product_value, res.direct_value, tol, seed))
     return rows
@@ -507,7 +508,10 @@ def _tolerance(value) -> float:
     return tol
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: main is called in
+    process too, once per command."""
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--report", type=str, default=None)
     report.add_argument("--format", choices=("json", "csv"), default="json")
@@ -529,8 +533,11 @@ def main(argv=None) -> int:
 
     p_rd = sub.add_parser("root-datum", help="restricted-root report")
     p_rd.add_argument("file", help="catalogue name or JSON file")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     handler = {
         "run": cmd_run,
         "selfcheck": cmd_selfcheck,

@@ -20,7 +20,9 @@ import numpy as np
 from . import ffield, modp
 from .ffield import FieldDesc, FieldElem
 
-SP_ENUM_CAP = 10_000  # largest |Sp(V)| exhaustive modes will enumerate
+# largest |Sp(V)| exhaustive modes will enumerate: |Sp_4(F_3)| = 51,840, 6.6 MB
+# of matrices; the next group past it is Sp_2(F_41), with 68,880 elements
+SP_ENUM_CAP = 51_840
 HEIS_ENUM_CAP = 125  # largest |H(V)| heis_group tabulates: n = 1 up to p = 5
 
 
@@ -178,7 +180,7 @@ class SpElem:
         m.flags.writeable = False
         object.__setattr__(self, "mat_np", m)
         g = self.space.gram_mat
-        if ((m.T @ g @ m - g) % self.space.p).any():
+        if ((m.T @ g @ m - g) % self.space.p).any():  # check_form's test, inline on this hot path
             raise SymplecticError("matrix does not preserve the form")
 
     def __mul__(self, other: "SpElem") -> "SpElem":
@@ -207,6 +209,14 @@ class SpElem:
     @cached_property
     def _fixed_space_dim(self) -> int:
         return self.space.dim - modp.rank(self.mat_np - np.eye(self.space.dim, dtype=np.int64), self.space.p)
+
+
+def check_form(space: SympSpace, mats: np.ndarray) -> None:
+    """Refuse a stack of matrices along the leading axes unless every one
+    preserves the form: m^T G m = G mod p, one test for the stack."""
+    g = space.gram_mat
+    if ((mats.swapaxes(-1, -2) @ g @ mats - g) % space.p).any():
+        raise SymplecticError("matrix does not preserve the form")
 
 
 def sp_elem(space: SympSpace, mat) -> SpElem:
@@ -548,22 +558,29 @@ def inverses(space: SympSpace, mats: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def sp_elements(space: SympSpace) -> tuple[SpElem, ...]:
-    """All of Sp(V)(F_p) in sp_group's breadth-first order; refuses above the cap."""
-    return sp_group(space).elems
+    """All of Sp(V)(F_p) as SpElems, in sp_group's breadth-first order;
+    refuses above the cap.  The package reads groups as sp_group's arrays
+    and builds none of these."""
+    grp = sp_group(space)
+    return tuple(grp.elem(i) for i in range(len(grp.mats)))
 
 
 @dataclass(frozen=True, eq=False)
 class SpGroup:
-    """Sp(V) as one element array: elems[i] has the matrix mats[i] and the
-    order orders[i], elems[0] is the identity; codes are the sorted base-p
-    codes of mats and at[k] the position of the element with code codes[k]."""
+    """Sp(V) as arrays: the element at position i has the matrix mats[i] and
+    the order orders[i], position 0 is the identity; codes are the sorted
+    base-p codes of mats and at[k] the position of the element with code
+    codes[k].  elem(i) builds one element as an SpElem."""
 
     space: SympSpace
-    elems: tuple[SpElem, ...]
     mats: np.ndarray
     orders: np.ndarray
     codes: np.ndarray
     at: np.ndarray
+
+    def elem(self, i) -> SpElem:
+        """The element at position i, a fresh SpElem on every call."""
+        return sp_elem(self.space, self.mats[i])
 
     def positions(self, mats) -> np.ndarray:
         """The positions of a stack of matrices, shape mats.shape[:-2], by one
@@ -583,7 +600,7 @@ def sp_group(space: SympSpace) -> SpGroup:
     size = _sp_order(space.p, space.dim // 2)
     if size > SP_ENUM_CAP:
         raise SymplecticError("|Sp| = %d exceeds the enumeration cap %d" % (size, SP_ENUM_CAP))
-    gens = np.stack([s.mat_np for s in sp_generators(space)])
+    gens = _generator_mats(space)
     mats = frontier = np.eye(space.dim, dtype=np.int64)[None]
     seen = set(_codes(space, mats).tolist())
     while len(frontier):
@@ -594,7 +611,7 @@ def sp_group(space: SympSpace) -> SpGroup:
     assert len(mats) == size
     codes = _codes(space, mats)
     at = np.argsort(codes)
-    grp = SpGroup(space, tuple(sp_elem(space, m) for m in mats), mats, orders(space, mats), codes[at], at)
+    grp = SpGroup(space, mats, orders(space, mats), codes[at], at)
     for arr in (grp.mats, grp.orders, grp.codes, grp.at):
         arr.flags.writeable = False  # shared through the cache
     return grp
@@ -607,6 +624,12 @@ def _sp_order(p: int, n: int) -> int:
 def sp_generators(space: SympSpace) -> list[SpElem]:
     """Generators of Sp(V): in standard coordinates the Weyl rotation and the
     lower unipotents n_bar(B) for elementary symmetric B, transported back."""
+    return [sp_elem(space, m) for m in _generator_mats(space)]
+
+
+def _generator_mats(space: SympSpace) -> np.ndarray:
+    """The matrices of sp_generators as one int64 stack mod p, checked to
+    preserve the form: sp_group's closure of them needs no check of its own."""
     p, n = space.p, space.dim // 2
     basis = hyperbolic_basis(space)
     to_std = modp.mat_inv(basis, p)
@@ -619,7 +642,9 @@ def sp_generators(space: SympSpace) -> list[SpElem]:
     a = np.eye(n, dtype=np.int64)
     a[0, 0] = ffield.field(p, 1).multiplicative_generator().coeffs[0]
     gens_std.append(plus_minus(a, modp.mat_inv(a, p).T))
-    return [sp_elem(space, basis @ g @ to_std % p) for g in gens_std]
+    gens = basis @ np.stack(gens_std) @ to_std % p
+    check_form(space, gens)
+    return gens
 
 
 @lru_cache(maxsize=None)
@@ -632,7 +657,7 @@ def classes(grp: SpGroup) -> np.ndarray:
     permutations, so the least label is propagated along them, both ways,
     until no label changes.  A label is always a position in its element's
     class, so labels[labels] is one too, and reading it shortens the walk."""
-    gens = np.stack([s.mat_np for s in sp_generators(grp.space)])
+    gens = _generator_mats(grp.space)
     perms = [grp.positions(g @ grp.mats @ g_inv) for g, g_inv in zip(gens, inverses(grp.space, gens))]
     perms += [np.argsort(perm) for perm in perms]  # conjugation by each inverse
     labels = np.arange(len(grp.mats))
@@ -647,7 +672,7 @@ def classes(grp: SpGroup) -> np.ndarray:
 
 
 def conjugate_in_sp(g: SpElem, t: SpElem) -> SpElem | None:
-    """The first x in sp_elements order with x t = g x, None if g and t are
+    """The first x in sp_group order with x t = g x, None if g and t are
     not conjugate; exhaustive within the enumeration cap."""
     if g.space != t.space:
         raise SpaceMismatch("elements from different spaces")
@@ -655,4 +680,4 @@ def conjugate_in_sp(g: SpElem, t: SpElem) -> SpElem | None:
         raise NotSemisimple("conjugacy test requires semisimple elements")
     grp = sp_group(g.space)
     hits = np.flatnonzero(((grp.mats @ t.mat_np - g.mat_np @ grp.mats) % g.space.p == 0).all(axis=(1, 2)))
-    return grp.elems[hits[0]] if len(hits) else None
+    return grp.elem(hits[0]) if len(hits) else None

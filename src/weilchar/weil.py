@@ -13,10 +13,11 @@ independent constructions:
   diagonal can be nonzero as one histogram of integer phases mod p, in
   O(p^n) work on every cell and with no p^n x p^n product.  It is the only
   model omega and trace_omega read.  It takes a stack of elements of one
-  space (normal_forms, omega_stack, trace_stack): each element's
-  elimination runs on Python-int rows, the rest once per cell rank with a
-  leading batch axis; one element is the stack of one;
-* a whole-group model (omega_group) for |Sp(V)| within the enumeration cap,
+  space (normal_forms, omega_stack, trace_stack), SpElems or one int64
+  array of matrices, such as a whole group's: each element's elimination
+  runs on Python-int rows, the rest once per cell rank with a leading batch
+  axis; one element is the stack of one;
+* a whole-group model (omega_group) for |Sp(V)| p^2n within GROUP_TABLE_CAP,
   built from one Schur average of a matrix unit per element (a projective
   intertwiner, one scatter of p^2n phases) and scaled so that
   omega(g)^ord(g) = I and det omega(g) = 1 where ord(g) is prime to p; the
@@ -45,6 +46,10 @@ from .symplectic import SpElem, SympSpace
 GATHER_CHUNK_ENTRIES = 2**18  # entries per chunk of a batched rho gather (weil-verify, the group model's Schur averages)
 DENSE_DIM_CAP = 729  # largest model dimension p^n weil-verify builds dense operators for (8.5 MB each)
 MODEL_DIM_CAP = 32767  # largest model dimension p^n of any WeilModel: GF(13^4) sign blocks (28561) fit
+# most complex entries |Sp(V)| p^2n of the whole-group model's operator table:
+# Sp_2(F_19)'s 2,469,240 (40 MB) fit; Sp_2(F_23) and Sp_4(F_3), within the
+# enumeration cap, are past it
+GROUP_TABLE_CAP = 2_500_000
 
 
 class WeilError(Exception):
@@ -287,10 +292,29 @@ class WeilModel:
         roots = _fourier_scalar(self.p, r) * modp.theta_values(self.p)
         return np.take(roots, phases, mode="wrap")  # wrap: index x mod p
 
+    def _matrices(self, gs) -> np.ndarray:
+        """The (k, 2n, 2n) int64 matrices of a stack of elements of this
+        model's space: a sequence of SpElems, each refused unless it is of
+        this space, or an int64 array of that shape, refused unless every
+        matrix preserves the space's form (one check for the stack)."""
+        d = self.space.dim
+        if isinstance(gs, np.ndarray):
+            if gs.dtype != np.int64 or gs.ndim != 3 or gs.shape[1:] != (d, d):
+                raise sym.SpaceMismatch("a %s stack of shape %r for a space of dimension %d" % (gs.dtype, gs.shape, d))
+            sym.check_form(self.space, gs)
+            return gs
+        for g in gs:
+            if g.space is not self.space and g.space != self.space:
+                raise sym.SpaceMismatch("element from another space")
+        if not gs:
+            return np.empty((0, d, d), dtype=np.int64)
+        return gs[0].mat_np[None] if len(gs) == 1 else np.stack([g.mat_np for g in gs])
+
     def normal_forms(self, gs) -> list[tuple[np.ndarray, WordFactors]]:
         """Bruhat-cell normal forms omega(g) = W D1 M1 F_S M2 D2 W^H of a
-        stack of elements of this model's space, grouped by cell rank: one
-        (positions in gs, stacked WordFactors) pair per rank that occurs.
+        stack of elements of this model's space (_matrices), grouped by cell
+        rank: one (positions in gs, stacked WordFactors) pair per rank that
+        occurs.
 
         With g = [[A, B], [C, D]] in standard coordinates, h = w^-1 g w =
         [[D, -C], [-B, A]] factors as nbar(b1) m(a1) w_S m(a2) nbar(b2), w_S
@@ -299,13 +323,10 @@ class WeilModel:
         pivot columns and det T; the rest is read off h's rows, once per rank
         group with a leading batch axis (_cell_forms).  A stack of one rank
         is not regrouped."""
-        for g in gs:
-            if g.space is not self.space and g.space != self.space:
-                raise sym.SpaceMismatch("element from another space")
-        if not gs:
+        mats = self._matrices(gs)
+        if not len(mats):
             return []
         p, n = self.p, self.n
-        mats = gs[0].mat_np[None] if len(gs) == 1 else np.stack([g.mat_np for g in gs])
         gstd = self.to_std @ mats @ self.from_std % p
         ts, pivots, dets = [], [], []
         for neg_c in (-gstd[:, n:, :n] % p).tolist():
@@ -368,7 +389,6 @@ class WeilModel:
         of each slice of gs, put back in input order: shape (len(gs),) +
         shape.  A slice holds GATHER_CHUNK_ENTRIES // entries elements (at
         least one), entries bounding what cell gathers per element."""
-        gs = list(gs)
         step = max(1, GATHER_CHUNK_ENTRIES // entries)
         if len(gs) <= step:
             groups = self.normal_forms(gs)
@@ -384,8 +404,9 @@ class WeilModel:
         return out
 
     def omega_stack(self, gs) -> np.ndarray:
-        """Weil operators of a stack of elements, the dense products of their
-        word-model normal forms: shape (len(gs), p^n, p^n), in input order."""
+        """Weil operators of a stack of elements (normal_forms), the dense
+        products of their word-model normal forms: shape (len(gs), p^n, p^n),
+        in input order."""
         return self._stacked(gs, self._cell_operators, self.dim**2, (self.dim, self.dim))
 
     def _cell_operators(self, f: WordFactors) -> np.ndarray:
@@ -408,8 +429,8 @@ class WeilModel:
         return self.omega_word(g)
 
     def trace_stack(self, gs) -> np.ndarray:
-        """tr omega_word(g) for each g of a stack, from the normal forms
-        without forming any operator: complex, in input order.
+        """tr omega_word(g) for each g of a stack (normal_forms), from the
+        normal forms without forming any operator: complex, in input order.
 
         tr omega(g) = tr omega(h) = sum_s sgn c_r psi(s^T Q s) over the points
         s with (t s)_S^c = (a2 s)_S^c, the only ones where F_S(t s, a2 s) is
@@ -439,7 +460,8 @@ class WeilModel:
     # -- Weil operators: whole-group model ----------------------------------
 
     def build_group_model(self) -> None:
-        """Enumerate Sp(V) and build every operator; cap-guarded.
+        """Enumerate Sp(V) and build every operator; refuses a table past
+        GROUP_TABLE_CAP entries.
 
         An element g of order prime to p gets the unit-column Schur average
         M0, checked at the probe (_probed_average) and lifted by linear_lift.  Any other element i is omega(i j^-1)
@@ -448,8 +470,11 @@ class WeilModel:
         <U0> the classical unipotent U0 or its square."""
         if self._group_table is not None:
             return
-        grp = sym.sp_group(self.space)  # raises above the cap
-        p, size, orders = self.p, len(grp.elems), grp.orders
+        grp = sym.sp_group(self.space)  # raises above the enumeration cap
+        p, size, orders = self.p, len(grp.mats), grp.orders
+        if size * self.dim**2 > GROUP_TABLE_CAP:
+            raise WeilError("%d operators of dimension %d exceed the group table cap %d entries"
+                            % (size, self.dim, GROUP_TABLE_CAP))
         coprime = np.flatnonzero(orders % p)
         # slices of the stack keep _schur_average's (k, p^2n, p^n) gathers bounded
         step = max(1, GATHER_CHUNK_ENTRIES // (p**self.space.dim * self.dim))
@@ -479,13 +504,11 @@ class WeilModel:
         self._group_table = table
 
     def omega_group(self, gs) -> np.ndarray:
-        """Weil operators of a stack of elements from the whole-group model,
-        built on first use: its table rows, read by one positions lookup,
-        shape (len(gs), p^n, p^n), in input order."""
-        if any(g.space is not self.space and g.space != self.space for g in gs):
-            raise sym.SpaceMismatch("element from another space")
+        """Weil operators of a stack of elements (as normal_forms takes it)
+        from the whole-group model, built on first use: its table rows, read
+        by one positions lookup, shape (len(gs), p^n, p^n), in input order."""
+        mats = self._matrices(gs)
         self.build_group_model()
-        mats = np.array([g.mat_np for g in gs], dtype=np.int64).reshape(-1, self.space.dim, self.space.dim)
         return self._group_table[sym.sp_group(self.space).positions(mats)]
 
 
@@ -540,19 +563,26 @@ def _schur_average(model_a: WeilModel, model_b: WeilModel, phis: np.ndarray) -> 
     return out / np.linalg.norm(out[..., 0], axis=-1)[..., None, None]
 
 
-def schur_intertwiner(model_a: WeilModel, model_b: WeilModel, phi: SpElem) -> np.ndarray:
-    """The unitary T with T rho_a(h) = rho_b(phi h) T, up to a phase: the
-    Schur average of one matrix unit, checked to intertwine at the probe
-    (_probed_average).  phi is an element of the space both models share."""
-    phi_mat = phi.mat_np
+def schur_intertwiners(model_a: WeilModel, model_b: WeilModel, phis: np.ndarray) -> np.ndarray:
+    """For each matrix phi of the int64 stack phis, shape (k, 2n, 2n), the
+    unitary T with T rho_a(h) = rho_b(phi h) T, up to a phase: the Schur
+    averages of one matrix unit, checked to intertwine at the probe
+    (_probed_average), shape (k, p^n, p^n).  Each phi must carry the form
+    of model_b's space to that of model_a's."""
     p = model_a.p
     if model_b.p != p:
         raise WeilError("mixed characteristics")
     ga = model_a.space.gram_mat
     gb = model_b.space.gram_mat
-    if ((phi_mat.T @ gb @ phi_mat - ga) % p).any():
+    if ((np.swapaxes(phis, -1, -2) @ gb @ phis - ga) % p).any():
         raise WeilError("phi does not preserve the symplectic forms")
-    return _probed_average(model_a, model_b, phi_mat[None])[0]
+    return _probed_average(model_a, model_b, phis)
+
+
+def schur_intertwiner(model_a: WeilModel, model_b: WeilModel, phi: SpElem) -> np.ndarray:
+    """schur_intertwiners on the stack of one phi, an element of the space
+    both models share."""
+    return schur_intertwiners(model_a, model_b, phi.mat_np[None])[0]
 
 
 def _probed_average(model_a: WeilModel, model_b: WeilModel, phis: np.ndarray) -> np.ndarray:
@@ -711,11 +741,11 @@ def twisted_trace_stack(chains, elements) -> list[TwistedTraceResult]:
         norm = mats[:, 0] @ chain.loop.mat_np % p
         for j in range(chain.length - 1, 0, -1):
             norm = norm @ mats[:, j] % p
-        vals = model.trace_stack([sym.sp_elem(model.space, m) for m in norm])
+        vals = model.trace_stack(norm)
         diag = np.zeros((len(gss),) + (chain.whole.space.dim,) * 2, dtype=np.int64)
         for j, idx in enumerate(chain.whole.space.blocks):  # g_c, the parts as one block-diagonal stack
             diag[(slice(None),) + np.ix_(idx, idx)] = mats[:, j]
-        whole = chain.whole.trace_stack([sym.sp_elem(chain.whole.space, m) for m in diag @ chain.iota.mat_np])
+        whole = chain.whole.trace_stack(diag @ chain.iota.mat_np)
         for e, (val, tr) in enumerate(zip(vals.tolist(), whole.tolist())):
             products[e] *= val
             directs[e] *= chain.sign * tr

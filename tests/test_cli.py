@@ -256,7 +256,7 @@ BAD_PAYLOADS = {
                                                "payload": {"p": 3, "groups": [1] * 50, "trials": 3}},
     # the parts are drawn from all of Sp_2(F_p)
     "twisted-trace-group-over-the-enumeration-cap": lambda: {"id": "t", "kind": "twisted-trace",
-                                                             "payload": {"p": 32749, "groups": [1], "trials": 1}},
+                                                             "payload": {"p": 41, "groups": [1], "trials": 1}},
     # theta and the root data must have the datum's rank
     "lattice-check-theta-1x2": lambda: {"id": "l", "kind": "lattice-check",
                                         "payload": {"matrices": [{"theta": [[1, 2]], "expect_torsion": []}]}},
@@ -339,7 +339,7 @@ BAD_PAYLOAD_MESSAGES = {
     "lattice-check-pi0-trials-above-the-sample-cap": "pi0_trials must be at most 10000, got 100000000",
     "twisted-trace-chain-over-the-cap": "p^n = 3^20 exceeds the model cap 32767",
     "twisted-trace-sum-over-the-cap": "p^n = 3^50 exceeds the model cap 32767",
-    "twisted-trace-group-over-the-enumeration-cap": "|Sp| = 35123204253000 exceeds the enumeration cap 10000",
+    "twisted-trace-group-over-the-enumeration-cap": "|Sp| = 68880 exceeds the enumeration cap 51840",
     "lattice-check-theta-1x2": "order of a non-square 1x2 matrix",
     "lattice-check-theta-3x2": "order of a non-square 3x2 matrix",
     "datum-theta-below-rank": "theta must be 2x2 for rank 2",
@@ -404,8 +404,9 @@ def test_a_size_above_its_cap_is_refused_at_once(case, tmp_path, capsys):
 
 
 def test_group_above_the_enumeration_cap_is_refused_at_once(tmp_path, capsys):
-    # within the model cap, but Sp_2(F_32749) has 3.5e13 elements to draw
-    # from; refused before any Weil model is built
+    # within the model cap, but Sp_2(F_41), the next group past the
+    # enumeration cap, has 68880 elements to draw from; refused before any
+    # Weil model is built
     case = "twisted-trace-group-over-the-enumeration-cap"
     start = time.perf_counter()
     code, err = _run_one_scenario(BAD_PAYLOADS[case](), tmp_path, capsys)

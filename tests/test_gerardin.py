@@ -301,7 +301,7 @@ def _sp4_elements():
 def test_invariant_polarizations_equal_the_brute_force():
     # the per-space Lagrangian table changes no pair and no order
     grps = [sym.sp_group(sym.standard_polarized_space(p, 1)) for p in (3, 5, 7)]
-    els = [grp.elems[i] for grp in grps for i in np.flatnonzero(grp.orders % grp.space.p)] + _sp4_elements()
+    els = [grp.elem(i) for grp in grps for i in np.flatnonzero(grp.orders % grp.space.p)] + _sp4_elements()
     seen = 0
     for g in els:
         want, got = list(_polarizations_brute_force(g)), list(ger.invariant_polarizations(g))

@@ -62,10 +62,13 @@ def test_ci_workflow_parses():
     # two selfcheck processes must write the same report bytes
     [self_step] = [s for s in steps if "python -m weilchar.cli selfcheck --report" in s]
     assert self_step.count("python -m weilchar.cli selfcheck --report") == 2 and "cmp " in self_step
-    # and two runs with the sgn fault, each exiting 1, the same report bytes
-    assert 'PYTHONHASHSEED=$seed python -m weilchar.cli selfcheck --fault sgn --report "$RUNNER_TEMP/fault-$seed.json"' in self_step
+    # and two runs with each of the sgn fault and the faults on the word
+    # model's two stack seams, each exiting 1, the same report bytes
+    assert "for fault in sgn levi-sign off-sample-trace; do" in self_step
+    assert ('PYTHONHASHSEED=$seed python -m weilchar.cli selfcheck --fault $fault '
+            '--report "$RUNNER_TEMP/fault-$fault-$seed.json"') in self_step
     assert "for seed in 0 1; do" in self_step and 'test "$status" -eq 1' in self_step
-    assert 'cmp "$RUNNER_TEMP/fault-0.json" "$RUNNER_TEMP/fault-1.json"' in self_step
+    assert 'cmp "$RUNNER_TEMP/fault-$fault-0.json" "$RUNNER_TEMP/fault-$fault-1.json"' in self_step
     # and every seeded fault, each in a fresh process, must exit 1
     [faults_step] = [s for s in steps if "checks.FAULTS" in s]
     assert 'for name in $(python -c "from weilchar import checks; print(*checks.FAULTS)"); do' in faults_step

@@ -4,6 +4,7 @@ import itertools
 import json
 import pathlib
 import random
+import time
 
 import numpy as np
 import pytest
@@ -293,25 +294,26 @@ def test_classes_are_read_only_and_cached():
 
 
 def test_conjugacy_refuses_above_the_cap():
-    v = sym.standard_polarized_space(3, 2)  # |Sp_4(F_3)| = 51840
+    v = sym.standard_polarized_space(41, 1)  # |Sp_2(F_41)| = 68880, the next group past the cap
     g = sym.sp_identity(v)
     with pytest.raises(sym.SymplecticError):
-        sym.conjugate_in_sp(g, sym.sp_elem(v, (-np.eye(4, dtype=np.int64)) % 3))
+        sym.conjugate_in_sp(g, sym.sp_elem(v, (-np.eye(2, dtype=np.int64)) % 41))
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_sp_group_positions_orders_and_inverses_match_products(p):
     grp = sym.sp_group(sym.standard_polarized_space(p, 1))
     ident = sym.sp_identity(grp.space)
-    assert grp.elems[0] == ident
+    els = [grp.elem(i) for i in range(len(grp.mats))]
+    assert els[0] == ident
     assert not any(a.flags.writeable for a in (grp.mats, grp.orders, grp.codes, grp.at))
-    assert grp.positions(grp.mats).tolist() == list(range(len(grp.elems)))
+    assert grp.positions(grp.mats).tolist() == list(range(len(els)))
     assert grp.positions(grp.mats[:6].reshape(2, 3, 2, 2) - p).tolist() == [[0, 1, 2], [3, 4, 5]]
     assert grp.positions(grp.mats[:0]).shape == (0,)
     invs = sym.inverses(grp.space, grp.mats)
-    for i, g in enumerate(grp.elems):
-        assert [grp.elems[k] for k in grp.positions(grp.mats[i] @ grp.mats)] == [g * h for h in grp.elems]
-        assert grp.elems[grp.positions(invs[i])] == g.inverse()
+    for i, g in enumerate(els):
+        assert [els[k] for k in grp.positions(grp.mats[i] @ grp.mats)] == [g * h for h in els]
+        assert els[grp.positions(invs[i])] == g.inverse()
         power, order = g, 1
         while power != ident:
             power, order = power * g, order + 1
@@ -319,9 +321,9 @@ def test_sp_group_positions_orders_and_inverses_match_products(p):
 
 
 def _closure_reference(space):
-    """sp_elements as a Python breadth-first closure over validated SpElem
-    products: frontier after frontier, each element times every generator,
-    a product kept at its first occurrence."""
+    """sp_group's order as a Python breadth-first closure over validated
+    SpElem products: frontier after frontier, each element times every
+    generator, a product kept at its first occurrence."""
     ident = sym.sp_identity(space)
     seen, frontier, out = {ident.mat}, [ident], [ident]
     gens = sym.sp_generators(space)
@@ -345,33 +347,55 @@ def test_sp_elements_keeps_the_breadth_first_order(p):
         space = sym.field_block(big, sym.anti_invariant_unit(big, 1), 1)
     else:
         space = sym.standard_polarized_space(p, 1)
-    assert list(sym.sp_elements(space)) == _closure_reference(space)
+    reference = _closure_reference(space)
+    grp = sym.sp_group(space)
+    # elem(i) builds a fresh element at every call, equal to the closure's
+    assert [grp.elem(i) for i in range(len(grp.mats))] == reference
+    assert grp.elem(1) is not grp.elem(1)
+    assert list(sym.sp_elements(space)) == reference
+
+
+def test_sp_group_builds_no_element(monkeypatch):
+    # the closure runs on int64 stacks: no SpElem is built or validated
+    calls = []
+    sp_elem = sym.sp_elem
+    monkeypatch.setattr(sym, "sp_elem", lambda *args: calls.append(args) or sp_elem(*args))
+    grp = sym.sp_group.__wrapped__(sym.standard_polarized_space(7, 1))  # not the cached group
+    assert len(grp.mats) == 336 and calls == []
+    assert grp.elem(5).mat_np.tolist() == grp.mats[5].tolist() and len(calls) == 1
 
 
 def test_sp_group_builds_the_largest_group_under_the_cap():
-    # |Sp_2(F_19)| = 6840; Sp_2(F_23) has 12144 elements, past SP_ENUM_CAP
-    grp = sym.sp_group(sym.standard_polarized_space(19, 1))
-    assert len(grp.elems) == len(set(grp.codes.tolist())) == 6840 <= sym.SP_ENUM_CAP
-    assert grp.positions(grp.mats[::-1]).tolist() == list(range(6839, -1, -1))
+    # |Sp_4(F_3)| = 51840 = SP_ENUM_CAP; Sp_2(F_41) has 68880 elements, past it
+    space = sym.standard_polarized_space(3, 2)
+    start = time.perf_counter()
+    grp = sym.sp_group.__wrapped__(space)  # timed uncached, as are its classes
+    labels = sym.classes.__wrapped__(grp)
+    assert time.perf_counter() - start < 1.0
+    assert len(grp.mats) == len(set(grp.codes.tolist())) == 51840 == sym.SP_ENUM_CAP
+    assert len(np.unique(labels)) == 34
+    assert grp.positions(grp.mats[::-1]).tolist() == list(range(51839, -1, -1))
     with pytest.raises(sym.SymplecticError):
-        grp.positions(np.array([[2, 0], [0, 2]]))  # determinant 4
+        grp.positions(np.diag([2, 1, 1, 1]))  # determinant 2
     with pytest.raises(sym.SymplecticError):
-        grp.positions(np.stack([grp.mats[7], np.ones((2, 2), dtype=np.int64)]))
+        grp.positions(np.stack([grp.mats[7], np.ones((4, 4), dtype=np.int64)]))
+    with pytest.raises(sym.SymplecticError, match="68880 exceeds the enumeration cap 51840"):
+        sym.sp_group(sym.standard_polarized_space(41, 1))
 
 
 def test_split_class_fault_turns_eigen_conjugacy_red():
     with checks.FAULTS["split-class"]():
         rows = checks.check_eigen_conjugacy()
-    # read on each class's representative and its next two members
+    # read on each class's representative and two more members spread over the class
     assert [r.quantity for r in rows] == ["eigen<->conjugacy p=%d (%d classes)" % (p, p) for p in (3, 5, 7)]
-    assert [r.formula for r in rows] == [0, 1, 2]
+    assert [r.formula for r in rows] == [0, 1, 1]
     assert [r.passed for r in rows] == [True, False, False]
 
 
 def test_sp_enumeration_cap():
     assert len(sym.sp_elements(sym.standard_polarized_space(3, 1))) == 24
     with pytest.raises(sym.SymplecticError):
-        sym.sp_elements(sym.standard_polarized_space(3, 2))  # |Sp_4(F_3)| = 51840
+        sym.sp_elements(sym.standard_polarized_space(41, 1))  # |Sp_2(F_41)| = 68880
 
 
 # every field with p <= 13 and p^k <= 6561, pinned so that a larger field cap
@@ -548,8 +572,9 @@ def test_memoized_order_and_fixed_space_dim(fault):
         model = weil.WeilModel(sym.standard_polarized_space(3, 2))
         rng = np.random.default_rng(11)
         cells = [checks.cell_element(model, r, rng) for r in (0, 1, 2) for _ in range(6)]
-        assert [g.order() for g in grp.elems] == grp.orders.tolist()
-        for g in list(grp.elems) + cells:
+        els = [grp.elem(i) for i in range(len(grp.mats))]
+        assert [g.order() for g in els] == grp.orders.tolist()
+        for g in els + cells:
             shift = (g.mat_np - np.eye(g.space.dim, dtype=np.int64)) % g.space.p
             for _ in range(2):
                 assert g.order() == int(sym.orders(g.space, g.mat_np))

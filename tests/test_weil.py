@@ -121,7 +121,7 @@ def test_all_pairs_rows_equal_one_product_per_pair():
     for p in (3, 5, 7):
         model = weil.WeilModel(sym.standard_polarized_space(p, 1))
         grp = sym.sp_group(model.space)
-        ops = model.omega_group(grp.elems)
+        ops = model.omega_group(grp.mats)
         want = max(float(np.abs(ops[i] @ ops - ops[grp.positions(grp.mats[i] @ grp.mats)]).max()) for i in range(len(ops)))
         assert abs(rows["omega multiplicative p=%d (all pairs)" % p] - want) < 1e-14
 
@@ -191,6 +191,21 @@ def test_schur_gather_equals_dense_loop(p, n):
                                  (plain, rotated, sym.sp_identity(space)), (rotated, plain, phi)):
         got = weil.schur_intertwiner(model_a, model_b, el)
         assert np.abs(got - _schur_loop(model_a, model_b, el)).max() < 1e-12
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2)])
+def test_schur_intertwiners_stack_equals_one_at_a_time(p, n):
+    # criterion 06 averages each space's loops as one stack; each average is
+    # the stack of one's, bit for bit, and one bad matrix refuses the stack
+    model = weil.WeilModel(sym.standard_polarized_space(p, n))
+    rng = np.random.default_rng(p)
+    els = [checks.cell_element(model, r, rng) for r in range(n + 1) for _ in range(2)]
+    phis = np.stack([g.mat_np for g in els])
+    stacked = weil.schur_intertwiners(model, model, phis)
+    assert stacked.tobytes() == np.stack([weil.schur_intertwiner(model, model, g) for g in els]).tobytes()
+    phis[1] = np.diag([2] + [1] * (2 * n - 1))
+    with pytest.raises(weil.WeilError, match="does not preserve"):
+        weil.schur_intertwiners(model, model, phis)
 
 
 def test_cyclic_tensor_trace_examples():
@@ -430,14 +445,24 @@ def test_off_sample_fault_turns_character_conjugacy_red():
     assert abs(rows[1].abs_error - 0.5) < 1e-9
 
 
+def test_group_model_refuses_a_table_past_its_cap():
+    # Sp_2(F_23) is within the enumeration cap, but its table of 12144
+    # operators of dimension 23 is not; Sp_2(F_19)'s fits
+    assert 6840 * 19**2 <= weil.GROUP_TABLE_CAP < 12144 * 23**2
+    with pytest.raises(weil.WeilError, match="exceed the group table cap"):
+        weil.WeilModel(sym.standard_polarized_space(23, 1)).build_group_model()
+
+
 def test_word_model_beyond_group_cap():
-    # Sp_4(F_3) exceeds the enumeration cap; the word model still evaluates
-    p = 3
-    v4 = sym.standard_polarized_space(p, 2)
-    m = weil.WeilModel(v4)
-    gens = sym.sp_generators(v4)
+    # Sp_2(F_41), the next group past the enumeration cap; the word model
+    # still evaluates
+    v2 = sym.standard_polarized_space(41, 1)
+    m = weil.WeilModel(v2)
+    with pytest.raises(sym.SymplecticError, match="enumeration cap"):
+        sym.sp_group(v2)
+    gens = sym.sp_generators(v2)
     g = gens[0] * gens[1] * gens[2]
-    h = gens[3] * gens[0]
+    h = gens[2] * gens[1] * gens[0]
     err = np.abs(m.omega_word(g) @ m.omega_word(h) - m.omega_word(g * h)).max()
     assert err < 1e-9
 
@@ -745,6 +770,42 @@ def test_omega_group_refuses_an_element_of_another_space():
     model = weil.WeilModel(sym.standard_polarized_space(5, 1))
     with pytest.raises(sym.SpaceMismatch):
         model.omega_group([sym.sp_elem(sym.split_space(5, [[2]]), [[2, 0], [0, 3]])])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_group_array_equals_its_element_list(p):
+    # a whole group passed as its int64 array gives what its SpElems give,
+    # bit for bit
+    model = weil.WeilModel(sym.standard_polarized_space(p, 1))
+    grp = sym.sp_group(model.space)
+    els = [grp.elem(i) for i in range(len(grp.mats))]
+    for fn in (model.trace_stack, model.omega_stack, model.omega_group):
+        assert fn(grp.mats).tobytes() == fn(els).tobytes()
+
+
+def test_stack_that_breaks_the_form_is_refused(model5):
+    grp = sym.sp_group(model5.space)
+    bad = grp.mats[:4].copy()
+    bad[2] = [[2, 0], [0, 2]]  # determinant 4: no element of Sp_2(F_5)
+    for fn in (model5.normal_forms, model5.trace_stack, model5.omega_stack, model5.omega_group):
+        with pytest.raises(sym.SymplecticError, match="does not preserve the form"):
+            fn(bad)
+        # a stack of another dtype or of another dimension
+        for other in (grp.mats[:4].astype(np.int32), np.stack([np.eye(4, dtype=np.int64)])):
+            with pytest.raises(sym.SpaceMismatch):
+                fn(other)
+
+
+def test_twisted_trace_stack_builds_no_element(monkeypatch):
+    # each chain's norms and whole-chain products go to trace_stack as
+    # int64 stacks
+    _, twist, gs = checks.twisted_trace_fixtures()[1]
+    want = weil.twisted_trace_stack(twist, gs)
+    calls = []
+    sp_elem = sym.sp_elem
+    monkeypatch.setattr(sym, "sp_elem", lambda *args: calls.append(args) or sp_elem(*args))
+    assert weil.twisted_trace_stack(twist, gs) == want
+    assert calls == []
 
 
 def test_stack_past_one_gather_slice_equals_one_at_a_time():
