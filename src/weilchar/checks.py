@@ -325,14 +325,14 @@ def check_torus_maximality() -> list[Row]:
     for p in (3, 5, 7):
         for factory in ((sym.SplitFactor(1),), (sym.NormOneFactor(1),)):
             torus = sym.build_torus(sym.TorusDesc(p, factory))
-            mats = {t.elem.mat for t in torus.elements()}
-            group, ts = sym.sp_group(torus.space).mats[:, None], np.array(list(mats))
+            ts = np.array([t.elem.mat for t in torus.elements()])
+            group = sym.sp_group(torus.space).mats[:, None]
             commuting = int(((group @ ts - ts @ group) % p == 0).all(axis=(1, 2, 3)).sum())
             label = "%s torus p=%d centralizer = torus" % (factory[0].__class__.__name__, p)
             # split torus at p=3 is the central {+-1}: its centralizer is the
             # whole group (frozen honest value; the algebraic torus is still
             # maximal but its rational points are too small to pin it)
-            expected = 24 if (p == 3 and isinstance(factory[0], sym.SplitFactor)) else len(mats)
+            expected = 24 if (p == 3 and isinstance(factory[0], sym.SplitFactor)) else len(ts)
             rows.append(Row.compare("symplectic", label, commuting, expected, 0))
     return rows
 
@@ -399,7 +399,7 @@ def check_stone_von_neumann() -> list[Row]:
         # a different polarization: the images g e_i, g's columns, of the
         # unit vectors under some group element
         g = sym.sp_generators(space)[0]
-        m2 = weil.WeilModel(space, (g.mat_np[:, :n].T, g.mat_np[:, n:].T))
+        m2 = weil.WeilModel(space, (g.mat[:, :n].T, g.mat[:, n:].T))
         t1 = weil.schur_intertwiner(m1, m2, sym.sp_identity(space))
         t2 = weil.schur_intertwiner(m2, m1, sym.sp_identity(space))
         ratio = t2 @ t1
@@ -596,7 +596,7 @@ def check_intertwiner_normalization() -> list[Row]:
     for space, group in by_space.items():
         model = weil.WeilModel(space)
         labels, gs, orders = zip(*group)
-        averages = weil.schur_intertwiners(model, model, np.stack([g.mat_np for g in gs]))
+        averages = weil.schur_intertwiners(model, model, gs)
         lifted = weil.linear_lift(averages, np.array(orders))
         errs = np.abs(lifted - model.omega_stack(gs)).max(axis=(1, 2))
         rows += [Row.compare("weil", "lifted Schur intertwiner = omega(L), %s" % label, float(err), 0, 1e-9)
@@ -678,7 +678,7 @@ def check_polarized_formula() -> list[Row]:
         for g2, pols2, trace2 in seconds:
             if not pols2:
                 continue
-            gbig = sym.block_diagonal(vsum, [g1.mat_np, g2.mat_np])
+            gbig = sym.block_diagonal(vsum, [g1.mat, g2.mat])
             oracle = trace1 * trace2
             for (vp1, vm1), (vp2, vm2) in itertools.product(pols1[:2], pols2[:2]):
                 vplus = np.block([[vp1, zero], [zero, vp2]])
@@ -1134,7 +1134,7 @@ def _split_class(orig, g):
     # a duplicate eigenvalue on every g with g[0][1] = 0 splits conjugacy
     # classes across two eigenvalue keys
     vals = orig(g)
-    return vals + vals[:1] if g.mat[0][1] == 0 else vals
+    return vals + vals[:1] if g.mat[0, 1] == 0 else vals
 
 
 def _rho_columns_shifted(orig, model, vs, zs):
@@ -1161,7 +1161,7 @@ def _off_sample_trace(orig, model, gs):
     # of the model's space, SpElems or matrices
     vals = orig(model, gs).tolist()
     on = model.space == sym.standard_polarized_space(5, 1)
-    mats = gs if isinstance(gs, np.ndarray) else (g.mat_np for g in gs)
+    mats = gs if isinstance(gs, np.ndarray) else (g.mat for g in gs)
     return np.array([v + (0.5 if on and (m % 5 == ((2, 0), (0, 3))).all() else 0) for v, m in zip(vals, mats)],
                     dtype=complex)
 

@@ -95,7 +95,7 @@ def _rows(basis, p: int, dim: int) -> np.ndarray:
 
 def perp_basis(space: SympSpace, basis) -> np.ndarray:
     """Basis of {v : <b, v> = 0 for all b in basis}."""
-    return modp.kernel_basis(_rows(basis, space.p, space.dim) @ space.gram_mat, space.p)
+    return modp.kernel_basis(_rows(basis, space.p, space.dim) @ space.gram, space.p)
 
 
 def restrict_map(g: SpElem, basis) -> np.ndarray:
@@ -105,7 +105,7 @@ def restrict_map(g: SpElem, basis) -> np.ndarray:
     p = g.space.p
     b = _rows(basis, p, g.space.dim).T  # columns
     k = b.shape[1]
-    red, piv = modp.rref(np.hstack([b, g.mat_np @ b]), p)
+    red, piv = modp.rref(np.hstack([b, g.mat @ b]), p)
     if piv[:k] != list(range(k)):
         raise GerardinError("basis vectors are dependent")
     if not _in_span(piv, k):
@@ -124,7 +124,7 @@ def is_isotropic(space: SympSpace, basis) -> bool:
 
 def subspace_gram(space: SympSpace, basis) -> np.ndarray:
     b = _rows(basis, space.p, space.dim)
-    return b @ space.gram_mat @ b.T % space.p
+    return b @ space.gram @ b.T % space.p
 
 
 def complement_in(big_basis, small_basis, p: int) -> np.ndarray:
@@ -179,7 +179,7 @@ def char_fixed_line(g: SpElem, line, v0_basis) -> complex:
     space = g.space
     p = space.p
     line = _rows([line], p, space.dim)
-    if not line.any() or (g.mat_np @ line[0] % p != line[0]).any():
+    if not line.any() or (g.mat @ line[0] % p != line[0]).any():
         raise LineNotFixed("the line is not fixed pointwise")
     v0_basis = _rows(v0_basis, p, space.dim)
     lperp = perp_basis(space, line)
@@ -194,7 +194,7 @@ def char_fixed_line(g: SpElem, line, v0_basis) -> complex:
     reps = complement_in(perp_basis(space, v0_basis), line, p)
     coeffs = np.array(list(itertools.product(range(p), repeat=len(reps))), dtype=np.int64).reshape(-1, len(reps))
     vs = coeffs @ reps % p
-    phases = np.einsum("ti,ij,tj->t", vs @ g.mat_np.T % p, space.gram_mat, vs) % p
+    phases = np.einsum("ti,ij,tj->t", vs @ g.mat.T % p, space.gram, vs) % p
     total = sum(modp.theta_values(p)[phases].tolist())
 
     if not len(v0_basis):
@@ -213,7 +213,7 @@ def weil_char(g: SpElem) -> complex:
         return 1.0
     if not g.is_semisimple():
         raise GerardinError("recursive evaluation requires a semisimple element")
-    fixed = modp.kernel_basis((g.mat_np - np.eye(space.dim, dtype=np.int64)) % p, p)
+    fixed = modp.kernel_basis((g.mat - np.eye(space.dim, dtype=np.int64)) % p, p)
     if len(fixed):
         return char_fixed_line(g, fixed[0], invariant_complement_in_perp(g, fixed[0]))
     vprime = maximal_invariant_isotropic(g)
@@ -244,10 +244,10 @@ def maximal_invariant_isotropic(g: SpElem) -> np.ndarray:
     ident = np.eye(space.dim, dtype=np.int64)
     vprime = np.zeros((0, space.dim), dtype=np.int64)
     while len(vprime) < space.dim // 2:
-        in_perp = vprime @ space.gram_mat
+        in_perp = vprime @ space.gram
         for lam in range(p):
             # the lam-eigenvectors inside V'^perp
-            eig = modp.kernel_basis(np.vstack([g.mat_np - lam * ident, in_perp]), p)
+            eig = modp.kernel_basis(np.vstack([g.mat - lam * ident, in_perp]), p)
             new = complement_in(eig, vprime, p) if len(eig) else eig
             if len(new):
                 vprime = np.vstack([vprime, new[:1]])

@@ -391,10 +391,14 @@ def s_action_matrix(bb: BlockBuild, value: FieldElem) -> sym.SpElem:
     """The toral element [s] on the built block: multiplication by
     bar-alpha(s) on the plus line (inverse on the minus line for asymmetric
     blocks)."""
-    sc = bb.scenario
+    return sym.sp_elem(bb.space, sym.toral_matrix(_s_value(bb.scenario, value), bb.scenario.sym_alpha))
+
+
+def _s_value(sc: OrbitScenario, value: FieldElem) -> FieldElem:
+    """value, refused on a symmetric block unless it is norm-one."""
     if sc.sym_alpha and value * sc.tau(value) != 1:
         raise SignCalcError("symmetric s-value must be norm-one")
-    return sym.sp_elem(bb.space, sym.toral_matrix(value, sc.sym_alpha))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -652,26 +656,21 @@ def _value_at_root(action: OrbitAction, s_values: dict[int, FieldElem], root: in
 
 
 def twisted_scenario(sc: OrbitScenario, s_values: dict[int, FieldElem]) -> OrbitScenario:
-    """Scenario for eta = s . eta_underline.
+    """Scenario for eta = s . eta_underline, by field arithmetic on no block.
 
-    Computed honestly at the matrix level: the base block of ([s] . iota)^m,
-    with iota the chain of identities closed by the eta-underline block
-    matrix (the full-space oracle's twist); walking the chain from the base
-    block gives s_0 . op . s_(m-1) ... s_1.  That base is again
-    eta' o varsigma on each line, so the eta entries are the images of 1,
-    read off its plus/minus parts."""
+    The base block of ([s] . iota)^m, iota the full-space oracle's twist, is
+    s_0 . op . s_(m-1) ... s_1, with [s_j] multiplication by x_j =
+    bar-theta^j(alpha)(s) on the plus line and by x_j^-1 on the minus line.
+    With y = x_1 ... x_(m-1) it is eta' o varsigma on each line, eta'_alpha =
+    x_0 eta_alpha varsigma(u) and eta'_-alpha = eta_-alpha / (x_0 varsigma(u)),
+    u = y^-1 on the -1 branch (whose lines op swaps) and u = y otherwise."""
     act, root = sc.action, sc.root
     _check_s_values(act, s_values)
-    p = sc.p
-    bb = build_block(sc)
-    smats = [s_action_matrix(bb, _value_at_root(act, s_values, root.theta[j])).mat_np for j in range(root.m)]
-    base = smats[0] @ bb.op.mat_np % p
-    for smat in smats[:0:-1]:
-        base = base @ smat % p
-    plus, minus = sym.plus_minus_parts(base, root.branch_sign)
-    eta_plus = sc.k_alpha.element(plus[:, 0])
-    eta_minus = None if minus is None else sc.k_alpha.element(minus[:, 0])
-    return replace(sc, eta_alpha=eta_plus, eta_minus_alpha=eta_minus)
+    xs = [_s_value(sc, _value_at_root(act, s_values, root.theta[j])) for j in range(root.m)]
+    y = math.prod(xs[1:], start=sc.k_alpha.one())
+    shift = xs[0] * sc.varsigma(y.inverse() if root.branch_sign == -1 else y)
+    eta_minus = None if sc.sym_alpha else sc.eta_minus_alpha / shift
+    return replace(sc, eta_alpha=sc.eta_alpha * shift, eta_minus_alpha=eta_minus)
 
 
 def assemble_product(action: OrbitAction, scenarios: dict[int, OrbitScenario], s_values: dict[int, FieldElem]) -> Assembled:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -23,6 +23,7 @@ from .ffield import FieldDesc, FieldElem
 # largest |Sp(V)| exhaustive modes will enumerate: |Sp_4(F_3)| = 51,840, 6.6 MB
 # of matrices; the next group past it is Sp_2(F_41), with 68,880 elements
 SP_ENUM_CAP = 51_840
+ORDER_CHUNK_ENTRIES = 2**16  # matrix entries per slice of the stack orders powers
 HEIS_ENUM_CAP = 125  # largest |H(V)| heis_group tabulates: n = 1 up to p = 5
 
 
@@ -38,21 +39,21 @@ class NotSemisimple(SymplecticError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SympSpace:
-    """Symplectic F_p-space with explicit Gram matrix and optional ordered
-    orthogonal block structure (blocks = index tuples into the coordinates)."""
+    """Symplectic F_p-space with explicit Gram matrix, one read-only int64
+    array reduced mod p, and optional ordered orthogonal block structure
+    (blocks = index tuples into the coordinates).  Eq and hash read (p, the
+    Gram matrix's bytes, blocks)."""
 
     p: int
-    gram: tuple[tuple[int, ...], ...]
+    gram: np.ndarray
     blocks: tuple[tuple[int, ...], ...] | None = None
-    # gram as a read-only int64 array, built once; eq, hash and repr read (p, gram, blocks)
-    gram_mat: np.ndarray = dc_field(init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
-        g = np.asarray(self.gram, dtype=np.int64)
+        g = np.asarray(self.gram, dtype=np.int64) % self.p
         g.flags.writeable = False
-        object.__setattr__(self, "gram_mat", g)
+        object.__setattr__(self, "gram", g)
         if g.shape[0] != g.shape[1] or g.shape[0] % 2:
             raise SymplecticError("gram must be square of even size")
         if ((g + g.T) % self.p).any():
@@ -64,18 +65,21 @@ class SympSpace:
             if flat != list(range(self.dim)):
                 raise SymplecticError("blocks must partition the coordinates")
             for b1, b2 in itertools.combinations(self.blocks, 2):
-                if (g[np.ix_(b1, b2)] % self.p).any():
+                if g[np.ix_(b1, b2)].any():
                     raise SymplecticError("blocks are not gram-orthogonal")
+
+    def __eq__(self, other):
+        return isinstance(other, SympSpace) and (self.p, self.gram.tobytes(), self.blocks) == (other.p, other.gram.tobytes(), other.blocks)
+
+    def __hash__(self):
+        return hash((self.p, self.gram.tobytes(), self.blocks))
 
     @property
     def dim(self) -> int:
         return len(self.gram)
 
 
-def symp_space(p: int, gram, blocks=None) -> SympSpace:
-    """The space with the integer Gram matrix `gram`, reduced mod p."""
-    g = np.asarray(gram, dtype=np.int64) % p
-    return SympSpace(p, tuple(map(tuple, g.tolist())), blocks)
+symp_space = SympSpace  # symp_space(p, gram, blocks=None): the Gram matrix is reduced mod p
 
 
 def split_space(p: int, x) -> SympSpace:
@@ -106,7 +110,7 @@ def direct_sum(spaces: list[SympSpace]) -> SympSpace:
     blocks = []
     off = 0
     for s in spaces:
-        g[off : off + s.dim, off : off + s.dim] = s.gram_mat
+        g[off : off + s.dim, off : off + s.dim] = s.gram
         blocks.append(tuple(range(off, off + s.dim)))
         off += s.dim
     return symp_space(p, g, tuple(blocks))
@@ -122,7 +126,7 @@ def heis_law(space: SympSpace, v1, z1, v2, z2) -> tuple[np.ndarray, np.ndarray]:
 
 def _cocycle(space: SympSpace, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """<v1,v2>/2, unreduced: the term of heis_law that makes H(V) non-abelian."""
-    return pow(2, space.p - 2, space.p) * (v1 @ space.gram_mat * v2).sum(axis=-1)
+    return pow(2, space.p - 2, space.p) * (v1 @ space.gram * v2).sum(axis=-1)
 
 
 def heis_decode(space: SympSpace, positions) -> tuple[np.ndarray, np.ndarray]:
@@ -166,30 +170,33 @@ def heis_group(space: SympSpace) -> HeisGroup:
     return HeisGroup(vs, zs, mul)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpElem:
-    """Form-preserving matrix: mat^T gram mat = gram."""
+    """Form-preserving matrix (check_form), one read-only int64 array reduced
+    mod p; eq and hash read (space, the matrix's bytes)."""
 
     space: SympSpace
-    mat: tuple[tuple[int, ...], ...]
-    # mat as a read-only int64 array, built once; eq and hash read mat alone
-    mat_np: np.ndarray = dc_field(init=False, compare=False, hash=False, repr=False)
+    mat: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=np.int64)
+        m = np.asarray(self.mat, dtype=np.int64) % self.space.p
         m.flags.writeable = False
-        object.__setattr__(self, "mat_np", m)
-        g = self.space.gram_mat
-        if ((m.T @ g @ m - g) % self.space.p).any():  # check_form's test, inline on this hot path
-            raise SymplecticError("matrix does not preserve the form")
+        object.__setattr__(self, "mat", m)
+        check_form(self.space, m)
+
+    def __eq__(self, other):
+        return isinstance(other, SpElem) and self.space == other.space and self.mat.tobytes() == other.mat.tobytes()
+
+    def __hash__(self):
+        return hash((self.space, self.mat.tobytes()))
 
     def __mul__(self, other: "SpElem") -> "SpElem":
         if self.space != other.space:
             raise SpaceMismatch("Sp elements from different spaces")
-        return sp_elem(self.space, self.mat_np @ other.mat_np)
+        return sp_elem(self.space, self.mat @ other.mat)
 
     def inverse(self) -> "SpElem":
-        return sp_elem(self.space, modp.mat_inv(self.mat_np, self.space.p))
+        return sp_elem(self.space, modp.mat_inv(self.mat, self.space.p))
 
     def order(self) -> int:
         return self._order
@@ -204,24 +211,23 @@ class SpElem:
     # computed once per element: a frozen element's matrix never changes
     @cached_property
     def _order(self) -> int:
-        return int(orders(self.space, self.mat_np))
+        return int(orders(self.space, self.mat))
 
     @cached_property
     def _fixed_space_dim(self) -> int:
-        return self.space.dim - modp.rank(self.mat_np - np.eye(self.space.dim, dtype=np.int64), self.space.p)
+        return self.space.dim - modp.rank(self.mat - np.eye(self.space.dim, dtype=np.int64), self.space.p)
 
 
 def check_form(space: SympSpace, mats: np.ndarray) -> None:
-    """Refuse a stack of matrices along the leading axes unless every one
-    preserves the form: m^T G m = G mod p, one test for the stack."""
-    g = space.gram_mat
+    """The package's one form test: refuse a matrix, or a stack along the
+    leading axes, unless every one has m^T G m = G mod p.  It reads no
+    entry range (an SpElem reduces mod p; WeilModel._matrices checks)."""
+    g = space.gram
     if ((mats.swapaxes(-1, -2) @ g @ mats - g) % space.p).any():
         raise SymplecticError("matrix does not preserve the form")
 
 
-def sp_elem(space: SympSpace, mat) -> SpElem:
-    m = np.asarray(mat, dtype=np.int64) % space.p
-    return SpElem(space, tuple(map(tuple, m.tolist())))
+sp_elem = SpElem  # sp_elem(space, mat): the matrix is reduced mod p and checked
 
 
 def sp_identity(space: SympSpace) -> SpElem:
@@ -250,7 +256,7 @@ def hyperbolic_basis(space: SympSpace) -> np.ndarray:
     <e, r> != 0, scaled by <e, r>^-1; every row v then becomes
     v - <v, f> e + <v, e> f, which zeroes the rows e and f came from."""
     p = space.p
-    gram = space.gram_mat
+    gram = space.gram
     rows = np.eye(space.dim, dtype=np.int64)
     es, fs = [], []
     for _ in range(space.dim // 2):
@@ -463,17 +469,6 @@ def toral_matrix(x: FieldElem, symmetric: bool) -> np.ndarray:
     return plus_minus(mult_matrix(x), None if symmetric else mult_matrix(x.inverse()))
 
 
-def plus_minus_parts(mat: np.ndarray, sign: int | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """(plus, minus) with plus_minus(plus, minus, sign) = mat; sign None
-    reads a symmetric block, whose minus is None."""
-    if sign is None:
-        return mat, None
-    d = len(mat) // 2
-    if sign == 1:
-        return mat[:d, :d], mat[d:, d:]
-    return mat[:d, d:], mat[d:, :d]
-
-
 def build_torus(desc: TorusDesc) -> BuiltTorus:
     """Embed the torus block-diagonally in its natural direct-sum space of
     field blocks.
@@ -505,7 +500,7 @@ def weight_charpoly_check(t: TorusElement) -> bool:
     for piece in t.pieces():
         for val in (piece.x,) if piece.symmetric else (piece.x, piece.x.inverse()):
             acc = modp.poly_mul(acc, modp.charpoly(mult_matrix(val), p), p)
-    return acc == modp.charpoly(t.elem.mat_np, p)
+    return acc == modp.charpoly(t.elem.mat, p)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +511,7 @@ def eigen_multiset(g: SpElem) -> list[FieldElem]:
     """Eigenvalues (with multiplicity) in the smallest splitting field of the
     characteristic polynomial, found by ffield.poly_roots."""
     p = g.space.p
-    cp = modp.charpoly(g.mat_np, p)
+    cp = modp.charpoly(g.mat, p)
     deg = len(cp) - 1
     for d in range(1, 13):
         try:
@@ -540,20 +535,28 @@ def _codes(space: SympSpace, mats: np.ndarray) -> np.ndarray:
 
 def orders(space: SympSpace, mats) -> np.ndarray:
     """The order of each element of a stack, shape mats.shape[:-2], from
-    repeated stack products; raises past 4 SP_ENUM_CAP."""
-    mats = np.asarray(mats, dtype=np.int64) % space.p
-    out, acc, ident = np.zeros(mats.shape[:-2], dtype=np.int64), mats, np.eye(space.dim, dtype=np.int64)
-    for k in range(1, SP_ENUM_CAP * 4):
-        out[(out == 0) & (acc == ident).all(axis=(-2, -1))] = k
-        if out.all():
-            return out
-        acc = acc @ mats % space.p
-    raise SymplecticError("order exceeds bound")
+    repeated stack products, taken in place on slices of at most
+    ORDER_CHUNK_ENTRIES matrix entries; raises past 4 SP_ENUM_CAP."""
+    p, d = space.p, space.dim
+    flat = np.asarray(mats, dtype=np.int64).reshape(-1, d, d)
+    out, ident, step = np.zeros(len(flat), dtype=np.int64), np.eye(d, dtype=np.int64), max(1, ORDER_CHUNK_ENTRIES // d**2)
+    for lo in range(0, len(flat), step):
+        base, part = flat[lo : lo + step] % p, out[lo : lo + step]
+        acc, prod = base.copy(), np.empty_like(base)
+        for k in range(1, SP_ENUM_CAP * 4):
+            part[(part == 0) & (acc == ident).all(axis=(-2, -1))] = k
+            if part.all():
+                break
+            np.matmul(acc, base, out=prod)
+            np.remainder(prod, p, out=acc)
+        else:
+            raise SymplecticError("order exceeds bound")
+    return out.reshape(np.shape(mats)[:-2])
 
 
 def inverses(space: SympSpace, mats: np.ndarray) -> np.ndarray:
     """The inverse G^-1 m^T G of each element m of a stack, G the Gram matrix."""
-    return modp.mat_inv(space.gram_mat, space.p) @ np.swapaxes(mats, -1, -2) @ space.gram_mat % space.p
+    return modp.mat_inv(space.gram, space.p) @ np.swapaxes(mats, -1, -2) @ space.gram % space.p
 
 
 @lru_cache(maxsize=None)
@@ -633,7 +636,7 @@ def _generator_mats(space: SympSpace) -> np.ndarray:
     p, n = space.p, space.dim // 2
     basis = hyperbolic_basis(space)
     to_std = modp.mat_inv(basis, p)
-    gens_std = [standard_polarized_space(p, n).gram_mat]  # the Weyl rotation
+    gens_std = [standard_polarized_space(p, n).gram]  # the Weyl rotation
     for i, j in itertools.combinations_with_replacement(range(n), 2):
         nbar = np.eye(2 * n, dtype=np.int64)
         nbar[n + i, j] = nbar[n + j, i] = 1  # [[I, 0], [B, I]]
@@ -679,5 +682,5 @@ def conjugate_in_sp(g: SpElem, t: SpElem) -> SpElem | None:
     if not g.is_semisimple() or not t.is_semisimple():
         raise NotSemisimple("conjugacy test requires semisimple elements")
     grp = sp_group(g.space)
-    hits = np.flatnonzero(((grp.mats @ t.mat_np - g.mat_np @ grp.mats) % g.space.p == 0).all(axis=(1, 2)))
+    hits = np.flatnonzero(((grp.mats @ t.mat - g.mat @ grp.mats) % g.space.p == 0).all(axis=(1, 2)))
     return grp.elem(hits[0]) if len(hits) else None

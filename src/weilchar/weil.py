@@ -113,7 +113,7 @@ def _std_frame(space: SympSpace) -> tuple[np.ndarray, np.ndarray]:
     carry the form of space to that of standard_polarized_space."""
     p, n = space.p, space.dim // 2
     basis = sym.hyperbolic_basis(space)
-    if ((basis.T @ space.gram_mat @ basis - sym.standard_polarized_space(p, n).gram_mat) % p).any():
+    if ((basis.T @ space.gram @ basis - sym.standard_polarized_space(p, n).gram) % p).any():
         raise WeilError("the hyperbolic basis does not carry the form to the standard one")
     inv = modp.mat_inv(basis, p)
     basis.flags.writeable = inv.flags.writeable = False
@@ -243,7 +243,7 @@ class WeilModel:
     def _check_polarization(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Validate the rows of xs and ys as complementary Lagrangians; returns
         the Gram matrix X G Y^T of their pairings."""
-        p, n, gram = self.p, self.n, self.space.gram_mat
+        p, n, gram = self.p, self.n, self.space.gram
         if xs.shape != (n, 2 * n) or ys.shape != (n, 2 * n):
             raise NotAPolarization("need n vectors on each side")
         if modp.rank(np.vstack([xs, ys]), p) != 2 * n:
@@ -295,12 +295,14 @@ class WeilModel:
     def _matrices(self, gs) -> np.ndarray:
         """The (k, 2n, 2n) int64 matrices of a stack of elements of this
         model's space: a sequence of SpElems, each refused unless it is of
-        this space, or an int64 array of that shape, refused unless every
-        matrix preserves the space's form (one check for the stack)."""
+        this space, or an int64 array of that shape, refused unless its
+        entries lie in [0, p) and one check_form passes for the stack."""
         d = self.space.dim
         if isinstance(gs, np.ndarray):
             if gs.dtype != np.int64 or gs.ndim != 3 or gs.shape[1:] != (d, d):
                 raise sym.SpaceMismatch("a %s stack of shape %r for a space of dimension %d" % (gs.dtype, gs.shape, d))
+            if ((gs < 0) | (gs >= self.p)).any():
+                raise sym.SymplecticError("a stack entry lies outside [0, %d)" % self.p)
             sym.check_form(self.space, gs)
             return gs
         for g in gs:
@@ -308,7 +310,7 @@ class WeilModel:
                 raise sym.SpaceMismatch("element from another space")
         if not gs:
             return np.empty((0, d, d), dtype=np.int64)
-        return gs[0].mat_np[None] if len(gs) == 1 else np.stack([g.mat_np for g in gs])
+        return gs[0].mat[None] if len(gs) == 1 else np.stack([g.mat for g in gs])
 
     def normal_forms(self, gs) -> list[tuple[np.ndarray, WordFactors]]:
         """Bruhat-cell normal forms omega(g) = W D1 M1 F_S M2 D2 W^H of a
@@ -563,26 +565,20 @@ def _schur_average(model_a: WeilModel, model_b: WeilModel, phis: np.ndarray) -> 
     return out / np.linalg.norm(out[..., 0], axis=-1)[..., None, None]
 
 
-def schur_intertwiners(model_a: WeilModel, model_b: WeilModel, phis: np.ndarray) -> np.ndarray:
-    """For each matrix phi of the int64 stack phis, shape (k, 2n, 2n), the
-    unitary T with T rho_a(h) = rho_b(phi h) T, up to a phase: the Schur
-    averages of one matrix unit, checked to intertwine at the probe
-    (_probed_average), shape (k, p^n, p^n).  Each phi must carry the form
-    of model_b's space to that of model_a's."""
-    p = model_a.p
-    if model_b.p != p:
-        raise WeilError("mixed characteristics")
-    ga = model_a.space.gram_mat
-    gb = model_b.space.gram_mat
-    if ((np.swapaxes(phis, -1, -2) @ gb @ phis - ga) % p).any():
-        raise WeilError("phi does not preserve the symplectic forms")
-    return _probed_average(model_a, model_b, phis)
+def schur_intertwiners(model_a: WeilModel, model_b: WeilModel, phis) -> np.ndarray:
+    """For each element phi of a stack of elements of the space both models
+    share (as normal_forms takes it, WeilModel._matrices), the unitary T
+    with T rho_a(h) = rho_b(phi h) T, up to a phase: the Schur averages of
+    one matrix unit, checked to intertwine at the probe (_probed_average),
+    shape (k, p^n, p^n)."""
+    if model_a.space != model_b.space:
+        raise sym.SpaceMismatch("Schur intertwiners need two models of one space")
+    return _probed_average(model_a, model_b, model_a._matrices(phis))
 
 
 def schur_intertwiner(model_a: WeilModel, model_b: WeilModel, phi: SpElem) -> np.ndarray:
-    """schur_intertwiners on the stack of one phi, an element of the space
-    both models share."""
-    return schur_intertwiners(model_a, model_b, phi.mat_np[None])[0]
+    """schur_intertwiners on the stack of one phi."""
+    return schur_intertwiners(model_a, model_b, [phi])[0]
 
 
 def _probed_average(model_a: WeilModel, model_b: WeilModel, phis: np.ndarray) -> np.ndarray:
@@ -662,7 +658,7 @@ def block_cycle(space: SympSpace, loop: SpElem) -> SpElem:
     mat = np.zeros((space.dim, space.dim), dtype=np.int64)
     for j, src in enumerate(blocks):
         dst = blocks[(j + 1) % len(blocks)]
-        mat[np.ix_(dst, src)] = loop.mat_np if j == len(blocks) - 1 else np.eye(len(src), dtype=np.int64)
+        mat[np.ix_(dst, src)] = loop.mat if j == len(blocks) - 1 else np.eye(len(src), dtype=np.int64)
     return sym.sp_elem(space, mat)
 
 
@@ -737,15 +733,15 @@ def twisted_trace_stack(chains, elements) -> list[TwistedTraceResult]:
         gss = [parts[starts[i] : starts[i + 1]] for parts in elements]
         if any(g.space != model.space for gs in gss for g in gs):
             raise BlockMismatch("a part of chain %d is not an element of its block space" % i)
-        mats = np.array([[g.mat_np for g in gs] for gs in gss])  # (element, copy, row, column)
-        norm = mats[:, 0] @ chain.loop.mat_np % p
+        mats = np.array([[g.mat for g in gs] for gs in gss])  # (element, copy, row, column)
+        norm = mats[:, 0] @ chain.loop.mat % p
         for j in range(chain.length - 1, 0, -1):
             norm = norm @ mats[:, j] % p
         vals = model.trace_stack(norm)
         diag = np.zeros((len(gss),) + (chain.whole.space.dim,) * 2, dtype=np.int64)
         for j, idx in enumerate(chain.whole.space.blocks):  # g_c, the parts as one block-diagonal stack
             diag[(slice(None),) + np.ix_(idx, idx)] = mats[:, j]
-        whole = chain.whole.trace_stack(diag @ chain.iota.mat_np)
+        whole = chain.whole.trace_stack(diag @ chain.iota.mat % p)
         for e, (val, tr) in enumerate(zip(vals.tolist(), whole.tolist())):
             products[e] *= val
             directs[e] *= chain.sign * tr

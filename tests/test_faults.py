@@ -171,7 +171,7 @@ def test_restrict_map_patches_the_invariance_test():
 def test_orbit_sign_parity_patches_the_count_of_moving_orbits():
     # -1 on the norm-one torus of Sp_2(F_3): one symmetric piece, x = -1
     torus = sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(1),)))
-    [t] = [t for t in torus.elements() if t.elem.mat == ((2, 0), (0, 2))]
+    [t] = [t for t in torus.elements() if t.elem.mat.tolist() == [[2, 0], [0, 2]]]
     assert gerardin.orbit_sign(t.pieces(), 0) == -1
     with checks.FAULTS["orbit-sign-parity"]():
         assert gerardin.orbit_sign(t.pieces(), 0) == 1

@@ -175,7 +175,7 @@ def samples():
     v2 = sym.standard_polarized_space(3, 1)
     for g1 in sym.sp_elements(v2):
         if g1.is_semisimple() and not g1.fixed_space_dim():
-            semisimple.append(sym.block_diagonal(sym.direct_sum([v2, v2]), [g1.mat_np, np.eye(2, dtype=np.int64)]))
+            semisimple.append(sym.block_diagonal(sym.direct_sum([v2, v2]), [g1.mat, np.eye(2, dtype=np.int64)]))
     model = weil.WeilModel(sym.standard_polarized_space(3, 2))
     rng = np.random.default_rng(0)
     a = np.array([[0, 1], [1, 1]])  # x^2 - x - 1, irreducible over F_3
@@ -203,16 +203,22 @@ def no_oracle(monkeypatch):
     return reached
 
 
-def test_sign_formulas_call_no_oracle(samples, no_oracle, monkeypatch):
-    """Nor do the sign formulas build the block: its fixed-space dimension
-    is signcalc.fixed_space_dim's closed form, so build_block is a stub too."""
-    blocks, _, _ = samples
+@pytest.fixture
+def no_block(no_oracle, monkeypatch):
+    """signcalc.build_block replaced by a stub that raises and records the
+    call in no_oracle's list."""
 
-    def no_block(*args, **kwargs):
+    def refuse(*args, **kwargs):
         no_oracle.append("build_block")
         raise AssertionError("formula code reached signcalc.build_block")
 
-    monkeypatch.setattr(sc, "build_block", no_block)
+    monkeypatch.setattr(sc, "build_block", refuse)
+
+
+def test_sign_formulas_call_no_oracle(samples, no_oracle, no_block):
+    """Nor do the sign formulas build the block: its fixed-space dimension
+    is signcalc.fixed_space_dim's closed form, so build_block is a stub too."""
+    blocks, _, _ = samples
     seen = set()
     for label, s in blocks:
         value = sc.block_sign_formula(s).value
@@ -230,10 +236,9 @@ def test_sign_formulas_call_no_oracle(samples, no_oracle, monkeypatch):
     assert no_oracle == ["build_block"]
 
 
-def test_assembly_calls_no_oracle(samples, no_oracle):
-    """build_block stays live here: twisted_scenario reads eta' off the
-    built block's matrix on purpose, so assembly builds blocks but never
-    reaches a Weil operator."""
+def test_assembly_calls_no_oracle(samples, no_oracle, no_block):
+    """Nor does assembly build a block: twisted_scenario computes eta' by
+    field arithmetic, so build_block is a stub too."""
     blocks, _, _ = samples
     seen = set()
     for label, s in blocks:
@@ -241,11 +246,12 @@ def test_assembly_calls_no_oracle(samples, no_oracle):
         assert abs(asm.value - sc.block_sign_formula(s).value) < 1e-12, label
         seen.add(s.classification)
     assert seen == BRANCHES
-    # the oracle-side comparison does reach the stubs
+    assert no_oracle == []
+    # the oracle-side comparison does reach the stub
     s = blocks[0][1]
-    with pytest.raises(AssertionError, match="weil.block_twist"):
+    with pytest.raises(AssertionError, match="signcalc.build_block"):
         sc.full_space_oracle(s.action, {0: s}, {0: s.k_alpha.one()})
-    assert no_oracle == ["block_twist"]
+    assert no_oracle == ["build_block"]
 
 
 def test_character_formulas_call_no_oracle(samples, no_oracle):

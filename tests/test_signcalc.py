@@ -91,8 +91,8 @@ def test_build_block_examples():
     s = sc.OrbitScenario(sc.one_orbit_action(1, False), 0, F3, F3, F3, F3,
                          F3.one(), F3.one(), F3.one(), "asym/asym")
     bb = sc.build_block(s)
-    assert bb.op.mat == ((1, 0), (0, 1))
-    assert bb.space.gram == ((0, 1), (2, 0))
+    assert bb.op.mat.tolist() == [[1, 0], [0, 1]]
+    assert bb.space.gram.tolist() == [[0, 1], [2, 0]]
     # symmetric block over GF(9): nondegenerate 2-dim form
     s2 = sc.OrbitScenario(sc.one_orbit_action(2, True), 0, F9, F3, F9, F3, C9,
                           ff.norm_one_group(F9, F3)[3], None, "sym-ur/sym-ur")
@@ -246,7 +246,7 @@ def test_ramified_sign_equals_gerardin_fixed_point_free_formula():
     for p, max_degree in ((3, 4), (5, 4), (7, 3)):
         for label, s in _ramified_scenarios(p, max_degree, eta_cap=6):
             bb = sc.build_block(s)
-            squares_to_minus_one = not ((bb.op.mat_np @ bb.op.mat_np + np.eye(bb.space.dim, dtype=np.int64)) % p).any()
+            squares_to_minus_one = not ((bb.op.mat @ bb.op.mat + np.eye(bb.space.dim, dtype=np.int64)) % p).any()
             assert squares_to_minus_one == (s.f != 3), label
             assert gerardin.weil_char(bb.op) == sc.block_sign_formula(s).value, label
 
@@ -605,12 +605,16 @@ def test_fixed_space_row_reads_the_formulas_case_split():
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_built_blocks_carry_the_scenario_etas(p):
     # eta is the image of 1 under eta o varsigma on each line: read it back
-    # from the built operator in the plus/minus layout of the branch sign
+    # from the built operator in the plus/minus layout of the branch sign,
+    # where the -1 branch sends the minus line's 1 (column d) to the plus line
     for label, s in checks.sign_branch_scenarios(p, 4, 20, 2):
-        plus, minus = sym.plus_minus_parts(sc.build_block(s).op.mat_np, s.root.branch_sign)
-        got = (s.k_alpha.element(plus[:, 0]),
-               None if minus is None else s.k_alpha.element(minus[:, 0]))
-        assert got == (s.eta_alpha, None if s.sym_alpha else s.eta_minus_alpha), label
+        mat, d = sc.build_block(s).op.mat, s.k_alpha.degree
+        if s.sym_alpha:
+            assert s.k_alpha.element(mat[:, 0]) == s.eta_alpha, label
+            continue
+        plus, minus = (0, d) if s.root.branch_sign == 1 else (d, 0)
+        got = (s.k_alpha.element(mat[:d, plus]), s.k_alpha.element(mat[d:, minus]))
+        assert got == (s.eta_alpha, s.eta_minus_alpha), label
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -657,6 +661,21 @@ def _two_orbit_assembly():
         2: sc.OrbitScenario(act, 2, F9, F3, F9, F3, C9, no[2], None, "sym-ur/sym-ur"),
     }
     return act, scen, no
+
+
+def test_symmetric_s_value_off_the_norm_one_group_is_refused():
+    # the formula side computes eta' by field arithmetic, the oracle side
+    # builds [s] on the block: both refuse an s that is no element of the
+    # norm-one torus
+    act, scen, no = _two_orbit_assembly()
+    for off in (x for x in F9.units() if x not in no):
+        svals = {0: F3.one(), 2: off}
+        for run in (lambda: sc.assemble_product(act, scen, svals),
+                    lambda: sc.full_space_oracle(act, scen, svals),
+                    lambda: sc.twisted_scenario(scen[2], svals)):
+            with pytest.raises(sc.SignCalcError, match="symmetric s-value must be norm-one"):
+                run()
+    assert sc.twisted_scenario(scen[2], {0: F3.one(), 2: no[1]}).eta_alpha == no[1] * no[2]
 
 
 @pytest.mark.parametrize("keys,message", [

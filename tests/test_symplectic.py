@@ -20,7 +20,7 @@ V3 = sym.standard_space(3, 1)
 
 def _form(space, u, v):
     """<u, v> under the space's Gram matrix, mod p."""
-    return int(np.asarray(u) @ space.gram_mat @ np.asarray(v) % space.p)
+    return int(np.asarray(u) @ space.gram @ np.asarray(v) % space.p)
 
 
 def test_space_validation():
@@ -134,42 +134,41 @@ def test_sp_elem_array_built_once_read_only():
     for space in (V3, sym.standard_polarized_space(5, 2)):
         p = space.p
         els = sym.sp_elements(space) if space is V3 else [sym.sp_identity(space)] + list(sym.sp_generators(space))
+        assert len(set(els)) == len(els)
         for g in els:
-            arr = g.mat_np
-            assert g.mat_np is arr and not arr.flags.writeable and arr.dtype == np.int64
-            assert arr.tolist() == [list(row) for row in g.mat]
+            arr = g.mat
+            assert not arr.flags.writeable and arr.dtype == np.int64 and arr.min() >= 0 and arr.max() < p
             with pytest.raises(ValueError):
                 arr[0, 0] = 1
-            # eq, hash and repr read (space, mat) alone
-            twin = sym.SpElem(g.space, g.mat)
-            assert twin == g and hash(twin) == hash(g) == hash((g.space, g.mat)) and twin.mat_np is not arr
-            assert repr(g) == "SpElem(space=%r, mat=%r)" % (g.space, g.mat)
-            # sp_elem's tuples are the old per-entry conversion of m mod p
+            # the matrix is reduced mod p on construction, by sp_elem and
+            # SpElem alike; eq and hash read (space, the matrix's bytes)
             m = arr + p * rng.integers(-3, 4, arr.shape)
-            h = sym.sp_elem(space, m)
-            assert h.mat == tuple(tuple(int(x) for x in row) for row in m % p) == g.mat
-            assert all(type(x) is int for row in h.mat for x in row)
+            for h in (sym.sp_elem(space, m), sym.SpElem(space, m)):
+                assert h.mat.tobytes() == (m % p).tobytes() == arr.tobytes() and h.mat is not arr
+                assert h == g and hash(h) == hash(g) == hash((g.space, arr.tobytes()))
+                assert not h.mat.flags.writeable and h.mat.dtype == np.int64
 
 
 def test_gram_array_built_once_read_only():
     for space in (V3, sym.standard_polarized_space(5, 2), sym.field_block(ff.field(3, 2), ff.field(3, 2).one(), None)):
-        arr = space.gram_mat
-        assert space.gram_mat is arr and not arr.flags.writeable and arr.dtype == np.int64
-        assert arr.tolist() == [list(row) for row in space.gram]
+        arr = space.gram
+        assert not arr.flags.writeable and arr.dtype == np.int64 and arr.min() >= 0 and arr.max() < space.p
         with pytest.raises(ValueError):
             arr[0, 0] = 1
-        # eq, hash and repr read (p, gram, blocks) alone, so lru caches keyed by a space are unchanged
-        twin = sym.SympSpace(space.p, space.gram, space.blocks)
-        assert twin == space and hash(twin) == hash(space) == hash((space.p, space.gram, space.blocks))
-        assert twin.gram_mat is not arr
-        assert repr(space) == "SympSpace(p=%r, gram=%r, blocks=%r)" % (space.p, space.gram, space.blocks)
+        # the Gram matrix is reduced mod p on construction; eq and hash read
+        # (p, the Gram matrix's bytes, blocks), so lru caches keyed by a space
+        # find an equal one
+        twin = sym.SympSpace(space.p, arr - space.p, space.blocks)
+        assert twin.gram.tobytes() == arr.tobytes() and twin.gram is not arr
+        assert twin == space and hash(twin) == hash(space) == hash((space.p, arr.tobytes(), space.blocks))
+        assert sym.direct_sum([space]) != space  # the same Gram matrix with one block
 
 
 def test_build_torus_examples():
     split = sym.build_torus(sym.TorusDesc(3, (sym.SplitFactor(1),)))
     els = list(split.elements())
     assert len(els) == 2
-    assert {e.elem.mat for e in els} == {((1, 0), (0, 1)), ((2, 0), (0, 2))}
+    assert sorted(e.elem.mat.tolist() for e in els) == [[[1, 0], [0, 1]], [[2, 0], [0, 2]]]
     normone = sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(1),)))
     els2 = list(normone.elements())
     assert len(els2) == 4
@@ -241,7 +240,7 @@ def test_conjugacy_examples():
     assert w is not None
     swapped = sym.sp_elem(v5, [[3, 0], [0, 2]])
     w2 = sym.conjugate_in_sp(g, swapped)
-    assert w2 is not None and (w2 * swapped * w2.inverse()).mat == g.mat
+    assert w2 is not None and w2 * swapped * w2.inverse() == g
     other = sym.sp_elem(v5, [[1, 0], [0, 1]])
     assert sym.conjugate_in_sp(g, other) is None
     unipotent = sym.sp_elem(v5, [[1, 1], [0, 1]])
@@ -320,20 +319,40 @@ def test_sp_group_positions_orders_and_inverses_match_products(p):
         assert grp.orders[i] == order == g.order()
 
 
+def test_orders_do_not_depend_on_the_slices(monkeypatch):
+    # orders powers the stack in place a slice at a time: slices of one
+    # element, of seven and one slice for the stack give the orders of
+    # repeated SpElem products, in the shape of the stack's leading axes
+    grp = sym.sp_group(sym.standard_polarized_space(3, 2))
+    mats = grp.mats[::173][:36]
+    want = []
+    for m in mats:
+        g = power = sym.sp_elem(grp.space, m)
+        want.append(1)
+        while power != sym.sp_identity(grp.space):
+            power, want[-1] = power * g, want[-1] + 1
+    assert len(set(want)) > 4
+    for entries in (16, 7 * 16, 2**30):
+        monkeypatch.setattr(sym, "ORDER_CHUNK_ENTRIES", entries)
+        assert sym.orders(grp.space, mats + 3).tolist() == want
+        assert sym.orders(grp.space, mats.reshape(6, 6, 4, 4)).tolist() == np.reshape(want, (6, 6)).tolist()
+        assert sym.orders(grp.space, mats[5]).shape == () and int(sym.orders(grp.space, mats[5])) == want[5]
+
+
 def _closure_reference(space):
     """sp_group's order as a Python breadth-first closure over validated
     SpElem products: frontier after frontier, each element times every
     generator, a product kept at its first occurrence."""
     ident = sym.sp_identity(space)
-    seen, frontier, out = {ident.mat}, [ident], [ident]
+    seen, frontier, out = {ident}, [ident], [ident]
     gens = sym.sp_generators(space)
     while frontier:
         nxt = []
         for g in frontier:
             for s in gens:
                 h = g * s
-                if h.mat not in seen:
-                    seen.add(h.mat)
+                if h not in seen:
+                    seen.add(h)
                     nxt.append(h)
         out.extend(nxt)
         frontier = nxt
@@ -362,7 +381,7 @@ def test_sp_group_builds_no_element(monkeypatch):
     monkeypatch.setattr(sym, "sp_elem", lambda *args: calls.append(args) or sp_elem(*args))
     grp = sym.sp_group.__wrapped__(sym.standard_polarized_space(7, 1))  # not the cached group
     assert len(grp.mats) == 336 and calls == []
-    assert grp.elem(5).mat_np.tolist() == grp.mats[5].tolist() and len(calls) == 1
+    assert grp.elem(5).mat.tolist() == grp.mats[5].tolist() and len(calls) == 1
 
 
 def test_sp_group_builds_the_largest_group_under_the_cap():
@@ -501,7 +520,7 @@ def test_hyperbolic_basis_on_funny_forms():
     for space in spaces:
         b = sym.hyperbolic_basis(space)
         std = sym.standard_polarized_space(space.p, space.dim // 2)
-        assert not ((b.T @ space.gram_mat @ b - std.gram_mat) % space.p).any()
+        assert not ((b.T @ space.gram @ b - std.gram) % space.p).any()
     for p, n in ((3, 1), (5, 2), (7, 3)):
         b = sym.hyperbolic_basis(sym.standard_polarized_space(p, n))
         assert np.array_equal(b, np.eye(2 * n, dtype=np.int64))
@@ -530,7 +549,7 @@ def block_digests(p: int) -> dict:
     per_label = {}
     for label, s in checks.sign_branch_scenarios(p, 4, 20, 2):
         bb = signcalc.build_block(s)
-        per_label.setdefault(label, []).append([bb.space.gram, bb.op.mat])
+        per_label.setdefault(label, []).append([bb.space.gram.tolist(), bb.op.mat.tolist()])
     return {label: _digest(rows) for label, rows in per_label.items()}
 
 
@@ -539,7 +558,7 @@ def torus_digests(p: int) -> dict:
     for factors in PINNED_TORI:
         torus = sym.build_torus(sym.TorusDesc(p, factors))
         label = " ".join("%s%d" % (type(f).__name__[0], f.subdegree) for f in factors)
-        out[label] = _digest([torus.space.gram, torus.space.blocks] + [t.elem.mat for t in torus.elements()])
+        out[label] = _digest([torus.space.gram.tolist(), torus.space.blocks] + [t.elem.mat.tolist() for t in torus.elements()])
     return out
 
 
@@ -575,8 +594,8 @@ def test_memoized_order_and_fixed_space_dim(fault):
         els = [grp.elem(i) for i in range(len(grp.mats))]
         assert [g.order() for g in els] == grp.orders.tolist()
         for g in els + cells:
-            shift = (g.mat_np - np.eye(g.space.dim, dtype=np.int64)) % g.space.p
+            shift = (g.mat - np.eye(g.space.dim, dtype=np.int64)) % g.space.p
             for _ in range(2):
-                assert g.order() == int(sym.orders(g.space, g.mat_np))
+                assert g.order() == int(sym.orders(g.space, g.mat))
                 assert g.fixed_space_dim() == g.space.dim - modp.rank(shift, g.space.p)
         assert {g.fixed_space_dim() for g in cells} >= {0, 2}

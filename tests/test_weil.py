@@ -90,7 +90,7 @@ def test_polarization_validation():
     v = (1, 2)
     g = sym.sp_elements(space)[5]
     og = m.omega(g)
-    assert np.abs(og @ m.rho(v, 0) @ np.linalg.inv(og) - m.rho(g.mat_np @ v % space.p, 0)).max() < 1e-9
+    assert np.abs(og @ m.rho(v, 0) @ np.linalg.inv(og) - m.rho(g.mat @ v % space.p, 0)).max() < 1e-9
 
 
 def test_weil_operator_examples(model5):
@@ -105,10 +105,10 @@ def test_weil_operator_examples(model5):
 def test_weil_operator_multiplicative_all_pairs(model5):
     els = sym.sp_elements(model5.space)
     ops = model5.omega_group(els)
-    idx = {g.mat: i for i, g in enumerate(els)}
+    idx = {g: i for i, g in enumerate(els)}
     worst = 0.0
     for i, g in enumerate(els):
-        rhs = ops[np.array([idx[(g * h).mat] for h in els])]
+        rhs = ops[np.array([idx[g * h] for h in els])]
         worst = max(worst, float(np.abs(ops[i] @ ops - rhs).max()))
     assert worst < 1e-8
 
@@ -167,7 +167,7 @@ def _schur_loop(model_a, model_b, phi):
         unit[s0, 0] = 1
         for v in itertools.product(range(p), repeat=dim_v):
             # (v, 0)^-1 = (-v, 0)
-            avgs[s0] += model_b.rho(phi.mat_np @ v % p, 0) @ unit @ model_a.rho([-x % p for x in v], 0)
+            avgs[s0] += model_b.rho(phi.mat @ v % p, 0) @ unit @ model_a.rho([-x % p for x in v], 0)
     diag = avgs[:, :, 0].diagonal().real
     acc = avgs[int(np.argmax(diag >= 0.5 * diag.max()))]
     return acc / np.linalg.norm(acc[:, 0])
@@ -178,7 +178,7 @@ def _rotated_model(space):
     g = sym.sp_generators(space)[0]
     n = space.dim // 2
     unit = np.eye(2 * n, dtype=np.int64)
-    return weil.WeilModel(space, ([g.mat_np @ v % space.p for v in unit[:n]], [g.mat_np @ v % space.p for v in unit[n:]]))
+    return weil.WeilModel(space, ([g.mat @ v % space.p for v in unit[:n]], [g.mat @ v % space.p for v in unit[n:]]))
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -200,11 +200,11 @@ def test_schur_intertwiners_stack_equals_one_at_a_time(p, n):
     model = weil.WeilModel(sym.standard_polarized_space(p, n))
     rng = np.random.default_rng(p)
     els = [checks.cell_element(model, r, rng) for r in range(n + 1) for _ in range(2)]
-    phis = np.stack([g.mat_np for g in els])
+    phis = np.stack([g.mat for g in els])
     stacked = weil.schur_intertwiners(model, model, phis)
     assert stacked.tobytes() == np.stack([weil.schur_intertwiner(model, model, g) for g in els]).tobytes()
     phis[1] = np.diag([2] + [1] * (2 * n - 1))
-    with pytest.raises(weil.WeilError, match="does not preserve"):
+    with pytest.raises(sym.SymplecticError, match="does not preserve"):
         weil.schur_intertwiners(model, model, phis)
 
 
@@ -287,7 +287,7 @@ def test_twisted_trace_on_chains_with_loop_of_order_3(p):
         apart = 0.0
         for _ in range(6):
             parts = [rng.choice(els) for _ in range(length)]
-            g = sym.block_diagonal(chain.whole.space, [h.mat_np for h in parts])
+            g = sym.block_diagonal(chain.whole.space, [h.mat for h in parts])
             r = weil.twisted_trace((chain,), parts)
             assert abs(r.product_value - r.direct_value) < 1e-8
             apart = max(apart, abs(r.product_value - chain.sign * chain.whole.trace_omega(g * closed_by_inverse)))
@@ -584,7 +584,7 @@ def test_word_model_paths(p, n):
     ident = np.eye(m.dim)
     ops = [m.omega_word(g) for g in els]
     for r, (g, dense) in enumerate(zip(els, ops)):
-        c = (m.to_std @ g.mat_np @ m.from_std % p)[n:, :n]
+        c = (m.to_std @ g.mat @ m.from_std % p)[n:, :n]
         assert m.word_factors(g).rank == modp.rank(c, p) == r
         assert np.abs(dense @ dense.conj().T - ident).max() < 1e-9
         assert abs(m.trace_omega(g) - np.trace(dense)) < 1e-10
@@ -667,7 +667,7 @@ def test_trace_at_the_largest_primes_under_the_cap(p, n):
         for _ in range(3):
             g = checks.cell_element(m, r, rng)
             assert m.word_factors(g).rank == r
-            fixed = 2 * n - modp.rank(g.mat_np - ident, p)
+            fixed = 2 * n - modp.rank(g.mat - ident, p)
             assert abs(abs(m.trace_omega(g)) ** 2 / p**fixed - 1) < 1e-12
 
 
@@ -679,11 +679,11 @@ def test_word_factors_refuse_another_space(model5):
         assert m.dtype == np.int64 and m.shape == (1, 1) and m.min() >= 0 and m.max() < 5
     again = sym.sp_elem(model5.space, [[6, 1], [9, 5]])  # the same matrix mod 5, a new SpElem
     assert abs(model5.trace_omega(g) - np.trace(model5.omega_word(again))) < 1e-10
-    # in Sp_2 every det-1 matrix preserves every form: equal matrix tuples
+    # in Sp_2 every det-1 matrix preserves every form: equal matrices
     # from another space still raise
     other = sym.symp_space(5, [[0, 2], [3, 0]])
     g_other = sym.sp_elem(other, g.mat)
-    assert g_other.mat == g.mat and other != model5.space
+    assert g_other.mat.tobytes() == g.mat.tobytes() and other != model5.space
     for fn in (model5.word_factors, model5.omega_word, model5.trace_omega):
         with pytest.raises(sym.SpaceMismatch):
             fn(g_other)
@@ -794,6 +794,26 @@ def test_stack_that_breaks_the_form_is_refused(model5):
         for other in (grp.mats[:4].astype(np.int32), np.stack([np.eye(4, dtype=np.int64)])):
             with pytest.raises(sym.SpaceMismatch):
                 fn(other)
+
+
+def test_stack_entry_outside_the_field_is_refused():
+    # -I over F_5 is I mod 3: a p = 3 model must not read it as an element
+    model = weil.WeilModel(sym.standard_polarized_space(3, 1))
+    minus_one_mod_5 = np.array([[[4, 0], [0, 4]]], dtype=np.int64)
+    for fn in (model.trace_stack, model.omega_stack, model.omega_group,
+               lambda gs: weil.schur_intertwiners(model, model, gs)):
+        for bad in (minus_one_mod_5, -np.eye(2, dtype=np.int64)[None]):
+            with pytest.raises(sym.SymplecticError, match=r"outside \[0, 3\)"):
+                fn(bad)
+    assert model.trace_stack(minus_one_mod_5 % 3)[0] == 3  # the identity, once reduced
+
+
+def test_schur_intertwiners_refuse_models_of_two_spaces(model5):
+    other = weil.WeilModel(sym.symp_space(5, [[0, 2], [3, 0]]))
+    ident = np.eye(2, dtype=np.int64)[None]
+    for a, b in ((model5, other), (other, model5)):
+        with pytest.raises(sym.SpaceMismatch, match="one space"):
+            weil.schur_intertwiners(a, b, ident)
 
 
 def test_twisted_trace_stack_builds_no_element(monkeypatch):
