@@ -6,7 +6,9 @@ check of checks.CHECKS once, in registry order (as `weilchar selfcheck`
 does, so a check finds the caches its predecessors filled), timing each
 call with time.perf_counter.  The script prints one JSON object: per check,
 the median and the quartiles of its seconds over the runs, and the same
-for the whole registry.
+for the whole registry.  When a child fails (say, weilchar is not
+importable: install the package or put src on PYTHONPATH), the script
+prints the child's standard error and exits nonzero.
 
 Usage: python scripts/registry_times.py [runs]   (default 7)
 """
@@ -29,9 +31,18 @@ print(json.dumps(out))
 """
 
 
+def run_child() -> dict:
+    """One fresh process's seconds per check; on a failed child, its
+    standard error and exit status 1."""
+    proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, text=True)
+    if proc.returncode:
+        sys.stderr.write(proc.stderr)
+        sys.exit("registry_times.py: the child process exited with status %d" % proc.returncode)
+    return json.loads(proc.stdout)
+
+
 def main(runs: int) -> None:
-    samples = [json.loads(subprocess.run([sys.executable, "-c", CHILD], capture_output=True, text=True,
-                                         check=True).stdout) for _ in range(runs)]
+    samples = [run_child() for _ in range(runs)]
     times = {name: [s[name] for s in samples] for name in samples[0]}
     times["registry"] = [sum(s.values()) for s in samples]
     summary = {}

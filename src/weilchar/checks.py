@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -346,14 +347,16 @@ def _classes_of(grp: sym.SpGroup, positions: np.ndarray) -> list[np.ndarray]:
     representative (its symplectic.classes label); in order of the
     representatives."""
     labels = sym.classes(grp)
-    return [np.flatnonzero(labels == rep) for rep in np.unique(labels[positions])]
+    return [np.flatnonzero(labels == rep) for rep in sorted(set(labels[positions].tolist()))]
 
 
 def _spread(members: np.ndarray, k: int) -> np.ndarray:
     """The members that start each of k equal parts of a class (fewer when
     the class is smaller): the representative, members[0], first, and the
-    others spread over the class rather than at the positions right after it."""
-    return members[np.unique(np.arange(k) * len(members) // k)]
+    others spread over the class rather than at the positions right after it.
+    Sorted sets, here and in _classes_of, where np.unique would import
+    numpy.ma (about 5 ms and 1 MB) into the registry."""
+    return members[sorted(set((np.arange(k) * len(members) // k).tolist()))]
 
 
 def check_eigen_conjugacy() -> list[Row]:
@@ -460,20 +463,20 @@ def check_omega_multiplicative() -> list[Row]:
     for p in (3, 5, 7):
         space = sym.standard_polarized_space(p, 1)
         model = weil.WeilModel(space)
-        grp = sym.sp_group(space)
+        grp, _, traces = _group_traces(p)
         ops = model.omega_group(grp.mats)
         d = model.dim
         side = ops.transpose(1, 0, 2).reshape(d, -1)  # every operator side by side, (d, size * d)
         errs = []
-        for i in range(len(ops)):  # omega(g_i) omega(g) against omega(g_i g) for every g, as one product
-            want = ops[grp.positions(grp.mats[i] @ grp.mats)].transpose(1, 0, 2)
+        for i, row in enumerate(_product_table(grp)):  # omega(g_i) omega(g) against omega(g_i g) for every g
+            want = ops[row].transpose(1, 0, 2)
             errs.append(np.abs((ops[i] @ side).reshape(d, -1, d) - want).max())
         worst = max_error(errs)
         rows.append(Row.compare("weil", "omega multiplicative p=%d (all pairs)" % p, worst, 0, 1e-8))
         words = model.omega_stack(grp.mats)
         word_worst = float(np.abs(words - ops).max())
         rows.append(Row.compare("weil", "word model = group model p=%d" % p, word_worst, 0, 1e-8))
-        trace_worst = _trace_distance(model.trace_stack(grp.mats), words)
+        trace_worst = _trace_distance(traces, words)
         rows.append(Row.compare("weil", "word trace = trace of word model p=%d" % p, trace_worst, 0, 1e-10))
     rng = np.random.default_rng(0)
     for p, n in ((3, 2), (3, 3)):
@@ -484,7 +487,7 @@ def check_omega_multiplicative() -> list[Row]:
         words = model.omega_stack(els)
         o1, o2, o12 = (words[i::3] for i in range(3))
         mult_worst = float(np.abs(o1 @ o2 - o12).max())
-        trace_worst = _trace_distance(model.trace_stack(els), words)
+        trace_worst = _trace_distance(model.trace_stack(els).tolist(), words)
         group = "Sp_%d(F_%d)" % (2 * n, p)
         rows.append(Row.compare("weil", "word model multiplicative %s (%d pairs, ranks 0-%d)" % (group, len(pairs), n),
                                 mult_worst, 0, 1e-8))
@@ -492,18 +495,48 @@ def check_omega_multiplicative() -> list[Row]:
     return rows
 
 
-def _trace_distance(traces: np.ndarray, ops: np.ndarray) -> float:
-    """The largest |traces[i] - tr ops[i]|, each difference taken as one
-    complex scalar."""
-    return max_error(abs(v - d) for v, d in zip(traces.tolist(), np.trace(ops, axis1=1, axis2=2)))
+def _product_table(grp: sym.SpGroup) -> np.ndarray:
+    """table[i, j] = the position of g_i g_j, for all pairs of grp.  Row 0,
+    the identity's, is 0..size-1; the row of g s, s a generator, is g's row
+    permuted by left multiplication by s, pos(g s h) = table[g, pos(s h)].
+    The rows are filled breadth-first from the identity along right
+    multiplication by the generators: one positions call per generator and
+    side."""
+    gens = [s.mat for s in sym.sp_generators(grp.space)]
+    by_left = [grp.positions(s @ grp.mats) for s in gens]
+    by_right = [grp.positions(grp.mats @ s) for s in gens]
+    size = len(grp.mats)
+    table = np.full((size, size), -1, dtype=np.int64)  # -1: a row not yet reached
+    table[0] = np.arange(size)
+    frontier = np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        reached = []
+        for left, right in zip(by_left, by_right):
+            new = right[frontier]  # distinct: right multiplication by s is a permutation
+            fresh = table[new, 0] < 0
+            table[new[fresh]] = table[frontier[fresh]][:, left]
+            reached.append(new[fresh])
+        frontier = np.concatenate(reached)
+    return table
 
 
-def _group_traces(p: int) -> tuple[sym.SpGroup, np.ndarray, list]:
+def _trace_distance(traces, ops: np.ndarray) -> float:
+    """The largest |traces[i] - tr ops[i]|, traces a sequence of complex
+    scalars, each difference taken as one complex scalar."""
+    return max_error(abs(v - d) for v, d in zip(traces, np.trace(ops, axis1=1, axis2=2)))
+
+
+@functools.lru_cache(maxsize=None)
+def _group_traces(p: int) -> tuple[sym.SpGroup, np.ndarray, tuple[complex, ...]]:
     """Sp_2(F_p) in standard coordinates, the positions of its semisimple
     elements (order prime to p) and tr omega of every element, by one
-    trace_stack."""
+    trace_stack.  Taken once per p for every whole-group row of a registry
+    run (_clear_caches empties it), so the positions are read-only and the
+    traces a tuple."""
     grp = sym.sp_group(sym.standard_polarized_space(p, 1))
-    return grp, np.flatnonzero(grp.orders % p), weil.WeilModel(grp.space).trace_stack(grp.mats).tolist()
+    semisimple = np.flatnonzero(grp.orders % p)
+    semisimple.flags.writeable = False
+    return grp, semisimple, tuple(weil.WeilModel(grp.space).trace_stack(grp.mats).tolist())
 
 
 def check_omega_values_algebraic() -> list[Row]:
@@ -1092,14 +1125,15 @@ CHECKS = [
 # library gives it a seam on the live path (such as modp._exchange).
 #
 # FAULTS[name]() is a context manager that, on entry, clears the
-# weilchar caches, looks its target up and puts the faulty version in its
-# place, and on exit puts the original back and clears the caches again, so
-# what a fault turns red does not depend on what ran before.  ffield.field
-# stays: it hands out the one object per field, and no fault reaches it.
+# weilchar caches (this module's _group_traces and weil's block memo among
+# them), looks its target up and puts the faulty version in its place, and
+# on exit puts the original back and clears the caches again, so what a
+# fault turns red does not depend on what ran before.  ffield.field stays:
+# it hands out the one object per field, and no fault reaches it.
 
 
 def _clear_caches() -> None:
-    for mod in (ffield, gerardin, lattice, modp, signcalc, sym, weil):
+    for mod in (ffield, gerardin, lattice, modp, signcalc, sym, weil, sys.modules[__name__]):
         for obj in vars(mod).values():
             if hasattr(obj, "cache_clear") and obj is not ffield.field:
                 obj.cache_clear()

@@ -14,9 +14,10 @@ independent constructions:
   O(p^n) work on every cell and with no p^n x p^n product.  It is the only
   model omega and trace_omega read.  It takes a stack of elements of one
   space (normal_forms, omega_stack, trace_stack), SpElems or one int64
-  array of matrices, such as a whole group's: each element's elimination
-  runs on Python-int rows, the rest once per cell rank with a leading batch
-  axis; one element is the stack of one;
+  array of matrices, such as a whole group's: each distinct n x n block's
+  elimination runs once on Python-int rows and is memoized (_reduce_block),
+  the rest once per cell rank with a leading batch axis; one element is the
+  stack of one;
 * a whole-group model (omega_group) for |Sp(V)| p^2n within GROUP_TABLE_CAP,
   built from one Schur average of a matrix unit per element (a projective
   intertwiner, one scatter of p^2n phases) and scaled so that
@@ -135,6 +136,21 @@ def _identity(n: int) -> np.ndarray:
     out = np.eye(n, dtype=np.int64)
     out.flags.writeable = False
     return out
+
+
+BLOCK_MEMO_SIZE = 1024  # distinct n x n blocks _reduce_block keeps (one registry run meets 155, at most about 1 KB each)
+
+
+@lru_cache(maxsize=BLOCK_MEMO_SIZE)
+def _reduce_block(block: tuple[tuple[int, ...], ...], p: int) -> tuple[tuple, tuple[int, ...], int]:
+    """[m | I] reduced once per distinct n x n block m (its rows as tuples of
+    ints in [0, p)): the right half E of the reduced rows (E = m^-1 when m
+    is invertible), the pivot columns within m and the determinant of the
+    row operations, det E, as modp.reduce_rows returns it."""
+    n = len(block)
+    rows = modp.with_identity([list(row) for row in block])
+    pivots, det_e = modp.reduce_rows(rows, p)
+    return tuple(tuple(row[n:]) for row in rows), tuple(j for j in pivots if j < n), det_e
 
 
 def _half_pairing(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
@@ -321,22 +337,17 @@ class WeilModel:
         With g = [[A, B], [C, D]] in standard coordinates, h = w^-1 g w =
         [[D, -C], [-B, A]] factors as nbar(b1) m(a1) w_S m(a2) nbar(b2), w_S
         the Weyl element on the first r = rank C coordinate pairs.  One row
-        reduction T [-C | I] = [R | T] per element gives T = a1^-1, r, the
-        pivot columns and det T; the rest is read off h's rows, once per rank
-        group with a leading batch axis (_cell_forms).  A stack of one rank
-        is not regrouped."""
+        reduction T [-C | I] = [R | T] per distinct block -C (_reduce_block)
+        gives T = a1^-1, r, the pivot columns and det T; the rest is read off
+        h's rows, once per rank group with a leading batch axis
+        (_cell_forms).  A stack of one rank is not regrouped."""
         mats = self._matrices(gs)
         if not len(mats):
             return []
         p, n = self.p, self.n
         gstd = self.to_std @ mats @ self.from_std % p
-        ts, pivots, dets = [], [], []
-        for neg_c in (-gstd[:, n:, :n] % p).tolist():
-            rows = modp.with_identity(neg_c)
-            piv, det_t = modp.reduce_rows(rows, p)
-            ts.append([row[n:] for row in rows])
-            pivots.append([j for j in piv if j < n])
-            dets.append(det_t)
+        blocks = (tuple(map(tuple, neg_c)) for neg_c in (-gstd[:, n:, :n] % p).tolist())
+        ts, pivots, dets = zip(*(_reduce_block(block, p) for block in blocks))
         t = np.array(ts, dtype=np.int64)
         ranks = [len(piv) for piv in pivots]
         if ranks.count(ranks[0]) == len(ranks):
@@ -349,8 +360,8 @@ class WeilModel:
         """The stacked normal form of elements of one cell rank r, from their
         standard matrices, T, pivot columns and det T.  On the big cell
         (r = n) a2 = I, so b2 = T D and b1 = A T; on the others one reduction
-        of [a2 | I] per element gives a2^-1 and det a2.  sgn = (det T det a2
-        / p)."""
+        of [a2 | I] per distinct a2 (_reduce_block) gives a2^-1 and det a2.
+        sgn = (det T det a2 / p)."""
         p, n, r = self.p, self.n, len(pivots[0])
         a, b, d = gstd[:, :n, :n], gstd[:, :n, n:], gstd[:, n:, n:]
         # top row of h: T D = E' a2 + E a2^-T b2 and T (-C) = E a2^-T, E the
@@ -362,11 +373,8 @@ class WeilModel:
             return WordFactors(rank=r, sgn=sgn, t=t, a2=a2, b1=a @ t % p, b2=x)
         a2_rows = [[[int(j == c) for j in range(n)] for c in piv] + x_rest for piv, x_rest in zip(pivots, x[:, r:].tolist())]
         a2 = np.array(a2_rows, dtype=np.int64)
-        inv_rows, det_invs = [], []
-        for rows in map(modp.with_identity, a2_rows):
-            _, det_inv_a2 = modp.reduce_rows(rows, p)  # 1 / det a2, of the same quadratic character
-            inv_rows.append([row[n:] for row in rows])
-            det_invs.append(det_inv_a2)
+        # det a2^-1 = 1 / det a2, of the same quadratic character
+        inv_rows, _, det_invs = zip(*(_reduce_block(tuple(map(tuple, rows)), p) for rows in a2_rows))
         a2inv, a2t = np.array(inv_rows, dtype=np.int64), a2.transpose(0, 2, 1)
         # b2 = a2^T beta a2 with beta symmetric, its first r rows X_S a2^-1
         beta = np.zeros(t.shape, dtype=np.int64)

@@ -92,6 +92,17 @@ def test_fault_turns_exactly_its_checks_red(name):
     assert {r.scenario_id for r in rows if r.quantity == "exception"} == WHOLE_REGISTRY[name]
 
 
+def test_warm_caches_hide_no_fault():
+    # a clean registry run fills the block memo and the whole-group traces;
+    # each fault that reaches the word model's reductions or its traces must
+    # still turn exactly its recorded checks red in the same process
+    rows, _ = checks.run_checks()
+    assert all(r.passed for r in rows)
+    for name in ("swap-sign", "levi-sign", "off-sample-trace", "fourier-scalar"):
+        rows, _ = checks.run_checks(fault=name)
+        assert {r.scenario_id for r in rows if not r.passed} == DETECTION[name], name
+
+
 @pytest.mark.parametrize("name", checks.FAULTS)
 def test_fault_turns_criterion_06_red_as_recorded(name):
     # weil.normalization alone: the lifted Schur intertwiner against the

@@ -159,3 +159,17 @@ def test_registry_times_script():
     assert list(out["checks"]) == [name for name, _ in checks.CHECKS] + ["registry"]
     for stats in out["checks"].values():
         assert stats["q1_s"] == stats["median_s"] == stats["q3_s"] >= 0
+
+
+def test_registry_times_script_shows_a_failed_child(tmp_path):
+    # a checkout whose weilchar cannot be imported: the script passes the
+    # child's traceback on and exits nonzero
+    (tmp_path / "weilchar").mkdir()
+    (tmp_path / "weilchar" / "__init__.py").write_text("raise ImportError('weilchar is broken here')\n")
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "registry_times.py"), "1"],
+                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=600)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "ImportError: weilchar is broken here" in proc.stderr
+    assert "the child process exited with status 1" in proc.stderr
+    assert "CalledProcessError" not in proc.stderr

@@ -126,6 +126,35 @@ def test_all_pairs_rows_equal_one_product_per_pair():
         assert abs(rows["omega multiplicative p=%d (all pairs)" % p] - want) < 1e-14
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_product_table_equals_one_positions_call_per_row(p):
+    # the table walked from the identity along the generators against each
+    # row's own positions call on g_i times every element
+    grp = sym.sp_group(sym.standard_polarized_space(p, 1))
+    want = np.stack([grp.positions(grp.mats[i] @ grp.mats) for i in range(len(grp.mats))])
+    assert (checks._product_table(grp) == want).all()
+
+
+def test_group_traces_are_taken_once_and_read_only(monkeypatch):
+    # every whole-group row of a registry run reads one trace_stack per
+    # group, whose value no row can change
+    checks._clear_caches()
+    calls = []
+    orig = weil.WeilModel.trace_stack
+    monkeypatch.setattr(weil.WeilModel, "trace_stack", lambda model, gs: calls.append(len(gs)) or orig(model, gs))
+    for name in ("weil.omega-mult", "weil.algebraic", "weil.conjugacy", "gerardin.polarized", "gerardin.vprime",
+                 "gerardin.fixed-line"):
+        rows, _ = checks.run_checks(name)
+        assert rows and all(r.passed for r in rows)
+    grp_sizes = [len(checks._group_traces(p)[0].mats) for p in (3, 5, 7)]
+    assert [n for n in calls if n in grp_sizes] == grp_sizes
+    grp, semisimple, traces = checks._group_traces(5)
+    assert isinstance(traces, tuple) and len(traces) == len(grp.mats)
+    with pytest.raises(ValueError):
+        semisimple[0] = 1
+    checks._clear_caches()
+
+
 def test_levi_sign_fault_turns_word_equals_group_rows_red():
     # the group model is built from the Schur average alone, so its own rows
     # stay green and every "word model = group model" row, with the word
@@ -247,6 +276,7 @@ def test_twisted_trace_examples():
 
 
 def test_block_twist_inverts_each_loop_once(monkeypatch):
+    checks._clear_caches()  # a warm block memo would reduce nothing below
     v2 = sym.standard_polarized_space(5, 1)
     loop = sym.sp_generators(v2)[0]
     twist = weil.block_twist([(loop, 2), (sym.sp_identity(v2), 1)])
@@ -265,8 +295,9 @@ def test_block_twist_inverts_each_loop_once(monkeypatch):
     spy("reduce_rows")
     for g in sym.sp_elements(v2)[:6]:
         weil.twisted_trace(twist, [g] * 3)
-    # the word model's normal forms still reduce, through the spied name
-    assert "normal_forms" in callers["reduce_rows"]
+    # the word model's normal forms still reduce, through the spied name,
+    # once per distinct block
+    assert "_reduce_block" in callers["reduce_rows"]
     assert not {"twisted_trace", "twisted_trace_stack"} & set(callers["mat_inv"])
 
 
@@ -556,6 +587,16 @@ def test_group_model_identical_across_processes():
         for _ in range(3)
     }
     assert len(digests) == 1
+
+
+def test_registry_imports_no_masked_arrays():
+    # np.unique imports numpy.ma (about 5 ms and 1 MB) on its first call;
+    # the registry takes its class representatives from sorted sets
+    code = "import sys\nfrom weilchar import checks\nchecks.run_checks()\nprint('numpy.ma' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 def test_group_model_build_imports_no_masked_arrays():
@@ -884,6 +925,24 @@ def word_factors_digests() -> dict:
             keys.append(_normal_form_key(weil.WeilModel(bb.space).word_factors(bb.op)))
         out["sign blocks p=%d" % p] = [len(keys), hashlib.sha256(json.dumps(keys).encode()).hexdigest()]
     return out
+
+
+def test_block_memo_reduces_each_distinct_block_once(monkeypatch):
+    # a whole group's normal forms reduce each distinct n x n block once, and
+    # a warm memo gives the same normal forms as a cold one
+    model = weil.WeilModel(sym.standard_polarized_space(5, 1))
+    grp = sym.sp_group(model.space)
+    weil._reduce_block.cache_clear()
+    blocks = []
+    orig = modp.reduce_rows
+    monkeypatch.setattr(modp, "reduce_rows", lambda rows, p: blocks.append(str(rows)) or orig(rows, p))
+    cold = model.normal_forms(grp.mats)
+    assert len(blocks) == len(set(blocks)) == weil._reduce_block.cache_info().currsize < len(grp.mats)
+    warm = model.normal_forms(grp.mats)
+    assert len(blocks) == weil._reduce_block.cache_info().currsize
+    key = lambda f: [f.rank] + [m.tolist() for m in (f.sgn, f.t, f.a2, f.b1, f.b2)]
+    assert [(pos.tolist(), key(f)) for pos, f in cold] == [(pos.tolist(), key(f)) for pos, f in warm]
+    assert weil._reduce_block.cache_info().maxsize == weil.BLOCK_MEMO_SIZE
 
 
 def test_word_factors_digests_pinned():
