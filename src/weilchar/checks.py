@@ -402,7 +402,7 @@ def check_stone_von_neumann() -> list[Row]:
         # a different polarization: the images g e_i, g's columns, of the
         # unit vectors under some group element
         g = sym.sp_generators(space)[0]
-        m2 = weil.WeilModel(space, (g.mat[:, :n].T, g.mat[:, n:].T))
+        m2 = weil.WeilModel(space, (g[:, :n].T, g[:, n:].T))
         t1 = weil.schur_intertwiner(m1, m2, sym.sp_identity(space))
         t2 = weil.schur_intertwiner(m2, m1, sym.sp_identity(space))
         ratio = t2 @ t1
@@ -500,11 +500,9 @@ def _product_table(grp: sym.SpGroup) -> np.ndarray:
     the identity's, is 0..size-1; the row of g s, s a generator, is g's row
     permuted by left multiplication by s, pos(g s h) = table[g, pos(s h)].
     The rows are filled breadth-first from the identity along right
-    multiplication by the generators: one positions call per generator and
-    side."""
-    gens = [s.mat for s in sym.sp_generators(grp.space)]
-    by_left = [grp.positions(s @ grp.mats) for s in gens]
-    by_right = [grp.positions(grp.mats @ s) for s in gens]
+    multiplication by grp.gens: one positions call per generator and side."""
+    by_left = [grp.positions(s @ grp.mats) for s in grp.gens]
+    by_right = [grp.positions(grp.mats @ s) for s in grp.gens]
     size = len(grp.mats)
     table = np.full((size, size), -1, dtype=np.int64)  # -1: a row not yet reached
     table[0] = np.arange(size)

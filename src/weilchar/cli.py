@@ -181,17 +181,18 @@ def run_weil_verify(sid: str, payload, tol: float, seed: int) -> list[Row]:
         errs.append(weil.monomial_distance(got_cols, got, cab, pab))
     rows.append(Row.compare(sid, "rho homomorphism (sampled)", checks.max_error(errs), 0, tol, seed))
     gens = sym.sp_generators(space)
-    hs = [gens[rng.integers(len(gens))] for _ in range(words)]
-    walk = [sym.sp_identity(space)]
+    hs = gens[[rng.integers(len(gens)) for _ in range(words)]]
+    walk = [np.eye(space.dim, dtype=np.int64)]
     for h in hs:
-        walk.append(walk[-1] * h)
+        walk.append(walk[-1] @ h % p)
+    walk = np.stack(walk)
     # omega(g_i) omega(h_i) = omega(g_i+1) along the walk g_i+1 = g_i h_i, in
     # chunks of steps that keep the (k, p^n, p^n) operator stacks bounded
     errs = []
     step = max(1, weil.GATHER_CHUNK_ENTRIES // (2 * model.dim**2))
     for lo in range(0, words, step):
         k = min(step, words - lo)
-        ops = model.omega_stack(walk[lo : lo + k + 1] + hs[lo : lo + k])
+        ops = model.omega_stack(np.concatenate([walk[lo : lo + k + 1], hs[lo : lo + k]]))
         errs.append(np.abs(ops[:k] @ ops[k + 1 :] - ops[1 : k + 1]).max())
     rows.append(Row.compare(sid, "omega multiplicative (word walk)", checks.max_error(errs), 0, tol, seed))
     return rows

@@ -23,7 +23,7 @@ from .ffield import FieldDesc, FieldElem
 # largest |Sp(V)| exhaustive modes will enumerate: |Sp_4(F_3)| = 51,840, 6.6 MB
 # of matrices; the next group past it is Sp_2(F_41), with 68,880 elements
 SP_ENUM_CAP = 51_840
-ORDER_CHUNK_ENTRIES = 2**16  # matrix entries per slice of the stack orders powers
+ORDER_CHUNK_ENTRIES = 2**16  # matrix entries per slice of the stack orders powers and closure multiplies
 HEIS_ENUM_CAP = 125  # largest |H(V)| heis_group tabulates: n = 1 up to p = 5
 
 
@@ -570,12 +570,14 @@ def sp_elements(space: SympSpace) -> tuple[SpElem, ...]:
 
 @dataclass(frozen=True, eq=False)
 class SpGroup:
-    """Sp(V) as arrays: the element at position i has the matrix mats[i] and
-    the order orders[i], position 0 is the identity; codes are the sorted
-    base-p codes of mats and at[k] the position of the element with code
-    codes[k].  elem(i) builds one element as an SpElem."""
+    """A subgroup of Sp(V) as arrays: gens is the generator stack it was
+    closed from, the element at position i has the matrix mats[i] and the
+    order orders[i], position 0 is the identity; codes are the sorted base-p
+    codes of mats and at[k] the position of the element with code codes[k].
+    elem(i) builds one element as an SpElem."""
 
     space: SympSpace
+    gens: np.ndarray
     mats: np.ndarray
     orders: np.ndarray
     codes: np.ndarray
@@ -591,48 +593,67 @@ class SpGroup:
         codes = _codes(self.space, np.asarray(mats, dtype=np.int64) % self.space.p)
         k = np.searchsorted(self.codes, codes).clip(max=len(self.codes) - 1)
         if (self.codes[k] != codes).any():
-            raise SymplecticError("matrix is not an element of Sp(V)")
+            raise SymplecticError("matrix is not an element of the group")
         return self.at[k]
+
+
+def closure(space: SympSpace, gens, order: int) -> SpGroup:
+    """The subgroup of Sp(V) generated by a stack of matrices, of the stated
+    order, as one read-only element array; gens is reduced mod p and checked
+    once (check_form).  Breadth-first from the identity: each frontier times
+    every generator, in slices of at most ORDER_CHUNK_ENTRIES product entries
+    written into one preallocated stack, a product with an unseen base-p code
+    kept at its first occurrence.  Refuses an order above the cap before it
+    starts, and a walk that passes the stated order or ends short of it."""
+    if order > SP_ENUM_CAP:
+        raise SymplecticError("a group of order %d exceeds the enumeration cap %d" % (order, SP_ENUM_CAP))
+    p, d = space.p, space.dim
+    gens = np.asarray(gens, dtype=np.int64) % p
+    check_form(space, gens)
+    mats = np.empty((order, d, d), dtype=np.int64)
+    mats[0] = np.eye(d, dtype=np.int64)
+    seen, lo, hi = set(_codes(space, mats[:1]).tolist()), 0, 1
+    step = max(1, ORDER_CHUNK_ENTRIES // gens.size)  # frontier elements per slice
+    while lo < hi:  # the frontier is mats[lo:hi]; the next level is written after it
+        end = hi
+        for start in range(lo, hi, step):
+            prods = (mats[start : min(start + step, hi), None] @ gens % p).reshape(-1, d, d)
+            # each unseen code once, at its first product (set.add returns None)
+            new = [i for i, c in enumerate(_codes(space, prods).tolist()) if c not in seen and not seen.add(c)]
+            if end + len(new) > order:
+                raise SymplecticError("the generators close to more than the stated order %d" % order)
+            mats[end : end + len(new)] = prods[new]
+            end += len(new)
+        lo, hi = hi, end
+    if hi < order:
+        raise SymplecticError("the generators close to %d elements, short of the stated order %d" % (hi, order))
+    del seen  # not held while orders runs
+    codes = _codes(space, mats)
+    at = np.argsort(codes)
+    grp = SpGroup(space, gens, mats, orders(space, mats), codes[at], at)
+    for arr in (grp.gens, grp.mats, grp.orders, grp.codes, grp.at):
+        arr.flags.writeable = False  # shared through sp_group's cache
+    return grp
 
 
 @lru_cache(maxsize=None)
 def sp_group(space: SympSpace) -> SpGroup:
-    """Sp(V)(F_p) as one read-only element array, by breadth-first closure from
-    generators (each frontier times every generator at once, a product with
-    an unseen base-p code kept at its first occurrence); refuses above the cap."""
+    """Sp(V)(F_p), the closure of sp_generators; refuses above the cap."""
     size = _sp_order(space.p, space.dim // 2)
     if size > SP_ENUM_CAP:
         raise SymplecticError("|Sp| = %d exceeds the enumeration cap %d" % (size, SP_ENUM_CAP))
-    gens = _generator_mats(space)
-    mats = frontier = np.eye(space.dim, dtype=np.int64)[None]
-    seen = set(_codes(space, mats).tolist())
-    while len(frontier):
-        prods = (frontier[:, None] @ gens % space.p).reshape((-1,) + gens.shape[1:])
-        # each unseen code once, at its first product (set.add returns None)
-        frontier = prods[[i for i, c in enumerate(_codes(space, prods).tolist()) if c not in seen and not seen.add(c)]]
-        mats = np.concatenate([mats, frontier])
-    assert len(mats) == size
-    codes = _codes(space, mats)
-    at = np.argsort(codes)
-    grp = SpGroup(space, mats, orders(space, mats), codes[at], at)
-    for arr in (grp.mats, grp.orders, grp.codes, grp.at):
-        arr.flags.writeable = False  # shared through the cache
-    return grp
+    return closure(space, sp_generators(space), size)
 
 
 def _sp_order(p: int, n: int) -> int:
     return p ** (n * n) * math.prod(p ** (2 * i) - 1 for i in range(1, n + 1))
 
 
-def sp_generators(space: SympSpace) -> list[SpElem]:
-    """Generators of Sp(V): in standard coordinates the Weyl rotation and the
-    lower unipotents n_bar(B) for elementary symmetric B, transported back."""
-    return [sp_elem(space, m) for m in _generator_mats(space)]
-
-
-def _generator_mats(space: SympSpace) -> np.ndarray:
-    """The matrices of sp_generators as one int64 stack mod p, checked to
-    preserve the form: sp_group's closure of them needs no check of its own."""
+def sp_generators(space: SympSpace) -> np.ndarray:
+    """Generators of Sp(V) as one int64 stack mod p, checked to preserve the
+    form: in standard coordinates the Weyl rotation, the lower unipotents
+    n_bar(B) for elementary symmetric B and one Levi element, transported
+    back."""
     p, n = space.p, space.dim // 2
     basis = hyperbolic_basis(space)
     to_std = modp.mat_inv(basis, p)
@@ -655,13 +676,12 @@ def classes(grp: SpGroup) -> np.ndarray:
     """The conjugacy class of each element of grp as one read-only int64
     label array: labels[i] is the least position in the class of element i.
 
-    Conjugation by each of sp_generators is one permutation of the
-    positions (one positions call); a class is an orbit of these
-    permutations, so the least label is propagated along them, both ways,
-    until no label changes.  A label is always a position in its element's
-    class, so labels[labels] is one too, and reading it shortens the walk."""
-    gens = _generator_mats(grp.space)
-    perms = [grp.positions(g @ grp.mats @ g_inv) for g, g_inv in zip(gens, inverses(grp.space, gens))]
+    Conjugation by each of grp.gens is one permutation of the positions
+    (one positions call); a class is an orbit of these permutations, so the
+    least label is propagated along them, both ways, until no label changes.
+    A label is always a position in its element's class, so labels[labels]
+    is one too, and reading it shortens the walk."""
+    perms = [grp.positions(g @ grp.mats @ g_inv) for g, g_inv in zip(grp.gens, inverses(grp.space, grp.gens))]
     perms += [np.argsort(perm) for perm in perms]  # conjugation by each inverse
     labels = np.arange(len(grp.mats))
     while True:

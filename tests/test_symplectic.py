@@ -133,7 +133,7 @@ def test_sp_elem_array_built_once_read_only():
     rng = np.random.default_rng(19)
     for space in (V3, sym.standard_polarized_space(5, 2)):
         p = space.p
-        els = sym.sp_elements(space) if space is V3 else [sym.sp_identity(space)] + list(sym.sp_generators(space))
+        els = sym.sp_elements(space) if space is V3 else [sym.sp_identity(space)] + [sym.sp_elem(space, m) for m in sym.sp_generators(space)]
         assert len(set(els)) == len(els)
         for g in els:
             arr = g.mat
@@ -345,7 +345,7 @@ def _closure_reference(space):
     generator, a product kept at its first occurrence."""
     ident = sym.sp_identity(space)
     seen, frontier, out = {ident}, [ident], [ident]
-    gens = sym.sp_generators(space)
+    gens = [sym.sp_elem(space, m) for m in sym.sp_generators(space)]
     while frontier:
         nxt = []
         for g in frontier:
@@ -400,6 +400,69 @@ def test_sp_group_builds_the_largest_group_under_the_cap():
         grp.positions(np.stack([grp.mats[7], np.ones((4, 4), dtype=np.int64)]))
     with pytest.raises(sym.SymplecticError, match="68880 exceeds the enumeration cap 51840"):
         sym.sp_group(sym.standard_polarized_space(41, 1))
+
+
+def _sl2_f9():
+    """SL_2(F_9) inside Sp_4(F_3): F_9^2 as F_3^4 with the Gram [[0, H], [-H, 0]],
+    H the trace Hankel of GF(9), generated by [[I, M_x], [0, I]] and
+    [[I, 0], [M_x, I]] for x in {1, t}, M_x the matrix of multiplication by x."""
+    k = ff.field(3, 2)
+    space = sym.split_space(3, sym.trace_hankel(k))
+    one, zero = np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
+    gens = []
+    for x in (k.one(), k.gen()):
+        m = sym.mult_matrix(x)
+        gens += [np.block([[one, m], [zero, one]]), np.block([[one, zero], [m, one]])]
+    return space, np.stack(gens)
+
+
+def test_subgroup_has_its_own_classes():
+    # SL_2(F_q) has q + 4 classes for odd q: +-I, four unipotent classes of
+    # (q^2 - 1)/2, (q - 1)/2 elliptic classes of q(q - 1) and (q - 3)/2 split
+    # classes of q(q + 1)
+    space, gens = _sl2_f9()
+    sub = sym.closure(space, gens, 720)
+    assert sub.gens.tolist() == gens.tolist() and not sub.gens.flags.writeable
+    assert len(sub.mats) == len(set(sub.codes.tolist())) == 720
+    labels = sym.classes(sub)
+    assert (labels[labels] == labels).all() and (labels <= np.arange(720)).all()
+    assert sorted(np.unique(labels, return_counts=True)[1].tolist()) == [1, 1] + [40] * 4 + [72] * 4 + [90] * 3
+    # two generators of Sp_4(F_3) conjugate the subgroup out of itself, so
+    # classes by them would not be the subgroup's
+    big = sym.sp_generators(space)
+    with pytest.raises(sym.SymplecticError, match="not an element of the group"):
+        sub.positions(big[1] @ sub.mats @ sym.inverses(space, big[1]))
+    with pytest.raises(sym.SymplecticError, match="not an element of the group"):
+        sub.positions(big[0])  # an element of Sp_4(F_3) outside the subgroup
+
+
+def test_closure_refuses_a_wrong_stated_order():
+    space, gens = _sl2_f9()
+    with pytest.raises(sym.SymplecticError, match="more than the stated order 719"):
+        sym.closure(space, gens, 719)
+    with pytest.raises(sym.SymplecticError, match="close to 720 elements, short of the stated order 721"):
+        sym.closure(space, gens, 721)
+    with pytest.raises(sym.SymplecticError, match="order 51841 exceeds the enumeration cap 51840"):
+        sym.closure(space, gens, 51841)
+    with pytest.raises(sym.SymplecticError, match="does not preserve the form"):
+        sym.closure(space, np.diag([2, 1, 1, 1])[None], 2)  # determinant 2
+
+
+@pytest.mark.parametrize("group", ["Sp_2(F_13)", "SL_2(F_9)"])
+def test_closure_does_not_depend_on_the_slices(monkeypatch, group):
+    # closure multiplies each frontier a slice at a time: slices of one
+    # element, of seven and one slice for the frontier give the same group
+    if group == "SL_2(F_9)":
+        (space, gens), order = _sl2_f9(), 720
+    else:
+        space = sym.standard_polarized_space(13, 1)
+        gens, order = sym.sp_generators(space), 2184
+    want = sym.closure(space, gens, order)
+    for elements in (1, 7):
+        monkeypatch.setattr(sym, "ORDER_CHUNK_ENTRIES", elements * gens.size)
+        got = sym.closure(space, gens, order)
+        for name in ("mats", "orders", "codes", "at"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_split_class_fault_turns_eigen_conjugacy_red():

@@ -207,7 +207,7 @@ def _rotated_model(space):
     g = sym.sp_generators(space)[0]
     n = space.dim // 2
     unit = np.eye(2 * n, dtype=np.int64)
-    return weil.WeilModel(space, ([g.mat @ v % space.p for v in unit[:n]], [g.mat @ v % space.p for v in unit[n:]]))
+    return weil.WeilModel(space, ([g @ v % space.p for v in unit[:n]], [g @ v % space.p for v in unit[n:]]))
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -278,7 +278,7 @@ def test_twisted_trace_examples():
 def test_block_twist_inverts_each_loop_once(monkeypatch):
     checks._clear_caches()  # a warm block memo would reduce nothing below
     v2 = sym.standard_polarized_space(5, 1)
-    loop = sym.sp_generators(v2)[0]
+    loop = sym.sp_elem(v2, sym.sp_generators(v2)[0])
     twist = weil.block_twist([(loop, 2), (sym.sp_identity(v2), 1)])
     callers = {"mat_inv": [], "reduce_rows": []}
 
@@ -491,7 +491,7 @@ def test_word_model_beyond_group_cap():
     m = weil.WeilModel(v2)
     with pytest.raises(sym.SymplecticError, match="enumeration cap"):
         sym.sp_group(v2)
-    gens = sym.sp_generators(v2)
+    gens = [sym.sp_elem(v2, m) for m in sym.sp_generators(v2)]
     g = gens[0] * gens[1] * gens[2]
     h = gens[2] * gens[1] * gens[0]
     err = np.abs(m.omega_word(g) @ m.omega_word(h) - m.omega_word(g * h)).max()
