@@ -540,7 +540,8 @@ def norm_one_group(big: FieldDesc, sub: FieldDesc) -> list[FieldElem]:
     if big.degree != 2 * sub.degree or big.p != sub.p:
         raise WrongIndex("[%r : %r] != 2" % (big, sub))
     out = units_of_norm(big, sub, big.one())
-    assert len(out) == sub.order + 1
+    if len(out) != sub.order + 1:
+        raise FieldError("%d units of norm one in %r over %r, expected %d" % (len(out), big, sub, sub.order + 1))
     return out
 
 

@@ -281,7 +281,8 @@ def char_polarized(g: SpElem, polarization) -> complex:
     except GerardinError as exc:
         raise NotInvariantPolarization(str(exc)) from exc
     fixed = g.fixed_space_dim()
-    assert fixed % 2 == 0
+    if fixed % 2:
+        raise GerardinError("the fixed space of a symplectic element has odd dimension %d" % fixed)
     return modp.legendre(modp.det(gp, p), p) * float(p) ** (fixed // 2)
 
 

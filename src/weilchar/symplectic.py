@@ -653,11 +653,12 @@ def sp_generators(space: SympSpace) -> np.ndarray:
     """Generators of Sp(V) as one int64 stack mod p, checked to preserve the
     form: in standard coordinates the Weyl rotation, the lower unipotents
     n_bar(B) for elementary symmetric B and one Levi element, transported
-    back."""
+    back; B = hyperbolic_basis(space) has B^T G B = J, so B^-1 = J^T B^T G."""
     p, n = space.p, space.dim // 2
     basis = hyperbolic_basis(space)
-    to_std = modp.mat_inv(basis, p)
-    gens_std = [standard_polarized_space(p, n).gram]  # the Weyl rotation
+    weyl = standard_polarized_space(p, n).gram  # J, the Weyl rotation
+    to_std = weyl.T @ basis.T @ space.gram % p
+    gens_std = [weyl]
     for i, j in itertools.combinations_with_replacement(range(n), 2):
         nbar = np.eye(2 * n, dtype=np.int64)
         nbar[n + i, j] = nbar[n + j, i] = 1  # [[I, 0], [B, I]]

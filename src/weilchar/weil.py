@@ -111,12 +111,14 @@ def _fourier_scalar(p: int, r: int) -> complex:
 def _std_frame(space: SympSpace) -> tuple[np.ndarray, np.ndarray]:
     """(B, B^-1) for B = hyperbolic_basis(space), read-only and shared by
     every default-polarized model of an equal space; B is checked once to
-    carry the form of space to that of standard_polarized_space."""
+    carry the form G of space to the form J of standard_polarized_space,
+    and B^T G B = J gives B^-1 = J^T B^T G."""
     p, n = space.p, space.dim // 2
     basis = sym.hyperbolic_basis(space)
-    if ((basis.T @ space.gram @ basis - sym.standard_polarized_space(p, n).gram) % p).any():
+    std = sym.standard_polarized_space(p, n).gram
+    if ((basis.T @ space.gram @ basis - std) % p).any():
         raise WeilError("the hyperbolic basis does not carry the form to the standard one")
-    inv = modp.mat_inv(basis, p)
+    inv = std.T @ basis.T @ space.gram % p
     basis.flags.writeable = inv.flags.writeable = False
     return basis, inv
 
@@ -142,15 +144,27 @@ BLOCK_MEMO_SIZE = 1024  # distinct n x n blocks _reduce_block keeps (one registr
 
 
 @lru_cache(maxsize=BLOCK_MEMO_SIZE)
-def _reduce_block(block: tuple[tuple[int, ...], ...], p: int) -> tuple[tuple, tuple[int, ...], int]:
-    """[m | I] reduced once per distinct n x n block m (its rows as tuples of
-    ints in [0, p)): the right half E of the reduced rows (E = m^-1 when m
-    is invertible), the pivot columns within m and the determinant of the
-    row operations, det E, as modp.reduce_rows returns it."""
-    n = len(block)
-    rows = modp.with_identity([list(row) for row in block])
+def _reduce_block(key: bytes, n: int, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """[m | I] reduced once per distinct n x n block m, keyed by m's int64
+    bytes (row-major, entries in [0, p)), n and p: the right half E of the
+    reduced rows as a read-only int64 array (E = m^-1 when m is invertible),
+    the pivot columns within m and the determinant of the row operations,
+    det E, as modp.reduce_rows returns it."""
+    rows = modp.with_identity(np.frombuffer(key, dtype=np.int64).reshape(n, n).tolist())
     pivots, det_e = modp.reduce_rows(rows, p)
-    return tuple(tuple(row[n:]) for row in rows), tuple(j for j in pivots if j < n), det_e
+    e = np.array([row[n:] for row in rows], dtype=np.int64)
+    e.flags.writeable = False
+    return e, tuple(j for j in pivots if j < n), det_e
+
+
+def _reduce_blocks(blocks: np.ndarray, p: int) -> tuple[np.ndarray, tuple, tuple]:
+    """_reduce_block of each block of a (k, n, n) int64 stack, keyed by
+    slices of the stack's bytes: the E's stacked, and the pivot columns and
+    det E of each block."""
+    k, n = blocks.shape[:2]
+    buf, size = blocks.tobytes(), 8 * n * n
+    es, pivots, dets = zip(*(_reduce_block(buf[lo : lo + size], n, p) for lo in range(0, k * size, size)))
+    return np.array(es), pivots, dets
 
 
 def _half_pairing(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
@@ -346,9 +360,7 @@ class WeilModel:
             return []
         p, n = self.p, self.n
         gstd = self.to_std @ mats @ self.from_std % p
-        blocks = (tuple(map(tuple, neg_c)) for neg_c in (-gstd[:, n:, :n] % p).tolist())
-        ts, pivots, dets = zip(*(_reduce_block(block, p) for block in blocks))
-        t = np.array(ts, dtype=np.int64)
+        t, pivots, dets = _reduce_blocks(-gstd[:, n:, :n] % p, p)
         ranks = [len(piv) for piv in pivots]
         if ranks.count(ranks[0]) == len(ranks):
             return [(np.arange(len(gs)), self._cell_forms(gstd, t, pivots, dets))]
@@ -359,9 +371,11 @@ class WeilModel:
     def _cell_forms(self, gstd: np.ndarray, t: np.ndarray, pivots: list, dets: list) -> WordFactors:
         """The stacked normal form of elements of one cell rank r, from their
         standard matrices, T, pivot columns and det T.  On the big cell
-        (r = n) a2 = I, so b2 = T D and b1 = A T; on the others one reduction
-        of [a2 | I] per distinct a2 (_reduce_block) gives a2^-1 and det a2.
-        sgn = (det T det a2 / p)."""
+        (r = n) a2 = I, so b2 = T D and b1 = A T; on the Siegel parabolic
+        (r = 0, C = 0) a2 = T D and b2 = 0, so b1 = -B a2^-1 T; on the others
+        b2 = a2^T beta a2 from the symmetric beta.  Off the big cell one
+        reduction of [a2 | I] per distinct a2 (_reduce_block) gives a2^-1 and
+        det a2.  sgn = (det T det a2 / p)."""
         p, n, r = self.p, self.n, len(pivots[0])
         a, b, d = gstd[:, :n, :n], gstd[:, :n, n:], gstd[:, n:, n:]
         # top row of h: T D = E' a2 + E a2^-T b2 and T (-C) = E a2^-T, E the
@@ -371,11 +385,17 @@ class WeilModel:
             a2 = _identity(n)[None].repeat(len(t), axis=0)
             sgn = np.array([modp.legendre(det_t, p) for det_t in dets])
             return WordFactors(rank=r, sgn=sgn, t=t, a2=a2, b1=a @ t % p, b2=x)
-        a2_rows = [[[int(j == c) for j in range(n)] for c in piv] + x_rest for piv, x_rest in zip(pivots, x[:, r:].tolist())]
-        a2 = np.array(a2_rows, dtype=np.int64)
+        if r == 0:
+            a2 = x
+        else:
+            a2 = x.copy()
+            a2[:, :r] = _identity(n)[np.array(pivots)]
         # det a2^-1 = 1 / det a2, of the same quadratic character
-        inv_rows, _, det_invs = zip(*(_reduce_block(tuple(map(tuple, rows)), p) for rows in a2_rows))
-        a2inv, a2t = np.array(inv_rows, dtype=np.int64), a2.transpose(0, 2, 1)
+        a2inv, _, det_invs = _reduce_blocks(a2, p)
+        sgn = np.array([modp.legendre(det_t * det_inv, p) for det_t, det_inv in zip(dets, det_invs)])
+        if r == 0:  # h = nbar(b1) m(a1) m(a2): beta = 0
+            return WordFactors(rank=r, sgn=sgn, t=t, a2=a2, b1=(-b @ a2inv % p) @ t % p, b2=np.zeros_like(x))
+        a2t = a2.transpose(0, 2, 1)
         # b2 = a2^T beta a2 with beta symmetric, its first r rows X_S a2^-1
         beta = np.zeros(t.shape, dtype=np.int64)
         beta[:, :r] = x[:, :r] @ a2inv
@@ -386,7 +406,6 @@ class WeilModel:
         q = (-b - a @ b2) @ a2inv
         q[:, :, :r] = (a @ a2t)[:, :, :r]
         b1 = (q % p) @ t % p
-        sgn = np.array([modp.legendre(det_t * det_inv, p) for det_t, det_inv in zip(dets, det_invs)])
         return WordFactors(rank=r, sgn=sgn, t=t, a2=a2, b1=b1, b2=b2)
 
     def word_factors(self, g: SpElem) -> WordFactors:

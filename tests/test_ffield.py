@@ -66,6 +66,15 @@ def test_norm_fibres_partition_the_units(p, d):
     assert ff.units_of_norm(big, sub, big.gen()) == ff.units_of_norm(big, sub, big.zero()) == []
 
 
+def test_norm_one_group_refuses_a_short_kernel(monkeypatch):
+    # a kernel one element short is an error, not a smaller group, also
+    # under python -O
+    orig = ff.units_of_norm
+    monkeypatch.setattr(ff, "units_of_norm", lambda big, sub, target: orig(big, sub, target)[:-1])
+    with pytest.raises(ff.FieldError, match="3 units of norm one .* expected 4"):
+        ff.norm_one_group(F9, F3)
+
+
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 4), (5, 2), (7, 2)])
 def test_norm_surjective_onto_subfield(p, k):
     big = ff.field(p, k)

@@ -265,3 +265,10 @@ def test_character_formulas_call_no_oracle(samples, no_oracle):
         lines += g.fixed_space_dim() > 0
     assert 0 < lines < len(semisimple)  # both the fixed-line and the fixed-point-free path
     assert no_oracle == []
+
+
+def test_package_holds_no_assert():
+    # python -O strips asserts, so a check that guards a result must raise
+    found = ["%s:%d" % (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -116,6 +116,14 @@ def test_polarized_examples(oracle5):
         ger.char_polarized(sym.sp_elem(space, [[0, 1], [4, 0]]), ([(1, 0)], [(0, 1)]))
 
 
+def test_polarized_refuses_an_odd_fixed_space(oracle5, monkeypatch):
+    # a symplectic fixed space has even dimension; an odd one is an error,
+    # not a value with half a power of p, also under python -O
+    monkeypatch.setattr(sym.SpElem, "fixed_space_dim", lambda self: 1)
+    with pytest.raises(ger.GerardinError, match="odd dimension 1"):
+        ger.char_polarized(sym.sp_identity(oracle5.space), ([(1, 0)], [(0, 1)]))
+
+
 def test_polarized_agrees_with_semisimple():
     # wherever both formulas apply they agree
     for p in (3, 5):

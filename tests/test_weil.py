@@ -1004,3 +1004,73 @@ def test_swapped_hyperbolic_basis_is_refused():
     with checks.FAULTS["hyperbolic-e-f"]():
         with pytest.raises(weil.WeilError, match="does not carry the form"):
             weil.WeilModel(sym.standard_polarized_space(3, 1))
+
+
+# -- word model on the Siegel parabolic (rank 0, C = 0) ----------------------
+
+
+def _check_siegel_forms(m, els):
+    """Each element of els has C = 0: rank 0, b2 = 0 and a2 = T D mod p."""
+    p, n = m.p, m.n
+    for g in els:
+        gstd = m.to_std @ g.mat @ m.from_std % p
+        assert not gstd[n:, :n].any()
+        f = m.word_factors(g)
+        assert f.rank == 0 and not f.b2.any()
+        assert f.a2.tolist() == (f.t @ gstd[n:, n:] % p).tolist()
+
+
+def _check_traces_of_operators(m, els):
+    ops = m.omega_stack(els)
+    assert np.abs(m.trace_stack(els) - np.trace(ops, axis1=1, axis2=2)).max() < 1e-10
+    return ops
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_siegel_cell_on_all_of_sp2(p):
+    m = weil.WeilModel(sym.standard_polarized_space(p, 1))
+    grp = sym.sp_group(m.space)
+    std = m.to_std @ grp.mats @ m.from_std % p
+    siegel = np.flatnonzero(std[:, 1, 0] == 0)
+    assert len(siegel) == p * (p - 1)
+    els = [grp.elem(i) for i in siegel]
+    _check_siegel_forms(m, els)
+    ops = _check_traces_of_operators(m, els)
+    assert np.abs(ops - m.omega_group(grp.mats[siegel])).max() < 1e-9
+    # products with the big cell and within the parabolic
+    rng = np.random.default_rng(p)
+    big = np.setdiff1d(np.arange(len(grp.mats)), siegel)
+    others = [grp.elem(i) for i in np.concatenate([rng.choice(siegel, 3), rng.choice(big, 5)])]
+    assert [m.word_factors(h).rank for h in others] == [0] * 3 + [1] * 5
+    for g, op in zip(els, ops):
+        for h in others:
+            assert np.abs(op @ m.omega(h) - m.omega(g * h)).max() < 1e-9
+            assert np.abs(m.omega(h) @ op - m.omega(h * g)).max() < 1e-9
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
+def test_siegel_cell_on_seeded_draws(p, n):
+    m = weil.WeilModel(sym.standard_polarized_space(p, n))
+    rng = np.random.default_rng(10 * p + n)
+    els = [checks.cell_element(m, 0, rng) for _ in range(4)]
+    _check_siegel_forms(m, els)
+    ops = _check_traces_of_operators(m, els)
+    # pairs that mix rank 0 with every rank, in both orders
+    others = [checks.cell_element(m, r, rng) for r in range(n + 1)]
+    assert [m.word_factors(h).rank for h in others] == list(range(n + 1))
+    other_ops = m.omega_stack(others)
+    for g, op in zip(els, ops):
+        for h, h_op in zip(others, other_ops):
+            assert np.abs(op @ h_op - m.omega(g * h)).max() < 1e-9
+            assert np.abs(h_op @ op - m.omega(h * g)).max() < 1e-9
+    _check_traces_of_operators(m, [g * h for g in els for h in others])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_block_frames_invert_their_basis(p):
+    # B^-1 = J^T B^T G, read off the form, on every field-block space
+    spaces = {signcalc.build_block(sc).space for _, sc in checks.sign_branch_scenarios(p, 4, 12, 2)}
+    for space in spaces:
+        basis, inv = weil._std_frame(space)
+        assert (basis @ inv % p == np.eye(space.dim, dtype=np.int64)).all()
+        assert (inv @ basis % p == np.eye(space.dim, dtype=np.int64)).all()
