@@ -298,7 +298,7 @@ def check_descended_roots() -> list[Row]:
 def check_heis_associativity() -> list[Row]:
     rows = []
     # n = 1: (ab)c = a(bc) on every triple, as two gathers of the product table
-    mul = sym.heis_group(sym.standard_space(3, 1)).mul
+    mul = sym.heis_group(sym.standard_polarized_space(3, 1)).mul
     bad = int((mul[mul] != mul[:, mul]).sum())
     rows.append(Row.compare("symplectic", "heis associativity p=3 n=1 (exhaustive)", bad, 0, 0))
     center = np.flatnonzero((mul == mul.T).all(axis=1))
@@ -308,7 +308,7 @@ def check_heis_associativity() -> list[Row]:
     # hold every product the triples reach: right[x, c] = x (c, 0) and
     # left[a, y] = (a, 0) y, x and y over all 243 elements.  Position (v, 0)
     # is 3 times v's; a is taken 9 at a time, so no 81^3 array is built.
-    v2, weights = sym.standard_space(3, 2), 3 ** np.arange(4, 0, -1)  # of v's digits; z is the last
+    v2, weights = sym.standard_polarized_space(3, 2), 3 ** np.arange(4, 0, -1)  # of v's digits; z is the last
     vs, zs = sym.heis_decode(v2, np.arange(3**5))
     v, z = sym.heis_law(v2, vs[:, None], zs[:, None], vs[None, ::3], 0)
     right = v @ weights + z

@@ -330,17 +330,6 @@ def restrict_roots(d: RootDatum) -> Restriction:
     return Restriction(proj_rows, tuple(restricted), by_root)
 
 
-def norm_sum(alpha, d: RootDatum) -> tuple[tuple[int, ...], int, int, int]:
-    """N(alpha) = sum of the Theta-orbit, plus (l_alpha, rho_alpha, sigma_sign)."""
-    orb = d.theta_orbit(alpha)
-    n_alpha = tuple(sum(a[j] for a in orb) for j in range(d.rank))
-    res = restrict_roots(d)
-    tag = next(r.type_tag for r in res.restricted if tuple(alpha) in r.orbit)
-    rho = 2 if tag == 2 else 1
-    sigma = -1 if tag == 3 else 1
-    return n_alpha, len(orb), rho, sigma
-
-
 def descended_roots(d: RootDatum, nu_eval) -> set[tuple[int, ...]]:
     """{p*(alpha) : N(alpha)(nu) = sigma_alpha}, the roots of the descended
     group; nu_eval maps each root to the value N(alpha)(nu) (constant on

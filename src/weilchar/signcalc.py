@@ -411,15 +411,10 @@ class TorusPieces:
     trace: tuple[str, ...]  # case tags along the recursion
 
 
-def _roots_of_xf_minus(b: FieldElem, f: int, ambient: FieldDesc) -> list[FieldElem]:
-    bb = ffield.embed(b, ambient)
-    return ffield.nth_roots(bb, f)
-
-
 def _galois_pieces(b: FieldElem, f: int, k_res: FieldDesc, ambient: FieldDesc, symmetric: bool) -> list[sym.TorusPiece]:
     """Factor X^f - b over k_res inside the ambient field: one piece per
     Galois orbit of roots, tagged symmetric or asymmetric."""
-    roots = _roots_of_xf_minus(b, f, ambient)
+    roots = ffield.nth_roots(ffield.embed(b, ambient), f)
     if len(roots) != f:
         raise NormConditionViolated(
             "X^%d - %r has %d roots in %r; the root lemma is violated" % (f, b, len(roots), ambient)
@@ -504,7 +499,6 @@ class BlockValue:
     sign: int
     fixed_factor: float
     n_alpha: int
-    branch: str
     pieces: TorusPieces | None
 
 
@@ -544,13 +538,13 @@ def block_sign_formula(sc: OrbitScenario) -> BlockValue:
 
     if branch == "asym/asym":
         sign = _asym_asym_sign(sc)
-        return BlockValue(sign * fixed_factor, sign, fixed_factor, n_alpha, branch, None)
+        return BlockValue(sign * fixed_factor, sign, fixed_factor, n_alpha, None)
 
     if branch.endswith("sym-ram"):
         if fixed_dim:
             raise SignCalcError("ramified branch must have a trivial fixed space")
         sign = _ramified_sign(sc)
-        return BlockValue(float(sign), sign, 1.0, 0, branch, None)
+        return BlockValue(float(sign), sign, 1.0, 0, None)
 
     # unramified restricted branches: torus algorithm + Gerardin bookkeeping
     if branch == "asym/sym-ur":
@@ -565,7 +559,7 @@ def block_sign_formula(sc: OrbitScenario) -> BlockValue:
         pieces = torus_algorithm(beta, sc.f, "sym", ambient=sc.k_alpha)
 
     sign = gerardin.orbit_sign(pieces.pieces, fixed_dim)
-    return BlockValue(sign * fixed_factor, sign, fixed_factor, n_alpha, branch, pieces)
+    return BlockValue(sign * fixed_factor, sign, fixed_factor, n_alpha, pieces)
 
 
 def ramified_cache_snapshot() -> dict[tuple, int]:

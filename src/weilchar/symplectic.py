@@ -93,11 +93,6 @@ def split_space(p: int, x) -> SympSpace:
     return symp_space(p, gram)
 
 
-def standard_space(p: int, n: int) -> SympSpace:
-    """Standard form: block anti-diagonal with J_n = antidiag(1,..,1)."""
-    return split_space(p, np.fliplr(np.eye(n, dtype=np.int64)))
-
-
 def direct_sum(spaces: list[SympSpace]) -> SympSpace:
     if not spaces:
         raise SymplecticError("a direct sum needs at least one space")
@@ -196,7 +191,7 @@ class SpElem:
         return sp_elem(self.space, self.mat @ other.mat)
 
     def inverse(self) -> "SpElem":
-        return sp_elem(self.space, modp.mat_inv(self.mat, self.space.p))
+        return sp_elem(self.space, inverses(self.space, self.mat))
 
     def order(self) -> int:
         return self._order
@@ -273,6 +268,16 @@ def hyperbolic_basis(space: SympSpace) -> np.ndarray:
 def standard_polarized_space(p: int, n: int) -> SympSpace:
     """The (e, f)-coordinate space with gram [[0, I],[-I, 0]]."""
     return split_space(p, np.eye(n, dtype=np.int64))
+
+
+def frame_inverse(space: SympSpace, basis: np.ndarray) -> np.ndarray:
+    """B^-1 = J^T B^T G mod p for a basis matrix B with B^T G B = J, the
+    Gram matrix [[0, I], [-I, 0]] of standard_polarized_space: the inverse
+    read off the form, as inverses reads an element's.  J^T M is M with its
+    row halves swapped and the upper one negated."""
+    n = space.dim // 2
+    rows = basis.T @ space.gram
+    return np.vstack([-rows[n:], rows[:n]]) % space.p
 
 
 # ---------------------------------------------------------------------------
@@ -653,11 +658,11 @@ def sp_generators(space: SympSpace) -> np.ndarray:
     """Generators of Sp(V) as one int64 stack mod p, checked to preserve the
     form: in standard coordinates the Weyl rotation, the lower unipotents
     n_bar(B) for elementary symmetric B and one Levi element, transported
-    back; B = hyperbolic_basis(space) has B^T G B = J, so B^-1 = J^T B^T G."""
+    back by hyperbolic_basis(space) and its frame_inverse."""
     p, n = space.p, space.dim // 2
     basis = hyperbolic_basis(space)
     weyl = standard_polarized_space(p, n).gram  # J, the Weyl rotation
-    to_std = weyl.T @ basis.T @ space.gram % p
+    to_std = frame_inverse(space, basis)
     gens_std = [weyl]
     for i, j in itertools.combinations_with_replacement(range(n), 2):
         nbar = np.eye(2 * n, dtype=np.int64)

@@ -112,13 +112,12 @@ def _std_frame(space: SympSpace) -> tuple[np.ndarray, np.ndarray]:
     """(B, B^-1) for B = hyperbolic_basis(space), read-only and shared by
     every default-polarized model of an equal space; B is checked once to
     carry the form G of space to the form J of standard_polarized_space,
-    and B^T G B = J gives B^-1 = J^T B^T G."""
+    so that B^-1 is sym.frame_inverse."""
     p, n = space.p, space.dim // 2
     basis = sym.hyperbolic_basis(space)
-    std = sym.standard_polarized_space(p, n).gram
-    if ((basis.T @ space.gram @ basis - std) % p).any():
+    if ((basis.T @ space.gram @ basis - sym.standard_polarized_space(p, n).gram) % p).any():
         raise WeilError("the hyperbolic basis does not carry the form to the standard one")
-    inv = std.T @ basis.T @ space.gram % p
+    inv = sym.frame_inverse(space, basis)
     basis.flags.writeable = inv.flags.writeable = False
     return basis, inv
 
@@ -259,9 +258,9 @@ class WeilModel:
         if polarization is not None:
             xs, ys = (modp.as_mat(side, self.p) for side in polarization)
             gramxy = self._check_polarization(xs, ys)
-            # rescale the Y-vectors so <x_i, y_j> = delta_ij
+            # rescale the Y-vectors so <x_i, y_j> = delta_ij: then B^T G B = J
             basis = np.hstack([xs.T, ys.T @ modp.mat_inv(gramxy, self.p)]) % self.p
-            self.from_std, self.to_std = basis, modp.mat_inv(basis, self.p)
+            self.from_std, self.to_std = basis, sym.frame_inverse(space, basis)
             basis.flags.writeable = self.to_std.flags.writeable = False
         else:
             self.from_std, self.to_std = _std_frame(space)
@@ -272,7 +271,8 @@ class WeilModel:
 
     def _check_polarization(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Validate the rows of xs and ys as complementary Lagrangians; returns
-        the Gram matrix X G Y^T of their pairings."""
+        the Gram matrix X G Y^T of their pairings, invertible since two
+        Lagrangians that span V pair perfectly."""
         p, n, gram = self.p, self.n, self.space.gram
         if xs.shape != (n, 2 * n) or ys.shape != (n, 2 * n):
             raise NotAPolarization("need n vectors on each side")
@@ -282,10 +282,7 @@ class WeilModel:
             raise NotAPolarization("X side not isotropic")
         if (ys @ gram @ ys.T % p).any():
             raise NotAPolarization("Y side not isotropic")
-        gramxy = xs @ gram @ ys.T % p
-        if modp.det(gramxy, p) == 0:
-            raise NotAPolarization("X and Y are not complementary Lagrangians")
-        return gramxy
+        return xs @ gram @ ys.T % p
 
     # -- Heisenberg action --------------------------------------------------
 

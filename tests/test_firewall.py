@@ -8,13 +8,15 @@ the oracle's constructors replaced by raising stubs."""
 
 import ast
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from weilchar import checks, gerardin, modp, signcalc as sc, symplectic as sym, weil
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "weilchar"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "weilchar"
 BRANCHES = {"asym/asym", "asym/sym-ur", "asym/sym-ram", "sym-ur/sym-ur", "sym-ur/sym-ram"}
 
 
@@ -272,3 +274,81 @@ def test_package_holds_no_assert():
     found = ["%s:%d" % (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# no API that nothing calls: every definition of the package has a reader in
+# the package, the scripts or the benchmark, tests apart
+
+# dataclass fields that only tests read: a Restriction's projection rows and
+# root map, pinned by the lattice digests, and the factored formula's parts
+TEST_ONLY_FIELDS = {"lattice.Restriction.proj_rows", "lattice.Restriction.by_root", "signcalc.Assembled.c_eta",
+                    "signcalc.Assembled.ur_count", "signcalc.Assembled.v_factor"}
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
+
+
+def _reads(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(names, attributes) a module reads: the bare names it loads or
+    imports, and the attributes it loads together with each part of a
+    dotted-name string (the tracer's TARGETS, the FAULTS paths, getattr's
+    names).  A store or a keyword argument is no read."""
+    names, attrs = set(), set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            attrs.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and DOTTED.match(sub.value):
+            attrs.update(sub.value.split("."))
+    return names, attrs
+
+
+def _definitions(tree: ast.Module, module: str):
+    """(qualified name, name, is_field) of each top-level function, each
+    method but a dunder, and each field of a dataclass of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield "%s.%s" % (module, node.name), node.name, False
+        elif isinstance(node, ast.ClassDef):
+            is_dataclass = any("dataclass" in _names(dec) for dec in node.decorator_list)
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not (sub.name.startswith("__") and sub.name.endswith("__")):
+                    yield "%s.%s.%s" % (module, node.name, sub.name), sub.name, False
+                elif is_dataclass and isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    yield "%s.%s.%s" % (module, node.name, sub.target.id), sub.target.id, True
+
+
+def _unread(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """The definitions of modules that no reader reads: a function or method
+    by name or attribute, a field by attribute only (a local variable of a
+    field's name reads nothing)."""
+    names, attrs = set(), set()
+    for tree in readers:
+        n, a = _reads(tree)
+        names |= n
+        attrs |= a
+    return [qual for module, tree in modules.items() for qual, name, is_field in _definitions(tree, module)
+            if name not in (attrs if is_field else names | attrs)]
+
+
+def test_every_definition_has_a_reader():
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    readers = list(modules.values()) + [ast.parse(path.read_text()) for folder in ("scripts", "perfbench")
+                                        for path in sorted((ROOT / folder).glob("*.py"))]
+    assert set(_unread(modules, readers)) == TEST_ONLY_FIELDS
+
+
+@pytest.mark.parametrize("source,unread", [
+    ("def f():\n    pass", ["m.f"]),
+    ("def f():\n    pass\n\nRUN = {'f': f}", []),
+    ("def f():\n    pass\n\nTARGETS = (('m', 'f', 'm.f'),)", []),
+    ("class C:\n    def g(self):\n        pass\n\n    def __eq__(self, other):\n        return self.h()", ["m.C.g"]),
+    ("@dataclass(frozen=True)\nclass C:\n    x: int\n\nx = 1\nRUN = x", ["m.C.x"]),
+    ("@dataclass\nclass C:\n    x: int\n\nRUN = C(1).x", []),
+    ("class C:\n    x: int", []),
+], ids=["unread", "named", "target-string", "method", "field-name", "field-attribute", "plain-class"])
+def test_reader_rule_sees_every_spelling(source, unread):
+    tree = ast.parse(source)
+    assert _unread({"m": tree}, [tree]) == unread

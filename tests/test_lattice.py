@@ -247,20 +247,10 @@ def test_restrict_examples():
     by_tag = {r.vector: r.type_tag for r in res2.restricted}
     assert by_tag[res2.by_root[(1, 0)]] == 2
     assert by_tag[res2.by_root[(1, 1)]] == 3
-
-
-def test_norm_sum_examples():
-    cat = lat.catalogue()
-    ident = cat["A2"]
-    n, l, rho, sig = lat.norm_sum((1, 0), ident)
-    assert (n, l, rho, sig) == ((1, 0), 1, 1, 1)
     flip = cat["A2.flip"]
-    n, l, rho, sig = lat.norm_sum((1, 0), flip)
-    assert n == (1, 1) and l == 2 and rho == 2 and sig == 1
-    n, l, rho, sig = lat.norm_sum((1, 1), flip)
-    assert n == (1, 1) and l == 1 and rho == 1 and sig == -1
+    assert flip.theta_orbit((1, 0)) == [(1, 0), (0, 1)] and flip.theta_orbit((1, 1)) == [(1, 1)]
     with pytest.raises(lat.RootNotInDatum):
-        lat.norm_sum((5, 5), flip)
+        flip.theta_orbit((5, 5))
 
 
 def test_descended_examples():

@@ -62,6 +62,16 @@ def test_ci_workflow_parses():
     # two selfcheck processes must write the same report bytes
     [self_step] = [s for s in steps if "python -m weilchar.cli selfcheck --report" in s]
     assert self_step.count("python -m weilchar.cli selfcheck --report") == 2 and "cmp " in self_step
+    # and with asserts stripped (-O), the same selfcheck report and the same
+    # report of every bundled scenario file as at hash seed 0
+    assert 'PYTHONHASHSEED=0 python -O -m weilchar.cli selfcheck --report "$RUNNER_TEMP/selfcheck-o.json"' in self_step
+    assert 'cmp "$RUNNER_TEMP/selfcheck-a.json" "$RUNNER_TEMP/selfcheck-o.json"' in self_step
+    assert ('PYTHONHASHSEED=0 python -m weilchar.cli run "scenarios/$scn" --seed 7 '
+            '--report "$RUNNER_TEMP/$scn-seed0.json"') in self_step
+    assert ('PYTHONHASHSEED=0 python -O -m weilchar.cli run "scenarios/$scn" --seed 7 '
+            '--report "$RUNNER_TEMP/$scn-o.json"') in self_step
+    assert 'cmp "$RUNNER_TEMP/$scn-seed0.json" "$RUNNER_TEMP/$scn-o.json"' in self_step
+    assert all(f.name in self_step for f in (ROOT / "scenarios").glob("*.scn"))
     # and two runs with each of the sgn fault and the faults on the word
     # model's two stack seams, each exiting 1, the same report bytes
     assert "for fault in sgn levi-sign off-sample-trace; do" in self_step
@@ -78,7 +88,7 @@ def test_ci_workflow_parses():
     assert "from test_faults import DETECTION" in faults_step and "for name, want in DETECTION.items():" in faults_step
     assert 'red-%s.json" % (sys.argv[1], name)' in faults_step and "red != want" in faults_step
     # and so must two runs of every bundled scenario file at a fixed seed
-    [scn_step] = [s for s in steps if 'python -m weilchar.cli run "scenarios/$scn" --seed 7 --report' in s]
+    [scn_step] = [s for s in steps if 'python -m weilchar.cli run "scenarios/$scn" --seed 7 --report' in s and s != self_step]
     assert scn_step.count("python -m weilchar.cli run") == 2 and "cmp " in scn_step
     assert all(f.name in scn_step for f in (ROOT / "scenarios").glob("*.scn"))
     # and a run of every bundled scenario file with one thread the same bytes

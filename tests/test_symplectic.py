@@ -15,7 +15,7 @@ from weilchar import checks, ffield as ff, modp, signcalc, symplectic as sym, we
 import polyref
 
 
-V3 = sym.standard_space(3, 1)
+V3 = sym.standard_polarized_space(3, 1)
 
 
 def _form(space, u, v):
@@ -66,7 +66,7 @@ def test_heis_examples():
 @given(st.integers(0, 242), st.integers(0, 242), st.integers(0, 242))
 @settings(max_examples=50, deadline=None)
 def test_heis_associativity_sampled(i, j, k):
-    space = sym.standard_space(3, 2)
+    space = sym.split_space(3, np.fliplr(np.eye(2, dtype=np.int64)))  # Lagrangian halves paired antidiagonally
 
     def elem(n):
         v = []
@@ -80,8 +80,13 @@ def test_heis_associativity_sampled(i, j, k):
     assert heis_product(space, a, b) == heis_ref(space, a, b)
 
 
+def doubled_space(p: int, n: int) -> sym.SympSpace:
+    """The split form [[0, 2I], [-2I, 0]]: a cocycle other than the standard one."""
+    return sym.split_space(p, 2 * np.eye(n, dtype=np.int64))
+
+
 @pytest.mark.parametrize("p", [3, 5])
-@pytest.mark.parametrize("make", [sym.standard_space, sym.standard_polarized_space])
+@pytest.mark.parametrize("make", [doubled_space, sym.standard_polarized_space])
 def test_heis_group_table_is_the_scalar_law(make, p):
     space = make(p, 1)
     grp = sym.heis_group(space)
@@ -96,8 +101,8 @@ def test_heis_group_table_is_the_scalar_law(make, p):
 def test_heis_group_refuses_above_the_cap():
     for p, n in ((3, 2), (7, 1)):  # |H| = 243, 343
         with pytest.raises(sym.SymplecticError, match="cap"):
-            sym.heis_group(sym.standard_space(p, n))
-    assert len(sym.heis_group(sym.standard_space(5, 1)).zs) == sym.HEIS_ENUM_CAP
+            sym.heis_group(sym.standard_polarized_space(p, n))
+    assert len(sym.heis_group(sym.standard_polarized_space(5, 1)).zs) == sym.HEIS_ENUM_CAP
 
 
 def test_abelian_law_fault_turns_heis_center_red():
@@ -312,11 +317,27 @@ def test_sp_group_positions_orders_and_inverses_match_products(p):
     invs = sym.inverses(grp.space, grp.mats)
     for i, g in enumerate(els):
         assert [els[k] for k in grp.positions(grp.mats[i] @ grp.mats)] == [g * h for h in els]
-        assert els[grp.positions(invs[i])] == g.inverse()
+        assert els[grp.positions(invs[i])] == g.inverse() and g * g.inverse() == ident
         power, order = g, 1
         while power != ident:
             power, order = power * g, order + 1
         assert grp.orders[i] == order == g.order()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, "Sp_4(F_3)"])
+def test_inverse_read_off_the_form_is_gauss_jordan(p):
+    # SpElem.inverse is G^-1 m^T G (inverses); Gauss-Jordan elimination
+    # (modp.mat_inv) is the reference, on all of Sp_2(F_p) and on a seeded
+    # sample of Sp_4(F_3)
+    if p == "Sp_4(F_3)":
+        grp = sym.sp_group(sym.standard_polarized_space(3, 2))
+        positions = np.random.default_rng(0).choice(len(grp.mats), 64, replace=False)
+    else:
+        grp = sym.sp_group(sym.standard_polarized_space(p, 1))
+        positions = range(len(grp.mats))
+    for i in positions:
+        g = grp.elem(i)
+        assert np.array_equal(g.inverse().mat, modp.mat_inv(g.mat, g.space.p))
 
 
 def test_orders_do_not_depend_on_the_slices(monkeypatch):
@@ -579,11 +600,13 @@ def test_hyperbolic_basis_on_funny_forms():
     spaces = {sym.SympSpace(3, tuple(tuple(r) for r in gram))}
     for p in (3, 5, 7):
         spaces |= {signcalc.build_block(sc).space for _, sc in checks.sign_branch_scenarios(p, 4, 2, 2)}
-        spaces.add(sym.direct_sum([sym.standard_space(p, 1), sym.standard_polarized_space(p, 2)]))
+        spaces.add(sym.direct_sum([doubled_space(p, 1), sym.standard_polarized_space(p, 2)]))
     for space in spaces:
         b = sym.hyperbolic_basis(space)
         std = sym.standard_polarized_space(space.p, space.dim // 2)
         assert not ((b.T @ space.gram @ b - std.gram) % space.p).any()
+        # and so J^T B^T G is B^-1
+        assert np.array_equal(sym.frame_inverse(space, b) @ b % space.p, np.eye(space.dim, dtype=np.int64))
     for p, n in ((3, 1), (5, 2), (7, 3)):
         b = sym.hyperbolic_basis(sym.standard_polarized_space(p, n))
         assert np.array_equal(b, np.eye(2 * n, dtype=np.int64))

@@ -77,8 +77,8 @@ def test_rho_phase_fault_turns_rho_rows_red():
 
 def test_polarization_validation():
     space = sym.standard_polarized_space(3, 1)
-    with pytest.raises(weil.NotAPolarization):
-        weil.WeilModel(space, ([(1, 0)], [(2, 0)]))  # not complementary
+    with pytest.raises(weil.NotAPolarization, match="do not span"):
+        weil.WeilModel(space, ([(1, 0)], [(2, 0)]))  # not complementary: refused by the span test
     s4 = sym.standard_polarized_space(3, 2)  # coordinates e1, e2, f1, f2
     with pytest.raises(weil.NotAPolarization, match="X side"):
         weil.WeilModel(s4, ([(1, 0, 0, 0), (0, 0, 1, 0)], [(0, 1, 0, 0), (0, 0, 0, 1)]))
@@ -558,10 +558,47 @@ def test_trace_omega_ignores_group_model(p):
     assert [m.trace_omega(g) for g in els] == before
 
 
+def _lagrangians(space):
+    """Every Lagrangian of space once, as the rows of its reduced echelon
+    basis: each n x 2n matrix over F_p that is its own rref, of rank n and
+    isotropic."""
+    p, n = space.p, space.dim // 2
+    out = []
+    for entries in itertools.product(range(p), repeat=n * space.dim):
+        m = np.array(entries, dtype=np.int64).reshape(n, space.dim)
+        red, pivots = modp.rref(m, p)
+        if len(pivots) == n and np.array_equal(red, m) and not (m @ space.gram @ m.T % p).any():
+            out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_polarized_frame_is_read_off_the_form(p, n):
+    # every transversal pair of Lagrangians, in both orders: the frame B has
+    # B^T G B = J, and to_std = J^T B^T G (sym.frame_inverse) is the
+    # Gauss-Jordan inverse of B, the rule it replaced
+    space = sym.standard_polarized_space(p, n)
+    lags = _lagrangians(space)
+    assert len(lags) == np.prod([p**i + 1 for i in range(1, n + 1)])
+    std = space.gram  # the standard space's form is J
+    pairs = 0
+    for xs, ys in itertools.permutations(lags, 2):
+        if modp.rank(np.vstack([xs, ys]), p) < 2 * n:
+            with pytest.raises(weil.NotAPolarization, match="do not span"):
+                weil.WeilModel(space, (xs, ys))
+            continue
+        m = weil.WeilModel(space, (xs, ys))
+        assert not ((m.from_std.T @ space.gram @ m.from_std - std) % p).any()
+        assert np.array_equal(m.to_std, modp.mat_inv(m.from_std, p))
+        pairs += 1
+    # a Lagrangian has p^(n(n+1)/2) transversal ones
+    assert pairs == len(lags) * p ** (n * (n + 1) // 2)
+
+
 def test_even_characteristic_rejected():
     # 2 has no inverse mod 2, so the rho phase theta(<x,y>/2) is undefined
     with pytest.raises(weil.WeilError):
-        weil.WeilModel(sym.standard_space(2, 1))
+        weil.WeilModel(sym.standard_polarized_space(2, 1))
 
 
 _TABLE_DIGEST = """
