@@ -858,9 +858,10 @@ def orbit_scenarios(action: signcalc.OrbitAction, alpha: int, p: int, eta_cap: i
     the tau-antiinvariant units for symmetric alpha, the first c_variants of
     them.  eta runs over the units meeting the form constraint, sampled
     down to eta_cap by _eta_pool: on a symmetric root the fibre of the norm
-    to k_pm_alpha over signcalc.eta_target, on an asymmetric one every
-    unit, with eta_minus = eta_target / eta.  Nothing is yielded when the
-    twist order or f = [k_alpha : k_res] is divisible by p."""
+    to k_pm_alpha over the family's eta target (signcalc.family_target,
+    which each scenario's validation then reads from its cache), on an
+    asymmetric one every unit, with eta_minus = target / eta.  Nothing is
+    yielded when the twist order or f = [k_alpha : k_res] is divisible by p."""
     root = action.roots[alpha]
     d = len(root.gamma)
     k, k_pm, k_res, k_pm_res = (ffield.field(p, deg) for deg in (d, root.deg_pm_alpha, root.deg_res, root.deg_pm_res))
@@ -872,7 +873,7 @@ def orbit_scenarios(action: signcalc.OrbitAction, alpha: int, p: int, eta_cap: i
     else:
         cs = [k.one(), k.gen()] if d > 1 else [k.one(), k.from_int(2)]
     for c in cs[: max(1, c_variants)]:
-        target = signcalc.eta_target(root, c)
+        target = signcalc.family_target(action, alpha, k, k_pm, k_res, k_pm_res, c, branch)
         if root.symmetric:
             pairs = [(eta, None) for eta in _eta_pool(ffield.units_of_norm(k, k_pm, target), eta_cap)]
         else:
@@ -910,17 +911,28 @@ class FamilyStats:
 def sign_sweep(ps, max_degree: int = 2, eta_cap: int = 80, c_variants: int = 1) -> dict[str, FamilyStats]:
     """Closed-form block value against the brute-force Weil trace of the
     scenario's block, for every scenario of sign_branch_scenarios over ps.
-    The formula builds no block, so each scenario builds one."""
+    The formula builds no block, so each scenario builds one.  A prime's
+    blocks are traced as one stack per block space, the spaces in the order
+    they first occur; WeilModel.trace_stack takes each element's trace on
+    its own, so a trace is trace_omega's bit for bit."""
     stats: dict[str, FamilyStats] = {}
     for p in ps:
+        # (label, formula value, sign) per block in scenario order, and each
+        # space's (position, twist) pairs
+        values, by_space = [], {}
         for label, sc in sign_branch_scenarios(p, max_degree, eta_cap, c_variants):
-            bb = signcalc.build_block(sc)
-            bv = signcalc.block_sign_formula(sc)
-            oracle = weil.WeilModel(bb.space).trace_omega(bb.op)
+            bb, bv = signcalc.build_block(sc), signcalc.block_sign_formula(sc)
+            by_space.setdefault(bb.space, []).append((len(values), bb.op))
+            values.append((label, bv.value, bv.sign))
+        oracle = [0j] * len(values)
+        for space, ops in by_space.items():
+            for (i, _), val in zip(ops, weil.WeilModel(space).trace_stack([op for _, op in ops]).tolist()):
+                oracle[i] = val
+        for (label, value, sign), val in zip(values, oracle):
             st = stats.setdefault(label, FamilyStats())
             st.count += 1
-            st.worst = max_error([st.worst, abs(bv.value - oracle)])
-            st.signs.add(bv.sign)
+            st.worst = max_error([st.worst, abs(value - val)])
+            st.signs.add(sign)
     return stats
 
 
@@ -1255,6 +1267,10 @@ FAULTS = {
     "hyperbolic-e-f": _fault(sym, "hyperbolic_basis", _hyperbolic_e_f),
     # the Nr(b) = -1 case split inverted, in the halving step's recursion too
     "case-split": _fault(signcalc, "_inverse_closed", lambda orig, b, sub: not orig(b, sub)),
+    # the form constraint's target negated: the generator draws its twists
+    # against it and the scenario validation accepts them, but they do not
+    # preserve the block's form
+    "eta-target-negated": _fault(signcalc, "eta_target", lambda orig, root, C: -orig(root, C)),
     # Hilbert 90's fixed K0-line counted as one dimension over F_p, which
     # is wrong wherever [K0 : F_p] > 1
     "fixed-line-over-fp": _fault(ffield, "twisted_fixed_dim", lambda orig, eta, j: min(orig(eta, j), 1)),

@@ -101,7 +101,8 @@ class FieldDesc:
     """GF(p^degree) with the deterministic defining modulus (low degree first).
 
     Equal descriptions are equal fields; field() hands out one object per
-    field, so the element arithmetic compares parents by identity first."""
+    field, so the element arithmetic compares parents by identity first.
+    The hash is computed once: fields key the scenario caches."""
 
     p: int
     degree: int
@@ -115,6 +116,10 @@ class FieldDesc:
         return (self.p, self.degree, self.modulus) == (other.p, other.degree, other.modulus)
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.p, self.degree, self.modulus))
 
     @cached_property

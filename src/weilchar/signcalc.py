@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from . import ffield, gerardin, modp, symplectic as sym
 from .ffield import FieldDesc, FieldElem
@@ -21,6 +22,9 @@ BRANCHES = ("asym/asym", "asym/sym-ur", "asym/sym-ram", "sym-ur/sym-ur", "sym-ur
 # the most roots an OrbitAction takes (E8 has 240); its orbit records grow
 # faster than size^2 (2.6 s at 1,000 roots, 0.17-0.31 s at 256, 2-vCPU VM)
 ACTION_ROOT_CAP = 256
+# families (action, root, fields, C, classification) family_target keeps;
+# sign_sweep((3, 5, 7), 4, eta_cap, 2) meets 88, the registry 10
+FAMILY_CACHE_SIZE = 1024
 
 
 class SignCalcError(Exception):
@@ -95,7 +99,8 @@ class OrbitAction:
     """Abstract roots with commuting actions: cyclic Galois group generated by
     `frobenius`, fixed-point-free negation, and a finite-order twist.
 
-    `roots[a]` is the RootOrbit of root a, computed once on construction."""
+    `roots[a]` is the RootOrbit of root a, computed once on construction,
+    and so is the hash, which family_target's cache keys read."""
 
     size: int
     frobenius: tuple[int, ...]
@@ -103,6 +108,7 @@ class OrbitAction:
     theta: tuple[int, ...]
     theta_order: int = field(init=False, repr=False, compare=False, hash=False)
     roots: tuple[RootOrbit, ...] = field(init=False, repr=False, compare=False, hash=False)
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         n = self.size
@@ -128,8 +134,12 @@ class OrbitAction:
             if symmetric[self.theta[a]] != symmetric[a]:
                 raise SignCalcError("theta does not preserve the symmetry partition")
         object.__setattr__(self, "theta_order", math.lcm(*map(len, thetas)))
+        object.__setattr__(self, "_hash", hash((self.size, self.frobenius, self.neg, self.theta)))
         object.__setattr__(self, "roots", tuple(
             self._root_orbit(a, gammas[a], thetas[a], sigmas, symmetric[a]) for a in range(n)))
+
+    def __hash__(self):
+        return self._hash
 
     def _root_orbit(self, a: int, gamma: tuple[int, ...], theta: tuple[int, ...], sigmas: list[frozenset], symmetric: bool) -> RootOrbit:
         neg, sigma = self.neg, sigmas[a]
@@ -274,17 +284,36 @@ class OrbitScenario:
 
 
 def validate_scenario(sc: OrbitScenario) -> None:
-    act, a = sc.action, sc.alpha
+    """Refuse a scenario that does not describe its orbit: family_target's
+    checks of everything but the twist, then the twist against its target."""
+    key = (sc.action, sc.alpha, sc.k_alpha, sc.k_pm_alpha, sc.k_res, sc.k_pm_res, sc.C, sc.classification)
+    try:
+        target = family_target(*key)
+    except TypeError:
+        # an unhashable field: the uncached checks give its own error
+        target = family_target.__wrapped__(*key)
+    _check_eta(sc, target)
+
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE, typed=True)
+def family_target(act: OrbitAction, a: int, k_alpha: FieldDesc, k_pm_alpha: FieldDesc, k_res: FieldDesc,
+                  k_pm_res: FieldDesc, C: FieldElem, classification: str) -> FieldElem:
+    """The checks of a scenario that do not read its twist, run once per
+    family: the root index, the classification, the field tower against the
+    stabilizer indices, sigma_alpha's fixed field, the branch and C.
+    Returns the family's eta target, eta_target(root, C).  Cached (typed, so
+    1 and 1.0 or a constant and an element are different keys); a refusal
+    raises and is not cached."""
     if not isinstance(a, int) or not 0 <= a < act.size:
         raise SignCalcError("alpha = %r is not a root index 0..%d" % (a, act.size - 1))
     root = act.roots[a]
-    if sc.classification not in BRANCHES:
-        raise SignCalcError("unknown classification %r" % (sc.classification,))
-    p = sc.k_alpha.p
-    for fdesc in (sc.k_pm_alpha, sc.k_res, sc.k_pm_res):
+    if classification not in BRANCHES:
+        raise SignCalcError("unknown classification %r" % (classification,))
+    p = k_alpha.p
+    for fdesc in (k_pm_alpha, k_res, k_pm_res):
         if fdesc.p != p:
             raise InconsistentDegrees("mixed characteristics in the field tags")
-    d_a, d_pm, d_r, d_pr = (sc.k_alpha.degree, sc.k_pm_alpha.degree, sc.k_res.degree, sc.k_pm_res.degree)
+    d_a, d_pm, d_r, d_pr = (k_alpha.degree, k_pm_alpha.degree, k_res.degree, k_pm_res.degree)
     if d_a % d_r or d_r % d_pr or d_a % d_pm:
         raise InconsistentDegrees("field degrees do not form a tower")
     # residue degrees divide the F-level stabilizer indices
@@ -307,36 +336,46 @@ def validate_scenario(sc: OrbitScenario) -> None:
             "sigma_alpha fixes GF(p^%d) on the residue level, expected GF(p^%d)" % (fixed_deg, want_fixed)
         )
     branch = orbit_branch(act, a, d_a, d_r, d_pr)
-    if sc.classification != branch:
-        raise SignCalcError("the orbit of alpha is %s; classification says %r" % (branch, sc.classification))
-    if sc.C.parent != sc.k_alpha or sc.C.is_zero():
+    if classification != branch:
+        raise SignCalcError("the orbit of alpha is %s; classification says %r" % (branch, classification))
+    if C.parent != k_alpha or C.is_zero():
         raise SignCalcError("C must be a unit of k_alpha")
     if sym_a:
         if d_pm * 2 != d_a:
             # symmetric ramified alpha: k_alpha = k_pm_alpha, excluded
             raise FormDegenerate("symmetric ramified alpha admits no antisymmetric C")
-        if sc.tau_exp != d_a // 2:
+        tau_exp = root.tau_exp % d_a
+        if tau_exp != d_a // 2:
             raise InconsistentDegrees("tau does not act as the order-2 residue automorphism")
-        if sc.tau(sc.C) != -sc.C:
+        if C.frobenius(tau_exp) != -C:
             raise FormDegenerate("C is not tau-antiinvariant")
     elif d_pm != d_a:
         raise InconsistentDegrees("asymmetric alpha needs k_alpha = k_pm_alpha")
     # [k_res : k_pm_res] is 2 on an unramified symmetric restricted root, else 1
     if d_r != (2 * d_pr if branch.endswith("sym-ur") else d_pr):
         raise InconsistentDegrees("[k_res : k_pm_res] = %d does not fit a %s restricted root" % (d_r // d_pr, branch.split("/")[1]))
-    if sym_a:
-        if sc.eta_alpha.parent != sc.k_alpha or sc.eta_alpha.is_zero():
+    return eta_target(root, C)
+
+
+def _check_eta(sc: OrbitScenario, target: FieldElem) -> None:
+    """The twist's checks: units of k_alpha whose product (eta_alpha
+    tau(eta_alpha) on a symmetric root) is the family's eta target.  Parents
+    are compared by identity first, as the field arithmetic does."""
+    k, eta, root = sc.k_alpha, sc.eta_alpha, sc.action.roots[sc.alpha]
+    if root.symmetric:
+        if (eta.parent is not k and eta.parent != k) or eta.is_zero():
             raise SignCalcError("eta_alpha must be a unit of k_alpha")
-        if sc.eta_alpha * sc.tau(sc.eta_alpha) != eta_target(root, sc.C):
+        if eta * eta.frobenius(root.tau_exp) != target:
             raise FormDegenerate("eta_alpha tau(eta_alpha) != varsigma(C)/C")
-    else:
-        if sc.eta_minus_alpha is None:
-            raise SignCalcError("asymmetric alpha needs eta_minus_alpha")
-        for e in (sc.eta_alpha, sc.eta_minus_alpha):
-            if e.parent != sc.k_alpha or e.is_zero():
-                raise SignCalcError("eta values must be units of k_alpha")
-        if sc.eta_alpha * sc.eta_minus_alpha != eta_target(root, sc.C):
-            raise FormDegenerate("eta_alpha eta_minus_alpha violates form preservation")
+        return
+    eta_minus = sc.eta_minus_alpha
+    if eta_minus is None:
+        raise SignCalcError("asymmetric alpha needs eta_minus_alpha")
+    for e in (eta, eta_minus):
+        if (e.parent is not k and e.parent != k) or e.is_zero():
+            raise SignCalcError("eta values must be units of k_alpha")
+    if eta * eta_minus != target:
+        raise FormDegenerate("eta_alpha eta_minus_alpha violates form preservation")
 
 
 def eta_target(root: RootOrbit, C: FieldElem) -> FieldElem:

@@ -44,7 +44,8 @@ class SympSpace:
     """Symplectic F_p-space with explicit Gram matrix, one read-only int64
     array reduced mod p, and optional ordered orthogonal block structure
     (blocks = index tuples into the coordinates).  Eq and hash read (p, the
-    Gram matrix's bytes, blocks)."""
+    Gram matrix's bytes, blocks); the Gram's inverse is computed once, on
+    first use by `inverses`."""
 
     p: int
     gram: np.ndarray
@@ -77,6 +78,13 @@ class SympSpace:
     @property
     def dim(self) -> int:
         return len(self.gram)
+
+    @cached_property
+    def _gram_inverse(self) -> np.ndarray:
+        """G^-1 mod p, inverted once per space; read-only."""
+        out = modp.mat_inv(self.gram, self.p)
+        out.flags.writeable = False
+        return out
 
 
 symp_space = SympSpace  # symp_space(p, gram, blocks=None): the Gram matrix is reduced mod p
@@ -413,8 +421,11 @@ class BuiltTorus:
 
 
 def anti_invariant_units(k: FieldDesc, j: int) -> list[FieldElem]:
-    """The units C of k with C^(p^j) = -C, in canonical order."""
-    return [x for x in k.units() if x.frobenius(j) == -x]
+    """The units C of k with C^(p^j) = -C, in canonical order: the roots of
+    X^(p^j - 1) = -1, (p^j - 1) log C = (q - 1)/2 mod q - 1, read off the
+    log table by ffield.nth_roots; none where p^j acts as the identity."""
+    n = k.p ** (j % k.degree) - 1
+    return ffield.nth_roots(-k.one(), n) if n else []
 
 
 def anti_invariant_unit(big: FieldDesc, subdeg: int) -> FieldElem:
@@ -561,7 +572,7 @@ def orders(space: SympSpace, mats) -> np.ndarray:
 
 def inverses(space: SympSpace, mats: np.ndarray) -> np.ndarray:
     """The inverse G^-1 m^T G of each element m of a stack, G the Gram matrix."""
-    return modp.mat_inv(space.gram, space.p) @ np.swapaxes(mats, -1, -2) @ space.gram % space.p
+    return space._gram_inverse @ np.swapaxes(mats, -1, -2) @ space.gram % space.p
 
 
 @lru_cache(maxsize=None)

@@ -109,6 +109,23 @@ def test_scenario_id_not_a_string_names_its_position(tmp_path, capsys):
     assert "validation error: scenarios[0].id must be a string" in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("alpha", [0], "alpha must be an integer, got [0]"),
+    ("classification", ["asym/sym-ur"], "unknown classification ['asym/sym-ur']"),
+    ("classification", {"a": 1}, "unknown classification {'a': 1}"),
+])
+def test_unhashable_orbit_entry_is_a_validation_error(key, value, message, tmp_path, capsys):
+    # the scenario checks are cached per family; with the bundled orbit's
+    # family cached, an unhashable entry still gets its own refusal, not the
+    # cache's TypeError
+    scn = json.loads((SCN / "sign_f3.scn").read_text())["scenarios"][0]
+    assert _run_one_scenario(scn, tmp_path, capsys)[0] == 0
+    scn["payload"]["orbits"][0][key] = value
+    code, err = _run_one_scenario(scn, tmp_path, capsys)
+    assert code == 3
+    assert "validation error: branches-f3: " + message in err
+
+
 def test_scenario_tolerance_an_object_names_the_scenario(tmp_path, capsys):
     scn = {"id": "rd", "kind": "root-datum", "payload": {"name": "A2"}, "tolerance": {"abs": 1e-8}}
     code, err = _run_one_scenario(scn, tmp_path, capsys)

@@ -48,6 +48,10 @@ DETECTION = {name: set(red.split()) for name, red in {
     "hyperbolic-e-f": GERARDIN + WEIL + "weil.svn weil.rho weil.algebraic weil.normalization weil.conjugacy "
                       "signcalc.oracle signcalc.eta-independence signcalc.assemble",
     "case-split": "signcalc.oracle signcalc.fixed-space signcalc.f1-forms",
+    # every generated block's twist misses the form by a sign and build_block
+    # refuses it; signcalc.eta-constraint sees every legal twist refused
+    "eta-target-negated": "signcalc.oracle signcalc.eta-constraint signcalc.eta-independence signcalc.fixed-space "
+                          "signcalc.assemble signcalc.f1-forms",
     "fixed-line-over-fp": "signcalc.oracle signcalc.fixed-space signcalc.assemble signcalc.f1-forms",
 }.items()}
 
@@ -168,6 +172,20 @@ def test_fixed_line_over_fp_patches_the_hilbert_90_count():
         assert ffield.twisted_fixed_dim(f9.one(), 0) == 1
         with pytest.raises(signcalc.SignCalcError, match="odd fixed-space dimension"):
             signcalc.block_sign_formula(block)
+
+
+def test_eta_target_negated_patches_the_cached_family_target():
+    # the fault clears the family cache on entry and on exit, so a family
+    # checked before it reads the negated target inside and the clean one after
+    f3 = ffield.field(3, 1)
+    act = signcalc.one_orbit_action(1, False)
+    build = lambda: signcalc.OrbitScenario(act, 0, f3, f3, f3, f3, f3.one(), f3.one(), f3.one(), "asym/asym")
+    build()
+    with checks.FAULTS["eta-target-negated"]():
+        with pytest.raises(signcalc.FormDegenerate, match="violates form preservation"):
+            build()
+        assert signcalc.family_target(act, 0, f3, f3, f3, f3, f3.one(), "asym/asym") == -1
+    build()
 
 
 def test_restrict_map_patches_the_invariance_test():

@@ -106,10 +106,12 @@ def test_ci_workflow_parses():
     [datum_step] = [s for s in steps if "python -m weilchar.cli root-datum" in s]
     assert datum_step.count('python -m weilchar.cli root-datum "$name"') == 2 and "cmp " in datum_step
     assert datum_step.split("for name in ")[1].split("; do")[0].split() == list(lattice.catalogue())
-    # and two sign surveys the same rows, less the timing line
+    # and two sign surveys the same rows, less the timing line, at eta_cap
+    # 16 and at 300
     [survey_step] = [s for s in steps if "scripts/sign_survey.py" in s]
     assert survey_step.count("python scripts/sign_survey.py 4 16 >") == 2
-    assert survey_step.count("head -n -1") == 2 and "cmp " in survey_step
+    assert survey_step.count("python scripts/sign_survey.py 4 300 >") == 2
+    assert survey_step.count("head -n -1") == 4 and survey_step.count("cmp ") == 2
     # each two-process comparison runs its sides with hash seeds 0 and 1, so
     # a red run can be replayed
     ramified_step = next(s for s in steps if "tabulate-ramified" in s)

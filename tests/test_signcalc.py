@@ -720,3 +720,106 @@ def test_s_value_transport_inverts_under_negation_and_follows_frobenius(p):
                     assert at(act.frobenius[r]) == at(r).frobenius(1), (label, key, val, r)
                     checked += 2
     assert checked > 500
+
+
+# One invalid scenario per refusal of validate_scenario, in its order: the
+# family part (family_target) first, then the twist.  Each row edits a valid
+# base scenario with dataclasses.replace: ASYM (asym/asym over F_3) or SYM
+# (sym-ur/sym-ur over F_9).
+F5, F27 = ff.field(5, 1), ff.field(3, 3)
+ASYM = sc.OrbitScenario(sc.one_orbit_action(1, False), 0, F3, F3, F3, F3, F3.one(), F3.one(), F3.one(), "asym/asym")
+SYM = next(checks.orbit_scenarios(sc.one_orbit_action(2, True), 0, 3))
+_F9_UNITS = dict(C=F9.one(), eta_alpha=F9.one(), eta_minus_alpha=F9.one())
+REFUSALS = [
+    ("alpha-range", ASYM, dict(alpha=2), sc.SignCalcError, "alpha = 2 is not a root index 0..1"),
+    ("alpha-unhashable", ASYM, dict(alpha=[0]), sc.SignCalcError, "alpha = [0] is not a root index 0..1"),
+    # equal to the cached alpha = 0 and with its hash: the cache is typed
+    ("alpha-float", ASYM, dict(alpha=0.0), sc.SignCalcError, "alpha = 0.0 is not a root index 0..1"),
+    ("classification-unknown", ASYM, dict(classification="asym/nope"), sc.SignCalcError,
+     "unknown classification 'asym/nope'"),
+    ("classification-unhashable", ASYM, dict(classification=["asym/asym"]), sc.SignCalcError,
+     "unknown classification ['asym/asym']"),
+    ("mixed-characteristic", ASYM, dict(k_res=F5), sc.InconsistentDegrees, "mixed characteristics in the field tags"),
+    ("tower", ASYM, dict(k_res=F9), sc.InconsistentDegrees, "field degrees do not form a tower"),
+    ("stabilizer", ASYM, dict(k_alpha=F9, k_pm_alpha=F9, k_res=F9, k_pm_res=F9), sc.InconsistentDegrees,
+     "residue degrees incompatible with stabilizer indices"),
+    ("f-coprime", ASYM, dict(action=sc.one_orbit_action(3, False), k_alpha=F27, k_pm_alpha=F27), sc.InconsistentDegrees,
+     "f_alpha must be coprime to p"),
+    ("twist-order", ASYM, dict(action=sc.OrbitAction(6, tuple(range(6)), (3, 4, 5, 0, 1, 2), (1, 2, 0, 4, 5, 3))),
+     sc.InconsistentDegrees, "the twist order must be coprime to p"),
+    ("sigma-fixed-field", ASYM, dict(action=sc.one_orbit_action(4, False, 2), k_alpha=F9, k_pm_alpha=F9, **_F9_UNITS),
+     sc.InconsistentDegrees, "sigma_alpha fixes GF(p^2) on the residue level, expected GF(p^1)"),
+    ("branch", ASYM, dict(classification="asym/sym-ur"), sc.SignCalcError,
+     "the orbit of alpha is asym/asym; classification says 'asym/sym-ur'"),
+    ("C-zero", ASYM, dict(C=F3.zero()), sc.SignCalcError, "C must be a unit of k_alpha"),
+    ("C-other-field", ASYM, dict(C=F9.one()), sc.SignCalcError, "C must be a unit of k_alpha"),
+    # equal to the cached C = 1 and with its hash
+    ("C-int", ASYM, dict(C=1), AttributeError, "'int' object has no attribute 'parent'"),
+    ("symmetric-ramified", SYM, dict(k_pm_alpha=F9), sc.FormDegenerate, "symmetric ramified alpha admits no antisymmetric C"),
+    ("tau-order", SYM, dict(action=sc.one_orbit_action(4, True)), sc.InconsistentDegrees,
+     "tau does not act as the order-2 residue automorphism"),
+    ("C-tau-invariant", SYM, dict(C=F9.one()), sc.FormDegenerate, "C is not tau-antiinvariant"),
+    ("asymmetric-k-pm", ASYM, dict(action=sc.one_orbit_action(2, False, 1), k_alpha=F9, **_F9_UNITS),
+     sc.InconsistentDegrees, "asymmetric alpha needs k_alpha = k_pm_alpha"),
+    ("res-over-pm-res", ASYM, dict(action=sc.one_orbit_action(2, False, 1, True), k_alpha=F9, k_pm_alpha=F9,
+                                   classification="asym/sym-ur", **_F9_UNITS),
+     sc.InconsistentDegrees, "[k_res : k_pm_res] = 1 does not fit a sym-ur restricted root"),
+    ("eta-zero", SYM, dict(eta_alpha=F9.zero()), sc.SignCalcError, "eta_alpha must be a unit of k_alpha"),
+    ("eta-other-field", SYM, dict(eta_alpha=F3.one()), sc.SignCalcError, "eta_alpha must be a unit of k_alpha"),
+    ("eta-norm", SYM, dict(eta_alpha=next(e for e in F9.units() if e * e.frobenius(1) != sc.eta_target(SYM.root, SYM.C))),
+     sc.FormDegenerate, "eta_alpha tau(eta_alpha) != varsigma(C)/C"),
+    ("eta-minus-missing", ASYM, dict(eta_minus_alpha=None), sc.SignCalcError, "asymmetric alpha needs eta_minus_alpha"),
+    ("eta-minus-zero", ASYM, dict(eta_minus_alpha=F3.zero()), sc.SignCalcError, "eta values must be units of k_alpha"),
+    ("eta-minus-other-field", ASYM, dict(eta_minus_alpha=F9.one()), sc.SignCalcError, "eta values must be units of k_alpha"),
+    ("eta-product", ASYM, dict(eta_minus_alpha=F3.from_int(2)), sc.FormDegenerate,
+     "eta_alpha eta_minus_alpha violates form preservation"),
+]
+
+
+@pytest.mark.parametrize("base, edit, exc, message", [row[1:] for row in REFUSALS], ids=[row[0] for row in REFUSALS])
+def test_refusal_is_the_same_on_a_cold_and_a_warm_family_cache(base, edit, exc, message):
+    sc.family_target.cache_clear()
+    for _ in range(2):  # cold, then with the base's family cached: no refusal is cached
+        with pytest.raises(Exception) as info:
+            dataclasses.replace(base, **edit)
+        assert type(info.value) is exc and str(info.value) == message
+        dataclasses.replace(base)
+    assert sc.family_target.cache_info().currsize == 1
+
+
+def test_family_check_runs_once_per_family_and_every_scenario_checks_its_twist(monkeypatch):
+    # family_target computes the target once per (action, alpha, fields, C,
+    # classification); every scenario the generator yields checks its twist
+    targets, twists = [], []
+    monkeypatch.setattr(sc, "eta_target", lambda root, c, orig=sc.eta_target: targets.append(c) or orig(root, c))
+    monkeypatch.setattr(sc, "_check_eta", lambda s, target, orig=sc._check_eta: twists.append(s) or orig(s, target))
+    sc.family_target.cache_clear()
+    scenarios = [(label, s) for p in (3, 5) for label, s in checks.sign_branch_scenarios(p, 4, ff.FIELD_CAP, 2)]
+    families = {(label, s.C) for label, s in scenarios}
+    assert len(targets) == len(families) == 58 and len(scenarios) == 5236
+    assert [s for _, s in scenarios] == twists
+
+
+def test_hashes_are_computed_once_and_unchanged():
+    act = sc.one_orbit_action(4, False, 1, True)
+    assert hash(act) == act._hash == hash((act.size, act.frobenius, act.neg, act.theta))
+    assert "_hash" not in repr(act) and not next(f for f in dataclasses.fields(act) if f.name == "_hash").compare
+    assert hash(F9) == F9._hash == hash((3, 2, F9.modulus))
+    assert hash(ff.FieldDesc(3, 2, F9.modulus)) == hash(F9)
+
+
+def test_stacked_sign_sweep_equals_a_per_block_reference():
+    # one trace_stack per block space gives each block trace_omega's value
+    # bit for bit: the same counts, worst errors and signs, in the same order
+    want: dict[str, checks.FamilyStats] = {}
+    for p in (3, 5):
+        for label, s in checks.sign_branch_scenarios(p, 4, 16):
+            bb, bv = sc.build_block(s), sc.block_sign_formula(s)
+            st = want.setdefault(label, checks.FamilyStats())
+            st.count += 1
+            st.worst = checks.max_error([st.worst, abs(bv.value - weil.WeilModel(bb.space).trace_omega(bb.op))])
+            st.signs.add(bv.sign)
+    got = checks.sign_sweep((3, 5), 4, 16)
+    assert list(got) == list(want)
+    assert [(st.count, st.worst.hex(), st.signs) for st in got.values()] == [
+        (st.count, st.worst.hex(), st.signs) for st in want.values()]

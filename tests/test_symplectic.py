@@ -340,6 +340,18 @@ def test_inverse_read_off_the_form_is_gauss_jordan(p):
         assert np.array_equal(g.inverse().mat, modp.mat_inv(g.mat, g.space.p))
 
 
+def test_gram_inverse_is_inverted_once_per_space(monkeypatch):
+    # inverses reads G^-1 from its space, read-only, inverted on first use
+    space = sym.split_space(5, [[1, 2], [0, 3]])
+    gens = sym.sp_generators(space)
+    calls = []
+    monkeypatch.setattr(modp, "mat_inv", lambda m, p, orig=modp.mat_inv: calls.append(p) or orig(m, p))
+    first = sym.inverses(space, gens)
+    assert calls == [5] and np.array_equal(space._gram_inverse, modp.mat_inv(space.gram, 5))
+    assert np.array_equal(sym.inverses(space, gens), first) and len(calls) == 2
+    assert not space._gram_inverse.flags.writeable
+
+
 def test_orders_do_not_depend_on_the_slices(monkeypatch):
     # orders powers the stack in place a slice at a time: slices of one
     # element, of seven and one slice for the stack give the orders of
@@ -511,12 +523,18 @@ def _pinned_fields():
         yield ff.field(p, k)
 
 
-@pytest.mark.parametrize("p,k", [(3, 2), (3, 4), (3, 6), (5, 2), (7, 2)])
+# every field the sign sweeps enumerate (p <= 7 at degree 4, p = 11 and 13
+# at degree 3) and GF(3^6)
+@pytest.mark.parametrize("p,k", [(p, k) for p, top in ((3, 4), (5, 4), (7, 4), (11, 3), (13, 3))
+                                 for k in range(1, top + 1)] + [(3, 6)])
 def test_anti_invariant_units_are_the_units_with_frobenius_minus_one(p, k):
     big = ff.field(p, k)
-    for j in range(k + 1):  # none at j = 0 and j = k, where the Frobenius power is the identity
+    # none at j = 0 and j = k, where the Frobenius power is the identity;
+    # j = k + 1 acts as j = 1
+    for j in range(k + 2):
         assert sym.anti_invariant_units(big, j) == [x for x in big.units() if x ** (p**j) == -x]
-    assert sym.anti_invariant_unit(big, k // 2) == sym.anti_invariant_units(big, k // 2)[0]
+    if k % 2 == 0:
+        assert sym.anti_invariant_unit(big, k // 2) == sym.anti_invariant_units(big, k // 2)[0]
 
 
 def test_trace_form_gram_is_the_trace_form():
