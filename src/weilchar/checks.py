@@ -911,28 +911,23 @@ class FamilyStats:
 def sign_sweep(ps, max_degree: int = 2, eta_cap: int = 80, c_variants: int = 1) -> dict[str, FamilyStats]:
     """Closed-form block value against the brute-force Weil trace of the
     scenario's block, for every scenario of sign_branch_scenarios over ps.
-    The formula builds no block, so each scenario builds one.  A prime's
-    blocks are traced as one stack per block space, the spaces in the order
-    they first occur; WeilModel.trace_stack takes each element's trace on
-    its own, so a trace is trace_omega's bit for bit."""
+    The formula builds no block, so each scenario builds one.  Each run of
+    consecutive blocks on one block space (a family's, as the generator
+    yields them) is traced as one stack and then let go; WeilModel.trace_stack
+    takes each element's trace on its own, so a trace is trace_omega's bit
+    for bit."""
     stats: dict[str, FamilyStats] = {}
     for p in ps:
-        # (label, formula value, sign) per block in scenario order, and each
-        # space's (position, twist) pairs
-        values, by_space = [], {}
-        for label, sc in sign_branch_scenarios(p, max_degree, eta_cap, c_variants):
-            bb, bv = signcalc.build_block(sc), signcalc.block_sign_formula(sc)
-            by_space.setdefault(bb.space, []).append((len(values), bb.op))
-            values.append((label, bv.value, bv.sign))
-        oracle = [0j] * len(values)
-        for space, ops in by_space.items():
-            for (i, _), val in zip(ops, weil.WeilModel(space).trace_stack([op for _, op in ops]).tolist()):
-                oracle[i] = val
-        for (label, value, sign), val in zip(values, oracle):
-            st = stats.setdefault(label, FamilyStats())
-            st.count += 1
-            st.worst = max_error([st.worst, abs(value - val)])
-            st.signs.add(sign)
+        blocks = ((label, signcalc.build_block(sc), signcalc.block_sign_formula(sc))
+                  for label, sc in sign_branch_scenarios(p, max_degree, eta_cap, c_variants))
+        for space, run in itertools.groupby(blocks, key=lambda block: block[1].space):
+            run = list(run)
+            oracle = weil.WeilModel(space).trace_stack([bb.op for _, bb, _ in run]).tolist()
+            for (label, _, bv), val in zip(run, oracle):
+                st = stats.setdefault(label, FamilyStats())
+                st.count += 1
+                st.worst = max_error([st.worst, abs(bv.value - val)])
+                st.signs.add(bv.sign)
     return stats
 
 

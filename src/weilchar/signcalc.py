@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import ffield, gerardin, modp, symplectic as sym
 from .ffield import FieldDesc, FieldElem
@@ -99,8 +99,8 @@ class OrbitAction:
     """Abstract roots with commuting actions: cyclic Galois group generated by
     `frobenius`, fixed-point-free negation, and a finite-order twist.
 
-    `roots[a]` is the RootOrbit of root a, computed once on construction,
-    and so is the hash, which family_target's cache keys read."""
+    `roots[a]` is the RootOrbit of root a, computed once on construction;
+    the hash, which family_target's cache keys read, is computed once."""
 
     size: int
     frobenius: tuple[int, ...]
@@ -108,7 +108,6 @@ class OrbitAction:
     theta: tuple[int, ...]
     theta_order: int = field(init=False, repr=False, compare=False, hash=False)
     roots: tuple[RootOrbit, ...] = field(init=False, repr=False, compare=False, hash=False)
-    _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         n = self.size
@@ -134,12 +133,15 @@ class OrbitAction:
             if symmetric[self.theta[a]] != symmetric[a]:
                 raise SignCalcError("theta does not preserve the symmetry partition")
         object.__setattr__(self, "theta_order", math.lcm(*map(len, thetas)))
-        object.__setattr__(self, "_hash", hash((self.size, self.frobenius, self.neg, self.theta)))
         object.__setattr__(self, "roots", tuple(
             self._root_orbit(a, gammas[a], thetas[a], sigmas, symmetric[a]) for a in range(n)))
 
     def __hash__(self):
         return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.size, self.frobenius, self.neg, self.theta))
 
     def _root_orbit(self, a: int, gamma: tuple[int, ...], theta: tuple[int, ...], sigmas: list[frozenset], symmetric: bool) -> RootOrbit:
         neg, sigma = self.neg, sigmas[a]
@@ -284,31 +286,28 @@ class OrbitScenario:
 
 
 def validate_scenario(sc: OrbitScenario) -> None:
-    """Refuse a scenario that does not describe its orbit: family_target's
-    checks of everything but the twist, then the twist against its target."""
-    key = (sc.action, sc.alpha, sc.k_alpha, sc.k_pm_alpha, sc.k_res, sc.k_pm_res, sc.C, sc.classification)
-    try:
-        target = family_target(*key)
-    except TypeError:
-        # an unhashable field: the uncached checks give its own error
-        target = family_target.__wrapped__(*key)
-    _check_eta(sc, target)
+    """Refuse a scenario that does not describe its orbit: the root index and
+    the classification, then family_target's checks of the rest but the
+    twist, then the twist against its target.  The first two run here, so
+    an unhashable alpha or classification is refused before the cache."""
+    act, a = sc.action, sc.alpha
+    if not isinstance(a, int) or not 0 <= a < act.size:
+        raise SignCalcError("alpha = %r is not a root index 0..%d" % (a, act.size - 1))
+    if sc.classification not in BRANCHES:
+        raise SignCalcError("unknown classification %r" % (sc.classification,))
+    _check_eta(sc, family_target(act, a, sc.k_alpha, sc.k_pm_alpha, sc.k_res, sc.k_pm_res, sc.C, sc.classification))
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE, typed=True)
 def family_target(act: OrbitAction, a: int, k_alpha: FieldDesc, k_pm_alpha: FieldDesc, k_res: FieldDesc,
                   k_pm_res: FieldDesc, C: FieldElem, classification: str) -> FieldElem:
-    """The checks of a scenario that do not read its twist, run once per
-    family: the root index, the classification, the field tower against the
-    stabilizer indices, sigma_alpha's fixed field, the branch and C.
-    Returns the family's eta target, eta_target(root, C).  Cached (typed, so
-    1 and 1.0 or a constant and an element are different keys); a refusal
-    raises and is not cached."""
-    if not isinstance(a, int) or not 0 <= a < act.size:
-        raise SignCalcError("alpha = %r is not a root index 0..%d" % (a, act.size - 1))
+    """A scenario's checks but the root index and classification
+    (validate_scenario's) and the twist (_check_eta's), run once per family:
+    the field tower against the stabilizer indices, sigma_alpha's fixed
+    field, the branch and C.  Returns the family's eta target,
+    eta_target(root, C).  Cached (typed, so a constant and an element are
+    different keys); a refusal raises and is not cached."""
     root = act.roots[a]
-    if classification not in BRANCHES:
-        raise SignCalcError("unknown classification %r" % (classification,))
     p = k_alpha.p
     for fdesc in (k_pm_alpha, k_res, k_pm_res):
         if fdesc.p != p:
@@ -359,11 +358,10 @@ def family_target(act: OrbitAction, a: int, k_alpha: FieldDesc, k_pm_alpha: Fiel
 
 def _check_eta(sc: OrbitScenario, target: FieldElem) -> None:
     """The twist's checks: units of k_alpha whose product (eta_alpha
-    tau(eta_alpha) on a symmetric root) is the family's eta target.  Parents
-    are compared by identity first, as the field arithmetic does."""
+    tau(eta_alpha) on a symmetric root) is the family's eta target."""
     k, eta, root = sc.k_alpha, sc.eta_alpha, sc.action.roots[sc.alpha]
     if root.symmetric:
-        if (eta.parent is not k and eta.parent != k) or eta.is_zero():
+        if eta.parent != k or eta.is_zero():
             raise SignCalcError("eta_alpha must be a unit of k_alpha")
         if eta * eta.frobenius(root.tau_exp) != target:
             raise FormDegenerate("eta_alpha tau(eta_alpha) != varsigma(C)/C")
@@ -372,7 +370,7 @@ def _check_eta(sc: OrbitScenario, target: FieldElem) -> None:
     if eta_minus is None:
         raise SignCalcError("asymmetric alpha needs eta_minus_alpha")
     for e in (eta, eta_minus):
-        if (e.parent is not k and e.parent != k) or e.is_zero():
+        if e.parent != k or e.is_zero():
             raise SignCalcError("eta values must be units of k_alpha")
     if eta * eta_minus != target:
         raise FormDegenerate("eta_alpha eta_minus_alpha violates form preservation")

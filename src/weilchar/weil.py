@@ -422,7 +422,8 @@ class WeilModel:
                 return cell(groups[0][1])
             slices = [(0, groups)]
         else:
-            slices = [(lo, self.normal_forms(gs[lo : lo + step])) for lo in range(0, len(gs), step)]
+            # a slice's normal forms are taken when its turn comes
+            slices = ((lo, self.normal_forms(gs[lo : lo + step])) for lo in range(0, len(gs), step))
         out = np.empty((len(gs),) + shape, dtype=complex)
         for lo, groups in slices:
             for pos, f in groups:

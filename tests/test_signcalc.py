@@ -723,9 +723,9 @@ def test_s_value_transport_inverts_under_negation_and_follows_frobenius(p):
 
 
 # One invalid scenario per refusal of validate_scenario, in its order: the
-# family part (family_target) first, then the twist.  Each row edits a valid
-# base scenario with dataclasses.replace: ASYM (asym/asym over F_3) or SYM
-# (sym-ur/sym-ur over F_9).
+# root index and classification, the family part (family_target), then the
+# twist.  Each row edits a valid base scenario with dataclasses.replace: ASYM
+# (asym/asym over F_3) or SYM (sym-ur/sym-ur over F_9).
 F5, F27 = ff.field(5, 1), ff.field(3, 3)
 ASYM = sc.OrbitScenario(sc.one_orbit_action(1, False), 0, F3, F3, F3, F3, F3.one(), F3.one(), F3.one(), "asym/asym")
 SYM = next(checks.orbit_scenarios(sc.one_orbit_action(2, True), 0, 3))
@@ -733,7 +733,7 @@ _F9_UNITS = dict(C=F9.one(), eta_alpha=F9.one(), eta_minus_alpha=F9.one())
 REFUSALS = [
     ("alpha-range", ASYM, dict(alpha=2), sc.SignCalcError, "alpha = 2 is not a root index 0..1"),
     ("alpha-unhashable", ASYM, dict(alpha=[0]), sc.SignCalcError, "alpha = [0] is not a root index 0..1"),
-    # equal to the cached alpha = 0 and with its hash: the cache is typed
+    # equal to alpha = 0 and with its hash
     ("alpha-float", ASYM, dict(alpha=0.0), sc.SignCalcError, "alpha = 0.0 is not a root index 0..1"),
     ("classification-unknown", ASYM, dict(classification="asym/nope"), sc.SignCalcError,
      "unknown classification 'asym/nope'"),
@@ -753,7 +753,7 @@ REFUSALS = [
      "the orbit of alpha is asym/asym; classification says 'asym/sym-ur'"),
     ("C-zero", ASYM, dict(C=F3.zero()), sc.SignCalcError, "C must be a unit of k_alpha"),
     ("C-other-field", ASYM, dict(C=F9.one()), sc.SignCalcError, "C must be a unit of k_alpha"),
-    # equal to the cached C = 1 and with its hash
+    # equal to the cached C = 1 and with its hash: the cache is typed
     ("C-int", ASYM, dict(C=1), AttributeError, "'int' object has no attribute 'parent'"),
     ("symmetric-ramified", SYM, dict(k_pm_alpha=F9), sc.FormDegenerate, "symmetric ramified alpha admits no antisymmetric C"),
     ("tau-order", SYM, dict(action=sc.one_orbit_action(4, True)), sc.InconsistentDegrees,
@@ -803,7 +803,6 @@ def test_family_check_runs_once_per_family_and_every_scenario_checks_its_twist(m
 def test_hashes_are_computed_once_and_unchanged():
     act = sc.one_orbit_action(4, False, 1, True)
     assert hash(act) == act._hash == hash((act.size, act.frobenius, act.neg, act.theta))
-    assert "_hash" not in repr(act) and not next(f for f in dataclasses.fields(act) if f.name == "_hash").compare
     assert hash(F9) == F9._hash == hash((3, 2, F9.modulus))
     assert hash(ff.FieldDesc(3, 2, F9.modulus)) == hash(F9)
 
