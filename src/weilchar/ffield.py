@@ -330,7 +330,7 @@ def _mult_matrix(desc: FieldDesc, x: tuple[int, ...]) -> np.ndarray:
     """The k x k matrix of multiplication by x in the polynomial basis,
     sum x_i C^i with C the companion matrix of the modulus (multiplication
     by t); needs no table, so table_arrays can find its generator with it
-    (symplectic.mult_matrix is the gather everyone else uses)."""
+    (symplectic.twist_matrix is the gather everyone else uses)."""
     p, k = desc.p, desc.degree
     comp = _companion(desc.modulus, p)
     out, power = np.zeros((k, k), dtype=np.int64), np.eye(k, dtype=np.int64)

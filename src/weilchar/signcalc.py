@@ -403,9 +403,8 @@ def build_block(sc: OrbitScenario) -> BlockBuild:
     branch sign."""
     k = sc.k_alpha
     space = sym.field_block(k, sc.C, sc.tau_exp if sc.sym_alpha else None)
-    frob = sym.frobenius_matrix(k, sc.varsigma_exp)
     etas = (sc.eta_alpha,) if sc.sym_alpha else (sc.eta_alpha, sc.eta_minus_alpha)
-    mat = sym.plus_minus(*(sym.mult_matrix(eta) @ frob for eta in etas), sign=sc.root.branch_sign)
+    mat = sym.plus_minus(*(sym.twist_matrix(eta, sc.varsigma_exp) for eta in etas), sign=sc.root.branch_sign)
     return BlockBuild(space, sym.sp_elem(space, mat), sc)
 
 

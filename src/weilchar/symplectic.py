@@ -44,8 +44,9 @@ class SympSpace:
     """Symplectic F_p-space with explicit Gram matrix, one read-only int64
     array reduced mod p, and optional ordered orthogonal block structure
     (blocks = index tuples into the coordinates).  Eq and hash read (p, the
-    Gram matrix's bytes, blocks); the Gram's inverse is computed once, on
-    first use by `inverses`."""
+    Gram matrix's bytes, blocks); eq answers identity first, and the hash
+    and the Gram's inverse (on first use by `inverses`) are computed once:
+    spaces key the block, frame and group caches."""
 
     p: int
     gram: np.ndarray
@@ -70,9 +71,15 @@ class SympSpace:
                     raise SymplecticError("blocks are not gram-orthogonal")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, SympSpace) and (self.p, self.gram.tobytes(), self.blocks) == (other.p, other.gram.tobytes(), other.blocks)
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.p, self.gram.tobytes(), self.blocks))
 
     @property
@@ -226,7 +233,7 @@ def check_form(space: SympSpace, mats: np.ndarray) -> None:
     leading axes, unless every one has m^T G m = G mod p.  It reads no
     entry range (an SpElem reduces mod p; WeilModel._matrices checks)."""
     g = space.gram
-    if ((mats.swapaxes(-1, -2) @ g @ mats - g) % space.p).any():
+    if np.count_nonzero((mats.swapaxes(-1, -2) @ g @ mats - g) % space.p):
         raise SymplecticError("matrix does not preserve the form")
 
 
@@ -289,42 +296,31 @@ def frame_inverse(space: SympSpace, basis: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Field-element matrices (multiplication and Frobenius as F_p-linear maps)
+# Field-element matrices (the twists y -> x y^(p^j) as F_p-linear maps)
 
 
 @lru_cache(maxsize=None)
-def _basis_logs(desc: FieldDesc) -> np.ndarray:
-    """log t^i for the polynomial basis t^i, i < degree, of desc."""
+def _twisted_logs(desc: FieldDesc, j: int) -> np.ndarray:
+    """p^j log t^i mod q - 1 for the polynomial basis t^i, i < degree, of
+    desc: the logs of the basis images under y -> y^(p^j); read-only."""
     exp, log = ffield.table_arrays(desc)
-    out = np.arange(desc.degree) * int(log[desc.gen().index()]) % len(exp)
+    out = np.arange(desc.degree) * int(log[desc.gen().index()]) * desc.p**j % len(exp)
     out.flags.writeable = False
     return out
 
 
-def mult_matrix(x: FieldElem) -> np.ndarray:
-    """Matrix of y -> x*y on x.parent in the polynomial basis: column i is
-    x t^i = g^(log x + log t^i), gathered from the exp table."""
+def twist_matrix(x: FieldElem, j: int = 0) -> np.ndarray:
+    """Matrix of y -> x y^(p^j) on x.parent in the polynomial basis, the
+    caller's own int64 array: column i is x (t^i)^(p^j) = g^(log x + p^j log
+    t^i), one gather from the exp table (its logs wrap mod q - 1); zero for
+    x = 0.  j = 0 is multiplication by x, x = 1 the Frobenius power; j is
+    read mod the degree."""
     desc = x.parent
     exp, log = ffield.table_arrays(desc)
     a = int(log[x.index()])
     if a < 0:
         return np.zeros((desc.degree, desc.degree), dtype=np.int64)
-    return exp[(a + _basis_logs(desc)) % len(exp)].T.astype(np.int64)
-
-
-def frobenius_matrix(desc: FieldDesc, j: int = 1) -> np.ndarray:
-    """Matrix of y -> y^(p^j) on desc in the polynomial basis; cached and
-    read-only."""
-    return _frobenius_matrix(desc, j % desc.degree)
-
-
-@lru_cache(maxsize=None)
-def _frobenius_matrix(desc: FieldDesc, j: int) -> np.ndarray:
-    """Column i is (t^i)^(p^j) = g^(p^j log t^i), gathered from the exp table."""
-    exp = ffield.table_arrays(desc)[0]
-    out = exp[desc.p**j * _basis_logs(desc) % len(exp)].T.astype(np.int64)
-    out.flags.writeable = False
-    return out
+    return exp.take(a + _twisted_logs(desc, j % desc.degree), axis=0, mode="wrap").T.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +433,10 @@ def trace_form_gram(k: FieldDesc, c: FieldElem, tau_exp: int | None = None) -> n
     """Gram of (x, y) -> Tr(C x tau(y)) on k as an F_p-space, in the power
     basis t^i of k.gen(); tau = Frobenius^tau_exp, or the identity if None.
 
-    Entry (i, j) is Tr(t^i y) for y = C tau(t^j), column j of M_C F_tau; Tr
-    is F_p-linear, so G = H M_C F_tau with the trace Hankel H of k."""
-    return trace_hankel(k) @ mult_matrix(c) @ frobenius_matrix(k, tau_exp or 0) % k.p
+    Entry (i, j) is Tr(t^i y) for y = C tau(t^j), column j of
+    twist_matrix(C, tau_exp); Tr is F_p-linear, so G = H twist_matrix(C,
+    tau_exp) with the trace Hankel H of k."""
+    return trace_hankel(k) @ twist_matrix(c, tau_exp or 0) % k.p
 
 
 @lru_cache(maxsize=None)
@@ -447,7 +444,7 @@ def trace_hankel(k: FieldDesc) -> np.ndarray:
     """H[i, j] = Tr(t^(i+j)) mod p, read as the trace of the matrix of
     multiplication by t^(i+j); cached and read-only."""
     d, t = k.degree, k.gen()
-    traces = [int(np.trace(mult_matrix(t**n))) % k.p for n in range(2 * d - 1)]
+    traces = [int(np.trace(twist_matrix(t**n))) % k.p for n in range(2 * d - 1)]
     out = np.array([traces[i : i + d] for i in range(d)], dtype=np.int64)
     out.flags.writeable = False
     return out
@@ -482,7 +479,7 @@ def toral_matrix(x: FieldElem, symmetric: bool) -> np.ndarray:
     """The matrix of the toral element x on a field_block: multiplication by
     x on a symmetric block; on an asymmetric one, by x on the plus line and
     by x^-1 on the minus line."""
-    return plus_minus(mult_matrix(x), None if symmetric else mult_matrix(x.inverse()))
+    return plus_minus(twist_matrix(x), None if symmetric else twist_matrix(x.inverse()))
 
 
 def build_torus(desc: TorusDesc) -> BuiltTorus:
@@ -515,7 +512,7 @@ def weight_charpoly_check(t: TorusElement) -> bool:
     acc = [1]
     for piece in t.pieces():
         for val in (piece.x,) if piece.symmetric else (piece.x, piece.x.inverse()):
-            acc = modp.poly_mul(acc, modp.charpoly(mult_matrix(val), p), p)
+            acc = modp.poly_mul(acc, modp.charpoly(twist_matrix(val), p), p)
     return acc == modp.charpoly(t.elem.mat, p)
 
 

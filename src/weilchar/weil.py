@@ -132,6 +132,15 @@ def _points(p: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _place_values(p: int, n: int) -> np.ndarray:
+    """p^i for i < n: a point's digits @ these is its row in _points;
+    read-only and shared by every model of dimension p^n."""
+    out = p ** np.arange(n, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
 def _identity(n: int) -> np.ndarray:
     """The n x n identity, int64 and read-only."""
     out = np.eye(n, dtype=np.int64)
@@ -158,12 +167,13 @@ def _reduce_block(key: bytes, n: int, p: int) -> tuple[np.ndarray, tuple[int, ..
 
 def _reduce_blocks(blocks: np.ndarray, p: int) -> tuple[np.ndarray, tuple, tuple]:
     """_reduce_block of each block of a (k, n, n) int64 stack, keyed by
-    slices of the stack's bytes: the E's stacked, and the pivot columns and
-    det E of each block."""
+    slices of the stack's bytes: the E's stacked (for a stack of one, a
+    read-only view of the memo's E), and the pivot columns and det E of
+    each block."""
     k, n = blocks.shape[:2]
     buf, size = blocks.tobytes(), 8 * n * n
     es, pivots, dets = zip(*(_reduce_block(buf[lo : lo + size], n, p) for lo in range(0, k * size, size)))
-    return np.array(es), pivots, dets
+    return es[0][None] if k == 1 else np.array(es), pivots, dets
 
 
 def _half_pairing(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
@@ -194,7 +204,9 @@ def _quadratic_phases(p: int, n: int, q: np.ndarray) -> np.ndarray:
     n x n matrix of a stack q.  q is reduced mod p, as _nbar_form and
     _trace_phase return it, so no sum exceeds n^2 p^3 and int64 holds for
     every p^n <= MODEL_DIM_CAP."""
-    return q.reshape(q.shape[:-2] + (n * n,)) @ _pair_products(p, n).T % p
+    out = q.reshape(q.shape[:-2] + (n * n,)) @ _pair_products(p, n).T
+    out %= p
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +241,13 @@ def _trace_support(f: WordFactors, p: int) -> np.ndarray:
 def _trace_phase(f: WordFactors, p: int) -> np.ndarray:
     """Q mod p with the trace's summand sgn c_r psi(s^T Q s) at a point s of
     the support, for each element of a stacked normal form: both nbar
-    phases and F_S's phase (t s)_S . (a2 s)_S."""
-    return (_nbar_form(f.b1 + f.b2, p) + _cross_phase(f)) % p
+    phases and F_S's phase (t s)_S . (a2 s)_S, which the Siegel cell (r = 0,
+    S empty) does not have."""
+    q = _nbar_form(f.b1 + f.b2, p)
+    if f.rank:
+        q += _cross_phase(f)
+        q %= p
+    return q
 
 
 def _cross_phase(f: WordFactors) -> np.ndarray:
@@ -244,9 +261,10 @@ class WeilModel:
 
     Internally everything is transported to standard (e, f)-coordinates by a
     symplectic basis change; rho acts on functions on the X-coordinates.
-    from_std, to_std and _pts are read-only: with the default polarization
-    the basis change is shared by every model of an equal space (_std_frame),
-    and the point table by every model of dimension p^n (_points)."""
+    from_std, to_std, _pts and _powers are read-only: with the default
+    polarization the basis change is shared by every model of an equal space
+    (_std_frame), and the point table and its place values by every model of
+    dimension p^n (_points, _place_values)."""
 
     def __init__(self, space: SympSpace, polarization=None):
         check_odd_prime(space.p)
@@ -266,7 +284,7 @@ class WeilModel:
             self.from_std, self.to_std = _std_frame(space)
         self._group_table: list | None = None
         self._w: np.ndarray | None = None  # the Fourier operator, built on first use
-        self._powers = self.p ** np.arange(self.n, dtype=np.int64)
+        self._powers = _place_values(self.p, self.n)
         self._pts = _points(self.p, self.n)
 
     def _check_polarization(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -369,7 +387,8 @@ class WeilModel:
         """The stacked normal form of elements of one cell rank r, from their
         standard matrices, T, pivot columns and det T.  On the big cell
         (r = n) a2 = I, so b2 = T D and b1 = A T; on the Siegel parabolic
-        (r = 0, C = 0) a2 = T D and b2 = 0, so b1 = -B a2^-1 T; on the others
+        (r = 0, C = 0, whose reduction leaves T = I) a2 = D and b2 = 0, so
+        b1 = -B a2^-1; on the others
         b2 = a2^T beta a2 from the symmetric beta.  Off the big cell one
         reduction of [a2 | I] per distinct a2 (_reduce_block) gives a2^-1 and
         det a2.  sgn = (det T det a2 / p)."""
@@ -377,21 +396,21 @@ class WeilModel:
         a, b, d = gstd[:, :n, :n], gstd[:, :n, n:], gstd[:, n:, n:]
         # top row of h: T D = E' a2 + E a2^-T b2 and T (-C) = E a2^-T, E the
         # projection on the first r coordinates; a2 has rows e_pivot there
-        x = t @ d % p
-        if r == n:  # the pivots are 0..n-1, so a2 = I and beta = X
-            a2 = _identity(n)[None].repeat(len(t), axis=0)
-            sgn = np.array([modp.legendre(det_t, p) for det_t in dets])
-            return WordFactors(rank=r, sgn=sgn, t=t, a2=a2, b1=a @ t % p, b2=x)
-        if r == 0:
-            a2 = x
+        if r == 0:  # C = 0 reduces to T = I, so a2 = T D = D
+            a2 = d
         else:
+            x = t @ d % p
+            if r == n:  # the pivots are 0..n-1, so a2 = I and beta = X
+                a2 = _identity(n)[None].repeat(len(t), axis=0)
+                sgn = np.array([modp.legendre(det_t, p) for det_t in dets])
+                return WordFactors(rank=r, sgn=sgn, t=t, a2=a2, b1=a @ t % p, b2=x)
             a2 = x.copy()
             a2[:, :r] = _identity(n)[np.array(pivots)]
         # det a2^-1 = 1 / det a2, of the same quadratic character
         a2inv, _, det_invs = _reduce_blocks(a2, p)
         sgn = np.array([modp.legendre(det_t * det_inv, p) for det_t, det_inv in zip(dets, det_invs)])
-        if r == 0:  # h = nbar(b1) m(a1) m(a2): beta = 0
-            return WordFactors(rank=r, sgn=sgn, t=t, a2=a2, b1=(-b @ a2inv % p) @ t % p, b2=np.zeros_like(x))
+        if r == 0:  # h = nbar(b1) m(a2) with T = I: beta = 0
+            return WordFactors(rank=r, sgn=sgn, t=t, a2=a2, b1=-b @ a2inv % p, b2=np.zeros(a2.shape, dtype=np.int64))
         a2t = a2.transpose(0, 2, 1)
         # b2 = a2^T beta a2 with beta symmetric, its first r rows X_S a2^-1
         beta = np.zeros(t.shape, dtype=np.int64)
@@ -475,7 +494,9 @@ class WeilModel:
         if k > 1:
             phases += np.arange(0, k * p, p)[:, None]
         if f.rank < self.n:
-            phases = phases[~(self._pts @ _trace_support(f, p).transpose(0, 2, 1) % p).any(axis=-1)]
+            off = self._pts @ _trace_support(f, p).transpose(0, 2, 1)
+            off %= p
+            phases = phases[~off.any(axis=-1)]
         counts = np.bincount(phases.ravel(), minlength=k * p).reshape(k, p)
         c_r, theta = _fourier_scalar(p, f.rank), modp.theta_values(p)
         return np.array([sgn * c_r * (row @ theta) for sgn, row in zip(f.sgn.tolist(), counts)])

@@ -444,7 +444,7 @@ def _sl2_f9():
     one, zero = np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
     gens = []
     for x in (k.one(), k.gen()):
-        m = sym.mult_matrix(x)
+        m = sym.twist_matrix(x)
         gens += [np.block([[one, m], [zero, one]]), np.block([[one, zero], [m, one]])]
     return space, np.stack(gens)
 
@@ -560,9 +560,9 @@ def _times_t(k):
     return comp
 
 
-def test_mult_matrix_is_multiplication_on_every_element():
-    # column i of mult_matrix(x) is x t^i = C^i x, for every element of every
-    # pinned field, zero included
+def test_twist_matrix_at_j0_is_multiplication_on_every_element():
+    # column i of twist_matrix(x) is x t^i = C^i x, for every element of
+    # every pinned field, zero included
     for k in _pinned_fields():
         xs = list(k.elements())
         coeffs = np.array([x.coeffs for x in xs], dtype=np.int64)
@@ -571,26 +571,43 @@ def test_mult_matrix_is_multiplication_on_every_element():
         for i in range(k.degree):
             want[:, :, i] = coeffs @ power.T % k.p
             power = comp @ power % k.p
-        got = np.array([sym.mult_matrix(x) for x in xs])
+        got = np.array([sym.twist_matrix(x) for x in xs])
         assert (got == want).all(), k
-        assert not sym.mult_matrix(k.zero()).any()
+        assert not sym.twist_matrix(k.zero()).any()
 
 
-def test_frobenius_matrix_and_trace_hankel_are_their_definitions():
+def test_twist_matrix_of_one_and_trace_hankel_are_their_definitions():
     for k in _pinned_fields():
         p, d = k.p, k.degree
         for j in range(-d, 2 * d):
-            # column i is (t^i)^(p^j), a polynomial power mod the modulus
+            # column i is (t^i)^(p^j), a polynomial power mod the modulus;
+            # j is read mod the degree
             if d == 1:
                 want = [[1]]
             else:
                 cols = [polyref.poly_powmod([0] * i + [1], p ** (j % d), list(k.modulus), p) for i in range(d)]
                 want = [[(col + [0] * d)[r] for col in cols] for r in range(d)]
-            assert sym.frobenius_matrix(k, j).tolist() == want, (k, j)
+            assert sym.twist_matrix(k.one(), j).tolist() == want, (k, j)
         f1 = ff.field(p, 1)
         t = k.gen()
         want = [[ff.trace_to(t ** (i + j), f1).coeffs[0] for j in range(d)] for i in range(d)]
         assert sym.trace_hankel(k).tolist() == want, k
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 2)])
+def test_twist_matrix_is_its_definition(p, d):
+    # column i of the matrix of y -> x y^(p^j) is the coefficient vector of
+    # x (t^i)^(p^j), computed with polynomial arithmetic mod the modulus,
+    # for every x (zero included) and every j < degree
+    k = ff.field(p, d)
+    modulus = list(k.modulus)
+    for j in range(d):
+        images = [polyref.poly_powmod([0] * i + [1], p**j, modulus, p) if d > 1 else [1] for i in range(d)]
+        for x in k.elements():
+            cols = [(polyref.poly_mod(modp.poly_mul(list(x.coeffs), img, p), modulus, p) + [0] * d)[:d] for img in images]
+            want = [[col[r] for col in cols] for r in range(d)]
+            got = sym.twist_matrix(x, j)
+            assert got.dtype == np.int64 and got.tolist() == want, (k, x, j)
 
 
 def test_cached_field_matrices_are_read_only():
@@ -598,13 +615,17 @@ def test_cached_field_matrices_are_read_only():
         exp, log = ff.table_arrays(k)
         image, preimage = ff._embedding(ff.field(k.p, 1), k)
         assert image.dtype == preimage.dtype == np.int16
-        cached = [exp, log, image, preimage, sym.trace_hankel(k)] + [sym.frobenius_matrix(k, j) for j in range(k.degree)]
+        cached = [exp, log, image, preimage, sym.trace_hankel(k)] + [sym._twisted_logs(k, j) for j in range(k.degree)]
         for arr in cached:
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1
-    # a gathered multiplication matrix is the caller's own
-    m = sym.mult_matrix(ff.field(5, 2).gen())
-    m[0, 0] = 1
+    # a gathered twist matrix is the caller's own, a Frobenius power's too
+    k = ff.field(5, 2)
+    for x, j in ((k.gen(), 0), (k.one(), 1)):
+        m = sym.twist_matrix(x, j)
+        want = m.tolist()
+        m[0, 0] += 1
+        assert sym.twist_matrix(x, j).tolist() == want
 
 
 def test_hyperbolic_basis_on_funny_forms():
@@ -671,6 +692,20 @@ def test_sign_blocks_pinned(p):
     assert block_digests(p) == PINNED_BLOCKS["build_block"][str(p)]
 
 
+# each sign block's twist matrix, pinned per label as the product M_eta F^e
+# mod p of the multiplication and Frobenius matrices: the one exp-table
+# gather of twist_matrix must build the same matrix on every block
+PINNED_TWISTS = json.loads((pathlib.Path(__file__).parent / "block_twist_digests.json").read_text())
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_block_twists_pinned(p):
+    per_label = {}
+    for label, s in checks.sign_branch_scenarios(p, 4, 16, 2):
+        per_label.setdefault(label, []).append(signcalc.build_block(s).op.mat.tolist())
+    assert {label: _digest(rows) for label, rows in per_label.items()} == PINNED_TWISTS["%d,4,16,2" % p]
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_tori_pinned(p):
     assert torus_digests(p) == PINNED_BLOCKS["build_torus"][str(p)]
@@ -683,6 +718,26 @@ def test_field_block_is_built_once_per_value():
     assert sym.field_block(k, k.one(), None) is sym.field_block(k, k.one(), None)
     # an equal C built afresh finds the same space
     assert sym.field_block(k, k.element(c.coeffs), 1) is sym.field_block(k, c, 1)
+
+
+def test_space_hash_is_computed_once_and_unchanged():
+    gram = sym.trace_form_gram(ff.field(3, 2), sym.anti_invariant_unit(ff.field(3, 2), 1), 1)
+    a, b = sym.SympSpace(3, gram), sym.SympSpace(3, gram.copy())
+    assert hash(a) == a._hash == hash((3, a.gram.tobytes(), None))
+    # the hash is read from the instance once it is computed
+    a.__dict__["_hash"] = 12345
+    assert hash(a) == 12345
+    del a.__dict__["_hash"]
+    # two equal spaces built apart are equal, hash equal and share a cache entry
+    assert a is not b and a == b and b == a and hash(a) == hash(b)
+    assert a == a and not a != a
+    assert sym.sp_group(a) is sym.sp_group(b)
+    # p, the Gram matrix and the blocks each tell spaces apart
+    summed = sym.direct_sum([a])
+    assert summed.gram.tobytes() == a.gram.tobytes() and summed != a
+    assert sym.SympSpace(3, 2 * gram) != a
+    assert sym.standard_polarized_space(3, 1) != sym.standard_polarized_space(5, 1)
+    assert a != "a space" and a != gram
 
 
 @pytest.mark.parametrize("fault", [None, "swap-sign"])
