@@ -1164,6 +1164,14 @@ def _fault(owner, path: str, faulty):
     return seeded
 
 
+def _restrict_merged(orig, d):
+    # the last Theta-orbit folded into the first restricted root, so that
+    # Phi/Theta -> Phi_res is no longer injective; by_root stays
+    res = orig(d)
+    first, *middle, last = res.restricted
+    return dataclasses.replace(res, restricted=(dataclasses.replace(first, orbit=first.orbit + last.orbit), *middle))
+
+
 def _block_sign_negated(orig, s):
     bv = orig(s)
     return dataclasses.replace(bv, value=-bv.value)
@@ -1228,6 +1236,7 @@ FAULTS = {
     # no row fails divisibility, so U m V is diagonal by unimodular U and V
     # but d_i need not divide d_i+1
     "snf-fixup": _fault(lattice, "_divisibility_offender", lambda orig, d, s: None),
+    "restrict-merge": _fault(lattice, "restrict_roots", _restrict_merged),
     "block-sign-negated": _fault(signcalc, "block_sign_formula", _block_sign_negated),
     # <v1,v2>/2 dropped from the law, which leaves H(V) abelian and still
     # associative

@@ -44,26 +44,6 @@ class FieldError(Exception):
     pass
 
 
-class NotASubfield(FieldError):
-    pass
-
-
-class ZeroElement(FieldError):
-    pass
-
-
-class NotNormOne(FieldError):
-    pass
-
-
-class WrongIndex(FieldError):
-    pass
-
-
-class NotCoprimeToP(FieldError):
-    pass
-
-
 def _companion(modulus, p: int) -> np.ndarray:
     """The companion matrix of a monic modulus (low degree first): the
     matrix of multiplication by t on F_p[t]/(modulus) in the basis t^i."""
@@ -452,7 +432,7 @@ def embed(x: FieldElem, big: FieldDesc) -> FieldElem:
     if x.parent == big:
         return x
     if not is_subfield(x.parent, big):
-        raise NotASubfield("%r is not a subfield of %r" % (x.parent, big))
+        raise FieldError("%r is not a subfield of %r" % (x.parent, big))
     return big.from_index(int(_embedding(x.parent, big)[0][x.index()]))
 
 
@@ -467,7 +447,7 @@ def _project(x: FieldElem, sub: FieldDesc) -> FieldElem:
 def trace_to(x: FieldElem, sub: FieldDesc) -> FieldElem:
     """Relative trace: sum of Galois conjugates of x over sub; lands in sub."""
     if not is_subfield(sub, x.parent):
-        raise NotASubfield("%r is not a subfield of %r" % (sub, x.parent))
+        raise FieldError("%r is not a subfield of %r" % (sub, x.parent))
     d = x.parent.degree // sub.degree
     acc = x.parent.zero()
     conj = x
@@ -480,7 +460,7 @@ def trace_to(x: FieldElem, sub: FieldDesc) -> FieldElem:
 def norm_to(x: FieldElem, sub: FieldDesc) -> FieldElem:
     """Relative norm: product of Galois conjugates of x over sub."""
     if not is_subfield(sub, x.parent):
-        raise NotASubfield("%r is not a subfield of %r" % (sub, x.parent))
+        raise FieldError("%r is not a subfield of %r" % (sub, x.parent))
     return _project(x ** ((x.parent.order - 1) // (sub.order - 1)), sub)
 
 
@@ -508,11 +488,11 @@ def sgn_mult(x: FieldElem, k: FieldDesc | None = None) -> int:
     subfield k of x.parent (default: x.parent); evaluated in x.parent."""
     if k is not None and k != x.parent:
         if not is_subfield(k, x.parent):
-            raise NotASubfield("%r is not a subfield of %r" % (k, x.parent))
+            raise FieldError("%r is not a subfield of %r" % (k, x.parent))
         if x.frobenius(k.degree) != x:
-            raise NotASubfield("%r does not lie in %r" % (x, k))
+            raise FieldError("%r does not lie in %r" % (x, k))
     if x.is_zero():
-        raise ZeroElement("sgn of zero")
+        raise FieldError("sgn of zero")
     return _sign(x ** (((k or x.parent).order - 1) // 2))
 
 
@@ -522,10 +502,10 @@ def sgn_norm_one(x: FieldElem, sub: FieldDesc, k: FieldDesc | None = None) -> in
     x.parent (default: x.parent); evaluated in x.parent."""
     k = k or x.parent
     if not is_subfield(sub, k) or not is_subfield(k, x.parent) or k.degree != 2 * sub.degree:
-        raise WrongIndex("[%r : %r] != 2 inside %r" % (k, sub, x.parent))
+        raise FieldError("[%r : %r] != 2 inside %r" % (k, sub, x.parent))
     # x^(q+1) = 1 says both that x lies in k and that its norm to sub is 1
     if x ** (sub.order + 1) != 1:
-        raise NotNormOne("%r is not norm-one in %r over %r" % (x, k, sub))
+        raise FieldError("%r is not norm-one in %r over %r" % (x, k, sub))
     return _sign(x ** ((sub.order + 1) // 2))
 
 
@@ -535,7 +515,7 @@ def units_of_norm(big: FieldDesc, sub: FieldDesc, target: FieldElem) -> list[Fie
     the fibre is the n-th roots of target, empty unless target is a unit
     fixed by sub's Frobenius."""
     if not is_subfield(sub, big) or target.parent != big:
-        raise NotASubfield("no norm from %r to %r over %r" % (big, sub, target))
+        raise FieldError("no norm from %r to %r over %r" % (big, sub, target))
     return [] if target.is_zero() else nth_roots(target, (big.order - 1) // (sub.order - 1))
 
 
@@ -543,7 +523,7 @@ def norm_one_group(big: FieldDesc, sub: FieldDesc) -> list[FieldElem]:
     """All of ker(Nr: big^x -> sub^x) for a quadratic extension, in canonical
     order; cyclic of order sub.order + 1."""
     if big.degree != 2 * sub.degree or big.p != sub.p:
-        raise WrongIndex("[%r : %r] != 2" % (big, sub))
+        raise FieldError("[%r : %r] != 2" % (big, sub))
     out = units_of_norm(big, sub, big.one())
     if len(out) != sub.order + 1:
         raise FieldError("%d units of norm one in %r over %r, expected %d" % (len(out), big, sub, sub.order + 1))
@@ -556,7 +536,7 @@ def nth_roots(x: FieldElem, n: int) -> list[FieldElem]:
     if n < 1:
         raise FieldError("n must be positive")
     if n % x.parent.p == 0:
-        raise NotCoprimeToP("n = %d is divisible by p = %d" % (n, x.parent.p))
+        raise FieldError("n = %d is divisible by p = %d" % (n, x.parent.p))
     desc = x.parent
     exp, a = desc._exp, desc._log[x.idx]
     if a < 0:

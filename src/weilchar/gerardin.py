@@ -23,26 +23,6 @@ class GerardinError(Exception):
     pass
 
 
-class ElementNotInTorus(GerardinError):
-    pass
-
-
-class HasFixedPoint(GerardinError):
-    pass
-
-
-class NotIsotropic(GerardinError):
-    pass
-
-
-class LineNotFixed(GerardinError):
-    pass
-
-
-class NotInvariantPolarization(GerardinError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Semisimple formula over Sigma-orbits of eigenvalues
 
@@ -76,7 +56,7 @@ def orbit_sign(pieces: tuple[TorusPiece, ...], fixed_dim: int) -> int:
 def char_semisimple(t: TorusElement) -> float:
     """orbit_sign over the pieces of t times p^{dim V^t / 2} (Gerardin)."""
     if not isinstance(t, TorusElement):
-        raise ElementNotInTorus("char_semisimple needs a TorusElement, got %s" % type(t).__name__)
+        raise GerardinError("char_semisimple needs a TorusElement, got %s" % type(t).__name__)
     fixed_dim = t.elem.fixed_space_dim()
     return orbit_sign(t.pieces(), fixed_dim) * float(t.torus.p) ** (fixed_dim // 2)
 
@@ -147,10 +127,10 @@ def char_no_fixed_point(g: SpElem, vprime) -> int:
     space = g.space
     p = space.p
     if g.fixed_space_dim() != 0:
-        raise HasFixedPoint("element has nonzero fixed points")
+        raise GerardinError("element has nonzero fixed points")
     vprime = _rows(vprime, p, space.dim)
     if not is_isotropic(space, vprime):
-        raise NotIsotropic("V' is not totally isotropic")
+        raise GerardinError("V' is not totally isotropic")
     # V0 = V'^perp / V', spanned by a complement of V' inside V'^perp; V'^perp
     # is invariant exactly when V' is, so g on (V', V0) is block upper
     # triangular with g|V' top left and the quotient action bottom right
@@ -162,7 +142,7 @@ def char_no_fixed_point(g: SpElem, vprime) -> int:
     # maximality: g on V0 must have no eigenvalue in F_p
     cp = modp.charpoly(g_v0, p)
     if any(modp.poly_eval(cp, lam, p) == 0 for lam in range(p)):
-        raise NotIsotropic("V' is not maximal (V0 has an eigenline)")
+        raise GerardinError("V' is not maximal (V0 has an eigenline)")
     det_v0_shift = modp.det((g_v0 - np.eye(len(v0), dtype=np.int64)) % p, p)
     sign_arg = pow(p - 1, (len(v0) // 2) % 2, p) * det_vp * det_v0_shift % p
     return modp.legendre(sign_arg, p)
@@ -180,7 +160,7 @@ def char_fixed_line(g: SpElem, line, v0_basis) -> complex:
     p = space.p
     line = _rows([line], p, space.dim)
     if not line.any() or (g.mat @ line[0] % p != line[0]).any():
-        raise LineNotFixed("the line is not fixed pointwise")
+        raise GerardinError("the line is not fixed pointwise")
     v0_basis = _rows(v0_basis, p, space.dim)
     lperp = perp_basis(space, line)
     if len(v0_basis) != len(lperp) - 1 or len(complement_in(v0_basis, lperp, p)):
@@ -265,21 +245,12 @@ def char_polarized(g: SpElem, polarization) -> complex:
     """sgn(det(g|V+)) * |V^g|^{1/2} for semisimple g preserving a polarization."""
     space = g.space
     p = space.p
-    vplus, vminus = (_rows(side, p, space.dim) for side in polarization)
-    n = space.dim // 2
-    if len(vplus) != n or len(vminus) != n:
-        raise NotInvariantPolarization("polarization sides must have dimension n")
-    if not is_isotropic(space, vplus) or not is_isotropic(space, vminus):
-        raise NotInvariantPolarization("polarization sides must be Lagrangian")
-    if modp.rank(np.vstack([vplus, vminus]), p) != 2 * n:
-        raise NotInvariantPolarization("sides do not span")
+    vplus, vminus = (modp.as_mat(side, p) for side in polarization)
+    sym.check_polarization(space, vplus, vminus)
     if not g.is_semisimple():
-        raise sym.NotSemisimple("polarized formula requires a semisimple element")
-    try:
-        gp = restrict_map(g, vplus)
-        restrict_map(g, vminus)
-    except GerardinError as exc:
-        raise NotInvariantPolarization(str(exc)) from exc
+        raise sym.SymplecticError("polarized formula requires a semisimple element")
+    gp = restrict_map(g, vplus)
+    restrict_map(g, vminus)
     fixed = g.fixed_space_dim()
     if fixed % 2:
         raise GerardinError("the fixed space of a symplectic element has odd dimension %d" % fixed)

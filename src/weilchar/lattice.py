@@ -24,22 +24,6 @@ class LatticeError(Exception):
     pass
 
 
-class NotFiniteOrder(LatticeError):
-    pass
-
-
-class RootNotInDatum(LatticeError):
-    pass
-
-
-class InconsistentEvaluation(LatticeError):
-    pass
-
-
-class RankAboveCap(LatticeError):
-    pass
-
-
 # Largest rank matrix_order walks; a larger theta is refused before its first
 # power. The catalogue's largest rank is 4 and checks.make_finite_order_matrix
 # draws up to rank 6. matrix_order's trace test refuses an infinite-order
@@ -175,7 +159,7 @@ def det_int(m) -> int:
 
 
 def matrix_order(theta) -> int:
-    """Multiplicative order of a square integer matrix; NotFiniteOrder above ORDER_BOUND.
+    """Multiplicative order of a square integer matrix; LatticeError above ORDER_BOUND.
 
     A finite-order matrix is diagonalizable with roots of unity as
     eigenvalues, so every power has |trace| <= rank, with trace = rank only
@@ -183,7 +167,7 @@ def matrix_order(theta) -> int:
     t = _square_rows(theta, "order")
     n = len(t)
     if n > ORDER_RANK_CAP:
-        raise RankAboveCap("order of a %dx%d matrix: rank %d is above the cap %d" % (n, n, n, ORDER_RANK_CAP))
+        raise LatticeError("order of a %dx%d matrix: rank %d is above the cap %d" % (n, n, n, ORDER_RANK_CAP))
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
     cols = tuple(zip(*t))
     acc = t
@@ -192,14 +176,14 @@ def matrix_order(theta) -> int:
             return k
         tr = sum(acc[i][i] for i in range(n))
         if abs(tr) > n or tr == n:
-            raise NotFiniteOrder("theta^%d is not the identity and its trace is outside [-%d, %d): theta has infinite order" % (k, n, n))
+            raise LatticeError("theta^%d is not the identity and its trace is outside [-%d, %d): theta has infinite order" % (k, n, n))
         acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
-    raise NotFiniteOrder("no power up to %d is the identity" % ORDER_BOUND)
+    raise LatticeError("no power up to %d is the identity" % ORDER_BOUND)
 
 
 def pi0_torsion(theta) -> list[int]:
     """Invariant factors > 1 of coker(1 - theta); theta of finite order."""
-    matrix_order(theta)  # raises NotFiniteOrder
+    matrix_order(theta)  # raises LatticeError
     t = _to_rows(theta)
     n = len(t)
     one_minus = [[int(i == j) - t[i][j] for j in range(n)] for i in range(n)]
@@ -250,7 +234,7 @@ class RootDatum:
 
     def theta_orbit(self, alpha) -> list[tuple[int, ...]]:
         if tuple(alpha) not in self.roots:
-            raise RootNotInDatum("%r not a root" % (alpha,))
+            raise LatticeError("%r not a root" % (alpha,))
         orbit = [tuple(alpha)]
         cur = _apply(self.theta, alpha)
         while cur != tuple(alpha):
@@ -339,7 +323,7 @@ def descended_roots(d: RootDatum, nu_eval) -> set[tuple[int, ...]]:
     for rr in res.restricted:
         vals = {nu_eval[a] for a in rr.orbit}
         if len(vals) != 1:
-            raise InconsistentEvaluation("nu evaluation not constant on %r" % (rr.orbit,))
+            raise LatticeError("nu evaluation not constant on %r" % (rr.orbit,))
         val = vals.pop()
         sigma = -1 if rr.type_tag == 3 else 1
         if val == sigma:

@@ -35,26 +35,6 @@ class FormDegenerate(SignCalcError):
     pass
 
 
-class InconsistentDegrees(SignCalcError):
-    pass
-
-
-class NormConditionViolated(SignCalcError):
-    pass
-
-
-class IncompleteScenarioCover(SignCalcError):
-    pass
-
-
-class FRegimeViolated(SignCalcError):
-    pass
-
-
-class NotUnitModulus(SignCalcError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Orbit actions
 
@@ -311,18 +291,18 @@ def family_target(act: OrbitAction, a: int, k_alpha: FieldDesc, k_pm_alpha: Fiel
     p = k_alpha.p
     for fdesc in (k_pm_alpha, k_res, k_pm_res):
         if fdesc.p != p:
-            raise InconsistentDegrees("mixed characteristics in the field tags")
+            raise SignCalcError("mixed characteristics in the field tags")
     d_a, d_pm, d_r, d_pr = (k_alpha.degree, k_pm_alpha.degree, k_res.degree, k_pm_res.degree)
     if d_a % d_r or d_r % d_pr or d_a % d_pm:
-        raise InconsistentDegrees("field degrees do not form a tower")
+        raise SignCalcError("field degrees do not form a tower")
     # residue degrees divide the F-level stabilizer indices
     if len(root.gamma) % d_a or root.deg_res % d_r or root.deg_pm_res % d_pr:
-        raise InconsistentDegrees("residue degrees incompatible with stabilizer indices")
+        raise SignCalcError("residue degrees incompatible with stabilizer indices")
     f = d_a // d_r
     if f % p == 0:
-        raise InconsistentDegrees("f_alpha must be coprime to p")
+        raise SignCalcError("f_alpha must be coprime to p")
     if act.theta_order % p == 0:
-        raise InconsistentDegrees("the twist order must be coprime to p")
+        raise SignCalcError("the twist order must be coprime to p")
 
     sym_a = root.symmetric
     # the residue image of sigma_alpha must generate the right Galois group:
@@ -331,7 +311,7 @@ def family_target(act: OrbitAction, a: int, k_alpha: FieldDesc, k_pm_alpha: Fiel
     fixed_deg = math.gcd(j_res, d_a) if j_res else d_a
     want_fixed = d_r if (sym_a or root.branch_sign == 1) else d_pr
     if fixed_deg != want_fixed:
-        raise InconsistentDegrees(
+        raise SignCalcError(
             "sigma_alpha fixes GF(p^%d) on the residue level, expected GF(p^%d)" % (fixed_deg, want_fixed)
         )
     branch = orbit_branch(act, a, d_a, d_r, d_pr)
@@ -345,14 +325,14 @@ def family_target(act: OrbitAction, a: int, k_alpha: FieldDesc, k_pm_alpha: Fiel
             raise FormDegenerate("symmetric ramified alpha admits no antisymmetric C")
         tau_exp = root.tau_exp % d_a
         if tau_exp != d_a // 2:
-            raise InconsistentDegrees("tau does not act as the order-2 residue automorphism")
+            raise SignCalcError("tau does not act as the order-2 residue automorphism")
         if C.frobenius(tau_exp) != -C:
             raise FormDegenerate("C is not tau-antiinvariant")
     elif d_pm != d_a:
-        raise InconsistentDegrees("asymmetric alpha needs k_alpha = k_pm_alpha")
+        raise SignCalcError("asymmetric alpha needs k_alpha = k_pm_alpha")
     # [k_res : k_pm_res] is 2 on an unramified symmetric restricted root, else 1
     if d_r != (2 * d_pr if branch.endswith("sym-ur") else d_pr):
-        raise InconsistentDegrees("[k_res : k_pm_res] = %d does not fit a %s restricted root" % (d_r // d_pr, branch.split("/")[1]))
+        raise SignCalcError("[k_res : k_pm_res] = %d does not fit a %s restricted root" % (d_r // d_pr, branch.split("/")[1]))
     return eta_target(root, C)
 
 
@@ -452,7 +432,7 @@ def _galois_pieces(b: FieldElem, f: int, k_res: FieldDesc, ambient: FieldDesc, s
     Galois orbit of roots, tagged symmetric or asymmetric."""
     roots = ffield.nth_roots(ffield.embed(b, ambient), f)
     if len(roots) != f:
-        raise NormConditionViolated(
+        raise SignCalcError(
             "X^%d - %r has %d roots in %r; the root lemma is violated" % (f, b, len(roots), ambient)
         )
     seen: set[FieldElem] = set()
@@ -481,13 +461,13 @@ def torus_algorithm(beta: FieldElem, f: int, branch: str, ambient: FieldDesc) ->
     """
     k_res = beta.parent
     if f % k_res.p == 0:
-        raise NormConditionViolated("f must be coprime to p")
+        raise SignCalcError("f must be coprime to p")
     if branch == "sym":
         if f % 2 == 0:
-            raise NormConditionViolated("symmetric branch needs odd f")
+            raise SignCalcError("symmetric branch needs odd f")
         sub = ffield.field(k_res.p, k_res.degree // 2)
         if ffield.norm_to(beta, sub) != 1:
-            raise NormConditionViolated("beta is not norm-one over k_pm_res")
+            raise SignCalcError("beta is not norm-one over k_pm_res")
         pieces = _galois_pieces(beta, f, k_res, ambient, True)
         return TorusPieces(tuple(pieces), ("sym",))
     if branch != "asym":
@@ -495,7 +475,7 @@ def torus_algorithm(beta: FieldElem, f: int, branch: str, ambient: FieldDesc) ->
     sub = ffield.field(k_res.p, k_res.degree // 2)
     nr = ffield.norm_to(beta, sub)
     if nr != 1 and nr != -1:
-        raise NormConditionViolated("Nr(beta) must be +-1 in the asym branch")
+        raise SignCalcError("Nr(beta) must be +-1 in the asym branch")
     pieces, trace = _asym_pm_pieces(beta, f, k_res, sub, ambient)
     return TorusPieces(tuple(pieces), tuple(trace))
 
@@ -519,7 +499,7 @@ def _asym_pm_pieces(b: FieldElem, f: int, k_res: FieldDesc, sub: FieldDesc, ambi
     roots_b = ffield.nth_roots(b, 2)
     roots_mb = ffield.nth_roots(-b, 2)
     if not roots_b or not roots_mb:
-        raise NormConditionViolated("square root missing in the halving step")
+        raise SignCalcError("square root missing in the halving step")
     p1, t1 = _asym_pm_pieces(roots_b[0], f // 2, k_res, sub, ambient)
     p2, t2 = _asym_pm_pieces(roots_mb[0], f // 2, k_res, sub, ambient)
     return p1 + p2, ["case3"] + t1 + t2
@@ -588,7 +568,7 @@ def block_sign_formula(sc: OrbitScenario) -> BlockValue:
         delta = ffield.norm_to(-gamma, sc.k_res)
         betas = ffield.nth_roots(delta, 2)
         if not betas:
-            raise NormConditionViolated("delta has no square root in k_res")
+            raise SignCalcError("delta has no square root in k_res")
         pieces = torus_algorithm(betas[0], sc.f, "asym", ambient=sc.k_alpha)
     else:  # sym-ur/sym-ur
         beta = ffield.norm_to(sc.eta_alpha, sc.k_res)
@@ -653,9 +633,9 @@ def _check_s_values(action: OrbitAction, s_values: dict[int, FieldElem]) -> None
     owner: dict[int, int] = {}
     for key in s_values:
         if not isinstance(key, int) or isinstance(key, bool) or not 0 <= key < action.size:
-            raise IncompleteScenarioCover("s_values key %r is not a root index 0..%d" % (key, action.size - 1))
+            raise SignCalcError("s_values key %r is not a root index 0..%d" % (key, action.size - 1))
         if key in owner:
-            raise IncompleteScenarioCover("s_values keys %d and %d share a Sigma-orbit" % (owner[key], key))
+            raise SignCalcError("s_values keys %d and %d share a Sigma-orbit" % (owner[key], key))
         owner.update(dict.fromkeys(action.roots[key].sigma, key))
 
 
@@ -664,10 +644,10 @@ def _check_cover(action: OrbitAction, scenarios: dict[int, OrbitScenario], s_val
     them, a scenario that does not describe its orbit, and bad s_values keys."""
     reps = theta_orbit_reps(action)
     if sorted(scenarios) != sorted(reps):
-        raise IncompleteScenarioCover("scenarios must be keyed by the canonical orbit reps %r" % (reps,))
+        raise SignCalcError("scenarios must be keyed by the canonical orbit reps %r" % (reps,))
     for rep, sc in scenarios.items():
         if sc.alpha != rep or sc.action != action:
-            raise IncompleteScenarioCover("scenario keyed by %d does not describe that orbit" % rep)
+            raise SignCalcError("scenario keyed by %d does not describe that orbit" % rep)
     _check_s_values(action, s_values)
     return reps
 
@@ -682,7 +662,7 @@ def _value_at_root(action: OrbitAction, s_values: dict[int, FieldElem], root: in
         neg_root = action.neg[root]
         if neg_root in orbit:
             return val.frobenius(orbit.index(neg_root)).inverse()
-    raise IncompleteScenarioCover("no s-value covers root %d" % root)
+    raise SignCalcError("no s-value covers root %d" % root)
 
 
 def twisted_scenario(sc: OrbitScenario, s_values: dict[int, FieldElem]) -> OrbitScenario:
@@ -744,16 +724,16 @@ def _orbit_classification(action: OrbitAction, scenarios: dict[int, OrbitScenari
     for rep, sc in scenarios.items():
         if root in action.roots[rep].cluster:
             return sc.classification
-    raise IncompleteScenarioCover("root %d not covered" % root)
+    raise SignCalcError("root %d not covered" % root)
 
 
 def theta_rho(assembled: Assembled, vartheta_s: complex) -> complex:
     """The assembled twisted character value times the opaque unit character
     value; f = 1 regime only."""
     if not assembled.f1_regime:
-        raise FRegimeViolated("theta_rho requires f_alpha = 1 for all orbits")
+        raise SignCalcError("theta_rho requires f_alpha = 1 for all orbits")
     if abs(abs(vartheta_s) - 1.0) > 1e-9:
-        raise NotUnitModulus("vartheta(s) must be a unit complex number")
+        raise SignCalcError("vartheta(s) must be a unit complex number")
     return assembled.value * vartheta_s
 
 

@@ -31,14 +31,6 @@ class SymplecticError(Exception):
     pass
 
 
-class SpaceMismatch(SymplecticError):
-    pass
-
-
-class NotSemisimple(SymplecticError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class SympSpace:
     """Symplectic F_p-space with explicit Gram matrix, one read-only int64
@@ -113,7 +105,7 @@ def direct_sum(spaces: list[SympSpace]) -> SympSpace:
         raise SymplecticError("a direct sum needs at least one space")
     p = spaces[0].p
     if any(s.p != p for s in spaces):
-        raise SpaceMismatch("mixed characteristics")
+        raise SymplecticError("mixed characteristics")
     dims = [s.dim for s in spaces]
     total = sum(dims)
     g = np.zeros((total, total), dtype=np.int64)
@@ -202,7 +194,7 @@ class SpElem:
 
     def __mul__(self, other: "SpElem") -> "SpElem":
         if self.space != other.space:
-            raise SpaceMismatch("Sp elements from different spaces")
+            raise SymplecticError("Sp elements from different spaces")
         return sp_elem(self.space, self.mat @ other.mat)
 
     def inverse(self) -> "SpElem":
@@ -293,6 +285,22 @@ def frame_inverse(space: SympSpace, basis: np.ndarray) -> np.ndarray:
     n = space.dim // 2
     rows = basis.T @ space.gram
     return np.vstack([-rows[n:], rows[:n]]) % space.p
+
+
+def check_polarization(space: SympSpace, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Refuse rows xs, ys (reduced mod p) that are not two complementary
+    Lagrangians of space; returns the Gram matrix X G Y^T of their pairings,
+    invertible since two Lagrangians that span V pair perfectly."""
+    p, n, gram = space.p, space.dim // 2, space.gram
+    if xs.shape != (n, 2 * n) or ys.shape != (n, 2 * n):
+        raise SymplecticError("need n vectors on each side")
+    if modp.rank(np.vstack([xs, ys]), p) != 2 * n:
+        raise SymplecticError("polarization vectors do not span")
+    if (xs @ gram @ xs.T % p).any():
+        raise SymplecticError("X side not isotropic")
+    if (ys @ gram @ ys.T % p).any():
+        raise SymplecticError("Y side not isotropic")
+    return xs @ gram @ ys.T % p
 
 
 # ---------------------------------------------------------------------------
@@ -712,9 +720,9 @@ def conjugate_in_sp(g: SpElem, t: SpElem) -> SpElem | None:
     """The first x in sp_group order with x t = g x, None if g and t are
     not conjugate; exhaustive within the enumeration cap."""
     if g.space != t.space:
-        raise SpaceMismatch("elements from different spaces")
+        raise SymplecticError("elements from different spaces")
     if not g.is_semisimple() or not t.is_semisimple():
-        raise NotSemisimple("conjugacy test requires semisimple elements")
+        raise SymplecticError("conjugacy test requires semisimple elements")
     grp = sp_group(g.space)
     hits = np.flatnonzero(((grp.mats @ t.mat - g.mat @ grp.mats) % g.space.p == 0).all(axis=(1, 2)))
     return grp.elem(hits[0]) if len(hits) else None

@@ -57,22 +57,6 @@ class WeilError(Exception):
     pass
 
 
-class NotAPolarization(WeilError):
-    pass
-
-
-class DimensionMismatch(WeilError):
-    pass
-
-
-class BlockMismatch(WeilError):
-    pass
-
-
-class LinearizationFailed(WeilError):
-    pass
-
-
 def check_odd_prime(p: int) -> None:
     """Refuse a characteristic the Schrodinger model cannot take."""
     if p == 2 or not modp.is_prime(p):
@@ -275,7 +259,7 @@ class WeilModel:
         self.dim = self.p**self.n
         if polarization is not None:
             xs, ys = (modp.as_mat(side, self.p) for side in polarization)
-            gramxy = self._check_polarization(xs, ys)
+            gramxy = sym.check_polarization(space, xs, ys)
             # rescale the Y-vectors so <x_i, y_j> = delta_ij: then B^T G B = J
             basis = np.hstack([xs.T, ys.T @ modp.mat_inv(gramxy, self.p)]) % self.p
             self.from_std, self.to_std = basis, sym.frame_inverse(space, basis)
@@ -286,21 +270,6 @@ class WeilModel:
         self._w: np.ndarray | None = None  # the Fourier operator, built on first use
         self._powers = _place_values(self.p, self.n)
         self._pts = _points(self.p, self.n)
-
-    def _check_polarization(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Validate the rows of xs and ys as complementary Lagrangians; returns
-        the Gram matrix X G Y^T of their pairings, invertible since two
-        Lagrangians that span V pair perfectly."""
-        p, n, gram = self.p, self.n, self.space.gram
-        if xs.shape != (n, 2 * n) or ys.shape != (n, 2 * n):
-            raise NotAPolarization("need n vectors on each side")
-        if modp.rank(np.vstack([xs, ys]), p) != 2 * n:
-            raise NotAPolarization("polarization vectors do not span")
-        if (xs @ gram @ xs.T % p).any():
-            raise NotAPolarization("X side not isotropic")
-        if (ys @ gram @ ys.T % p).any():
-            raise NotAPolarization("Y side not isotropic")
-        return xs @ gram @ ys.T % p
 
     # -- Heisenberg action --------------------------------------------------
 
@@ -345,14 +314,14 @@ class WeilModel:
         d = self.space.dim
         if isinstance(gs, np.ndarray):
             if gs.dtype != np.int64 or gs.ndim != 3 or gs.shape[1:] != (d, d):
-                raise sym.SpaceMismatch("a %s stack of shape %r for a space of dimension %d" % (gs.dtype, gs.shape, d))
+                raise sym.SymplecticError("a %s stack of shape %r for a space of dimension %d" % (gs.dtype, gs.shape, d))
             if ((gs < 0) | (gs >= self.p)).any():
                 raise sym.SymplecticError("a stack entry lies outside [0, %d)" % self.p)
             sym.check_form(self.space, gs)
             return gs
         for g in gs:
             if g.space is not self.space and g.space != self.space:
-                raise sym.SpaceMismatch("element from another space")
+                raise sym.SymplecticError("element from another space")
         if not gs:
             return np.empty((0, d, d), dtype=np.int64)
         return gs[0].mat[None] if len(gs) == 1 else np.stack([g.mat for g in gs])
@@ -545,7 +514,7 @@ class WeilModel:
         quot = np.concatenate([grp.positions(grp.mats[rest[i : i + step], None] @ inv) for i in range(0, len(rest), step)])
         ok = orders[quot] % p != 0
         if not ok.any(axis=1).all():
-            raise LinearizationFailed("an element of order divisible by p is no product of two anchors")
+            raise WeilError("an element of order divisible by p is no product of two anchors")
         first = ok.argmax(axis=1)
         table[rest] = table[quot[np.arange(len(rest)), first]] @ table[anchors[first]]
         table.flags.writeable = False
@@ -618,7 +587,7 @@ def schur_intertwiners(model_a: WeilModel, model_b: WeilModel, phis) -> np.ndarr
     one matrix unit, checked to intertwine at the probe (_probed_average),
     shape (k, p^n, p^n)."""
     if model_a.space != model_b.space:
-        raise sym.SpaceMismatch("Schur intertwiners need two models of one space")
+        raise sym.SymplecticError("Schur intertwiners need two models of one space")
     return _probed_average(model_a, model_b, model_a._matrices(phis))
 
 
@@ -660,7 +629,7 @@ def cyclic_tensor_trace(maps: list[np.ndarray]) -> tuple[complex, complex]:
     dims = [m.shape[1] for m in ms]
     for j, m in enumerate(ms):
         if m.shape[0] != dims[(j + 1) % (l + 1)]:
-            raise DimensionMismatch("map %d has shape %r, expected to land in W_%d" % (j, m.shape, (j + 1) % (l + 1)))
+            raise WeilError("map %d has shape %r, expected to land in W_%d" % (j, m.shape, (j + 1) % (l + 1)))
     return complex(_rotation_diagonal(ms).ravel().sum()), complex(np.trace(_composite(ms)))
 
 
@@ -722,7 +691,7 @@ def block_twist(chains) -> tuple[TwistChain, ...]:
     anything is built."""
     chains = list(chains)
     if not chains or min(length for _, length in chains) < 1:
-        raise BlockMismatch("need one or more chains, each of length >= 1")
+        raise WeilError("need one or more chains, each of length >= 1")
     for loop, length in chains:  # before the chain's Gram, quadratic in the length
         check_model_dim(loop.space.p, loop.space.dim // 2 * length)
     return tuple(_twist_chain(loop, length) for loop, length in chains)
@@ -769,7 +738,7 @@ def twisted_trace_stack(chains, elements) -> list[TwistedTraceResult]:
     starts = list(itertools.accumulate((chain.length for chain in chains), initial=0))
     for parts in elements:
         if len(parts) != starts[-1]:
-            raise BlockMismatch("%d parts for %d blocks" % (len(parts), starts[-1]))
+            raise WeilError("%d parts for %d blocks" % (len(parts), starts[-1]))
     if not elements:
         return []
     products = [1.0 + 0j] * len(elements)
@@ -778,7 +747,7 @@ def twisted_trace_stack(chains, elements) -> list[TwistedTraceResult]:
         model, p = chain.model, chain.model.p
         gss = [parts[starts[i] : starts[i + 1]] for parts in elements]
         if any(g.space != model.space for gs in gss for g in gs):
-            raise BlockMismatch("a part of chain %d is not an element of its block space" % i)
+            raise WeilError("a part of chain %d is not an element of its block space" % i)
         mats = np.array([[g.mat for g in gs] for gs in gss])  # (element, copy, row, column)
         norm = mats[:, 0] @ chain.loop.mat % p
         for j in range(chain.length - 1, 0, -1):

@@ -98,7 +98,7 @@ def test_twisted_fixed_dim_counts_the_solutions(p, k):
 def test_sgn_examples():
     assert ff.sgn_mult(F3.one()) == 1
     assert ff.sgn_mult(F3.from_int(2)) == -1
-    with pytest.raises(ff.ZeroElement):
+    with pytest.raises(ff.FieldError, match="sgn of zero"):
         ff.sgn_mult(F3.zero())
 
 
@@ -109,9 +109,9 @@ def test_sgn_norm_one_examples():
         order = _order(x)
         want = 1 if order <= 2 else -1
         assert ff.sgn_norm_one(x, F3) == want
-    with pytest.raises(ff.WrongIndex):
+    with pytest.raises(ff.FieldError, match=r"\] != 2 inside"):
         ff.sgn_norm_one(ff.embed(F3.one(), F81), F3)
-    with pytest.raises(ff.NotNormOne):
+    with pytest.raises(ff.FieldError, match="is not norm-one in"):
         ff.sgn_norm_one(F9.gen() + 1, F3)
 
 
@@ -128,9 +128,9 @@ def test_sgn_mult_in_proper_subfield(p, j, d):
         assert ff.sgn_mult(x) == want
         assert ff.sgn_mult(ff.embed(x, big), sub) == want
     outside = next(y for y in big.units() if y.frobenius(j) != y)
-    with pytest.raises(ff.NotASubfield):
+    with pytest.raises(ff.FieldError, match="does not lie in"):
         ff.sgn_mult(outside, sub)
-    with pytest.raises(ff.ZeroElement):
+    with pytest.raises(ff.FieldError, match="sgn of zero"):
         ff.sgn_mult(big.zero(), sub)
 
 
@@ -139,7 +139,7 @@ def test_sgn_norm_one_in_proper_subfield(p, j, d):
     # x in k = GF(p^j) of norm one over k^o = GF(p^(j/2)), seen inside GF(p^d)
     k, big = ff.field(p, j), ff.field(p, d)
     if j % 2:
-        with pytest.raises(ff.WrongIndex):
+        with pytest.raises(ff.FieldError, match=r"\] != 2 inside"):
             ff.sgn_norm_one(big.one(), ff.field(p, 1), k)
         return
     sub = ff.field(p, j // 2)
@@ -150,9 +150,9 @@ def test_sgn_norm_one_in_proper_subfield(p, j, d):
         assert ff.sgn_norm_one(x, sub) == want
         assert ff.sgn_norm_one(ff.embed(x, big), sub, k) == want
     not_norm_one = next(y for y in k.units() if ff.norm_to(y, sub) != 1)
-    with pytest.raises(ff.NotNormOne):
+    with pytest.raises(ff.FieldError, match="is not norm-one in"):
         ff.sgn_norm_one(ff.embed(not_norm_one, big), sub, k)
-    with pytest.raises(ff.NotNormOne):
+    with pytest.raises(ff.FieldError, match="is not norm-one in"):
         ff.sgn_norm_one(big.gen(), sub, k)  # not in k at all
 
 
@@ -164,7 +164,7 @@ def test_nth_roots_examples():
         roots = ff.nth_roots(ff.embed(x, F81), 4)
         assert len(roots) == 4
     # n divisible by p makes X^n - x inseparable; refused
-    with pytest.raises(ff.NotCoprimeToP):
+    with pytest.raises(ff.FieldError, match="n = 3 is divisible by p = 3"):
         ff.nth_roots(F9.one(), 3)
 
 
@@ -175,7 +175,7 @@ def test_embedding_is_ring_hom_fixing_prime_field():
             assert ff.embed(a + b, F81) == ff.embed(a, F81) + ff.embed(b, F81)
     for c in range(3):
         assert ff.embed(F3.from_int(c), F9) == F9.from_int(c)
-    with pytest.raises(ff.NotASubfield):
+    with pytest.raises(ff.FieldError, match="is not a subfield of"):
         ff.embed(F9.gen(), ff.field(3, 3))
 
 
@@ -520,7 +520,7 @@ def test_nth_roots_equal_brute_force(p, k):
     elements = list(d.elements())
     for n in range(1, 2 * d.order + 2):
         if n % p == 0:
-            with pytest.raises(ff.NotCoprimeToP):
+            with pytest.raises(ff.FieldError, match="n = %d is divisible by p = %d" % (n, p)):
                 ff.nth_roots(d.one(), n)
             continue
         powers = {}

@@ -7,6 +7,7 @@ the module syntax trees; the runtime half runs the formula entry points with
 the oracle's constructors replaced by raising stubs."""
 
 import ast
+import builtins
 import pathlib
 import re
 
@@ -270,8 +271,10 @@ def test_character_formulas_call_no_oracle(samples, no_oracle):
 
 
 def test_package_holds_no_assert():
-    # python -O strips asserts, so a check that guards a result must raise
-    found = ["%s:%d" % (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+    # python -O strips asserts, so a check that guards a result must raise;
+    # the scripts compare formula and oracle too
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    found = ["%s:%d" % (path.name, node.lineno) for path in paths
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert found == []
 
@@ -333,10 +336,17 @@ def _unread(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[s
             if name not in (attrs if is_field else names | attrs)]
 
 
-def test_every_definition_has_a_reader():
+def _package_and_readers() -> tuple[dict[str, ast.Module], list[ast.Module]]:
+    """The package's modules by name, and every module that may read them:
+    the package's own, the scripts and the benchmark."""
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     readers = list(modules.values()) + [ast.parse(path.read_text()) for folder in ("scripts", "perfbench")
                                         for path in sorted((ROOT / folder).glob("*.py"))]
+    return modules, readers
+
+
+def test_every_definition_has_a_reader():
+    modules, readers = _package_and_readers()
     assert set(_unread(modules, readers)) == TEST_ONLY_FIELDS
 
 
@@ -352,3 +362,55 @@ def test_every_definition_has_a_reader():
 def test_reader_rule_sees_every_spelling(source, unread):
     tree = ast.parse(source)
     assert _unread({"m": tree}, [tree]) == unread
+
+
+# no exception class that no caller tells apart: every exception class of the
+# package is named by an except clause in the package, the scripts or the
+# benchmark; a refusal nothing catches by its own class raises its module's
+# error
+BUILTIN_EXCEPTIONS = {name for name, obj in vars(builtins).items()
+                      if isinstance(obj, type) and issubclass(obj, BaseException)}
+
+
+def _exception_classes(modules: dict[str, ast.Module]) -> dict[str, str]:
+    """{name: module.name} of each top-level class of modules that derives
+    from a built-in exception, directly or through other such classes."""
+    classes = {node.name: ("%s.%s" % (module, node.name), set().union(*map(_names, node.bases)))
+               for module, tree in modules.items() for node in tree.body if isinstance(node, ast.ClassDef)}
+    found: dict[str, str] = {}
+    while True:
+        new = {name: qual for name, (qual, bases) in classes.items()
+               if name not in found and bases & (BUILTIN_EXCEPTIONS | found.keys())}
+        if not new:
+            return found
+        found.update(new)
+
+
+def _uncaught(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """The exception classes of modules that no except clause of a reader
+    names, bare or as an attribute, alone or in a tuple."""
+    caught = set().union(*(_names(sub.type) for tree in readers for sub in ast.walk(tree)
+                           if isinstance(sub, ast.ExceptHandler) and sub.type is not None))
+    return sorted(qual for name, qual in _exception_classes(modules).items() if name not in caught)
+
+
+def test_every_exception_class_is_caught_by_name():
+    modules, readers = _package_and_readers()
+    assert _uncaught(modules, readers) == []
+    # the rule sees the classes it rules on: each module's error, and the two
+    # refusals a caller tells apart
+    assert set(_exception_classes(modules).values()) == {
+        "cli.ScenarioValidationError", "ffield.FieldError", "gerardin.GerardinError", "lattice.LatticeError",
+        "signcalc.SignCalcError", "signcalc.FormDegenerate", "symplectic.SymplecticError", "weil.WeilError"}
+
+
+@pytest.mark.parametrize("source,uncaught", [
+    ("class E(Exception):\n    pass", ["m.E"]),
+    ("class E(ValueError):\n    pass\n\ntry:\n    pass\nexcept E:\n    pass", []),
+    ("class E(Exception):\n    pass\n\nclass F(E):\n    pass\n\ntry:\n    pass\nexcept E:\n    pass", ["m.F"]),
+    ("class F(E):\n    pass\n\nclass E(Exception):\n    pass\n\ntry:\n    pass\nexcept (m.F, E) as exc:\n    pass", []),
+    ("class C:\n    pass\n\nclass D(C):\n    pass", []),
+], ids=["uncaught", "caught", "subclass", "tuple-attribute", "not-an-exception"])
+def test_exception_rule_sees_every_spelling(source, uncaught):
+    tree = ast.parse(source)
+    assert _uncaught({"m": tree}, [tree]) == uncaught

@@ -100,7 +100,7 @@ def test_pi0_examples():
     assert lat.pi0_torsion([[0, 0, 1], [1, 0, 0], [0, 1, 0]]) == []
     # the order-3 rotation on the rank-2 root lattice does carry the 3-torsion
     assert lat.pi0_torsion([[0, -1], [1, -1]]) == [3]
-    with pytest.raises(lat.NotFiniteOrder):
+    with pytest.raises(lat.LatticeError, match="theta has infinite order"):
         lat.pi0_torsion([[1, 1], [0, 1]])
     for theta, shape in (([[1, 2]], "1x2"), ([[1, 0], [0, 1], [0, 0]], "3x2")):
         for call in (lat.matrix_order, lat.pi0_torsion):
@@ -195,9 +195,9 @@ def test_rank_above_the_cap_is_refused_before_any_power(monkeypatch):
     assert lat.matrix_order(at_cap) == n - 1
     monkeypatch.setattr(lat, "mul", None)  # any product would fail
     for call in (lat.matrix_order, lat.pi0_torsion):
-        with pytest.raises(lat.RankAboveCap, match="order of a %dx%d matrix: rank %d is above the cap %d" % (n, n, n, lat.ORDER_RANK_CAP)):
+        with pytest.raises(lat.LatticeError, match="order of a %dx%d matrix: rank %d is above the cap %d" % (n, n, n, lat.ORDER_RANK_CAP)):
             call(shift)
-    with pytest.raises(lat.RankAboveCap):
+    with pytest.raises(lat.LatticeError, match="rank %d is above the cap %d" % (n, lat.ORDER_RANK_CAP)):
         lat.RootDatum(n, (), (), tuple(map(tuple, shift)))
 
 
@@ -225,7 +225,7 @@ def test_infinite_order_is_refused_at_the_trace_bound(monkeypatch):
              ([[-1, 1], [0, -1]], 8))
     for theta, budget in cases:
         products.clear()
-        with pytest.raises(lat.NotFiniteOrder, match=r"its trace is outside \[-%d, %d\)" % (len(theta), len(theta))):
+        with pytest.raises(lat.LatticeError, match=r"its trace is outside \[-%d, %d\)" % (len(theta), len(theta))):
             lat.matrix_order(theta)
         assert len(products) == budget
     assert time.perf_counter() - start < 0.1
@@ -249,7 +249,7 @@ def test_restrict_examples():
     assert by_tag[res2.by_root[(1, 1)]] == 3
     flip = cat["A2.flip"]
     assert flip.theta_orbit((1, 0)) == [(1, 0), (0, 1)] and flip.theta_orbit((1, 1)) == [(1, 1)]
-    with pytest.raises(lat.RootNotInDatum):
+    with pytest.raises(lat.LatticeError, match=r"\(5, 5\) not a root"):
         flip.theta_orbit((5, 5))
 
 
@@ -262,7 +262,7 @@ def test_descended_examples():
     res = lat.restrict_roots(flip)
     assert surviving == {r.vector for r in res.restricted if r.type_tag != 3}
     assert lat.descended_roots(flip, {a: 9 for a in flip.roots}) == set()
-    with pytest.raises(lat.InconsistentEvaluation):
+    with pytest.raises(lat.LatticeError, match="nu evaluation not constant on"):
         lat.descended_roots(flip, {a: i for i, a in enumerate(flip.roots)})
 
 

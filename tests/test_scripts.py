@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from weilchar import checks, cli, signcalc, weil
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -47,6 +49,19 @@ def test_character_table_script():
     assert len(lines) == 2 + classes
 
 
+def test_character_table_exits_on_a_mismatch(monkeypatch, capsys):
+    # a formula that misses the oracle ends the run nonzero, naming the
+    # class, by a check that python -O keeps
+    spec = importlib.util.spec_from_file_location("character_table", ROOT / "scripts" / "character_table.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    monkeypatch.setattr(mod.gerardin, "weil_char", lambda g: 0.5)
+    with pytest.raises(SystemExit) as exc:
+        mod.main(3)
+    first = capsys.readouterr().out.splitlines()[2]
+    assert str(exc.value.code).startswith("class %s: the formula 0.5 is not the oracle trace" % first.split("  ")[0])
+
+
 def test_ci_workflow_parses():
     import yaml  # the test extra requires PyYAML: missing, this test fails rather than skips
 
@@ -72,9 +87,10 @@ def test_ci_workflow_parses():
             '--report "$RUNNER_TEMP/$scn-o.json"') in self_step
     assert 'cmp "$RUNNER_TEMP/$scn-seed0.json" "$RUNNER_TEMP/$scn-o.json"' in self_step
     assert all(f.name in self_step for f in (ROOT / "scenarios").glob("*.scn"))
-    # and two runs with each of the sgn fault and the faults on the word
-    # model's two stack seams, each exiting 1, the same report bytes
-    assert "for fault in sgn levi-sign off-sample-trace; do" in self_step
+    # and two runs with each of the sgn fault, the faults on the word
+    # model's two stack seams and the lattice layer's fault, each exiting 1,
+    # the same report bytes
+    assert "for fault in sgn levi-sign off-sample-trace restrict-merge; do" in self_step
     assert ('PYTHONHASHSEED=$seed python -m weilchar.cli selfcheck --fault $fault '
             '--report "$RUNNER_TEMP/fault-$fault-$seed.json"') in self_step
     assert "for seed in 0 1; do" in self_step and 'test "$status" -eq 1' in self_step

@@ -249,7 +249,7 @@ def test_conjugacy_examples():
     other = sym.sp_elem(v5, [[1, 0], [0, 1]])
     assert sym.conjugate_in_sp(g, other) is None
     unipotent = sym.sp_elem(v5, [[1, 1], [0, 1]])
-    with pytest.raises(sym.NotSemisimple):
+    with pytest.raises(sym.SymplecticError, match="conjugacy test requires semisimple elements"):
         sym.conjugate_in_sp(g, unipotent)
 
 
