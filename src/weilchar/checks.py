@@ -321,19 +321,24 @@ def check_heis_associativity() -> list[Row]:
     return rows
 
 
+def _factor_name(norm_one: bool) -> str:
+    """The name a report label gives a torus factor."""
+    return "NormOneFactor" if norm_one else "SplitFactor"
+
+
 def check_torus_maximality() -> list[Row]:
     rows = []
     for p in (3, 5, 7):
-        for factory in ((sym.SplitFactor(1),), (sym.NormOneFactor(1),)):
-            torus = sym.build_torus(sym.TorusDesc(p, factory))
+        for norm_one in (False, True):
+            torus = sym.Torus(p, ((1, norm_one),))
             ts = np.array([t.elem.mat for t in torus.elements()])
             group = sym.sp_group(torus.space).mats[:, None]
             commuting = int(((group @ ts - ts @ group) % p == 0).all(axis=(1, 2, 3)).sum())
-            label = "%s torus p=%d centralizer = torus" % (factory[0].__class__.__name__, p)
+            label = "%s torus p=%d centralizer = torus" % (_factor_name(norm_one), p)
             # split torus at p=3 is the central {+-1}: its centralizer is the
             # whole group (frozen honest value; the algebraic torus is still
             # maximal but its rational points are too small to pin it)
-            expected = 24 if (p == 3 and isinstance(factory[0], sym.SplitFactor)) else len(ts)
+            expected = 24 if (p == 3 and not norm_one) else len(ts)
             rows.append(Row.compare("symplectic", label, commuting, expected, 0))
     return rows
 
@@ -380,10 +385,9 @@ def check_eigen_conjugacy() -> list[Row]:
 
 def check_torus_weights_vs_eigen() -> list[Row]:
     rows = []
-    for p, factories in ((3, (sym.NormOneFactor(1), sym.SplitFactor(1))), (5, (sym.NormOneFactor(1),))):
-        torus = sym.build_torus(sym.TorusDesc(p, factories))
+    for torus in (sym.Torus(3, ((1, True), (1, False))), sym.Torus(5, ((1, True),))):
         bad = sum(0 if sym.weight_charpoly_check(t) else 1 for t in torus.elements())
-        rows.append(Row.compare("symplectic", "weights match eigenvalues p=%d" % p, bad, 0, 0))
+        rows.append(Row.compare("symplectic", "weights match eigenvalues p=%d" % torus.p, bad, 0, 0))
     return rows
 
 
@@ -654,18 +658,17 @@ def check_character_conjugacy_invariance() -> list[Row]:
 def check_gerardin_semisimple() -> list[Row]:
     tori = []
     for p in (3, 5, 7):
-        for factor in (sym.SplitFactor(1), sym.NormOneFactor(1)):
-            tori.append((sym.TorusDesc(p, (factor,)), "semisimple Sp_2(F_%d) %s" % (p, factor.__class__.__name__)))
-    for f1 in (sym.NormOneFactor(1), sym.SplitFactor(1)):
-        for f2 in (sym.NormOneFactor(1), sym.SplitFactor(1)):
-            label = "semisimple Sp_4(F_3) %s+%s" % (f1.__class__.__name__[:5], f2.__class__.__name__[:5])
-            tori.append((sym.TorusDesc(3, (f1, f2)), label))
+        for norm_one in (False, True):
+            tori.append((sym.Torus(p, ((1, norm_one),)), "semisimple Sp_2(F_%d) %s" % (p, _factor_name(norm_one))))
+    for n1 in (True, False):
+        for n2 in (True, False):
+            label = "semisimple Sp_4(F_3) %s+%s" % (_factor_name(n1)[:5], _factor_name(n2)[:5])
+            tori.append((sym.Torus(3, ((1, n1), (1, n2))), label))
     # beyond the required block tori: the irreducible degree-2 factors
-    for factor in (sym.NormOneFactor(2), sym.SplitFactor(2)):
-        tori.append((sym.TorusDesc(3, (factor,)), "semisimple Sp_4(F_3) %s deg 2" % factor.__class__.__name__[:5]))
+    for norm_one in (True, False):
+        tori.append((sym.Torus(3, ((2, norm_one),)), "semisimple Sp_4(F_3) %s deg 2" % _factor_name(norm_one)[:5]))
     rows = []
-    for desc, label in tori:
-        torus = sym.build_torus(desc)
+    for torus, label in tori:
         model = weil.WeilModel(torus.space)
         els = list(torus.elements())
         traces = model.trace_stack([t.elem for t in els]).tolist()
@@ -725,7 +728,7 @@ def check_polarized_formula() -> list[Row]:
 def check_polarized_agrees_with_semisimple() -> list[Row]:
     rows = []
     for p in (3, 5, 7):
-        torus = sym.build_torus(sym.TorusDesc(p, (sym.SplitFactor(1),)))
+        torus = sym.Torus(p, ((1, False),))
         errs = [abs(gerardin.char_semisimple(t) - gerardin.char_polarized(t.elem, pol))
                 for t in torus.elements() for pol in gerardin.invariant_polarizations(t.elem)]
         worst, count = max_error(errs), len(errs)
@@ -1184,6 +1187,13 @@ def _split_class(orig, g):
     return vals + vals[:1] if g.mat[0, 1] == 0 else vals
 
 
+def _pieces_symmetric(orig, torus, coords):
+    # every piece of a torus element marked symmetric, so a split factor's
+    # x^-1 orbit is dropped; the element's matrix stays
+    t = orig(torus, coords)
+    return dataclasses.replace(t, pieces=tuple(dataclasses.replace(pc, symmetric=True) for pc in t.pieces))
+
+
 def _rho_columns_shifted(orig, model, vs, zs):
     cols, phases = orig(model, vs, zs)
     return (cols + 1) % model.dim, phases
@@ -1242,6 +1252,7 @@ FAULTS = {
     # associative
     "abelian-law": _fault(sym, "_cocycle", lambda orig, space, v1, v2: 0),
     "split-class": _fault(sym, "eigen_multiset", _split_class),
+    "split-piece-symmetric": _fault(sym, "Torus.element", _pieces_symmetric),
     # each root once, whatever its multiplicity; a repeated eigenvalue (of
     # +-1, for one) then never fills the characteristic polynomial
     "poly-roots-distinct": _fault(ffield, "poly_roots", lambda orig, coeffs, desc, within=None: sorted(

@@ -119,17 +119,17 @@ def _parse_orbit(action: signcalc.OrbitAction, obj) -> signcalc.OrbitScenario:
     )
 
 
-_TORUS_FACTORS = {"norm-one": sym.NormOneFactor, "split": sym.SplitFactor}
+_TORUS_FACTORS = {"norm-one": True, "split": False}  # factor type -> norm_one
 
 
-def _parse_torus(obj) -> sym.TorusDesc:
-    factories = []
+def _parse_torus(obj) -> sym.Torus:
+    factors = []
     for f in _typed(obj["factors"], list, "factors"):
-        cls = _TORUS_FACTORS.get(_typed(_typed(f, dict, "factor")["type"], str, "factor type"))
-        if cls is None:
-            raise ScenarioValidationError("unknown torus factor type %r (known: %s)" % (f["type"], ", ".join(_TORUS_FACTORS)))
-        factories.append(cls(_typed(f["subdegree"], int, "subdegree")))
-    return sym.TorusDesc(_typed(obj["p"], int, "p"), tuple(factories))
+        kind = _typed(_typed(f, dict, "factor")["type"], str, "factor type")
+        if kind not in _TORUS_FACTORS:
+            raise ScenarioValidationError("unknown torus factor type %r (known: %s)" % (kind, ", ".join(_TORUS_FACTORS)))
+        factors.append((_typed(f["subdegree"], int, "subdegree"), _TORUS_FACTORS[kind]))
+    return sym.Torus(_typed(obj["p"], int, "p"), tuple(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +137,19 @@ def _parse_torus(obj) -> sym.TorusDesc:
 
 
 def run_gerardin(sid: str, payload, tol: float, seed: int) -> list[Row]:
-    desc = _parse_torus(payload)
+    torus = _parse_torus(payload)
     # the model of the torus's space has dimension p^(sum of the subdegrees):
     # refused before any field block is built
-    weil.check_model_dim(desc.p, sum(f.subdegree for f in desc.factors))
+    weil.check_model_dim(torus.p, sum(d for d, _ in torus.factors))
     # one trace per element: |T| is refused before any element is built
-    order = math.prod(desc.p**f.subdegree + (1 if isinstance(f, sym.NormOneFactor) else -1) for f in desc.factors)
-    if order > SAMPLE_CAP:
-        raise ScenarioValidationError("|T| = %d exceeds the sample cap %d" % (order, SAMPLE_CAP))
-    torus = sym.build_torus(desc)
+    if torus.order > SAMPLE_CAP:
+        raise ScenarioValidationError("|T| = %d exceeds the sample cap %d" % (torus.order, SAMPLE_CAP))
     model = weil.WeilModel(torus.space)
     rows = []
     els = list(torus.elements())
     for t, oracle in zip(els, model.trace_stack([t.elem for t in els]).tolist()):
         formula = gerardin.char_semisimple(t)
-        label = "char t=(%s)" % ",".join(ffield.serialize(c) for c in t.coords)
+        label = "char t=(%s)" % ",".join(ffield.serialize(piece.x) for piece in t.pieces)
         rows.append(Row.compare(sid, label, formula, oracle, tol, seed))
     return rows
 

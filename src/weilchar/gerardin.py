@@ -58,7 +58,7 @@ def char_semisimple(t: TorusElement) -> float:
     if not isinstance(t, TorusElement):
         raise GerardinError("char_semisimple needs a TorusElement, got %s" % type(t).__name__)
     fixed_dim = t.elem.fixed_space_dim()
-    return orbit_sign(t.pieces(), fixed_dim) * float(t.torus.p) ** (fixed_dim // 2)
+    return orbit_sign(t.pieces, fixed_dim) * float(t.elem.space.p) ** (fixed_dim // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -336,27 +336,6 @@ def twist_matrix(x: FieldElem, j: int = 0) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NormOneFactor:
-    """k_i over k_i deg-2 subextension: acts by multiplication on k_i with the
-    form Tr(x tau(y) - tau(x) y); contributes q_i^o + 1 elements."""
-
-    subdegree: int  # [k_i^o : F_p]
-
-
-@dataclass(frozen=True)
-class SplitFactor:
-    """k_i^o acting as (x, y) -> (zx, z^{-1}y) on two copies; q_i^o - 1 elements."""
-
-    subdegree: int
-
-
-@dataclass(frozen=True)
-class TorusDesc:
-    p: int
-    factors: tuple
-
-
-@dataclass(frozen=True)
 class TorusPiece:
     """One Sigma-orbit of eigenvalues, the Galois conjugates over F_p of the
     root x of k_i = GF(p^degree).  Symmetric: x is norm-one over the
@@ -370,58 +349,11 @@ class TorusPiece:
 
 @dataclass(frozen=True)
 class TorusElement:
-    torus: "BuiltTorus"
-    coords: tuple[FieldElem, ...]
+    """An element of a Torus: its pieces, one per factor rooted at the
+    factor's coordinate, and its matrix."""
+
+    pieces: tuple[TorusPiece, ...]
     elem: SpElem
-
-    def pieces(self) -> tuple[TorusPiece, ...]:
-        """One piece per factor, its coordinate as root: symmetric of degree
-        2d on a norm-one factor, asymmetric of degree d on a split one."""
-        return tuple(
-            TorusPiece(x.parent.degree, x, isinstance(f, NormOneFactor)) for f, x in zip(self.torus.desc.factors, self.coords)
-        )
-
-
-@dataclass(frozen=True)
-class BuiltTorus:
-    desc: TorusDesc
-    space: SympSpace
-
-    @property
-    def p(self) -> int:
-        return self.desc.p
-
-    def factor_field(self, i: int) -> FieldDesc:
-        f = self.desc.factors[i]
-        if isinstance(f, NormOneFactor):
-            return ffield.field(self.p, 2 * f.subdegree)
-        return ffield.field(self.p, f.subdegree)
-
-    def factor_subfield(self, i: int) -> FieldDesc:
-        return ffield.field(self.p, self.desc.factors[i].subdegree)
-
-    def element(self, coords) -> TorusElement:
-        coords = tuple(coords)
-        blocks = []
-        for i, f in enumerate(self.desc.factors):
-            x, k = coords[i], self.factor_field(i)
-            symmetric = isinstance(f, NormOneFactor)
-            if symmetric and (x.parent != k or x * x.frobenius(f.subdegree) != 1):
-                raise SymplecticError("coordinate %d is not norm-one in %r" % (i, k))
-            if not symmetric and (x.parent != k or x.is_zero()):
-                raise SymplecticError("coordinate %d is not a unit of %r" % (i, k))
-            blocks.append(toral_matrix(x, symmetric))
-        return TorusElement(self, coords, block_diagonal(self.space, blocks))
-
-    def elements(self):
-        pools = []
-        for i, f in enumerate(self.desc.factors):
-            if isinstance(f, NormOneFactor):
-                pools.append(ffield.norm_one_group(self.factor_field(i), self.factor_subfield(i)))
-            else:
-                pools.append(list(self.factor_field(i).units()))
-        for combo in itertools.product(*pools):
-            yield self.element(combo)
 
 
 def anti_invariant_units(k: FieldDesc, j: int) -> list[FieldElem]:
@@ -490,25 +422,58 @@ def toral_matrix(x: FieldElem, symmetric: bool) -> np.ndarray:
     return plus_minus(twist_matrix(x), None if symmetric else twist_matrix(x.inverse()))
 
 
-def build_torus(desc: TorusDesc) -> BuiltTorus:
-    """Embed the torus block-diagonally in its natural direct-sum space of
-    field blocks.
+@dataclass(frozen=True)
+class Torus:
+    """A maximal torus of Sp(V): p and its factors, each a pair (d, norm_one).
 
-    Norm-one factor on k_i: the symmetric block Tr(C x tau(y)) with tau(C) =
-    -C, antisymmetric and preserved by norm-one multiplication; split factor
-    on k_i^o + k_i^o: the asymmetric block Tr(x1 y2 - y1 x2).  The embedding
-    is canonical; use conjugate_in_sp to move elements elsewhere."""
-    p = desc.p
-    spaces = []
-    for f in desc.factors:
-        d = f.subdegree
-        if isinstance(f, NormOneFactor):
-            big = ffield.field(p, 2 * d)
-            spaces.append(field_block(big, anti_invariant_unit(big, d), d))
-        else:
-            sub = ffield.field(p, d)
-            spaces.append(field_block(sub, sub.one()))
-    return BuiltTorus(desc, direct_sum(spaces))
+    A norm-one factor is the norm-one group of k = GF(p^2d) over GF(p^d),
+    p^d + 1 elements, acting by multiplication on the symmetric block Tr(C x
+    tau(y)) of k with tau(C) = -C, which norm-one multiplication preserves; a
+    split factor is the units of k = GF(p^d), p^d - 1 elements, acting as
+    (x, y) -> (zx, z^-1 y) on the asymmetric block k + k.  The space, their
+    direct sum, is built on first use; the embedding is canonical, and
+    conjugate_in_sp moves elements elsewhere."""
+
+    p: int
+    factors: tuple[tuple[int, bool], ...]
+
+    @property
+    def order(self) -> int:
+        """|T|, read off the factors: no field block is built."""
+        return math.prod(self.p**d + (1 if norm_one else -1) for d, norm_one in self.factors)
+
+    def _fields(self) -> list[FieldDesc]:
+        """The field k of each factor: GF(p^2d) if norm-one, else GF(p^d)."""
+        return [ffield.field(self.p, 2 * d if norm_one else d) for d, norm_one in self.factors]
+
+    @cached_property
+    def space(self) -> SympSpace:
+        return direct_sum([field_block(k, anti_invariant_unit(k, d), d) if norm_one else field_block(k, k.one())
+                           for k, (d, norm_one) in zip(self._fields(), self.factors)])
+
+    def element(self, coords) -> TorusElement:
+        """The element with one coordinate per factor, a norm-one unit of k
+        on a norm-one factor and a unit of k on a split one; its piece on
+        each factor is symmetric of degree 2d or asymmetric of degree d."""
+        coords = tuple(coords)
+        if len(coords) != len(self.factors):
+            raise SymplecticError("need one coordinate per factor: %d, got %d" % (len(self.factors), len(coords)))
+        pieces = []
+        for i, (x, k, (d, norm_one)) in enumerate(zip(coords, self._fields(), self.factors)):
+            if norm_one and (x.parent != k or x * x.frobenius(d) != 1):
+                raise SymplecticError("coordinate %d is not norm-one in %r" % (i, k))
+            if not norm_one and (x.parent != k or x.is_zero()):
+                raise SymplecticError("coordinate %d is not a unit of %r" % (i, k))
+            pieces.append(TorusPiece(k.degree, x, norm_one))
+        return TorusElement(tuple(pieces), block_diagonal(self.space, [toral_matrix(pc.x, pc.symmetric) for pc in pieces]))
+
+    def elements(self):
+        """Every element, in the product order of the factors' pools: a
+        norm-one factor's norm_one_group, a split factor's units."""
+        pools = [ffield.norm_one_group(k, ffield.field(self.p, d)) if norm_one else list(k.units())
+                 for k, (d, norm_one) in zip(self._fields(), self.factors)]
+        for combo in itertools.product(*pools):
+            yield self.element(combo)
 
 
 def weight_charpoly_check(t: TorusElement) -> bool:
@@ -516,9 +481,9 @@ def weight_charpoly_check(t: TorusElement) -> bool:
     char polys of multiplication by x, and by x^-1 on an asymmetric piece:
     mult-by-x on k_i has char poly prod_{j < deg} (X - x^{p^j}), exactly the
     Gamma-orbit of x with multiplicity."""
-    p = t.torus.p
+    p = t.elem.space.p
     acc = [1]
-    for piece in t.pieces():
+    for piece in t.pieces:
         for val in (piece.x,) if piece.symmetric else (piece.x, piece.x.inverse()):
             acc = modp.poly_mul(acc, modp.charpoly(twist_matrix(val), p), p)
     return acc == modp.charpoly(t.elem.mat, p)

@@ -420,6 +420,18 @@ def test_a_size_above_its_cap_is_refused_at_once(case, tmp_path, capsys):
     assert BAD_PAYLOAD_MESSAGES[case] in err
 
 
+def test_torus_over_the_sample_cap_builds_no_field_block(tmp_path, capsys, monkeypatch):
+    # |T| is read off the factors: the refusal comes before the torus's
+    # space, and so before any of its field blocks, is built
+    def refuse(*args):
+        raise AssertionError("field block built")
+
+    monkeypatch.setattr(sym, "field_block", refuse)
+    code, err = _run_one_scenario(BAD_PAYLOADS["gerardin-torus-over-the-sample-cap"](), tmp_path, capsys)
+    assert code == 3
+    assert BAD_PAYLOAD_MESSAGES["gerardin-torus-over-the-sample-cap"] in err
+
+
 def test_group_above_the_enumeration_cap_is_refused_at_once(tmp_path, capsys):
     # within the model cap, but Sp_2(F_41), the next group past the
     # enumeration cap, has 68880 elements to draw from; refused before any

@@ -30,6 +30,10 @@ DETECTION = {name: set(red.split()) for name, red in {
     "block-sign-negated": "signcalc.oracle signcalc.f1-forms",
     "abelian-law": "symplectic.heis weil.rho",
     "split-class": "symplectic.eigen-conjugacy",
+    # the split factors' pieces lose their x^-1 orbit: the weights miss the
+    # characteristic polynomial, and the sign of a degree-1 split piece asks
+    # for the field of degree 0, which raises
+    "split-piece-symmetric": "symplectic.weights gerardin.semisimple gerardin.polarized-agrees",
     "poly-roots-distinct": "symplectic.eigen-conjugacy",
     # the twisted traces read no rho: they do not move
     "rho-half-phase": "weil.omega-mult weil.rho weil.normalization",
@@ -97,7 +101,7 @@ def test_checks_no_fault_turns_red_are_pinned():
     # covers one of them, or a check no fault reaches, edits this pin
     uncovered = {name for name, _ in checks.CHECKS} - set().union(*DETECTION.values())
     assert uncovered == {"ffield.fixed-field", "ffield.lemma1", "ffield.lemma2", "ffield.sgn-norm", "lattice.pi0",
-                         "signcalc.ram-empty", "symplectic.torus-maximal", "symplectic.weights"}
+                         "signcalc.ram-empty", "symplectic.torus-maximal"}
 
 
 @pytest.mark.parametrize("name", WHOLE_REGISTRY)
@@ -130,7 +134,7 @@ def test_fault_turns_criterion_06_red_as_recorded(name):
 @pytest.mark.parametrize("name", checks.FAULTS)
 def test_fault_patches_one_attribute_and_restores_it(name):
     def attributes():
-        spaces = (ffield, gerardin, lattice, modp, signcalc, sym, weil, weil.WeilModel)
+        spaces = (ffield, gerardin, lattice, modp, signcalc, sym, sym.Torus, weil, weil.WeilModel)
         return {(ns.__name__, key): val for ns in spaces for key, val in vars(ns).items()}
 
     clean = attributes()
@@ -225,11 +229,26 @@ def test_restrict_map_patches_the_invariance_test():
 
 def test_orbit_sign_parity_patches_the_count_of_moving_orbits():
     # -1 on the norm-one torus of Sp_2(F_3): one symmetric piece, x = -1
-    torus = sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(1),)))
+    torus = sym.Torus(3, ((1, True),))
     [t] = [t for t in torus.elements() if t.elem.mat.tolist() == [[2, 0], [0, 2]]]
-    assert gerardin.orbit_sign(t.pieces(), 0) == -1
+    assert gerardin.orbit_sign(t.pieces, 0) == -1
     with checks.FAULTS["orbit-sign-parity"]():
-        assert gerardin.orbit_sign(t.pieces(), 0) == 1
+        assert gerardin.orbit_sign(t.pieces, 0) == 1
+
+
+def test_split_piece_symmetric_patches_the_torus_pieces():
+    # diag(2, 3) on the split torus of Sp_2(F_5): one asymmetric piece, whose
+    # x^-1 the weights need; the matrix does not move
+    torus = sym.Torus(5, ((1, False),))
+    x = ffield.field(5, 1).from_int(2)
+    t = torus.element((x,))
+    assert t.pieces == (sym.TorusPiece(1, x, False),) and sym.weight_charpoly_check(t)
+    with checks.FAULTS["split-piece-symmetric"]():
+        bad = torus.element((x,))
+        assert bad.pieces == (sym.TorusPiece(1, x, True),) and bad.elem == t.elem
+        assert not sym.weight_charpoly_check(bad)
+        assert all(pc.symmetric for u in torus.elements() for pc in u.pieces)
+    assert torus.element((x,)) == t
 
 
 def test_abelian_law_patches_the_cocycle():

@@ -168,10 +168,8 @@ def test_sgn_rule_sees_every_spelling(source, found):
 def samples():
     """Inputs built before the oracle goes away (a cell element needs a model)."""
     blocks = [(label, s) for p in (3, 5) for label, s in checks.sign_branch_scenarios(p, 4, eta_cap=2)]
-    tori = [sym.build_torus(sym.TorusDesc(p, (factor,))) for p in (3, 5)
-            for factor in (sym.SplitFactor(1), sym.NormOneFactor(1))]
-    tori += [sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(1), sym.SplitFactor(1)))),
-             sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(2),)))]
+    tori = [sym.Torus(p, ((1, norm_one),)) for p in (3, 5) for norm_one in (False, True)]
+    tori += [sym.Torus(3, ((1, True), (1, False))), sym.Torus(3, ((2, True),))]
     semisimple = [g for p in (3, 5) for g in sym.sp_elements(sym.standard_polarized_space(p, 1)) if g.is_semisimple()]
     # Sp_4(F_3): a fixed line beside a fixed-point-free block, and
     # cell-element conjugates of Levi elements without fixed points

@@ -17,20 +17,20 @@ def oracle5():
 
 
 def test_char_semisimple_identity_is_p_to_n():
-    torus = sym.build_torus(sym.TorusDesc(5, (sym.SplitFactor(1),)))
+    torus = sym.Torus(5, ((1, False),))
     one = torus.element((ff.field(5, 1).one(),))
     assert ger.char_semisimple(one) == 5.0
 
 
 def test_char_semisimple_vs_oracle_examples(oracle5):
     # diag(2,3) in Sp_2(F_5)
-    torus = sym.build_torus(sym.TorusDesc(5, (sym.SplitFactor(1),)))
+    torus = sym.Torus(5, ((1, False),))
     t = torus.element((ff.field(5, 1).from_int(2),))
     assert t.elem.mat.tolist() == [[2, 0], [0, 3]]
     oracle = weil.WeilModel(torus.space).trace_omega(t.elem)
     assert abs(ger.char_semisimple(t) - oracle) < 1e-8
     # order-4 element of the norm-one torus of Sp_2(F_3)
-    torus3 = sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(1),)))
+    torus3 = sym.Torus(3, ((1, True),))
     model3 = weil.WeilModel(torus3.space)
     for t in torus3.elements():
         if t.elem.order() == 4:
@@ -40,7 +40,7 @@ def test_char_semisimple_vs_oracle_examples(oracle5):
 def test_char_semisimple_rejects_bare_sp_elements():
     # the formula reads the eigenvalue orbits off the torus coordinates, so
     # the matrix of a torus element alone is refused
-    torus = sym.build_torus(sym.TorusDesc(5, (sym.SplitFactor(1),)))
+    torus = sym.Torus(5, ((1, False),))
     t = torus.element((ff.field(5, 1).from_int(2),))
     with pytest.raises(ger.GerardinError, match="SpElem"):
         ger.char_semisimple(t.elem)
@@ -149,7 +149,7 @@ def test_polarized_refuses_an_odd_fixed_space(oracle5, monkeypatch):
 def test_polarized_agrees_with_semisimple():
     # wherever both formulas apply they agree
     for p in (3, 5):
-        torus = sym.build_torus(sym.TorusDesc(p, (sym.SplitFactor(1),)))
+        torus = sym.Torus(p, ((1, False),))
         for t in torus.elements():
             pols = list(ger.invariant_polarizations(t.elem))
             if not pols:
@@ -320,7 +320,7 @@ def _sp4_elements():
     element and a seeded cell element of order prime to 3."""
     model = weil.WeilModel(sym.standard_polarized_space(3, 2))
     ident = sym.sp_identity(model.space)
-    torus = sym.build_torus(sym.TorusDesc(3, (sym.SplitFactor(1), sym.SplitFactor(1))))
+    torus = sym.Torus(3, ((1, False), (1, False)))
     rng = np.random.default_rng(5)
     cell = checks.cell_element(model, 1, rng)
     while not cell.is_semisimple():

@@ -88,9 +88,9 @@ def test_ci_workflow_parses():
     assert 'cmp "$RUNNER_TEMP/$scn-seed0.json" "$RUNNER_TEMP/$scn-o.json"' in self_step
     assert all(f.name in self_step for f in (ROOT / "scenarios").glob("*.scn"))
     # and two runs with each of the sgn fault, the faults on the word
-    # model's two stack seams and the lattice layer's fault, each exiting 1,
-    # the same report bytes
-    assert "for fault in sgn levi-sign off-sample-trace restrict-merge; do" in self_step
+    # model's two stack seams, the lattice layer's fault and the torus
+    # element's, each exiting 1, the same report bytes
+    assert "for fault in sgn levi-sign off-sample-trace restrict-merge split-piece-symmetric; do" in self_step
     assert ('PYTHONHASHSEED=$seed python -m weilchar.cli selfcheck --fault $fault '
             '--report "$RUNNER_TEMP/fault-$fault-$seed.json"') in self_step
     assert "for seed in 0 1; do" in self_step and 'test "$status" -eq 1' in self_step

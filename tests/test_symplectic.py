@@ -169,33 +169,47 @@ def test_gram_array_built_once_read_only():
         assert sym.direct_sum([space]) != space  # the same Gram matrix with one block
 
 
-def test_build_torus_examples():
-    split = sym.build_torus(sym.TorusDesc(3, (sym.SplitFactor(1),)))
+def test_torus_examples():
+    split = sym.Torus(3, ((1, False),))
     els = list(split.elements())
     assert len(els) == 2
     assert sorted(e.elem.mat.tolist() for e in els) == [[[1, 0], [0, 1]], [[2, 0], [0, 2]]]
-    normone = sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(1),)))
+    normone = sym.Torus(3, ((1, True),))
     els2 = list(normone.elements())
     assert len(els2) == 4
     assert sorted(e.elem.order() for e in els2) == [1, 2, 4, 4]
-    mixed = sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(1), sym.SplitFactor(1))))
+    mixed = sym.Torus(3, ((1, True), (1, False)))
     assert len(list(mixed.elements())) == 8
-    assert len(list(mixed.elements())) == 8
+
+
+def test_torus_element_takes_one_coordinate_per_factor():
+    # a short tuple and an extra coordinate are both refused, on a
+    # one-factor torus and a two-factor one
+    k = ff.field(5, 1)
+    one = sym.Torus(5, ((1, False),))
+    assert [pc.x for pc in one.element((k.from_int(2),)).pieces] == [k.from_int(2)]
+    for coords, got in (((k.from_int(2), k.from_int(3)), 2), ((), 0)):
+        with pytest.raises(sym.SymplecticError, match="need one coordinate per factor: 1, got %d" % got):
+            one.element(coords)
+    two = sym.Torus(3, ((1, True), (1, False)))
+    with pytest.raises(sym.SymplecticError, match="need one coordinate per factor: 2, got 1"):
+        two.element((ff.field(3, 2).one(),))
 
 
 def test_torus_pieces():
     # one piece per factor, rooted at its coordinate: asymmetric of degree d
     # on a split factor, symmetric of degree 2d on a norm-one factor
-    mixed = sym.build_torus(sym.TorusDesc(3, (sym.SplitFactor(2), sym.NormOneFactor(1))))
+    mixed = sym.Torus(3, ((2, False), (1, True)))
     for t in mixed.elements():
-        split, normone = t.pieces()
-        assert (split.degree, split.symmetric, split.x) == (2, False, t.coords[0])
-        assert (normone.degree, normone.symmetric, normone.x) == (2, True, t.coords[1])
-    deg2 = sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(2),)))
-    t = next(t for t in deg2.elements() if t.coords[0] != 1)
-    assert t.pieces() == (sym.TorusPiece(4, t.coords[0], True),)
+        split, normone = t.pieces
+        assert (split.degree, split.symmetric, split.x.parent) == (2, False, ff.field(3, 2))
+        assert (normone.degree, normone.symmetric, normone.x.parent) == (2, True, ff.field(3, 2))
+        assert mixed.element((split.x, normone.x)) == t
+    deg2 = sym.Torus(3, ((2, True),))
+    t = next(t for t in deg2.elements() if t.pieces[0].x != 1)
+    assert t.pieces == (sym.TorusPiece(4, t.pieces[0].x, True),)
     # every piece evaluates nontrivially somewhere: no identity weight
-    assert all(any(t.pieces()[i].x != 1 for t in mixed.elements()) for i in range(2))
+    assert all(any(t.pieces[i].x != 1 for t in mixed.elements()) for i in range(2))
 
 
 def test_eigen_examples():
@@ -655,14 +669,14 @@ def test_hyperbolic_basis_on_funny_forms():
 # sha256 digest per label: the field-block layouts must build the same
 # matrices however they are factored.
 PINNED_BLOCKS = json.loads((pathlib.Path(__file__).parent / "field_block_digests.json").read_text())
-PINNED_TORI = [
-    (sym.SplitFactor(1),),
-    (sym.NormOneFactor(1),),
-    (sym.SplitFactor(2),),
-    (sym.NormOneFactor(2),),
-    (sym.SplitFactor(3),),
-    (sym.NormOneFactor(1), sym.SplitFactor(1)),
-    (sym.SplitFactor(1), sym.NormOneFactor(2)),
+PINNED_TORI = [  # factors (subdegree, norm_one)
+    ((1, False),),
+    ((1, True),),
+    ((2, False),),
+    ((2, True),),
+    ((3, False),),
+    ((1, True), (1, False)),
+    ((1, False), (2, True)),
 ]
 
 
@@ -681,8 +695,8 @@ def block_digests(p: int) -> dict:
 def torus_digests(p: int) -> dict:
     out = {}
     for factors in PINNED_TORI:
-        torus = sym.build_torus(sym.TorusDesc(p, factors))
-        label = " ".join("%s%d" % (type(f).__name__[0], f.subdegree) for f in factors)
+        torus = sym.Torus(p, factors)
+        label = " ".join("%s%d" % ("N" if norm_one else "S", d) for d, norm_one in factors)
         out[label] = _digest([torus.space.gram.tolist(), torus.space.blocks] + [t.elem.mat.tolist() for t in torus.elements()])
     return out
 
@@ -709,6 +723,13 @@ def test_block_twists_pinned(p):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_tori_pinned(p):
     assert torus_digests(p) == PINNED_BLOCKS["build_torus"][str(p)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_torus_order_counts_the_elements(p):
+    for factors in PINNED_TORI:
+        torus = sym.Torus(p, factors)
+        assert torus.order == len(list(torus.elements()))
 
 
 def test_field_block_is_built_once_per_value():

@@ -504,7 +504,7 @@ def test_sl2_f3_convention_real_on_order_4_torus():
     # with the generator word model everywhere
     from weilchar import ffield as ff
 
-    torus = sym.build_torus(sym.TorusDesc(3, (sym.NormOneFactor(1),)))
+    torus = sym.Torus(3, ((1, True),))
     model = weil.WeilModel(torus.space)
     trs = np.trace(model.omega_group([t.elem for t in torus.elements()]), axis1=1, axis2=2)
     assert np.abs(trs.imag).max() < 1e-9
