@@ -22,7 +22,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -405,12 +404,13 @@ def cmd_run(args) -> int:
                 ffield.FieldError, lattice.LatticeError, ScenarioValidationError, KeyError, ValueError) as exc:
             raise ScenarioValidationError("%s: %s" % (sid, exc)) from exc
 
+    # in file order on this thread, whatever --jobs says: the runners are
+    # GIL-bound, and the first failing scenario ends the run
     rows: list[Row] = []
     t0 = time.time()
     try:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for out in pool.map(exec_one, jobs):
-                rows.extend(out)
+        for job in jobs:
+            rows.extend(exec_one(job))
     except ScenarioValidationError as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
@@ -521,7 +521,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", parents=[report], help="execute a scenario file")
     p_run.add_argument("file")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--jobs", type=_positive_int, default=1, help="threads; they share the GIL, so no speedup is claimed")
+    p_run.add_argument("--jobs", type=_positive_int, default=1, help="accepted for compatibility; scenarios run in file order on one thread")
     p_run.add_argument("--tolerance", type=_tolerance, default=1e-8)
 
     p_self = sub.add_parser("selfcheck", parents=[report], help="run the built-in invariant suite")

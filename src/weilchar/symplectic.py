@@ -272,8 +272,10 @@ def hyperbolic_basis(space: SympSpace) -> np.ndarray:
     return np.array(es + fs, dtype=np.int64).T
 
 
+@lru_cache(maxsize=None)
 def standard_polarized_space(p: int, n: int) -> SympSpace:
-    """The (e, f)-coordinate space with gram [[0, I],[-I, 0]]."""
+    """The (e, f)-coordinate space with gram [[0, I],[-I, 0]], built and
+    validated once per (p, n): the space is frozen, its Gram read-only."""
     return split_space(p, np.eye(n, dtype=np.int64))
 
 
@@ -460,6 +462,8 @@ class Torus:
             raise SymplecticError("need one coordinate per factor: %d, got %d" % (len(self.factors), len(coords)))
         pieces = []
         for i, (x, k, (d, norm_one)) in enumerate(zip(coords, self._fields(), self.factors)):
+            if not isinstance(x, FieldElem):
+                raise SymplecticError("coordinate %d is not an element of %r: %r" % (i, k, x))
             if norm_one and (x.parent != k or x * x.frobenius(d) != 1):
                 raise SymplecticError("coordinate %d is not norm-one in %r" % (i, k))
             if not norm_one and (x.parent != k or x.is_zero()):

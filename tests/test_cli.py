@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import threading
 import time
 import types
 
@@ -497,12 +498,60 @@ def test_subcommands_refuse_options_they_do_not_read(args, tmp_path, monkeypatch
 
 
 def test_run_summary_reports_measured_wall_time(tmp_path, monkeypatch, capsys):
-    # cmd_run reads the clock once before and once after the pool
+    # cmd_run reads the clock once before and once after the scenarios run
     clock = iter([10.0, 12.5])
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(time=lambda: next(clock)))
     assert run_cli(["run", SCN / "sign_f3.scn", "--report", tmp_path / "r.json", "--jobs", 2]) == 0
     rows = json.loads((tmp_path / "r.json").read_text())["rows"]
     assert capsys.readouterr().err.splitlines()[-1] == "%d rows, 0 failures, 2.50s" % len(rows)
+
+
+def test_run_starts_no_thread(tmp_path, monkeypatch):
+    # --jobs is accepted and changes nothing: the scenarios run on this thread
+    ref = tmp_path / "jobs1.json"
+    assert run_cli(["run", SCN / "sign_f3.scn", "--report", ref, "--jobs", 1]) == 0
+
+    def refuse(thread):
+        raise AssertionError("weilchar run started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    out = tmp_path / "jobs4.json"
+    assert run_cli(["run", SCN / "sign_f3.scn", "--report", out, "--jobs", 4]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_first_failing_scenario_ends_the_run(tmp_path, monkeypatch, capsys):
+    # file order: the second scenario's refusal is the message, and the
+    # third scenario never runs
+    ran = []
+
+    def recording(run):
+        def wrapped(sid, payload, tol, seed):
+            ran.append(sid)
+            return run(sid, payload, tol, seed)
+        return wrapped
+
+    monkeypatch.setattr(cli, "RUNNERS", {kind: recording(run) for kind, run in cli.RUNNERS.items()})
+    f = tmp_path / "three.scn"
+    f.write_text(json.dumps({"scenarios": [
+        {"id": "first", "kind": "root-datum", "payload": {"name": "A2"}},
+        {"id": "second", "kind": "root-datum", "payload": {"name": "nope"}},
+        {"id": "third", "kind": "root-datum", "payload": {"name": "B2"}},
+    ]}))
+    assert run_cli(["run", f, "--report", tmp_path / "r.json", "--jobs", 4]) == 3
+    assert capsys.readouterr().err.startswith("validation error: second: unknown catalogue datum 'nope'")
+    assert ran == ["first", "second"]
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_import_loads_no_thread_pool():
+    # a fresh interpreter: importing weilchar.cli pulls in neither
+    # concurrent.futures nor logging, a few ms of every process's set-up
+    code = ("import sys; sys.path.insert(0, %r); import weilchar.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))" % str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_reports_deterministic(tmp_path):

@@ -324,7 +324,7 @@ def test_element_contract(p, k):
 
 
 def test_tables_first_built_by_racing_threads():
-    # the --jobs thread pool can be first to touch a field's (_log, _exp)
+    # a library caller's threads can be first to touch a field's (_log, _exp)
     # pair; threads racing on a fresh description all read the same tables
     ref = ff.field(3, 8)
     interval = sys.getswitchinterval()

@@ -148,8 +148,8 @@ def test_catalogue_is_built_once_and_returned_fresh():
 
 
 def test_catalogue_built_in_racing_threads_is_one_catalogue():
-    # the --jobs pool shares the cached catalogue; threads that race its
-    # first build all read the same data and orders
+    # threads of a library caller share the cached catalogue; threads that
+    # race its first build all read the same data and orders
     want = {name: (d, d.order) for name, d in lat.catalogue().items()}
     lat._catalogue.cache_clear()
     interval = sys.getswitchinterval()

@@ -196,6 +196,25 @@ def test_torus_element_takes_one_coordinate_per_factor():
         two.element((ff.field(3, 2).one(),))
 
 
+def test_torus_element_refuses_a_coordinate_that_is_no_field_element():
+    # an int or None is refused by name, not by a bare AttributeError on .parent
+    for coords in ((2,), (None,)):
+        with pytest.raises(sym.SymplecticError, match="coordinate 0 is not an element of GF\\(5\\^1\\)"):
+            sym.Torus(5, ((1, False),)).element(coords)
+    k = ff.field(3, 2)
+    with pytest.raises(sym.SymplecticError, match="coordinate 1 is not an element of GF\\(3\\^1\\)"):
+        sym.Torus(3, ((1, True), (1, False))).element((k.one(), 1))
+
+
+def test_standard_polarized_space_is_built_once_per_p_n():
+    space = sym.standard_polarized_space(5, 2)
+    assert sym.standard_polarized_space(5, 2) is space
+    assert sym.standard_polarized_space(5, 1) is not space and sym.standard_polarized_space(3, 2) is not space
+    assert not space.gram.flags.writeable
+    with pytest.raises(ValueError):
+        space.gram[0, 2] = 0
+
+
 def test_torus_pieces():
     # one piece per factor, rooted at its coordinate: asymmetric of degree d
     # on a split factor, symmetric of degree 2d on a norm-one factor
